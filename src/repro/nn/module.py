@@ -20,6 +20,10 @@ __all__ = ["Parameter", "Module"]
 class Parameter(Tensor):
     """A :class:`Tensor` that is a learnable leaf (``requires_grad=True``)."""
 
+    #: Tensor-parallel rank that alone computes this parameter's gradient
+    #: (set on tp shards); ``None`` for parameters replicated across tp.
+    tp_rank: int | None = None
+
     def __init__(self, data, name: str | None = None):
         super().__init__(data, requires_grad=True, name=name)
 
@@ -115,7 +119,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {own[name].data.shape} vs {arr.shape}"
                 )
-            own[name].data = arr.astype(own[name].data.dtype).copy()
+            own[name].data = np.array(arr, dtype=own[name].data.dtype, copy=True)
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

@@ -8,19 +8,21 @@ ranks execute:
 - ``inproc`` — today's serial semantics: every rank's shard computation
   runs in this process, collectives operate on lists of partials.  It is
   the numerics oracle.
-- ``mp`` — one OS process per logical rank (spawn context), collectives
-  over shared memory.  Bitwise-equivalent to ``inproc`` by construction
-  (see DESIGN.md): rank sums run in rank order, the TP grid is capped so
-  float accumulation stays commutative, and codecs run rank-local.
+- ``mp`` — one OS process per logical rank (spawn context); collectives,
+  weights and gradients in shared memory, commands and small replies on a
+  pipe.  Bitwise-equivalent to ``inproc`` by construction (see DESIGN.md):
+  rank sums run in rank order, the TP grid is capped so float accumulation
+  stays commutative, codecs run rank-local, and the ranks compute on the
+  very bytes the parent wrote.
 
 Both backends expose the same step protocol so the trainer and the bench
 harness drive them identically::
 
     backend = create_backend(cfg.backend, model)
     result = backend.train_step(input_ids, labels, mask)
-    backend.apply_grads(model, result)   # p.grad <- merged gradients
+    backend.apply_grads(model, result)   # p.grad <- the step's gradients
     optimizer.step()
-    backend.sync_weights(model)          # push updated weights to ranks
+    backend.sync_weights(model)          # ranks see the updated weights
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class BackendError(RuntimeError):
 class StepResult:
     """Outcome of one training (or eval) step, backend-agnostic.
 
-    ``grads`` maps dotted parameter names to merged gradient arrays; it is
-    empty for the inproc backend, whose autograd pass already left the
-    gradients on the parent model's parameters.  ``timelines`` maps global
+    ``grads`` maps dotted parameter names to gradient arrays that own
+    their memory (a result outlives ``close()``); it is empty for inproc
+    at ``dp == 1``, whose autograd pass already left the gradients on the
+    parent model's parameters.  ``timelines`` maps global
     rank to a list of span dicts (``name``/``cat``/``ts_ms``/``dur_ms``)
     for Chrome-trace export; the inproc backend reports none.
     """
@@ -77,10 +80,12 @@ class ExecutionBackend:
 
     def apply_grads(self, model, result: StepResult) -> None:
         """Install ``result.grads`` onto the parent model's parameters."""
-        raise NotImplementedError
+        named = dict(model.named_parameters())
+        for name, g in result.grads.items():
+            named[name].grad = np.asarray(g)
 
     def sync_weights(self, model) -> None:
-        """Propagate the parent model's (updated) weights to the ranks."""
+        """Make the ranks compute on the parent model's (updated) weights."""
         raise NotImplementedError
 
     def runtime_state(self) -> dict:

@@ -1,11 +1,16 @@
 """Multiprocess execution backend: one spawned worker per logical rank.
 
-The parent keeps the canonical model and optimizer; workers hold replicas
-(same seed ⇒ identical init) and compute their rank's slice of each step.
-Per step the parent broadcasts the batch, collects per-rank losses, grads
-and comm events, merges them into the oracle's view (see
-:meth:`MpBackend._merge_grads`), and — after the caller's optimizer step —
-pushes the updated weights back out.
+The parent keeps the canonical model and optimizer; workers compute their
+rank's slice of each step on a replica whose parameters are read-only
+views of the weights arena in the shared-memory segment.
+
+The control pipe carries commands, the batch, and each rank's reply (loss,
+names of the gradients it wrote, comm events, timeline); shared memory
+carries activations, weights and gradients.  ``sync_weights`` is a
+``copyto`` into the arena with no message; after backward each worker
+copies the gradients it owns into its dp gang's slab.  Neither needs a
+flag: the pipe is FIFO, so the ``step`` command follows the parent's arena
+write and a reply follows the worker's slab write (DESIGN.md decision 8).
 
 Failure model: every wait on a worker carries a deadline and checks the
 process is still alive, so a crashed or wedged rank surfaces as a typed
@@ -19,7 +24,6 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue as queue_mod
-import re
 import time
 from multiprocessing import connection as mp_connection
 
@@ -37,12 +41,6 @@ from repro.parallel.collectives import CommTracker, dp_all_reduce
 from repro.parallel.grad_sync import build_dp_grad_compressor
 
 __all__ = ["MpBackend"]
-
-_RANK_SUFFIX = re.compile(r"_rank(\d+)$")
-_LAYER_OWNER = re.compile(r"(?:^|\.)layers\.(\d+)\.")
-_COMP_LAYER = re.compile(r"(?:^|\.)compressor\.layer(\d+)\.")
-_COMP_BOUNDARY = re.compile(r"(?:^|\.)compressor\.boundary(\d+)\.")
-_STAGE0_PARAMS = ("token_embedding", "position_embedding", "embed_ln")
 
 
 class MpBackend(ExecutionBackend):
@@ -83,15 +81,16 @@ class MpBackend(ExecutionBackend):
         self.timeout = timeout
         self.collect_timelines = collect_timelines
         self.overlap = overlap
-        self._partition = model.backbone.partition
 
         # The parent attaches as an observer (rank=-1): it owns the segment
         # lifetime but opens no channels.
-        self.transport = RankTransport.create(self.world, capacity_bytes)
+        self.transport = RankTransport.create(
+            self.world, capacity_bytes, state=model.named_parameters(),
+            grad_slabs=self.dp)
         try:
+            self.sync_weights(model)  # before spawn: workers start on it
             self._spawn_workers(model, timeout)
             self._collect(range(self.world))  # one ("ready", rank) each
-            self.sync_weights(model)
         except BaseException:
             self.close()
             raise
@@ -113,31 +112,22 @@ class MpBackend(ExecutionBackend):
             kwargs["regression"] = model.regression
         model_spec = {"cls": type(model), "config": model.config, "kwargs": kwargs}
         # Spawn order is global-rank order (dp-major, tp-minor), so
-        # ``self._conns[rank]`` indexes by rank as before.
-        for dp_rank in range(self.dp):
-            for stage in range(self.pp):
-                for sp_rank in range(self.sp):
-                    for tp_rank in range(self.tp):
-                        parent_conn, child_conn = spawn.Pipe()
-                        rank_info = {"tp": self.tp, "pp": self.pp,
-                                     "tp_rank": tp_rank, "stage": stage,
-                                     "dp": self.dp, "sp": self.sp,
-                                     "dp_rank": dp_rank, "sp_rank": sp_rank,
-                                     "overlap": self.overlap}
-                        rank = global_rank(stage, tp_rank, self.tp,
-                                           pp=self.pp, sp=self.sp,
-                                           sp_rank=sp_rank, dp_rank=dp_rank)
-                        proc = spawn.Process(
-                            target=_worker_main,
-                            args=(child_conn, self.transport.spec, rank_info,
-                                  model_spec, timeout, self._telemetry_queue),
-                            daemon=True,
-                            name=f"repro-rank{rank}",
-                        )
-                        proc.start()
-                        child_conn.close()
-                        self._procs.append(proc)
-                        self._conns.append(parent_conn)
+        # ``self._conns[rank]`` indexes by rank.
+        for rank, coords in enumerate(
+                np.ndindex(self.dp, self.pp, self.sp, self.tp)):
+            dp_rank, stage, sp_rank, tp_rank = coords
+            parent_conn, child_conn = spawn.Pipe()
+            rank_info = dict(tp=self.tp, pp=self.pp, dp=self.dp, sp=self.sp,
+                             tp_rank=tp_rank, stage=stage, dp_rank=dp_rank,
+                             sp_rank=sp_rank, overlap=self.overlap)
+            proc = spawn.Process(
+                target=_worker_main, daemon=True, name=f"repro-rank{rank}",
+                args=(child_conn, self.transport.spec, rank_info, model_spec,
+                      timeout, self._telemetry_queue))
+            proc.start()
+            child_conn.close()
+            self._procs.append(proc)
+            self._conns.append(parent_conn)
 
     def _collect(self, ranks) -> dict[int, tuple]:
         """One message from each rank, or a BackendError naming the culprit.
@@ -191,11 +181,9 @@ class MpBackend(ExecutionBackend):
             raise BackendError("backend is closed")
 
     def _send_all(self, msg: tuple) -> None:
-        # Pickle once, fan the bytes out: the step broadcast and the
-        # weights sync are the two largest parent→worker messages, and
-        # serializing them per worker put world-1 redundant pickle passes
-        # on the step's critical path.  ``send_bytes`` pairs with the
-        # workers' ordinary ``recv`` (which unpickles the frame).
+        # Pickle once, fan the bytes out (pickling per worker put world-1
+        # redundant passes on the step's critical path).  ``send_bytes``
+        # pairs with the workers' ordinary ``recv``, which unpickles.
         buf = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         for rank, conn in enumerate(self._conns):
             try:
@@ -216,7 +204,7 @@ class MpBackend(ExecutionBackend):
                         self.collect_timelines))
         replies = self._collect(range(self.world))
 
-        # replies[rank] = ("result", rank, loss, grads, events, timeline)
+        # replies[rank] = ("result", rank, loss, written, events, timeline)
         # Each dp gang's last stage reports its shard loss; the step loss
         # is the gang-order mean, matching the oracle's replica loop.
         losses: list[float] = []
@@ -230,24 +218,20 @@ class MpBackend(ExecutionBackend):
             losses.append(gang_loss)
         loss = sum(losses[1:], losses[0]) / self.dp
 
-        per_rank = {r: replies[r][3] for r in replies}
-        events: list = []
-        for rank in range(self.world):
-            events.extend(replies[rank][4])
+        events = [e for rank in range(self.world) for e in replies[rank][4]]
+        replica_grads = self._replica_grads(replies)
         if self.dp == 1:
-            grads = self._merge_grads(per_rank)
+            # The one copy out of the slab: StepResult owns its memory.
+            grads = {name: g.copy() for name, g in replica_grads[0].items()}
         else:
-            # Backend-layer gradient sync point: the same dp_all_reduce
-            # the inproc oracle runs, over the per-gang merged gradients.
-            replica_grads = [self._merge_grads(per_rank, dp_rank=d)
-                             for d in range(self.dp)]
+            # Backend-layer gradient sync point: the same dp_all_reduce the
+            # inproc oracle runs (its flatten copies out of the slabs).
             dp_tracker = CommTracker()
             grads = dp_all_reduce(replica_grads, self._dp_compressor,
                                   dp_tracker)
             events.extend(dp_tracker.events)
-        timelines = {}
-        if self.collect_timelines:
-            timelines = {rank: replies[rank][5] for rank in range(self.world)}
+        timelines = ({rank: replies[rank][5] for rank in range(self.world)}
+                     if self.collect_timelines else {})
 
         # Mirror the merged events onto the parent model's tracker so
         # `model.tracker.summary()` reads the same whichever backend ran.
@@ -257,53 +241,34 @@ class MpBackend(ExecutionBackend):
                           timelines=timelines)
 
     # ------------------------------------------------------------------
-    def _owner_stage(self, name: str) -> int:
-        """Pipeline stage whose workers computed this parameter's gradient."""
-        m = _LAYER_OWNER.search(name)
-        if m:
-            return self._partition.stage_of(int(m.group(1)))
-        m = _COMP_LAYER.search(name)
-        if m:
-            return self._partition.stage_of(int(m.group(1)))
-        m = _COMP_BOUNDARY.search(name)
-        if m:
-            return int(m.group(1))  # boundary b's codec runs on sender stage b
-        if any(f".{p}." in name or name.startswith(f"backbone.{p}.")
-               for p in _STAGE0_PARAMS):
-            return 0
-        return self.pp - 1  # classifier / MLM heads live after the backbone
+    def _replica_grads(self, replies: dict[int, tuple]
+                       ) -> list[dict[str, np.ndarray]]:
+        """Per dp gang, views of the gradients its ranks wrote this step.
 
-    def _merge_grads(self, per_rank: dict[int, dict[str, np.ndarray]],
-                     dp_rank: int = 0) -> dict[str, np.ndarray]:
-        """Select worker gradients into one gang's oracle gradient set.
-
-        - ``*_rank{r}`` shard parameters: exactly one worker (owner stage,
-          tp rank r) touched them — take its gradient.
-        - Everything else — including learnable codec parameters, whose
-          workers replay the oracle's full encode-sum-decode graph over
-          exchanged partials — is replicated: take the owner stage's tp
-          rank 0 copy (sp rank 0 plane; the SP grad sync made the sp
-          replicas identical).
+        A gradient belongs to whichever rank wrote it; two writers in one
+        gang would make the slab depend on their timing, so that is an
+        error, not a pick.  Checked before any view is taken: ``close()``
+        cannot release a segment that still has views out.
         """
-        merged: dict[str, np.ndarray] = {}
-        for name, _ in self.model.named_parameters():
-            stage = self._owner_stage(name)
-            m = _RANK_SUFFIX.search(name)
-            tp_rank = int(m.group(1)) if m else 0
-            g = per_rank[global_rank(stage, tp_rank, self.tp, pp=self.pp,
-                                     sp=self.sp, dp_rank=dp_rank)].get(name)
-            if g is not None:
-                merged[name] = g
-        return merged
-
-    def apply_grads(self, model, result: StepResult) -> None:
-        named = dict(model.named_parameters())
-        for name, g in result.grads.items():
-            named[name].grad = np.asarray(g)
+        gang = self.world // self.dp
+        owners: list[dict[str, int]] = [{} for _ in range(self.dp)]
+        for rank in range(self.world):
+            for name in replies[rank][3]:
+                first = owners[rank // gang].setdefault(name, rank)
+                if first != rank:
+                    self.close()
+                    raise BackendError(
+                        f"gradient of {name!r} was written by ranks {first} "
+                        f"and {rank} of dp gang {rank // gang}", rank=rank)
+        slabs = [self.transport.grad_slab(d) for d in range(self.dp)]
+        return [{name: slab[name] for name in owner}
+                for owner, slab in zip(owners, slabs)]
 
     def sync_weights(self, model) -> None:
         self._ensure_open()
-        self._send_all(("weights", model.state_dict()))
+        arena = self.transport.weights
+        for name, p in model.named_parameters():
+            np.copyto(arena[name], p.data)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -6,7 +6,9 @@ segment laid out as
 - a barrier region: ``world`` aligned u32 generation slots, then
 - a full mesh of ``world × world`` directed ring mailboxes (the diagonal
   is unused), each a ring of ``slots`` message slots of
-  ``HEADER_SIZE + capacity`` bytes.
+  ``HEADER_SIZE + capacity`` bytes, then
+- the state plane: a weights arena and one gradient slab per dp gang, each
+  an image of the model's parameters at the spec's ``state`` offsets.
 
 Each directed mailbox is a single-producer/single-consumer ring: message
 ``seq`` (1-based) lives in slot ``(seq - 1) % slots``.  The sender waits
@@ -118,6 +120,9 @@ _DTYPES: tuple[np.dtype, ...] = tuple(
 )
 _DTYPE_CODE = {d: i for i, d in enumerate(_DTYPES)}
 _MAX_NDIM = 8
+
+#: State-plane arrays start on cache-line boundaries.
+_STATE_ALIGN = 64
 
 
 def _now() -> float:
@@ -582,6 +587,10 @@ class RankTransport:
     passes ``spec`` to each worker, which attaches with
     :meth:`RankTransport(spec, rank=...)`.  Only the creator may
     :meth:`unlink`; everyone must :meth:`close`.
+
+    The state plane sits behind the mesh (barrier and ring offsets do not
+    depend on it) and has no flags: a region's writer finishes strictly
+    before the control message that lets the other side read it.
     """
 
     def __init__(self, spec: dict, rank: int, *, _created: bool = False):
@@ -626,6 +635,8 @@ class RankTransport:
         #: ``mp.async`` for issue→wait in-flight windows.
         self.timeline: list[dict] | None = None
         self.timeline_origin = 0.0
+        #: State-plane views by region (0 = weights, 1 + g = gang g's slab).
+        self._state: dict[int, dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _barrier_bytes(self) -> int:
@@ -633,19 +644,56 @@ class RankTransport:
         # cache-line aligned.
         return (4 * self.world + 63) // 64 * 64
 
-    def _segment_size(self) -> int:
+    def _mesh_end(self) -> int:
         ring = self.slots * (HEADER_SIZE + self.capacity)
         return self._barrier_bytes() + self.world * self.world * ring
 
+    def _segment_size(self) -> int:
+        regions = 1 + self.spec["grad_slabs"]
+        return self._mesh_end() + regions * self.spec["state_bytes"]
+
     @classmethod
     def create(cls, world: int, capacity: int = DEFAULT_CAPACITY,
-               rank: int = -1, slots: int = DEFAULT_SLOTS) -> "RankTransport":
-        """Allocate the segment (parent side). ``rank=-1``: observer only."""
+               rank: int = -1, slots: int = DEFAULT_SLOTS, *,
+               state=(), grad_slabs: int = 0) -> "RankTransport":
+        """Allocate the segment (parent side). ``rank=-1``: observer only.
+        ``state`` is ``model.named_parameters()``, the state plane's shape."""
         import secrets
 
+        table, offset = [], 0
+        for name, p in state:
+            table.append((name, offset, p.data.shape, p.data.dtype.str))
+            offset += -(-p.data.nbytes // _STATE_ALIGN) * _STATE_ALIGN
         spec = {"name": f"repro-rt-{secrets.token_hex(6)}", "world": world,
-                "capacity": capacity, "slots": slots}
+                "capacity": capacity, "slots": slots, "state": table,
+                "state_bytes": offset, "grad_slabs": grad_slabs}
         return cls(spec, rank, _created=True)
+
+    # ------------------------------------------------------------------
+    def _state_views(self, region: int) -> dict[str, np.ndarray]:
+        views = self._state.get(region)
+        if views is None:
+            base = self._mesh_end() + region * self.spec["state_bytes"]
+            views = {
+                name: np.ndarray(shape, dtype=dtype, buffer=self._shm.buf,
+                                 offset=base + offset)
+                for name, offset, shape, dtype in self.spec["state"]
+            }
+            if region == 0 and not self._created:
+                for view in views.values():
+                    view.flags.writeable = False
+            self._state[region] = views
+        return views
+
+    @property
+    def weights(self) -> dict[str, np.ndarray]:
+        """Parameter name → view of the weights arena; read-only for ranks,
+        so an in-place update fails loudly instead of corrupting peers."""
+        return self._state_views(0)
+
+    def grad_slab(self, gang: int) -> dict[str, np.ndarray]:
+        """Parameter name → view of dp gang ``gang``'s gradient slab."""
+        return self._state_views(1 + gang)
 
     # ------------------------------------------------------------------
     def _record_wait(self, name: str, start: float, cat: str = "mp.wait") -> None:
@@ -738,14 +786,17 @@ class RankTransport:
         # Drop every exported memoryview before closing, or SharedMemory
         # refuses with BufferError.
         self._channels.clear()
+        self._state.clear()
         self.barrier = None
         shm, self._shm = self._shm, None
-        shm.close()
-        if self._created:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            shm.close()
+        finally:  # BufferError (a view still out) must not leak the name
+            if self._created:
+                try:
+                    shm.unlink()
+                except FileNotFoundError:
+                    pass
 
     def __del__(self):
         try:

@@ -1,10 +1,12 @@
 """Entry point of one mp-backend worker process (one logical rank).
 
-A worker owns a single (stage, tp_rank) coordinate.  It rebuilds the full
-model replica from the parent's config — same seed, therefore identical
-initial weights — then activates a :class:`RankContext` so shard loops and
-collectives collapse to its own rank.  Per step it executes exactly the
-slice of the oracle's computation its rank would own:
+A worker owns a single (dp_rank, stage, sp_rank, tp_rank) coordinate.  It
+builds the model from the parent's config, rebinds every parameter to a
+read-only view of the weights arena in the shared-memory segment (so it
+always computes on the very bytes the parent last wrote), then activates
+a :class:`RankContext` so shard loops and collectives collapse to its own
+rank.  Per step it executes exactly the slice of the oracle's computation
+its rank would own:
 
 - stage 0 embeds the batch; later stages receive the boundary activation
   over shared memory and turn it into a gradient leaf;
@@ -13,41 +15,28 @@ slice of the oracle's computation its rank would own:
   receive the relayed boundary gradient and resume their local graph;
 - stages > 0 relay their input-leaf gradient back to the previous stage.
 
-Control plane (weights, batches, results) is an ordinary
-``multiprocessing.Pipe`` — pickle is fine there; the data plane (activations,
-gradients, barrier) is exclusively the shared-memory transport.
+After backward the worker copies the gradients it owns into its dp gang's
+slab and names them in its reply: those it computed, if it sits on the
+gang's sp rank 0 plane (the SP sync made the planes equal) and on the
+parameter's tp rank — the shard's, or rank 0 for a replicated parameter.
+
+The control pipe (``multiprocessing.Pipe``) carries commands, batch, loss,
+events and timelines; everything else lives exclusively in shared memory.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
 
 import numpy as np
 
-import re
-
 from repro.parallel.backend import conclog, faults
 from repro.parallel.backend.context import RankContext, set_rank_context
 from repro.parallel.backend.transport import RankTransport
 from repro.tensor import Tensor
-
-_RANK_SUFFIX = re.compile(r"_rank(\d+)$")
-
-
-def _parent_reads(name: str, tp_rank: int, sp_rank: int = 0) -> bool:
-    """Whether the parent's gradient merge reads ``name`` from this rank.
-
-    After the SP grad sync every sp rank holds identical gradients, so the
-    merge only consults the ``sp_rank == 0`` plane of each gang.
-    """
-    if sp_rank != 0:
-        return False
-    m = _RANK_SUFFIX.search(name)
-    if m is not None:
-        return int(m.group(1)) == tp_rank
-    return tp_rank == 0
 
 
 def _disable_shm_tracking() -> None:
@@ -83,8 +72,8 @@ def _span(timeline: list[dict] | None, origin: float, name: str,
 
 def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
                collect_timeline: bool):
-    """One training step of this rank's slice; returns (loss, grads, events,
-    timeline).
+    """One training step of this rank's slice; returns (loss, names of the
+    gradients written to the gang's slab, events, timeline).
 
     The step executes the pipeline schedule's op list verbatim
     (:func:`repro.parallel.pipeline.schedule_ops`): each ``F`` op carries
@@ -197,150 +186,136 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
     if ctx.sp > 1:
         sp_sync_grads(model, ctx)
 
-    # Reply with exactly the gradients the parent's merge will read: tp
-    # rank 0 owns every replicated parameter's copy (plus its own shards);
-    # a tp rank > 0 worker is only consulted for its ``_rank{r}`` shards.
-    # Everything else would be pickled, shipped and dropped.
-    grads = {
-        name: p.grad for name, p in model.named_parameters()
-        if p.grad is not None and _parent_reads(name, ctx.tp_rank,
-                                                ctx.sp_rank)
-    }
+    # Publish the gradients this rank owns; the reply only names them.
+    written = []
+    if ctx.sp_rank == 0:
+        slab = transport.grad_slab(ctx.dp_rank)
+        for name, p in model.named_parameters():
+            if p.grad is not None and (p.tp_rank or 0) == ctx.tp_rank:
+                np.copyto(slab[name], p.grad)
+                written.append(name)
     events = list(model.tracker.events)
     transport.timeline = None
     loss_val = mean_loss(loss_vals) if loss_vals else None
-    return loss_val, grads, events, timeline or []
+    return loss_val, written, events, timeline or []
+
+
+def _serve(conn, ctx: RankContext, model_spec: dict, conc, fault_plan,
+           telem) -> None:
+    """Build the replica on the weights arena and answer commands until
+    ``shutdown``.  The model lives in this frame only: once it is gone, no
+    local of the caller holds a view of the segment."""
+    rank, transport = ctx.rank, ctx.transport
+    # Every step allocates and frees parameter-sized gradient arrays.  glibc
+    # serves blocks above its mmap threshold from fresh pages (one fault per
+    # 4 KiB, each step); freeing one block as large as the whole state lifts
+    # the dynamic threshold (mallopt(3)) past all of them for good.
+    bytearray(transport.spec["state_bytes"])
+    model = model_spec["cls"](model_spec["config"], **model_spec["kwargs"])
+    weights = transport.weights
+    for name, p in model.named_parameters():
+        p.data = weights[name]
+    set_rank_context(ctx)
+    if telem is not None:
+        telem.watch(model.tracker)
+    conn.send(("ready", rank))
+    steps_done = 0
+    while True:
+        msg = conn.recv()
+        cmd = msg[0]
+        if cmd == "shutdown":
+            break
+        if cmd == "runtime_state":
+            conn.send(("result", rank, model.backbone.runtime_state_dict()))
+        elif cmd == "load_runtime_state":
+            # dp runs namespace per-replica compressor state; each gang
+            # restores its own slice of the broadcast dict.
+            model.backbone.load_runtime_state_dict(
+                msg[1].get(f"dp{ctx.dp_rank}", msg[1]))
+        elif cmd == "step":
+            _, input_ids, labels, attention_mask, collect = msg
+            # Stamped before fault injection so a planned straggler delay
+            # lands in this rank's wall (and busy) time instead of
+            # disappearing between commands.
+            t_step_start = time.monotonic()
+            if telem is not None:
+                telem.begin_step(steps_done)
+            if fault_plan is not None:
+                fault_plan.set_step(steps_done)
+                spec = fault_plan.take_step_fault(rank, steps_done)
+                if spec is not None and spec.kind == "kill":
+                    # Planned death: flush the event log so the run stays
+                    # replayable, then exit hard — the parent sees EOF on
+                    # the pipe and raises a BackendError naming this rank.
+                    if conc is not None:
+                        conc.emit("fault", fault="kill", step=steps_done)
+                        conc.flush()
+                    if telem is not None:
+                        telem.emit("fault", kind="kill", step=steps_done)
+                        telem.publish()
+                    conn.close()
+                    os._exit(faults.KILL_EXIT_CODE)
+                if spec is not None and spec.kind == "delay":
+                    if conc is not None:
+                        conc.emit("fault", fault="delay", step=steps_done,
+                                  seconds=spec.seconds)
+                    time.sleep(spec.seconds)
+            # Telemetry needs the span timeline (comm-wait decomposes the
+            # step) even when the parent didn't ask for traces.
+            loss_val, written, events, timeline = _spmd_step(
+                model, ctx, input_ids, labels, attention_mask,
+                collect or telem is not None)
+            if conc is not None:
+                # Flush after every step so a crashed run still leaves a
+                # replayable event-log prefix on disk.
+                conc.emit("step_end", step=steps_done)
+                conc.flush()
+            if telem is not None:
+                # Emit-before-publish: the step's telemetry is on the side
+                # channel before the result that makes the step observable
+                # goes over the control pipe.
+                telem.record_step(steps_done, t_step_start, loss=loss_val,
+                                  timeline=timeline, transport=transport,
+                                  plan=fault_plan)
+                telem.publish()
+            steps_done += 1
+            # The timeline only travels the control pipe when the parent
+            # asked for traces; a telemetry-forced one was summarized above
+            # and is stripped here.
+            conn.send(("result", rank, loss_val, written, events,
+                       timeline if collect else []))
+        else:
+            raise RuntimeError(f"unknown command {cmd!r}")
 
 
 def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
                  timeout: float, telemetry_q=None) -> None:
     """Process target: attach transport, build the replica, serve commands.
 
-    ``rank_info`` carries tp/pp/tp_rank/stage; ``model_spec`` carries the
-    model class, its config and extra constructor kwargs.  Every command is
-    answered (``("result", ...)`` or ``("error", rank, tb)``) so the parent
-    never waits on a silent failure.
+    ``rank_info`` carries this rank's :class:`RankContext` coordinates,
+    ``model_spec`` the model class, its config and extra constructor kwargs.
+    Every command is answered (``("result", ...)`` or ``("error", rank,
+    tb)``) so the parent never waits on a silent failure.
     """
     _disable_shm_tracking()
-    from repro.parallel.backend.context import global_rank
-
-    dp = rank_info.get("dp", 1)
-    sp = rank_info.get("sp", 1)
-    rank = global_rank(rank_info["stage"], rank_info["tp_rank"],
-                       rank_info["tp"], pp=rank_info["pp"], sp=sp,
-                       sp_rank=rank_info.get("sp_rank", 0),
-                       dp_rank=rank_info.get("dp_rank", 0))
-    world = dp * rank_info["pp"] * sp * rank_info["tp"]
-    transport = None
+    ctx = RankContext(**rank_info, timeout=timeout)
+    rank, world = ctx.rank, spec["world"]
+    ctx.rng = np.random.default_rng((model_spec["config"].seed, rank))
     # Concurrency event log (DYN003): purely env-gated, off in production.
     conc = conclog.maybe_install_from_env(rank, world=world)
     # Fault plan (chaos injection): also purely env-gated; the env var is
     # inherited from the parent through the spawn context.
     fault_plan = faults.maybe_install_from_env()
-    # Live telemetry (REPRO_TELEMETRY): the parent only passes a queue
-    # when the env var is set, and the agent import stays off the healthy
-    # startup path otherwise.
+    # Live telemetry (REPRO_TELEMETRY): the parent only passes a queue when
+    # the env var is set; otherwise the agent import stays off this path.
     telem = None
     if telemetry_q is not None:
         from repro.obs.telemetry.agent import maybe_agent_from_env
 
         telem = maybe_agent_from_env(rank, world=world, sink=telemetry_q)
-    steps_done = 0
     try:
-        transport = RankTransport(spec, rank)
-        model = model_spec["cls"](model_spec["config"], **model_spec["kwargs"])
-        ctx = RankContext(
-            tp=rank_info["tp"], pp=rank_info["pp"],
-            tp_rank=rank_info["tp_rank"], stage=rank_info["stage"],
-            transport=transport,
-            rng=np.random.default_rng((model_spec["config"].seed, rank)),
-            timeout=timeout,
-            overlap=rank_info.get("overlap", True),
-            dp=dp, sp=sp,
-            dp_rank=rank_info.get("dp_rank", 0),
-            sp_rank=rank_info.get("sp_rank", 0),
-        )
-        set_rank_context(ctx)
-        if telem is not None:
-            telem.watch(model.tracker)
-        conn.send(("ready", rank))
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "shutdown":
-                break
-            if cmd == "weights":
-                model.load_state_dict(msg[1])
-            elif cmd == "runtime_state":
-                state = {}
-                backbone = getattr(model, "backbone", None)
-                if backbone is not None:
-                    state = backbone.runtime_state_dict()
-                conn.send(("result", rank, state))
-            elif cmd == "load_runtime_state":
-                backbone = getattr(model, "backbone", None)
-                if backbone is not None:
-                    state = msg[1]
-                    # dp runs namespace per-replica compressor state; each
-                    # gang restores its own slice of the broadcast dict.
-                    if f"dp{ctx.dp_rank}" in state:
-                        state = state[f"dp{ctx.dp_rank}"]
-                    backbone.load_runtime_state_dict(state)
-            elif cmd == "step":
-                _, input_ids, labels, attention_mask, collect = msg
-                # Stamped before fault injection so a planned straggler
-                # delay lands in this rank's wall (and busy) time instead
-                # of disappearing between commands.
-                t_step_start = time.monotonic()
-                if telem is not None:
-                    telem.begin_step(steps_done)
-                if fault_plan is not None:
-                    fault_plan.set_step(steps_done)
-                    spec = fault_plan.take_step_fault(rank, steps_done)
-                    if spec is not None and spec.kind == "kill":
-                        # Planned death: flush the event log so the run
-                        # stays replayable, then exit hard — the parent
-                        # sees EOF on the pipe and raises a typed
-                        # BackendError naming this rank.
-                        if conc is not None:
-                            conc.emit("fault", fault="kill", step=steps_done)
-                            conc.flush()
-                        if telem is not None:
-                            telem.emit("fault", kind="kill", step=steps_done)
-                            telem.publish()
-                        conn.close()
-                        os._exit(faults.KILL_EXIT_CODE)
-                    if spec is not None and spec.kind == "delay":
-                        if conc is not None:
-                            conc.emit("fault", fault="delay", step=steps_done,
-                                      seconds=spec.seconds)
-                        time.sleep(spec.seconds)
-                # Telemetry needs the span timeline (comm-wait decomposes
-                # the step) even when the parent didn't ask for traces.
-                loss_val, grads, events, timeline = _spmd_step(
-                    model, ctx, input_ids, labels, attention_mask,
-                    collect or telem is not None)
-                if conc is not None:
-                    # Flush after every step so a crashed run still leaves
-                    # a replayable event-log prefix on disk.
-                    conc.emit("step_end", step=steps_done)
-                    conc.flush()
-                if telem is not None:
-                    # Emit-before-publish: the step's telemetry is on the
-                    # side channel before the result that makes the step
-                    # observable goes over the control pipe.
-                    telem.record_step(steps_done, t_step_start, loss=loss_val,
-                                      timeline=timeline, transport=transport,
-                                      plan=fault_plan)
-                    telem.publish()
-                steps_done += 1
-                # The timeline only travels the control pipe when the
-                # parent asked for traces; a telemetry-forced one was
-                # summarized above and is stripped here.
-                conn.send(("result", rank, loss_val, grads, events,
-                           timeline if collect else []))
-            else:
-                raise RuntimeError(f"unknown command {cmd!r}")
+        ctx.transport = RankTransport(spec, rank)
+        _serve(conn, ctx, model_spec, conc, fault_plan, telem)
     except EOFError:
         pass  # parent went away; nothing to report to
     except BaseException:
@@ -353,6 +328,9 @@ def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
         if conc is not None:
             conc.flush()
             conclog.uninstall()
-        if transport is not None:
-            transport.close()
+        if ctx.transport is not None:
+            # The parameters were views of the segment and the module tree
+            # has reference cycles; the views must be gone before close().
+            gc.collect()
+            ctx.transport.close()
         conn.close()

@@ -55,6 +55,18 @@ def _shard_rows(weight: np.ndarray, tp: int) -> list[np.ndarray]:
     return np.split(weight, tp, axis=0)
 
 
+def _add_shard(module: Module, stem: str, rank: int, data: np.ndarray) -> Parameter:
+    """Register tp rank ``rank``'s shard of ``stem`` as ``{stem}_rank{rank}``.
+
+    The shard is tagged with its rank: only that rank's worker computes
+    (and, under the mp backend, publishes) its gradient.
+    """
+    p = Parameter(data.copy())
+    p.tp_rank = rank
+    module.add_parameter(f"{stem}_rank{rank}", p)
+    return p
+
+
 class ColumnParallelLinear(Module):
     """Linear layer whose output features are sharded across ``tp`` ranks.
 
@@ -78,14 +90,10 @@ class ColumnParallelLinear(Module):
         self.weight_shards = []
         self.bias_shards = []
         for r, w in enumerate(_shard_columns(weight, self.tp)):
-            p = Parameter(w.copy())
-            self.add_parameter(f"weight_rank{r}", p)
-            self.weight_shards.append(p)
+            self.weight_shards.append(_add_shard(self, "weight", r, w))
         if bias is not None:
             for r, b in enumerate(np.split(bias, self.tp)):
-                p = Parameter(b.copy())
-                self.add_parameter(f"bias_rank{r}", p)
-                self.bias_shards.append(p)
+                self.bias_shards.append(_add_shard(self, "bias", r, b))
 
     @classmethod
     def from_serial(cls, serial: Linear, tp: int) -> "ColumnParallelLinear":
@@ -133,9 +141,7 @@ class RowParallelLinear(Module):
     def _init_shards(self, weight: np.ndarray, bias: np.ndarray | None) -> None:
         self.weight_shards = []
         for r, w in enumerate(_shard_rows(weight, self.tp)):
-            p = Parameter(w.copy())
-            self.add_parameter(f"weight_rank{r}", p)
-            self.weight_shards.append(p)
+            self.weight_shards.append(_add_shard(self, "weight", r, w))
         self.bias = Parameter(bias.copy()) if bias is not None else None
 
     @classmethod
@@ -229,12 +235,8 @@ class ParallelAttention(Module):
             cols = np.concatenate(
                 [np.arange(sec * h + r * slice_w, sec * h + (r + 1) * slice_w) for sec in range(3)]
             )
-            w = Parameter(qkv_weight[:, cols].copy())
-            b = Parameter(qkv_bias[cols].copy())
-            self.add_parameter(f"qkv_weight_rank{r}", w)
-            self.add_parameter(f"qkv_bias_rank{r}", b)
-            shards_w.append(w)
-            shards_b.append(b)
+            shards_w.append(_add_shard(self, "qkv_weight", r, qkv_weight[:, cols]))
+            shards_b.append(_add_shard(self, "qkv_bias", r, qkv_bias[cols]))
         self._qkv_weights = shards_w
         self._qkv_biases = shards_b
         return shards_w

@@ -66,6 +66,30 @@ class TestModuleSystem:
         with pytest.raises(ValueError):
             toy.load_state_dict(state)
 
+    def test_load_state_dict_never_aliases_the_callers_arrays(self):
+        """One copy per array: the loaded parameter shares no memory with
+        the state it came from, whether or not the dtype had to change."""
+        toy = self._toy()
+        state = {name: np.full_like(arr, 0.5, dtype=dtype)
+                 for (name, arr), dtype in zip(
+                     toy.state_dict().items(),
+                     (np.float32, np.float64, np.float32, np.float16))}
+        toy.load_state_dict(state)
+        for name, p in toy.named_parameters():
+            assert not np.shares_memory(p.data, state[name]), name
+            assert p.data.flags.owndata and p.data.flags.writeable
+            state[name][...] = -1.0  # the caller scribbles on its arrays
+            assert (p.data == 0.5).all(), name
+
+    def test_load_state_dict_coerces_dtype(self):
+        toy = self._toy()
+        state = {name: arr.astype(np.float64) + 0.25
+                 for name, arr in toy.state_dict().items()}
+        toy.load_state_dict(state)
+        for name, p in toy.named_parameters():
+            assert p.data.dtype == np.float32, name
+            assert np.array_equal(p.data, state[name].astype(np.float32))
+
     def test_train_eval_mode_recursive(self):
         toy = self._toy()
         toy.eval()

@@ -7,8 +7,10 @@ timeout), and the terminate path could drop the shared-memory segment's
 unlink when a worker died while attached.
 """
 
+import glob
 import json
 import os
+import pickle
 import signal
 import time
 from multiprocessing import shared_memory
@@ -24,12 +26,16 @@ from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelCon
 MP_TIMEOUT = 30.0
 
 
-def make_model(dropout=0.0, tp=2, pp=1):
+def make_model(dropout=0.0, tp=2, pp=1, dp=1):
     mc = TransformerConfig(vocab_size=64, hidden=32, num_layers=4, num_heads=4,
                            max_seq_len=16, dropout=dropout, num_classes=2, seed=0)
-    cfg = ModelParallelConfig(model=mc, tp=tp, pp=pp, scheme="w/o", seed=0,
-                              backend="mp")
+    cfg = ModelParallelConfig(model=mc, tp=tp, pp=pp, dp=dp, scheme="w/o",
+                              seed=0, backend="mp")
     return ModelParallelBertClassifier(cfg)
+
+
+def shm_segments() -> set[str]:
+    return set(glob.glob("/dev/shm/repro-rt-*"))
 
 
 def assert_shm_unlinked(name: str) -> None:
@@ -121,3 +127,47 @@ class TestShutdown:
             MpBackend(make_model(dropout=0.1))
         # close() on a never-initialized instance must not raise either.
         MpBackend.__new__(MpBackend).close()
+
+
+class TestStatePlaneLifetime:
+    """Weights and gradients live in the backend's one segment; a step's
+    result must not: it is read and pickled after ``close()``."""
+
+    @pytest.mark.parametrize("path,tp,dp", [
+        ("clean", 2, 1), ("clean", 1, 2), ("worker_error", 2, 1),
+        ("killed_worker", 2, 1)])
+    def test_result_outlives_the_segment(self, path, tp, dp):
+        before = shm_segments()
+        model = make_model(tp=tp, dp=dp)
+        backend = create_backend("mp", model, timeout=10.0)
+        name = backend.transport.spec["name"]
+        # Exactly one segment per backend: mailboxes, barrier, weights and
+        # gradient slabs all live in it.
+        assert shm_segments() - before == {f"/dev/shm/{name}"}
+
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 64, size=(4, 16))
+        labels = rng.integers(0, 2, size=(4,))
+        result = backend.train_step(ids, labels, None)
+        backend.apply_grads(model, result)
+        if path == "worker_error":
+            with pytest.raises(BackendError, match="worker failed"):
+                backend.train_step(ids + 1000, labels, None)  # off the vocab
+            assert backend._closed
+        elif path == "killed_worker":
+            os.kill(backend._procs[1].pid, signal.SIGKILL)
+            with pytest.raises(BackendError):
+                backend.train_step(ids, labels, None)
+            assert backend._closed
+        # A view of the segment still out would make this raise BufferError.
+        backend.close()
+
+        assert_shm_unlinked(name)
+        assert shm_segments() <= before
+        restored = pickle.loads(pickle.dumps(result.grads))
+        named = dict(model.named_parameters())
+        assert set(restored) == {n for n, p in named.items()
+                                 if p.grad is not None}
+        for pname, g in restored.items():
+            assert np.isfinite(g).all()
+            assert np.array_equal(g, named[pname].grad)

@@ -412,3 +412,66 @@ class TestRankTransport:
             t.close()
             t.close()  # second close is a no-op
         assert len(names) == 10
+
+
+class TestStatePlane:
+    """Weights arena + gradient slabs behind the mailbox mesh."""
+
+    @staticmethod
+    def params():
+        from repro.nn import Parameter
+        return [("w", Parameter(np.arange(6, dtype=np.float32).reshape(2, 3))),
+                ("b", Parameter(np.zeros(3, dtype=np.float64))),
+                ("s", Parameter(np.float32(7.0)))]
+
+    def test_mailboxes_do_not_move_when_state_is_added(self):
+        """DYN004 model-checks the mailbox/barrier layout; the state plane
+        must sit behind it, not shift it."""
+        bare = RankTransport.create(world=2)
+        full = RankTransport.create(world=2, state=self.params(),
+                                    grad_slabs=2)
+        try:
+            assert full._mesh_end() == bare._mesh_end() == bare._segment_size()
+            assert full._segment_size() == (
+                full._mesh_end() + 3 * full.spec["state_bytes"])
+            for _, offset, _, _ in full.spec["state"]:
+                assert offset % 64 == 0
+            peer = RankTransport(full.spec, 1)
+            try:
+                zero = RankTransport(full.spec, 0)
+                try:
+                    zero.send(1, np.ones(4, dtype=np.float32), timeout=5.0)
+                    assert peer.recv(0, timeout=5.0).sum() == 4.0
+                finally:
+                    zero.close()
+            finally:
+                peer.close()
+        finally:
+            bare.close()
+            full.close()
+
+    def test_ranks_read_what_the_creator_wrote_and_cannot_write_it(self):
+        creator = RankTransport.create(world=2, state=self.params(),
+                                       grad_slabs=2)
+        rank = RankTransport(creator.spec, 1)
+        try:
+            for name, p in self.params():
+                np.copyto(creator.weights[name], p.data + 1)
+            for name, p in self.params():
+                got = rank.weights[name]
+                assert got.shape == p.data.shape and got.dtype == p.data.dtype
+                assert np.array_equal(got, p.data + 1)
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0
+            del got  # a view still out would make close() refuse
+            # Slabs are writable from a rank, private per gang, and apart
+            # from the weights arena.
+            rank.grad_slab(1)["w"][...] = 5.0
+            assert (creator.grad_slab(1)["w"] == 5.0).all()
+            assert (creator.grad_slab(0)["w"] == 0.0).all()
+            assert np.array_equal(creator.weights["w"],
+                                  self.params()[0][1].data + 1)
+        finally:
+            rank.close()
+            creator.close()
+        assert rank.closed and creator.closed

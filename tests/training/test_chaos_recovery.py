@@ -136,6 +136,87 @@ class TestMpKillAndResume:
         assert_same_weights(ref.model, resumed.model)
 
 
+def make_dp_model(backend, scheme="T2", tp=1):
+    """dp2 × T2: the gradient wire carries per-replica EF residuals.  With
+    tp2 × R2 each gang also owns Random-K activation streams (``dp{r}``)."""
+    mc = TransformerConfig(vocab_size=128, hidden=32, num_layers=2, num_heads=4,
+                           max_seq_len=32, dropout=0.0, num_classes=2, seed=0)
+    cfg = ModelParallelConfig(model=mc, dp=2, tp=tp, scheme=scheme, seed=0,
+                              backend=backend)
+    return ModelParallelBertClassifier(cfg)
+
+
+class TestDataParallelResume:
+    """dp2 × T2 on both backends: the ``dp_grad`` EF residuals and the
+    ``dp{r}`` namespaces ride the checkpoint, whichever backend wrote it."""
+
+    TCFG = TrainConfig(epochs=1, batch_size=8, lr=2e-3, seed=0)  # 4 steps
+
+    def run(self, backend_name, train, scheme="T2", tp=1, **train_kwargs):
+        model = make_dp_model(backend_name, scheme, tp)
+        kwargs = {"timeout": MP_TIMEOUT} if backend_name == "mp" else {}
+        with create_backend(backend_name, model, **kwargs) as backend:
+            hist = FineTuneTrainer(model, self.TCFG, backend=backend).train(
+                train, **train_kwargs)
+        return model, hist
+
+    @pytest.mark.parametrize("backend_name", ["inproc", "mp"])
+    def test_kill_at_step_k_then_resume_matches_unkilled_run(
+            self, tmp_path, backend_name):
+        train, _ = make_task("SST-2", seed=0, train_size=32)
+        ck = os.path.join(tmp_path, "ckpt")
+        kill_at = 2
+        m_ref, hist_a = self.run(backend_name, train)
+
+        if backend_name == "inproc":
+            self.run("inproc", train, checkpoint_path=ck, checkpoint_every=1,
+                     max_steps=kill_at)
+        else:
+            plan = json.dumps({"faults": [
+                {"kind": "kill", "rank": 1, "step": kill_at}]})
+            saved = os.environ.get(faults.ENV_VAR)
+            os.environ[faults.ENV_VAR] = plan
+            try:
+                with pytest.raises(BackendError) as err:
+                    self.run("mp", train, checkpoint_path=ck,
+                             checkpoint_every=1)
+                assert err.value.rank == 1
+            finally:
+                if saved is None:
+                    os.environ.pop(faults.ENV_VAR, None)
+                else:
+                    os.environ[faults.ENV_VAR] = saved
+
+        state = load_trainer_state(ck)
+        assert state.global_step == kill_at
+        assert set(state.runtime_state["dp_grad"]["residuals"]) == {
+            "dp.rank0", "dp.rank1"}
+
+        m_res, hist_b = self.run(backend_name, train, resume_from=ck)
+        assert hist_b == hist_a[kill_at:]
+        assert_same_weights(m_ref, m_res)
+
+    @pytest.mark.parametrize("scheme,tp", [("T2", 1), ("R2", 2)])
+    @pytest.mark.parametrize("writer,reader", [("mp", "inproc"),
+                                               ("inproc", "mp")])
+    def test_snapshot_is_backend_portable(self, tmp_path, writer, reader,
+                                          scheme, tp):
+        train, _ = make_task("SST-2", seed=0, train_size=32)
+        ck = os.path.join(tmp_path, "ckpt")
+        m_ref, hist_a = self.run(reader, train, scheme, tp)
+        self.run(writer, train, scheme, tp, checkpoint_path=ck,
+                 checkpoint_every=1, max_steps=2)
+
+        runtime = load_trainer_state(ck).runtime_state
+        assert set(runtime) == {"dp0", "dp1", "dp_grad"}
+        if scheme == "R2":  # per-gang activation streams, not just the wire
+            assert runtime["dp0"] and runtime["dp1"]
+
+        m_res, hist_b = self.run(reader, train, scheme, tp, resume_from=ck)
+        assert hist_b == hist_a[2:]
+        assert_same_weights(m_ref, m_res)
+
+
 class TestRuntimeStateUnits:
     def test_error_feedback_residuals_round_trip(self):
         """EF residuals are per-site state a resume must carry over."""
