@@ -4,12 +4,15 @@ Each rule encodes an invariant the test suite cannot see directly:
 untracked collectives or unrecorded backward closures silently corrupt
 the byte accounting the simulator consumes; unseeded (or hash-salted)
 randomness silently breaks Random-K / dropout reproducibility across
-schemes.  Rules REPRO001–REPRO007 are registered on import.
+schemes; a collective that reads the rank context grows a second,
+worker-only copy of itself.  Rules REPRO001–REPRO007 and REPRO011 are
+registered on import.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.lint.engine import Finding, SourceFile, register_rule
@@ -22,6 +25,7 @@ __all__ = [
     "MutableDefaultRule",
     "UnstableHashSeedRule",
     "NoEvalExecRule",
+    "RankContextPrivateRule",
 ]
 
 
@@ -285,4 +289,37 @@ class NoEvalExecRule:
                     and node.func.id in ("eval", "exec")):
                 yield Finding(self.id, self.name,
                               f"call to builtin {node.func.id}()",
+                              source.path, node.lineno, node.col_offset)
+
+
+@register_rule
+class RankContextPrivateRule:
+    """``rank_context()`` may be read only under ``repro/parallel/backend/``.
+
+    Code that asks "am I inside an mp worker?" forks into an in-process
+    half and an SPMD half that must then be kept in step by hand — every
+    collective used to exist twice that way.  Everything above the backend
+    package asks for a :class:`~repro.parallel.backend.context.Group`
+    instead, which answers the same questions (which ranks are local, who
+    records, how to reach the peers) identically on both backends.  Test
+    files are exempt.
+    """
+
+    id = "REPRO011"
+    name = "rank-context-private"
+    summary = "rank_context() may be read only under repro/parallel/backend/"
+
+    HOME = "repro/parallel/backend/"
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        if source.is_test or self.HOME in Path(source.path).as_posix():
+            return
+        for node in ast.walk(source.tree):
+            called = isinstance(node, ast.Call) and _call_name(node) == "rank_context"
+            imported = isinstance(node, ast.ImportFrom) and any(
+                alias.name == "rank_context" for alias in node.names)
+            if called or imported:
+                yield Finding(self.id, self.name,
+                              "rank_context() read outside repro/parallel/backend/; "
+                              "build a Group(axis, world) instead",
                               source.path, node.lineno, node.col_offset)

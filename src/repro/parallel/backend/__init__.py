@@ -12,12 +12,12 @@ from repro.parallel.backend.base import (
     create_backend,
 )
 from repro.parallel.backend.context import (
+    Group,
     RankContext,
     active_context,
     global_rank,
     rank_context,
     set_rank_context,
-    spmd_ranks,
 )
 from repro.parallel.backend.conclog import (
     ConcurrencyLog,
@@ -42,12 +42,12 @@ __all__ = [
     "ExecutionBackend",
     "StepResult",
     "create_backend",
+    "Group",
     "RankContext",
     "active_context",
     "global_rank",
     "rank_context",
     "set_rank_context",
-    "spmd_ranks",
     "ConcurrencyLog",
     "CorruptMessage",
     "load_events",

@@ -1,27 +1,39 @@
-"""Process-global SPMD rank context consulted by the runtime's hot loops.
+"""The SPMD rank context and the :class:`Group` seam above it.
 
-The in-process runtime materializes *every* logical rank: shard loops run
-``for r in range(tp)`` and collectives receive the full list of partials.
-A worker process of the mp backend executes the *same* model code but owns
-exactly one (dp_rank, stage, sp_rank, tp_rank) coordinate — it activates a
-:class:`RankContext` and the loops collapse to its own rank via
-:func:`spmd_ranks` / :func:`spmd_sp_ranks`, while the collectives switch
-from summing lists to exchanging arrays over the context's transport.
+The in-process runtime materializes *every* logical rank; a worker process
+of the mp backend executes the *same* model code but owns exactly one
+(dp_rank, stage, sp_rank, tp_rank) coordinate, which it publishes by
+activating a :class:`RankContext`.
+
+Nothing outside this package reads the context.  Model code and the
+collectives ask for a :class:`Group` — one parallel axis as seen from this
+process — and get the same three things on either backend: which members
+are ``local`` (all of them in-process, one in a worker), whether this
+process ``records`` the axis's events, and a ``gather`` / ``all_reduce`` /
+``send`` over the members.  In-process those are the identity (every
+member's value is already here), so each collective is written once and
+the oracle keeps executing exactly the float operations it always did.
 
 The context is deliberately a plain module global (not a thread-local):
 a worker process runs one rank, full stop, and the inproc backend never
-sets it — so the oracle path stays literally the pre-backend code.
+sets it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RankContext", "rank_context", "set_rank_context", "active_context",
-           "spmd_ranks", "spmd_sp_ranks", "global_rank"]
+from repro.parallel.backend.base import BackendError
+
+__all__ = ["RankContext", "Group", "GatherHandle", "sum_in_order",
+           "rank_context", "set_rank_context", "active_context", "global_rank"]
+
+#: Axis name -> the RankContext field holding this rank's coordinate on it.
+_COORD = {"tp": "tp_rank", "pp": "stage", "sp": "sp_rank", "dp": "dp_rank"}
 
 
 @dataclass
@@ -35,11 +47,6 @@ class RankContext:
     transport: object | None = None  # RankTransport; None in transport-less tests
     rng: np.random.Generator | None = None  # per-rank stream, seeded (seed, rank)
     timeout: float = 60.0
-    #: Issue/wait overlap for collectives.  ``False`` forces every
-    #: :class:`~repro.parallel.collectives.CommHandle` to complete at issue
-    #: time — the blocking reference path; results are bitwise-identical
-    #: either way (the overlap stress test asserts exactly that).
-    overlap: bool = True
     #: Data/sequence axes, both defaulting to the degenerate 1×1 so every
     #: pre-grid construction site keeps its meaning: with ``dp == sp == 1``
     #: the rank formula collapses to the historical ``stage*tp + tp_rank``.
@@ -49,14 +56,10 @@ class RankContext:
     sp_rank: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.tp_rank < self.tp):
-            raise ValueError(f"tp_rank {self.tp_rank} out of range for tp={self.tp}")
-        if not (0 <= self.stage < self.pp):
-            raise ValueError(f"stage {self.stage} out of range for pp={self.pp}")
-        if not (0 <= self.dp_rank < self.dp):
-            raise ValueError(f"dp_rank {self.dp_rank} out of range for dp={self.dp}")
-        if not (0 <= self.sp_rank < self.sp):
-            raise ValueError(f"sp_rank {self.sp_rank} out of range for sp={self.sp}")
+        for axis, coord in _COORD.items():
+            if not (0 <= getattr(self, coord) < getattr(self, axis)):
+                raise ValueError(f"{coord} {getattr(self, coord)} out of range "
+                                 f"for {axis}={getattr(self, axis)}")
 
     # ------------------------------------------------------------------
     @property
@@ -80,23 +83,17 @@ class RankContext:
         """
         return self.tp_rank == 0 and self.sp_rank == 0
 
-    def tp_peers(self) -> list[int]:
-        """Global ranks of this stage's TP group, in tp-rank order."""
-        return [global_rank(self.stage, t, self.tp, pp=self.pp, sp=self.sp,
-                            sp_rank=self.sp_rank, dp_rank=self.dp_rank)
-                for t in range(self.tp)]
-
-    def sp_peers(self) -> list[int]:
-        """Global ranks of this stage's SP ring, in sp-rank order."""
-        return [global_rank(self.stage, self.tp_rank, self.tp, pp=self.pp,
-                            sp=self.sp, sp_rank=s, dp_rank=self.dp_rank)
-                for s in range(self.sp)]
+    def peers(self, axis: str) -> list[int]:
+        """Global ranks of this rank's group along ``axis``, in the order
+        of their coordinate on it (the other three coordinates are ours)."""
+        coords = {coord: getattr(self, coord) for coord in _COORD.values()}
+        return [global_rank(tp=self.tp, pp=self.pp, sp=self.sp,
+                            **{**coords, _COORD[axis]: r})
+                for r in range(getattr(self, axis))]
 
     def peer(self, stage: int) -> int:
         """Global rank of the same (dp, sp, tp) coordinate at another stage."""
-        return global_rank(stage, self.tp_rank, self.tp, pp=self.pp,
-                           sp=self.sp, sp_rank=self.sp_rank,
-                           dp_rank=self.dp_rank)
+        return self.peers("pp")[stage]
 
 
 def global_rank(stage: int, tp_rank: int, tp: int, *, pp: int = 1,
@@ -114,7 +111,11 @@ _CTX: RankContext | None = None
 
 
 def rank_context() -> RankContext | None:
-    """The active context, or ``None`` in the in-process oracle."""
+    """The active context, or ``None`` in the in-process oracle.
+
+    Read only inside this package (lint rule REPRO011): everything above
+    it asks for a :class:`Group` instead.
+    """
     return _CTX
 
 
@@ -134,18 +135,127 @@ def active_context(ctx: RankContext):
         set_rank_context(prev)
 
 
-def spmd_ranks(tp: int) -> tuple[int, ...]:
-    """The tp ranks *this* process materializes: all of them in-process,
-    exactly one inside an mp worker."""
-    ctx = _CTX
-    if ctx is None or tp <= 1:
-        return tuple(range(tp))
-    return (ctx.tp_rank,)
+def sum_in_order(terms: list):
+    """Left-to-right sum of arrays (or tensors) given in group-rank order:
+    the one reduction order both backends share."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
-def spmd_sp_ranks(sp: int) -> tuple[int, ...]:
-    """The sp ranks *this* process materializes (mirror of :func:`spmd_ranks`)."""
-    ctx = _CTX
-    if ctx is None or sp <= 1:
-        return tuple(range(sp))
-    return (ctx.sp_rank,)
+class GatherHandle:
+    """An issued :meth:`Group.gather_issue`."""
+
+    __slots__ = ("_finish",)
+
+    def __init__(self, finish):
+        self._finish = finish
+
+    def wait(self) -> list[np.ndarray]:
+        """Every member's array, in group-rank order."""
+        return self._finish()
+
+
+class Group:
+    """One parallel axis (``"tp"``, ``"pp"``, ``"sp"``, ``"dp"``) as seen from
+    this process.
+
+    ``world`` is the axis size the caller was built for; ``local`` the
+    group ranks whose values live in this process, ascending.  Built from
+    the active context and nothing else: with none, every member is local
+    and the data-plane methods are the identity; inside an mp worker one
+    member is local and they move arrays over the context's transport.
+    A ``world`` that disagrees with the worker's grid is a typed error,
+    not a silent collapse onto the wrong rank.
+    """
+
+    def __init__(self, axis: str, world: int):
+        ctx = rank_context()
+        self.axis = axis
+        self.world = world
+        self._ctx = ctx
+        if ctx is None:
+            self.local = tuple(range(world))
+            self.records = True
+            return
+        if world != getattr(ctx, axis):
+            raise BackendError(
+                f"{axis} group of size {world} requested, but this rank's "
+                f"context has {axis}={getattr(ctx, axis)}", rank=ctx.rank)
+        self.local = (getattr(ctx, _COORD[axis]),)
+        self.records = ctx.records
+
+    @classmethod
+    def holding(cls, axis: str, count: int) -> "Group":
+        """The ``axis`` group of a caller that was handed ``count`` members'
+        values and no size: in-process those *are* the group; a worker must
+        hold exactly its own, and the size is its context's."""
+        ctx = rank_context()
+        if ctx is None:
+            return cls(axis, count)
+        if count != 1:
+            raise ValueError(f"a worker holds exactly its own {axis} member's "
+                             f"value, got {count}")
+        return cls(axis, getattr(ctx, axis))
+
+    @property
+    def whole(self) -> bool:
+        """Whether every member is local (nothing crosses a process)."""
+        return len(self.local) == self.world
+
+    # ------------------------------------------------------------------
+    def gather_issue(self, values: list[np.ndarray], *, label: str) -> GatherHandle:
+        """Stage the local members' arrays; ``wait()`` returns all members'.
+
+        ``values`` holds one array per ``local`` rank.  Remote members'
+        arrays come back as plain data (constants to autograd); a local
+        member's slot is the very array passed in.
+        """
+        if len(values) != len(self.local):
+            raise ValueError(f"expected {len(self.local)} local {self.axis} "
+                             f"value(s), got {len(values)}")
+        if self.whole:
+            return GatherHandle(lambda: list(values))
+        ctx = self._ctx
+        peers = ctx.peers(self.axis)
+        wire = ctx.transport.exchange_issue(
+            peers, np.ascontiguousarray(values[0]), timeout=ctx.timeout,
+            label=label)
+
+        def finish():
+            gathered = wire.wait(ctx.timeout)
+            return [gathered[p] for p in peers]
+
+        return GatherHandle(finish)
+
+    def gather(self, values: list[np.ndarray], *, label: str) -> list[np.ndarray]:
+        """Blocking :meth:`gather_issue`."""
+        return self.gather_issue(values, label=label).wait()
+
+    def all_reduce(self, partial: np.ndarray, *, label: str) -> np.ndarray:
+        """Sum over all members of ``partial``, the sum over the local ones.
+
+        In-process the local sum already is the total (autograd
+        accumulated it), so this returns ``partial`` itself.  A worker
+        gathers and adds in group-rank order, whatever the arrival order
+        — the same additions in the same order on every member.
+        """
+        if self.whole:
+            return partial
+        return sum_in_order(self.gather([partial], label=label))
+
+    def send(self, dst: int, array: np.ndarray, *, label: str) -> None:
+        """Point-to-point hop to group member ``dst`` (the pipeline send).
+
+        In-process the receiver reads the sender's tensor directly.  A
+        worker stages the payload in ``dst``'s ring mailbox (blocking only
+        when the receiver lags a full ring behind); the in-flight window
+        is recorded as an ``mp.async`` span on the worker timeline.
+        """
+        ctx = self._ctx
+        if ctx is None:
+            return
+        issued_at = time.monotonic()
+        ctx.transport.send(ctx.peers(self.axis)[dst], array, timeout=ctx.timeout)
+        ctx.transport.record_span(label, issued_at, cat="mp.async")

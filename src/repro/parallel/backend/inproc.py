@@ -28,10 +28,7 @@ from repro.parallel.backend.microbatch import (
     split_microbatches,
 )
 from repro.parallel.collectives import CommTracker, dp_all_reduce
-from repro.parallel.grad_sync import (
-    build_dp_grad_compressor,
-    record_sp_grad_sync_events,
-)
+from repro.parallel.grad_sync import build_dp_grad_compressor, sp_sync_grads
 
 __all__ = ["InprocBackend"]
 
@@ -77,9 +74,10 @@ class InprocBackend(ExecutionBackend):
                 vals.append(float(mb_loss.item()))
                 mb_loss.backward(seed)
             loss_val = mean_loss(vals)
-        # SP: autograd already summed the QKV block gradients; log the
-        # per-stage grad-sync events the workers' ring exchange records.
-        record_sp_grad_sync_events(model, self.sp)
+        # SP: the same sync the workers run.  Autograd already summed the
+        # QKV block gradients here, so it only logs the per-stage events.
+        if self.sp > 1:
+            sp_sync_grads(model)
         return float(loss_val)
 
     def train_step(self, input_ids, labels, attention_mask=None) -> StepResult:

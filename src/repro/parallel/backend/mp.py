@@ -51,7 +51,6 @@ class MpBackend(ExecutionBackend):
     def __init__(self, model, *, capacity_bytes: int = DEFAULT_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT_S,
                  collect_timelines: bool = False,
-                 overlap: bool = True,
                  shutdown_timeout: float = 5.0):
         # Teardown state first: if anything below raises (bad config, spawn
         # failure), __del__ -> close() must find a coherent object instead
@@ -80,7 +79,6 @@ class MpBackend(ExecutionBackend):
                                if self.dp > 1 else None)
         self.timeout = timeout
         self.collect_timelines = collect_timelines
-        self.overlap = overlap
 
         # The parent attaches as an observer (rank=-1): it owns the segment
         # lifetime but opens no channels.
@@ -119,7 +117,7 @@ class MpBackend(ExecutionBackend):
             parent_conn, child_conn = spawn.Pipe()
             rank_info = dict(tp=self.tp, pp=self.pp, dp=self.dp, sp=self.sp,
                              tp_rank=tp_rank, stage=stage, dp_rank=dp_rank,
-                             sp_rank=sp_rank, overlap=self.overlap)
+                             sp_rank=sp_rank)
             proc = spawn.Process(
                 target=_worker_main, daemon=True, name=f"repro-rank{rank}",
                 args=(child_conn, self.transport.spec, rank_info, model_spec,

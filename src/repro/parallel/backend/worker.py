@@ -4,9 +4,9 @@ A worker owns a single (dp_rank, stage, sp_rank, tp_rank) coordinate.  It
 builds the model from the parent's config, rebinds every parameter to a
 read-only view of the weights arena in the shared-memory segment (so it
 always computes on the very bytes the parent last wrote), then activates
-a :class:`RankContext` so shard loops and collectives collapse to its own
-rank.  Per step it executes exactly the slice of the oracle's computation
-its rank would own:
+a :class:`RankContext` so every :class:`Group` the model code builds has
+exactly this rank local.  Per step it executes exactly the slice of the
+oracle's computation its rank would own:
 
 - stage 0 embeds the batch; later stages receive the boundary activation
   over shared memory and turn it into a gradient leaf;
@@ -184,7 +184,7 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
     # Ring SP leaves each rank's QKV gradients partial over its sequence
     # block; reconcile around the ring before replying to the parent.
     if ctx.sp > 1:
-        sp_sync_grads(model, ctx)
+        sp_sync_grads(model)
 
     # Publish the gradients this rank owns; the reply only names them.
     written = []

@@ -1,7 +1,14 @@
 """Data-plane collectives as autograd ops, with exact byte accounting.
 
-The runtime is single-process, so a "collective" here operates on the list
-of per-rank partial tensors directly. What makes it faithful is that
+Each cut point — Megatron's ``f``/``g`` pair, the pipeline boundary, the
+ring-SP gathers — is written once, above a
+:class:`~repro.parallel.backend.context.Group`: the axis's members as seen
+from this process.  In-process every member is local and the group's
+gather is the identity, so the collective operates on the list of per-rank
+partial tensors directly; inside an mp worker one member is local and the
+same code moves arrays over shared memory.  Local terms keep their
+autograd graph, peers' arrays enter as constants, and sums run left to
+right in rank order on both sides.  What makes it faithful is that
 
 1. the *math* matches the distributed operation (all-reduce = sum of
    partials; the compressed variants combine messages exactly the way the
@@ -19,15 +26,14 @@ equivalents) to produce the paper's timing tables.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compression.base import BYTES_FP16, Compressor
+from repro.compression.base import BYTES_FP16, Compressor, NoCompressor
 from repro.compression.autoencoder import AutoencoderCompressor
 from repro.parallel.backend import conclog as _conclog
-from repro.parallel.backend.context import rank_context
+from repro.parallel.backend.context import Group, sum_in_order
 from repro.tensor import Tensor
 from repro.tensor.tensor import concatenate as _concatenate
 
@@ -164,12 +170,11 @@ class CommHandle:
     """An issued collective; :meth:`wait` completes it and returns a Tensor.
 
     The issue/wait split is what lets a rank overlap an in-flight transfer
-    with compute that does not depend on the result.  In-process (oracle)
-    handles complete eagerly — there is no wire, so ``issue`` computes the
-    result and ``wait`` just hands it back.  SPMD handles hold an
-    in-flight shm exchange: the sends were staged at issue time, peer
-    contributions are collected (and the site's :class:`CommEvent`
-    recorded) at wait time.
+    with compute that does not depend on the result.  The local
+    contribution was staged at issue time; peer contributions are
+    collected (and the site's :class:`CommEvent` recorded) at wait time.
+    In-process there is no wire and every contribution is already local,
+    so ``wait`` only runs the reduction.
 
     ``wait`` is idempotent: a second call returns the same Tensor.  A
     handle whose completion *failed* (transport timeout, peer death,
@@ -194,7 +199,7 @@ class CommHandle:
 
     @classmethod
     def ready(cls, value: Tensor) -> "CommHandle":
-        """A handle that is already complete (oracle / blocking paths)."""
+        """A handle that is already complete (nothing left to receive)."""
         handle = cls(None)
         handle._result = value
         return handle
@@ -232,58 +237,27 @@ class CommHandle:
         return self._result
 
 
-
-
 def tp_broadcast(x: Tensor, world: int, tracker: CommTracker, *, layer: int | None = None,
                  site: str = "") -> Tensor:
     """Megatron's ``f`` op: identity forward, all-reduce in backward.
 
     In tensor parallelism the layer input is replicated; each rank's
     backward produces a partial input-gradient that must be all-reduced.
-    In-process the summation happens automatically because the same tensor
-    feeds every rank's shard — this op only *accounts* for the backward
-    collective.
+    The gradient arriving here is the sum over the *local* shards' paths
+    (autograd accumulated it), which in-process is already the total; a
+    worker's is its own shard's partial and the group completes the sum.
     """
     if world <= 1:
         return x
+    group = Group("tp", world)
     shape = tuple(x.shape)
-    ctx = rank_context()
-
-    if ctx is not None and ctx.tp > 1:
-        # SPMD: each tp peer computes a *partial* input-gradient from its
-        # own shard path; the backward all-reduce is a real exchange, and
-        # summation runs in rank order so the 2-term float sums match the
-        # oracle's autograd accumulation bitwise.
-        def backward(g):
-            wire = ctx.transport.exchange_issue(
-                ctx.tp_peers(), np.ascontiguousarray(g), timeout=ctx.timeout,
-                label=_async_label("bwd allreduce", site, layer),
-            )
-            gathered = wire.wait(ctx.timeout)
-            g_sum = _sum_rank_order(gathered, ctx.tp_peers())
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "backward", "none",
-                              dense_bytes(shape), world, shape, layer, site)
-                )
-            return (g_sum,)
-
-        return Tensor._make(x.data, (x,), backward)
+    event = CommEvent("all_reduce", "tp", "backward", "none", dense_bytes(shape),
+                      world, shape, layer, site)
 
     def backward(g):
-        tracker.record(
-            CommEvent(
-                op="all_reduce",
-                group="tp",
-                phase="backward",
-                scheme="none",
-                wire_bytes=dense_bytes(shape),
-                world=world,
-                shape=shape,
-                layer=layer,
-                site=site,
-            )
-        )
+        g = group.all_reduce(g, label=f"bwd allreduce {_site_label(site, layer)}")
+        if group.records:
+            tracker.record(event)
         return (g,)
 
     return Tensor._make(x.data, (x,), backward)
@@ -327,25 +301,19 @@ def tp_all_reduce_issue(
 ) -> CommHandle:
     """Issue the ``g`` all-reduce and return a :class:`CommHandle`.
 
-    Under SPMD the local contribution is staged on the wire before this
-    returns; rank-local codec work that does not need peer data (the AE
-    encode of the own partial) also runs at issue time, overlapping the
-    in-flight exchange.  Everything that consumes peer data — and the
-    site's event recording — happens inside :meth:`CommHandle.wait`.
-    In-process the handle is returned already complete.
+    ``partials`` holds one tensor per *local* tp rank: all of them
+    in-process, exactly the own one inside a worker.  Everything that
+    needs no peer data runs before this returns — the stateless codecs'
+    round trip, the AE encode of the local partials, and staging the local
+    contribution on the wire.  Everything that consumes peer data — and
+    the site's event recording — happens inside :meth:`CommHandle.wait`.
+    Only the designated recorder logs, so the merged multiset matches the
+    oracle event for event.
     """
     if not partials:
         raise ValueError("tp_all_reduce needs at least one partial")
-    ctx = rank_context()
-    if ctx is not None and ctx.tp > 1:
-        if len(partials) != 1:
-            raise ValueError(
-                f"SPMD tp_all_reduce expects exactly the local partial, "
-                f"got {len(partials)}"
-            )
-        return _tp_all_reduce_spmd_issue(partials[0], compressor, tracker, ctx,
-                                         layer=layer, site=site)
-    world = len(partials)
+    group = Group.holding("tp", len(partials))
+    world = group.world
     shape = tuple(partials[0].shape)
     for p in partials[1:]:
         if tuple(p.shape) != shape:
@@ -356,138 +324,32 @@ def tp_all_reduce_issue(
         # (matches the paper's TP=1 rows, where only PP traffic is compressed).
         return CommHandle.ready(partials[0])
 
-    if _is_identity(compressor):
-        out = _sum_tensors(partials)
-        tracker.record(
-            CommEvent("all_reduce", "tp", "forward", "none", dense_bytes(shape),
-                      world, shape, layer, site)
-        )
-        return CommHandle.ready(_with_backward_event(
-            out, tracker,
-            CommEvent("all_reduce", "tp", "backward", "none", dense_bytes(shape),
-                      world, shape, layer, site),
-        ))
+    compressor = compressor if compressor is not None else NoCompressor()
+    kind = _wire_kind(compressor)
+    op = "all_gather" if kind == "message" else "all_reduce"
+    label = _site_label(site, layer)
+    fwd_bytes = compressor.compressed_bytes(shape)
 
-    if isinstance(compressor, AutoencoderCompressor) or (
-        compressor.allreduce_compatible and compressor.learnable
-    ):
-        codes = [compressor.encode(p) for p in partials]
-        code_sum = _sum_tensors(codes)
-        code_bytes = int(np.prod(code_sum.shape)) * BYTES_FP16
-        tracker.record(
-            CommEvent("all_reduce", "tp", "forward", compressor.name, code_bytes,
-                      world, shape, layer, site)
-        )
-        out = compressor.decode(code_sum)
-        if tracker.probe is not None:
-            # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so the
-            # meaningful error is measured on the reduced activation.
-            dense = partials[0].data.copy()
-            for p in partials[1:]:
-                dense = dense + p.data
-            tracker.probe.observe(
-                site=_site_label(site, layer),
-                scheme=compressor.name, group="tp",
-                original=dense, reconstructed=out.data,
-                wire_bytes=code_bytes, dense_bytes=dense_bytes(shape),
-            )
-        return CommHandle.ready(_with_backward_event(
-            out, tracker,
-            CommEvent("all_reduce", "tp", "backward", compressor.name,
-                      compressor.backward_bytes(shape), world, shape, layer, site),
-        ))
-
-    # All-gather path: each rank broadcasts its compressed message; every
-    # rank reconstructs and sums locally.  Each rank's partial is its own
-    # compression site: a stateful wrapper (error feedback) must keep one
-    # residual per rank, not clobber a shared "default" slot per call.
-    reconstructed = []
-    for r, p in enumerate(partials):
-        rank_site = _rank_site(site, layer, r)
-        rec = compressor.apply(p, site=rank_site)
-        reconstructed.append(rec)
-        if tracker.probe is not None:
-            tracker.probe.observe(
-                site=rank_site, scheme=compressor.name, group="tp",
-                original=p.data, reconstructed=rec.data,
-                wire_bytes=compressor.compressed_bytes(shape),
-                dense_bytes=dense_bytes(shape),
-                residual=_residual_of(compressor, rank_site),
-            )
-    out = _sum_tensors(reconstructed)
-    msg_bytes = compressor.compressed_bytes(shape)
-    tracker.record(
-        CommEvent("all_gather", "tp", "forward", compressor.name, msg_bytes,
-                  world, shape, layer, site)
-    )
-    return CommHandle.ready(_with_backward_event(
-        out, tracker,
-        CommEvent("all_gather", "tp", "backward", compressor.name,
-                  compressor.backward_bytes(shape), world, shape, layer, site),
-    ))
-
-
-def _tp_all_reduce_spmd_issue(
-    own: Tensor,
-    compressor: Compressor,
-    tracker: CommTracker,
-    ctx,
-    *,
-    layer: int | None = None,
-    site: str = "",
-) -> CommHandle:
-    """The ``g`` op inside one mp worker: a real exchange over shm.
-
-    Semantics mirror the three in-process paths exactly; only the *where*
-    changes.  Stateless codecs run rank-local before anything hits the
-    wire; learnable codecs replay the oracle's full graph over exchanged
-    raw partials (see inline comment).  Peer contributions are summed in
-    rank order 0..tp-1 (bitwise-commutative at tp<=2), and only the
-    stage's designated recorder (tp rank 0) logs events so the merged
-    multiset matches the oracle event-for-event.
-
-    The local contribution is staged on the wire at issue time
-    (:meth:`RankTransport.exchange_issue`); peer data is consumed — and
-    the events recorded — inside the returned handle's ``wait``.  With
-    ``ctx.overlap`` off the handle completes before this returns, giving
-    a strictly blocking reference path; the numbers are bitwise-identical
-    either way because the codec work moved across the split is
-    deterministic and rank-local.
-    """
-    world = ctx.tp
-    shape = tuple(own.shape)
-    peers = ctx.tp_peers()
-
-    if _is_identity(compressor):
-        wire = ctx.transport.exchange_issue(
-            peers, own.data, timeout=ctx.timeout,
-            label=_async_label("allreduce", site, layer))
-
-        def finish() -> Tensor:
-            gathered = wire.wait(ctx.timeout)
-            out_data = _sum_rank_order(gathered, peers)
-
-            def passthrough(g):
-                return (g,)
-
-            out = Tensor._make(out_data, (own,), passthrough)
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "forward", "none",
-                              dense_bytes(shape), world, shape, layer, site)
-                )
-            return _with_backward_event(
-                out, tracker,
-                CommEvent("all_reduce", "tp", "backward", "none",
-                          dense_bytes(shape), world, shape, layer, site),
-                enabled=ctx.records,
-            )
-
-        return _spmd_handle(ctx, finish)
-
-    if isinstance(compressor, AutoencoderCompressor) or (
-        compressor.allreduce_compatible and compressor.learnable
-    ):
+    # ``sent`` is what each local rank puts on the wire, ``terms`` its
+    # summand in the reduction; they differ only for the learnable codec.
+    sent = partials
+    if kind == "message":
+        # All-gather path: each rank broadcasts its compressed message; every
+        # rank reconstructs and sums locally.  Each rank's partial is its own
+        # compression site: a stateful wrapper (error feedback) must keep one
+        # residual per rank, not clobber a shared "default" slot per call.
+        # A worker runs (and observes) exactly the per-rank site it owns.
+        sent = []
+        for r, p in zip(group.local, partials):
+            rank_site = f"{label}.rank{r}"
+            rec = compressor.apply(p, site=rank_site)
+            sent.append(rec)
+            _observe(tracker, rank_site, compressor, "tp", p.data, rec.data,
+                     fwd_bytes, shape)
+    wire = group.gather_issue([t.data for t in sent],
+                              label=f"{op.replace('_', '')} {label}")
+    terms = sent
+    if kind == "code":
         # Learnable codec: every rank replays the oracle's *whole*
         # encode-sum-decode graph over the exchanged raw partials (peer
         # partials enter as constants).  Exchanging codes instead would
@@ -499,102 +361,34 @@ def _tp_all_reduce_spmd_issue(
         # replicated and bitwise-identical to the oracle for any m; the
         # logged wire bytes are still the code size — what a real fused
         # encode/all-reduce/decode would move.
-        wire = ctx.transport.exchange_issue(
-            peers, own.data, timeout=ctx.timeout,
-            label=_async_label("allreduce", site, layer))
-        # The own-partial encode needs no peer data: run it at issue time,
-        # overlapping the in-flight exchange.  encode() is deterministic
-        # and stateless, so hoisting it across the wait cannot change bits.
-        own_code = compressor.encode(own)
-        me = ctx.rank
-
-        def finish() -> Tensor:
-            gathered = wire.wait(ctx.timeout)
-            codes = [
-                own_code if r == me else compressor.encode(Tensor(gathered[r]))
-                for r in peers
-            ]
-            code_sum = _sum_tensors(codes)
-            code_bytes = int(np.prod(code_sum.shape)) * BYTES_FP16
-            if ctx.records:
-                tracker.record(
-                    CommEvent("all_reduce", "tp", "forward", compressor.name,
-                              code_bytes, world, shape, layer, site)
-                )
-            out = compressor.decode(code_sum)
-            if tracker.probe is not None:
-                # Same measurement as the oracle path: AE compresses the
-                # sum, so fidelity is judged on the reduced activation.
-                # Pure reads of already-exchanged data — bitwise-neutral.
-                tracker.probe.observe(
-                    site=_site_label(site, layer),
-                    scheme=compressor.name, group="tp",
-                    original=_sum_rank_order(gathered, peers),
-                    reconstructed=out.data,
-                    wire_bytes=code_bytes, dense_bytes=dense_bytes(shape),
-                )
-            return _with_backward_event(
-                out, tracker,
-                CommEvent("all_reduce", "tp", "backward", compressor.name,
-                          compressor.backward_bytes(shape), world, shape,
-                          layer, site),
-                enabled=ctx.records,
-            )
-
-        return _spmd_handle(ctx, finish)
-
-    # All-gather path: compress/reconstruct our own partial with the same
-    # per-rank site key the oracle uses, then exchange reconstructions.
-    rank_site = _rank_site(site, layer, ctx.tp_rank)
-    rec = compressor.apply(own, site=rank_site)
-    if tracker.probe is not None:
-        # Each worker observes exactly the per-rank site it owns — the
-        # slice of the oracle's per-rank observations local data covers.
-        tracker.probe.observe(
-            site=rank_site, scheme=compressor.name, group="tp",
-            original=own.data, reconstructed=rec.data,
-            wire_bytes=compressor.compressed_bytes(shape),
-            dense_bytes=dense_bytes(shape),
-            residual=_residual_of(compressor, rank_site),
-        )
-    wire = ctx.transport.exchange_issue(
-        peers, rec.data, timeout=ctx.timeout,
-        label=_async_label("allgather", site, layer))
+        #
+        # The local encodes need no peer data: they run here, at issue
+        # time, overlapping the in-flight exchange.  encode() is
+        # deterministic and stateless, so hoisting it across the wait
+        # cannot change bits.
+        terms = [compressor.encode(p) for p in partials]
 
     def finish() -> Tensor:
-        gathered = wire.wait(ctx.timeout)
-        out_data = _sum_rank_order(gathered, peers)
+        arrays = wire.wait()
+        own = dict(zip(group.local, terms))
+        lift = compressor.encode if kind == "code" else (lambda t: t)
+        out = sum_in_order([own[r] if r in own else lift(Tensor(arrays[r]))
+                            for r in range(world)])
+        if kind == "code":
+            out = compressor.decode(out)
+            if tracker.probe is not None:
+                # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
+                # the meaningful error is measured on the reduced activation.
+                # Pure reads of already-exchanged data — bitwise-neutral.
+                _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
+                         out.data, fwd_bytes, shape)
+        return _log_round_trip(
+            out, tracker, group.records,
+            CommEvent(op, "tp", "forward", compressor.name, fwd_bytes, world,
+                      shape, layer, site),
+            compressor.backward_bytes(shape))
 
-        def passthrough(g):
-            return (g,)
-
-        out = Tensor._make(out_data, (rec,), passthrough)
-        msg_bytes = compressor.compressed_bytes(shape)
-        if ctx.records:
-            tracker.record(
-                CommEvent("all_gather", "tp", "forward", compressor.name,
-                          msg_bytes, world, shape, layer, site)
-            )
-        return _with_backward_event(
-            out, tracker,
-            CommEvent("all_gather", "tp", "backward", compressor.name,
-                      compressor.backward_bytes(shape), world, shape, layer, site),
-            enabled=ctx.records,
-        )
-
-    return _spmd_handle(ctx, finish)
-
-
-def _spmd_handle(ctx, finish) -> CommHandle:
-    """Wrap ``finish`` honoring the context's overlap knob.
-
-    ``ctx.overlap`` off forces completion at issue time — the blocking
-    reference path the overlap stress test compares against.
-    """
-    handle = CommHandle(finish)
-    if not getattr(ctx, "overlap", True):
-        handle.wait()
-    return handle
+    return CommHandle(finish)
 
 
 def pipeline_transfer(
@@ -625,80 +419,36 @@ def pipeline_transfer_issue(
 ) -> CommHandle:
     """Issue a boundary send and return a :class:`CommHandle`.
 
-    A pipeline send has no receive half on the sender, so the handle is
-    always returned complete: under SPMD the payload is staged in the
-    next stage's ring mailbox (blocking only when the receiver lags a
-    full ring behind) and stays in flight while this stage moves on to
-    its next schedule op — that window is recorded as an ``mp.async``
-    span on the worker timeline.
+    The codec runs on the sender (reconstruction and its backward stay in
+    the sending stage's graph) and the reconstruction crosses to stage
+    ``boundary + 1``.  In-process that stage reads the returned tensor; a
+    worker ships it to its same-tp-rank peer there, which turns the
+    payload into a gradient leaf and relays the leaf's gradient back into
+    this graph via ``Tensor.backward(grad)``.  A send has no receive half
+    on the sender, so the handle is always returned complete and the
+    payload stays in flight while this stage moves on to its next
+    schedule op.  The oracle records one logical send per boundary, not
+    one per tp replica — only the designated recorder logs the two events.
     """
+    compressor = compressor if compressor is not None else NoCompressor()
+    # The sender's side of the hop: this process holds the one stage that
+    # produced ``x``, whatever the pipeline's depth.
+    group = Group.holding("pp", 1)
     shape = tuple(x.shape)
-    scheme = "none" if _is_identity(compressor) else compressor.name
+    site = f"boundary{boundary}"
     fwd_bytes = compressor.compressed_bytes(shape)
-    bwd_bytes = compressor.backward_bytes(shape)
-    ctx = rank_context()
-
-    if ctx is not None:
-        # SPMD sender side: the codec runs rank-local (reconstruction and
-        # its backward stay in this worker's graph), the reconstruction
-        # ships to the next stage's same-tp-rank peer, and only tp rank 0
-        # logs the boundary's two events — the oracle records one logical
-        # send per boundary, not one per tp replica.  The receiving worker
-        # turns the payload into a gradient leaf; its grad is relayed back
-        # and enters this graph via ``Tensor.backward(grad)``.
-        if ctx.records:
-            tracker.record(
-                CommEvent("send", "pp", "forward", scheme, fwd_bytes, 2, shape,
-                          layer, f"boundary{boundary}")
-            )
-        if _is_identity(compressor):
-            out = x
-        else:
-            boundary_site = f"boundary{boundary}"
-            out = compressor.apply(x, site=boundary_site)
-            if tracker.probe is not None:
-                tracker.probe.observe(
-                    site=boundary_site, scheme=scheme, group="pp",
-                    original=x.data, reconstructed=out.data,
-                    wire_bytes=fwd_bytes, dense_bytes=dense_bytes(shape),
-                    residual=_residual_of(compressor, boundary_site),
-                )
-        out = _with_backward_event(
-            out, tracker,
-            CommEvent("send", "pp", "backward", scheme, bwd_bytes, 2, shape,
-                      layer, f"boundary{boundary}"),
-            enabled=ctx.records,
-        )
-        issued_at = time.monotonic()
-        ctx.transport.send(ctx.peer(ctx.stage + 1), out.data,
-                           timeout=ctx.timeout)
-        ctx.transport.record_span(
-            _async_label("pp send", f"boundary{boundary}", None),
-            issued_at, cat="mp.async",
-        )
-        return CommHandle.ready(out)
-
-    tracker.record(
-        CommEvent("send", "pp", "forward", scheme, fwd_bytes, 2, shape,
-                  layer, f"boundary{boundary}")
-    )
-    if _is_identity(compressor):
-        out = x
-    else:
-        boundary_site = f"boundary{boundary}"
-        out = compressor.apply(x, site=boundary_site)
-        if tracker.probe is not None:
-            tracker.probe.observe(
-                site=boundary_site, scheme=scheme, group="pp",
-                original=x.data, reconstructed=out.data,
-                wire_bytes=fwd_bytes, dense_bytes=dense_bytes(shape),
-                residual=_residual_of(compressor, boundary_site),
-            )
-    return CommHandle.ready(_with_backward_event(
-        out, tracker,
-        CommEvent("send", "pp", "backward", scheme, bwd_bytes, 2, shape,
-                  layer, f"boundary{boundary}"),
-    ))
+    out = x
+    if _wire_kind(compressor) != "dense":
+        out = compressor.apply(x, site=site)
+        _observe(tracker, site, compressor, "pp", x.data, out.data, fwd_bytes,
+                 shape)
+    out = _log_round_trip(
+        out, tracker, group.records,
+        CommEvent("send", "pp", "forward", compressor.name, fwd_bytes, 2, shape,
+                  layer, site),
+        compressor.backward_bytes(shape))
+    group.send(boundary + 1, out.data, label=f"pp send {site}")
+    return CommHandle.ready(out)
 
 
 # ----------------------------------------------------------------------
@@ -744,7 +494,7 @@ def dp_all_reduce(
         for grads in replica_grads
     ]
     shape = (flats[0].size,)
-    if compressor is None or _is_identity(compressor):
+    if compressor is None or _wire_kind(compressor) == "dense":
         total = flats[0]
         for f in flats[1:]:
             total = total + f
@@ -783,7 +533,7 @@ def sp_slice(x: Tensor, sp: int, sp_rank: int) -> Tensor:
     In-process this is a plain autograd slice: the backward pass scatters
     the block gradient into a zero-padded full array and the sp blocks'
     contributions accumulate into the full input gradient.  Inside an mp
-    worker the backward instead *exchanges* the disjoint block gradients
+    worker the backward instead *gathers* the disjoint block gradients
     around the ring and assembles the full ``dx`` locally — the upstream
     (replicated) computation then sees the same full gradient on every
     rank.
@@ -793,18 +543,12 @@ def sp_slice(x: Tensor, sp: int, sp_rank: int) -> Tensor:
         raise ValueError(f"sequence length {s} not divisible by sp={sp}")
     blk = s // sp
     lo = sp_rank * blk
-    ctx = rank_context()
-    if ctx is None or ctx.sp <= 1:
+    group = Group("sp", sp)
+    if group.whole:
         return x[:, lo:lo + blk, :]
 
-    peers = ctx.sp_peers()
-
     def backward(g):
-        wire = ctx.transport.exchange_issue(
-            peers, np.ascontiguousarray(g), timeout=ctx.timeout,
-            label="sp dx gather")
-        gathered = wire.wait(ctx.timeout)
-        return (np.concatenate([gathered[p] for p in peers], axis=1),)
+        return (np.concatenate(group.gather([g], label="sp dx gather"), axis=1),)
 
     return Tensor._make(x.data[:, lo:lo + blk, :], (x,), backward)
 
@@ -813,47 +557,36 @@ def sp_seq_all_gather(blocks: list[Tensor], sp: int, *, axis: int = 2,
                       reduce_backward: bool, label: str = "sp gather") -> Tensor:
     """Concatenate per-rank sequence blocks into the full tensor.
 
+    ``blocks`` holds one tensor per *local* sp rank.  In-process that is
+    all of them and autograd's own concatenate does the job, backward
+    included.  A worker gathers the peers' blocks as constants, and:
+
     ``reduce_backward=True`` is the K/V gather: every rank's backward
     holds a *partial* gradient of the full tensor (its own query block's
-    contribution), so under SPMD the partials are exchanged and summed in
-    rank order before slicing the own block — matching the oracle's
-    autograd accumulation bitwise at sp <= 2.  ``reduce_backward=False``
-    is the context all-gather: the downstream computation is replicated,
-    so the incoming full gradient is already identical on every rank and
-    the backward is a local slice with no wire traffic.
+    contribution), so the partials are all-reduced in rank order before
+    slicing the own block — matching the oracle's autograd accumulation
+    bitwise at sp <= 2.  ``reduce_backward=False`` is the context
+    all-gather: the downstream computation is replicated, so the incoming
+    full gradient is already identical on every rank and the backward is a
+    local slice with no wire traffic.
     """
-    ctx = rank_context()
-    if ctx is None or ctx.sp <= 1:
-        if len(blocks) == 1 and sp == 1:
-            return blocks[0]
-        if len(blocks) != sp:
-            raise ValueError(f"expected {sp} blocks in-process, got {len(blocks)}")
-        return _concatenate(blocks, axis=axis)
+    group = Group("sp", sp)
+    if len(blocks) != len(group.local):
+        raise ValueError(f"expected {len(group.local)} local block(s) of "
+                         f"sp={sp}, got {len(blocks)}")
+    if group.whole:
+        return blocks[0] if sp == 1 else _concatenate(blocks, axis=axis)
 
-    if len(blocks) != 1:
-        raise ValueError(
-            f"SPMD sp_seq_all_gather expects exactly the local block, "
-            f"got {len(blocks)}"
-        )
     own = blocks[0]
-    peers = ctx.sp_peers()
+    full = np.concatenate(group.gather([own.data], label=label), axis=axis)
     blk = own.shape[axis]
-    lo = ctx.sp_rank * blk
-    wire = ctx.transport.exchange_issue(
-        peers, np.ascontiguousarray(own.data), timeout=ctx.timeout,
-        label=label)
-    gathered = wire.wait(ctx.timeout)
-    full = np.concatenate([gathered[p] for p in peers], axis=axis)
     take = [slice(None)] * full.ndim
-    take[axis] = slice(lo, lo + blk)
+    take[axis] = slice(group.local[0] * blk, (group.local[0] + 1) * blk)
     take = tuple(take)
 
     def backward(g):
         if reduce_backward:
-            wire_b = ctx.transport.exchange_issue(
-                peers, np.ascontiguousarray(g), timeout=ctx.timeout,
-                label=f"{label} bwd reduce")
-            g = _sum_rank_order(wire_b.wait(ctx.timeout), peers)
+            g = group.all_reduce(g, label=f"{label} bwd reduce")
         return (g[take],)
 
     return Tensor._make(full, (own,), backward)
@@ -873,80 +606,67 @@ def sp_ring_account(x: Tensor, tracker: CommTracker, *, sp: int,
     stays identical across ranks.
     """
     wire = 3 * (sp - 1) * dense_bytes(block_shape)
-    ctx = rank_context()
-    recording = ctx is None or ctx.records
-    if recording:
-        tracker.record(
-            CommEvent("ring_exchange", "sp", "forward", "none", wire, sp,
-                      shape, layer, site)
-        )
-    return _with_backward_event(
-        x, tracker,
-        CommEvent("ring_exchange", "sp", "backward", "none", wire, sp,
-                  shape, layer, site),
-        enabled=recording,
-    )
+    return _log_round_trip(
+        x, tracker, Group("sp", sp).records,
+        CommEvent("ring_exchange", "sp", "forward", "none", wire, sp, shape,
+                  layer, site),
+        wire)
 
 
 # ----------------------------------------------------------------------
-def _async_label(op: str, site: str, layer: int | None) -> str:
-    """Display label of one in-flight exchange in worker timelines."""
-    return f"{op} {_site_label(site, layer)}"
-
-
 def _site_label(site: str, layer: int | None) -> str:
     """Fully-qualified label of one TP compression site."""
     base = site or "default"
     return f"layer{layer}.{base}" if layer is not None else base
 
 
-def _rank_site(site: str, layer: int | None, rank: int) -> str:
-    """Stable per-rank state key for one TP compression site."""
-    return f"{_site_label(site, layer)}.rank{rank}"
+def _wire_kind(compressor: Compressor) -> str:
+    """How a scheme's message crosses a cut point (§3.2) — the one
+    scheme dispatch: ``"dense"`` (no codec, plain all-reduce), ``"code"``
+    (learnable, all-reduce over the code) or ``"message"`` (compressed
+    messages that only an all-gather can carry)."""
+    if compressor.name == "none":
+        return "dense"
+    if isinstance(compressor, AutoencoderCompressor) or (
+        compressor.allreduce_compatible and compressor.learnable
+    ):
+        return "code"
+    return "message"
 
 
-def _is_identity(compressor: Compressor) -> bool:
-    return compressor is None or compressor.name == "none"
-
-
-def _residual_of(compressor: Compressor, site: str):
-    """Error-feedback residual at ``site``, or None for stateless schemes."""
+def _observe(tracker: CommTracker, site: str, compressor: Compressor, group: str,
+             original: np.ndarray, reconstructed: np.ndarray, wire_bytes: int,
+             shape: tuple[int, ...]) -> None:
+    """Report one compressed site to the tracker's fidelity probe, if any,
+    with the error-feedback residual held at ``site`` (None when stateless)."""
+    if tracker.probe is None:
+        return
     getter = getattr(compressor, "residual", None)
-    return getter(site) if callable(getter) else None
+    tracker.probe.observe(
+        site=site, scheme=compressor.name, group=group,
+        original=original, reconstructed=reconstructed,
+        wire_bytes=wire_bytes, dense_bytes=dense_bytes(shape),
+        residual=getter(site) if callable(getter) else None,
+    )
 
 
-def _sum_tensors(tensors: list[Tensor]) -> Tensor:
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = out + t
-    return out
+def _log_round_trip(x: Tensor, tracker: CommTracker, records: bool,
+                    fwd: CommEvent, bwd_bytes: int) -> Tensor:
+    """Log a cut point's forward message ``fwd`` now, and its backward
+    twin (``bwd_bytes`` on the same wire) when the gradient passes back
+    through ``x``.
 
-
-def _sum_rank_order(gathered: dict[int, np.ndarray], peers: list[int]) -> np.ndarray:
-    """Sum exchanged arrays in ascending rank order.
-
-    The oracle sums partials in list (= rank) order; reducing the SPMD
-    exchange the same way keeps every float addition identical, which at
-    tp<=2 means bitwise-identical results regardless of arrival order.
-    """
-    out = gathered[peers[0]]
-    for peer in peers[1:]:
-        out = out + gathered[peer]
-    return out
-
-
-def _with_backward_event(x: Tensor, tracker: CommTracker, event: CommEvent,
-                         enabled: bool = True) -> Tensor:
-    """Wrap ``x`` so that a gradient passing through logs ``event``.
-
-    ``enabled=False`` (a non-recording SPMD replica) still wraps — the
+    ``records=False`` (a non-recording SPMD replica) still wraps — the
     closure keeps backward op ordering identical across ranks — but skips
-    the record call, leaving the event to the designated recorder.
+    both record calls, leaving the events to the designated recorder.
     """
+    if records:
+        tracker.record(fwd)
+    bwd = replace(fwd, phase="backward", wire_bytes=bwd_bytes)
 
     def backward(g):
-        if enabled:
-            tracker.record(event)
+        if records:
+            tracker.record(bwd)
         return (g,)
 
     return Tensor._make(x.data, (x,), backward)

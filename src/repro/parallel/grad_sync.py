@@ -18,11 +18,11 @@ grid grows beyond TP×PP:
   weight/bias gradients are partial sums over its block.  Everything else
   (out-proj, MLP, norms, embeddings) consumes replicated full-sequence
   activations and already holds full gradients.  :func:`sp_sync_grads`
-  exchanges the per-stage QKV gradient vector around the ring after the
-  schedule loop and sums in rank order — bitwise-identical to the
-  oracle's autograd accumulation at sp <= 2 — while
-  :func:`record_sp_grad_sync_events` logs the matching events on the
-  in-process oracle, where autograd performs the sum natively.
+  all-reduces the per-stage QKV gradient vector over the sp group after
+  the backward pass, on both backends: in-process autograd has already
+  summed the blocks (the group's all-reduce is the identity there), a
+  worker sums around the ring in rank order — bitwise-identical to the
+  oracle's accumulation at sp <= 2.
 """
 
 from __future__ import annotations
@@ -34,15 +34,10 @@ import numpy as np
 from repro.compression.base import Compressor
 from repro.compression.error_feedback import ErrorFeedbackCompressor
 from repro.compression.notation import scheme_spec
-from repro.parallel.collectives import (
-    CommEvent,
-    CommTracker,
-    dense_bytes,
-    _sum_rank_order,
-)
+from repro.parallel.backend.context import Group
+from repro.parallel.collectives import CommEvent, dense_bytes
 
-__all__ = ["build_dp_grad_compressor", "sp_grad_groups", "sp_sync_grads",
-           "record_sp_grad_sync_events"]
+__all__ = ["build_dp_grad_compressor", "sp_grad_groups", "sp_sync_grads"]
 
 #: Seed offset for the DP gradient codec's Random-K stream — disjoint from
 #: the activation-site offsets in runtime.py (layer*2+site and 500+b).
@@ -89,52 +84,32 @@ def sp_grad_groups(model) -> dict[int, list[tuple[str, object]]]:
     return groups
 
 
-def sp_sync_grads(model, ctx) -> None:
-    """All-reduce this stage's partial QKV gradients around the SP ring.
+def sp_sync_grads(model) -> None:
+    """All-reduce every local stage's partial QKV gradients over the sp group.
 
-    Runs inside an mp worker after its schedule loop: flattens the
-    stage's QKV gradients in sorted-name order, exchanges with the sp
-    peers, sums in rank order, and writes the slices back.  Every sp
-    rank participates (the exchange is symmetric); only the designated
-    recorder logs the stage's ``grad_sync`` event.
+    Runs after the backward pass: per stage this process holds, flattens
+    the stage's QKV gradients in sorted-name order, all-reduces the vector,
+    and writes the slices back.  Every sp rank participates (the exchange
+    is symmetric); only the designated recorder logs the stage's
+    ``grad_sync`` event.
     """
-    group = sp_grad_groups(model).get(ctx.stage, [])
-    if not group:
-        return
-    flat = np.concatenate(
-        [np.ascontiguousarray(p.grad, dtype=np.float32).ravel()
-         for _, p in group])
-    peers = ctx.sp_peers()
-    wire = ctx.transport.exchange_issue(peers, flat, timeout=ctx.timeout,
-                                        label="sp grad sync")
-    total = _sum_rank_order(wire.wait(ctx.timeout), peers)
-    offset = 0
-    for _, p in group:
-        n = p.grad.size
-        p.grad = total[offset:offset + n].reshape(p.grad.shape)
-        offset += n
-    if ctx.records:
-        model.tracker.record(_grad_sync_event(flat.size, ctx.sp))
-
-
-def record_sp_grad_sync_events(model, sp: int,
-                               tracker: CommTracker | None = None) -> None:
-    """Oracle-side accounting of the per-stage SP gradient syncs.
-
-    The in-process backward already accumulated the QKV gradients across
-    sequence blocks (autograd does the ring's sum for free), so the
-    oracle only records the events the workers' syncs would have logged:
-    one per stage holding QKV parameters with gradients.
-    """
-    if sp <= 1:
-        return
-    tracker = tracker if tracker is not None else model.tracker
+    sp = Group("sp", model.config.sp)
     groups = sp_grad_groups(model)
-    for stage in sorted(groups):
-        size = sum(p.grad.size for _, p in groups[stage])
-        tracker.record(_grad_sync_event(size, sp))
-
-
-def _grad_sync_event(size: int, sp: int) -> CommEvent:
-    return CommEvent("all_reduce", "sp", "backward", "none",
-                     dense_bytes((size,)), sp, (size,), None, "grad_sync")
+    for stage in Group("pp", model.backbone.partition.pp).local:
+        params = groups.get(stage)
+        if not params:
+            continue
+        flat = np.concatenate(
+            [np.ascontiguousarray(p.grad, dtype=np.float32).ravel()
+             for _, p in params])
+        total = sp.all_reduce(flat, label="sp grad sync")
+        offset = 0
+        for _, p in params:
+            n = p.grad.size
+            p.grad = total[offset:offset + n].reshape(p.grad.shape)
+            offset += n
+        if sp.records:
+            model.tracker.record(
+                CommEvent("all_reduce", "sp", "backward", "none",
+                          dense_bytes((flat.size,)), sp.world, (flat.size,),
+                          None, "grad_sync"))

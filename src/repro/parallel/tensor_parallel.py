@@ -21,7 +21,7 @@ from repro.nn.attention import MultiHeadAttention, attention_core
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import TransformerConfig, TransformerLayer
-from repro.parallel.backend.context import spmd_ranks, spmd_sp_ranks
+from repro.parallel.backend.context import Group
 from repro.parallel.collectives import (
     CommTracker,
     sp_ring_account,
@@ -109,9 +109,9 @@ class ColumnParallelLinear(Module):
 
     def forward(self, x: Tensor) -> list[Tensor]:
         # In-process this materializes every rank's shard; inside an mp
-        # worker spmd_ranks() collapses the loop to the worker's own rank.
+        # worker the group's local ranks collapse the loop to its own.
         outs = []
-        for r in spmd_ranks(self.tp):
+        for r in Group("tp", self.tp).local:
             o = x @ self.weight_shards[r]
             if self.bias_shards:
                 o = o + self.bias_shards[r]
@@ -157,7 +157,7 @@ class RowParallelLinear(Module):
         return obj
 
     def forward(self, x_shards: list[Tensor]) -> list[Tensor]:
-        ranks = spmd_ranks(self.tp)
+        ranks = Group("tp", self.tp).local
         if len(x_shards) != len(ranks):
             raise ValueError(f"expected {len(ranks)} input shards, got {len(x_shards)}")
         return [x_shards[i] @ self.weight_shards[r] for i, r in enumerate(ranks)]
@@ -274,7 +274,7 @@ class ParallelAttention(Module):
         b, s, _ = x.shape
         slice_w = self.hidden // self.tp
         ctx_shards = []
-        for r in spmd_ranks(self.tp):
+        for r in Group("tp", self.tp).local:
             qkv = x @ self._qkv_weights[r] + self._qkv_biases[r]
             q = self._split_heads(qkv[:, :, :slice_w], b, s)
             k = self._split_heads(qkv[:, :, slice_w : 2 * slice_w], b, s)
@@ -313,8 +313,7 @@ class ParallelAttention(Module):
             raise ValueError(f"sequence length {s} not divisible by sp={sp}")
         weight, bias = self._qkv_weights[0], self._qkv_biases[0]
         q_blocks, k_blocks, v_blocks = [], [], []
-        ranks = spmd_sp_ranks(sp)
-        for r in ranks:
+        for r in Group("sp", sp).local:
             x_r = sp_slice(x, sp, r)
             qkv = x_r @ weight + bias
             q_blocks.append(self._split_heads(qkv[:, :, :h], b, blk_s))

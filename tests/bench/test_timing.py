@@ -57,3 +57,13 @@ class TestMachineCalibration:
         b = machine_calibration_ms(rounds=2)
         assert a > 0 and b > 0
         assert 0.2 < a / b < 5  # same machine: same ballpark
+
+    def test_is_the_fastest_round_not_the_median(self, monkeypatch):
+        """Load can only slow the pinned workload, so one noisy round (or
+        most of them) must not move the number that stands for the machine."""
+        from repro.bench import timing
+
+        monkeypatch.setattr(
+            timing, "timed",
+            lambda fn, **kw: TimingResult([5.0, 1.5, 9.0, 7.0], result=None))
+        assert machine_calibration_ms() == 1.5

@@ -152,6 +152,28 @@ class TestNoEvalExec:
         assert "REPRO007" not in rules_hit("model.eval()\n")
 
 
+class TestRankContextPrivate:
+    def test_read_outside_backend_flagged(self):
+        src = """
+        def my_collective(x):
+            ctx = rank_context()
+            return x if ctx is None else exchange(ctx, x)
+        """
+        assert "REPRO011" in rules_hit(src, "src/repro/parallel/collectives.py")
+        assert "REPRO011" in rules_hit(
+            "from repro.parallel.backend.context import rank_context\n",
+            "src/repro/parallel/tensor_parallel.py")
+        assert "REPRO011" in rules_hit("ctx = context.rank_context()\n")
+
+    def test_backend_package_and_group_ok(self):
+        src = "def f():\n    return rank_context()\n"
+        assert "REPRO011" not in rules_hit(
+            src, "src/repro/parallel/backend/context.py")
+        assert "REPRO011" not in rules_hit(
+            "ranks = Group('tp', tp).local\n", "src/repro/parallel/collectives.py")
+        assert "REPRO011" not in rules_hit("set_rank_context(None)\n")
+
+
 def test_repo_source_tree_is_clean():
     """The shipped src/ tree must satisfy its own linter."""
     from repro.lint import lint_paths
