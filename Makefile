@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint lint-dynamic lint-changed model-check concurrency-verify \
-	check bench bench-compare
+	check bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,11 +36,9 @@ concurrency-verify: model-check
 # transport/schedule model checkers.
 check: test lint-dynamic model-check
 
-# Full pinned perf suite: BENCH_<sha>.json + merged Chrome trace in bench-out/.
+# The determinism pin: run the pinned suite (each case once, nothing timed)
+# and gate it against the committed baseline. Wall clock is measured only by
+# `python3 benchmarks/e2e/run.py`.
 bench:
 	$(PYTHON) -m repro.bench run --out bench-out
-
-# CI-style smoke: quick run, then gate against the committed baseline.
-bench-compare:
-	$(PYTHON) -m repro.bench run --quick --out bench-out --no-trace
 	$(PYTHON) -m repro.bench compare --dir bench-out --baseline benchmarks/baseline.json

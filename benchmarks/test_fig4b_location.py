@@ -3,8 +3,8 @@
 from repro.experiments import fig4b_location, format_table
 
 
-def test_fig4b_location(timed_run):
-    rows = timed_run(fig4b_location)
+def test_fig4b_location():
+    rows = fig4b_location()
     print("\n" + format_table(rows, title="Figure 4b — score vs location of a 2-layer compressed window (A2)"))
     # Takeaway 7 (attenuated at our 4-layer depth — see EXPERIMENTS.md):
     # the earliest window is never the *uniquely best* placement, and all

@@ -1,14 +1,14 @@
 """Table 5: fine-tuning accuracy per compression scheme (real training).
 
-Quick profile (default): 4 tasks × 4 schemes. ``REPRO_PROFILE=full``
-regenerates all 9 columns × 9 scheme rows (takes minutes).
+Quick profile (default): 4 tasks × 4 schemes, ≈3 min. ``REPRO_PROFILE=full``
+regenerates all 9 columns × 9 scheme rows.
 """
 
 from repro.experiments import format_table, table5_glue_accuracy
 
 
-def test_table5_glue_accuracy(timed_run):
-    rows = timed_run(table5_glue_accuracy)
+def test_table5_glue_accuracy():
+    rows = table5_glue_accuracy()
     print("\n" + format_table(rows, title="Table 5 — GLUE fine-tune scores (×100), TP=2 PP=2, last-half policy"))
     by = {r["scheme"]: r for r in rows}
     wo = by["w/o"]

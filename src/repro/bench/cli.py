@@ -1,18 +1,16 @@
-"""``python -m repro.bench`` — run, gate and report perf benchmarks.
+"""``python -m repro.bench`` — run, gate and report the determinism pin.
 
 Usage::
 
-    python -m repro.bench run [--quick] [--out DIR] [--no-trace]
-                              [--suite default|degraded] [--only GLOB]
-    python -m repro.bench compare [CANDIDATE] [--baseline PATH]
-                                  [--wall-tol 1.75] [--all]
+    python -m repro.bench run [--out DIR] [--only GLOB]
+    python -m repro.bench compare [CANDIDATE] [--baseline PATH] [--all]
     python -m repro.bench report [CANDIDATE] [--format md|csv] [--out PATH]
 
-``run`` executes the pinned suite (see :mod:`repro.bench.suite`) and
-writes ``BENCH_<git-sha>.json`` plus a merged profiled+simulated Chrome
-trace.  ``compare`` gates a candidate against the committed baseline and
-exits 1 on regression — CI's bench-smoke job runs exactly that.
-``report`` renders a run as markdown (default) or CSV.
+``run`` executes the pinned suite (see :mod:`repro.bench.suite`), each
+case once, and writes ``BENCH_<git-sha>.json``.  ``compare`` gates a
+candidate against the committed baseline and exits 1 on any drift —
+CI's bench-smoke job runs exactly that.  ``report`` renders a run as
+markdown (default) or CSV.
 
 When CANDIDATE is omitted, the newest ``BENCH_*.json`` under the output
 directory (default ``.``) is used.
@@ -25,12 +23,7 @@ import glob
 import os
 import sys
 
-from repro.bench.compare import (
-    DEFAULT_WALL_FLOOR_MS,
-    DEFAULT_WALL_TOL,
-    compare_docs,
-    load_doc,
-)
+from repro.bench.compare import compare_docs, load_doc
 from repro.bench.report import render_csv, render_markdown
 from repro.bench.run import run_suite
 from repro.bench.schema import BenchSchemaError, validate_bench
@@ -42,7 +35,6 @@ DEFAULT_BASELINE = os.path.join("benchmarks", "baseline.json")
 
 def _newest_bench(directory: str) -> str | None:
     paths = glob.glob(os.path.join(directory, "BENCH_*.json"))
-    paths = [p for p in paths if not p.endswith(".trace.json")]
     return max(paths, key=os.path.getmtime) if paths else None
 
 
@@ -67,27 +59,15 @@ def _load_validated(path: str) -> dict | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.bench.suite import degraded_suite
-
-    def progress(case, result):
-        wall = result["wall_ms"]
-        print(f"  {case.id}: median {wall['median']:.2f} ms "
-              f"(IQR {wall['iqr']:.2f}, n={wall['rounds']})")
-
-    suite = degraded_suite() if args.suite == "degraded" else None
     try:
-        doc, bench_path, trace_path = run_suite(
-            quick=args.quick, suite=suite, out_dir=args.out,
-            write_trace_artifact=not args.no_trace and args.suite == "default",
-            progress=progress, suite_name=args.suite, only=args.only,
-        )
+        doc, bench_path = run_suite(
+            out_dir=args.out, only=args.only,
+            progress=lambda case, _: print(f"  {case.id}"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {bench_path} ({len(doc['cases'])} cases, "
-          f"sha {doc['git_sha']}, quick={doc['quick']})")
-    if trace_path:
-        print(f"wrote {trace_path} (merged profiled+simulated Chrome trace)")
+          f"sha {doc['git_sha']})")
     return 0
 
 
@@ -102,12 +82,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if candidate is None or baseline is None:
         return 2
 
-    try:
-        result = compare_docs(candidate, baseline, wall_tol=args.wall_tol,
-                              wall_floor_ms=args.wall_floor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = compare_docs(candidate, baseline)
     rows = result.as_rows()
     if not args.all:
         rows = [r for r in rows if not r["status"].startswith("ok")]
@@ -152,15 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run the pinned suite")
-    p_run.add_argument("--quick", action="store_true",
-                       help="fewer warmups/rounds (CI smoke mode)")
     p_run.add_argument("--out", default=".", help="output directory")
-    p_run.add_argument("--no-trace", action="store_true",
-                       help="skip the merged Chrome-trace artifact")
-    p_run.add_argument("--suite", choices=("default", "degraded"),
-                       default="default",
-                       help="degraded = the fault-injected chaos matrix "
-                            "(never gated against the healthy baseline)")
     p_run.add_argument("--only", metavar="GLOB",
                        help="run only cases whose id matches this glob "
                             "(e.g. 'backend_step/mp/*')")
@@ -172,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--dir", default=".",
                        help="where to look for the newest candidate")
     p_cmp.add_argument("--baseline", default=DEFAULT_BASELINE)
-    p_cmp.add_argument("--wall-tol", type=float, default=DEFAULT_WALL_TOL,
-                       help="normalized wall-time ratio that fails the gate")
-    p_cmp.add_argument("--wall-floor", type=float, default=DEFAULT_WALL_FLOOR_MS,
-                       help="skip wall gating below this absolute median (ms)")
     p_cmp.add_argument("--all", action="store_true",
                        help="print passing checks too")
     p_cmp.set_defaults(fn=cmd_compare)

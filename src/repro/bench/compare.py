@@ -1,18 +1,10 @@
 """Gate a candidate bench run against the committed baseline.
 
-Two classes of metric, two gates:
-
-- **Deterministic** metrics (FLOPs, op/alloc counts, comm bytes, the
-  simulator breakdown) must match the baseline to within a hair
-  (relative 1e-9) — they are identical run to run by construction, so
-  *any* drift means the workload itself changed and the baseline must be
-  refreshed deliberately (see EXPERIMENTS.md).
-- **Wall times** are measurements: both sides are first normalized by
-  their own file's ``machine_calibration_ms`` (how fast that machine
-  runs a pinned NumPy workload), then the normalized ratio is gated at
-  ``wall_tol`` (default 1.75×, i.e. a true 2× regression always trips).
-  Cases whose absolute medians are below ``wall_floor_ms`` on both sides
-  are too noise-dominated to gate and are reported as skipped.
+Every metric in a bench document is deterministic (FLOPs, op/alloc
+counts, comm bytes, the simulator breakdown) and must match the baseline
+to within a hair (relative 1e-9).  They are identical run to run by
+construction, so *any* drift means the workload itself changed and the
+baseline must be refreshed deliberately (see EXPERIMENTS.md).
 
 A case present in the baseline but missing from the candidate fails the
 gate (a silently dropped benchmark is a regression of the harness
@@ -24,11 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["MetricCheck", "CompareResult", "compare_docs", "load_doc",
-           "DEFAULT_WALL_TOL", "DEFAULT_WALL_FLOOR_MS"]
+__all__ = ["MetricCheck", "CompareResult", "compare_docs", "load_doc"]
 
-DEFAULT_WALL_TOL = 1.75
-DEFAULT_WALL_FLOOR_MS = 2.0
 _DET_RTOL = 1e-9
 
 
@@ -45,8 +34,8 @@ class MetricCheck:
     metric: str
     baseline: float | None
     candidate: float | None
-    ratio: float | None  # candidate/baseline (normalized for wall times)
-    status: str  # "ok" | "regression" | "skipped" | "missing" | "new"
+    ratio: float | None  # candidate/baseline
+    status: str  # "ok" | "regression" | "missing" | "new"
     note: str = ""
 
 
@@ -80,7 +69,7 @@ def _close(a: float, b: float, rtol: float = _DET_RTOL) -> bool:
 def _det_values(case: dict) -> dict[str, float]:
     """Flatten a case's deterministic block to metric-name -> number."""
     out: dict[str, float] = {}
-    for name, value in case.get("deterministic", {}).items():
+    for name, value in case["deterministic"].items():
         if isinstance(value, dict):
             for key, sub in value.items():
                 out[f"{name}.{key}"] = float(sub)
@@ -89,35 +78,11 @@ def _det_values(case: dict) -> dict[str, float]:
     return out
 
 
-def compare_docs(
-    candidate: dict,
-    baseline: dict,
-    wall_tol: float = DEFAULT_WALL_TOL,
-    wall_floor_ms: float = DEFAULT_WALL_FLOOR_MS,
-) -> CompareResult:
-    """Compare two validated bench documents case by case.
-
-    Both documents must come from the *same* suite: gating a degraded
-    (fault-injected) run against the healthy baseline would either flag
-    recovery cost as a regression or, worse, accept it as the new
-    normal.
-    """
-    if wall_tol <= 1.0:
-        raise ValueError(f"wall_tol must be > 1, got {wall_tol}")
-    cand_suite = candidate.get("suite", "default")
-    base_suite = baseline.get("suite", "default")
-    if cand_suite != base_suite:
-        raise ValueError(
-            f"refusing to compare suite {cand_suite!r} against suite "
-            f"{base_suite!r}: degraded (faulted) runs must only be gated "
-            "against other degraded runs")
+def compare_docs(candidate: dict, baseline: dict) -> CompareResult:
+    """Compare two validated bench documents case by case."""
     result = CompareResult()
     cand_cases = {c["id"]: c for c in candidate["cases"]}
     base_cases = {c["id"]: c for c in baseline["cases"]}
-    cand_cal = candidate["machine_calibration_ms"]
-    base_cal = baseline["machine_calibration_ms"]
-    if cand_cal <= 0 or base_cal <= 0:
-        raise ValueError("machine_calibration_ms must be positive in both files")
 
     for cid, base in base_cases.items():
         cand = cand_cases.get(cid)
@@ -126,19 +91,6 @@ def compare_docs(
                 cid, "-", None, None, None, "missing",
                 "case dropped from candidate run"))
             continue
-
-        base_wall = base["wall_ms"]["median"]
-        cand_wall = cand["wall_ms"]["median"]
-        if base_wall < wall_floor_ms and cand_wall < wall_floor_ms:
-            result.checks.append(MetricCheck(
-                cid, "wall_ms", base_wall, cand_wall, None, "skipped",
-                f"both medians < {wall_floor_ms} ms floor"))
-        else:
-            ratio = (cand_wall / cand_cal) / (base_wall / base_cal)
-            status = "regression" if ratio > wall_tol else "ok"
-            note = f"normalized > {wall_tol}x" if status == "regression" else ""
-            result.checks.append(MetricCheck(
-                cid, "wall_ms", base_wall, cand_wall, ratio, status, note))
 
         base_det = _det_values(base)
         cand_det = _det_values(cand)

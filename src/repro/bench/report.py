@@ -27,7 +27,7 @@ def _topology_label(params: dict) -> str:
 def _case_rows(doc: dict) -> list[dict]:
     rows = []
     for case in doc["cases"]:
-        det = case.get("deterministic", {})
+        det = case["deterministic"]
         comm = det.get("comm_bytes", {})
         params = case["params"]
         rows.append({
@@ -38,9 +38,6 @@ def _case_rows(doc: dict) -> list[dict]:
             "tp": params["tp"],
             "pp": params["pp"],
             "sp": params.get("sp", 1),
-            "wall_median_ms": case["wall_ms"]["median"],
-            "wall_iqr_ms": case["wall_ms"]["iqr"],
-            "rounds": case["wall_ms"]["rounds"],
             "flops": det.get("flops", ""),
             "alloc_bytes": det.get("alloc_bytes", ""),
             "peak_alloc_bytes": det.get("peak_alloc_bytes", ""),
@@ -65,13 +62,7 @@ def _render_table(rows: list[dict], columns: list[str]) -> list[str]:
 def render_markdown(doc: dict) -> str:
     """Markdown summary: header metadata plus one table per topology."""
     rows = _case_rows(doc)
-    lines = [
-        f"# Bench run `{doc['git_sha']}`",
-        "",
-        f"- suite: `{doc['suite']}`  ·  quick: `{doc['quick']}`",
-        f"- machine calibration: {doc['machine_calibration_ms']:.3f} ms",
-        "",
-    ]
+    lines = [f"# Bench run `{doc['git_sha']}`", ""]
     if not rows:
         return "\n".join(lines) + "\n"
     columns = [c for c in rows[0] if c not in ("dp", "tp", "pp", "sp")]

@@ -16,42 +16,28 @@ from __future__ import annotations
 __all__ = ["SCHEMA_VERSION", "BENCH_SCHEMA", "BenchSchemaError", "validate_bench",
            "schema_errors"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _NUMBER = {"type": "number"}
-_WALL = {
-    "type": "object",
-    "required": ["median", "iqr", "rounds"],
-    "properties": {
-        "median": {"type": "number", "minimum": 0},
-        "iqr": {"type": "number", "minimum": 0},
-        "rounds": {"type": "integer", "minimum": 1},
-        "times": {"type": "array", "items": {"type": "number", "minimum": 0}},
-    },
-}
 
 BENCH_SCHEMA = {
     "type": "object",
-    "required": ["schema_version", "git_sha", "quick", "machine_calibration_ms",
-                 "suite", "cases"],
+    "required": ["schema_version", "git_sha", "cases"],
     "additionalProperties": False,
     "properties": {
         "schema_version": {"type": "integer", "enum": [SCHEMA_VERSION]},
         "git_sha": {"type": "string"},
         "created_unix": {"type": "number"},
-        "quick": {"type": "boolean"},
-        "suite": {"type": "string"},
-        "machine_calibration_ms": {"type": "number", "minimum": 0},
         "cases": {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["id", "kind", "params", "wall_ms", "deterministic"],
+                "required": ["id", "kind", "params", "deterministic"],
+                "additionalProperties": False,
                 "properties": {
                     "id": {"type": "string"},
                     "kind": {"type": "string",
-                             "enum": ["mp_step", "finetune", "sim",
-                                      "backend_step", "degraded"]},
+                             "enum": ["backend_step", "sim"]},
                     "params": {
                         "type": "object",
                         "required": ["scheme", "tp", "pp"],
@@ -65,15 +51,8 @@ BENCH_SCHEMA = {
                             "schedule": {"type": "string",
                                          "enum": ["gpipe", "1f1b"]},
                             "microbatches": {"type": "integer", "minimum": 1},
-                            "fault_plan": {"type": "string"},
                         },
                     },
-                    "wall_ms": _WALL,
-                    # Optional per-case telemetry summary (pooled window
-                    # stats from the live side channel when REPRO_TELEMETRY
-                    # was armed for the run). Shape owned by
-                    # repro.obs.telemetry; opaque to the bench gate.
-                    "telemetry": {"type": "object"},
                     # Flat metric name -> number, except comm_bytes which
                     # is a string-keyed byte map (from CommTracker.summary).
                     "deterministic": {

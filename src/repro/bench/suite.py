@@ -1,35 +1,25 @@
-"""The pinned benchmark suite: which workloads the harness tracks.
+"""The pinned suite: which workloads the determinism pin tracks.
 
-Four kinds of case, mirroring how the repo is actually exercised:
+Two kinds of case, both run exactly once (nothing here is timed; wall
+clock belongs to ``benchmarks/e2e``):
 
-- ``mp_step`` — one full model-parallel training step (forward, backward,
-  clipped Adam step) of the scaled-down accuracy model, for every
-  TP×PP layout in {2×1, 1×2, 2×2} × scheme in {w/o, T2, R2, Q2, A2}.
-  These are the hot paths every compression/runtime PR touches.
-- ``finetune`` — one short recorded fine-tune (RTE, 1 epoch), the
-  end-to-end path the observability overhead guarantee is written
-  against.
+- ``backend_step`` — one optimizer step of the scaled-down accuracy
+  model driven through an execution backend.  Every case pins its comm
+  event count and per-``group/phase/scheme`` wire bytes, which must be
+  identical between the ``inproc`` oracle and the ``mp`` process gang
+  (bitwise-equivalence contract).  In-process cases additionally pin the
+  :class:`~repro.obs.profile.OpProfiler` rollups (FLOPs, op calls,
+  allocation bytes and peak) and cover all five schemes per TP×PP
+  layout; the mp gang runs one scheme per collective path plus
+  microbatched 1F1B variants (``.../1f1b-m4``), and both backends run
+  the DP and ring-SP grid cells.  Losses are never pinned: they depend
+  on BLAS summation order, comm accounting does not.
 - ``sim`` — the calibrated simulator's iteration breakdown for the same
-  layout×scheme grid at BERT-Large scale.  Fully deterministic, so the
-  compare gate pins it exactly: any change to the cost model shows up.
-- ``backend_step`` — one optimizer step driven through an execution
-  backend (``inproc`` oracle vs the ``mp`` process gang), timing the
-  process/shared-memory overhead against the serial path.  Deterministic
-  metrics are limited to comm events/bytes: losses are machine-dependent
-  (BLAS summation order), comm accounting is not.  Pipelined layouts add
-  microbatched 1F1B variants (``.../1f1b-m4``) on the mp backend — the
-  schedule/overlap hot path this suite's wall times gate.
+  layout×scheme grid at BERT-Large scale, under both schedules on
+  pipelined layouts.  Any change to the cost model shows up.
 
-A fifth kind, ``degraded``, lives in its own opt-in suite
-(:func:`degraded_suite`, ``python -m repro.bench run --suite degraded``):
-the same mp backend step executed under a builtin fault plan
-(``REPRO_FAULT_PLAN``), per plan × scheme.  It measures what recovery
-costs — retries, backoff, re-reads — and must **never** be compared
-against ``benchmarks/baseline.json``, whose medians are healthy-path
-numbers (the compare gate refuses mismatched suite names).
-
-Case ids are stable strings (``mp_step/tp2pp1/T2``); the compare gate
-matches baseline and candidate by id.
+Case ids are stable strings (``backend_step/inproc/tp2pp1/T2``); the
+compare gate matches baseline and candidate by id.
 """
 
 from __future__ import annotations
@@ -37,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["BenchCase", "LAYOUTS", "SCHEMES", "BACKEND_SCHEMES",
-           "GRID_CELLS", "DEGRADED_SCHEMES", "DEGRADED_PLANS",
-           "default_suite", "degraded_suite", "scheme_slug", "topology_slug"]
+           "GRID_CELLS", "default_suite", "scheme_slug", "topology_slug"]
 
 #: (tp, pp) layouts the paper's small-scale tables exercise.
 LAYOUTS: tuple[tuple[int, int], ...] = ((2, 1), (1, 2), (2, 2))
 
 #: (dp, tp, pp, sp) cells exercising the DP and ring-SP topology axes on
-#: the backend seam (healthy suite only).
+#: the backend seam.
 GRID_CELLS: tuple[tuple[int, int, int, int], ...] = (
     (2, 1, 1, 1),  # pure data parallelism, compressible gradient wire
     (1, 1, 2, 2),  # ring sequence parallelism across a pipeline split
@@ -52,6 +41,10 @@ GRID_CELLS: tuple[tuple[int, int, int, int], ...] = (
 
 #: One representative scheme per family plus the uncompressed baseline.
 SCHEMES: tuple[str, ...] = ("w/o", "T2", "R2", "Q2", "A2")
+
+#: Schemes the mp gang and the grid cells track — one per collective path
+#: (identity, all-gather, quantized) is enough to cover the transport.
+BACKEND_SCHEMES: tuple[str, ...] = ("w/o", "T2", "Q2")
 
 
 def scheme_slug(scheme: str) -> str:
@@ -73,22 +66,12 @@ def topology_slug(dp: int, tp: int, pp: int, sp: int) -> str:
     return slug
 
 
-#: Schemes the backend comparison tracks — one per family is enough to
-#: cover the identity, all-gather and quantized collective paths.
-BACKEND_SCHEMES: tuple[str, ...] = ("w/o", "T2", "Q2")
-
-#: Degraded-mode matrix: builtin fault plans × a dense and a compressed
-#: scheme, enough to see whether compression changes recovery cost.
-DEGRADED_PLANS: tuple[str, ...] = ("mixed", "straggler")
-DEGRADED_SCHEMES: tuple[str, ...] = ("w/o", "Q2")
-
-
 @dataclass(frozen=True)
 class BenchCase:
     """One tracked workload."""
 
     id: str
-    kind: str  # "mp_step" | "finetune" | "sim" | "backend_step" | "degraded"
+    kind: str  # "backend_step" | "sim"
     scheme: str = "w/o"
     tp: int = 1
     pp: int = 1
@@ -97,31 +80,17 @@ class BenchCase:
     backend: str = "inproc"
     schedule: str = "gpipe"
     microbatches: int = 1
-    #: Builtin fault-plan name armed via ``REPRO_FAULT_PLAN`` for
-    #: ``degraded`` cases; empty (no plan) everywhere else.
-    fault_plan: str = ""
 
     def params(self) -> dict:
-        p = {"scheme": self.scheme, "tp": self.tp, "pp": self.pp,
-             "dp": self.dp, "sp": self.sp,
-             "backend": self.backend, "schedule": self.schedule,
-             "microbatches": self.microbatches}
-        if self.fault_plan:
-            p["fault_plan"] = self.fault_plan
-        return p
+        return {"scheme": self.scheme, "tp": self.tp, "pp": self.pp,
+                "dp": self.dp, "sp": self.sp,
+                "backend": self.backend, "schedule": self.schedule,
+                "microbatches": self.microbatches}
 
 
 def default_suite() -> list[BenchCase]:
     """The pinned suite, in stable order."""
     cases: list[BenchCase] = []
-    for tp, pp in LAYOUTS:
-        for scheme in SCHEMES:
-            cases.append(BenchCase(
-                id=f"mp_step/tp{tp}pp{pp}/{scheme_slug(scheme)}",
-                kind="mp_step", scheme=scheme, tp=tp, pp=pp,
-            ))
-    cases.append(BenchCase(id="finetune/RTE/wo", kind="finetune",
-                           scheme="w/o", tp=2, pp=2))
     for tp, pp in LAYOUTS:
         for scheme in SCHEMES:
             cases.append(BenchCase(
@@ -138,13 +107,13 @@ def default_suite() -> list[BenchCase]:
                 id=f"sim/tp{tp}pp{pp}/{scheme_slug(scheme)}/1f1b",
                 kind="sim", scheme=scheme, tp=tp, pp=pp, schedule="1f1b",
             ))
-    # Execution-backend comparison: the same step through the inproc oracle
-    # and the mp process gang, per layout × scheme.  Wall times quantify
-    # the process/shm overhead; the deterministic comm metrics must be
-    # identical between the two backends (bitwise-equivalence contract).
-    for backend in ("inproc", "mp"):
+    # The same step through the inproc oracle and the mp process gang, per
+    # layout × scheme.  The oracle carries the op-level rollups, so it
+    # covers every scheme family; the comm pins of the cells both backends
+    # run must be identical between them.
+    for backend, schemes in (("inproc", SCHEMES), ("mp", BACKEND_SCHEMES)):
         for tp, pp in LAYOUTS:
-            for scheme in BACKEND_SCHEMES:
+            for scheme in schemes:
                 cases.append(BenchCase(
                     id=f"backend_step/{backend}/tp{tp}pp{pp}/{scheme_slug(scheme)}",
                     kind="backend_step", scheme=scheme, tp=tp, pp=pp,
@@ -162,9 +131,8 @@ def default_suite() -> list[BenchCase]:
                 kind="backend_step", scheme=scheme, tp=tp, pp=pp,
                 backend="mp", schedule="1f1b", microbatches=4,
             ))
-    # The DP/SP grid cells, on both backends: dp2's gradient wire is where
-    # gradient compression earns (or loses) its keep, sp2's ring exchange
-    # is the new attention-boundary hot path.
+    # The DP/SP grid cells, on both backends: dp2 pins the gradient-sync
+    # wire per scheme, sp2 the per-layer ring-exchange accounting.
     for backend in ("inproc", "mp"):
         for dp, tp, pp, sp in GRID_CELLS:
             for scheme in BACKEND_SCHEMES:
@@ -175,21 +143,3 @@ def default_suite() -> list[BenchCase]:
                     dp=dp, sp=sp, backend=backend,
                 ))
     return cases
-
-
-def degraded_suite() -> list[BenchCase]:
-    """The opt-in chaos matrix: fault plan × scheme on the mp backend.
-
-    Every case is a tp2pp2 mp step with ``REPRO_FAULT_PLAN`` armed, so
-    the wall times include retries, re-reads and injected stragglers.
-    Compare runs of this suite only against other degraded runs.
-    """
-    return [
-        BenchCase(
-            id=f"degraded/{plan}/tp2pp2/{scheme_slug(scheme)}",
-            kind="degraded", scheme=scheme, tp=2, pp=2, backend="mp",
-            fault_plan=plan,
-        )
-        for plan in DEGRADED_PLANS
-        for scheme in DEGRADED_SCHEMES
-    ]

@@ -185,7 +185,7 @@ class FaultPlan:
         return None
 
 
-#: Named plans for CI and the bench degraded suite. ``mixed`` exercises
+#: Named plans for CI and the chaos tests. ``mixed`` exercises
 #: every recoverable fault class on a tp=2, pp>=2 layout (ranks 0/1 are
 #: stage 0, rank 2 starts stage 1); ``straggler`` just slows one rank.
 BUILTIN_PLANS: dict[str, dict] = {

@@ -49,12 +49,14 @@ def validate_grid(dp: int, tp: int, pp: int, sp: int,
                   world_size: int | None = None) -> int:
     """Check a DP×TP×PP×SP grid; returns its world size.
 
-    Each axis must be a positive integer; if ``world_size`` is given the
-    product must factor it *exactly*.  Failures raise
-    :class:`TopologyError` naming the offending axis.
+    Each axis must be a positive built-in ``int``: the rule is
+    ``type(extent) is int``, so ``True``, ``1.0`` and NumPy integer
+    scalars are all rejected (callers convert with ``int()``).  If
+    ``world_size`` is given the product must factor it *exactly*.
+    Failures raise :class:`TopologyError` naming the offending axis.
     """
     for axis, extent in (("dp", dp), ("tp", tp), ("pp", pp), ("sp", sp)):
-        if not isinstance(extent, int) or extent <= 0:
+        if type(extent) is not int or extent <= 0:
             raise TopologyError(
                 f"axis {axis}={extent!r} must be a positive integer", axis)
     product = dp * tp * pp * sp

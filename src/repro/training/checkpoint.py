@@ -18,20 +18,38 @@ slots, RNG states, runtime state) is carried by a single JSON document in
 the ``meta`` entry, with arrays swapped for ``{"__array__": i}``
 placeholders pointing at ``aux::{i}`` entries.  RNG bit-generator states
 are dicts of (big) ints — JSON-safe without pickle.
+
+Writes are atomic (temp file in the target directory, then
+``os.replace``): a process killed mid-checkpoint leaves the previous
+snapshot at the resume path, never a truncated one.  A snapshot that
+cannot be read whole — truncated, written by another format version,
+missing an entry its ``meta`` refers to — raises :class:`SnapshotError`
+naming the path and the reason; no partial state is ever returned.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["save_checkpoint", "load_checkpoint", "TrainerState",
-           "save_trainer_state", "load_trainer_state"]
+           "SnapshotError", "save_trainer_state", "load_trainer_state"]
 
 _ARRAY_KEY = "__array__"
+_SNAPSHOT_VERSION = 1
+
+
+class SnapshotError(ValueError):
+    """A trainer snapshot could not be loaded; nothing was restored."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot load trainer snapshot {path!r}: {reason}")
+        self.path = path
+        self.reason = reason
 
 
 def _npz_path(path: str) -> str:
@@ -45,12 +63,22 @@ def _npz_path(path: str) -> str:
 
 
 def save_checkpoint(state: dict[str, np.ndarray], path: str) -> None:
-    """Write a state dict to ``path`` (npz). Dotted names are preserved."""
+    """Write a state dict to ``path`` (npz). Dotted names are preserved.
+
+    The file appears under its final name only once it is complete.
+    """
     path = _npz_path(path)
     parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    np.savez(path, **state)
+    os.makedirs(parent, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **state)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
@@ -105,13 +133,13 @@ def _pack(node, arrays: list[np.ndarray]):
     return node
 
 
-def _unpack(node, arrays: dict[int, np.ndarray]):
+def _unpack(node, entries: dict[str, np.ndarray]):
     if isinstance(node, dict):
         if set(node) == {_ARRAY_KEY}:
-            return arrays[int(node[_ARRAY_KEY])]
-        return {k: _unpack(v, arrays) for k, v in node.items()}
+            return entries[f"aux::{int(node[_ARRAY_KEY])}"]
+        return {k: _unpack(v, entries) for k, v in node.items()}
     if isinstance(node, list):
-        return [_unpack(v, arrays) for v in node]
+        return [_unpack(v, entries) for v in node]
     return node
 
 
@@ -123,7 +151,7 @@ def save_trainer_state(path: str, *, model_state: dict[str, np.ndarray],
     """Write a full trainer snapshot (one pickle-free npz file)."""
     arrays: list[np.ndarray] = []
     meta = {
-        "version": 1,
+        "version": _SNAPSHOT_VERSION,
         "global_step": int(global_step),
         "epoch": int(epoch),
         "step_in_epoch": int(step_in_epoch),
@@ -142,24 +170,40 @@ def save_trainer_state(path: str, *, model_state: dict[str, np.ndarray],
 
 
 def load_trainer_state(path: str) -> TrainerState:
-    """Load a snapshot written by :func:`save_trainer_state`."""
-    entries = load_checkpoint(path)
+    """Load a snapshot written by :func:`save_trainer_state`.
+
+    Raises :class:`SnapshotError` unless the whole snapshot is readable
+    (a missing file stays ``FileNotFoundError``).
+    """
+    try:
+        entries = load_checkpoint(path)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise SnapshotError(path, f"not a readable npz archive, possibly "
+                                  f"truncated ({exc})") from exc
     if "meta" not in entries:
-        raise ValueError(
-            f"{path!r} is not a trainer snapshot (no 'meta' entry); "
-            "was it written by save_checkpoint instead of save_trainer_state?")
-    meta = json.loads(str(entries["meta"][()]))
-    arrays = {int(k.split("::", 1)[1]): v
-              for k, v in entries.items() if k.startswith("aux::")}
-    model_state = {k.split("::", 1)[1]: v
-                   for k, v in entries.items() if k.startswith("model::")}
-    return TrainerState(
-        model_state=model_state,
-        optimizer_state=_unpack(meta["optimizer"], arrays),
-        schedule_state=_unpack(meta["schedule"], arrays),
-        data_rng_state=_unpack(meta["data_rng"], arrays),
-        runtime_state=_unpack(meta["runtime"], arrays),
-        global_step=int(meta["global_step"]),
-        epoch=int(meta["epoch"]),
-        step_in_epoch=int(meta["step_in_epoch"]),
-    )
+        raise SnapshotError(
+            path, "no 'meta' entry; was it written by save_checkpoint "
+                  "instead of save_trainer_state?")
+    try:
+        meta = json.loads(str(entries["meta"][()]))
+        version = meta["version"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SnapshotError(path, f"unreadable 'meta' entry ({exc})") from exc
+    if version != _SNAPSHOT_VERSION:
+        raise SnapshotError(
+            path, f"snapshot format version {version!r}, this build reads "
+                  f"version {_SNAPSHOT_VERSION}")
+    try:
+        return TrainerState(
+            model_state={k.split("::", 1)[1]: v
+                         for k, v in entries.items() if k.startswith("model::")},
+            optimizer_state=_unpack(meta["optimizer"], entries),
+            schedule_state=_unpack(meta["schedule"], entries),
+            data_rng_state=_unpack(meta["data_rng"], entries),
+            runtime_state=_unpack(meta["runtime"], entries),
+            global_step=int(meta["global_step"]),
+            epoch=int(meta["epoch"]),
+            step_in_epoch=int(meta["step_in_epoch"]),
+        )
+    except KeyError as exc:
+        raise SnapshotError(path, f"missing entry {exc.args[0]!r}") from exc

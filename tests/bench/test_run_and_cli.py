@@ -1,71 +1,94 @@
-"""run_suite end-to-end, report rendering and the m repro.bench CLI."""
+"""run_suite end-to-end, the committed pin, report rendering and the CLI."""
 
 import copy
 import json
+import os
 
 import pytest
 
 from repro.bench.cli import main
+from repro.bench.compare import compare_docs, load_doc
 from repro.bench.report import render_csv, render_markdown
 from repro.bench.run import bench_filename, git_sha, run_suite
 from repro.bench.schema import validate_bench
-from repro.bench.suite import LAYOUTS, SCHEMES, BenchCase, default_suite
+from repro.bench.suite import LAYOUTS, SCHEMES, BenchCase
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "benchmarks", "baseline.json")
 
 
 @pytest.fixture(scope="module")
-def quick_run(tmp_path_factory):
-    """One full --quick suite run, shared by every test in this module."""
+def suite_run(tmp_path_factory):
+    """One full suite run, shared by every test in this module."""
     out_dir = tmp_path_factory.mktemp("bench")
-    doc, bench_path, trace_path = run_suite(
-        quick=True, out_dir=str(out_dir), write_trace_artifact=False)
+    doc, bench_path = run_suite(out_dir=str(out_dir))
     return doc, bench_path, out_dir
 
 
 class TestRunSuite:
-    def test_document_is_schema_valid(self, quick_run):
-        doc, _, _ = quick_run
+    def test_document_is_schema_valid(self, suite_run):
+        doc, _, _ = suite_run
         assert validate_bench(doc) is doc
 
-    def test_covers_all_schemes_and_layouts(self, quick_run):
-        """Acceptance: --quick covers all 5 schemes x 3 layouts."""
-        doc, _, _ = quick_run
-        for kind in ("mp_step", "sim"):
+    def test_matches_committed_baseline(self, suite_run):
+        """The pin itself: this tree reproduces benchmarks/baseline.json.
+
+        Any deterministic drift (FLOPs, op/alloc counts, comm bytes, the
+        simulator breakdown) fails tier-1, not only CI's bench-smoke; a
+        deliberate change refreshes the baseline (EXPERIMENTS.md).
+        """
+        doc, _, _ = suite_run
+        result = compare_docs(doc, validate_bench(load_doc(BASELINE)))
+        assert result.ok, [(c.case_id, c.metric, c.baseline, c.candidate)
+                           for c in result.regressions]
+        assert not [c for c in result.checks if c.status == "new"]
+
+    def test_covers_all_schemes_and_layouts(self, suite_run):
+        """Acceptance: the run covers all 5 schemes x 3 layouts."""
+        doc, _, _ = suite_run
+        for kind in ("backend_step", "sim"):
             cells = {(c["params"]["scheme"], c["params"]["tp"], c["params"]["pp"])
-                     for c in doc["cases"] if c["kind"] == kind}
+                     for c in doc["cases"]
+                     if c["kind"] == kind and c["params"]["backend"] == "inproc"
+                     and c["params"]["dp"] == c["params"]["sp"] == 1}
             assert cells == {(s, tp, pp) for s in SCHEMES for tp, pp in LAYOUTS}
 
-    def test_written_file_round_trips(self, quick_run):
-        doc, bench_path, _ = quick_run
+    def test_written_file_round_trips(self, suite_run):
+        doc, bench_path, _ = suite_run
         with open(bench_path) as fh:
             loaded = json.load(fh)
         assert validate_bench(loaded)["git_sha"] == doc["git_sha"]
 
-    def test_mp_step_cases_carry_profiler_rollups(self, quick_run):
-        doc, _, _ = quick_run
+    def test_mp_step_cases_carry_profiler_rollups(self, suite_run):
+        """Model-parallel steps run in this process carry op-level rollups;
+        the mp gang's ops run in the workers, so its cases carry none."""
+        doc, _, _ = suite_run
         for case in doc["cases"]:
-            if case["kind"] != "mp_step":
+            if case["kind"] != "backend_step":
                 continue
             det = case["deterministic"]
+            if case["params"]["backend"] != "inproc":
+                assert set(det) == {"comm_events", "comm_bytes"}
+                continue
             assert det["flops"] > 0 and det["op_calls"] > 0
             assert det["peak_alloc_bytes"] > 0
             if case["params"]["tp"] > 1 or case["params"]["pp"] > 1:
                 assert det["comm_events"] > 0
                 assert sum(det["comm_bytes"].values()) > 0
 
-    def test_compressed_schemes_move_fewer_tp_forward_bytes(self, quick_run):
-        doc, _, _ = quick_run
+    def test_compressed_schemes_move_fewer_tp_forward_bytes(self, suite_run):
+        doc, _, _ = suite_run
         by_id = {c["id"]: c for c in doc["cases"]}
-        dense = by_id["mp_step/tp2pp1/wo"]["deterministic"]["comm_bytes"]
-        topk = by_id["mp_step/tp2pp1/T2"]["deterministic"]["comm_bytes"]
+        dense = by_id["backend_step/inproc/tp2pp1/wo"]["deterministic"]["comm_bytes"]
+        topk = by_id["backend_step/inproc/tp2pp1/T2"]["deterministic"]["comm_bytes"]
         dense_fwd = sum(v for k, v in dense.items() if "/forward/" in k)
         topk_fwd = sum(v for k, v in topk.items() if "/forward/" in k)
         assert topk_fwd < dense_fwd
 
     def test_deterministic_metrics_stable_across_runs(self, tmp_path):
-        suite = [BenchCase(id="mp_step/tp2pp1/T2", kind="mp_step",
-                           scheme="T2", tp=2, pp=1)]
-        docs = [run_suite(quick=True, suite=suite, out_dir=str(tmp_path / d),
-                          write_trace_artifact=False)[0]
+        suite = [BenchCase(id="backend_step/inproc/tp2pp1/T2",
+                           kind="backend_step", scheme="T2", tp=2, pp=1)]
+        docs = [run_suite(suite=suite, out_dir=str(tmp_path / d))[0]
                 for d in ("a", "b")]
         det0 = docs[0]["cases"][0]["deterministic"]
         det1 = docs[1]["cases"][0]["deterministic"]
@@ -77,82 +100,77 @@ class TestRunSuite:
         assert bench_filename("abc") == "BENCH_abc.json"
 
 
-class TestTraceArtifact:
-    def test_merged_trace_written_for_flagship_case(self, tmp_path):
-        suite = [c for c in default_suite() if c.id == "mp_step/tp2pp2/A2"]
-        doc, _, trace_path = run_suite(quick=True, suite=suite,
-                                       out_dir=str(tmp_path),
-                                       write_trace_artifact=True)
-        assert trace_path is not None
-        with open(trace_path) as fh:
-            trace = json.load(fh)
-        pids = {e["pid"] for e in trace["traceEvents"]}
-        assert pids == {1, 2, 3}  # profiled + simulated + mp worker timelines
-        cats = {e.get("cat", "") for e in trace["traceEvents"]}
-        assert any(c.startswith("prof.") for c in cats)
-        assert "forward_compute" in cats  # simulated half intact
-        # The worker-timeline member must carry at least one in-flight
-        # (async b/e) comm window — the bench smoke's CI assertion.
-        begins = [e for e in trace["traceEvents"] if e.get("ph") == "b"]
-        assert begins and all(e["cat"] == "mp.async" for e in begins)
-
-
 class TestReportRendering:
-    def test_markdown_has_header_and_rows(self, quick_run):
-        doc, _, _ = quick_run
+    def test_markdown_has_header_and_rows(self, suite_run):
+        doc, _, _ = suite_run
         md = render_markdown(doc)
         assert f"`{doc['git_sha']}`" in md
-        assert "mp_step/tp2pp2/A2" in md
+        assert "backend_step/inproc/tp2pp2/A2" in md
 
-    def test_csv_rows_match_cases(self, quick_run):
-        doc, _, _ = quick_run
+    def test_csv_rows_match_cases(self, suite_run):
+        doc, _, _ = suite_run
         lines = [l for l in render_csv(doc).splitlines() if l]
         assert len(lines) == 1 + len(doc["cases"])
 
 
 class TestCli:
-    def test_compare_self_passes(self, quick_run, capsys):
-        _, bench_path, _ = quick_run
+    def test_compare_self_passes(self, suite_run, capsys):
+        _, bench_path, _ = suite_run
         assert main(["compare", bench_path, "--baseline", bench_path]) == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_compare_injected_regression_fails(self, quick_run, tmp_path, capsys):
-        """Acceptance: 2x wall regression vs a baseline copy exits nonzero."""
-        doc, bench_path, _ = quick_run
-        slowed = copy.deepcopy(doc)
-        for case in slowed["cases"]:
-            if case["id"] == "mp_step/tp2pp2/A2":
-                case["wall_ms"]["median"] *= 2.0
-        slow_path = str(tmp_path / "BENCH_slow.json")
-        with open(slow_path, "w") as fh:
-            json.dump(slowed, fh)
-        assert main(["compare", slow_path, "--baseline", bench_path]) == 1
-        err = capsys.readouterr().err
-        assert "FAIL" in err
-        # The verdict names every offender with both values: the summary
-        # table is filtered, so the FAIL message itself must be actionable.
-        assert "mp_step/tp2pp2/A2 :: wall_ms:" in err
-        assert "baseline=" in err and "candidate=" in err
+    def test_compare_injected_regression_fails(self, suite_run, tmp_path, capsys):
+        """Acceptance: injected flops / comm_bytes drift exits nonzero."""
+        doc, bench_path, _ = suite_run
+        cid = "backend_step/inproc/tp2pp2/A2"
+        comm_key = "tp/forward/autoencoder"
+
+        def drift_flops(det):
+            det["flops"] += 2.0
+
+        def drift_comm(det):
+            det["comm_bytes"][comm_key] += 1
+
+        for drift, metric in ((drift_flops, "flops"),
+                              (drift_comm, f"comm_bytes.{comm_key}")):
+            drifted = copy.deepcopy(doc)
+            (case,) = [c for c in drifted["cases"] if c["id"] == cid]
+            drift(case["deterministic"])
+            drift_path = str(tmp_path / "BENCH_drift.json")
+            with open(drift_path, "w") as fh:
+                json.dump(drifted, fh)
+            assert main(["compare", drift_path, "--baseline", bench_path]) == 1
+            err = capsys.readouterr().err
+            assert "FAIL: 1 regression(s)" in err
+            # The verdict names every offender with both values: the summary
+            # table is filtered, so the FAIL message itself must be actionable.
+            assert f"{cid} :: {metric}:" in err
+            assert "baseline=" in err and "candidate=" in err
+
+    def test_run_only_glob(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path), "--only", "sim/tp2pp1/*"]) == 0
+        assert "(5 cases" in capsys.readouterr().out
+        assert main(["run", "--out", str(tmp_path), "--only", "nope/*"]) == 2
 
     def test_compare_missing_candidate_exits_2(self, tmp_path, capsys):
         assert main(["compare", "--dir", str(tmp_path)]) == 2
         assert "no BENCH_" in capsys.readouterr().err
 
-    def test_compare_invalid_doc_exits_2(self, quick_run, tmp_path, capsys):
-        _, bench_path, _ = quick_run
+    def test_compare_invalid_doc_exits_2(self, suite_run, tmp_path, capsys):
+        _, bench_path, _ = suite_run
         bad = str(tmp_path / "BENCH_bad.json")
         with open(bad, "w") as fh:
-            json.dump({"schema_version": 1}, fh)
+            json.dump({"schema_version": 2}, fh)
         assert main(["compare", bad, "--baseline", bench_path]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_report_defaults_to_newest_in_dir(self, quick_run, capsys):
-        doc, _, out_dir = quick_run
+    def test_report_defaults_to_newest_in_dir(self, suite_run, capsys):
+        doc, _, out_dir = suite_run
         assert main(["report", "--dir", str(out_dir)]) == 0
         assert doc["git_sha"] in capsys.readouterr().out
 
-    def test_report_csv_to_file(self, quick_run, tmp_path, capsys):
-        _, bench_path, _ = quick_run
+    def test_report_csv_to_file(self, suite_run, tmp_path, capsys):
+        _, bench_path, _ = suite_run
         out = str(tmp_path / "bench.csv")
         assert main(["report", bench_path, "--format", "csv", "--out", out]) == 0
         with open(out) as fh:

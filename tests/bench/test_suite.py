@@ -15,13 +15,14 @@ from repro.bench.suite import (
 class TestDefaultSuite:
     def test_covers_all_schemes_and_layouts(self):
         suite = default_suite()
-        for kind in ("mp_step", "sim"):
-            cells = {(c.scheme, c.tp, c.pp) for c in suite if c.kind == kind}
+        for kind in ("backend_step", "sim"):
+            cells = {(c.scheme, c.tp, c.pp) for c in suite
+                     if c.kind == kind and c.backend == "inproc"
+                     and c.dp == c.sp == 1}
             assert cells == {(s, tp, pp) for s in SCHEMES for tp, pp in LAYOUTS}
 
-    def test_includes_finetune_case(self):
-        kinds = [c.kind for c in default_suite()]
-        assert kinds.count("finetune") == 1
+    def test_kinds_are_the_two_deterministic_ones(self):
+        assert {c.kind for c in default_suite()} == {"backend_step", "sim"}
 
     def test_ids_unique_and_slugged(self):
         suite = default_suite()
@@ -45,8 +46,9 @@ class TestDefaultSuite:
         cells = {(c.backend, c.scheme, c.dp, c.tp, c.pp, c.sp)
                  for c in suite if c.kind == "backend_step"}
         expected = {(b, s, 1, tp, pp, 1)
-                    for b in ("inproc", "mp")
-                    for s in BACKEND_SCHEMES
+                    for b, schemes in (("inproc", SCHEMES),
+                                       ("mp", BACKEND_SCHEMES))
+                    for s in schemes
                     for tp, pp in LAYOUTS}
         expected |= {(b, s, dp, tp, pp, sp)
                      for b in ("inproc", "mp")
@@ -55,7 +57,7 @@ class TestDefaultSuite:
         assert cells == expected
         mp_cases = [c for c in suite
                     if c.kind == "backend_step" and c.backend == "mp"]
-        assert len(mp_cases) >= 6  # acceptance floor for --quick coverage
+        assert len(mp_cases) >= 6  # acceptance floor for mp coverage
 
     def test_grid_cell_ids_are_stable(self):
         assert topology_slug(2, 1, 1, 1) == "dp2tp1pp1"

@@ -99,6 +99,25 @@ class TestSmoke:
         assert "Compression fidelity" in out
 
 
+class TestMpTrace:
+    def test_1f1b_step_exports_in_flight_comm_spans(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """A real 2x2 1F1B gang step: the worker timelines must carry at
+        least one in-flight window (Chrome async ``b``), all of them
+        ``mp.async``.  None would mean the overlap machinery silently fell
+        back to blocking transfers."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        out = str(tmp_path / "mp-1f1b.trace.json")
+        assert main(["mp-trace", "--out", out, "--schedule", "1f1b",
+                     "--microbatches", "4"]) == 0
+        assert "4 ranks" in capsys.readouterr().out
+        with open(out) as fh:
+            events = json.load(fh)["traceEvents"]
+        begins = [e for e in events if e.get("ph") == "b"]
+        assert begins and all(e["cat"] == "mp.async" for e in begins)
+        assert len([e for e in events if e.get("ph") == "e"]) == len(begins)
+
+
 class TestTelemetryVerbs:
     """The mp-only guards and the registry-backed diff/html verbs."""
 

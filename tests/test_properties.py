@@ -1,10 +1,14 @@
 """Property-based tests (hypothesis) on core invariants.
 
 Covers the compressors' message contracts, byte accounting, autograd
-linearity, metric ranges, and partition/policy algebra.
+linearity, metric ranges, partition/policy algebra, and grid validation.
 """
 
+import itertools
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +21,7 @@ from repro.compression import (
 )
 from repro.data.metrics import f1_binary, matthews_corrcoef, spearman_corr
 from repro.parallel.pipeline import PipelinePartition
+from repro.parallel.topology import TopologyError, validate_grid
 from repro.tensor import Tensor
 
 finite_arrays = hnp.arrays(
@@ -197,3 +202,47 @@ class TestPartitionPolicyProperties:
         assert len(p.boundaries()) == pp - 1
         for b in p.boundaries():
             assert p.stage_of(b) + 1 == p.stage_of(b + 1)
+
+
+def _check_grid(grid, world_size):
+    """validate_grid returns the product iff it factors ``world_size``
+    exactly; otherwise a TopologyError naming one of the four axes."""
+    product = math.prod(grid)
+    if world_size is None or product == world_size:
+        assert validate_grid(*grid, world_size=world_size) == product
+    else:
+        with pytest.raises(TopologyError) as exc:
+            validate_grid(*grid, world_size=world_size)
+        assert exc.value.axis in ("dp", "tp", "pp", "sp")
+        assert exc.value.axis in str(exc.value)
+
+
+class TestValidateGridProperties:
+    def test_every_factorization_of_worlds_up_to_16(self):
+        grids = [g for g in itertools.product(range(1, 17), repeat=4)
+                 if math.prod(g) <= 16]
+        assert len(grids) == 204
+        for grid in grids:
+            for world_size in range(1, 17):
+                _check_grid(grid, world_size)
+
+    @given(grid=st.tuples(*[st.integers(1, 16)] * 4),
+           world_size=st.one_of(st.none(), st.integers(1, 4096)))
+    @settings(max_examples=200, deadline=None)
+    def test_product_iff_exact_factorization(self, grid, world_size):
+        _check_grid(grid, world_size)
+
+    @given(grid=st.tuples(*[st.integers(1, 4)] * 4), axis=st.integers(0, 3),
+           bad=st.one_of(
+               st.integers(-8, 0), st.booleans(),
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([np.int64(2), np.int32(1), np.uint8(4), "2", None])))
+    @settings(max_examples=200, deadline=None)
+    def test_extent_rule_is_positive_builtin_int(self, grid, axis, bad):
+        """One rule, ``type(extent) is int and extent > 0``: ``True``, ``1.0``
+        and NumPy integer scalars are rejected with the axis named."""
+        extents = list(grid)
+        extents[axis] = bad
+        with pytest.raises(TopologyError) as exc:
+            validate_grid(*extents)
+        assert exc.value.axis == ("dp", "tp", "pp", "sp")[axis]

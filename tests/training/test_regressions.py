@@ -1,11 +1,18 @@
 """Regression tests for state-corrupting edge cases in the training stack."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.training.checkpoint import load_checkpoint, save_checkpoint
+from repro.training.checkpoint import (
+    SnapshotError,
+    load_checkpoint,
+    load_trainer_state,
+    save_checkpoint,
+    save_trainer_state,
+)
 from repro.training.finetune import finetune_on_task
 from repro.training.trainer import TrainConfig
 
@@ -94,6 +101,103 @@ class TestCheckpointEdgeCases:
         path = os.path.join(tmp_path, "a", "b", "ckpt")
         save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, path)
         assert set(load_checkpoint(path)) == {"w"}
+
+
+class TestAtomicCheckpointWrite:
+    """A kill mid-checkpoint (the chaos-recovery scenario) must leave the
+    previous snapshot at the resume path, never a truncated file."""
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = os.path.join(tmp_path, "ckpt")
+        save_checkpoint({"w": np.ones(4, dtype=np.float32)}, path)
+
+        def dies_mid_write(fh, **state):
+            fh.write(b"PK\x03\x04 half a zip")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", dies_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint({"w": np.zeros(4, dtype=np.float32)}, path)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(load_checkpoint(path)["w"], np.ones(4))
+        assert os.listdir(tmp_path) == ["ckpt.npz"]  # no temp file left behind
+
+
+class TestUnloadableSnapshots:
+    """Every unreadable trainer snapshot raises one typed error naming the
+    path and the reason, before any state is returned."""
+
+    @staticmethod
+    def _save(path, **overrides):
+        kwargs = dict(
+            model_state={"w": np.arange(64, dtype=np.float32)},
+            optimizer_state={"step_count": 2, "slots": {"m": [np.ones(8)]}},
+            schedule_state={"step": 2},
+            data_rng_state={"bit_generator": "PCG64", "state": {"state": 1}},
+            runtime_state={"boundary0": {"residuals": {"site": np.ones(3)}}},
+            global_step=2,
+        )
+        kwargs.update(overrides)
+        save_trainer_state(path, **kwargs)
+        return path + ".npz"
+
+    @staticmethod
+    def _rewrite(npz, edit):
+        with np.load(npz) as data:
+            entries = {k: data[k] for k in data.files}
+        edit(entries)
+        np.savez(npz, **entries)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])
+    def test_truncated_file(self, tmp_path, keep):
+        path = os.path.join(tmp_path, "snap")
+        npz = self._save(path)
+        raw = open(npz, "rb").read()
+        with open(npz, "wb") as fh:
+            fh.write(raw[:int(len(raw) * keep)])
+        with pytest.raises(SnapshotError, match="truncated") as exc:
+            load_trainer_state(path)
+        assert exc.value.path == path and path in str(exc.value)
+
+    def test_foreign_version(self, tmp_path):
+        path = os.path.join(tmp_path, "snap")
+
+        def bump(entries):
+            meta = json.loads(str(entries["meta"][()]))
+            meta["version"] = 2
+            entries["meta"] = np.asarray(json.dumps(meta))
+
+        self._rewrite(self._save(path), bump)
+        with pytest.raises(SnapshotError, match="version 2.*reads version 1"):
+            load_trainer_state(path)
+
+    def test_missing_aux_entry(self, tmp_path):
+        path = os.path.join(tmp_path, "snap")
+        self._rewrite(self._save(path), lambda entries: entries.pop("aux::1"))
+        with pytest.raises(SnapshotError, match="missing entry 'aux::1'"):
+            load_trainer_state(path)
+
+    def test_missing_meta_field(self, tmp_path):
+        path = os.path.join(tmp_path, "snap")
+
+        def drop(entries):
+            meta = json.loads(str(entries["meta"][()]))
+            del meta["data_rng"]
+            entries["meta"] = np.asarray(json.dumps(meta))
+
+        self._rewrite(self._save(path), drop)
+        with pytest.raises(SnapshotError, match="missing entry 'data_rng'"):
+            load_trainer_state(path)
+
+    def test_plain_checkpoint_is_not_a_snapshot(self, tmp_path):
+        path = os.path.join(tmp_path, "ckpt")
+        save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, path)
+        with pytest.raises(SnapshotError, match="no 'meta' entry"):
+            load_trainer_state(path)
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_trainer_state(os.path.join(tmp_path, "absent"))
 
 
 class TestRegressionTaskEvaluation:
