@@ -8,8 +8,8 @@ take turns running the same optimizer step, alternating which side goes
 first, so load drift, cache warmth and allocator state hit both sides
 alike.  The gate is the ratio of *summed* per-cell medians (on/off):
 one cell's median carries more scheduler noise than a 2% signal, but the
-noise is zero-mean across the matrix while a real channel cost (a
-blocking put, a synchronous drain) taxes every cell in the same
+noise is zero-mean across the matrix while a real cost (taking the spans,
+folding the step summary, a heavier reply) taxes every cell in the same
 direction.  Method and history: EXPERIMENTS.md "Telemetry overhead".
 
     PYTHONPATH=src python .github/scripts/telemetry_overhead.py
@@ -67,9 +67,8 @@ class Gang:
         self.optimizer.step()
         self.backend.sync_weights(self.model)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        # Outside the timed region, as a trainer's collector would between
-        # steps: keeps the bounded queue from filling and dropping.
-        self.events += len(self.backend.poll_telemetry())
+        self.events += sum(e["kind"] == "step" for events in
+                           result.record.values() for e in events)
         return elapsed_ms
 
 
@@ -90,7 +89,7 @@ def main():
                 on.backend.close()
             if off.events or not on.events:
                 print(f"telemetry switch did not take: off saw {off.events} "
-                      f"events, on saw {on.events}", file=sys.stderr)
+                      f"step summaries, on saw {on.events}", file=sys.stderr)
                 return 2
             off_ms, on_ms = (statistics.median(times[g]) for g in (off, on))
             off_total += off_ms

@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint lint-dynamic lint-changed model-check concurrency-verify \
-	check bench
+	check bench loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -23,14 +23,16 @@ model-check:
 	$(PYTHON) -m repro.lint --model-check
 
 # Full concurrency verification: model-check the protocol, then record a
-# real mp 1f1b 2x2 step and replay its event log through the DYN003
-# happens-before race detector.
+# real mp 1f1b 2x2 step, replay its event log through the DYN003
+# happens-before race detector, and rebuild the trace from the same log.
 concurrency-verify: model-check
 	rm -rf conc-logs && mkdir -p conc-logs
 	$(PYTHON) -m repro.obs mp-trace --out conc-logs/mp-1f1b.trace.json \
 		--scheme A2 --tp 2 --pp 2 --schedule 1f1b --microbatches 4 \
 		--conc-log conc-logs
 	$(PYTHON) -m repro.lint --race-log conc-logs
+	$(PYTHON) .github/scripts/trace_from_record.py \
+		conc-logs/mp-1f1b.trace.json conc-logs
 
 # The merge gate: tier-1 tests, the full static+dynamic lint, and the
 # transport/schedule model checkers.
@@ -42,3 +44,7 @@ check: test lint-dynamic model-check
 bench:
 	$(PYTHON) -m repro.bench run --out bench-out
 	$(PYTHON) -m repro.bench compare --dir bench-out --baseline benchmarks/baseline.json
+
+# Code lines per src/repro package (non-blank, non-comment, non-docstring).
+loc:
+	$(PYTHON) .github/scripts/loc.py

@@ -1,7 +1,7 @@
 """DYN003: offline happens-before race detection over concurrency logs.
 
-Input is the structured event log emitted by
-:mod:`repro.parallel.backend.conclog` while a real run executes — one
+Input is the rank event record written by
+:mod:`repro.parallel.backend.events` while a real run executes — one
 ``send``/``recv`` per ring-slot commit, ``barrier_arrive``/``depart`` per
 generation, ``handle_issue``/``handle_wait`` per collective.  The checker
 replays the log and verifies the transport's claimed synchronization
@@ -359,7 +359,7 @@ def run_race_check(events: list[dict]) -> list[str]:
 
 def run_race_check_on_path(path) -> list[str]:
     """Load a recorded log (file or directory of per-rank files) and check it."""
-    from repro.parallel.backend.conclog import load_events
+    from repro.parallel.backend.events import load_events
 
     try:
         events = load_events(path)

@@ -12,9 +12,9 @@
 - :mod:`repro.obs.trace` — Chrome-trace (Perfetto) export of recorded
   runs, profiled sessions and simulated GPipe iterations, plus
   :func:`merge_traces` to render them side by side.
-- :mod:`repro.obs.telemetry` — live cross-rank telemetry: per-rank
-  :class:`TelemetryAgent` streaming over the mp backend's queue side
-  channel, parent-side :class:`Collector` sliding windows,
+- :mod:`repro.obs.telemetry` — live cross-rank telemetry: a per-rank
+  step summary folded from the mp backend's rank event record
+  (:func:`step_summary`), parent-side :class:`Collector` sliding windows,
   :class:`HealthMonitor` alert rules, the run registry and the
   terminal/HTML dashboards (``python -m repro.obs top / diff / html``).
 - ``python -m repro.obs report run.jsonl`` — terminal report of a run.
@@ -28,12 +28,12 @@ from repro.obs.telemetry import (
     Collector,
     HealthMonitor,
     SlidingWindow,
-    TelemetryAgent,
     build_summary,
     default_rules,
     diff_runs,
     load_run,
     save_run,
+    step_summary,
 )
 from repro.obs.trace import (
     merge_traces,
@@ -53,7 +53,7 @@ __all__ = [
     "FidelityRecord",
     "OpProfiler",
     "OpStats",
-    "TelemetryAgent",
+    "step_summary",
     "Collector",
     "SlidingWindow",
     "HealthMonitor",

@@ -33,7 +33,7 @@ timelines into one Chrome trace — one track per logical rank, ``mp.wait``
 slices showing where ranks block on each other.
 
 ``top`` drives a short real training loop through the mp backend with
-the live telemetry side channel enabled (``REPRO_TELEMETRY=1``) and
+per-step telemetry summaries enabled (``REPRO_TELEMETRY=1``) and
 renders a per-rank health dashboard after every optimizer step.  The
 final window state is saved into the run registry (``--registry``) and
 optionally as a standalone HTML snapshot (``--html``).
@@ -41,8 +41,8 @@ optionally as a standalone HTML snapshot (``--html``).
 ``diff`` compares two registry runs metric-by-metric; ``html`` renders a
 saved registry run as an HTML dashboard.
 
-``mp-trace`` and ``top`` observe the multiprocess backend's side
-channels, so both refuse an inproc run (``--backend`` / the
+``mp-trace`` and ``top`` read the multiprocess backend's rank event
+records, so both refuse an inproc run (``--backend`` / the
 ``REPRO_BACKEND`` environment variable) with a clear error.
 """
 
@@ -205,15 +205,15 @@ def _require_mp_backend(args: argparse.Namespace, verb: str) -> str | None:
     """Resolve the execution backend for a telemetry verb; ``None`` = refuse.
 
     Precedence: ``--backend`` flag, then ``REPRO_BACKEND``, then ``mp``.
-    The mp side channels (per-rank timelines, the telemetry queue) do not
-    exist for an inproc run, so anything other than ``mp`` is an error —
+    The rank event record (per-rank timelines, telemetry summaries) does
+    not exist for an inproc run, so anything other than ``mp`` is an error —
     printed to stderr so scripts see a clean exit 1, not a traceback.
     """
     backend = args.backend or os.environ.get("REPRO_BACKEND", "").strip() or "mp"
     if backend != "mp":
         print(
-            f"error: `repro.obs {verb}` observes the multiprocess backend's "
-            f"side channels (per-rank timelines, the telemetry queue); "
+            f"error: `repro.obs {verb}` reads the multiprocess backend's "
+            f"rank event records (per-rank timelines, telemetry summaries); "
             f"backend {backend!r} runs in-process and has none. "
             f"Re-run with --backend mp (or unset REPRO_BACKEND).",
             file=sys.stderr,
@@ -227,7 +227,7 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
 
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
     from repro.parallel.backend import create_backend
-    from repro.parallel.backend.conclog import ENV_VAR as CONC_ENV
+    from repro.parallel.backend.events import ENV_VAR as CONC_ENV
     from repro.training.finetune import default_accuracy_model
 
     if _require_mp_backend(args, "mp-trace") is None:
@@ -287,8 +287,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
     if _require_mp_backend(args, "top") is None:
         return 1
-    # Workers inherit the parent environment, so flipping the switch here
-    # is what makes every spawned rank stream telemetry.
+    # The backend reads the switch when it spawns its workers.
     os.environ[TELEM_ENV] = "1"
 
     cfg = ModelParallelConfig(
@@ -315,7 +314,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             backend.apply_grads(model, result)
             optimizer.step()
             backend.sync_weights(model)
-            collector.drain(backend, grace_s=0.2)
+            collector.ingest_record(result.record)
             collector.observe(None, "loss", result.loss)
             monitor.check(step)
             frame = render_top(collector, monitor, step=step)
@@ -324,9 +323,6 @@ def cmd_top(args: argparse.Namespace) -> int:
                 print("-" * 72)
     finally:
         backend.close()
-    # close() parks any late queue batches in the backlog; one more drain
-    # folds them into the final window before the summary is frozen.
-    collector.drain(backend)
     monitor.check(args.steps)
 
     summary = build_summary(

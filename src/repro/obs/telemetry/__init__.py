@@ -1,9 +1,9 @@
 """Live cross-rank telemetry: agent, collector, health rules, registry.
 
-The subsystem in one sentence: each mp rank runs a
-:class:`~repro.obs.telemetry.agent.TelemetryAgent` that streams step
-counters/gauges over a queue side channel (off by default, armed by
-``REPRO_TELEMETRY``); the parent's
+The subsystem in one sentence: each mp rank folds a step's slice of its
+event record into one ``step`` summary
+(:func:`~repro.obs.telemetry.agent.step_summary`; off by default, armed by
+``REPRO_TELEMETRY``) that rides the step reply; the parent's
 :class:`~repro.obs.telemetry.collector.Collector` keeps sliding-window
 time-series that a :class:`~repro.obs.telemetry.health.HealthMonitor`
 evaluates into typed :class:`~repro.obs.telemetry.health.Alert`s; the
@@ -12,15 +12,7 @@ evaluates into typed :class:`~repro.obs.telemetry.health.Alert`s; the
 the result.  Everything is bitwise-neutral to training.
 """
 
-from repro.obs.telemetry.agent import (
-    ENV_VAR,
-    SAMPLE_ENV_VAR,
-    ListSink,
-    TelemetryAgent,
-    enabled,
-    maybe_agent_from_env,
-    telemetry_queue,
-)
+from repro.obs.telemetry.agent import ENV_VAR, enabled, step_summary
 from repro.obs.telemetry.collector import DEFAULT_WINDOW, Collector, SlidingWindow
 from repro.obs.telemetry.dashboard import render_html, render_top, write_html
 from repro.obs.telemetry.health import (
@@ -49,12 +41,8 @@ from repro.obs.telemetry.registry import (
 
 __all__ = [
     "ENV_VAR",
-    "SAMPLE_ENV_VAR",
     "enabled",
-    "telemetry_queue",
-    "maybe_agent_from_env",
-    "ListSink",
-    "TelemetryAgent",
+    "step_summary",
     "DEFAULT_WINDOW",
     "SlidingWindow",
     "Collector",

@@ -1,255 +1,99 @@
-"""Per-rank telemetry agent: the worker-side half of the live side channel.
+"""The telemetry step summary: one fold over a rank's step slice.
 
-A :class:`TelemetryAgent` is embedded in the mp worker loop
-(:mod:`repro.parallel.backend.worker`) and, once per training step, emits
-one ``step`` event carrying the signals the ROADMAP's serving and
-adaptive-compression items need as controller input:
+With ``REPRO_TELEMETRY`` set, each mp worker ends a step by folding the
+step's slice of its event record
+(:mod:`repro.parallel.backend.events`) into one ``step`` event and
+appending it to the record, so it travels to the parent on the step
+reply with everything else.  The summary carries the signals the
+health rules and the dashboard read:
 
-- step wall time (including any injected straggler delay),
-- per-phase comm-wait (summed ``mp.wait`` spans from the transport
-  timeline) and the derived *busy* time (wall − wait — the quantity whose
-  cross-rank z-score identifies a straggler, because a peer's barrier
-  wait absorbs the straggler's delay while its own busy time shows it),
-- mailbox ring occupancy (FULL slots per directed mailbox, sampled via
-  :meth:`~repro.parallel.backend.transport.RankTransport.ring_occupancy`),
-- fault-seam retries/drops/delays (deltas of the installed
-  :class:`~repro.parallel.backend.faults.FaultPlan`'s injected counters),
-- per-site compression fidelity (rel-L2 reconstruction error, realized
-  wire ratio, EF residual norms) from a worker-local
-  :class:`~repro.obs.fidelity.FidelityProbe`, and
-- the process's peak RSS high-water mark.
+- step wall time, ``step_begin`` → ``step_end`` (``step_begin`` is
+  stamped before fault injection, so a straggler's delay is in it),
+- comm-wait (summed ``mp.wait`` spans) and the derived *busy* time
+  (wall − wait — the quantity whose cross-rank z-score identifies a
+  straggler, because a peer's barrier wait absorbs the straggler's delay
+  while its own busy time shows it),
+- injected-fault time (``mp.fault`` spans) and retries/drops/delays,
+  counted from the slice's ``fault`` events,
+- and three gauges the worker reads at step end: mailbox ring occupancy,
+  per-site compression fidelity (a worker-local
+  :class:`~repro.obs.fidelity.FidelityProbe`'s aggregates) and the
+  process's peak RSS.
 
-Design rules (DESIGN decision #12, same discipline as
-:mod:`repro.parallel.backend.conclog`):
-
-- **Bitwise-neutral side channel.**  The agent only observes: it never
-  touches the data plane, and the fidelity probe reads activations the
-  collectives already materialized.  Telemetry-on and telemetry-off runs
-  produce bitwise-identical losses and weights (tested).
-- **Off by default.**  Without ``REPRO_TELEMETRY`` in the environment no
-  agent is constructed and every instrumentation point costs one ``is
-  None`` check.
-- **Emit before publish.**  The agent's events for step *N* are put on
-  the side channel *before* the worker sends step *N*'s result over the
-  control pipe, so the parent never observes a result whose telemetry is
-  not already in flight.  (Queue delivery runs through a feeder thread,
-  so "in flight" is a happens-before on the sender — collectors should
-  drain with a grace period at end of run.)
-- **Never block training.**  Events are published with ``put_nowait``; a
-  full queue drops the batch (counted in :attr:`dropped`) instead of
-  stalling the step.
-
-The sink is anything with ``put_nowait(batch)`` — a spawn-context
-``multiprocessing.Queue`` in production, a list-backed stub in tests.
+It only observes: telemetry-on and telemetry-off runs produce
+bitwise-identical losses and weights (tested), and without the variable
+no probe is attached and no step is summarised.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
-import time
+from collections import Counter
 
-from repro.obs.fidelity import FidelityProbe
-
-__all__ = [
-    "ENV_VAR",
-    "SAMPLE_ENV_VAR",
-    "enabled",
-    "telemetry_queue",
-    "maybe_agent_from_env",
-    "ListSink",
-    "TelemetryAgent",
-]
+__all__ = ["ENV_VAR", "enabled", "process_peak_rss_kb", "step_summary"]
 
 #: Presence (any non-empty value except ``0``) turns telemetry on.
 ENV_VAR = "REPRO_TELEMETRY"
 
-#: Fidelity sampling period: observe the probe every N-th step (default
-#: every step).  Raising it trades drift-detection latency for less
-#: per-site norm arithmetic on the hot path.
-SAMPLE_ENV_VAR = "REPRO_TELEMETRY_SAMPLE"
-
-#: Queue depth of the side channel; a full queue drops batches rather
-#: than stalling a step, so depth only matters for bursty consumers.
-QUEUE_MAXSIZE = 4096
-
 
 def enabled() -> bool:
-    """Whether ``REPRO_TELEMETRY`` arms the telemetry side channel."""
+    """Whether ``REPRO_TELEMETRY`` asks for step summaries."""
     value = os.environ.get(ENV_VAR, "")
     return bool(value) and value != "0"
 
 
-def telemetry_queue(ctx):
-    """The parent's side-channel queue for ``ctx`` (a spawn context)."""
-    return ctx.Queue(maxsize=QUEUE_MAXSIZE)
-
-
-def maybe_agent_from_env(rank: int, world: int, sink) -> "TelemetryAgent | None":
-    """Build the rank's agent iff telemetry is armed and a sink exists.
-
-    Returns ``None`` (and installs nothing) when ``REPRO_TELEMETRY`` is
-    unset or the parent passed no queue — the production default.  The mp
-    worker calls this once at startup; the env var is inherited through
-    the spawn context, so arming telemetry is purely a parent decision.
-    """
-    if not enabled() or sink is None:
-        return None
+def process_peak_rss_kb() -> float:
     try:
-        sample = int(os.environ.get(SAMPLE_ENV_VAR, "1") or 1)
-    except ValueError:
-        sample = 1
-    return TelemetryAgent(rank, world, sink, sample_every=max(1, sample))
+        import resource
+
+        return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    except (ImportError, OSError):  # non-POSIX hosts: gauge degrades to 0
+        return 0.0
 
 
-class ListSink:
-    """In-process sink used by unit tests: batches land in ``batches``."""
+def step_summary(events, *, loss=None, ring_occupancy: int = 0,
+                 fidelity: dict | None = None,
+                 peak_rss_kb: float = 0.0) -> dict:
+    """Fields of the ``step`` event for one rank's step slice.
 
-    def __init__(self):
-        self.batches: list[list[dict]] = []
-
-    def put_nowait(self, batch: list[dict]) -> None:
-        self.batches.append(batch)
-
-    def events(self) -> list[dict]:
-        return [event for batch in self.batches for event in batch]
-
-
-class TelemetryAgent:
-    """Streams one rank's counters/gauges/events to the parent collector.
-
-    Parameters
-    ----------
-    rank, world:
-        This worker's global rank and the gang size.
-    sink:
-        Anything with ``put_nowait(list_of_event_dicts)``.
-    sample_every:
-        Observe the fidelity probe on every N-th step.
-    clock:
-        Monotonic seconds; injectable for deterministic tests.
+    ``events`` is the slice, ``step_begin`` to ``step_end``; ``fidelity`` is
+    :meth:`FidelityProbe.per_site` output.  A pure function of its
+    arguments.
     """
-
-    def __init__(self, rank: int, world: int, sink, *, sample_every: int = 1,
-                 clock=time.monotonic):
-        self.rank = rank
-        self.world = world
-        self.sink = sink
-        self.sample_every = max(1, int(sample_every))
-        self.probe = FidelityProbe()
-        self.dropped = 0
-        self._clock = clock
-        self._buffer: list[dict] = []
-        self._tracker = None
-        self._last_injected: dict[str, int] = {}
-        self.emit("meta", world=world, sample_every=self.sample_every)
-
-    # ------------------------------------------------------------------
-    def emit(self, type_: str, **fields) -> dict:
-        """Append one event to the unpublished buffer (and return it)."""
-        event = {"type": type_, "rank": self.rank, "t": self._clock(), **fields}
-        self._buffer.append(event)
-        return event
-
-    def publish(self) -> int:
-        """Push buffered events to the sink; returns how many were sent.
-
-        Called by the worker immediately *before* it publishes the step
-        result on the control pipe (emit-before-publish).  A full queue
-        drops the batch — telemetry must never stall a training step.
-        """
-        if not self._buffer:
-            return 0
-        batch, self._buffer = self._buffer, []
-        try:
-            self.sink.put_nowait(batch)
-        except queue_mod.Full:
-            self.dropped += len(batch)
-            return 0
-        return len(batch)
-
-    # ------------------------------------------------------------------
-    def watch(self, tracker) -> None:
-        """Adopt ``tracker`` as the fidelity source (probe attach point)."""
-        self._tracker = tracker
-
-    def begin_step(self, step: int) -> None:
-        """Arm the fidelity probe iff this step is a sampled one."""
-        if self._tracker is None:
-            return
-        if step % self.sample_every == 0:
-            self._tracker.probe = self.probe
-        elif self._tracker.probe is self.probe:
-            self._tracker.probe = None
-
-    # ------------------------------------------------------------------
-    def _fault_deltas(self, plan) -> dict[str, int]:
-        """Per-kind injected-fault counts since the previous step."""
-        if plan is None:
-            return {}
-        deltas: dict[str, int] = {}
-        for kind, count in plan.injected.items():
-            before = self._last_injected.get(kind, 0)
-            if count > before:
-                deltas[kind] = count - before
-            self._last_injected[kind] = count
-        return deltas
-
-    @staticmethod
-    def _peak_rss_kb() -> float:
-        try:
-            import resource
-
-            return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        except (ImportError, OSError):  # non-POSIX hosts: gauge degrades to 0
-            return 0.0
-
-    def record_step(self, step: int, t_start: float, *, loss=None,
-                    timeline=None, transport=None, plan=None) -> dict:
-        """Summarize one finished step into a single ``step`` event.
-
-        ``t_start`` is the monotonic stamp taken in the worker loop
-        *before* fault injection, so an injected straggler delay lands in
-        this rank's wall (and busy) time rather than vanishing into the
-        gap between commands.
-        """
-        now = self._clock()
-        wall_ms = (now - t_start) * 1e3
-        comm_wait_ms = fault_ms = 0.0
-        for span in timeline or ():
-            if span.get("cat") == "mp.wait":
-                comm_wait_ms += span["dur_ms"]
-            elif span.get("cat") == "mp.fault":
-                fault_ms += span["dur_ms"]
-        occupancy = 0
-        if transport is not None:
-            rings = transport.ring_occupancy()
-            occupancy = max(rings.values(), default=0)
-        deltas = self._fault_deltas(plan)
-        fidelity: dict[str, dict] = {}
-        if self.probe.records:
-            for site, agg in self.probe.per_site().items():
-                fidelity[site] = {
-                    "rel_l2": agg["rel_l2_error_mean"],
-                    "ratio": agg["ratio_mean"],
-                    "residual_norm": agg["residual_norm_last"],
-                }
-            self.probe.reset()
-        event = self.emit(
-            "step",
-            step=step,
-            wall_ms=wall_ms,
-            comm_wait_ms=comm_wait_ms,
-            busy_ms=max(wall_ms - comm_wait_ms, 0.0),
-            fault_ms=fault_ms,
-            ring_occupancy=occupancy,
-            retries=deltas.get("corrupt", 0) + deltas.get("drop", 0),
-            drops=deltas.get("drop", 0),
-            delays=deltas.get("delay", 0),
-            peak_rss_kb=self._peak_rss_kb(),
-        )
-        if loss is not None:
-            event["loss"] = float(loss)
-        if fidelity:
-            event["fidelity"] = fidelity
-        return event
+    step = None
+    t_begin = t_end = 0.0
+    span_ms: Counter[str] = Counter()  # by span category
+    faults: Counter[str] = Counter()  # by fault kind
+    for e in events:
+        kind = e["kind"]
+        if kind == "step_begin":
+            step, t_begin = e["step"], e["t"]
+        elif kind == "step_end":
+            t_end = e["t"]
+        elif kind == "span":
+            span_ms[e["cat"]] += e["dur"] * 1e3
+        elif kind == "fault":
+            faults[e["fault"]] += 1
+    wall_ms = (t_end - t_begin) * 1e3
+    comm_wait_ms = float(span_ms["mp.wait"])
+    summary = {
+        "step": step,
+        "wall_ms": wall_ms,
+        "comm_wait_ms": comm_wait_ms,
+        "busy_ms": max(wall_ms - comm_wait_ms, 0.0),
+        "fault_ms": float(span_ms["mp.fault"]),
+        "ring_occupancy": ring_occupancy,
+        "retries": faults["corrupt"] + faults["drop"],
+        "drops": faults["drop"],
+        "delays": faults["delay"],
+        "peak_rss_kb": peak_rss_kb,
+    }
+    if loss is not None:
+        summary["loss"] = float(loss)
+    if fidelity:
+        summary["fidelity"] = {
+            site: {"rel_l2": agg["rel_l2_error_mean"],
+                   "ratio": agg["ratio_mean"],
+                   "residual_norm": agg["residual_norm_last"]}
+            for site, agg in fidelity.items()}
+    return summary

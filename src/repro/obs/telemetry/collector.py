@@ -1,12 +1,12 @@
 """Parent-side collector: sliding-window time-series over rank telemetry.
 
-The :class:`Collector` is the receiving half of the telemetry side
-channel.  It ingests the event batches published by each rank's
-:class:`~repro.obs.telemetry.agent.TelemetryAgent` and maintains bounded
-sliding windows — ring buffer of raw samples, EWMA, exact p50/p99 over
+The :class:`Collector` ingests ``StepResult.record`` — each rank's slice
+of its event record, with the ``step`` summary
+:func:`~repro.obs.telemetry.agent.step_summary` folded from it — and
+maintains bounded sliding windows — ring buffer of raw samples, EWMA, exact p50/p99 over
 the window — per ``(rank, metric)`` series plus pooled cross-rank series
 (``rank=None``).  Window statistics deliberately live parent-side
-(DESIGN decision #12): the workers stay cheap and stateless, a crashed
+(DESIGN "Rank event record"): the workers stay cheap and stateless, a crashed
 rank's history survives in the parent, and cross-rank rules (straggler
 z-score) need all ranks' windows in one place anyway.
 
@@ -18,8 +18,6 @@ the run registry snapshot them.
 from __future__ import annotations
 
 import math
-import queue as queue_mod
-import time
 from collections import deque
 
 __all__ = ["SlidingWindow", "Collector", "DEFAULT_WINDOW"]
@@ -135,7 +133,7 @@ FIDELITY_METRICS = ("rel_l2", "ratio", "residual_norm")
 
 
 class Collector:
-    """Aggregates rank telemetry events into sliding-window series.
+    """Aggregates rank ``meta``/``step`` events into sliding-window series.
 
     Series are keyed ``(rank, metric)``; pooled cross-rank series use
     ``rank=None`` and fidelity series use ``(None, f"fidelity/{site}/{m}")``.
@@ -148,7 +146,6 @@ class Collector:
         self._last_step: dict[int, int] = {}
         self.world: int | None = None
         self.events_seen = 0
-        self.meta: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     def series(self, rank: int | None, metric: str) -> SlidingWindow:
@@ -176,15 +173,14 @@ class Collector:
 
     # ------------------------------------------------------------------
     def ingest(self, event: dict) -> None:
-        """Route one agent event into the relevant series."""
+        """Route one record event into the relevant series; kinds other
+        than ``meta`` and ``step`` are counted and ignored."""
         self.events_seen += 1
-        kind = event.get("type")
+        kind = event.get("kind")
         rank = event.get("rank")
         if kind == "meta":
             if isinstance(rank, int):
                 self._ranks.add(rank)
-                self.meta[rank] = {k: v for k, v in event.items()
-                                   if k not in ("type", "rank", "t")}
             if isinstance(event.get("world"), int):
                 self.world = event["world"]
             return
@@ -205,48 +201,11 @@ class Collector:
                 if isinstance(value, (int, float)):
                     self.observe(None, f"fidelity/{site}/{metric}", value)
 
-    def ingest_all(self, events) -> int:
-        n = 0
-        for event in events:
-            self.ingest(event)
-            n += 1
-        return n
-
-    def drain(self, backend, *, grace_s: float = 0.0) -> int:
-        """Pull pending event batches from a backend's side channel.
-
-        ``backend`` must expose ``poll_telemetry()`` returning a list of
-        events (empty when telemetry is off).  With ``grace_s`` the drain
-        keeps polling until the deadline passes with no new events —
-        needed at end of run because queue feeder threads lag ``put``.
-        """
-        total = self.ingest_all(backend.poll_telemetry())
-        deadline = time.monotonic() + grace_s
-        while grace_s > 0 and time.monotonic() < deadline:
-            got = self.ingest_all(backend.poll_telemetry())
-            total += got
-            if got:
-                deadline = time.monotonic() + grace_s
-            else:
-                time.sleep(0.005)
-        return total
-
-    def drain_queue(self, q, *, grace_s: float = 0.0) -> int:
-        """Drain a raw queue of event batches (used by MpBackend/tests)."""
-        total = 0
-        deadline = time.monotonic() + grace_s
-        while True:
-            try:
-                batch = q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                if grace_s > 0 and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                    continue
-                break
-            total += self.ingest_all(batch)
-            if grace_s > 0:
-                deadline = time.monotonic() + grace_s
-        return total
+    def ingest_record(self, record: dict[int, list[dict]]) -> None:
+        """Ingest ``StepResult.record`` (empty when nothing observed the step)."""
+        for events in record.values():
+            for event in events:
+                self.ingest(event)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -19,10 +19,11 @@ from repro.parallel.backend.context import (
     rank_context,
     set_rank_context,
 )
-from repro.parallel.backend.conclog import (
-    ConcurrencyLog,
+from repro.parallel.backend.events import (
+    EventRecord,
     load_events,
     payload_crc,
+    span_view,
 )
 from repro.parallel.backend.transport import (
     DEFAULT_CAPACITY,
@@ -48,10 +49,11 @@ __all__ = [
     "global_rank",
     "rank_context",
     "set_rank_context",
-    "ConcurrencyLog",
     "CorruptMessage",
+    "EventRecord",
     "load_events",
     "payload_crc",
+    "span_view",
     "DEFAULT_CAPACITY",
     "DEFAULT_SLOTS",
     "DEFAULT_TIMEOUT_S",

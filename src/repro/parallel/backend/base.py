@@ -59,15 +59,19 @@ class StepResult:
     ``grads`` maps dotted parameter names to gradient arrays that own
     their memory (a result outlives ``close()``); it is empty for inproc
     at ``dp == 1``, whose autograd pass already left the gradients on the
-    parent model's parameters.  ``timelines`` maps global
-    rank to a list of span dicts (``name``/``cat``/``ts_ms``/``dur_ms``)
-    for Chrome-trace export; the inproc backend reports none.
+    parent model's parameters.  ``record`` maps global rank to the step's
+    slice of that rank's event record
+    (:mod:`repro.parallel.backend.events`); it is empty when nothing
+    observed the step, and always for inproc.  ``timelines`` is its span
+    view (``name``/``cat``/``ts_ms``/``dur_ms`` per rank) for Chrome-trace
+    export, filled when the mp backend's ``collect_timelines`` is set.
     """
 
     loss: float
     grads: dict[str, np.ndarray] = field(default_factory=dict)
     events: list = field(default_factory=list)
     timelines: dict[int, list[dict]] = field(default_factory=dict)
+    record: dict[int, list[dict]] = field(default_factory=dict)
 
 
 class ExecutionBackend:
@@ -95,16 +99,6 @@ class ExecutionBackend:
 
     def load_runtime_state(self, state: dict) -> None:
         """Restore compressor runtime state captured by :meth:`runtime_state`."""
-
-    def poll_telemetry(self) -> list[dict]:
-        """Drain pending live-telemetry events from the rank side channel.
-
-        Returns ``[]`` for backends without one (inproc ranks run in the
-        caller's process — there is nothing to stream) and whenever
-        ``REPRO_TELEMETRY`` is off.  The mp backend overrides this with a
-        non-blocking drain of its telemetry queue.
-        """
-        return []
 
     def close(self) -> None:
         """Release processes/shared memory. Idempotent."""

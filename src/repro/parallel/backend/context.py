@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.parallel.backend import events
 from repro.parallel.backend.base import BackendError
 
 __all__ = ["RankContext", "Group", "GatherHandle", "sum_in_order",
@@ -251,11 +252,13 @@ class Group:
         In-process the receiver reads the sender's tensor directly.  A
         worker stages the payload in ``dst``'s ring mailbox (blocking only
         when the receiver lags a full ring behind); the in-flight window
-        is recorded as an ``mp.async`` span on the worker timeline.
+        is recorded as an ``mp.async`` span.
         """
         ctx = self._ctx
         if ctx is None:
             return
         issued_at = time.monotonic()
         ctx.transport.send(ctx.peers(self.axis)[dst], array, timeout=ctx.timeout)
-        ctx.transport.record_span(label, issued_at, cat="mp.async")
+        rec = events.active()
+        if rec is not None:
+            rec.span(label, "mp.async", issued_at)

@@ -7,14 +7,14 @@ installed per process from the ``REPRO_FAULT_PLAN`` environment variable
 (inherited by spawn children, so the parent's setting reaches every
 worker) and is **off by default** — with no plan installed every
 instrumentation point costs one module-global load plus an ``is None``
-check, the same budget as :mod:`repro.parallel.backend.conclog`.
+check, the same budget as :mod:`repro.parallel.backend.events`.
 
 Design rules (DESIGN decision #11):
 
 - **Deterministic.**  Faults are matched on protocol coordinates (channel
   ``src``/``dst`` + message ``seq``, or ``rank`` + training ``step``),
   never on wall time or randomness, so a chaos run is exactly
-  reproducible and its conclog replay is meaningful.
+  reproducible and its DYN003 replay is meaningful.
 - **Typed errors, never hangs.**  Every fault either recovers within the
   plan's retry budget (CRC mismatch → re-read, dropped slot → bounded
   resend, both with exponential backoff) or surfaces as the existing
@@ -39,11 +39,20 @@ Design rules (DESIGN decision #11):
 
 - the name of a builtin plan (``mixed``, ``straggler``);
 - a path to a JSON file with the same document shape.
+
+The plan is outside input, so a spec that could never fire is rejected at
+parse with a ``ValueError`` naming the fault's index and the rule it
+breaks: unknown keys, a channel fault without two distinct ``src``/``dst``, a
+step fault without both ``rank`` and ``step``, mixed addressing, ``seq``
+or ``times`` below 1, a negative rank or step, ``seconds`` negative or
+not finite.  Several faults planned for one ``(rank, step)``, or for one
+channel message, all fire, in list order (a ``kill`` ends the list).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field as _dc_field
@@ -76,8 +85,6 @@ DEFAULT_RETRY_BUDGET = 3
 #: Base of the exponential retry backoff (200 µs, doubling per attempt).
 DEFAULT_BACKOFF_S = 200e-6
 
-_CHANNEL_KINDS = ("delay", "drop", "corrupt")
-_STEP_KINDS = ("delay", "kill")
 _KINDS = ("delay", "drop", "corrupt", "kill")
 _FIELDS = ("payload", "header")
 
@@ -111,18 +118,31 @@ class FaultSpec:
         if self.field not in _FIELDS:
             raise ValueError(
                 f"unknown corrupt field {self.field!r}; valid: {_FIELDS}")
-        is_channel = self.src is not None or self.dst is not None
-        if self.kind in ("drop", "corrupt") and not is_channel:
+        for name, low in (("src", 0), ("dst", 0), ("rank", 0), ("step", 0),
+                          ("seq", 1), ("times", 1)):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < low):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not 0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"seconds must be a finite number >= 0, got {self.seconds!r}")
+        channel = not (self.src is None and self.dst is None
+                       and self.seq is None)
+        if self.kind in ("drop", "corrupt") and not channel:
             raise ValueError(f"{self.kind!r} fault needs src/dst/seq")
-        if self.kind == "kill" and self.rank is None:
-            raise ValueError("'kill' fault needs rank/step")
-        if self.kind == "delay" and not is_channel and self.rank is None:
-            raise ValueError("'delay' fault needs either src/dst or rank")
-        self.remaining = int(self.times)
-
-    @property
-    def is_channel(self) -> bool:
-        return self.src is not None or self.dst is not None
+        if channel:
+            if self.kind == "kill":
+                raise ValueError("'kill' takes rank/step, not src/dst/seq")
+            if self.src is None or self.dst is None or self.src == self.dst:
+                raise ValueError(
+                    "a channel fault needs both src and dst, and src != dst")
+            if self.rank is not None:
+                raise ValueError("a channel fault takes src/dst, not rank")
+        elif self.rank is None or self.step is None:
+            raise ValueError(
+                f"a step {self.kind!r} fault needs both rank and step")
+        self.remaining = self.times
 
 
 class FaultPlan:
@@ -135,11 +155,21 @@ class FaultPlan:
     """
 
     def __init__(self, doc: dict):
+        unknown = set(doc) - {"retry_budget", "backoff_s", "faults"}
+        if unknown:
+            raise ValueError(f"unknown fault-plan key(s) {sorted(unknown)}")
         self.retry_budget = int(doc.get("retry_budget", DEFAULT_RETRY_BUDGET))
         self.backoff_s = float(doc.get("backoff_s", DEFAULT_BACKOFF_S))
         if self.retry_budget < 1:
             raise ValueError("retry_budget must be >= 1")
-        self.faults = [FaultSpec(**spec) for spec in doc.get("faults", ())]
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be a finite number >= 0")
+        self.faults = []
+        for index, spec in enumerate(doc.get("faults", ())):
+            try:
+                self.faults.append(FaultSpec(**spec))
+            except (TypeError, ValueError) as exc:  # TypeError: unknown key
+                raise ValueError(f"fault {index}: {exc}") from None
         self.step: int | None = None
         self.injected: Counter[str] = Counter()
 
@@ -157,8 +187,7 @@ class FaultPlan:
     def take_send_fault(self, src: int, dst: int, seq: int) -> FaultSpec | None:
         """A pending ``drop``/``delay`` for this channel message, if any."""
         for spec in self.faults:
-            if (spec.kind in ("drop", "delay") and spec.is_channel
-                    and spec.remaining > 0
+            if (spec.kind in ("drop", "delay") and spec.remaining > 0
                     and spec.src == src and spec.dst == dst
                     and (spec.seq is None or spec.seq == seq)
                     and self._step_matches(spec)):
@@ -177,10 +206,11 @@ class FaultPlan:
 
     def take_step_fault(self, rank: int, step: int) -> FaultSpec | None:
         """A pending ``kill``/step-``delay`` for this rank at this step."""
+        # Parsing left channel faults without a rank and step faults without
+        # src/dst, so the addressing alone tells the two apart.
         for spec in self.faults:
-            if (spec.kind in _STEP_KINDS and not spec.is_channel
-                    and spec.remaining > 0
-                    and spec.rank == rank and spec.step == step):
+            if (spec.remaining > 0 and spec.rank == rank
+                    and spec.step == step):
                 return self._take(spec)
         return None
 

@@ -5,11 +5,11 @@ rank's slice of each step on a replica whose parameters are read-only
 views of the weights arena in the shared-memory segment.
 
 The control pipe carries commands, the batch, and each rank's reply (loss,
-names of the gradients it wrote, comm events, timeline); shared memory
-carries activations, weights and gradients.  ``sync_weights`` is a
-``copyto`` into the arena with no message; after backward each worker
-copies the gradients it owns into its dp gang's slab.  Neither needs a
-flag: the pipe is FIFO, so the ``step`` command follows the parent's arena
+names of the gradients it wrote, comm events, the step's slice of the rank
+event record); shared memory carries activations, weights and gradients.
+``sync_weights`` is a ``copyto`` into the arena with no message; after
+backward each worker copies the gradients it owns into its dp gang's slab.
+Neither needs a flag: the pipe is FIFO, so the ``step`` command follows the parent's arena
 write and a reply follows the worker's slab write (DESIGN.md decision 8).
 
 Failure model: every wait on a worker carries a deadline and checks the
@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue as queue_mod
 import time
+from itertools import chain
 from multiprocessing import connection as mp_connection
 
 import numpy as np
 
 from repro.parallel.backend.base import BackendError, ExecutionBackend, StepResult
 from repro.parallel.backend.context import global_rank
+from repro.parallel.backend.events import span_view
 from repro.parallel.backend.transport import (
     DEFAULT_CAPACITY,
     DEFAULT_TIMEOUT_S,
@@ -60,8 +61,6 @@ class MpBackend(ExecutionBackend):
         self._conns: list = []
         self.transport = None
         self.shutdown_timeout = shutdown_timeout
-        self._telemetry_queue = None
-        self._telemetry_backlog: list[dict] = []
 
         cfg = model.config
         if cfg.model.dropout != 0.0:
@@ -96,15 +95,9 @@ class MpBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _spawn_workers(self, model, timeout: float) -> None:
         spawn = multiprocessing.get_context("spawn")
-        # Telemetry side channel: one queue shared by all ranks, created
-        # only when REPRO_TELEMETRY is armed so the healthy path never
-        # pays for a feeder thread.  Workers re-check the env var (it is
-        # inherited through the spawn context) before building an agent.
         from repro.obs.telemetry.agent import enabled as telemetry_enabled
-        from repro.obs.telemetry.agent import telemetry_queue
 
-        if telemetry_enabled():
-            self._telemetry_queue = telemetry_queue(spawn)
+        telemetry = telemetry_enabled()  # REPRO_TELEMETRY, read once at spawn
         kwargs = {}
         if hasattr(model, "regression"):
             kwargs["regression"] = model.regression
@@ -121,7 +114,7 @@ class MpBackend(ExecutionBackend):
             proc = spawn.Process(
                 target=_worker_main, daemon=True, name=f"repro-rank{rank}",
                 args=(child_conn, self.transport.spec, rank_info, model_spec,
-                      timeout, self._telemetry_queue))
+                      timeout, telemetry))
             proc.start()
             child_conn.close()
             self._procs.append(proc)
@@ -202,7 +195,7 @@ class MpBackend(ExecutionBackend):
                         self.collect_timelines))
         replies = self._collect(range(self.world))
 
-        # replies[rank] = ("result", rank, loss, written, events, timeline)
+        # replies[rank] = ("result", rank, loss, written, events, record slice)
         # Each dp gang's last stage reports its shard loss; the step loss
         # is the gang-order mean, matching the oracle's replica loop.
         losses: list[float] = []
@@ -228,7 +221,9 @@ class MpBackend(ExecutionBackend):
             grads = dp_all_reduce(replica_grads, self._dp_compressor,
                                   dp_tracker)
             events.extend(dp_tracker.events)
-        timelines = ({rank: replies[rank][5] for rank in range(self.world)}
+        record = {rank: replies[rank][5] for rank in range(self.world)
+                  if replies[rank][5]}
+        timelines = (span_view(chain.from_iterable(record.values()))
                      if self.collect_timelines else {})
 
         # Mirror the merged events onto the parent model's tracker so
@@ -236,7 +231,7 @@ class MpBackend(ExecutionBackend):
         self.model.tracker.reset()
         self.model.tracker.events.extend(events)
         return StepResult(loss=float(loss), grads=grads, events=events,
-                          timelines=timelines)
+                          timelines=timelines, record=record)
 
     # ------------------------------------------------------------------
     def _replica_grads(self, replies: dict[int, tuple]
@@ -325,51 +320,6 @@ class MpBackend(ExecutionBackend):
         self._send_all(("load_runtime_state", state))
 
     # ------------------------------------------------------------------
-    def poll_telemetry(self) -> list[dict]:
-        """Non-blocking drain of the telemetry side channel.
-
-        Returns every event published by the rank agents since the last
-        poll, in queue order.  Empty when telemetry is off.  Queue
-        delivery runs through per-worker feeder threads, so events for a
-        completed step may trail its result by a moment — end-of-run
-        consumers should poll with a grace period (see
-        :meth:`repro.obs.telemetry.collector.Collector.drain`).
-        """
-        events = list(self._telemetry_backlog)
-        self._telemetry_backlog.clear()
-        q = self._telemetry_queue
-        while q is not None:
-            try:
-                events.extend(q.get_nowait())
-            except (queue_mod.Empty, OSError, ValueError):
-                break
-        return events
-
-    def _drain_telemetry_to_backlog(self) -> None:
-        """Preserve in-flight telemetry across teardown.
-
-        Called from :meth:`close` after the workers have exited (their
-        feeder threads flush at process exit), so anything still in the
-        pipe is moved to a parent-side list and remains observable via
-        :meth:`poll_telemetry` after the queue itself is gone.
-        """
-        q = self._telemetry_queue
-        if q is None:
-            return
-        deadline = time.monotonic() + 0.25
-        while time.monotonic() < deadline:
-            try:
-                self._telemetry_backlog.extend(q.get_nowait())
-                deadline = time.monotonic() + 0.25
-            except (queue_mod.Empty, OSError, ValueError):
-                time.sleep(0.005)
-        self._telemetry_queue = None
-        try:
-            q.close()
-        except (OSError, ValueError):
-            pass
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Tear the gang down; bounded, idempotent, leak-free.
 
@@ -408,7 +358,6 @@ class MpBackend(ExecutionBackend):
                     conn.close()
                 except OSError:
                     pass
-            self._drain_telemetry_to_backlog()
         finally:
             transport = getattr(self, "transport", None)
             if transport is not None:

@@ -42,8 +42,8 @@ are thin deadline loops around single-step primitives — ``try_send`` /
 ``try_recv`` on the channel, ``arrive`` / ``peers_ready`` on the barrier
 — so the bounded model checker (:mod:`repro.lint.model_check`) can
 execute the *real* protocol code one transition at a time and explore
-every interleaving.  Each commit also reports to the concurrency event
-log (:mod:`repro.parallel.backend.conclog`) when one is installed; the
+every interleaving.  Each commit also reports to the rank event record
+(:mod:`repro.parallel.backend.events`) while a step is observed; the
 default is ``None`` and costs one check per operation.
 
 Chaos seam: the blocking ``send``/``recv`` paths additionally consult the
@@ -71,7 +71,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.parallel.backend import conclog, faults
+from repro.parallel.backend import events, faults
 from repro.parallel.backend.base import BackendError
 
 __all__ = ["ShmChannel", "ShmBarrier", "RankTransport", "ExchangeHandle",
@@ -169,9 +169,6 @@ class ShmChannel:
         self.dst = dst
         self._send_seq = 0
         self._recv_seq = 0
-        #: Optional span sink for injected-fault windows, wired by
-        #: RankTransport to its timeline (cat ``mp.fault``).
-        self.fault_hook = None
         self._pending_restore: tuple | None = None
         # Persistent zero-copy views: one u32 status word and one u8
         # payload window per slot.
@@ -246,13 +243,13 @@ class ShmChannel:
             arr.ndim, flags, crc, arr.nbytes, *shape,
         )
         self._send_seq = seq
-        log = conclog.active()
-        if log is not None:
+        rec = events.protocol()
+        if rec is not None:
             # Stamped *before* the publishing store: the receiver can only
             # observe (and stamp) the message after the FULL flip, so in a
             # correct run t(send event) < t(recv event) always holds —
             # the wall-order invariant the DYN003 replay checks.
-            log.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)
+            rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)
         # Status flips to FULL only after payload and header are in place.
         self._status[slot][0] = _FULL
 
@@ -287,13 +284,13 @@ class ShmChannel:
         if nbytes:
             out.reshape(-1).view(np.uint8)[:] = self._payload[slot][:nbytes]
         self._recv_seq = seq
-        log = conclog.active()
-        if log is not None:
+        rec = events.protocol()
+        if rec is not None:
             # Stamped before the EMPTY release for the same reason the
             # send event precedes the FULL flip: the sender's next write
             # into this slot (the slot-reuse edge) can only be stamped
             # after it observes EMPTY, i.e. after this timestamp.
-            log.emit("recv", src=self.src, dst=self.dst, slot=slot, seq=seq,
+            rec.emit("recv", src=self.src, dst=self.dst, slot=slot, seq=seq,
                      got_seq=got_seq)
         self._status[slot][0] = _EMPTY
         return out
@@ -302,9 +299,9 @@ class ShmChannel:
         """Number of FULL slots right now (observer-safe, racy by design).
 
         A pure read of the status words — no protocol state is touched, so
-        any attached party (including the telemetry agent mid-step) can
-        sample ring backlog without perturbing the sender/receiver.  The
-        value is a snapshot: slots may flip concurrently.
+        any attached party can sample ring backlog without perturbing the
+        sender/receiver.  The value is a snapshot: slots may flip
+        concurrently.
         """
         return sum(int(status[0] == _FULL) for status in self._status)
 
@@ -332,19 +329,15 @@ class ShmChannel:
     # -- fault-injection helpers ----------------------------------------
     def _note_fault(self, kind: str, slot: int, seq: int, attempt: int,
                     start: float) -> None:
-        """Record one injected fault on the conclog and the timeline.
-
-        The conclog event (kind ``fault``) lets the DYN003 replay and the
-        CI artifact show exactly which faults fired; the hook span (cat
-        ``mp.fault``) makes retries visible in the Chrome trace.
-        """
-        log = conclog.active()
-        if log is not None:
-            log.emit("fault", fault=kind, src=self.src, dst=self.dst,
+        """Record one injected fault: the ``fault`` event says which fault
+        fired (the telemetry fold counts them), the ``mp.fault`` span makes
+        the retry window visible in the Chrome trace."""
+        rec = events.active()
+        if rec is not None:
+            rec.emit("fault", fault=kind, src=self.src, dst=self.dst,
                      slot=slot, seq=seq, attempt=attempt)
-        if self.fault_hook is not None:
-            self.fault_hook(f"fault:{kind} {self.src}->{self.dst} seq {seq}",
-                            start)
+            rec.span(f"fault:{kind} {self.src}->{self.dst} seq {seq}",
+                     "mp.fault", start)
 
     def _inject_corruption(self, slot: int, field: str) -> None:
         """Corrupt the slot in place, remembering how to undo it.
@@ -400,16 +393,17 @@ class ShmChannel:
                 return
             start = _now()
             if spec.kind == "delay":
+                # Then back to the plan: every fault planned for this
+                # message fires, in list order, before it is committed.
                 time.sleep(spec.seconds)
                 self._note_fault("delay", slot, seq, attempt, start)
-                self._commit_send(arr, code)
-                return
+                continue
             # Dropped slot: the staged message is lost before publication;
             # log the lost attempt (marked, so DYN003 pairs the *last*
             # send with the recv) and resend after a backoff.
-            log = conclog.active()
-            if log is not None:
-                log.emit("send", src=self.src, dst=self.dst, slot=slot,
+            rec = events.protocol()
+            if rec is not None:
+                rec.emit("send", src=self.src, dst=self.dst, slot=slot,
                          seq=seq, dropped=True, retry=attempt)
             self._note_fault("drop", slot, seq, attempt, start)
             if attempt + 1 >= plan.retry_budget:
@@ -478,12 +472,12 @@ class ShmBarrier:
     def arrive(self) -> int:
         """Publish this rank's arrival at the next generation."""
         self._generation += 1
-        log = conclog.active()
-        if log is not None:
+        rec = events.protocol()
+        if rec is not None:
             # Before the publishing store (see ShmChannel._commit_send):
             # a peer can only depart — and stamp its departure — after it
             # observes this slot, so arrivals always timestamp first.
-            log.emit("barrier_arrive", gen=self._generation)
+            rec.emit("barrier_arrive", gen=self._generation)
         struct.pack_into("<I", self._buf, 4 * self.rank, self._generation)
         return self._generation
 
@@ -516,9 +510,9 @@ class ShmBarrier:
                 )
             time.sleep(delay)
             delay = min(delay * 2, _POLL_MAX_S)
-        log = conclog.active()
-        if log is not None:
-            log.emit("barrier_depart", gen=generation)
+        rec = events.protocol()
+        if rec is not None:
+            rec.emit("barrier_depart", gen=generation)
         return generation
 
 
@@ -527,9 +521,8 @@ class ExchangeHandle:
 
     Returned by :meth:`RankTransport.exchange_issue`.  Between issue and
     :meth:`wait` the caller is free to run independent compute; the
-    in-flight window is recorded on the transport timeline as an async
-    span (``mp.async``) so it shows up as a ``b``/``e`` pair in the
-    Chrome trace.
+    in-flight window is recorded as an ``mp.async`` span so it shows up as
+    a ``b``/``e`` pair in the Chrome trace.
 
     ``wait`` is idempotent — a second call returns the cached gather.  An
     *uncompleted* handle whose transport has been closed (backend
@@ -554,8 +547,9 @@ class ExchangeHandle:
         return self._result is not None
 
     def wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, np.ndarray]:
-        log = conclog.active()
-        if self._result is None:
+        rec = events.active()
+        dup = self._result is not None
+        if not dup:
             t = self._transport
             if t.closed:
                 raise BackendError(
@@ -569,14 +563,12 @@ class ExchangeHandle:
                 if peer != t.rank:
                     out[peer] = t._channels[(peer, t.rank)].recv(timeout=timeout)
             self._result = out
-            t._record_wait(f"{self._label} wait", start)
-            t._record_wait(self._label, self._issued_at, cat="mp.async")
-            if log is not None and self._conc_id is not None:
-                log.emit("handle_wait", hid=self._conc_id, htype="exchange",
-                         crc=conclog.payload_crc(self._arr), dup=False)
-        elif log is not None and self._conc_id is not None:
-            log.emit("handle_wait", hid=self._conc_id, htype="exchange",
-                     crc=conclog.payload_crc(self._arr), dup=True)
+            if rec is not None:
+                rec.span(f"{self._label} wait", "mp.wait", start)
+                rec.span(self._label, "mp.async", self._issued_at)
+        if rec is not None and self._conc_id is not None:
+            rec.emit("handle_wait", hid=self._conc_id, htype="exchange",
+                     crc=events.payload_crc(self._arr), dup=dup)
         return self._result
 
 
@@ -623,18 +615,10 @@ class RankTransport:
                 if rank not in (src, dst):
                     continue
                 off = base + (src * self.world + dst) * ring
-                ch = ShmChannel(
+                self._channels[(src, dst)] = ShmChannel(
                     buf[off : off + ring], self.capacity, src=src, dst=dst,
                     slots=self.slots,
                 )
-                ch.fault_hook = self._record_fault
-                self._channels[(src, dst)] = ch
-        #: Optional per-step span sink: when a list, blocking waits append
-        #: ``{"name", "cat", "ts_ms", "dur_ms"}`` dicts (worker-local
-        #: clock).  ``cat`` is ``mp.wait`` for blocking waits and
-        #: ``mp.async`` for issue→wait in-flight windows.
-        self.timeline: list[dict] | None = None
-        self.timeline_origin = 0.0
         #: State-plane views by region (0 = weights, 1 + g = gang g's slab).
         self._state: dict[int, dict[str, np.ndarray]] = {}
 
@@ -696,32 +680,19 @@ class RankTransport:
         return self._state_views(1 + gang)
 
     # ------------------------------------------------------------------
-    def _record_wait(self, name: str, start: float, cat: str = "mp.wait") -> None:
-        if self.timeline is not None:
-            dur = _now() - start
-            self.timeline.append({
-                "name": name, "cat": cat,
-                "ts_ms": (start - self.timeline_origin) * 1e3,
-                "dur_ms": dur * 1e3,
-            })
-
-    def record_span(self, name: str, start: float, cat: str = "mp.wait") -> None:
-        """Public timeline hook for layers above the transport."""
-        self._record_wait(name, start, cat)
-
-    def _record_fault(self, name: str, start: float) -> None:
-        """Channel fault hook: injected faults show as ``mp.fault`` spans."""
-        self._record_wait(name, start, cat="mp.fault")
-
     def send(self, dst: int, arr: np.ndarray, timeout: float = DEFAULT_TIMEOUT_S) -> None:
         start = _now()
         self._channels[(self.rank, dst)].send(arr, timeout=timeout)
-        self._record_wait(f"send->r{dst}", start)
+        rec = events.active()
+        if rec is not None:
+            rec.span(f"send->r{dst}", "mp.wait", start)
 
     def recv(self, src: int, timeout: float = DEFAULT_TIMEOUT_S) -> np.ndarray:
         start = _now()
         out = self._channels[(src, self.rank)].recv(timeout=timeout)
-        self._record_wait(f"recv<-r{src}", start)
+        rec = events.active()
+        if rec is not None:
+            rec.span(f"recv<-r{src}", "mp.wait", start)
         return out
 
     def exchange_issue(self, peers: list[int], arr: np.ndarray,
@@ -738,15 +709,14 @@ class RankTransport:
         for peer in peers:
             if peer != self.rank:
                 self._channels[(self.rank, peer)].send(arr, timeout=timeout)
-        log = conclog.active()
+        label = label or f"exchange x{len(peers)}"
+        rec = events.protocol()
         conc_id = None
-        if log is not None:
-            conc_id = log.next_handle_id()
-            log.emit("handle_issue", hid=conc_id, htype="exchange",
-                     label=label or f"exchange x{len(peers)}",
-                     crc=conclog.payload_crc(arr))
-        return ExchangeHandle(self, list(peers), arr,
-                              label or f"exchange x{len(peers)}", issued_at,
+        if rec is not None:
+            conc_id = rec.next_handle_id()
+            rec.emit("handle_issue", hid=conc_id, htype="exchange",
+                     label=label, crc=events.payload_crc(arr))
+        return ExchangeHandle(self, list(peers), arr, label, issued_at,
                               conc_id=conc_id)
 
     def exchange(self, peers: list[int], arr: np.ndarray,
@@ -758,19 +728,22 @@ class RankTransport:
         """
         return self.exchange_issue(peers, arr, timeout=timeout).wait(timeout)
 
-    def ring_occupancy(self) -> dict[tuple[int, int], int]:
-        """FULL-slot count per directed mailbox this rank touches.
+    def ring_occupancy(self) -> int:
+        """FULL-slot count of the fullest mailbox this rank touches.
 
         Telemetry gauge: sustained high occupancy on an incoming ring
         means this rank is the consumer lagging its producer.  Snapshot
         semantics (see :meth:`ShmChannel.occupancy`).
         """
-        return {key: ch.occupancy() for key, ch in self._channels.items()}
+        return max((ch.occupancy() for ch in self._channels.values()),
+                   default=0)
 
     def barrier_wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> int:
         start = _now()
         gen = self.barrier.wait(timeout=timeout)
-        self._record_wait("barrier", start)
+        rec = events.active()
+        if rec is not None:
+            rec.span("barrier", "mp.wait", start)
         return gen
 
     @property

@@ -21,7 +21,9 @@ gang's sp rank 0 plane (the SP sync made the planes equal) and on the
 parameter's tp rank — the shard's, or rank 0 for a replicated parameter.
 
 The control pipe (``multiprocessing.Pipe``) carries commands, batch, loss,
-events and timelines; everything else lives exclusively in shared memory.
+comm events and the step's slice of the rank event record
+(:mod:`repro.parallel.backend.events`); everything else lives exclusively
+in shared memory.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import traceback
 
 import numpy as np
 
-from repro.parallel.backend import conclog, faults
+from repro.parallel.backend import events, faults
 from repro.parallel.backend.context import RankContext, set_rank_context
 from repro.parallel.backend.transport import RankTransport
 from repro.tensor import Tensor
@@ -59,21 +61,9 @@ def _disable_shm_tracking() -> None:
     resource_tracker.register = register
 
 
-def _span(timeline: list[dict] | None, origin: float, name: str,
-          start: float) -> None:
-    if timeline is not None:
-        now = time.monotonic()
-        timeline.append({
-            "name": name, "cat": "mp.phase",
-            "ts_ms": (start - origin) * 1e3,
-            "dur_ms": (now - start) * 1e3,
-        })
-
-
-def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
-               collect_timeline: bool):
+def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
     """One training step of this rank's slice; returns (loss, names of the
-    gradients written to the gang's slab, events, timeline).
+    gradients written to the gang's slab, comm events).
 
     The step executes the pipeline schedule's op list verbatim
     (:func:`repro.parallel.pipeline.schedule_ops`): each ``F`` op carries
@@ -102,10 +92,7 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
     m = getattr(cfg, "num_microbatches", 1)
     schedule = getattr(cfg, "pipeline_schedule", "gpipe")
 
-    timeline: list[dict] | None = [] if collect_timeline else None
-    origin = time.monotonic()
-    transport.timeline = timeline
-    transport.timeline_origin = origin
+    rec = events.active()
 
     model.zero_grad()
     model.tracker.reset()
@@ -152,7 +139,8 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
                 )
             else:
                 losses[i] = model.loss_from_hidden(h, mb_labels)
-            _span(timeline, origin, "forward" if m == 1 else f"F{i}", t0)
+            if rec is not None:
+                rec.span("forward" if m == 1 else f"F{i}", "mp.phase", t0)
         else:
             if stage < pp - 1:
                 g = transport.recv(ctx.peer(stage + 1), timeout=ctx.timeout)
@@ -177,9 +165,10 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
                 transport.send(ctx.peer(stage - 1),
                                np.ascontiguousarray(leaf.grad),
                                timeout=ctx.timeout)
-                transport.record_span(f"pp grad send mb{i}", t_send,
-                                      cat="mp.async")
-            _span(timeline, origin, "backward" if m == 1 else f"B{i}", t0)
+                if rec is not None:
+                    rec.span(f"pp grad send mb{i}", "mp.async", t_send)
+            if rec is not None:
+                rec.span("backward" if m == 1 else f"B{i}", "mp.phase", t0)
 
     # Ring SP leaves each rank's QKV gradients partial over its sequence
     # block; reconcile around the ring before replying to the parent.
@@ -194,14 +183,12 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask,
             if p.grad is not None and (p.tp_rank or 0) == ctx.tp_rank:
                 np.copyto(slab[name], p.grad)
                 written.append(name)
-    events = list(model.tracker.events)
-    transport.timeline = None
     loss_val = mean_loss(loss_vals) if loss_vals else None
-    return loss_val, written, events, timeline or []
+    return loss_val, written, list(model.tracker.events)
 
 
-def _serve(conn, ctx: RankContext, model_spec: dict, conc, fault_plan,
-           telem) -> None:
+def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
+           telemetry: bool) -> None:
     """Build the replica on the weights arena and answer commands until
     ``shutdown``.  The model lives in this frame only: once it is gone, no
     local of the caller holds a view of the segment."""
@@ -216,8 +203,14 @@ def _serve(conn, ctx: RankContext, model_spec: dict, conc, fault_plan,
     for name, p in model.named_parameters():
         p.data = weights[name]
     set_rank_context(ctx)
-    if telem is not None:
-        telem.watch(model.tracker)
+    # Telemetry: summarise each step's slice, with a worker-local fidelity
+    # probe on the tracker.  Off, the obs package is never imported here.
+    probe = None
+    if telemetry:
+        from repro.obs.fidelity import FidelityProbe
+        from repro.obs.telemetry.agent import process_peak_rss_kb, step_summary
+
+        probe = model.tracker.probe = FidelityProbe()
     conn.send(("ready", rank))
     steps_done = 0
     while True:
@@ -234,66 +227,64 @@ def _serve(conn, ctx: RankContext, model_spec: dict, conc, fault_plan,
                 msg[1].get(f"dp{ctx.dp_rank}", msg[1]))
         elif cmd == "step":
             _, input_ids, labels, attention_mask, collect = msg
-            # Stamped before fault injection so a planned straggler delay
-            # lands in this rank's wall (and busy) time instead of
-            # disappearing between commands.
-            t_step_start = time.monotonic()
-            if telem is not None:
-                telem.begin_step(steps_done)
+            # The step is observed if any sink wants it: the reply (the
+            # parent asked for timelines, or telemetry is on) or the JSONL.
+            on_reply = collect or probe is not None
+            if on_reply or rec.path is not None:
+                events.install(rec)
+                # Stamped before fault injection so a planned straggler
+                # delay lands in this rank's wall (and busy) time instead
+                # of disappearing between commands.
+                rec.emit("step_begin", step=steps_done)
+            else:
+                events.uninstall()
+            live = events.active()
             if fault_plan is not None:
                 fault_plan.set_step(steps_done)
-                spec = fault_plan.take_step_fault(rank, steps_done)
-                if spec is not None and spec.kind == "kill":
-                    # Planned death: flush the event log so the run stays
-                    # replayable, then exit hard — the parent sees EOF on
-                    # the pipe and raises a BackendError naming this rank.
-                    if conc is not None:
-                        conc.emit("fault", fault="kill", step=steps_done)
-                        conc.flush()
-                    if telem is not None:
-                        telem.emit("fault", kind="kill", step=steps_done)
-                        telem.publish()
-                    conn.close()
-                    os._exit(faults.KILL_EXIT_CODE)
-                if spec is not None and spec.kind == "delay":
-                    if conc is not None:
-                        conc.emit("fault", fault="delay", step=steps_done,
+                # Every fault planned for this (rank, step) fires, in list
+                # order; a kill ends the list.
+                while (spec := fault_plan.take_step_fault(
+                        rank, steps_done)) is not None:
+                    if live is not None:
+                        live.emit("fault", fault=spec.kind, step=steps_done,
                                   seconds=spec.seconds)
+                    if spec.kind == "kill":
+                        # Planned death: flush the record so the run stays
+                        # replayable, then exit hard — the parent sees EOF
+                        # on the pipe and raises a BackendError naming this
+                        # rank.
+                        rec.flush()
+                        conn.close()
+                        os._exit(faults.KILL_EXIT_CODE)
                     time.sleep(spec.seconds)
-            # Telemetry needs the span timeline (comm-wait decomposes the
-            # step) even when the parent didn't ask for traces.
-            loss_val, written, events, timeline = _spmd_step(
-                model, ctx, input_ids, labels, attention_mask,
-                collect or telem is not None)
-            if conc is not None:
-                # Flush after every step so a crashed run still leaves a
-                # replayable event-log prefix on disk.
-                conc.emit("step_end", step=steps_done)
-                conc.flush()
-            if telem is not None:
-                # Emit-before-publish: the step's telemetry is on the side
-                # channel before the result that makes the step observable
-                # goes over the control pipe.
-                telem.record_step(steps_done, t_step_start, loss=loss_val,
-                                  timeline=timeline, transport=transport,
-                                  plan=fault_plan)
-                telem.publish()
+            loss_val, written, comm_events = _spmd_step(
+                model, ctx, input_ids, labels, attention_mask)
+            if live is not None:
+                live.emit("step_end", step=steps_done)
+            if probe is not None:
+                live.emit("step", **step_summary(
+                    live.events, loss=loss_val,
+                    ring_occupancy=transport.ring_occupancy(),
+                    fidelity=probe.per_site(),
+                    peak_rss_kb=process_peak_rss_kb()))
+                probe.reset()
             steps_done += 1
-            # The timeline only travels the control pipe when the parent
-            # asked for traces; a telemetry-forced one was summarized above
-            # and is stripped here.
-            conn.send(("result", rank, loss_val, written, events,
-                       timeline if collect else []))
+            # Flushed after every step, so a crashed run still leaves a
+            # replayable prefix on disk; the same slice rides the reply.
+            step_slice = rec.flush() if live is not None else []
+            conn.send(("result", rank, loss_val, written, comm_events,
+                       step_slice if on_reply else []))
         else:
             raise RuntimeError(f"unknown command {cmd!r}")
 
 
 def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
-                 timeout: float, telemetry_q=None) -> None:
+                 timeout: float, telemetry: bool) -> None:
     """Process target: attach transport, build the replica, serve commands.
 
     ``rank_info`` carries this rank's :class:`RankContext` coordinates,
-    ``model_spec`` the model class, its config and extra constructor kwargs.
+    ``model_spec`` the model class, its config and extra constructor kwargs,
+    ``telemetry`` the parent's reading of ``REPRO_TELEMETRY`` at spawn.
     Every command is answered (``("result", ...)`` or ``("error", rank,
     tb)``) so the parent never waits on a silent failure.
     """
@@ -301,21 +292,14 @@ def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
     ctx = RankContext(**rank_info, timeout=timeout)
     rank, world = ctx.rank, spec["world"]
     ctx.rng = np.random.default_rng((model_spec["config"].seed, rank))
-    # Concurrency event log (DYN003): purely env-gated, off in production.
-    conc = conclog.maybe_install_from_env(rank, world=world)
+    # The rank event record; REPRO_CONC_LOG attaches its JSONL sink.
+    rec = events.EventRecord.from_env(rank, world)
     # Fault plan (chaos injection): also purely env-gated; the env var is
     # inherited from the parent through the spawn context.
     fault_plan = faults.maybe_install_from_env()
-    # Live telemetry (REPRO_TELEMETRY): the parent only passes a queue when
-    # the env var is set; otherwise the agent import stays off this path.
-    telem = None
-    if telemetry_q is not None:
-        from repro.obs.telemetry.agent import maybe_agent_from_env
-
-        telem = maybe_agent_from_env(rank, world=world, sink=telemetry_q)
     try:
         ctx.transport = RankTransport(spec, rank)
-        _serve(conn, ctx, model_spec, conc, fault_plan, telem)
+        _serve(conn, ctx, model_spec, rec, fault_plan, telemetry)
     except EOFError:
         pass  # parent went away; nothing to report to
     except BaseException:
@@ -325,9 +309,8 @@ def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
             pass
     finally:
         set_rank_context(None)
-        if conc is not None:
-            conc.flush()
-            conclog.uninstall()
+        events.uninstall()
+        rec.flush()
         if ctx.transport is not None:
             # The parameters were views of the segment and the module tree
             # has reference cycles; the views must be gone before close().

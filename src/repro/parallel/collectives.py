@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.compression.base import BYTES_FP16, Compressor, NoCompressor
 from repro.compression.autoencoder import AutoencoderCompressor
-from repro.parallel.backend import conclog as _conclog
+from repro.parallel.backend import events as _events
 from repro.parallel.backend.context import Group, sum_in_order
 from repro.tensor import Tensor
 from repro.tensor.tensor import concatenate as _concatenate
@@ -192,10 +192,10 @@ class CommHandle:
         self._error: BaseException | None = None
         self._cid: int | None = None
         if finish is not None:
-            log = _conclog.active()
-            if log is not None:
-                self._cid = log.next_handle_id()
-                log.emit("handle_issue", hid=self._cid, htype="comm")
+            rec = _events.protocol()
+            if rec is not None:
+                self._cid = rec.next_handle_id()
+                rec.emit("handle_issue", hid=self._cid, htype="comm")
 
     @classmethod
     def ready(cls, value: Tensor) -> "CommHandle":
@@ -215,7 +215,8 @@ class CommHandle:
             raise BackendError(
                 f"wait() on a handle that already failed: {self._error}"
             ) from self._error
-        if self._finish is not None:
+        dup = self._finish is None
+        if not dup:
             finish = self._finish
             try:
                 result = finish()
@@ -225,15 +226,10 @@ class CommHandle:
                 raise
             self._finish = None
             self._result = result
-            if self._cid is not None:
-                log = _conclog.active()
-                if log is not None:
-                    log.emit("handle_wait", hid=self._cid, htype="comm",
-                             dup=False)
-        elif self._cid is not None:
-            log = _conclog.active()
-            if log is not None:
-                log.emit("handle_wait", hid=self._cid, htype="comm", dup=True)
+        if self._cid is not None:
+            rec = _events.protocol()
+            if rec is not None:
+                rec.emit("handle_wait", hid=self._cid, htype="comm", dup=dup)
         return self._result
 
 

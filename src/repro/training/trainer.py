@@ -58,8 +58,8 @@ class FineTuneTrainer:
     An optional live-telemetry pair — a
     :class:`~repro.obs.telemetry.Collector` and a
     :class:`~repro.obs.telemetry.HealthMonitor` — is serviced once per
-    step: the backend's side channel is drained into the collector
-    (inproc backends yield nothing), the step loss is observed on the
+    step: the step result's rank event record is ingested by the collector
+    (inproc backends yield none), the step loss is observed on the
     pooled series, and the monitor's rules are checked.  Both default to
     ``None`` and cost nothing when absent.
     """
@@ -86,10 +86,8 @@ class FineTuneTrainer:
         coll = self.collector
         if coll is None:
             return
-        if self.backend is not None:
-            coll.drain(self.backend)
         # The pooled loss series exists for both backends: inproc runs get
-        # loss health rules (NaN/divergence) even without a side channel.
+        # loss health rules (NaN/divergence) even without rank records.
         coll.observe(None, "loss", loss_val)
         if self.monitor is not None:
             self.monitor.check(self.global_step)
@@ -102,6 +100,8 @@ class FineTuneTrainer:
         with rec.timer("forward"):
             result = self.backend.train_step(batch.input_ids, batch.labels,
                                              batch.attention_mask)
+        if self.collector is not None:
+            self.collector.ingest_record(result.record)
         with rec.timer("backward"):
             self.backend.apply_grads(self.model, result)
         with rec.timer("optimizer"):

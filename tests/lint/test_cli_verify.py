@@ -11,7 +11,7 @@ import subprocess
 import pytest
 
 from repro.lint.cli import main
-from repro.parallel.backend.conclog import ConcurrencyLog
+from repro.parallel.backend.events import EventRecord
 
 
 class TestModelCheckFlag:
@@ -36,14 +36,14 @@ class TestRaceLogFlag:
         assert "DYN003" in out and "cannot load" in out
 
     def test_clean_recorded_log_exits_zero(self, tmp_path, capsys):
-        log = ConcurrencyLog(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
+        log = EventRecord(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
         log.emit("step_end", step=0)
         log.flush()
         assert main(["--race-log", str(tmp_path)]) == 0
         assert "clean (static + dynamic)" in capsys.readouterr().out
 
     def test_corrupt_log_names_the_race(self, tmp_path, capsys):
-        log = ConcurrencyLog(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
+        log = EventRecord(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
         log.emit("handle_issue", hid=1, htype="exchange", label="fwd", crc=1)
         log.flush()  # issued, never waited
         assert main(["--race-log", str(tmp_path)]) == 1

@@ -1,7 +1,7 @@
 """DYN003: the offline happens-before checker over hand-built event logs.
 
 Each test constructs a small synthetic log with the :class:`_LogBuilder`
-below (same shape as the events :mod:`repro.parallel.backend.conclog`
+below (same shape as the events :mod:`repro.parallel.backend.events`
 records) and asserts the replay either passes or produces a finding that
 names the rank / mailbox / slot / seq involved — the mutation-evidence
 contract from the module docstring.
@@ -10,7 +10,7 @@ contract from the module docstring.
 import pytest
 
 from repro.lint.race_check import run_race_check, run_race_check_on_path
-from repro.parallel.backend.conclog import ConcurrencyLog
+from repro.parallel.backend.events import EventRecord as ConcurrencyLog
 
 
 class _LogBuilder:

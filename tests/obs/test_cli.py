@@ -1,9 +1,13 @@
 """python -m repro.obs: report, smoke and sim-trace subcommands."""
 
 import json
+import re
 
+from repro.lint.race_check import run_race_check_on_path
 from repro.obs.cli import main
 from repro.obs.metrics import RunRecorder
+from repro.obs.trace import worker_timelines_trace
+from repro.parallel.backend import load_events, span_view
 
 
 def make_jsonl(tmp_path):
@@ -100,22 +104,57 @@ class TestSmoke:
 
 
 class TestMpTrace:
+    """One record, two views: the trace ``mp-trace`` writes live from
+    ``StepResult.timelines`` and the one rebuilt offline from the JSONL
+    sink alone are the same trace, and DYN003 replays the same files."""
+
+    @staticmethod
+    def record(tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        out, logs = str(tmp_path / "mp-1f1b.trace.json"), str(tmp_path / "logs")
+        assert main(["mp-trace", "--out", out, "--schedule", "1f1b",
+                     "--microbatches", "4", "--conc-log", logs]) == 0
+        with open(out) as fh:
+            live = json.load(fh)
+        recorded = load_events(logs)
+        rebuilt = worker_timelines_trace(span_view(recorded), live["otherData"])
+        # Same per-rank span names, categories and durations: the very
+        # same trace events, floats and all.
+        assert rebuilt["traceEvents"] == live["traceEvents"]
+        assert run_race_check_on_path(logs) == []
+        return live["traceEvents"], recorded
+
     def test_1f1b_step_exports_in_flight_comm_spans(self, tmp_path, capsys,
                                                     monkeypatch):
         """A real 2x2 1F1B gang step: the worker timelines must carry at
         least one in-flight window (Chrome async ``b``), all of them
         ``mp.async``.  None would mean the overlap machinery silently fell
         back to blocking transfers."""
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        out = str(tmp_path / "mp-1f1b.trace.json")
-        assert main(["mp-trace", "--out", out, "--schedule", "1f1b",
-                     "--microbatches", "4"]) == 0
+        events, recorded = self.record(tmp_path, monkeypatch)
         assert "4 ranks" in capsys.readouterr().out
-        with open(out) as fh:
-            events = json.load(fh)["traceEvents"]
         begins = [e for e in events if e.get("ph") == "b"]
         assert begins and all(e["cat"] == "mp.async" for e in begins)
         assert len([e for e in events if e.get("ph") == "e"]) == len(begins)
+        assert not [e for e in recorded if e["kind"] == "fault"]
+
+    def test_faulted_step_shows_each_fault_as_event_and_span(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "mixed")
+        events, recorded = self.record(tmp_path, monkeypatch)
+        spans = sorted(e["name"] for e in events if e.get("cat") == "mp.fault")
+        assert spans == ["fault:corrupt 2->0 seq 1", "fault:drop 0->2 seq 1",
+                         "fault:drop 0->2 seq 1"]
+        channel = sorted((e["fault"], e["src"], e["dst"], e["seq"])
+                         for e in recorded
+                         if e["kind"] == "fault" and "src" in e)
+        assert channel == sorted(
+            (kind, int(src), int(dst), int(seq)) for kind, src, dst, seq in
+            (re.fullmatch(r"fault:(\w+) (\d+)->(\d+) seq (\d+)", name).groups()
+             for name in spans))
+        # The straggler delay is a rank fault: an event, no channel span.
+        (delay,) = [e for e in recorded
+                    if e["kind"] == "fault" and "src" not in e]
+        assert (delay["rank"], delay["fault"], delay["step"]) == (1, "delay", 0)
 
 
 class TestTelemetryVerbs:
@@ -153,9 +192,8 @@ class TestTelemetryVerbs:
         registry = str(tmp_path / "runs")
         for run_id, wall in (("run-a", 10.0), ("run-b", 20.0)):
             coll = Collector()
-            coll.ingest({"type": "meta", "rank": 0, "t": 0.0, "world": 1,
-                         "sample_every": 1})
-            coll.ingest({"type": "step", "rank": 0, "t": 0.0, "step": 0,
+            coll.ingest({"kind": "meta", "rank": 0, "t": 0.0, "world": 1})
+            coll.ingest({"kind": "step", "rank": 0, "t": 0.0, "step": 0,
                          "wall_ms": wall, "comm_wait_ms": 1.0,
                          "busy_ms": wall - 1.0, "fault_ms": 0.0,
                          "ring_occupancy": 0, "retries": 0, "drops": 0,

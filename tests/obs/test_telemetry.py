@@ -1,170 +1,104 @@
-"""TelemetryAgent event shapes, SlidingWindow statistics, Collector ingestion."""
+"""The step-summary fold, SlidingWindow statistics, Collector ingestion."""
 
 import math
-import queue
 
 import numpy as np
 import pytest
 
-from repro.obs.telemetry import Collector, ListSink, SlidingWindow, TelemetryAgent
-from repro.obs.telemetry.agent import maybe_agent_from_env
+from repro.obs.fidelity import FidelityProbe
+from repro.obs.telemetry import Collector, SlidingWindow, enabled, step_summary
+from repro.parallel.backend.events import EventRecord
 
 
-class FakeClock:
-    """Deterministic monotonic clock: each read advances by ``tick``."""
-
-    def __init__(self, tick=0.010):
-        self.t = 0.0
-        self.tick = tick
-
-    def __call__(self):
-        self.t += self.tick
-        return self.t
+def _ev(kind, t, **fields):
+    return {"kind": kind, "rank": 0, "idx": 0, "t": t, **fields}
 
 
-class FullSink:
-    """Sink that is always full: every put raises ``queue.Full``."""
-
-    def put_nowait(self, batch):
-        raise queue.Full
+def _span(cat, name, dur_ms):
+    return _ev("span", 0.0, name=name, cat=cat, dur=dur_ms / 1e3)
 
 
-class FakeTransport:
-    def __init__(self, occupancy):
-        self._occupancy = occupancy
-
-    def ring_occupancy(self):
-        return dict(self._occupancy)
+def _faults(**counts):
+    return [_ev("fault", 0.0, fault=kind) for kind, n in counts.items()
+            for _ in range(n)]
 
 
-class FakePlan:
-    """Stands in for a FaultPlan: only ``injected`` counters are read."""
-
-    def __init__(self, **injected):
-        self.injected = injected
-
-
-class FakeTracker:
-    probe = None
-
-
-def agent(**kw):
-    sink = ListSink()
-    return TelemetryAgent(0, 4, sink, clock=FakeClock(), **kw), sink
+def _step(step, *body, wall_s=0.020):
+    return [_ev("step_begin", 1.0, step=step), *body,
+            _ev("step_end", 1.0 + wall_s, step=step)]
 
 
 class TestAgentEvents:
     def test_meta_event_emitted_at_construction(self):
-        ag, sink = agent(sample_every=2)
-        assert ag.publish() == 1
-        (meta,) = sink.events()
-        assert meta["type"] == "meta"
+        (meta,) = EventRecord(rank=0, world=4).flush()
+        assert meta["kind"] == "meta"
         assert meta["rank"] == 0
         assert meta["world"] == 4
-        assert meta["sample_every"] == 2
 
     def test_publish_batches_and_clears_buffer(self):
-        ag, sink = agent()
-        ag.emit("fault", kind="kill", step=3)
-        assert ag.publish() == 2  # meta + fault
-        assert ag.publish() == 0  # buffer now empty
-        kinds = [e["type"] for e in sink.events()]
-        assert kinds == ["meta", "fault"]
-
-    def test_full_sink_drops_instead_of_raising(self):
-        ag = TelemetryAgent(0, 4, FullSink(), clock=FakeClock())
-        ag.emit("step", step=0)
-        assert ag.publish() == 0
-        assert ag.dropped == 2  # meta + step
+        record = EventRecord(rank=0, world=4)
+        record.emit("fault", fault="kill", step=3)
+        assert [e["kind"] for e in record.flush()] == ["meta", "fault"]
+        assert record.flush() == []  # the slice is handed over once
 
     def test_record_step_shape_and_derived_fields(self):
-        ag, sink = agent()
-        timeline = [
-            {"cat": "mp.phase", "name": "forward", "dur_ms": 5.0},
-            {"cat": "mp.wait", "name": "recv", "dur_ms": 3.0},
-            {"cat": "mp.wait", "name": "barrier", "dur_ms": 2.0},
-            {"cat": "mp.fault", "name": "retry", "dur_ms": 1.5},
-        ]
-        event = ag.record_step(
-            7, t_start=0.0, loss=1.25, timeline=timeline,
-            transport=FakeTransport({("fwd", 0, 2): 3, ("bwd", 2, 0): 1}),
-            plan=FakePlan(drop=2, corrupt=1, delay=1),
+        events = _step(
+            7,
+            _span("mp.phase", "forward", 5.0),
+            _span("mp.wait", "recv", 3.0),
+            _span("mp.wait", "barrier", 2.0),
+            _span("mp.fault", "retry", 1.5),
+            *_faults(drop=2, corrupt=1, delay=1),
         )
-        assert event["type"] == "step" and event["step"] == 7
+        event = step_summary(events, loss=1.25, ring_occupancy=3,
+                             peak_rss_kb=1000.0)
+        assert event["step"] == 7
+        assert event["wall_ms"] == pytest.approx(20.0)
         assert event["comm_wait_ms"] == pytest.approx(5.0)
         assert event["fault_ms"] == pytest.approx(1.5)
         assert event["busy_ms"] == pytest.approx(event["wall_ms"] - 5.0)
-        assert event["ring_occupancy"] == 3  # max over mailboxes
+        assert event["ring_occupancy"] == 3
         assert event["retries"] == 3 and event["drops"] == 2
         assert event["delays"] == 1
         assert event["loss"] == 1.25
-        assert event["peak_rss_kb"] >= 0.0
+        assert event["peak_rss_kb"] == 1000.0
 
     def test_fault_deltas_are_per_step_not_cumulative(self):
-        ag, _ = agent()
-        plan = FakePlan(drop=2)
-        first = ag.record_step(0, t_start=0.0, plan=plan)
-        second = ag.record_step(1, t_start=0.0, plan=plan)  # counters unchanged
+        # Counted from the slice's own fault events, so a later step with
+        # none reads zero whatever the plan's lifetime counters say.
+        first = step_summary(_step(0, *_faults(drop=2)))
+        second = step_summary(_step(1))
         assert first["drops"] == 2
         assert second["drops"] == 0
 
     def test_fidelity_block_from_probe_and_probe_reset(self):
-        ag, _ = agent()
+        probe = FidelityProbe()
         x = np.ones(8)
-        ag.probe.observe(site="layer2.mlp", scheme="T2", group="tp",
-                        original=x, reconstructed=x * 0.9,
-                        wire_bytes=16, dense_bytes=64, residual=x * 0.1)
-        event = ag.record_step(0, t_start=0.0)
+        probe.observe(site="layer2.mlp", scheme="T2", group="tp",
+                      original=x, reconstructed=x * 0.9,
+                      wire_bytes=16, dense_bytes=64, residual=x * 0.1)
+        event = step_summary(_step(0), fidelity=probe.per_site())
         fid = event["fidelity"]["layer2.mlp"]
         assert fid["rel_l2"] == pytest.approx(0.1)
         assert fid["ratio"] == pytest.approx(4.0)
         assert fid["residual_norm"] == pytest.approx(np.linalg.norm(x * 0.1))
-        assert not ag.probe.records  # consumed by the step event
-        assert "fidelity" not in ag.record_step(1, t_start=0.0)
-
-    def test_begin_step_samples_probe_attachment(self):
-        ag, _ = agent(sample_every=2)
-        tracker = FakeTracker()
-        ag.watch(tracker)
-        ag.begin_step(0)
-        assert tracker.probe is ag.probe
-        ag.begin_step(1)
-        assert tracker.probe is None
-        ag.begin_step(2)
-        assert tracker.probe is ag.probe
-
-    def test_begin_step_never_steals_a_foreign_probe(self):
-        ag, _ = agent(sample_every=2)
-        tracker = FakeTracker()
-        tracker.probe = sentinel = object()
-        ag.watch(tracker)
-        ag.begin_step(1)  # unsampled step must not detach someone else's probe
-        assert tracker.probe is sentinel
+        probe.reset()
+        assert "fidelity" not in step_summary(_step(1),
+                                              fidelity=probe.per_site())
 
 
 class TestEnvGate:
     def test_disabled_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert maybe_agent_from_env(0, 4, ListSink()) is None
+        assert not enabled()
 
     def test_zero_counts_as_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert maybe_agent_from_env(0, 4, ListSink()) is None
+        assert not enabled()
 
-    def test_no_sink_means_no_agent(self, monkeypatch):
+    def test_any_other_value_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert maybe_agent_from_env(0, 4, None) is None
-
-    def test_enabled_with_sample_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "4")
-        ag = maybe_agent_from_env(1, 4, ListSink())
-        assert ag is not None and ag.rank == 1 and ag.sample_every == 4
-
-    def test_garbage_sample_env_degrades_to_every_step(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "often")
-        assert maybe_agent_from_env(0, 4, ListSink()).sample_every == 1
+        assert enabled()
 
 
 class TestSlidingWindow:
@@ -207,7 +141,7 @@ class TestSlidingWindow:
 
 
 def step_event(rank, step, **fields):
-    base = {"type": "step", "rank": rank, "t": 0.0, "step": step,
+    base = {"kind": "step", "rank": rank, "idx": 0, "t": 0.0, "step": step,
             "wall_ms": 10.0, "comm_wait_ms": 4.0, "busy_ms": 6.0,
             "fault_ms": 0.0, "ring_occupancy": 1, "retries": 0, "drops": 0,
             "delays": 0, "peak_rss_kb": 1000.0}
@@ -218,11 +152,9 @@ def step_event(rank, step, **fields):
 class TestCollector:
     def test_meta_registers_rank_and_world(self):
         coll = Collector()
-        coll.ingest({"type": "meta", "rank": 2, "t": 0.0, "world": 4,
-                     "sample_every": 1})
+        coll.ingest({"kind": "meta", "rank": 2, "idx": 0, "t": 0.0, "world": 4})
         assert coll.ranks() == [2]
         assert coll.world == 4
-        assert coll.meta[2]["sample_every"] == 1
 
     def test_step_feeds_per_rank_and_pooled_series(self):
         coll = Collector()
@@ -244,34 +176,26 @@ class TestCollector:
 
     def test_unknown_events_are_counted_but_ignored(self):
         coll = Collector()
-        coll.ingest({"type": "fault", "rank": 0, "t": 0.0, "kind": "kill"})
-        assert coll.events_seen == 1
+        coll.ingest({"kind": "fault", "rank": 0, "idx": 0, "t": 0.0,
+                     "fault": "kill"})
+        coll.ingest({"kind": "span", "rank": 0, "idx": 1, "t": 0.0,
+                     "name": "barrier", "cat": "mp.wait", "dur": 0.001})
+        assert coll.events_seen == 2
         assert coll.ranks() == []
 
-    def test_drain_queue(self):
+    def test_ingest_record_takes_every_ranks_slice(self):
         coll = Collector()
-        q = queue.Queue()
-        q.put_nowait([step_event(0, 0), step_event(1, 0)])
-        q.put_nowait([step_event(0, 1)])
-        assert coll.drain_queue(q) == 3
-        assert coll.last_step(0) == 1
-
-    def test_drain_backend_poll(self):
-        class FakeBackend:
-            def __init__(self):
-                self.batches = [[step_event(0, 0)], []]
-
-            def poll_telemetry(self):
-                return self.batches.pop(0) if self.batches else []
-
-        coll = Collector()
-        assert coll.drain(FakeBackend()) == 1
-        assert coll.ranks() == [0]
+        record = {0: [step_event(0, 0), step_event(0, 1)],
+                  1: [step_event(1, 0)]}
+        coll.ingest_record(record)
+        assert coll.events_seen == 3
+        assert coll.ranks() == [0, 1] and coll.last_step(0) == 1
+        coll.ingest_record({})  # telemetry off: nothing rides
+        assert coll.events_seen == 3
 
     def test_snapshot_shape(self):
         coll = Collector()
-        coll.ingest({"type": "meta", "rank": 0, "t": 0.0, "world": 2,
-                     "sample_every": 1})
+        coll.ingest({"kind": "meta", "rank": 0, "idx": 0, "t": 0.0, "world": 2})
         coll.ingest(step_event(0, 3, loss=1.5, fidelity={
             "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": 2.0},
         }))

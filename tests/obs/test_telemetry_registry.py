@@ -22,7 +22,7 @@ from repro.obs.telemetry.registry import list_runs, load_run, resolve_run
 
 
 def step_event(rank, step, **fields):
-    base = {"type": "step", "rank": rank, "t": 0.0, "step": step,
+    base = {"kind": "step", "rank": rank, "t": 0.0, "step": step,
             "wall_ms": 10.0 + rank, "comm_wait_ms": 4.0, "busy_ms": 6.0 + rank,
             "fault_ms": 0.0, "ring_occupancy": 1, "retries": 0, "drops": 0,
             "delays": 0, "peak_rss_kb": 1000.0, "loss": 1.5}
@@ -33,8 +33,7 @@ def step_event(rank, step, **fields):
 def make_summary(run_id="run-a", wall_ms=10.0, with_alert=False):
     coll = Collector()
     for rank in (0, 1):
-        coll.ingest({"type": "meta", "rank": rank, "t": 0.0, "world": 2,
-                     "sample_every": 1})
+        coll.ingest({"kind": "meta", "rank": rank, "t": 0.0, "world": 2})
         for step in range(3):
             coll.ingest(step_event(rank, step, wall_ms=wall_ms + rank,
                                    fidelity={"boundary0": {
@@ -144,8 +143,7 @@ class TestDashboards:
     def test_render_top_shows_ranks_and_alerts(self):
         coll = Collector()
         for rank in (0, 1):
-            coll.ingest({"type": "meta", "rank": rank, "t": 0.0, "world": 2,
-                         "sample_every": 1})
+            coll.ingest({"kind": "meta", "rank": rank, "t": 0.0, "world": 2})
             coll.ingest(step_event(rank, 0))
         monitor = HealthMonitor(coll, rules=[LossRule()])
         coll.observe(None, "loss", float("nan"))

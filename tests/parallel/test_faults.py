@@ -142,6 +142,16 @@ class TestChannelFaults:
         assert rx.recv() is not None
         assert faults.active().injected["delay"] == 1
 
+    def test_delay_listed_before_a_drop_on_one_message_does_not_mask_it(self):
+        faults.install(plan_of(
+            {"kind": "delay", "src": 0, "dst": 1, "seq": 1, "seconds": 0.0},
+            {"kind": "drop", "src": 0, "dst": 1, "seq": 1}))
+        tx, rx = make_pair()
+        arr = np.arange(8, dtype=np.float32)
+        tx.send(arr)
+        assert faults.active().injected == {"delay": 1, "drop": 1}
+        assert np.array_equal(rx.recv(), arr)
+
     def test_healthy_channel_unaffected_by_plan_for_other_mailbox(self):
         faults.install(plan_of(
             {"kind": "drop", "src": 2, "dst": 3, "seq": 1, "times": 2}))
@@ -217,6 +227,27 @@ class TestMpIntegration:
                 os.environ.pop(faults.ENV_VAR, None)
             else:
                 os.environ[faults.ENV_VAR] = saved
+
+    def test_delay_and_kill_on_one_rank_and_step_both_fire(self, tmp_path):
+        """List order: the delay sleeps, then the kill still kills — and the
+        record, flushed before the exit, names both."""
+        plan = json.dumps({"faults": [
+            {"kind": "delay", "rank": 3, "step": 0, "seconds": 0.01},
+            {"kind": "kill", "rank": 3, "step": 0}]})
+        log_dir = str(tmp_path / "conclog")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(faults.ENV_VAR, plan)
+            mp.setenv("REPRO_CONC_LOG", log_dir)
+            # The survivors are stuck at the dead rank's barrier; don't
+            # wait the default 5 s before terminating them.
+            backend = create_backend("mp", _make_mp_model(), timeout=MP_TIMEOUT,
+                                     shutdown_timeout=0.5)
+            with pytest.raises(BackendError) as err:
+                backend.train_step(*_batch(), None)
+        assert err.value.rank == 3 and "117" in str(err.value)
+        fired = [e["fault"] for e in load_events(log_dir)
+                 if e["kind"] == "fault" and e["rank"] == 3]
+        assert fired == ["delay", "kill"]
 
     def test_faulted_run_replays_dyn003_clean(self, tmp_path):
         """Retried seqs (marked dropped) must not read as double publishes."""

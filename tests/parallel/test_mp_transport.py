@@ -5,6 +5,11 @@ writable buffer, so the single-producer/single-consumer ring protocol is
 exercised over plain bytearrays, and ``RankTransport`` peers attach to
 the same segment from threads.  The multi-process path on top of this
 protocol is covered by ``test_backend_equivalence.py``.
+
+The rank event record is process-global (a rank is a process, and the
+fault plan is global the same way), so thread-hosted peers here write to
+one shared record: each site stays a single ``events.active()`` lookup,
+and the tests read the spans of both peers off that one record.
 """
 
 import threading
@@ -16,10 +21,12 @@ from repro.parallel.backend import (
     BackendError,
     DEFAULT_SLOTS,
     HEADER_SIZE,
+    EventRecord,
     RankTransport,
     ShmBarrier,
     ShmChannel,
 )
+from repro.parallel.backend import events
 
 CAPACITY = 1 << 16
 
@@ -306,12 +313,12 @@ class TestRankTransport:
     def test_exchange_issue_overlaps_with_local_work(self):
         """issue → independent work → wait returns the full gather."""
         creator = RankTransport.create(world=2)
+        record = events.install(EventRecord(rank=0, world=2))
         results = {}
 
         def run(rank):
             peer = RankTransport(creator.spec, rank)
             try:
-                peer.timeline = []
                 arr = np.full((4,), float(rank), dtype=np.float32)
                 handle = peer.exchange_issue([0, 1], arr, timeout=10.0)
                 assert not handle.done
@@ -319,7 +326,7 @@ class TestRankTransport:
                 out = handle.wait(timeout=10.0)
                 assert handle.done
                 assert handle.wait() is out  # idempotent
-                results[rank] = (out, scratch, list(peer.timeline))
+                results[rank] = (out, scratch)
             finally:
                 peer.close()
 
@@ -330,11 +337,14 @@ class TestRankTransport:
             for t in threads:
                 t.join(timeout=30.0)
             for rank in (0, 1):
-                out, _, timeline = results[rank]
+                out, _ = results[rank]
                 assert set(out) == {0, 1}
-                cats = {s["cat"] for s in timeline}
-                assert "mp.async" in cats  # in-flight window recorded
+            spans = [e for e in record.events if e["kind"] == "span"]
+            # One in-flight window and one blocking wait per peer.
+            assert sorted(s["cat"] for s in spans) == [
+                "mp.async", "mp.async", "mp.wait", "mp.wait"]
         finally:
+            events.uninstall()
             creator.close()
 
     def test_send_recv_and_barrier_between_threaded_peers(self):
@@ -373,13 +383,17 @@ class TestRankTransport:
         try:
             a = RankTransport(creator.spec, 0)
             b = RankTransport(creator.spec, 1)
+            record = events.install(EventRecord(rank=0, world=2))
             try:
-                a.timeline = []
                 a.send(1, np.zeros(4, dtype=np.float32))
                 b.recv(0)
-                assert [s["name"] for s in a.timeline] == ["send->r1"]
-                assert all(s["cat"] == "mp.wait" for s in a.timeline)
+                spans = [e for e in record.events if e["kind"] == "span"]
+                assert [s["name"] for s in spans] == ["send->r1", "recv<-r0"]
+                assert all(s["cat"] == "mp.wait" for s in spans)
+                # No JSONL sink: the protocol kinds were not taken.
+                assert {e["kind"] for e in record.events} == {"meta", "span"}
             finally:
+                events.uninstall()
                 a.close()
                 b.close()
         finally:

@@ -1,14 +1,18 @@
 """Live telemetry over the real mp backend.
 
-Three contracts from DESIGN decision 12:
+Contracts from DESIGN "Rank event record":
 
-- with ``REPRO_TELEMETRY=1`` every rank streams meta + step events over
-  the queue side channel, including per-site compression fidelity;
-- telemetry on vs off is *bitwise* neutral — identical losses and
-  weights over a multi-step training loop (equality, not allclose);
+- with ``REPRO_TELEMETRY=1`` every rank's meta + step events ride the
+  step reply, including per-site compression fidelity, and are in
+  ``result.record`` when ``train_step`` returns — nothing here sleeps;
+- the observers are *bitwise* neutral, one at a time and all together —
+  identical losses, weights and CommEvent multisets over a multi-step
+  training loop (equality, not allclose);
 - under the builtin straggler fault plan the health monitor's alert
   names the injected rank.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,11 +43,11 @@ def make_batch(seed=0):
     return ids, labels, mask
 
 
-def train_loop(model, steps=2, collector=None):
+def train_loop(model, steps=2, collector=None, results=None, **backend_kw):
     """A few real optimizer steps through the mp backend; returns losses."""
     optimizer = Adam(model.parameters(), lr=1e-3)
     losses = []
-    backend = create_backend("mp", model, timeout=MP_TIMEOUT)
+    backend = create_backend("mp", model, timeout=MP_TIMEOUT, **backend_kw)
     try:
         for step in range(steps):
             ids, labels, mask = make_batch(seed=step)
@@ -54,12 +58,11 @@ def train_loop(model, steps=2, collector=None):
             backend.sync_weights(model)
             losses.append(result.loss)
             if collector is not None:
-                collector.drain(backend, grace_s=0.5)
+                collector.ingest_record(result.record)
+            if results is not None:
+                results.append(result)
     finally:
         backend.close()
-    if collector is not None:
-        # close() moved any late feeder-thread batches into the backlog.
-        collector.drain(backend)
     return losses
 
 
@@ -97,25 +100,58 @@ class TestSideChannel:
         assert collector.events_seen == 0
         assert collector.ranks() == []
 
+    def test_step_summaries_are_in_hand_when_train_step_returns(self, monkeypatch):
+        """30 of 30 steps: exactly ``world`` summaries for step k, and for
+        no other step, in the result of ``train_step(k)``."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        results = []
+        train_loop(make_model("A2"), steps=30, results=results)
+        for k, result in enumerate(results):
+            summaries = [e for events in result.record.values()
+                         for e in events if e["kind"] == "step"]
+            assert sorted(e["rank"] for e in summaries) == [0, 1, 2, 3], k
+            assert {e["step"] for e in summaries} == {k}
+            assert result.timelines == {}  # nobody asked for the span view
+
+
+def observed_run(env, **backend_kw):
+    """Losses, weights and per-step CommEvent multisets of 3 optimizer
+    steps with exactly ``env`` of the observer switches set."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("REPRO_TELEMETRY", "REPRO_CONC_LOG"):
+            mp.delenv(name, raising=False)
+        for name, value in env.items():
+            mp.setenv(name, value)
+        model = make_model("A2")
+        results = []
+        losses = train_loop(model, steps=3, results=results, **backend_kw)
+    return losses, model.state_dict(), [Counter(r.events) for r in results]
+
 
 class TestBitwiseNeutrality:
-    def test_on_off_runs_are_identical(self, monkeypatch):
-        def run(telemetry):
-            if telemetry:
-                monkeypatch.setenv("REPRO_TELEMETRY", "1")
-            else:
-                monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-            model = make_model("A2")
-            losses = train_loop(model, steps=3)
-            return losses, model.state_dict()
+    @pytest.fixture(scope="class")
+    def bare(self):
+        return observed_run({})
 
-        losses_off, state_off = run(telemetry=False)
-        losses_on, state_on = run(telemetry=True)
+    @staticmethod
+    def assert_identical(observed, bare):
+        losses, state, comm = observed
+        assert losses == bare[0]  # bitwise, not allclose
+        assert set(state) == set(bare[1])
+        for name in sorted(state):
+            assert np.array_equal(state[name], bare[1][name]), name
+        assert comm == bare[2]
 
-        assert losses_on == losses_off  # bitwise, not allclose
-        assert set(state_on) == set(state_off)
-        for name in sorted(state_off):
-            assert np.array_equal(state_on[name], state_off[name]), name
+    def test_on_off_runs_are_identical(self, bare):
+        self.assert_identical(observed_run({"REPRO_TELEMETRY": "1"}), bare)
+
+    def test_all_observers_together_are_identical(self, bare, tmp_path):
+        """JSONL sink + telemetry + timelines on one 2x2 1F1B run."""
+        observed = observed_run(
+            {"REPRO_TELEMETRY": "1", "REPRO_CONC_LOG": str(tmp_path)},
+            collect_timelines=True)
+        self.assert_identical(observed, bare)
+        assert len(list(tmp_path.glob("conc-rank*.jsonl"))) == 4
 
 
 class TestStragglerAlert:

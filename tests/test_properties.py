@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) on core invariants.
 
 Covers the compressors' message contracts, byte accounting, autograd
-linearity, metric ranges, partition/policy algebra, and grid validation.
+linearity, metric ranges, partition/policy algebra, grid validation, and
+fault-plan parsing.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.compression import (
     TopKCompressor,
 )
 from repro.data.metrics import f1_binary, matthews_corrcoef, spearman_corr
+from repro.parallel.backend import faults
 from repro.parallel.pipeline import PipelinePartition
 from repro.parallel.topology import TopologyError, validate_grid
 from repro.tensor import Tensor
@@ -246,3 +249,97 @@ class TestValidateGridProperties:
         with pytest.raises(TopologyError) as exc:
             validate_grid(*extents)
         assert exc.value.axis == ("dp", "tp", "pp", "sp")[axis]
+
+
+_rank = st.integers(0, 3)
+_times = st.integers(1, 3)
+_seconds = st.floats(0.0, 0.01)
+_channel_fault = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["delay", "drop", "corrupt"]),
+     "src": _rank, "dst": _rank},
+    optional={"seq": st.integers(1, 3), "step": _rank, "times": _times,
+              "seconds": _seconds,
+              "field": st.sampled_from(["payload", "header"])})
+_step_fault = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["delay", "kill"]), "rank": _rank, "step": _rank},
+    optional={"times": _times, "seconds": _seconds})
+#: Overrides that turn a well-formed spec into one the parser may refuse.
+_damage = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["kill", "corrupt", "explode"]),
+    "src": st.one_of(st.none(), st.integers(-1, 3)),
+    "dst": st.none(), "rank": _rank, "step": st.none(),
+    "seq": st.integers(-1, 0), "times": st.integers(-1, 0),
+    "seconds": st.sampled_from([-1.0, float("nan"), float("inf")]),
+    "field": st.just("checksum"), "when": st.just("now")})
+_fault_specs = st.builds(
+    lambda spec, damage: {**spec, **damage},
+    st.one_of(_channel_fault, _step_fault), st.one_of(st.just({}), _damage))
+
+
+def _fire_everything(plan, bound=4):
+    """Every spec the plan hands out over ranks/steps < ``bound``, seq ≤ 3."""
+    fired = []
+
+    def drain(take, *at):
+        while (spec := take(*at)) is not None:
+            fired.append(spec)
+
+    for step in range(bound):
+        plan.set_step(step)
+        for rank in range(bound):
+            drain(plan.take_step_fault, rank, step)
+        for src, dst in itertools.permutations(range(bound), 2):
+            for seq in range(1, bound):
+                drain(plan.take_send_fault, src, dst, seq)
+                drain(plan.take_recv_fault, src, dst, seq)
+    return fired
+
+
+class TestFaultPlanProperties:
+    @given(specs=st.lists(_fault_specs, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_an_accepted_plan_has_no_fault_that_can_never_fire(self, specs):
+        """Parse either raises a ``ValueError`` naming the fault, or every
+        spec fires exactly ``times`` times somewhere in the sweep — also
+        when several specs overlap on one message or one (rank, step)."""
+        try:
+            plan = faults.FaultPlan({"faults": specs})
+        except ValueError as exc:
+            assert re.match(r"fault \d+: ", str(exc))
+            return
+        fired = _fire_everything(plan)
+        for spec in plan.faults:
+            assert sum(f is spec for f in fired) == spec.times, spec
+        assert all(spec.remaining == 0 for spec in plan.faults)
+
+    @pytest.mark.parametrize("spec, rule", [
+        ({"kind": "kill", "rank": 1, "step": 0, "src": 0}, "not src/dst/seq"),
+        ({"kind": "delay", "rank": 1, "seconds": 0.1}, "both rank and step"),
+        ({"kind": "drop", "src": 0, "dst": 1, "seq": 1, "times": 0},
+         "times must be an integer >= 1"),
+        ({"kind": "drop", "src": 0, "dst": 1, "seq": 0},
+         "seq must be an integer >= 1"),
+        ({"kind": "corrupt", "dst": 1}, "both src and dst"),
+        ({"kind": "delay", "rank": 1, "step": 0, "seconds": -1}, "seconds"),
+        ({"kind": "delay", "rank": 1, "step": 0, "secs": 1}, "'secs'"),
+        ({"kind": "delay", "rank": 1, "step": 0, "src": 0, "dst": 1},
+         "not rank"),
+    ])
+    def test_each_dead_rule_is_rejected_by_index_and_rule(self, spec, rule):
+        healthy = {"kind": "delay", "rank": 0, "step": 0}
+        with pytest.raises(ValueError, match=r"fault 1: .*" + re.escape(rule)):
+            faults.FaultPlan({"faults": [healthy, spec]})
+
+    def test_builtin_plans_parse_and_fire_completely(self):
+        for name in faults.BUILTIN_PLANS:
+            plan = faults.parse_plan(name)
+            assert len(_fire_everything(plan)) == sum(
+                spec.times for spec in plan.faults)
+
+    def test_two_step_faults_on_one_rank_and_step_fire_in_list_order(self):
+        plan = faults.FaultPlan({"faults": [
+            {"kind": "delay", "rank": 1, "step": 0, "seconds": 0.0},
+            {"kind": "kill", "rank": 1, "step": 0}]})
+        assert [plan.take_step_fault(1, 0).kind for _ in range(2)] == [
+            "delay", "kill"]
+        assert plan.take_step_fault(1, 0) is None
