@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint lint-dynamic lint-changed model-check concurrency-verify \
-	check bench loc
+	check bench loc op-budget
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,3 +48,9 @@ bench:
 # Code lines per src/repro package (non-blank, non-comment, non-docstring).
 loc:
 	$(PYTHON) .github/scripts/loc.py
+
+# Where one serial training step spends its time, per (phase, op), from
+# OpProfiler's wall column (tp2 pp2 A2, the inproc benchmark shape). It names
+# the call site to look at; a speed claim still goes through benchmarks/e2e.
+op-budget:
+	$(PYTHON) .github/scripts/op_budget.py --tp 2 --pp 2 --scheme A2

@@ -14,11 +14,11 @@ def test_tables15_16_accuracy_hparams():
     assert b32["Q2"]["Avg."] > b32["T1"]["Avg."]
     # At b=8 the paper's "ordering unchanged" does not reproduce: Top-K's
     # damage vanishes on the easy tasks and the 3-task average is decided by
-    # RTE alone, where T1 reads 87.5 against w/o 83.3 and Q2 81.3 (≤ 6 of
-    # 96 dev examples), putting T1 on top, 94.2 / 93.0 / 92.1 (EXPERIMENTS.md,
-    # Known deviations 9). What the tree shows and this pins: every scheme
-    # still trains the suite, and QQP and SST-2 are tied within a point
-    # across schemes.
+    # RTE alone, where T1 ties w/o at 83.3 and Q2 reads 78.1 (5 of 96 dev
+    # examples), so Top-K is not last: 92.95 / 92.95 / 91.2 (EXPERIMENTS.md,
+    # Known deviations 9; the PR 16 record had T1 on top, the same coin).
+    # What the tree shows and this pins: every scheme still trains the
+    # suite, and QQP and SST-2 are tied within a point across schemes.
     b8 = tables["table16_b8"]
     for row in b8:
         assert row["Avg."] > 90.0, row["scheme"]

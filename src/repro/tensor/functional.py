@@ -59,14 +59,30 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT/Megatron)."""
     x_data = x.data
-    inner = _SQRT_2_OVER_PI * (x_data + 0.044715 * x_data**3)
+    # The cube by multiplication: NumPy fast-paths only the square, and a
+    # float32 cube written with ``**`` runs the generic power loop (~150x).
+    inner = _SQRT_2_OVER_PI * (x_data + 0.044715 * (x_data * x_data * x_data))
     t = np.tanh(inner)
     out_data = 0.5 * x_data * (1.0 + t)
 
     def backward(g):
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x_data**2)
-        dgelu = 0.5 * (1.0 + t) + 0.5 * x_data * (1.0 - t**2) * dinner
-        return (g * dgelu,)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * dinner), the operations
+        # of that expression on two scratch arrays of our own instead of ten
+        # temporaries; ``g``, ``x_data`` and ``t`` are only read.
+        u, v = np.empty_like(x_data), np.empty_like(x_data)
+        np.multiply(0.5, x_data, out=u)
+        np.square(t, out=v)
+        np.subtract(1.0, v, out=v)
+        np.multiply(u, v, out=u)  # 0.5 * x * (1 - t**2)
+        np.square(x_data, out=v)
+        np.multiply(3 * 0.044715, v, out=v)
+        np.add(1.0, v, out=v)
+        np.multiply(_SQRT_2_OVER_PI, v, out=v)  # dinner
+        np.multiply(u, v, out=u)
+        np.add(1.0, t, out=v)
+        np.multiply(0.5, v, out=v)
+        np.add(v, u, out=v)  # dgelu
+        return (np.multiply(g, v, out=v),)
 
     return Tensor._make(out_data, (x,), backward)
 

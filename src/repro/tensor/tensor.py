@@ -559,10 +559,22 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
+        # A key of plain ints, slices, None and Ellipsis selects every element
+        # at most once, so ``+=`` equals ``np.add.at`` bitwise at a tenth of
+        # the cost (``=`` would keep a -0.0 that both turn into +0.0).
+        # Anything not provably basic (index arrays, lists, masks, NumPy
+        # scalars) may repeat an element and must accumulate.
+        basic = all(
+            k is None or k is Ellipsis or type(k) in (int, slice)
+            for k in (key if type(key) is tuple else (key,))
+        )
 
         def backward(g):
             grad = np.zeros_like(self.data)
-            np.add.at(grad, key, g)
+            if basic:
+                grad[key] += g
+            else:
+                np.add.at(grad, key, g)
             return (grad,)
 
         return Tensor._make(out_data, (self,), backward)
