@@ -30,6 +30,11 @@ class ErrorFeedbackCompressor(Compressor):
         The compressor producing the actual wire messages.
     decay:
         Residual decay factor in [0, 1]; 1 keeps the full residual.
+
+    A site's residual lives in one buffer that each step updates in place
+    (:meth:`residual` returns that buffer, not a snapshot), so ``inner``'s
+    messages must own their payloads — every scheme's do, the identity's
+    excepted.
     """
 
     def __init__(self, inner: Compressor, decay: float = 1.0):
@@ -51,12 +56,36 @@ class ErrorFeedbackCompressor(Compressor):
         self._residuals.clear()
 
     # ------------------------------------------------------------------
+    def _feed(self, x: np.ndarray, site: str) -> np.ndarray:
+        """``x`` plus the site's decayed residual, formed in the residual's
+        own buffer (``x`` itself before the site has one of its shape)."""
+        prev = self._residuals.get(site)
+        if prev is None or prev.shape != x.shape:
+            return x
+        if prev.dtype != x.dtype:
+            return x + self.decay * prev
+        if self.decay != 1.0:
+            np.multiply(prev, self.decay, out=prev)
+        return np.add(x, prev, out=prev)
+
+    def _keep(self, site: str, corrected: np.ndarray, rec: np.ndarray,
+              reuse: bool = True) -> None:
+        """Store ``corrected - rec`` as the site's residual.
+
+        With ``reuse`` it is written into the buffer the site already has
+        (which :meth:`_feed` made ``corrected``), so a warmed step allocates
+        nothing of the input's size here."""
+        prev = self._residuals.get(site)
+        fits = (reuse and prev is not None and prev.shape == corrected.shape
+                and prev.dtype == np.result_type(corrected, rec))
+        self._residuals[site] = np.subtract(corrected, rec,
+                                            out=prev if fits else None)
+
     def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x, dtype=np.float32)
-        prev = self._residuals.get(site)
-        corrected = x + self.decay * prev if prev is not None and prev.shape == x.shape else x
+        corrected = self._feed(x, site)
         msg = self.inner.compress(corrected)
-        self._residuals[site] = corrected - self.inner.decompress(msg)
+        self._keep(site, corrected, self.inner.decompress(msg))
         return msg
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
@@ -75,15 +104,13 @@ class ErrorFeedbackCompressor(Compressor):
         the inner compressor's own backward rule applied at the corrected
         point (a straight-through treatment of the additive correction).
         """
-        prev = self._residuals.get(site)
-        if prev is not None and prev.shape == x.data.shape:
-            corrected = Tensor._make(
-                x.data + self.decay * prev, (x,), lambda g: (g,)
-            )
-        else:
-            corrected = x
+        data = self._feed(x.data, site)
+        corrected = x if data is x.data else Tensor._make(
+            data, (x,), lambda g: (g,))
         out = self.inner.apply(corrected, site=site)
-        self._residuals[site] = corrected.data - out.data
+        # A backward pass through ``out`` may read ``corrected``: then the
+        # graph keeps that buffer and the residual gets a fresh one.
+        self._keep(site, corrected.data, out.data, reuse=not out.requires_grad)
         return out
 
     def parameters(self):

@@ -11,9 +11,8 @@ ranks execute:
 - ``mp`` — one OS process per logical rank (spawn context); collectives,
   weights and gradients in shared memory, commands and small replies on a
   pipe.  Bitwise-equivalent to ``inproc`` by construction (see DESIGN.md):
-  rank sums run in rank order, the TP grid is capped so float accumulation
-  stays commutative, codecs run rank-local, and the ranks compute on the
-  very bytes the parent wrote.
+  rank sums run in rank order, codecs run rank-local, and the ranks
+  compute on the very bytes the parent wrote.
 
 Both backends expose the same step protocol so the trainer and the bench
 harness drive them identically::
@@ -83,8 +82,9 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def apply_grads(self, model, result: StepResult) -> None:
-        """Install ``result.grads`` onto the parent model's parameters."""
-        named = dict(model.named_parameters())
+        """Install ``result.grads`` onto the parent model's parameters
+        (inproc at ``dp == 1`` has none: they already live there)."""
+        named = dict(model.named_parameters()) if result.grads else {}
         for name, g in result.grads.items():
             named[name].grad = np.asarray(g)
 

@@ -246,6 +246,16 @@ class Group:
             return partial
         return sum_in_order(self.gather([partial], label=label))
 
+    def stores(self) -> list[dict[str, np.ndarray]]:
+        """Every dp member's gradient slab (name -> view), in rank order.
+
+        Workers only.  A member's parameter-sized value does not fit a
+        mailbox slot: it is exchanged by writing it over the member's own
+        slab and reading the peers', with a :meth:`gather` in between (of
+        nothing, if need be) so that every write precedes every read.
+        """
+        return [self._ctx.transport.grad_slab(d) for d in range(self.world)]
+
     def send(self, dst: int, array: np.ndarray, *, label: str) -> None:
         """Point-to-point hop to group member ``dst`` (the pipeline send).
 

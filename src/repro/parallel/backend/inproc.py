@@ -12,9 +12,10 @@ data-parallel rank (same config and seed ⇒ identical init, but — crucially
 — independent compressor state: each replica's error-feedback residuals
 and Random-K streams advance on its own batch shard exactly as the mp
 gangs' do).  Each replica runs the serial step on its contiguous batch
-shard; the per-replica gradients are then combined by the backend-layer
-:func:`~repro.parallel.collectives.dp_all_reduce` — the same code the mp
-parent runs, so the two backends stay bitwise-equivalent by construction.
+shard; the per-replica gradients are then combined by
+:func:`~repro.parallel.collectives.dp_all_reduce` with every replica local
+— the function an mp gang leader runs with one replica local, performing
+the same additions in the same order on every element.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class InprocBackend(ExecutionBackend):
                 if p.grad is not None
             })
 
-        # Backend-layer gradient sync point (the same dp_all_reduce the mp
-        # parent runs), plus the replica-order loss mean.
+        # Gradient sync point (the dp_all_reduce the mp gang leaders run
+        # among themselves), plus the replica-order loss mean.
         dp_tracker = CommTracker()
         grads = dp_all_reduce(replica_grads, self._dp_compressor, dp_tracker)
         events.extend(dp_tracker.events)
@@ -122,14 +123,6 @@ class InprocBackend(ExecutionBackend):
         self.model.tracker.events.extend(events)
         return StepResult(loss=float(loss_val), grads=grads, events=events,
                           timelines={})
-
-    def apply_grads(self, model, result: StepResult) -> None:
-        # dp == 1: gradients already live on the model's parameters.
-        if not result.grads:
-            return
-        named = dict(model.named_parameters())
-        for name, g in result.grads.items():
-            named[name].grad = np.asarray(g)
 
     def sync_weights(self, model) -> None:
         # dp == 1: there is nobody to sync with.

@@ -9,8 +9,12 @@ names of the gradients it wrote, comm events, the step's slice of the rank
 event record); shared memory carries activations, weights and gradients.
 ``sync_weights`` is a ``copyto`` into the arena with no message; after
 backward each worker copies the gradients it owns into its dp gang's slab.
-Neither needs a flag: the pipe is FIFO, so the ``step`` command follows the parent's arena
-write and a reply follows the worker's slab write (DESIGN.md decision 8).
+With ``dp > 1`` the gangs' leaders then reduce the slabs among themselves
+(:func:`~repro.parallel.collectives.dp_all_reduce`: each leader owns its
+replica's gradient codec state) and leave the mean in gang 0's slab; the
+parent reduces nothing, it copies that slab out.  None of it needs a flag:
+the pipe is FIFO, so the ``step`` command follows the parent's arena write
+and a reply follows the worker's last slab write (DESIGN.md decision 8).
 
 Failure model: every wait on a worker carries a deadline and checks the
 process is still alive, so a crashed or wedged rank surfaces as a typed
@@ -38,8 +42,6 @@ from repro.parallel.backend.transport import (
     RankTransport,
 )
 from repro.parallel.backend.worker import _worker_main
-from repro.parallel.collectives import CommTracker, dp_all_reduce
-from repro.parallel.grad_sync import build_dp_grad_compressor
 
 __all__ = ["MpBackend"]
 
@@ -74,8 +76,6 @@ class MpBackend(ExecutionBackend):
         self.dp = getattr(cfg, "dp", 1)
         self.sp = getattr(cfg, "sp", 1)
         self.world = self.dp * cfg.pp * self.sp * cfg.tp
-        self._dp_compressor = (build_dp_grad_compressor(cfg)
-                               if self.dp > 1 else None)
         self.timeout = timeout
         self.collect_timelines = collect_timelines
 
@@ -210,17 +210,6 @@ class MpBackend(ExecutionBackend):
         loss = sum(losses[1:], losses[0]) / self.dp
 
         events = [e for rank in range(self.world) for e in replies[rank][4]]
-        replica_grads = self._replica_grads(replies)
-        if self.dp == 1:
-            # The one copy out of the slab: StepResult owns its memory.
-            grads = {name: g.copy() for name, g in replica_grads[0].items()}
-        else:
-            # Backend-layer gradient sync point: the same dp_all_reduce the
-            # inproc oracle runs (its flatten copies out of the slabs).
-            dp_tracker = CommTracker()
-            grads = dp_all_reduce(replica_grads, self._dp_compressor,
-                                  dp_tracker)
-            events.extend(dp_tracker.events)
         record = {rank: replies[rank][5] for rank in range(self.world)
                   if replies[rank][5]}
         timelines = (span_view(chain.from_iterable(record.values()))
@@ -230,14 +219,15 @@ class MpBackend(ExecutionBackend):
         # `model.tracker.summary()` reads the same whichever backend ran.
         self.model.tracker.reset()
         self.model.tracker.events.extend(events)
-        return StepResult(loss=float(loss), grads=grads, events=events,
-                          timelines=timelines, record=record)
+        return StepResult(loss=float(loss), grads=self._step_grads(replies),
+                          events=events, timelines=timelines, record=record)
 
     # ------------------------------------------------------------------
-    def _replica_grads(self, replies: dict[int, tuple]
-                       ) -> list[dict[str, np.ndarray]]:
-        """Per dp gang, views of the gradients its ranks wrote this step.
+    def _step_grads(self, replies: dict[int, tuple]) -> dict[str, np.ndarray]:
+        """The step's gradients, copied out of dp gang 0's slab.
 
+        With ``dp > 1`` the gang leaders have already reduced every gang's
+        slab into that one (:func:`~repro.parallel.collectives.dp_all_reduce`).
         A gradient belongs to whichever rank wrote it; two writers in one
         gang would make the slab depend on their timing, so that is an
         error, not a pick.  Checked before any view is taken: ``close()``
@@ -253,9 +243,9 @@ class MpBackend(ExecutionBackend):
                     raise BackendError(
                         f"gradient of {name!r} was written by ranks {first} "
                         f"and {rank} of dp gang {rank // gang}", rank=rank)
-        slabs = [self.transport.grad_slab(d) for d in range(self.dp)]
-        return [{name: slab[name] for name in owner}
-                for owner, slab in zip(owners, slabs)]
+        # The one copy out of the slab: StepResult owns its memory.
+        slab = self.transport.grad_slab(0)
+        return {name: slab[name].copy() for name in owners[0]}
 
     def sync_weights(self, model) -> None:
         self._ensure_open()
@@ -265,7 +255,7 @@ class MpBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _merge_nested(dst: dict, src: dict) -> dict:
+    def _merge_nested(dst: dict, src: dict) -> None:
         """Recursive dict union; leaves overwrite.
 
         Safe for runtime state because every compressor site is either
@@ -274,36 +264,26 @@ class MpBackend(ExecutionBackend):
         colliding leaves are equal by construction.
         """
         for key, value in src.items():
-            if (key in dst and isinstance(dst[key], dict)
-                    and isinstance(value, dict)):
+            if isinstance(value, dict) and isinstance(dst.get(key), dict):
                 MpBackend._merge_nested(dst[key], value)
             else:
                 dst[key] = value
-        return dst
 
     def runtime_state(self) -> dict:
         """Union of every worker's compressor runtime state (EF, RNG).
 
         With ``dp > 1`` the gangs' compressor states diverge (each gang
-        advances on its own batch shard), so the union is namespaced per
-        gang — ``{"dp0": ..., "dp1": ..., "dp_grad": ...}`` — with the
-        parent-side gradient codec's state alongside.
+        advances on its own batch shard), so every worker namespaces its
+        reply — ``{"dp0": ..., "dp1": ..., "dp_grad": ...}`` — the last
+        being the gradient codec's state, one ``dp.rank{r}`` site from
+        each gang leader.
         """
         self._ensure_open()
         self._send_all(("runtime_state",))
         replies = self._collect(range(self.world))
         merged: dict = {}
-        gang = self.pp * self.sp * self.tp
         for rank in range(self.world):
-            if self.dp == 1:
-                self._merge_nested(merged, replies[rank][2])
-            else:
-                sub = merged.setdefault(f"dp{rank // gang}", {})
-                self._merge_nested(sub, replies[rank][2])
-        if self._dp_compressor is not None:
-            grad_state = self._dp_compressor.runtime_state()
-            if grad_state:
-                merged["dp_grad"] = grad_state
+            self._merge_nested(merged, replies[rank][2])
         return merged
 
     def load_runtime_state(self, state: dict) -> None:
@@ -311,12 +291,10 @@ class MpBackend(ExecutionBackend):
 
         No reply needed: the control pipe is FIFO, so the next ``step``
         command is guaranteed to observe the restored state.  Each worker
-        picks its own ``dp{d}`` slice out of a namespaced dict; the
-        parent restores the gradient codec's slice here.
+        picks its own ``dp{d}`` slice out of a namespaced dict, each gang
+        leader its own ``dp.rank{d}`` site of ``dp_grad``.
         """
         self._ensure_open()
-        if self._dp_compressor is not None and "dp_grad" in state:
-            self._dp_compressor.load_runtime_state(state["dp_grad"])
         self._send_all(("load_runtime_state", state))
 
     # ------------------------------------------------------------------

@@ -19,6 +19,10 @@ After backward the worker copies the gradients it owns into its dp gang's
 slab and names them in its reply: those it computed, if it sits on the
 gang's sp rank 0 plane (the SP sync made the planes equal) and on the
 parameter's tp rank — the shard's, or rank 0 for a replicated parameter.
+With ``dp > 1`` the gang's first rank — its leader, which owns the
+replica's gradient codec and its ``dp.rank{r}`` state — then runs
+:func:`~repro.parallel.collectives.dp_all_reduce` on the gang's slab with
+the other gangs' leaders, once its own gang has told it what was written.
 
 The control pipe (``multiprocessing.Pipe``) carries commands, batch, loss,
 comm events and the step's slice of the rank event record
@@ -63,7 +67,8 @@ def _disable_shm_tracking() -> None:
 
 def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
     """One training step of this rank's slice; returns (loss, names of the
-    gradients written to the gang's slab, comm events).
+    gradients written to the gang's slab).  The autograd graph dies with
+    this frame, before a dp leader's gradient reduce allocates.
 
     The step executes the pipeline schedule's op list verbatim
     (:func:`repro.parallel.pipeline.schedule_ops`): each ``F`` op carries
@@ -183,8 +188,41 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
             if p.grad is not None and (p.tp_rank or 0) == ctx.tp_rank:
                 np.copyto(slab[name], p.grad)
                 written.append(name)
-    loss_val = mean_loss(loss_vals) if loss_vals else None
-    return loss_val, written, list(model.tracker.events)
+    return mean_loss(loss_vals) if loss_vals else None, written
+
+
+def _gang_reduce(model, ctx: RankContext, written: list[str], dp_codec) -> None:
+    """dp > 1: the gang's first rank reduces the gang's slab with its dp peers.
+
+    The gang first trades which gradients each rank wrote (a mask over the
+    state table; the mailbox carries arrays).  The trade doubles as the
+    ordering edge: a rank sends after its last slab write, so once the
+    leader holds every mask its gang's slab is complete.
+    """
+    from repro.parallel.collectives import dp_all_reduce
+
+    transport = ctx.transport
+    gang = transport.world // ctx.dp
+    leader = ctx.dp_rank * gang
+    slab = transport.grad_slab(ctx.dp_rank)
+    masks = transport.exchange(list(range(leader, leader + gang)),
+                               np.isin(list(slab), written), timeout=ctx.timeout)
+    if ctx.rank != leader:
+        return
+    # The reduce needs two gradient-sized vectors; give it the parameters'.
+    model.zero_grad()
+    wrote = np.logical_or.reduce(list(masks.values()))
+    dp_all_reduce([{name: slab[name] for name, w in zip(slab, wrote) if w}],
+                  dp_codec, model.tracker)
+
+
+def _own_sites(state: dict, site: str) -> dict:
+    """``state`` without the other replicas' ``dp.rank*`` entries, at any
+    depth: the checkpoint carries every replica's residual and stream, a
+    leader keeps (and later reports) only its own."""
+    return {key: _own_sites(value, site) if isinstance(value, dict) else value
+            for key, value in state.items()
+            if not key.startswith("dp.rank") or key == site}
 
 
 def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
@@ -195,14 +233,23 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
     rank, transport = ctx.rank, ctx.transport
     # Every step allocates and frees parameter-sized gradient arrays.  glibc
     # serves blocks above its mmap threshold from fresh pages (one fault per
-    # 4 KiB, each step); freeing one block as large as the whole state lifts
-    # the dynamic threshold (mallopt(3)) past all of them for good.
-    bytearray(transport.spec["state_bytes"])
+    # 4 KiB, each step) and hands the heap's top back once twice that much of
+    # it is free; freeing one block as large as the whole state lifts the
+    # dynamic threshold (mallopt(3)) past all of them for good.  A dp leader
+    # also frees two flat vectors of the whole state and its gradients in
+    # one go, so its block is four states (under the threshold's 32 MiB cap).
+    leads = ctx.dp > 1 and rank % (transport.world // ctx.dp) == 0
+    bytearray(min(transport.spec["state_bytes"] * (4 if leads else 1), 31 << 20))
     model = model_spec["cls"](model_spec["config"], **model_spec["kwargs"])
     weights = transport.weights
     for name, p in model.named_parameters():
         p.data = weights[name]
     set_rank_context(ctx)
+    # The gang's leader (its first rank) owns the replica's gradient codec:
+    # the ``dp.rank{r}`` error-feedback residual and Random-K stream.
+    from repro.parallel.grad_sync import build_dp_grad_compressor
+
+    dp_codec = build_dp_grad_compressor(model_spec["config"]) if leads else None
     # Telemetry: summarise each step's slice, with a worker-local fidelity
     # probe on the tracker.  Off, the obs package is never imported here.
     probe = None
@@ -219,12 +266,22 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
         if cmd == "shutdown":
             break
         if cmd == "runtime_state":
-            conn.send(("result", rank, model.backbone.runtime_state_dict()))
+            state = model.backbone.runtime_state_dict()
+            if ctx.dp > 1:
+                # The namespaces ``load_runtime_state`` below reads back.
+                state = {f"dp{ctx.dp_rank}": state}
+                if dp_codec is not None and (grad := dp_codec.runtime_state()):
+                    state["dp_grad"] = grad
+            conn.send(("result", rank, state))
         elif cmd == "load_runtime_state":
             # dp runs namespace per-replica compressor state; each gang
-            # restores its own slice of the broadcast dict.
+            # restores its own slice of the broadcast dict, and its leader
+            # its own site of the gradient codec's.
             model.backbone.load_runtime_state_dict(
                 msg[1].get(f"dp{ctx.dp_rank}", msg[1]))
+            if dp_codec is not None and "dp_grad" in msg[1]:
+                dp_codec.load_runtime_state(_own_sites(
+                    msg[1]["dp_grad"], f"dp.rank{ctx.dp_rank}"))
         elif cmd == "step":
             _, input_ids, labels, attention_mask, collect = msg
             # The step is observed if any sink wants it: the reply (the
@@ -257,8 +314,10 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
                         conn.close()
                         os._exit(faults.KILL_EXIT_CODE)
                     time.sleep(spec.seconds)
-            loss_val, written, comm_events = _spmd_step(
+            loss_val, written = _spmd_step(
                 model, ctx, input_ids, labels, attention_mask)
+            if ctx.dp > 1:
+                _gang_reduce(model, ctx, written, dp_codec)
             if live is not None:
                 live.emit("step_end", step=steps_done)
             if probe is not None:
@@ -272,7 +331,8 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
             # Flushed after every step, so a crashed run still leaves a
             # replayable prefix on disk; the same slice rides the reply.
             step_slice = rec.flush() if live is not None else []
-            conn.send(("result", rank, loss_val, written, comm_events,
+            conn.send(("result", rank, loss_val, written,
+                       list(model.tracker.events),
                        step_slice if on_reply else []))
         else:
             raise RuntimeError(f"unknown command {cmd!r}")

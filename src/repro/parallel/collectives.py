@@ -26,6 +26,7 @@ equivalents) to produce the paper's timing tables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -459,65 +460,111 @@ def dp_all_reduce(
 ) -> dict[str, np.ndarray]:
     """Compressible gradient all-reduce across data-parallel replicas.
 
-    Runs at the *backend* layer (the trainer's gradient sync point) in
-    both backends: the inproc oracle reduces over its replica models, the
-    mp backend over its per-gang merged gradient dicts — the identical
-    code path, so the two are bitwise-equivalent by construction.
+    ``replica_grads`` holds one gradient set per *local* dp rank: all of
+    them in-process, exactly its own gang's inside a worker (the gang's
+    leader calls this, on the gradients the gang wrote to its slab).
 
     Each replica's gradients are flattened in sorted-name order into one
     vector; a stateful codec keeps one ``dp.rank{r}`` site per replica
     (error-feedback residuals and Random-K streams never alias across
-    replicas — the same per-site isolation the TP all-gather path uses).
-    Reconstructions are summed in rank order (bitwise-commutative at
-    dp <= 2) and divided by the replica count: the result is the gradient
-    of the mean loss over the full batch.
+    replicas — the same per-site isolation the TP all-gather path uses),
+    so a leader's codec holds its own replica's state and nothing else.
+    Reconstructions are summed with :func:`sum_in_order` and divided by
+    the replica count: the result is the gradient of the mean loss over
+    the full batch.
 
-    Records exactly one :class:`CommEvent` per step — ``all_reduce`` for
-    the dense path, ``all_gather`` for the gathered compressed messages,
-    mirroring the TP convention.
+    In-process the sum runs over the local list.  Workers exchange through
+    the gradient slabs, because a parameter-sized vector does not fit a
+    mailbox slot: each leader writes its reconstruction back over its own
+    slab, and after one barrier reduces a disjoint ``1/dp`` slice of every
+    slab into dp rank 0's.  The arrays returned there are views of that
+    slab, complete once every leader has returned.  Both views perform the
+    same additions in the same order on every element.
+
+    Records exactly one :class:`CommEvent` per step, on dp rank 0 —
+    ``all_reduce`` for the dense path, ``all_gather`` for the gathered
+    compressed messages, mirroring the TP convention.
     """
-    dp = len(replica_grads)
+    group = Group.holding("dp", len(replica_grads))
+    dp = group.world
     if dp == 1:
         return dict(replica_grads[0])
+    rec = _events.active()
+    t0 = time.monotonic()
     names = sorted(replica_grads[0])
     for grads in replica_grads[1:]:
         if sorted(grads) != names:
             raise ValueError("replica gradient sets differ; cannot dp-reduce")
-    shapes = [replica_grads[0][n].shape for n in names]
     flats = [
         np.concatenate([np.asarray(grads[n], dtype=np.float32).ravel()
                         for n in names])
         for grads in replica_grads
     ]
-    shape = (flats[0].size,)
+    size = flats[0].size
     if compressor is None or _wire_kind(compressor) == "dense":
-        total = flats[0]
-        for f in flats[1:]:
-            total = total + f
-        tracker.record(
-            CommEvent("all_reduce", "dp", "backward", "none",
-                      dense_bytes(shape), dp, shape, None, site)
-        )
+        sent = flats
+        event = CommEvent("all_reduce", "dp", "backward", "none",
+                          dense_bytes((size,)), dp, (size,), None, site)
     else:
-        recs = [
-            compressor.apply(Tensor(f), site=f"dp.rank{r}").data
-            for r, f in enumerate(flats)
-        ]
-        total = recs[0]
-        for rec in recs[1:]:
-            total = total + rec
-        tracker.record(
-            CommEvent("all_gather", "dp", "backward", compressor.name,
-                      compressor.compressed_bytes(shape), dp, shape, None, site)
-        )
-    mean = total / dp
-    merged: dict[str, np.ndarray] = {}
+        sent = [compressor.apply(Tensor(f), site=f"dp.rank{r}").data
+                for r, f in zip(group.local, flats)]
+        event = CommEvent("all_gather", "dp", "backward", compressor.name,
+                          compressor.compressed_bytes((size,)), dp, (size,),
+                          None, site)
+    del flats
+    if 0 in group.local:
+        tracker.record(event)
+
+    if group.whole:
+        mean = sum_in_order(sent) / dp
+        merged: dict[str, np.ndarray] = {}
+        offset = 0
+        for name in names:
+            pshape = replica_grads[0][name].shape
+            n = int(np.prod(pshape)) if pshape else 1
+            merged[name] = mean[offset:offset + n].reshape(pshape)
+            offset += n
+        return merged
+
+    stores = group.stores()
+    own = group.local[0]
+    _scatter(sent.pop(), _flat_range(stores[own], names, 0, size))
+    if rec is not None:
+        rec.span("dp compress", "mp.phase", t0)
+    # A gather completes only after every peer has sent, and each sends
+    # after its slab write: an empty one is the barrier between the phases
+    # (among the leaders only; it shows as an ``mp.wait`` span).
+    group.gather([np.zeros(0, dtype=np.uint8)], label="dp grads")
+    t0 = time.monotonic()
+    lo, hi = own * size // dp, (own + 1) * size // dp
+    for pieces in zip(*(_flat_range(store, names, lo, hi) for store in stores)):
+        pieces[0][...] = sum_in_order(pieces) / dp  # stores[0] is the root
+    if rec is not None:
+        rec.span("dp reduce", "mp.phase", t0)
+    return {name: stores[0][name] for name in names}
+
+
+def _flat_range(store: dict[str, np.ndarray], names: list[str],
+                lo: int, hi: int) -> list[np.ndarray]:
+    """Views of ``store``'s arrays covering elements ``[lo, hi)`` of their
+    concatenation in ``names`` order (nothing else of the store is touched)."""
+    views = []
     offset = 0
-    for name, pshape in zip(names, shapes):
-        n = int(np.prod(pshape)) if pshape else 1
-        merged[name] = mean[offset:offset + n].reshape(pshape)
-        offset += n
-    return merged
+    for name in names:
+        flat = store[name].reshape(-1)
+        a, b = max(lo - offset, 0), min(hi - offset, flat.size)
+        if a < b:
+            views.append(flat[a:b])
+        offset += flat.size
+    return views
+
+
+def _scatter(vector: np.ndarray, views: list[np.ndarray]) -> None:
+    """Copy ``vector`` over ``views``, consecutive chunk by chunk."""
+    offset = 0
+    for view in views:
+        view[...] = vector[offset:offset + view.size]
+        offset += view.size
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,16 @@ grid grows beyond TP×PP:
 
 - **DP**: every replica holds a full gradient set computed on its batch
   shard; the replicas are averaged by the compressible
-  :func:`~repro.parallel.collectives.dp_all_reduce` at the backend layer.
-  This module owns the *codec* for that reduce:
+  :func:`~repro.parallel.collectives.dp_all_reduce`, which the inproc
+  backend runs over its replicas and each mp gang's leader over the dp
+  group.  This module owns the *codec* for that reduce:
   :func:`build_dp_grad_compressor` maps the run's scheme label onto the
   gradient wire — sparse schemes get per-replica error feedback (the
   AGCMPT treatment), quantization applies stateless, and the AE (whose
   encoder is dimension-bound to the activation hidden size) plus "w/o"
-  stay dense.
+  stay dense.  Its state is keyed by replica site (``dp.rank{r}``), so
+  the oracle's one instance and the leaders' one-each hold the same
+  residuals and streams.
 
 - **SP**: ring sequence parallelism shards only the attention QKV
   projection's *inputs* by sequence block, so each sp rank's QKV

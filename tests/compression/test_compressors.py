@@ -1,5 +1,7 @@
 """Unit tests for every compressor: message face, graph face, byte accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,34 @@ class TestErrorFeedback:
         }
         # decay=0 is plain Top-K; full feedback should beat it clearly.
         assert errs[1.0] < errs[0.0]
+
+    @pytest.mark.parametrize("face", ["apply", "compress"])
+    def test_warmed_step_allocates_at_most_one_and_a_half_vectors(self, face):
+        """Memory regression guard for the dp gradient reduce, which runs
+        this step in every gang leader on one flat parameter-sized vector:
+        once the site has its residual, a step may allocate one vector (the
+        reconstruction, which first serves as the |x| scratch), the mask
+        and the message — no further copy of the input (4.2x its bytes
+        before the selection was made lean)."""
+        rng = np.random.default_rng(0)
+        ef = ErrorFeedbackCompressor(TopKCompressor(1 / 30))
+        xs = [rng.standard_normal(1_600_000).astype(np.float32)
+              for _ in range(3)]
+
+        def step(x):
+            if face == "apply":
+                return ef.apply(Tensor(x), site="dp.rank0")
+            return ef.compress(x, site="dp.rank0")
+
+        step(xs[0]), step(xs[1])
+        tracemalloc.start()
+        try:
+            result = step(xs[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        assert peak <= 1.5 * xs[2].nbytes, f"{peak / xs[2].nbytes:.2f}x"
 
     def test_per_site_state_isolated(self):
         ef = ErrorFeedbackCompressor(TopKCompressor(0.5))

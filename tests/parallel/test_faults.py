@@ -8,6 +8,7 @@ through ``REPRO_FAULT_PLAN`` (read by each worker at spawn) and assert
 the faulted run still produces the healthy run's numbers.
 """
 
+import glob
 import json
 import os
 import time
@@ -279,3 +280,75 @@ class TestMpIntegration:
         from repro.lint.race_check import run_race_check
         findings = run_race_check(events)
         assert any("double publish" in f for f in findings), findings
+
+
+def _make_dp_model():
+    """dp2 x T2: each rank is its gang's leader and reduces half the slab."""
+    mc = TransformerConfig(vocab_size=64, hidden=32, num_layers=2, num_heads=4,
+                           max_seq_len=16, dropout=0.0, num_classes=2, seed=0)
+    cfg = ModelParallelConfig(model=mc, dp=2, scheme="T2", seed=0, backend="mp")
+    return ModelParallelBertClassifier(cfg)
+
+
+class TestDpLeaderFaults:
+    """The gradient reduce runs in the gang leaders; a slow or dead leader
+    must cost its peer a visible wait or a typed error, never a hang."""
+
+    def test_straggler_shows_as_peer_wait_inside_the_reduce(self, tmp_path):
+        """Leader 1 is late handing over its reconstruction at step 1 (its
+        second message to leader 0 is the reduce's barrier token).  Leader 0
+        books the delay as ``mp.wait`` between its compress and reduce
+        phases, the numbers do not move, and the recorded run replays
+        DYN003-clean."""
+        delay = 0.25
+        plan = json.dumps({"faults": [
+            {"kind": "delay", "src": 1, "dst": 0, "seq": 2, "seconds": delay}]})
+        log_dir = str(tmp_path / "conclog")
+        ids, labels = _batch()
+        with create_backend("mp", _make_dp_model(), timeout=MP_TIMEOUT) as ref:
+            healthy = [ref.train_step(ids, labels, None) for _ in range(2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(faults.ENV_VAR, plan)
+            mp.setenv("REPRO_CONC_LOG", log_dir)
+            with create_backend("mp", _make_dp_model(), timeout=MP_TIMEOUT,
+                                collect_timelines=True) as backend:
+                slow = [backend.train_step(ids, labels, None) for _ in range(2)]
+
+        for want, got in zip(healthy, slow):
+            assert got.loss == want.loss
+            for name, g in want.grads.items():
+                assert np.array_equal(got.grads[name], g), name
+        spans = slow[1].timelines[0]
+        names = [s["name"] for s in spans]
+        at = names.index("dp grads wait")
+        assert names.index("dp compress") < at < names.index("dp reduce")
+        assert spans[at]["cat"] == "mp.wait"
+        # Leader 0 waits the delay less its own lateness at the barrier
+        # (milliseconds); half the delay is far above any healthy wait.
+        assert spans[at]["dur_ms"] >= delay * 1e3 * 0.5
+        findings = run_race_check_on_path(log_dir)
+        assert not findings, "\n".join(findings)
+
+    def test_killed_leader_is_named_and_nothing_is_left_behind(self):
+        """Leader 1 dies at step 1; leader 0 is then inside the reduce,
+        waiting for it.  The parent names rank 1 well inside the timeout
+        and tears the survivor and the segment down."""
+        plan = json.dumps({"faults": [{"kind": "kill", "rank": 1, "step": 1}]})
+        before = set(glob.glob("/dev/shm/repro-rt-*"))
+        ids, labels = _batch()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(faults.ENV_VAR, plan)
+            backend = create_backend("mp", _make_dp_model(), timeout=MP_TIMEOUT,
+                                     shutdown_timeout=0.5)
+            try:
+                backend.train_step(ids, labels, None)  # step 0: healthy
+                start = time.monotonic()
+                with pytest.raises(BackendError, match="rank 1") as err:
+                    backend.train_step(ids, labels, None)
+                elapsed = time.monotonic() - start
+            finally:
+                backend.close()
+        assert err.value.rank == 1
+        assert elapsed < MP_TIMEOUT / 2
+        assert all(not p.is_alive() for p in backend._procs)
+        assert set(glob.glob("/dev/shm/repro-rt-*")) <= before

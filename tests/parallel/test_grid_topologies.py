@@ -1,7 +1,8 @@
 """The DP×TP×PP×SP grid: bitwise equivalence, degeneracy, typed validation.
 
-Acceptance cells (ISSUE 10): ``dp2×tp1×pp1``, ``dp2×tp2×pp1`` and
-``sp2×pp2`` must be bitwise-equivalent between the mp gang and the inproc
+Acceptance cells (ISSUE 10, plus ``dp4`` since the gang leaders reduce):
+``dp2×tp1×pp1``, ``dp2×tp2×pp1``, ``dp4×tp1×pp1`` and ``sp2×pp2`` must be
+bitwise-equivalent between the mp gang and the inproc
 oracle — ``==`` on losses, ``array_equal`` on gradients, multiset-equal
 CommEvent streams.  On a mismatch the event-stream diff is written as a
 JSON artifact (``REPRO_EVENT_DIFF_DIR``) for the CI grid-equivalence job
@@ -138,6 +139,49 @@ class TestGridBitwiseEquivalence:
         ref_state = oracle_model.state_dict()
         got_state = mp_model.state_dict()
         assert set(ref_state) == set(got_state)
+        for name in sorted(ref_state):
+            assert np.array_equal(ref_state[name], got_state[name]), name
+
+
+    @pytest.mark.parametrize("scheme", ["T2", "w/o"])
+    def test_dp4_three_steps_match_oracle_bitwise(self, scheme):
+        """World 4: the leaders' sum is the left fold in dp-rank order
+        (``sum_in_order``), so nothing about it is special to dp <= 2 —
+        losses, gradients and events at every step, weights at the end."""
+        oracle_model = make_model(scheme, 1, 1, dp=4)
+        mp_model = make_model(scheme, 1, 1, dp=4)
+        oracle = create_backend("inproc", oracle_model)
+        backend = create_backend("mp", mp_model, timeout=MP_TIMEOUT)
+        opt_ref = Adam(oracle_model.parameters(), lr=1e-3)
+        opt_got = Adam(mp_model.parameters(), lr=1e-3)
+        try:
+            for step in range(3):
+                ids, labels, mask = make_batch(seed=step)
+
+                opt_ref.zero_grad()
+                ref = oracle.train_step(ids, labels, mask)
+                oracle.apply_grads(oracle_model, ref)
+                opt_got.zero_grad()
+                got = backend.train_step(ids, labels, mask)
+                backend.apply_grads(mp_model, got)
+
+                assert got.loss == ref.loss, f"step {step}"
+                assert set(got.grads) == set(ref.grads)
+                for name in sorted(ref.grads):
+                    assert np.array_equal(got.grads[name], ref.grads[name]), \
+                        (step, name)
+                assert Counter(map(event_key, got.events)) == \
+                    Counter(map(event_key, ref.events)), f"step {step}"
+
+                opt_ref.step()
+                oracle.sync_weights(oracle_model)
+                opt_got.step()
+                backend.sync_weights(mp_model)
+        finally:
+            backend.close()
+
+        ref_state = oracle_model.state_dict()
+        got_state = mp_model.state_dict()
         for name in sorted(ref_state):
             assert np.array_equal(ref_state[name], got_state[name]), name
 

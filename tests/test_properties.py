@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) on core invariants.
 
-Covers the compressors' message contracts, byte accounting, autograd
-linearity, metric ranges, partition/policy algebra, grid validation, and
+Covers the compressors' message contracts (Top-K's exactly-k,
+lowest-index-tie selection; error-feedback conservation), byte accounting,
+autograd linearity, metric ranges, partition/policy algebra, grid validation, and
 fault-plan parsing.
 """
 
@@ -17,10 +18,12 @@ from hypothesis.extra import numpy as hnp
 from repro.compression import (
     AutoencoderCompressor,
     CompressionPolicy,
+    ErrorFeedbackCompressor,
     QuantizationCompressor,
     RandomKCompressor,
     TopKCompressor,
 )
+from repro.compression.topk import select_topk
 from repro.data.metrics import f1_binary, matthews_corrcoef, spearman_corr
 from repro.parallel.backend import faults
 from repro.parallel.pipeline import PipelinePartition
@@ -111,6 +114,141 @@ class TestCompressorProperties:
         for comp in (TopKCompressor(0.1), QuantizationCompressor(4),
                      RandomKCompressor(0.1)):
             assert comp.backward_bytes(x.shape) <= dense * 1.2
+
+
+#: Few distinct values, so threshold ties are the rule and not the exception.
+tied_arrays = hnp.arrays(
+    dtype=np.float32,
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+    elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+)
+
+#: Size-1, all-equal and not-a-multiple-of-anything inputs, by construction.
+EDGE_INPUTS = [
+    np.array([3.5], dtype=np.float32),
+    np.full((3, 7), -1.25, dtype=np.float32),
+    np.zeros(13, dtype=np.float32),
+    np.arange(-18, 19, dtype=np.float32).reshape(37),
+]
+
+
+def argpartition_selection(x, k):
+    """The selection every Top-K site made before ``select_topk``."""
+    flat = np.abs(x).reshape(-1)
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argpartition(flat, flat.size - k)[-k:]] = True
+    return mask
+
+
+class TestTopKSelectionProperties:
+    @given(x=st.one_of(finite_arrays, tied_arrays), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exactly_k_kept_and_ties_go_to_the_lowest_index(self, x, data):
+        k = data.draw(st.integers(1, x.size))
+        mask = select_topk(x, k)
+        assert mask.shape == (x.size,) and mask.sum() == k
+        mag = np.abs(x).reshape(-1)
+        threshold = mag[mask].min()
+        assert (mag[~mask] <= threshold).all()
+        assert mask[mag > threshold].all()
+        tied = np.flatnonzero(mag == threshold)
+        kept_ties = int(mask[tied].sum())
+        assert mask[tied[:kept_ties]].all() and not mask[tied[kept_ties:]].any()
+
+    @given(x=st.one_of(finite_arrays, tied_arrays), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_across_calls_scratch_and_memory_layouts(self, x, data):
+        k = data.draw(st.integers(1, x.size))
+        want = select_topk(x, k)
+        scratch = np.full(x.size, np.nan, dtype=x.dtype)  # stale contents
+        np.testing.assert_array_equal(select_topk(x, k, scratch), want)
+        np.testing.assert_array_equal(select_topk(x, k, scratch), want)
+        fortran = np.asfortranarray(x)
+        strided = np.repeat(x.reshape(-1), 2)[::2].reshape(x.shape)
+        np.testing.assert_array_equal(select_topk(fortran, k), want)
+        np.testing.assert_array_equal(select_topk(strided, k), want)
+        np.testing.assert_array_equal(x, fortran)  # the input is only read
+
+    @given(x=finite_arrays, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_argpartition_when_the_threshold_is_not_tied(self, x, data):
+        k = data.draw(st.integers(1, x.size))
+        order = np.sort(np.abs(x).reshape(-1))
+        if k < x.size and order[x.size - k] == order[x.size - k - 1]:
+            return  # k-th and (k+1)-th magnitudes tie: argpartition may pick either
+        np.testing.assert_array_equal(select_topk(x, k),
+                                      argpartition_selection(x, k))
+
+    @pytest.mark.parametrize("x", EDGE_INPUTS, ids=lambda x: str(x.shape))
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 1.0])
+    def test_edge_inputs(self, x, fraction):
+        c = TopKCompressor(fraction)
+        k = max(1, int(round(fraction * x.size)))
+        msg = c.compress(x)
+        idx = msg.payloads["indices"]
+        assert idx.size == k and idx.dtype == np.int32
+        assert (np.diff(idx) > 0).all()
+        if np.unique(np.abs(x)).size == 1:  # all tied: the first k indices
+            np.testing.assert_array_equal(idx, np.arange(k))
+        np.testing.assert_array_equal(c.decompress(msg),
+                                      c.apply(Tensor(x)).data)
+
+    @given(x=st.one_of(finite_arrays, tied_arrays), fraction=fractions)
+    @settings(max_examples=60, deadline=None)
+    def test_compress_then_decompress_is_applys_forward(self, x, fraction):
+        c = TopKCompressor(fraction)
+        rec = c.decompress(c.compress(x))
+        np.testing.assert_array_equal(rec, c.apply(Tensor(x)).data)
+        np.testing.assert_array_equal(
+            rec != 0, (x != 0) & select_topk(x, c._k(x.size)).reshape(x.shape))
+
+
+class TestErrorFeedbackProperties:
+    @given(xs=st.lists(finite_arrays, min_size=1, max_size=3),
+           fraction=fractions, face=st.sampled_from(["compress", "apply"]))
+    @settings(max_examples=60, deadline=None)
+    def test_conservation_is_bitwise(self, xs, fraction, face):
+        """``x + r_old == rec + r_new`` at every step of a chain, exactly:
+        what is not sent is kept, nothing else."""
+        ef = ErrorFeedbackCompressor(TopKCompressor(fraction))
+        xs = [xs[0]] + [x for x in xs[1:] if x.shape == xs[0].shape] * 2
+        for x in xs:
+            prev = ef.residual()
+            r_old = np.zeros_like(x) if prev is None else prev.copy()
+            before = x.copy()
+            if face == "compress":
+                rec = ef.decompress(ef.compress(x))
+            else:
+                rec = ef.apply(Tensor(x)).data
+            np.testing.assert_array_equal(x, before)
+            np.testing.assert_array_equal(x + r_old, rec + ef.residual())
+            assert not np.shares_memory(rec, ef.residual())
+
+    @pytest.mark.parametrize("x", EDGE_INPUTS, ids=lambda x: str(x.shape))
+    def test_conservation_on_edge_inputs(self, x):
+        ef = ErrorFeedbackCompressor(TopKCompressor(0.3))
+        r_old = np.zeros_like(x)
+        for _ in range(3):
+            rec = ef.apply(Tensor(x)).data
+            np.testing.assert_array_equal(x + r_old, rec + ef.residual())
+            r_old = ef.residual().copy()
+
+    def test_a_backward_pass_still_sees_the_corrected_input(self):
+        """``corrected`` is formed in the residual's buffer; an inner codec
+        whose backward reads its input (the AE's weight gradient does) must
+        still find it there after the residual update."""
+        hidden, code = 8, 3
+        ef = ErrorFeedbackCompressor(AutoencoderCompressor(hidden, code, seed=0))
+        twin = AutoencoderCompressor(hidden, code, seed=0)
+        rng = np.random.default_rng(0)
+        x1, x2 = (rng.normal(size=(2, 5, hidden)).astype(np.float32)
+                  for _ in range(2))
+        ef.apply(Tensor(x1))
+        corrected = x2 + ef.residual()
+        ef.apply(Tensor(x2)).sum().backward()
+        twin.apply(Tensor(corrected)).sum().backward()
+        for got, want in zip(ef.parameters(), twin.parameters()):
+            np.testing.assert_array_equal(got.grad, want.grad)
 
 
 class TestAutogradProperties:
