@@ -49,8 +49,12 @@ bench:
 loc:
 	$(PYTHON) .github/scripts/loc.py
 
-# Where one serial training step spends its time, per (phase, op), from
-# OpProfiler's wall column (tp2 pp2 A2, the inproc benchmark shape). It names
-# the call site to look at; a speed claim still goes through benchmarks/e2e.
+# Where one serial training step spends its time and faults its pages, per
+# (phase, op): OpProfiler's wall column and ru_minflt deltas, on the tp2 pp2
+# A2 and the tp2 Q2 benchmark shapes (--schedule/--microbatches/--dp give the
+# other two). It names the call site to look at; a speed claim still goes
+# through benchmarks/e2e. A warmed step faults (almost) no pages: CI fails
+# above 300 / 500 per step.
 op-budget:
-	$(PYTHON) .github/scripts/op_budget.py --tp 2 --pp 2 --scheme A2
+	$(PYTHON) .github/scripts/op_budget.py --tp 2 --pp 2 --scheme A2 --max-faults 300
+	$(PYTHON) .github/scripts/op_budget.py --tp 2 --scheme Q2 --max-faults 500

@@ -22,7 +22,7 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, pool
 
 __all__ = ["QuantizationCompressor", "pack_bits", "unpack_bits"]
 
@@ -99,12 +99,22 @@ class QuantizationCompressor(Compressor):
         levels = (1 << self.bits) - 1
         scale = (hi - lo) / levels
         scale = np.where(scale == 0, 1.0, scale)
-        codes = np.clip(np.round((grouped - lo) / scale), 0, levels).astype(np.uint8)
+        # clip(round((grouped - lo) / scale), 0, levels).astype(uint8): those
+        # operations on one pooled array and the codes.
+        q = np.subtract(grouped, lo, out=pool.empty_like(grouped))
+        np.divide(q, scale, out=q)
+        np.round(q, out=q)
+        np.clip(q, 0, levels, out=q)
+        codes = pool.empty(q.shape, np.uint8)
+        np.copyto(codes, q, casting="unsafe")
         return codes, scale.reshape(-1), lo.reshape(-1)
 
     def _dequantize(self, codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray, size: int) -> np.ndarray:
-        grouped = codes.reshape(-1, self.group_size).astype(np.float32)
-        out = grouped * scales[:, None] + zeros[:, None]
+        # codes.astype(float32) * scales + zeros, likewise.
+        out = pool.empty((scales.size, self.group_size), np.result_type(np.float32, scales, zeros))
+        np.copyto(out, codes.reshape(out.shape))
+        np.multiply(out, scales[:, None], out=out)
+        np.add(out, zeros[:, None], out=out)
         return out.reshape(-1)[:size]
 
     # ------------------------------------------------------------------
@@ -155,7 +165,7 @@ class QuantizationCompressor(Compressor):
                                 x.size).reshape(x.shape)
 
     def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        out_data = self.roundtrip(x.data).astype(x.data.dtype)
+        out_data = self.roundtrip(x.data).astype(x.data.dtype, copy=False)
 
         def backward(g):
             # Straight-through estimator: quantization treated as identity.

@@ -73,6 +73,7 @@ import numpy as np
 
 from repro.parallel.backend import events, faults
 from repro.parallel.backend.base import BackendError
+from repro.tensor import pool
 
 __all__ = ["ShmChannel", "ShmBarrier", "RankTransport", "ExchangeHandle",
            "CorruptMessage", "HEADER_SIZE", "DEFAULT_CAPACITY",
@@ -280,7 +281,7 @@ class ShmChannel:
                     f"got 0x{got_crc:08x}",
                     rank=self.src,
                 )
-        out = np.empty(shape[:ndim], dtype=_DTYPES[code])
+        out = pool.empty(shape[:ndim], _DTYPES[code])
         if nbytes:
             out.reshape(-1).view(np.uint8)[:] = self._payload[slot][:nbytes]
         self._recv_seq = seq

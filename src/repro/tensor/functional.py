@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from repro.tensor import pool
 from repro.tensor.tensor import Tensor, unbroadcast
 
 __all__ = [
@@ -61,15 +62,25 @@ def gelu(x: Tensor) -> Tensor:
     x_data = x.data
     # The cube by multiplication: NumPy fast-paths only the square, and a
     # float32 cube written with ``**`` runs the generic power loop (~150x).
-    inner = _SQRT_2_OVER_PI * (x_data + 0.044715 * (x_data * x_data * x_data))
-    t = np.tanh(inner)
-    out_data = 0.5 * x_data * (1.0 + t)
+    # t = tanh(sqrt(2/pi) * (x + 0.044715 * (x * x * x))); 0.5 * x * (1 + t):
+    # the operations of those expressions, in their order, on two arrays and
+    # one scratch instead of nine temporaries.
+    t, out_data, s = pool.empty_like(x_data), pool.empty_like(x_data), pool.empty_like(x_data)
+    np.multiply(x_data, x_data, out=t)
+    np.multiply(t, x_data, out=t)
+    np.multiply(0.044715, t, out=t)
+    np.add(x_data, t, out=t)
+    np.multiply(_SQRT_2_OVER_PI, t, out=t)
+    np.tanh(t, out=t)
+    np.multiply(0.5, x_data, out=out_data)
+    np.add(1.0, t, out=s)
+    np.multiply(out_data, s, out=out_data)
 
     def backward(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * dinner), the operations
-        # of that expression on two scratch arrays of our own instead of ten
-        # temporaries; ``g``, ``x_data`` and ``t`` are only read.
-        u, v = np.empty_like(x_data), np.empty_like(x_data)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * dinner), likewise on
+        # two scratch arrays of our own; ``g``, ``x_data`` and ``t`` are
+        # only read.
+        u, v = pool.empty_like(x_data), pool.empty_like(x_data)
         np.multiply(0.5, x_data, out=u)
         np.square(t, out=v)
         np.subtract(1.0, v, out=v)
@@ -89,13 +100,17 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = pool.empty_like(x.data)
+    np.subtract(x.data, x.data.max(axis=axis, keepdims=True), out=out_data)
+    np.exp(out_data, out=out_data)
+    np.divide(out_data, out_data.sum(axis=axis, keepdims=True), out=out_data)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
+        # out * (g - sum(g * out)) on one array of our own.
+        gx = pool.empty_like(out_data)
+        dot = np.multiply(g, out_data, out=gx).sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        return (np.multiply(out_data, gx, out=gx),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -172,30 +187,39 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat, out_data = pool.empty_like(x.data), pool.empty_like(x.data)
+    # Reductions run over our own C-contiguous arrays, so the result does
+    # not depend on the layout ``x`` arrived in (DESIGN decision 15b).
+    np.copyto(out_data, x.data)
+    mu = out_data.mean(axis=-1, keepdims=True)
+    np.subtract(out_data, mu, out=xhat)
+    # The variance as ``x.var`` computes it (array_equal), without its
+    # two temporaries: the mean of the squared deviations.
+    np.multiply(xhat, xhat, out=out_data)
+    var = np.add.reduce(out_data, axis=-1, keepdims=True) / x.data.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * weight.data + bias.data
-    n = x.data.shape[-1]
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(xhat, weight.data, out=out_data)
+    np.add(out_data, bias.data, out=out_data)
 
     def backward(g):
         gx = gw = gb = None
         if weight.requires_grad:
-            gw = unbroadcast(g * xhat, weight.data.shape)
+            gw = unbroadcast(np.multiply(g, xhat, out=pool.empty_like(xhat)), weight.data.shape)
         if bias.requires_grad:
             gb = unbroadcast(g, bias.data.shape)
         if x.requires_grad:
-            gxhat = g * weight.data
-            gx = inv * (
-                gxhat
-                - gxhat.mean(axis=-1, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) on two
+            # arrays of our own; ``u`` starts as gxhat = g * weight.
+            u, v = pool.empty_like(xhat), pool.empty_like(xhat)
+            mean = np.multiply(g, weight.data, out=u).mean(axis=-1, keepdims=True)
+            dot = np.multiply(u, xhat, out=v).mean(axis=-1, keepdims=True)
+            np.subtract(u, mean, out=u)
+            np.multiply(xhat, dot, out=v)
+            np.subtract(u, v, out=u)
+            gx = np.multiply(inv, u, out=u)
         return (gx, gw, gb)
 
-    # Normalize n usage: nothing else needed; `n` kept for clarity of the rule.
-    del n
     return Tensor._make(out_data, (x, weight, bias), backward)
 
 
@@ -229,9 +253,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Set positions where ``mask`` is True to ``value`` (no grad at those)."""
     mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, np.asarray(value, dtype=x.data.dtype), x.data)
+    out_data = pool.empty(np.broadcast(mask, x.data).shape, x.data.dtype)
+    np.copyto(out_data, x.data)
+    np.copyto(out_data, value, where=mask)
 
     def backward(g):
-        return (g * ~mask,)
+        return (np.multiply(g, ~mask, out=pool.empty(out_data.shape, g.dtype)),)
 
     return Tensor._make(out_data, (x,), backward)

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.tensor import pool
+
 __all__ = [
     "Tensor",
     "no_grad",
@@ -151,6 +153,27 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _pooled(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, elementwise, into a pooled array.
+
+    The shape and dtype NumPy would give the result, found the cheap way
+    when the operands agree: a step of small arrays makes hundreds of these
+    calls, and ``np.result_type`` alone is a third of a ``(4,16,128)`` add.
+    """
+    shape = a.shape if a.shape == b.shape else np.broadcast(a, b).shape
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+    return ufunc(a, b, out=pool.empty(shape, dtype))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` into a pooled array (likewise)."""
+    lead = a.shape[:-2]
+    if b.ndim > 2 and b.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+    return np.matmul(a, b, out=pool.empty(lead + (a.shape[-2], b.shape[-1]), dtype))
 
 
 def _as_array(value, dtype=np.float32) -> np.ndarray:
@@ -290,7 +313,7 @@ class Tensor:
                 # Leaf tensor: accumulate directly so grads persist.
                 p._accumulate(pg)
             elif pid in grads:
-                grads[pid] = grads[pid] + pg
+                grads[pid] = _pooled(np.add, grads[pid], pg)
             else:
                 grads[pid] = pg
 
@@ -344,7 +367,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        out_data = self.data + other.data
+        out_data = _pooled(np.add, self.data, other.data)
 
         def backward(g):
             return (unbroadcast(g, self.data.shape), unbroadcast(g, other.data.shape))
@@ -358,7 +381,8 @@ class Tensor:
         out_data = self.data - other.data
 
         def backward(g):
-            return (unbroadcast(g, self.data.shape), unbroadcast(-g, other.data.shape))
+            gb = unbroadcast(-g, other.data.shape) if other.requires_grad else None
+            return (unbroadcast(g, self.data.shape), gb)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -367,12 +391,15 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        out_data = self.data * other.data
+        out_data = _pooled(np.multiply, self.data, other.data)
 
         def backward(g):
+            # A parent that takes no gradient (``scores * (1 / sqrt(d))``)
+            # costs no product and no reduction to a scalar.
+            to_a, to_b = self.requires_grad, other.requires_grad
             return (
-                unbroadcast(g * other.data, self.data.shape),
-                unbroadcast(g * self.data, other.data.shape),
+                unbroadcast(_pooled(np.multiply, g, other.data), self.data.shape) if to_a else None,
+                unbroadcast(_pooled(np.multiply, g, self.data), other.data.shape) if to_b else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -384,9 +411,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g):
+            to_a, to_b = self.requires_grad, other.requires_grad
             return (
-                unbroadcast(g / other.data, self.data.shape),
-                unbroadcast(-g * self.data / (other.data**2), other.data.shape),
+                unbroadcast(g / other.data, self.data.shape) if to_a else None,
+                unbroadcast(-g * self.data / (other.data**2), other.data.shape) if to_b else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -418,13 +446,18 @@ class Tensor:
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError("matmul requires operands with ndim >= 2")
-        out_data = a @ b
+        out_data = _matmul(a, b)
 
         def backward(g):
             ga = gb = None
             if self.requires_grad:
-                ga = unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+                ga = unbroadcast(_matmul(g, np.swapaxes(b, -1, -2)), a.shape)
             if other.requires_grad:
+                # Not pooled: for a weight this is a batch of parameter-sized
+                # products that ``unbroadcast`` sums at once, the step's
+                # largest array and alone when freed, which ``malloc`` reuses
+                # without a fault; pooled, every process held it idle
+                # (+11 MB on ``mp_dp2_t2_wide``, EXPERIMENTS "Buffer pool").
                 gb = unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
             return (ga, gb)
 
@@ -477,8 +510,8 @@ class Tensor:
 
         def backward(g):
             return (
-                unbroadcast(g * mask, self.data.shape),
-                unbroadcast(g * ~mask, other.data.shape),
+                unbroadcast(g * mask, self.data.shape) if self.requires_grad else None,
+                unbroadcast(g * ~mask, other.data.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -531,7 +564,15 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
+        out_data = self.data.view()
+        try:
+            out_data.shape = shape  # a view wherever ``reshape`` returns one
+        except AttributeError:
+            # The copy ``reshape`` makes instead (of a transposed array, say),
+            # into a pooled buffer.
+            out_data = pool.empty_like(self.data)
+            np.copyto(out_data, self.data)
+            out_data = out_data.reshape(shape)
         in_shape = self.data.shape
 
         def backward(g):
@@ -570,7 +611,8 @@ class Tensor:
         )
 
         def backward(g):
-            grad = np.zeros_like(self.data)
+            grad = pool.empty_like(self.data)
+            grad.fill(0)
             if basic:
                 grad[key] += g
             else:
@@ -601,13 +643,10 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     datas = [t.data for t in tensors]
     out_data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(sizes))
-        )
+        return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._make(out_data, tensors, backward)
 

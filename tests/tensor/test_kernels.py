@@ -255,3 +255,136 @@ class TestCostRatios:
 
         getitem = _median_ms(_fwd_bwd(lambda t: t[:, :, :32], x_data, g))
         assert getitem / _median_ms(floor) < 5.5
+
+
+# ----------------------------------------------------------------------
+def _bits(a: np.ndarray) -> np.ndarray:
+    assert a.dtype == np.float32
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+class TestOutFormsAreBitwise:
+    """The ``out=`` kernels against the one-line expressions they replaced.
+
+    Each kernel runs the operations of its expression in the expression's
+    order, on arrays from ``repro.tensor.pool`` instead of temporaries, so
+    the bits are equal: compared as ``uint32``, for inputs and upstream
+    gradients in three layouts.  The expressions are evaluated on
+    C-contiguous copies: a kernel's reductions run over its own contiguous
+    arrays whatever the layout of its input was.
+    """
+
+    X = randn(16, 32, 64) * 3.0  # 128 KiB: above the pool's floor
+    G = randn(16, 32, 64)
+
+    def _cases(self, x=None):
+        for x_data in layouts(self.X if x is None else x).values():
+            for g in layouts(self.G).values():
+                yield x_data, g
+
+    def test_gelu_forward(self):
+        x = self.X
+        want = 0.5 * x * (1.0 + np.tanh(_C * (x + 0.044715 * (x * x * x))))
+        for x_data in layouts(self.X).values():
+            assert_bitwise(F.gelu(Tensor(x_data)).data, want)
+
+    def test_softmax(self):
+        x = self.X
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_gx = want * (self.G - (self.G * want).sum(axis=-1, keepdims=True))
+        for x_data, g in self._cases():
+            out, gx = _run(F.softmax, x_data, g)
+            assert_bitwise(out, want)
+            assert_bitwise(gx, want_gx)
+
+    def test_layer_norm(self):
+        x, g = self.X, self.G
+        w_data, b_data = randn(64), randn(64)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        gxhat = g * w_data
+        want_gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        for x_data, g_data in self._cases():
+            xt = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = F.layer_norm(xt, w, b)
+            out.backward(g_data)
+            assert_bitwise(out.data, xhat * w_data + b_data)
+            assert_bitwise(xt.grad, want_gx)
+            assert_bitwise(w.grad, (g * xhat).sum(axis=(0, 1)))
+            assert_bitwise(b.grad, g_data.sum(axis=(0, 1)))  # reduces g itself
+
+    def test_layer_norm_variance_is_numpys(self):
+        for n in (1, 7, 32, 64, 129, 1000):
+            x = randn(50, n) * 5.0 + 2.0
+            d = x - x.mean(axis=-1, keepdims=True)
+            assert_bitwise(np.add.reduce(d * d, axis=-1, keepdims=True) / n,
+                           x.var(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("mask_shape", [(16, 32, 64), (16, 1, 64), (1, 1, 64), (32, 1)])
+    def test_masked_fill(self, mask_shape):
+        mask = RNG.random(mask_shape) < 0.4
+        signed = self.X.copy()
+        signed.flat[::3] *= -0.0  # -0.0 must come through as np.where passes it
+        for value in (-1e9, -0.0):
+            want = np.where(mask, np.asarray(value, dtype=np.float32), signed)
+            for x_data, g in self._cases(signed):
+                out, gx = _run(lambda t: F.masked_fill(t, mask, value), x_data, g)
+                assert_bitwise(out, want)
+                assert_bitwise(gx, self.G * ~mask)
+
+    def test_reshape_copies_only_where_numpy_does(self):
+        whole = randn(32, 32, 64)
+        cases = {  # non-contiguous, 64 KiB and more: (array, shape, ndarray.reshape returns a view)
+            "slice, unit dim": (whole[:, :16], (32, 16, 1, 64), True),
+            "slice, split last axis": (whole[:, :16], (32, 16, 8, 8), True),
+            "fortran order": (np.asfortranarray(whole[0]), (32, 64, 1), True),
+            "transposed": (whole.transpose(1, 0, 2), (32, -1), False),
+            "slice, merged axes": (whole[:, :16], (-1, 64), False),
+        }
+        for name, (x_data, shape, is_view) in cases.items():
+            want = x_data.reshape(shape)
+            assert np.shares_memory(want, x_data) == is_view, name
+            x = Tensor(x_data, requires_grad=True)
+            out = x.reshape(shape)
+            assert_bitwise(out.data, want)
+            assert np.shares_memory(out.data, x_data) == is_view, name
+            out.backward(np.ones_like(want))
+            assert_bitwise(x.grad, np.ones_like(x_data))
+        with pytest.raises(ValueError):
+            Tensor(whole[:, :16]).reshape(7, -1)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_quantizer_roundtrip(self, bits):
+        from repro.compression.quantization import QuantizationCompressor
+
+        q = QuantizationCompressor(bits)
+        levels = (1 << bits) - 1
+        flat = randn(64, 32, 32)
+        flat[3] = 0.25  # groups of one value take the ``scale == 0`` branch
+        for values in (flat, self.X[:, :7, :9]):  # 256 | size, and the padded path
+            pad = -values.size % q.group_size
+            g = np.pad(values.reshape(-1), (0, pad), mode="edge").reshape(-1, q.group_size)
+            lo = g.min(axis=1, keepdims=True)
+            scale = (g.max(axis=1, keepdims=True) - lo) / levels
+            scale = np.where(scale == 0, 1.0, scale)
+            codes = np.clip(np.round((g - lo) / scale), 0, levels).astype(np.uint8)
+            want = (codes.astype(np.float32) * scale + lo).reshape(-1)[:values.size].reshape(values.shape)
+            assert_bitwise(q.decompress(q.compress(values)), want)
+            for x_data in layouts(values).values():
+                assert_bitwise(q.roundtrip(x_data), want)
+            # The wire's scales and zeros decide the dtype, as in the expression.
+            wide = q._dequantize(codes.reshape(-1), scale.reshape(-1).astype(np.float64),
+                                 lo.reshape(-1).astype(np.float64), values.size)
+            want64 = codes.astype(np.float32) * scale.astype(np.float64) + lo.astype(np.float64)
+            assert wide.dtype == np.float64
+            np.testing.assert_array_equal(wide, want64.reshape(-1)[:values.size])
