@@ -50,11 +50,17 @@ loc:
 	$(PYTHON) .github/scripts/loc.py
 
 # Where one serial training step spends its time and faults its pages, per
-# (phase, op): OpProfiler's wall column and ru_minflt deltas, on the tp2 pp2
-# A2 and the tp2 Q2 benchmark shapes (--schedule/--microbatches/--dp give the
-# other two). It names the call site to look at; a speed claim still goes
-# through benchmarks/e2e. A warmed step faults (almost) no pages: CI fails
-# above 300 / 500 per step.
+# (phase, op): OpProfiler's wall column and ru_minflt deltas, on the in-process
+# twins of the four benchmark shapes (tp2 pp2 A2, tp2 Q2, pp2 1F1B, dp2 wide).
+# It names the call site to look at; a speed claim still goes through
+# benchmarks/e2e. A warmed step faults (almost) no pages: CI fails above
+# 300 / 500 / 300 per step on the first three. The dp2 twin is printed, not
+# gated: its Top-K codec's temporaries fault ~3 000 pages per step in one
+# process (the mp leaders do not).
 op-budget:
 	$(PYTHON) .github/scripts/op_budget.py --tp 2 --pp 2 --scheme A2 --max-faults 300
 	$(PYTHON) .github/scripts/op_budget.py --tp 2 --scheme Q2 --max-faults 500
+	$(PYTHON) .github/scripts/op_budget.py --pp 2 --scheme w/o --schedule 1f1b \
+		--microbatches 4 --max-faults 300
+	$(PYTHON) .github/scripts/op_budget.py --dp 2 --scheme T2 --layers 8 --hidden 128 \
+		--batch 8 --seq 16

@@ -163,8 +163,7 @@ def cross_entropy(
     out_data = np.asarray(loss, dtype=logits.data.dtype)
 
     def backward(g):
-        soft = np.exp(logp)
-        grad = soft.copy()
+        grad = np.exp(logp)  # a fresh array, ours to write
         grad[np.arange(flat_targets.shape[0]), safe_targets] -= 1.0
         grad *= (valid / n_valid)[:, None]
         grad = grad.reshape(logits.data.shape)

@@ -431,10 +431,16 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
-        out_data = self.data**exponent
+        x = self.data
+        # Integer powers by multiplication (DESIGN decision 15a): NumPy
+        # fast-paths only the square, and ``x**3`` runs the generic loop.
+        out_data = np.square(x) if exponent == 2 else x * x * x if exponent == 3 else x**exponent
 
         def backward(g):
-            return (g * exponent * self.data ** (exponent - 1),)
+            if exponent == 0:  # not ``0 * x**-1``, which is NaN at x == 0
+                return (np.zeros(x.shape, g.dtype),)
+            dx = x if exponent == 2 else np.square(x) if exponent == 3 else x ** (exponent - 1)
+            return (g * exponent * dx,)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -450,14 +456,24 @@ class Tensor:
 
         def backward(g):
             ga = gb = None
+            if a.ndim > 2 and b.ndim == 2:
+                # A stacked product against a weight (DESIGN decision 15e):
+                # ``ga`` against a contiguous copy of its transpose (in the
+                # stacked loop the transposed view costs up to 2.6x, copy
+                # included), ``gb`` as one GEMM over every token instead of
+                # a batch of products for ``unbroadcast`` to sum.
+                if self.requires_grad:
+                    bt = pool.empty(b.shape[::-1], b.dtype)
+                    np.copyto(bt, b.T)
+                    ga = _matmul(g, bt)
+                if other.requires_grad:
+                    gb = _matmul(a.reshape(-1, b.shape[0]).T, g.reshape(-1, b.shape[1]))
+                return (ga, gb)
             if self.requires_grad:
                 ga = unbroadcast(_matmul(g, np.swapaxes(b, -1, -2)), a.shape)
             if other.requires_grad:
-                # Not pooled: for a weight this is a batch of parameter-sized
-                # products that ``unbroadcast`` sums at once, the step's
-                # largest array and alone when freed, which ``malloc`` reuses
-                # without a fault; pooled, every process held it idle
-                # (+11 MB on ``mp_dp2_t2_wide``, EXPERIMENTS "Buffer pool").
+                # Left to ``malloc``: pooled, attention's ``gb`` measured no
+                # different (EXPERIMENTS.md "Weight GEMMs").
                 gb = unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
             return (ga, gb)
 

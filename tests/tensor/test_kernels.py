@@ -10,6 +10,7 @@ stands on, and to the rule that a backward closure writes only into arrays
 it allocated itself (DESIGN.md, "Tensor kernel rules").
 """
 
+import itertools
 import math
 import statistics
 import time
@@ -97,6 +98,22 @@ class TestReferences:
             assert np.all(np.abs(got - want) <= bound), name
         assert out.shape == (*lead, 10) and a.grad.shape == a_data.shape
 
+    def test_integer_powers(self):
+        # By multiplication (DESIGN decision 15a), and exponent 0 has a zero
+        # gradient: ``0 * x**-1`` is NaN at x == 0.
+        x_data = np.array([0.0, 2.0, -1.5, 0.3], dtype=np.float32)
+        g = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
+        for exponent, want, dwant in [
+            (0, np.ones_like(x_data), np.zeros_like(x_data)),
+            (2, np.square(x_data), g * 2 * x_data),
+            (3, x_data * x_data * x_data, g * 3 * np.square(x_data)),
+        ]:
+            x = Tensor(x_data, requires_grad=True)
+            y = x**exponent
+            y.backward(g)
+            assert_bitwise(y.data, want)
+            assert_bitwise(x.grad, dwant)
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_getitem_backward_equals_add_at_for_basic_keys(self, data):
@@ -161,6 +178,26 @@ class TestLayoutIndependence:
             for out, grad in results[1:]:
                 np.testing.assert_array_equal(out, results[0][0])
                 np.testing.assert_array_equal(grad, results[0][1])
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((32, 32, 32), (32, 64)),
+        ((32, 32, 64), (64, 96)),
+        ((4, 16, 512), (512, 128)),
+    ], ids=["out-projection", "qkv", "wide-ffn-out"])
+    def test_nd_by_2d_matmul(self, x_shape, w_shape):
+        # The weight's layout counts too: ``x.grad`` is computed against it.
+        def run(x_data, w_data, g):
+            x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+            out = x @ w
+            out.backward(g)
+            return out.data, x.grad, w.grad
+
+        values = (randn(*x_shape), randn(*w_shape), randn(*x_shape[:-1], w_shape[-1]))
+        results = [run(*arrays) for arrays in itertools.product(
+            *(layouts(v).values() for v in values))]
+        for got in results[1:]:
+            for name, a, want in zip(("out", "x.grad", "w.grad"), got, results[0]):
+                np.testing.assert_array_equal(a, want, err_msg=name)
 
 
 # ----------------------------------------------------------------------
@@ -228,14 +265,15 @@ def _fwd_bwd(op, x_data, g):
 
 
 class TestCostRatios:
-    """The regression that went unseen for 17 PRs, as two ratios.
+    """Regressions that went unseen for many commits, as ratios.
 
     Each compares a kernel with a neighbour of fixed cost inside one
     process (medians of 40 calls through the public ``Tensor`` API,
     forward + ``backward``), so the speed of the box cancels.  Each
-    threshold sits between the ratio at the parent (ae90bd1) and the ratio
-    after the fix with >= 2x on both sides; the measured pairs (five
-    readings each, one BLAS thread, 2-core box) are in the tests.
+    threshold sits between the ratio before its fix and the ratio after
+    (>= 2x on both sides for the first two, ~1.2x for the weight
+    backward); the measured ranges (five readings each, one BLAS thread,
+    2-core box) are in the tests.
     """
 
     def test_gelu_costs_a_small_multiple_of_the_matmul_that_feeds_it(self):
@@ -255,6 +293,16 @@ class TestCostRatios:
 
         getitem = _median_ms(_fwd_bwd(lambda t: t[:, :, :32], x_data, g))
         assert getitem / _median_ms(floor) < 5.5
+
+    def test_weight_backward_costs_a_small_multiple_of_its_forward(self):
+        # ``g @ w.T`` on the transposed view and a batch of ``x.T @ g``
+        # products summed by ``unbroadcast``: 5.4-6.0; against a
+        # contiguous transpose and as one GEMM: 3.5-3.8.
+        w = Tensor(randn(64, 128), requires_grad=True)
+        x_data, g = randn(32, 32, 64), randn(32, 32, 128)
+        forward = _median_ms(lambda: Tensor(x_data, requires_grad=True) @ w)
+        both = _median_ms(_fwd_bwd(lambda t: t @ w, x_data, g))
+        assert both / forward < 4.7
 
 
 # ----------------------------------------------------------------------
