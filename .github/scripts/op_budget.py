@@ -8,9 +8,10 @@ faults/step per (phase, op), largest wall first.  Wall is the gap between
 op.  Faults are ``ru_minflt`` deltas between op-hook events of a second,
 untimed run of the same steps, so reading them costs the wall column
 nothing; the header line has faults and sys time of whole steps (optimizer
-included) with no hook installed, and backward over forward ``__matmul__``
-wall (twice the FLOPs, so about 2 when both run at one speed; DESIGN
-decision 15e).  Informational for time: it names the
+included) with no hook installed, and backward over forward wall of the
+weight products (``linear``, DESIGN decision 15e) and of attention's
+``__matmul__`` (twice the FLOPs, so about 2 when both run at one speed).
+Informational for time: it names the
 call site to look at, and a speed claim is made with
 ``benchmarks/e2e/run.py``.  ``--max-faults N`` exits 1 when a warmed step
 faults more than N pages (Linux; the count is exact enough to gate, time is
@@ -104,11 +105,15 @@ def main() -> int:
             step()
 
     total = prof.total_wall_ms()
-    fwd, bwd = (prof.ops[phase, "__matmul__"].wall_ms for phase in ("forward", "backward"))
+
+    def ratio(op):
+        return prof.ops["backward", op].wall_ms / prof.ops["forward", op].wall_ms
+
     print(f"{total / args.steps:.1f} ms/step profiled over {args.steps} steps; "
           f"unhooked: {faults:.0f} minor faults/step, "
           f"{(sys1 - sys0) * 1e3 / args.steps:.2f} ms sys/step; "
-          f"backward/forward __matmul__ {bwd / fwd:.2f}")
+          f"backward/forward linear {ratio('linear'):.2f}, "
+          f"attention __matmul__ {ratio('__matmul__'):.2f}")
     print(f"{'phase':<9}{'op':<16}{'calls/step':>11}{'ms/step':>10}{'share':>8}"
           f"{'faults/step':>13}")
     for (phase, op), s in sorted(prof.ops.items(), key=lambda kv: -kv[1].wall_ms):

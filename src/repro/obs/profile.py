@@ -63,14 +63,17 @@ _ELEMENTWISE_OPS = frozenset({
     "exp", "log", "tanh", "sqrt", "abs", "maximum",
 })
 _REDUCTION_OPS = frozenset({"sum", "mean", "max"})
+_GEMM_OPS = frozenset({"__matmul__", "linear"})
 
 
 def op_flops(op: str, out_shape: tuple, parent_shapes: tuple) -> float:
-    """Estimated FLOPs of one op call from its name and operand shapes."""
+    """Estimated FLOPs of one op call from its name and operand shapes.
+
+    A GEMM is 2·N·K; ``linear`` adds one FLOP per output for its bias.
+    """
     n = float(np.prod(out_shape)) if out_shape else 1.0
-    if op == "__matmul__" and parent_shapes:
-        k = parent_shapes[0][-1]
-        return 2.0 * n * float(k)
+    if op in _GEMM_OPS and parent_shapes:
+        return 2.0 * n * float(parent_shapes[0][-1]) + (n if len(parent_shapes) == 3 else 0.0)
     if op in _ELEMENTWISE_OPS:
         return n
     if op in _REDUCTION_OPS and parent_shapes:
@@ -303,9 +306,7 @@ class OpProfiler:
         :func:`~repro.simulator.kernels.gemm_time` / bandwidth model the
         timing tables use, so profiled and simulated runs are comparable.
         """
-        matmul_flops = sum(
-            s.flops for (phase, op), s in self.ops.items() if op == "__matmul__"
-        )
+        matmul_flops = sum(s.flops for (_, op), s in self.ops.items() if op in _GEMM_OPS)
         bytes_moved = sum(s.bytes_moved for s in self.ops.values())
         mem_ms = bytes_moved / (self.gpu.mem_bandwidth_gbps * 1e9) * 1e3
         return gemm_time(matmul_flops, self.cal.gemm_tflops(1)) + mem_ms

@@ -41,20 +41,6 @@ __all__ = [
 ]
 
 
-def _shard_columns(weight: np.ndarray, tp: int) -> list[np.ndarray]:
-    """Split ``(in, out)`` weight into ``tp`` column blocks ``(in, out/tp)``."""
-    if weight.shape[1] % tp != 0:
-        raise ValueError(f"out dim {weight.shape[1]} not divisible by tp={tp}")
-    return np.split(weight, tp, axis=1)
-
-
-def _shard_rows(weight: np.ndarray, tp: int) -> list[np.ndarray]:
-    """Split ``(in, out)`` weight into ``tp`` row blocks ``(in/tp, out)``."""
-    if weight.shape[0] % tp != 0:
-        raise ValueError(f"in dim {weight.shape[0]} not divisible by tp={tp}")
-    return np.split(weight, tp, axis=0)
-
-
 def _add_shard(module: Module, stem: str, rank: int, data: np.ndarray) -> Parameter:
     """Register tp rank ``rank``'s shard of ``stem`` as ``{stem}_rank{rank}``.
 
@@ -67,7 +53,41 @@ def _add_shard(module: Module, stem: str, rank: int, data: np.ndarray) -> Parame
     return p
 
 
-class ColumnParallelLinear(Module):
+class _ShardedLinear(Module):
+    """A :class:`Linear` whose ``(in, out)`` weight is split along ``AXIS``.
+
+    ``__init__`` draws the full weight and shards it exactly as
+    :meth:`from_serial` shards a serial layer's; each rank's shard is one
+    ``F.linear`` over its own slice.
+    """
+
+    AXIS: int  # 1: output features (column-parallel); 0: input features (row)
+
+    def __init__(self, in_features: int, out_features: int, tp: int,
+                 rng: np.random.Generator, bias: bool = True, init_std: float = 0.02):
+        super().__init__()
+        full = rng.normal(0.0, init_std, size=(in_features, out_features)).astype(np.float32)
+        self._shard(full, np.zeros(out_features, dtype=np.float32) if bias else None, tp)
+
+    @classmethod
+    def from_serial(cls, serial: Linear, tp: int):
+        obj = cls.__new__(cls)
+        Module.__init__(obj)
+        obj._shard(serial.weight.data, None if serial.bias is None else serial.bias.data, tp)
+        return obj
+
+    def _shard(self, weight: np.ndarray, bias: np.ndarray | None, tp: int) -> None:
+        self.in_features, self.out_features = weight.shape
+        self.tp = tp
+        if weight.shape[self.AXIS] % tp != 0:
+            dim = ("in_features", "out_features")[self.AXIS]
+            raise ValueError(f"{dim}={weight.shape[self.AXIS]} not divisible by tp={tp}")
+        self.weight_shards = [_add_shard(self, "weight", r, w)
+                              for r, w in enumerate(np.split(weight, tp, axis=self.AXIS))]
+        self._shard_bias(bias)
+
+
+class ColumnParallelLinear(_ShardedLinear):
     """Linear layer whose output features are sharded across ``tp`` ranks.
 
     ``forward`` maps a replicated input to the list of per-rank output
@@ -75,51 +95,20 @@ class ColumnParallelLinear(Module):
     forward pass.
     """
 
-    def __init__(self, in_features: int, out_features: int, tp: int,
-                 rng: np.random.Generator, bias: bool = True, init_std: float = 0.02):
-        super().__init__()
-        if out_features % tp != 0:
-            raise ValueError(f"out_features={out_features} not divisible by tp={tp}")
-        self.in_features = in_features
-        self.out_features = out_features
-        self.tp = tp
-        full = rng.normal(0.0, init_std, size=(in_features, out_features)).astype(np.float32)
-        self._init_shards(full, np.zeros(out_features, dtype=np.float32) if bias else None)
+    AXIS = 1
 
-    def _init_shards(self, weight: np.ndarray, bias: np.ndarray | None) -> None:
-        self.weight_shards = []
-        self.bias_shards = []
-        for r, w in enumerate(_shard_columns(weight, self.tp)):
-            self.weight_shards.append(_add_shard(self, "weight", r, w))
-        if bias is not None:
-            for r, b in enumerate(np.split(bias, self.tp)):
-                self.bias_shards.append(_add_shard(self, "bias", r, b))
-
-    @classmethod
-    def from_serial(cls, serial: Linear, tp: int) -> "ColumnParallelLinear":
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj.in_features = serial.in_features
-        obj.out_features = serial.out_features
-        obj.tp = tp
-        if serial.out_features % tp != 0:
-            raise ValueError(f"out_features={serial.out_features} not divisible by tp={tp}")
-        obj._init_shards(serial.weight.data, serial.bias.data if serial.bias is not None else None)
-        return obj
+    def _shard_bias(self, bias: np.ndarray | None) -> None:
+        self.bias_shards = [] if bias is None else [
+            _add_shard(self, "bias", r, b) for r, b in enumerate(np.split(bias, self.tp))]
 
     def forward(self, x: Tensor) -> list[Tensor]:
         # In-process this materializes every rank's shard; inside an mp
         # worker the group's local ranks collapse the loop to its own.
-        outs = []
-        for r in Group("tp", self.tp).local:
-            o = x @ self.weight_shards[r]
-            if self.bias_shards:
-                o = o + self.bias_shards[r]
-            outs.append(o)
-        return outs
+        return [F.linear(x, self.weight_shards[r], self.bias_shards[r] if self.bias_shards else None)
+                for r in Group("tp", self.tp).local]
 
 
-class RowParallelLinear(Module):
+class RowParallelLinear(_ShardedLinear):
     """Linear layer whose input features are sharded across ``tp`` ranks.
 
     ``forward`` maps per-rank input shards (``(..., in/tp)``) to per-rank
@@ -127,40 +116,16 @@ class RowParallelLinear(Module):
     compressible ``g`` site). The single bias is added after the reduce.
     """
 
-    def __init__(self, in_features: int, out_features: int, tp: int,
-                 rng: np.random.Generator, bias: bool = True, init_std: float = 0.02):
-        super().__init__()
-        if in_features % tp != 0:
-            raise ValueError(f"in_features={in_features} not divisible by tp={tp}")
-        self.in_features = in_features
-        self.out_features = out_features
-        self.tp = tp
-        full = rng.normal(0.0, init_std, size=(in_features, out_features)).astype(np.float32)
-        self._init_shards(full, np.zeros(out_features, dtype=np.float32) if bias else None)
+    AXIS = 0
 
-    def _init_shards(self, weight: np.ndarray, bias: np.ndarray | None) -> None:
-        self.weight_shards = []
-        for r, w in enumerate(_shard_rows(weight, self.tp)):
-            self.weight_shards.append(_add_shard(self, "weight", r, w))
-        self.bias = Parameter(bias.copy()) if bias is not None else None
-
-    @classmethod
-    def from_serial(cls, serial: Linear, tp: int) -> "RowParallelLinear":
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj.in_features = serial.in_features
-        obj.out_features = serial.out_features
-        obj.tp = tp
-        if serial.in_features % tp != 0:
-            raise ValueError(f"in_features={serial.in_features} not divisible by tp={tp}")
-        obj._init_shards(serial.weight.data, serial.bias.data if serial.bias is not None else None)
-        return obj
+    def _shard_bias(self, bias: np.ndarray | None) -> None:
+        self.bias = None if bias is None else Parameter(bias.copy())
 
     def forward(self, x_shards: list[Tensor]) -> list[Tensor]:
         ranks = Group("tp", self.tp).local
         if len(x_shards) != len(ranks):
             raise ValueError(f"expected {len(ranks)} input shards, got {len(x_shards)}")
-        return [x_shards[i] @ self.weight_shards[r] for i, r in enumerate(ranks)]
+        return [F.linear(x_shards[i], self.weight_shards[r]) for i, r in enumerate(ranks)]
 
 
 class ParallelMLP(Module):
@@ -205,55 +170,41 @@ class ParallelAttention(Module):
     def __init__(self, hidden: int, num_heads: int, tp: int, rng: np.random.Generator,
                  dropout: float = 0.0, init_std: float = 0.02, sp: int = 1):
         super().__init__()
-        if num_heads % tp != 0:
-            raise ValueError(f"num_heads={num_heads} not divisible by tp={tp}")
         if sp > 1 and tp != 1:
             raise ValueError(f"ring sequence parallelism requires tp=1, got tp={tp}")
-        self.hidden = hidden
-        self.num_heads = num_heads
-        self.tp = tp
-        self.sp = sp
-        self.heads_per_rank = num_heads // tp
-        self.head_dim = hidden // num_heads
-        self.qkv = self._build_qkv_shards(
-            rng.normal(0.0, init_std, size=(hidden, 3 * hidden)).astype(np.float32),
-            np.zeros(3 * hidden, dtype=np.float32),
-        )
+        qkv_weight = rng.normal(0.0, init_std, size=(hidden, 3 * hidden)).astype(np.float32)
+        self._shard_qkv(num_heads, tp, sp, qkv_weight, np.zeros(3 * hidden, dtype=np.float32))
         self.out = RowParallelLinear(hidden, hidden, tp, rng, init_std=init_std)
         self.dropout = Dropout(dropout, rng)
 
-    def _build_qkv_shards(self, qkv_weight: np.ndarray, qkv_bias: np.ndarray):
-        """Shard the fused (in, 3h) QKV weight by head groups.
+    def _shard_qkv(self, num_heads: int, tp: int, sp: int, qkv_weight: np.ndarray,
+                   qkv_bias: np.ndarray) -> None:
+        """Record the layer's shape and shard the fused (in, 3h) QKV weight
+        by head groups.
 
         The serial layout is ``[Q | K | V]`` along the output axis; rank ``r``
         needs its head block from each of the three sections.
         """
-        h = self.hidden
-        slice_w = h // self.tp
-        shards_w, shards_b = [], []
-        for r in range(self.tp):
+        if num_heads % tp != 0:
+            raise ValueError(f"num_heads={num_heads} not divisible by tp={tp}")
+        self.hidden = h = qkv_weight.shape[0]
+        self.num_heads, self.tp, self.sp = num_heads, tp, sp
+        self.heads_per_rank = num_heads // tp
+        self.head_dim = h // num_heads
+        slice_w = h // tp
+        self._qkv_weights, self._qkv_biases = [], []
+        for r in range(tp):
             cols = np.concatenate(
                 [np.arange(sec * h + r * slice_w, sec * h + (r + 1) * slice_w) for sec in range(3)]
             )
-            shards_w.append(_add_shard(self, "qkv_weight", r, qkv_weight[:, cols]))
-            shards_b.append(_add_shard(self, "qkv_bias", r, qkv_bias[cols]))
-        self._qkv_weights = shards_w
-        self._qkv_biases = shards_b
-        return shards_w
+            self._qkv_weights.append(_add_shard(self, "qkv_weight", r, qkv_weight[:, cols]))
+            self._qkv_biases.append(_add_shard(self, "qkv_bias", r, qkv_bias[cols]))
 
     @classmethod
     def from_serial(cls, serial: MultiHeadAttention, tp: int) -> "ParallelAttention":
         obj = cls.__new__(cls)
         Module.__init__(obj)
-        if serial.num_heads % tp != 0:
-            raise ValueError(f"num_heads={serial.num_heads} not divisible by tp={tp}")
-        obj.hidden = serial.hidden
-        obj.num_heads = serial.num_heads
-        obj.tp = tp
-        obj.sp = 1
-        obj.heads_per_rank = serial.num_heads // tp
-        obj.head_dim = serial.head_dim
-        obj._build_qkv_shards(serial.qkv.weight.data, serial.qkv.bias.data)
+        obj._shard_qkv(serial.num_heads, tp, 1, serial.qkv.weight.data, serial.qkv.bias.data)
         obj.out = RowParallelLinear.from_serial(serial.out, tp)
         obj.dropout = serial.dropout
         return obj
@@ -275,7 +226,7 @@ class ParallelAttention(Module):
         slice_w = self.hidden // self.tp
         ctx_shards = []
         for r in Group("tp", self.tp).local:
-            qkv = x @ self._qkv_weights[r] + self._qkv_biases[r]
+            qkv = F.linear(x, self._qkv_weights[r], self._qkv_biases[r])
             q = self._split_heads(qkv[:, :, :slice_w], b, s)
             k = self._split_heads(qkv[:, :, slice_w : 2 * slice_w], b, s)
             v = self._split_heads(qkv[:, :, 2 * slice_w :], b, s)
@@ -314,8 +265,7 @@ class ParallelAttention(Module):
         weight, bias = self._qkv_weights[0], self._qkv_biases[0]
         q_blocks, k_blocks, v_blocks = [], [], []
         for r in Group("sp", sp).local:
-            x_r = sp_slice(x, sp, r)
-            qkv = x_r @ weight + bias
+            qkv = F.linear(sp_slice(x, sp, r), weight, bias)
             q_blocks.append(self._split_heads(qkv[:, :, :h], b, blk_s))
             k_blocks.append(self._split_heads(qkv[:, :, h : 2 * h], b, blk_s))
             v_blocks.append(self._split_heads(qkv[:, :, 2 * h :], b, blk_s))

@@ -5,6 +5,10 @@ transformer stack. Each is implemented as a single graph node with a custom
 backward closure rather than a composition of primitives, both for numerical
 stability (softmax / cross-entropy use the log-sum-exp trick) and to keep the
 graphs produced by a 24-layer model small.
+
+``linear`` is defined beside ``_matmul`` in :mod:`repro.tensor.tensor`,
+because ``Tensor.__matmul__`` routes a stacked product against a 2-D weight
+to it; it is re-exported here, where the layers call it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import numpy as np
 
 from repro.tensor import pool
-from repro.tensor.tensor import Tensor, unbroadcast
+from repro.tensor.tensor import Tensor, linear, unbroadcast
 
 __all__ = [
     "linear",
@@ -31,19 +35,6 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight + bias``.
-
-    ``weight`` has shape ``(in_features, out_features)`` (note: **not**
-    transposed like torch) so that tensor-parallel column/row splits are
-    simple slices along the second/first axis respectively.
-    """
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -176,6 +176,40 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=pool.empty(lead + (a.shape[-2], b.shape[-1]), dtype))
 
 
+def linear(x: "Tensor", weight: "Tensor", bias: "Tensor | None" = None) -> "Tensor":
+    """Affine map ``x @ weight + bias`` as one graph node (DESIGN decision 15e).
+
+    ``weight`` has shape ``(in_features, out_features)`` (note: **not**
+    transposed like torch) so that tensor-parallel column/row splits are
+    simple slices along the second/first axis respectively.
+    """
+    a, w = x.data, weight.data
+    if a.ndim < 2:
+        raise ValueError("matmul requires operands with ndim >= 2")
+    out_data = _matmul(a, w)
+    if bias is not None:
+        np.add(out_data, bias.data, out=out_data)
+
+    def backward(g):
+        ga = gw = gb = None
+        if x.requires_grad:
+            # A stacked ``x`` runs against a contiguous copy of ``Wᵀ``: the
+            # stacked loop costs up to 2.6x against the view, copy included.
+            # A 2-D ``x`` is one GEMM either way, and the view costs less.
+            wt = w.T
+            if a.ndim > 2:
+                wt = pool.empty(w.shape[::-1], w.dtype)
+                np.copyto(wt, w.T)
+            ga = _matmul(g, wt)
+        if weight.requires_grad:  # one GEMM over every token
+            gw = _matmul(a.reshape(-1, w.shape[0]).T, g.reshape(-1, w.shape[1]))
+        if bias is not None and bias.requires_grad:
+            gb = unbroadcast(g, bias.data.shape)
+        return (ga, gw, gb)
+
+    return Tensor._make(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
+
+
 def _as_array(value, dtype=np.float32) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype == dtype:
@@ -452,23 +486,12 @@ class Tensor:
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError("matmul requires operands with ndim >= 2")
+        if a.ndim > 2 and b.ndim == 2:  # a stacked product against a weight (DESIGN 15e)
+            return linear(self, other)
         out_data = _matmul(a, b)
 
         def backward(g):
             ga = gb = None
-            if a.ndim > 2 and b.ndim == 2:
-                # A stacked product against a weight (DESIGN decision 15e):
-                # ``ga`` against a contiguous copy of its transpose (in the
-                # stacked loop the transposed view costs up to 2.6x, copy
-                # included), ``gb`` as one GEMM over every token instead of
-                # a batch of products for ``unbroadcast`` to sum.
-                if self.requires_grad:
-                    bt = pool.empty(b.shape[::-1], b.dtype)
-                    np.copyto(bt, b.T)
-                    ga = _matmul(g, bt)
-                if other.requires_grad:
-                    gb = _matmul(a.reshape(-1, b.shape[0]).T, g.reshape(-1, b.shape[1]))
-                return (ga, gb)
             if self.requires_grad:
                 ga = unbroadcast(_matmul(g, np.swapaxes(b, -1, -2)), a.shape)
             if other.requires_grad:

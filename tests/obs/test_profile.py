@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.profile import OpProfiler, op_bytes, op_flops
+from repro.obs.profile import OpProfiler, OpStats, op_bytes, op_flops
 from repro.obs.trace import (
     merge_traces,
     profiler_trace,
@@ -79,6 +79,19 @@ class TestOpCosts:
     def test_matmul_flops(self):
         # (2,3) @ (3,4) -> out (2,4): 2*N*K = 2*8*3
         assert op_flops("__matmul__", (2, 4), ((2, 3), (3, 4))) == 2 * 8 * 3
+
+    def test_linear_flops_are_the_gemm_plus_one_per_output_for_the_bias(self):
+        assert op_flops("linear", (2, 4), ((2, 3), (3, 4), (4,))) == 2 * 8 * 3 + 8
+        assert op_flops("linear", (2, 4), ((2, 3), (3, 4))) == 2 * 8 * 3
+        assert op_flops("linear", (2, 4), ()) == 0.0  # a backward closure
+
+    def test_predicted_ms_prices_linear_as_a_gemm(self):
+        def predicted(op):
+            prof = OpProfiler(clock=FakeClock(), record_events=False)
+            prof.ops[("forward", op)] = OpStats(calls=1, flops=4e9, bytes_moved=1e6)
+            return prof.predicted_ms()
+
+        assert predicted("linear") == predicted("__matmul__") > predicted("__add__")
 
     def test_elementwise_flops(self):
         assert op_flops("__add__", (5, 7), ((5, 7), (5, 7))) == 35

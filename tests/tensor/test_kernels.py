@@ -4,10 +4,11 @@ safety and cost ratios.
 ``test_grad_check.py`` compares every backward rule with float32 central
 differences at ``atol=2e-2``; that finds a wrong rule, not a wrong constant
 or a lost digit.  The kernels that hold most of a training step (``gelu``,
-ND x 2-D ``@``, basic-key ``__getitem__``) are held here to float64 closed
-forms, to the layout-independence that the bitwise inproc/mp contract
-stands on, and to the rule that a backward closure writes only into arrays
-it allocated itself (DESIGN.md, "Tensor kernel rules").
+``linear`` and the ND x 2-D ``@`` routed to it, basic-key ``__getitem__``)
+are held here to float64 closed forms, to the layout-independence that the
+bitwise inproc/mp contract stands on, and to the rule that a backward
+closure writes only into arrays it allocated itself (DESIGN.md, "Tensor
+kernel rules").
 """
 
 import itertools
@@ -20,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.nn import Linear
+from repro.obs.profile import OpProfiler
 from repro.tensor import Tensor, functional as F
 
 RNG = np.random.default_rng(20)
@@ -54,7 +57,8 @@ def getitem_reference(shape, key, g):
 
 # ----------------------------------------------------------------------
 class TestReferences:
-    """float64 closed forms for the arithmetic, ``np.add.at`` for the scatter."""
+    """float64 closed forms for the arithmetic, ``np.add.at`` for the scatter,
+    and the two-node composition it replaced for ``linear``."""
 
     def test_gelu_forward_and_gradient(self):
         x_data = np.linspace(-6.0, 6.0, 24001).astype(np.float32)
@@ -97,6 +101,35 @@ class TestReferences:
             bound = 1e-5 * np.einsum(spec, np.abs(p), np.abs(q))
             assert np.all(np.abs(got - want) <= bound), name
         assert out.shape == (*lead, 10) and a.grad.shape == a_data.shape
+
+    @pytest.mark.parametrize("lead", [(0,), (1,), (7,), (0, 5), (1, 6), (3, 4), (2, 1, 3)])
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    def test_linear_is_the_two_node_composition(self, lead, with_bias):
+        # One node, bitwise the ``x @ W`` then ``+ b`` it replaced: the
+        # stacked product's backward against a contiguous ``Wᵀ`` and as one
+        # GEMM over every token (DESIGN decision 15e), a 2-D ``x``'s against
+        # the view; the bias gradient is ``__add__``'s reduction of ``g``.
+        x_data, w_data, b_data, g = randn(*lead, 24), randn(24, 10), randn(10), randn(*lead, 10)
+        x, w, b = (Tensor(v, requires_grad=True) for v in (x_data, w_data, b_data))
+        out = F.linear(x, w, b if with_bias else None)
+        out.backward(g)
+        wt = np.ascontiguousarray(w_data.T) if len(lead) > 1 else w_data.T
+        want = x_data @ w_data
+        assert_bitwise(out.data, want + b_data if with_bias else want)
+        assert_bitwise(x.grad, g @ wt)
+        assert_bitwise(w.grad, x_data.reshape(-1, 24).T @ g.reshape(-1, 10))
+        if with_bias:
+            assert_bitwise(b.grad, g.sum(axis=tuple(range(len(lead)))))
+        else:
+            assert b.grad is None
+
+    def test_profiled_linear_layer_is_one_op(self):
+        # Not ``__matmul__`` then ``__add__``, whose graph kept the pre-bias
+        # product alive until backward.
+        prof = OpProfiler(record_events=False)
+        with prof:
+            Linear(24, 10, RNG)(Tensor(randn(3, 4, 24)))
+        assert {key: s.calls for key, s in prof.ops.items()} == {("forward", "linear"): 1}
 
     def test_integer_powers(self):
         # By multiplication (DESIGN decision 15a), and exponent 0 has a zero
@@ -199,6 +232,31 @@ class TestLayoutIndependence:
             for name, a, want in zip(("out", "x.grad", "w.grad"), got, results[0]):
                 np.testing.assert_array_equal(a, want, err_msg=name)
 
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((32, 32, 32), (32, 64)),
+        ((32, 32, 64), (64, 96)),
+        ((4, 16, 512), (512, 128)),
+    ], ids=["out-projection", "qkv", "wide-ffn-out"])
+    def test_linear(self, x_shape, w_shape):
+        # ``b.grad`` reduces ``g`` itself, as ``__add__`` did before ``linear``
+        # was one node, so NumPy's summation order follows ``g``'s layout;
+        # it is held to that expression instead.
+        b_data = randn(w_shape[-1])
+
+        def run(x_data, w_data, g):
+            x, w, b = (Tensor(v, requires_grad=True) for v in (x_data, w_data, b_data))
+            out = F.linear(x, w, b)
+            out.backward(g)
+            assert_bitwise(b.grad, g.sum(axis=(0, 1)))
+            return out.data, x.grad, w.grad
+
+        values = (randn(*x_shape), randn(*w_shape), randn(*x_shape[:-1], w_shape[-1]))
+        results = [run(*arrays) for arrays in itertools.product(
+            *(layouts(v).values() for v in values))]
+        for got in results[1:]:
+            for name, a, want in zip(("out", "x.grad", "w.grad"), got, results[0]):
+                np.testing.assert_array_equal(a, want, err_msg=name)
+
 
 # ----------------------------------------------------------------------
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -243,6 +301,30 @@ class TestWriteSafety:
         x.grad = None
         out.backward(g)  # the retained graph, a second time
         np.testing.assert_array_equal(x.grad, first)
+        np.testing.assert_array_equal(g, g_before)
+
+    @pytest.mark.parametrize("lead", [(4,), (4, 5)], ids=["2-D", "ND"])
+    def test_linear_diamond_and_second_backward(self, lead):
+        x, w, b = (Tensor(_readonly(randn(*shape)), requires_grad=True)
+                   for shape in ((*lead, 12), (12, 7), (7,)))
+        out = F.linear(x, w, b) + F.linear(x, w, b)
+        g = _readonly(randn(*out.shape))
+        g_before = g.copy()
+
+        out.backward(g)
+        first = [t.grad.copy() for t in (x, w, b)]
+        g64 = g.astype(np.float64)
+        np.testing.assert_allclose(first[0], 2.0 * (g64 @ w.data.T), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(first[1], 2.0 * np.einsum(
+            "mk,mn->kn", x.data.reshape(-1, 12), g64.reshape(-1, 7)), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(first[2], 2.0 * g64.reshape(-1, 7).sum(axis=0),
+                                   rtol=1e-5, atol=1e-5)
+
+        for t in (x, w, b):
+            t.grad = None
+        out.backward(g)  # the retained graph, a second time
+        for t, want in zip((x, w, b), first):
+            np.testing.assert_array_equal(t.grad, want)
         np.testing.assert_array_equal(g, g_before)
 
 
