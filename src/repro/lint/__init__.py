@@ -28,7 +28,6 @@ from repro.lint.engine import (
     register_rule,
 )
 from repro.lint import ast_rules as _ast_rules  # noqa: F401  (registers rules)
-from repro.lint import async_rules as _async_rules  # noqa: F401  (REPRO008-010)
 
 __all__ = [
     "Finding",

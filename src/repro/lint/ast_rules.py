@@ -4,9 +4,11 @@ Each rule encodes an invariant the test suite cannot see directly:
 untracked collectives or unrecorded backward closures silently corrupt
 the byte accounting the simulator consumes; unseeded (or hash-salted)
 randomness silently breaks Random-K / dropout reproducibility across
-schemes; a collective that reads the rank context grows a second,
-worker-only copy of itself.  Rules REPRO001–REPRO007 and REPRO011 are
-registered on import.
+schemes; a blocking transport call without a deadline turns a dead peer
+into a hang; a collective that reads the rank context grows a second,
+worker-only copy of itself.  Rules REPRO001–REPRO007, REPRO010 and
+REPRO011 are registered on import (REPRO008/009, the rules of a deleted
+issue/wait API, are retired and their ids not reused).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "MutableDefaultRule",
     "UnstableHashSeedRule",
     "NoEvalExecRule",
+    "DeadlineOnWaitRule",
     "RankContextPrivateRule",
 ]
 
@@ -290,6 +293,57 @@ class NoEvalExecRule:
                 yield Finding(self.id, self.name,
                               f"call to builtin {node.func.id}()",
                               source.path, node.lineno, node.col_offset)
+
+
+@register_rule
+class DeadlineOnWaitRule:
+    """Every blocking transport call must carry an explicit deadline.
+
+    Without one, a dead peer is an infinite hang instead of a typed
+    :class:`~repro.parallel.backend.base.BackendError` naming the culprit
+    rank.  Test files are exempt (they exercise shutdown paths).
+    """
+
+    id = "REPRO010"
+    name = "deadline-on-wait"
+    summary = "blocking transport calls must pass an explicit timeout="
+
+    #: Always transport-owned, regardless of receiver spelling.
+    UNIQUE = {"barrier_wait"}
+    #: Transport-owned only when the receiver names the transport.
+    GATED = {"send", "recv", "exchange", "wait"}
+    #: Receiver-name tokens that mark a call target as the shm transport.
+    TRANSPORT_TOKENS = {"transport", "_transport", "channel", "channels",
+                        "_channels", "chan", "barrier", "_barrier"}
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        if source.is_test:
+            return
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = _call_name(node)
+            if fn in self.GATED:
+                if not (isinstance(node.func, ast.Attribute)
+                        and self._transport_receiver(node.func.value)):
+                    continue
+            elif fn not in self.UNIQUE:
+                continue
+            if any(kw.arg == "timeout" for kw in node.keywords):
+                continue
+            yield Finding(
+                self.id, self.name,
+                f"blocking transport call {fn}() without an explicit "
+                "timeout= deadline; a dead peer would hang forever instead "
+                "of raising a typed BackendError naming the rank",
+                source.path, node.lineno, node.col_offset)
+
+    def _transport_receiver(self, node: ast.expr) -> bool:
+        """Whether the receiver expression names the shm transport."""
+        return any(
+            (isinstance(n, ast.Name) and n.id in self.TRANSPORT_TOKENS)
+            or (isinstance(n, ast.Attribute) and n.attr in self.TRANSPORT_TOKENS)
+            for n in ast.walk(node))
 
 
 @register_rule

@@ -2,10 +2,11 @@
 
 Input is the rank event record written by
 :mod:`repro.parallel.backend.events` while a real run executes — one
-``send``/``recv`` per ring-slot commit, ``barrier_arrive``/``depart`` per
-generation, ``handle_issue``/``handle_wait`` per collective.  The checker
-replays the log and verifies the transport's claimed synchronization
-actually ordered the run:
+``send``/``recv`` per ring-slot commit and ``barrier_arrive``/``depart``
+per generation.  Collectives are blocking calls built from those sends
+and receives, so they need no events of their own.  The checker replays
+the log and verifies the transport's claimed synchronization actually
+ordered the run:
 
 1. **Happens-before graph.**  Nodes are events; edges are (a) per-rank
    program order, (b) message delivery ``send(c, seq) → recv(c, seq)``,
@@ -31,13 +32,10 @@ actually ordered the run:
    carve-out for fault injection: a seq may carry several send events as
    long as all but the last are marked ``dropped`` (the transport's
    bounded resend), otherwise it is a double publish; barrier
-   generations advance by exactly one per rank with all ranks present;
-   every issued handle reaches exactly one completing wait, and an
-   exchange payload's checksum must not change between issue and wait
-   (a mutation inside the in-flight window corrupts what peers read).
+   generations advance by exactly one per rank with all ranks present.
 
 All findings are strings naming the rank / mailbox / slot / seq (or
-generation / handle) involved; the CLI surfaces them as ``DYN003``.
+generation) involved; the CLI surfaces them as ``DYN003``.
 """
 
 from __future__ import annotations
@@ -223,44 +221,6 @@ class _Replay:
                     else:
                         self.add_edge(a, d, f"barrier generation {gen}")
 
-    def handle_checks(self) -> None:
-        issues: dict[tuple[int, int], dict] = {}
-        completions: dict[tuple[int, int], list[dict]] = defaultdict(list)
-        for rank, seq in sorted(self.by_rank.items()):
-            for e in seq:
-                if e["kind"] == "handle_issue":
-                    issues[(rank, e["hid"])] = e
-                elif e["kind"] == "handle_wait" and not e.get("dup", False):
-                    completions[(rank, e["hid"])].append(e)
-        for (rank, hid), issue in sorted(issues.items()):
-            done = completions.get((rank, hid), [])
-            label = issue.get("label", issue.get("htype", "handle"))
-            if not done:
-                self.findings.append(
-                    f"rank {rank} issued {label!r} (handle {hid}) but never "
-                    "waited on it — its result (and its CommEvent) are lost "
-                    "and the ring slot stays occupied"
-                )
-                continue
-            if len(done) > 1:
-                self.findings.append(
-                    f"rank {rank} completed handle {hid} ({label!r}) "
-                    f"{len(done)} times — wait() must cache, not re-receive"
-                )
-            w = done[0]
-            if "crc" in issue and "crc" in w and issue["crc"] != w["crc"]:
-                self.findings.append(
-                    f"rank {rank}: buffer of in-flight {label!r} (handle "
-                    f"{hid}) was mutated between issue and wait "
-                    f"(crc {issue['crc']:#x} -> {w['crc']:#x}) — peers may "
-                    "have read torn data"
-                )
-        for (rank, hid), done in sorted(completions.items()):
-            if (rank, hid) not in issues:
-                self.findings.append(
-                    f"rank {rank} completed handle {hid} that was never issued"
-                )
-
     # -- vector clocks ---------------------------------------------------
     def vector_clocks(self) -> dict[tuple[int, int], dict[int, int]] | None:
         """Kahn topological pass computing one clock per event.
@@ -338,9 +298,9 @@ def run_race_check(events: list[dict]) -> list[str]:
     """Replay a concurrency log; returns one message per finding.
 
     An empty list means the recorded run was race-free: every conflicting
-    slot access, barrier generation and handle lifecycle was ordered by
-    the protocol's own happens-before edges, and those edges are
-    consistent with observed wall order.
+    slot access and barrier generation was ordered by the protocol's own
+    happens-before edges, and those edges are consistent with observed
+    wall order.
     """
     if not events:
         return ["concurrency log is empty — nothing was recorded "
@@ -350,7 +310,6 @@ def run_race_check(events: list[dict]) -> list[str]:
     replay.program_order()
     replay.channel_edges()
     replay.barrier_edges()
-    replay.handle_checks()
     clocks = replay.vector_clocks()
     if clocks is not None:
         replay.slot_race_scan(clocks)

@@ -81,7 +81,7 @@ class _TraceBuilder:
                    end_ms: float, args: dict | None = None) -> None:
         """An async ``b``/``e`` pair: work in flight while the track's
         ``X`` slices keep executing — Perfetto draws it as a floating bar
-        above the thread, which is exactly a ``CommHandle``'s issue→wait
+        above the thread, which is exactly a staged send's in-flight
         window."""
         if end_ms <= start_ms:
             return
@@ -301,8 +301,8 @@ def worker_timelines_trace(timelines: dict[int, list[dict]],
     compute phases, ``mp.wait`` for blocking transport waits) so a merged
     real+simulated trace never perturbs :func:`validate_against_breakdown`.
 
-    Spans recorded with category ``mp.async`` — a :class:`CommHandle`'s
-    issue→wait window, or a staged ring send still in flight — render as
+    Spans recorded with category ``mp.async`` — a staged ring send still
+    in flight (a pipeline boundary send or gradient relay) — render as
     Chrome async ``b``/``e`` pairs instead of ``X`` slices: the bar floats
     above the rank's compute slices, making the comm/compute overlap
     visible (and measurable) in Perfetto.

@@ -22,7 +22,6 @@ from repro.parallel.backend.context import (
 from repro.parallel.backend.events import (
     EventRecord,
     load_events,
-    payload_crc,
     span_view,
 )
 from repro.parallel.backend.transport import (
@@ -31,7 +30,6 @@ from repro.parallel.backend.transport import (
     DEFAULT_TIMEOUT_S,
     HEADER_SIZE,
     CorruptMessage,
-    ExchangeHandle,
     RankTransport,
     ShmBarrier,
     ShmChannel,
@@ -52,12 +50,10 @@ __all__ = [
     "CorruptMessage",
     "EventRecord",
     "load_events",
-    "payload_crc",
     "span_view",
     "DEFAULT_CAPACITY",
     "DEFAULT_SLOTS",
     "DEFAULT_TIMEOUT_S",
-    "ExchangeHandle",
     "HEADER_SIZE",
     "RankTransport",
     "ShmBarrier",

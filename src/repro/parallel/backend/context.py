@@ -30,7 +30,7 @@ import numpy as np
 from repro.parallel.backend import events
 from repro.parallel.backend.base import BackendError
 
-__all__ = ["RankContext", "Group", "GatherHandle", "sum_in_order",
+__all__ = ["RankContext", "Group", "sum_in_order",
            "rank_context", "set_rank_context", "active_context", "global_rank"]
 
 #: Axis name -> the RankContext field holding this rank's coordinate on it.
@@ -145,19 +145,6 @@ def sum_in_order(terms: list):
     return total
 
 
-class GatherHandle:
-    """An issued :meth:`Group.gather_issue`."""
-
-    __slots__ = ("_finish",)
-
-    def __init__(self, finish):
-        self._finish = finish
-
-    def wait(self) -> list[np.ndarray]:
-        """Every member's array, in group-rank order."""
-        return self._finish()
-
-
 class Group:
     """One parallel axis (``"tp"``, ``"pp"``, ``"sp"``, ``"dp"``) as seen from
     this process.
@@ -206,8 +193,8 @@ class Group:
         return len(self.local) == self.world
 
     # ------------------------------------------------------------------
-    def gather_issue(self, values: list[np.ndarray], *, label: str) -> GatherHandle:
-        """Stage the local members' arrays; ``wait()`` returns all members'.
+    def gather(self, values: list[np.ndarray], *, label: str) -> list[np.ndarray]:
+        """Every member's array, in group-rank order.
 
         ``values`` holds one array per ``local`` rank.  Remote members'
         arrays come back as plain data (constants to autograd); a local
@@ -217,22 +204,13 @@ class Group:
             raise ValueError(f"expected {len(self.local)} local {self.axis} "
                              f"value(s), got {len(values)}")
         if self.whole:
-            return GatherHandle(lambda: list(values))
+            return list(values)
         ctx = self._ctx
         peers = ctx.peers(self.axis)
-        wire = ctx.transport.exchange_issue(
+        gathered = ctx.transport.exchange(
             peers, np.ascontiguousarray(values[0]), timeout=ctx.timeout,
             label=label)
-
-        def finish():
-            gathered = wire.wait(ctx.timeout)
-            return [gathered[p] for p in peers]
-
-        return GatherHandle(finish)
-
-    def gather(self, values: list[np.ndarray], *, label: str) -> list[np.ndarray]:
-        """Blocking :meth:`gather_issue`."""
-        return self.gather_issue(values, label=label).wait()
+        return [gathered[p] for p in peers]
 
     def all_reduce(self, partial: np.ndarray, *, label: str) -> np.ndarray:
         """Sum over all members of ``partial``, the sum over the local ones.

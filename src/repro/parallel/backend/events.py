@@ -18,8 +18,9 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
 ``step_end``          ``step``
 ``step``              the telemetry summary of the step's slice
 ``span``              ``name cat dur`` — ``mp.wait`` blocking wait,
-                      ``mp.async`` issue→wait window, ``mp.phase`` compute,
-                      ``mp.fault`` injected-fault window
+                      ``mp.async`` staged ring send still in flight,
+                      ``mp.phase`` compute, ``mp.fault`` injected-fault
+                      window
 ``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or
                       ``step`` (rank) — one per fired fault
 ``send``              ``src dst slot seq`` — ring-slot commit (status→FULL);
@@ -27,9 +28,6 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
 ``recv``              ``src dst slot seq got_seq`` — drain (status→EMPTY)
 ``barrier_arrive``    ``gen`` — own generation slot bumped
 ``barrier_depart``    ``gen`` — all peers observed at ``gen``
-``handle_issue``      ``hid htype label crc`` — collective issued
-``handle_wait``       ``hid htype crc dup`` — handle completed (``dup``:
-                      an idempotent re-wait of a cached result)
 ====================  =====================================================
 
 Rules every emit site keeps:
@@ -42,9 +40,9 @@ Rules every emit site keeps:
   invariant DYN003 checks.
 - **Off by default.**  A step nobody observes has no record installed
   and each site costs one :func:`active` / :func:`protocol` lookup and an
-  ``is None`` check.  The protocol kinds (send/recv/barrier/handle, with
-  their payload CRCs) are taken only while the JSONL sink is attached;
-  a traced or telemetered step takes frames, spans and faults.
+  ``is None`` check.  The protocol kinds (send/recv/barrier) are taken
+  only while the JSONL sink is attached; a traced or telemetered step
+  takes frames, spans and faults.
 - **Bounded.**  The record holds the current step's slice; :meth:`flush`
   hands it to the sinks and forgets it.
 
@@ -56,11 +54,10 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from pathlib import Path
 
 __all__ = ["EventRecord", "ENV_VAR", "active", "protocol", "install",
-           "uninstall", "payload_crc", "load_events", "span_view"]
+           "uninstall", "load_events", "span_view"]
 
 #: Directory of the JSONL sink (``conc-rank{r}.jsonl``); presence attaches it.
 ENV_VAR = "REPRO_CONC_LOG"
@@ -91,18 +88,6 @@ def uninstall() -> None:
     _ACTIVE = None
 
 
-def payload_crc(data) -> int:
-    """Stable checksum of an array's bytes (order-sensitive, dtype-blind).
-
-    Used to detect a buffer mutated between a handle's issue and its wait:
-    equal content ⇒ equal crc, so a mismatch proves a write landed inside
-    the in-flight window.
-    """
-    import numpy as np
-
-    return zlib.crc32(np.ascontiguousarray(data).tobytes())
-
-
 class EventRecord:
     """One rank's events since the last :meth:`flush`.
 
@@ -115,7 +100,6 @@ class EventRecord:
         self.path = Path(path) if path is not None else None
         self.events: list[dict] = []
         self._idx = 0
-        self._next_hid = 0
         self.emit("meta", world=world)
 
     @classmethod
@@ -137,11 +121,6 @@ class EventRecord:
         """Close a span opened at monotonic time ``start``."""
         event = self.emit("span", name=name, cat=cat)
         event["dur"] = event["t"] - start
-
-    def next_handle_id(self) -> int:
-        """A per-rank-unique handle id (``id()`` recycles after GC)."""
-        self._next_hid += 1
-        return self._next_hid
 
     def flush(self) -> list[dict]:
         """Append the slice to the JSONL sink, forget it, and return it.

@@ -15,9 +15,10 @@ Each directed mailbox is a single-producer/single-consumer ring: message
 for its target slot to be ``EMPTY``, writes payload then header, and
 flips the slot's ``status`` to ``FULL`` last; the receiver does the
 reverse.  A sender therefore only blocks once the receiver lags a full
-ring behind — boundary activations and async collective issues complete
-as soon as the payload is staged, which is what lets the schedule overlap
-communication with compute.  Because every ordered rank pair has its own
+ring behind — a boundary send completes as soon as the payload is
+staged, which is what lets the schedule overlap it with the stage's next
+op, and an all-gather (:meth:`RankTransport.exchange`) stages all its
+sends before it receives.  Because every ordered rank pair has its own
 ring and all ranks execute the same collective sequence, the protocol is
 deadlock-free — and every blocking wait carries a deadline so a dead peer
 surfaces as a typed :class:`~repro.parallel.backend.base.BackendError`
@@ -26,8 +27,9 @@ was stuck on, never a hang.
 
 Arrays cross the wire as raw bytes plus a fixed struct header (magic,
 sequence number, dtype code, shape) — no pickle anywhere on the data
-plane, so a corrupted message fails loudly on the magic/seq check instead
-of deserializing garbage.  Payloads are copied exactly once on each side:
+plane, so a corrupted message fails loudly on the magic/seq check, or on
+the check of every layout word (dtype, ndim, shape, nbytes), instead of
+deserializing garbage.  Payloads are copied exactly once on each side:
 directly from the source array into the shm slot, and from the slot into
 the freshly allocated result array, through numpy views — no intermediate
 ``bytes`` staging.
@@ -64,6 +66,7 @@ plan-oblivious so the model checker explores the real protocol.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import zlib
@@ -75,9 +78,9 @@ from repro.parallel.backend import events, faults
 from repro.parallel.backend.base import BackendError
 from repro.tensor import pool
 
-__all__ = ["ShmChannel", "ShmBarrier", "RankTransport", "ExchangeHandle",
-           "CorruptMessage", "HEADER_SIZE", "DEFAULT_CAPACITY",
-           "DEFAULT_SLOTS", "DEFAULT_TIMEOUT_S"]
+__all__ = ["ShmChannel", "ShmBarrier", "RankTransport", "CorruptMessage",
+           "HEADER_SIZE", "DEFAULT_CAPACITY", "DEFAULT_SLOTS",
+           "DEFAULT_TIMEOUT_S"]
 
 #: Per-slot payload capacity (bytes). Activations in the scaled-down
 #: models are tens of KB; 1 MiB leaves generous headroom.
@@ -131,7 +134,8 @@ def _now() -> float:
 
 
 class CorruptMessage(BackendError):
-    """A message failed an integrity check (magic, sequence, or CRC).
+    """A message failed an integrity check (magic, sequence, header layout
+    or CRC).
 
     Subclass of :class:`BackendError` so existing typed-error handling is
     unaffected; distinguished so the receiver's bounded re-read loop can
@@ -139,10 +143,6 @@ class CorruptMessage(BackendError):
     a ``CorruptMessage`` with no injected corruption pending is re-raised
     immediately.
     """
-
-
-def _payload_crc32(arr: np.ndarray) -> int:
-    return zlib.crc32(arr.reshape(-1).view(np.uint8)) if arr.nbytes else 0
 
 
 class ShmChannel:
@@ -238,7 +238,7 @@ class ShmChannel:
         flags = crc = 0
         if faults.active() is not None:
             flags = _FLAG_CRC
-            crc = _payload_crc32(arr)
+            crc = zlib.crc32(arr.reshape(-1).view(np.uint8)) if arr.nbytes else 0
         _HEADER_BODY.pack_into(
             self._buf, slot * self.slot_bytes + 4, seq, _MAGIC, code,
             arr.ndim, flags, crc, arr.nbytes, *shape,
@@ -253,6 +253,27 @@ class ShmChannel:
             rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)
         # Status flips to FULL only after payload and header are in place.
         self._status[slot][0] = _FULL
+
+    def _header_fault(self, code: int, ndim: int, nbytes: int,
+                      shape: list[int]) -> str | None:
+        """What is wrong with a received header's layout words, or None.
+
+        Every word a receive trusts is checked here, so a damaged header
+        raises :class:`CorruptMessage` instead of an ``IndexError`` or a
+        broadcasting ``ValueError`` from the copy below."""
+        if code >= len(_DTYPES):
+            return f"dtype code {code} (known: 0..{len(_DTYPES) - 1})"
+        if ndim > _MAX_NDIM:
+            return f"ndim {ndim} exceeds header limit {_MAX_NDIM}"
+        if any(shape[ndim:]):
+            return f"non-zero unused shape words {shape[ndim:]} (ndim {ndim})"
+        if nbytes > self.capacity:
+            return f"nbytes {nbytes} exceeds channel capacity {self.capacity}"
+        want = math.prod(shape[:ndim]) * _DTYPES[code].itemsize
+        if nbytes != want:
+            return (f"nbytes {nbytes} does not match shape {shape[:ndim]} of "
+                    f"{_DTYPES[code]} ({want} bytes)")
+        return None
 
     def _commit_recv(self) -> np.ndarray:
         """Drain the next message from its (FULL) slot and release it."""
@@ -270,6 +291,13 @@ class ShmChannel:
             raise CorruptMessage(
                 f"out-of-order message on channel {self.src}->{self.dst} "
                 f"slot {slot}: seq {got_seq}, expected {seq}",
+                rank=self.src,
+            )
+        bad = self._header_fault(code, ndim, nbytes, shape)
+        if bad is not None:
+            raise CorruptMessage(
+                f"bad header on mailbox {self.src}->{self.dst} slot {slot} "
+                f"(message seq {seq}): {bad}",
                 rank=self.src,
             )
         if flags & _FLAG_CRC and nbytes:
@@ -517,62 +545,6 @@ class ShmBarrier:
         return generation
 
 
-class ExchangeHandle:
-    """In-flight all-gather: sends are staged, receives happen on wait.
-
-    Returned by :meth:`RankTransport.exchange_issue`.  Between issue and
-    :meth:`wait` the caller is free to run independent compute; the
-    in-flight window is recorded as an ``mp.async`` span so it shows up as
-    a ``b``/``e`` pair in the Chrome trace.
-
-    ``wait`` is idempotent — a second call returns the cached gather.  An
-    *uncompleted* handle whose transport has been closed (backend
-    shutdown, gang teardown after a peer failure) raises a typed
-    :class:`BackendError` instead of dying on an internal ``KeyError``
-    against the torn-down channel map.
-    """
-
-    def __init__(self, transport: "RankTransport", peers: list[int],
-                 arr: np.ndarray, label: str, issued_at: float,
-                 conc_id: int | None = None):
-        self._transport = transport
-        self._peers = peers
-        self._arr = arr
-        self._label = label
-        self._issued_at = issued_at
-        self._conc_id = conc_id
-        self._result: dict[int, np.ndarray] | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
-
-    def wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, np.ndarray]:
-        rec = events.active()
-        dup = self._result is not None
-        if not dup:
-            t = self._transport
-            if t.closed:
-                raise BackendError(
-                    f"cannot wait on in-flight {self._label!r}: transport is "
-                    "closed (backend shut down before the exchange completed)",
-                    rank=t.rank,
-                )
-            start = _now()
-            out = {t.rank: self._arr}
-            for peer in self._peers:
-                if peer != t.rank:
-                    out[peer] = t._channels[(peer, t.rank)].recv(timeout=timeout)
-            self._result = out
-            if rec is not None:
-                rec.span(f"{self._label} wait", "mp.wait", start)
-                rec.span(self._label, "mp.async", self._issued_at)
-        if rec is not None and self._conc_id is not None:
-            rec.emit("handle_wait", hid=self._conc_id, htype="exchange",
-                     crc=events.payload_crc(self._arr), dup=dup)
-        return self._result
-
-
 class RankTransport:
     """All mailboxes and the barrier for one rank, over one shm segment.
 
@@ -674,14 +646,17 @@ class RankTransport:
     def weights(self) -> dict[str, np.ndarray]:
         """Parameter name → view of the weights arena; read-only for ranks,
         so an in-place update fails loudly instead of corrupting peers."""
+        self._check_open("weights")
         return self._state_views(0)
 
     def grad_slab(self, gang: int) -> dict[str, np.ndarray]:
         """Parameter name → view of dp gang ``gang``'s gradient slab."""
+        self._check_open("grad_slab")
         return self._state_views(1 + gang)
 
     # ------------------------------------------------------------------
     def send(self, dst: int, arr: np.ndarray, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+        self._check_open("send")
         start = _now()
         self._channels[(self.rank, dst)].send(arr, timeout=timeout)
         rec = events.active()
@@ -689,6 +664,7 @@ class RankTransport:
             rec.span(f"send->r{dst}", "mp.wait", start)
 
     def recv(self, src: int, timeout: float = DEFAULT_TIMEOUT_S) -> np.ndarray:
+        self._check_open("recv")
         start = _now()
         out = self._channels[(src, self.rank)].recv(timeout=timeout)
         rec = events.active()
@@ -696,38 +672,30 @@ class RankTransport:
             rec.span(f"recv<-r{src}", "mp.wait", start)
         return out
 
-    def exchange_issue(self, peers: list[int], arr: np.ndarray,
-                       timeout: float = DEFAULT_TIMEOUT_S,
-                       label: str | None = None) -> ExchangeHandle:
-        """Stage the sends of an all-gather and return an in-flight handle.
+    def exchange(self, peers: list[int], arr: np.ndarray, *,
+                 timeout: float = DEFAULT_TIMEOUT_S,
+                 label: str | None = None) -> dict[int, np.ndarray]:
+        """All-gather ``arr`` with ``peers``: stage the sends, then receive.
 
         The sends complete as soon as the payload lands in each peer's
-        ring (they only block when a ring is full), so the caller can run
-        independent compute before :meth:`ExchangeHandle.wait` collects
-        the peers' contributions.
+        ring (they only block when a ring is full), so no two members can
+        wait on each other's send.  The receives are one ``mp.wait`` span,
+        ``"{label} wait"``.  Returns ``{rank: array}`` including our own
+        contribution — the caller reduces in deterministic rank order.
         """
-        issued_at = _now()
+        self._check_open("exchange")
         for peer in peers:
             if peer != self.rank:
                 self._channels[(self.rank, peer)].send(arr, timeout=timeout)
-        label = label or f"exchange x{len(peers)}"
-        rec = events.protocol()
-        conc_id = None
+        start = _now()
+        out = {self.rank: arr}
+        for peer in peers:
+            if peer != self.rank:
+                out[peer] = self._channels[(peer, self.rank)].recv(timeout=timeout)
+        rec = events.active()
         if rec is not None:
-            conc_id = rec.next_handle_id()
-            rec.emit("handle_issue", hid=conc_id, htype="exchange",
-                     label=label, crc=events.payload_crc(arr))
-        return ExchangeHandle(self, list(peers), arr, label, issued_at,
-                              conc_id=conc_id)
-
-    def exchange(self, peers: list[int], arr: np.ndarray,
-                 timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, np.ndarray]:
-        """Blocking all-gather ``arr`` with ``peers`` (issue + wait).
-
-        Returns ``{rank: array}`` including our own contribution — the
-        caller reduces in deterministic rank order.
-        """
-        return self.exchange_issue(peers, arr, timeout=timeout).wait(timeout)
+            rec.span(f"{label or f'exchange x{len(peers)}'} wait", "mp.wait", start)
+        return out
 
     def ring_occupancy(self) -> int:
         """FULL-slot count of the fullest mailbox this rank touches.
@@ -740,6 +708,7 @@ class RankTransport:
                    default=0)
 
     def barrier_wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> int:
+        self._check_open("barrier_wait")
         start = _now()
         gen = self.barrier.wait(timeout=timeout)
         rec = events.active()
@@ -751,6 +720,16 @@ class RankTransport:
     def closed(self) -> bool:
         """Whether :meth:`close` has detached this transport from its segment."""
         return self._shm is None
+
+    def _check_open(self, what: str) -> None:
+        """The one closed-check every entry point runs first: after
+        :meth:`close` (backend shutdown, gang teardown after a peer failure)
+        a call is a typed error naming this rank, not a ``KeyError`` on the
+        torn-down channel map."""
+        if self._shm is None:
+            raise BackendError(
+                f"{what}() on a closed transport (backend shut down)",
+                rank=self.rank)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -8,7 +8,10 @@ gather is the identity, so the collective operates on the list of per-rank
 partial tensors directly; inside an mp worker one member is local and the
 same code moves arrays over shared memory.  Local terms keep their
 autograd graph, peers' arrays enter as constants, and sums run left to
-right in rank order on both sides.  What makes it faithful is that
+right in rank order on both sides.  Every collective is one blocking
+call, like the paper's synchronous Megatron all-reduces; the only payload
+that outlives its call is a pipeline boundary send, staged in the
+receiver's ring.  What makes it faithful is that
 
 1. the *math* matches the distributed operation (all-reduce = sum of
    partials; the compressed variants combine messages exactly the way the
@@ -40,14 +43,11 @@ from repro.tensor.tensor import concatenate as _concatenate
 
 __all__ = [
     "CommEvent",
-    "CommHandle",
     "CommTracker",
     "dense_bytes",
     "tp_all_reduce",
-    "tp_all_reduce_issue",
     "tp_broadcast",
     "pipeline_transfer",
-    "pipeline_transfer_issue",
     "dp_all_reduce",
     "sp_slice",
     "sp_seq_all_gather",
@@ -167,73 +167,6 @@ def dense_bytes(shape: tuple[int, ...]) -> int:
     return int(np.prod(shape)) * BYTES_FP16
 
 
-class CommHandle:
-    """An issued collective; :meth:`wait` completes it and returns a Tensor.
-
-    The issue/wait split is what lets a rank overlap an in-flight transfer
-    with compute that does not depend on the result.  The local
-    contribution was staged at issue time; peer contributions are
-    collected (and the site's :class:`CommEvent` recorded) at wait time.
-    In-process there is no wire and every contribution is already local,
-    so ``wait`` only runs the reduction.
-
-    ``wait`` is idempotent: a second call returns the same Tensor.  A
-    handle whose completion *failed* (transport timeout, peer death,
-    backend shutdown) stays failed: every subsequent ``wait`` re-raises a
-    typed error naming the original failure, rather than silently handing
-    back ``None`` as the collective's result — an issued-but-broken
-    all-reduce must never read as a zero-gradient success.
-    """
-
-    __slots__ = ("_finish", "_result", "_error", "_cid")
-
-    def __init__(self, finish):
-        self._finish = finish
-        self._result: Tensor | None = None
-        self._error: BaseException | None = None
-        self._cid: int | None = None
-        if finish is not None:
-            rec = _events.protocol()
-            if rec is not None:
-                self._cid = rec.next_handle_id()
-                rec.emit("handle_issue", hid=self._cid, htype="comm")
-
-    @classmethod
-    def ready(cls, value: Tensor) -> "CommHandle":
-        """A handle that is already complete (nothing left to receive)."""
-        handle = cls(None)
-        handle._result = value
-        return handle
-
-    @property
-    def done(self) -> bool:
-        return self._finish is None and self._error is None
-
-    def wait(self) -> Tensor:
-        if self._error is not None:
-            from repro.parallel.backend.base import BackendError
-
-            raise BackendError(
-                f"wait() on a handle that already failed: {self._error}"
-            ) from self._error
-        dup = self._finish is None
-        if not dup:
-            finish = self._finish
-            try:
-                result = finish()
-            except BaseException as exc:
-                self._error = exc
-                self._finish = None
-                raise
-            self._finish = None
-            self._result = result
-        if self._cid is not None:
-            rec = _events.protocol()
-            if rec is not None:
-                rec.emit("handle_wait", hid=self._cid, htype="comm", dup=dup)
-        return self._result
-
-
 def tp_broadcast(x: Tensor, world: int, tracker: CommTracker, *, layer: int | None = None,
                  site: str = "") -> Tensor:
     """Megatron's ``f`` op: identity forward, all-reduce in backward.
@@ -270,9 +203,6 @@ def tp_all_reduce(
 ) -> Tensor:
     """Megatron's ``g`` op with optional compression: sum per-rank partials.
 
-    Blocking form of :func:`tp_all_reduce_issue` — issue immediately
-    followed by wait.
-
     - No compression → plain all-reduce of the dense fp16 activation.
     - AE → each rank encodes its partial, the all-reduce runs over the
       (much smaller) code, one decode after. Linearity makes this exactly
@@ -282,30 +212,12 @@ def tp_all_reduce(
       and sums the decompressed partials, exactly like the paper's
       ``gather-from-tensor-model-parallel-region`` fallback.
 
-    Backward traffic is logged per scheme via ``Compressor.backward_bytes``.
-    """
-    return tp_all_reduce_issue(partials, compressor, tracker,
-                               layer=layer, site=site).wait()
-
-
-def tp_all_reduce_issue(
-    partials: list[Tensor],
-    compressor: Compressor,
-    tracker: CommTracker,
-    *,
-    layer: int | None = None,
-    site: str = "",
-) -> CommHandle:
-    """Issue the ``g`` all-reduce and return a :class:`CommHandle`.
-
     ``partials`` holds one tensor per *local* tp rank: all of them
-    in-process, exactly the own one inside a worker.  Everything that
-    needs no peer data runs before this returns — the stateless codecs'
-    round trip, the AE encode of the local partials, and staging the local
-    contribution on the wire.  Everything that consumes peer data — and
-    the site's event recording — happens inside :meth:`CommHandle.wait`.
-    Only the designated recorder logs, so the merged multiset matches the
-    oracle event for event.
+    in-process, exactly the own one inside a worker, where the call blocks
+    until every peer's contribution has arrived.  Only the designated
+    recorder logs, so the merged multiset matches the oracle event for
+    event.  Backward traffic is logged per scheme via
+    ``Compressor.backward_bytes``.
     """
     if not partials:
         raise ValueError("tp_all_reduce needs at least one partial")
@@ -319,7 +231,7 @@ def tp_all_reduce_issue(
     if world == 1:
         # No TP communication exists, so there is nothing to compress
         # (matches the paper's TP=1 rows, where only PP traffic is compressed).
-        return CommHandle.ready(partials[0])
+        return partials[0]
 
     compressor = compressor if compressor is not None else NoCompressor()
     kind = _wire_kind(compressor)
@@ -343,8 +255,8 @@ def tp_all_reduce_issue(
             sent.append(rec)
             _observe(tracker, rank_site, compressor, "tp", p.data, rec.data,
                      fwd_bytes, shape)
-    wire = group.gather_issue([t.data for t in sent],
-                              label=f"{op.replace('_', '')} {label}")
+    arrays = group.gather([t.data for t in sent],
+                          label=f"{op.replace('_', '')} {label}")
     terms = sent
     if kind == "code":
         # Learnable codec: every rank replays the oracle's *whole*
@@ -358,34 +270,24 @@ def tp_all_reduce_issue(
         # replicated and bitwise-identical to the oracle for any m; the
         # logged wire bytes are still the code size — what a real fused
         # encode/all-reduce/decode would move.
-        #
-        # The local encodes need no peer data: they run here, at issue
-        # time, overlapping the in-flight exchange.  encode() is
-        # deterministic and stateless, so hoisting it across the wait
-        # cannot change bits.
         terms = [compressor.encode(p) for p in partials]
-
-    def finish() -> Tensor:
-        arrays = wire.wait()
-        own = dict(zip(group.local, terms))
-        lift = compressor.encode if kind == "code" else (lambda t: t)
-        out = sum_in_order([own[r] if r in own else lift(Tensor(arrays[r]))
-                            for r in range(world)])
-        if kind == "code":
-            out = compressor.decode(out)
-            if tracker.probe is not None:
-                # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
-                # the meaningful error is measured on the reduced activation.
-                # Pure reads of already-exchanged data — bitwise-neutral.
-                _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
-                         out.data, fwd_bytes, shape)
-        return _log_round_trip(
-            out, tracker, group.records,
-            CommEvent(op, "tp", "forward", compressor.name, fwd_bytes, world,
-                      shape, layer, site),
-            compressor.backward_bytes(shape))
-
-    return CommHandle(finish)
+    own = dict(zip(group.local, terms))
+    lift = compressor.encode if kind == "code" else (lambda t: t)
+    out = sum_in_order([own[r] if r in own else lift(Tensor(arrays[r]))
+                        for r in range(world)])
+    if kind == "code":
+        out = compressor.decode(out)
+        if tracker.probe is not None:
+            # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
+            # the meaningful error is measured on the reduced activation.
+            # Pure reads of already-exchanged data — bitwise-neutral.
+            _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
+                     out.data, fwd_bytes, shape)
+    return _log_round_trip(
+        out, tracker, group.records,
+        CommEvent(op, "tp", "forward", compressor.name, fwd_bytes, world,
+                  shape, layer, site),
+        compressor.backward_bytes(shape))
 
 
 def pipeline_transfer(
@@ -398,34 +300,17 @@ def pipeline_transfer(
 ) -> Tensor:
     """Send an activation across a pipeline-stage boundary.
 
-    Applies the compressor's differentiable round-trip (the receiving stage
-    sees the reconstruction) and logs the forward send plus the backward
-    gradient message.  Blocking form of :func:`pipeline_transfer_issue`.
-    """
-    return pipeline_transfer_issue(x, compressor, tracker, boundary=boundary,
-                                   layer=layer).wait()
-
-
-def pipeline_transfer_issue(
-    x: Tensor,
-    compressor: Compressor,
-    tracker: CommTracker,
-    *,
-    boundary: int,
-    layer: int | None = None,
-) -> CommHandle:
-    """Issue a boundary send and return a :class:`CommHandle`.
-
-    The codec runs on the sender (reconstruction and its backward stay in
-    the sending stage's graph) and the reconstruction crosses to stage
-    ``boundary + 1``.  In-process that stage reads the returned tensor; a
-    worker ships it to its same-tp-rank peer there, which turns the
-    payload into a gradient leaf and relays the leaf's gradient back into
-    this graph via ``Tensor.backward(grad)``.  A send has no receive half
-    on the sender, so the handle is always returned complete and the
-    payload stays in flight while this stage moves on to its next
-    schedule op.  The oracle records one logical send per boundary, not
-    one per tp replica — only the designated recorder logs the two events.
+    Applies the compressor's differentiable round-trip on the sender (the
+    reconstruction and its backward stay in the sending stage's graph) and
+    logs the forward send plus the backward gradient message.  The
+    reconstruction crosses to stage ``boundary + 1``.  In-process that
+    stage reads the returned tensor; a worker stages it in its
+    same-tp-rank peer's ring there, which turns the payload into a
+    gradient leaf and relays the leaf's gradient back into this graph via
+    ``Tensor.backward(grad)``.  The payload stays in flight while this
+    stage moves on to its next schedule op.  The oracle records one
+    logical send per boundary, not one per tp replica — only the
+    designated recorder logs the two events.
     """
     compressor = compressor if compressor is not None else NoCompressor()
     # The sender's side of the hop: this process holds the one stage that
@@ -445,7 +330,7 @@ def pipeline_transfer_issue(
                   layer, site),
         compressor.backward_bytes(shape))
     group.send(boundary + 1, out.data, label=f"pp send {site}")
-    return CommHandle.ready(out)
+    return out
 
 
 # ----------------------------------------------------------------------

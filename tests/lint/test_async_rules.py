@@ -1,8 +1,7 @@
-"""REPRO008-010: the async-handle AST rules.
+"""REPRO010: blocking transport calls carry an explicit deadline.
 
-Each snippet is linted with only the rule under test selected, so the
-assertions are not polluted by the other rules (a discarded issue call,
-for example, trips both REPRO008 and nothing else here).
+Each snippet is linted with only REPRO010 selected.  (REPRO008/009, the
+rules of the retired issue/wait API, are gone; their ids are not reused.)
 """
 
 import textwrap
@@ -12,187 +11,6 @@ from repro.lint import lint_source
 
 def _lint(src, rule, path="src/module.py"):
     return lint_source(textwrap.dedent(src), path=path, rule_ids=[rule])
-
-
-class TestHandleWaited:  # REPRO008
-    def test_discarded_issue_result(self):
-        (f,) = _lint(
-            """
-            def step(ctx, grad):
-                tp_all_reduce_issue(ctx, grad)
-                return grad
-            """, "REPRO008")
-        assert "discarded" in f.message
-
-    def test_assigned_but_never_waited(self):
-        (f,) = _lint(
-            """
-            def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
-                return grad
-            """, "REPRO008")
-        assert "'h'" in f.message and "without waiting" in f.message
-
-    def test_straight_line_wait_is_clean(self):
-        assert _lint(
-            """
-            def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
-                out = compute(grad)
-                h.wait()
-                return out
-            """, "REPRO008") == []
-
-    def test_one_branch_leaks(self):
-        (f,) = _lint(
-            """
-            def step(ctx, grad, skip):
-                h = tp_all_reduce_issue(ctx, grad)
-                if skip:
-                    return grad
-                h.wait()
-                return grad
-            """, "REPRO008")
-        assert "exits without waiting" in f.message
-
-    def test_wait_on_every_branch_is_clean(self):
-        assert _lint(
-            """
-            def step(ctx, grad, fast):
-                h = tp_all_reduce_issue(ctx, grad)
-                if fast:
-                    return h.wait()
-                h.wait()
-                return grad
-            """, "REPRO008") == []
-
-    def test_raise_path_is_not_a_leak(self):
-        assert _lint(
-            """
-            def step(ctx, grad, ok):
-                h = tp_all_reduce_issue(ctx, grad)
-                if not ok:
-                    raise ValueError("bad step")
-                h.wait()
-                return grad
-            """, "REPRO008") == []
-
-    def test_escape_via_return_is_clean(self):
-        assert _lint(
-            """
-            def issue(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
-                return h
-            """, "REPRO008") == []
-
-    def test_escape_via_call_argument_is_clean(self):
-        assert _lint(
-            """
-            def step(ctx, grad):
-                h = tp_all_reduce_issue(ctx, grad)
-                track(h)
-                return grad
-            """, "REPRO008") == []
-
-    def test_escape_via_closure_capture_is_clean(self):
-        # The finish/backward pattern: the nested function owns the wait.
-        assert _lint(
-            """
-            def forward(ctx, x):
-                h = exchange_issue(ctx, x)
-                def finish():
-                    return h.wait()
-                return finish
-            """, "REPRO008") == []
-
-    def test_wait_in_enclosing_continuation_is_clean(self):
-        # The issue sits inside a branch; the wait that discharges it
-        # lives in the *enclosing* block's continuation.
-        assert _lint(
-            """
-            def step(ctx, grad):
-                if ctx.overlap:
-                    h = tp_all_reduce_issue(ctx, grad)
-                else:
-                    h = tp_all_reduce_issue(ctx, grad)
-                h.wait()
-                return grad
-            """, "REPRO008") == []
-
-    def test_none_guarded_wait_is_conservatively_flagged(self):
-        # The rule cannot prove `h is not None` covers exactly the issuing
-        # path, so the guarded-wait idiom is (deliberately) reported; use
-        # an unconditional wait or a targeted suppression instead.
-        findings = _lint(
-            """
-            def step(ctx, grad, overlap):
-                h = None
-                if overlap:
-                    h = tp_all_reduce_issue(ctx, grad)
-                if h is not None:
-                    h.wait()
-                return grad
-            """, "REPRO008")
-        assert [f.rule for f in findings] == ["REPRO008"]
-
-    def test_loop_body_wait_covers_loop_local_issue(self):
-        assert _lint(
-            """
-            def drain(ctx, grads):
-                for g in grads:
-                    h = tp_all_reduce_issue(ctx, g)
-                    h.wait()
-            """, "REPRO008") == []
-
-    def test_test_files_are_exempt(self):
-        leaky = """
-            def step(ctx, grad):
-                tp_all_reduce_issue(ctx, grad)
-            """
-        assert _lint(leaky, "REPRO008", path="tests/test_leak.py") == []
-        assert _lint(leaky, "REPRO008")  # same code elsewhere does trip
-
-
-class TestNoBlockingInFlight:  # REPRO009
-    def test_blocking_collective_in_window(self):
-        (f,) = _lint(
-            """
-            def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
-                tp_broadcast(ctx, x)
-                h.wait()
-            """, "REPRO009")
-        assert "tp_broadcast" in f.message and "in-flight window" in f.message
-        assert "'h'" in f.message
-
-    def test_compute_in_window_is_clean(self):
-        assert _lint(
-            """
-            def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
-                y = matmul(x, x)
-                h.wait()
-                return y
-            """, "REPRO009") == []
-
-    def test_blocking_call_after_wait_is_clean(self):
-        assert _lint(
-            """
-            def step(ctx, grad, x):
-                h = tp_all_reduce_issue(ctx, grad)
-                h.wait()
-                tp_broadcast(ctx, x)
-            """, "REPRO009") == []
-
-    def test_barrier_wait_in_window(self):
-        findings = _lint(
-            """
-            def step(ctx, grad):
-                h = exchange_issue(ctx, grad)
-                ctx.transport.barrier_wait(timeout=5.0)
-                h.wait()
-            """, "REPRO009")
-        assert [f.rule for f in findings] == ["REPRO009"]
 
 
 class TestDeadlineOnWait:  # REPRO010
@@ -212,14 +30,17 @@ class TestDeadlineOnWait:  # REPRO010
             """, "REPRO010") == []
 
     def test_unique_names_checked_regardless_of_receiver(self):
+        # barrier_wait is the transport's whatever the receiver is called;
+        # exchange only when the receiver names the transport.
         findings = _lint(
             """
-            def sync(t, out):
+            def sync(t, ctx, out):
                 t.barrier_wait()
-                return t.exchange_issue(out)
+                t.exchange(out)
+                return ctx.transport.exchange(out)
             """, "REPRO010")
-        assert sorted(f.message.split("(")[0].split()[-1] for f in findings) == \
-            ["barrier_wait", "exchange_issue"]
+        assert [(f.line, f.message.split("(")[0].split()[-1])
+                for f in findings] == [(3, "barrier_wait"), (5, "exchange")]
 
     def test_non_transport_receiver_is_not_gated(self):
         assert _lint(

@@ -43,9 +43,9 @@ class TestRaceLogFlag:
         assert "clean (static + dynamic)" in capsys.readouterr().out
 
     def test_corrupt_log_names_the_race(self, tmp_path, capsys):
-        log = EventRecord(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
-        log.emit("handle_issue", hid=1, htype="exchange", label="fwd", crc=1)
-        log.flush()  # issued, never waited
+        log = EventRecord(rank=0, world=2, path=tmp_path / "conc-rank0.jsonl")
+        log.emit("send", src=0, dst=1, slot=0, seq=1)
+        log.flush()  # sent, never received; rank 1 logged nothing
         assert main(["--race-log", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "DYN003" in out and "never" in out

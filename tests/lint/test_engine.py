@@ -94,9 +94,11 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rid in ("REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005",
-                "REPRO006", "REPRO007", "REPRO008", "REPRO009", "REPRO010",
+                "REPRO006", "REPRO007", "REPRO010", "REPRO011",
                 "DYN001", "DYN002", "DYN003", "DYN004", "DYN005"):
         assert rid in out
+    # The issue/wait API's rules are retired; their ids are not reused.
+    assert "REPRO008" not in out and "REPRO009" not in out
 
 
 def test_cli_no_paths_is_usage_error(capsys):

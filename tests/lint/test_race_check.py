@@ -65,15 +65,12 @@ class TestCleanRuns:
         _recv(log, 3, 0)
         assert run_race_check(log.events) == []
 
-    def test_barrier_handles_and_steps_are_clean(self):
+    def test_barrier_and_steps_are_clean(self):
         log = _LogBuilder(2)
         for r in (0, 1):
             log.ev(r, "barrier_arrive", gen=1)
         for r in (0, 1):
             log.ev(r, "barrier_depart", gen=1)
-        log.ev(0, "handle_issue", hid=1, htype="exchange", label="fwd", crc=7)
-        log.ev(0, "handle_wait", hid=1, htype="exchange", crc=7, dup=False)
-        log.ev(0, "handle_wait", hid=1, htype="exchange", crc=7, dup=True)
         log.ev(0, "step_end", step=0)
         log.ev(1, "step_end", step=0)
         assert run_race_check(log.events) == []
@@ -160,36 +157,6 @@ class TestBarrierAccounting:
         findings = run_race_check(log.events)
         assert any("happens-before violation" in f and "barrier" in f
                    for f in findings)
-
-
-class TestHandleLifecycle:
-    def test_never_waited_handle(self):
-        log = _LogBuilder(1)
-        log.ev(0, "handle_issue", hid=3, htype="exchange", label="bwd", crc=1)
-        findings = run_race_check(log.events)
-        assert any("'bwd'" in f and "never" in f and "waited" in f
-                   for f in findings)
-
-    def test_crc_mismatch_means_buffer_mutated_in_flight(self):
-        log = _LogBuilder(1)
-        log.ev(0, "handle_issue", hid=1, htype="exchange", label="fwd", crc=0xAA)
-        log.ev(0, "handle_wait", hid=1, htype="exchange", crc=0xBB, dup=False)
-        findings = run_race_check(log.events)
-        assert any("mutated between issue and wait" in f for f in findings)
-
-    def test_double_noncached_completion(self):
-        log = _LogBuilder(1)
-        log.ev(0, "handle_issue", hid=1, htype="exchange", label="fwd", crc=1)
-        log.ev(0, "handle_wait", hid=1, htype="exchange", crc=1, dup=False)
-        log.ev(0, "handle_wait", hid=1, htype="exchange", crc=1, dup=False)
-        findings = run_race_check(log.events)
-        assert any("must cache" in f for f in findings)
-
-    def test_completion_without_issue(self):
-        log = _LogBuilder(1)
-        log.ev(0, "handle_wait", hid=9, htype="exchange", crc=1, dup=False)
-        findings = run_race_check(log.events)
-        assert any("never issued" in f for f in findings)
 
 
 class TestGraphStructure:

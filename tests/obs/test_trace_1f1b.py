@@ -4,8 +4,8 @@ The simulated 1F1B timeline interleaves forward and backward compute, so
 :func:`validate_against_breakdown` re-derives the ``overlap_ms`` column
 as the intersection of the two compute windows; the pin stays at 1e-6 ms
 for every scheme × layout × microbatch count.  The mp worker-timeline
-exporter renders ``mp.async`` spans (CommHandle issue→wait windows,
-staged ring sends) as Chrome async ``b``/``e`` pairs.
+exporter renders ``mp.async`` spans (the staging windows of pipeline
+boundary sends and gradient relays) as Chrome async ``b``/``e`` pairs.
 """
 
 import pytest
@@ -65,7 +65,7 @@ class Test1F1BTraceValidation:
 class TestAsyncSpanExport:
     TIMELINES = {
         0: [{"name": "F0", "cat": "mp.phase", "ts_ms": 0.0, "dur_ms": 2.0},
-            {"name": "allreduce L0 attn", "cat": "mp.async",
+            {"name": "pp send boundary0", "cat": "mp.async",
              "ts_ms": 0.5, "dur_ms": 1.0}],
         1: [{"name": "pp grad send mb0", "cat": "mp.async",
              "ts_ms": 1.0, "dur_ms": 0.25},

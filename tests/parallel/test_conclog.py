@@ -8,12 +8,7 @@ import pytest
 
 from repro.lint.race_check import run_race_check_on_path
 from repro.parallel.backend import events
-from repro.parallel.backend.events import (
-    EventRecord,
-    load_events,
-    payload_crc,
-    span_view,
-)
+from repro.parallel.backend.events import EventRecord, load_events, span_view
 
 
 @pytest.fixture(autouse=True)
@@ -38,11 +33,6 @@ class TestConcurrencyLog:
             log.emit("step_end", step=0)
         ts = [e["t"] for e in log.events]
         assert ts == sorted(ts)
-
-    def test_handle_ids_are_unique_and_increasing(self):
-        log = EventRecord(rank=0, world=1)
-        hids = [log.next_handle_id() for _ in range(5)]
-        assert hids == sorted(set(hids))
 
     def test_flush_appends_incrementally(self, tmp_path):
         path = tmp_path / "conc-rank0.jsonl"
@@ -103,23 +93,6 @@ class TestInstall:
         assert events.active() is log and events.protocol() is log
         log.flush()
         assert (tmp_path / "logs" / "conc-rank3.jsonl").exists()
-
-
-class TestPayloadCrc:
-    def test_equal_content_equal_crc(self):
-        a = np.arange(12, dtype=np.float32).reshape(3, 4)
-        assert payload_crc(a) == payload_crc(a.copy())
-
-    def test_mutation_changes_crc(self):
-        a = np.arange(12, dtype=np.float32)
-        before = payload_crc(a)
-        a[5] += 1.0
-        assert payload_crc(a) != before
-
-    def test_zero_dim_and_noncontiguous_arrays(self):
-        assert payload_crc(np.float32(3.5)) == payload_crc(np.full((), 3.5, np.float32))
-        mat = np.arange(16, dtype=np.float32).reshape(4, 4)
-        assert payload_crc(mat.T) == payload_crc(np.ascontiguousarray(mat.T))
 
 
 class TestLoadEvents:

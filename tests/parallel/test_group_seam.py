@@ -46,25 +46,16 @@ class ReplayTransport:
         self.sent = []
         self.peer_logs = peer_logs
 
-    def exchange_issue(self, peers, arr, timeout, label=None):
+    def exchange(self, peers, arr, *, timeout, label=None):
         k = len(self.sent)
         self.sent.append(arr.copy())
-        transport = self
-
-        class Wire:
-            def wait(self, timeout):
-                logs = transport.peer_logs
-                return {p: arr if p == transport.rank
-                        else (np.zeros_like(arr) if logs is None else logs[p][k])
-                        for p in peers}
-
-        return Wire()
+        logs = self.peer_logs
+        return {p: arr if p == self.rank
+                else (np.zeros_like(arr) if logs is None else logs[p][k])
+                for p in peers}
 
     def send(self, dst, arr, timeout):
         self.sent.append((dst, arr.copy()))
-
-    def record_span(self, label, start, cat="mp.wait"):
-        pass
 
 
 def per_rank(world, axis, run):

@@ -12,13 +12,16 @@ one shared record: each site stays a single ``events.active()`` lookup,
 and the tests read the spans of both peers off that one record.
 """
 
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.parallel.backend import (
     BackendError,
+    CorruptMessage,
     DEFAULT_SLOTS,
     HEADER_SIZE,
     EventRecord,
@@ -26,7 +29,7 @@ from repro.parallel.backend import (
     ShmBarrier,
     ShmChannel,
 )
-from repro.parallel.backend import events
+from repro.parallel.backend import events, faults
 
 CAPACITY = 1 << 16
 
@@ -140,8 +143,6 @@ class TestShmChannel:
     def test_corrupted_magic_raises_instead_of_decoding_garbage(self):
         tx, rx = make_pair()
         tx.send(np.zeros(3, dtype=np.float32))
-        import struct
-
         struct.pack_into("<I", tx._buf, 8, 0xDEADBEEF)  # clobber magic field
         with pytest.raises(BackendError, match="bad magic"):
             rx.recv()
@@ -227,8 +228,6 @@ class TestSingleStepSeams:
     def test_tampered_seq_field_raises_naming_slot_and_seq(self):
         """Satellite contract: inject a seq mismatch into the slot header;
         the receiver must reject it with slot and seq in the message."""
-        import struct
-
         tx, rx = make_pair(slots=2)
         tx.send(np.zeros(1, dtype=np.float32))
         struct.pack_into("<I", tx._buf, 4, 99)  # slot 0 header seq field
@@ -283,15 +282,18 @@ class TestShmBarrier:
 
 class TestRankTransport:
     def test_exchange_between_threaded_peers(self):
-        """Two attached peers all-gather over the creator's segment."""
+        """Two attached peers all-gather over the creator's segment; each
+        records one ``mp.wait`` span for its receives and nothing else."""
         creator = RankTransport.create(world=2)
+        record = events.install(EventRecord(rank=0, world=2))
         results = {}
 
         def run(rank):
             peer = RankTransport(creator.spec, rank)
             try:
                 arr = np.full((3, 3), float(rank), dtype=np.float32)
-                results[rank] = peer.exchange([0, 1], arr, timeout=10.0)
+                results[rank] = peer.exchange([0, 1], arr, timeout=10.0,
+                                              label="gather")
             finally:
                 peer.close()
 
@@ -307,44 +309,63 @@ class TestRankTransport:
                 for src, arr in gathered.items():
                     assert np.array_equal(
                         arr, np.full((3, 3), float(src), dtype=np.float32))
+            spans = [(e["name"], e["cat"]) for e in record.events
+                     if e["kind"] == "span"]
+            assert spans == [("gather wait", "mp.wait")] * 2
         finally:
+            events.uninstall()
             creator.close()
 
     def test_exchange_issue_overlaps_with_local_work(self):
-        """issue → independent work → wait returns the full gather."""
+        """An early member's payload is in flight while a late member is
+        still busy: the late member's local work overlaps it, and the
+        gather still completes with one ``mp.wait`` per peer."""
         creator = RankTransport.create(world=2)
         record = events.install(EventRecord(rank=0, world=2))
+        early, late = (RankTransport(creator.spec, r) for r in (0, 1))
+        busy = threading.Event()
         results = {}
 
-        def run(rank):
-            peer = RankTransport(creator.spec, rank)
-            try:
-                arr = np.full((4,), float(rank), dtype=np.float32)
-                handle = peer.exchange_issue([0, 1], arr, timeout=10.0)
-                assert not handle.done
-                scratch = arr * 2  # stand-in for overlapped compute
-                out = handle.wait(timeout=10.0)
-                assert handle.done
-                assert handle.wait() is out  # idempotent
-                results[rank] = (out, scratch)
-            finally:
-                peer.close()
+        def run_early():
+            arr = np.full((4,), 0.0, dtype=np.float32)
+            results[0] = (early.exchange([0, 1], arr, timeout=10.0), None)
+
+        def run_late():
+            assert busy.wait(timeout=10.0)
+            arr = np.full((4,), 1.0, dtype=np.float32)
+            scratch = arr * 2  # stand-in for overlapped compute
+            results[1] = (late.exchange([0, 1], arr, timeout=10.0), scratch)
 
         try:
-            threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+            threads = [threading.Thread(target=run_early),
+                       threading.Thread(target=run_late)]
             for t in threads:
                 t.start()
+            # The early member's send leg lands in the late member's ring
+            # before the late member has entered the exchange at all.
+            deadline = time.monotonic() + 10.0
+            while late.ring_occupancy() == 0:
+                assert time.monotonic() < deadline, "send leg never landed"
+                time.sleep(0.001)
+            assert 1 not in results
+            busy.set()
             for t in threads:
                 t.join(timeout=30.0)
             for rank in (0, 1):
                 out, _ = results[rank]
                 assert set(out) == {0, 1}
+                for src, arr in out.items():
+                    assert np.array_equal(
+                        arr, np.full((4,), float(src), dtype=np.float32))
+            assert np.array_equal(results[1][1], np.full((4,), 2.0, np.float32))
             spans = [e for e in record.events if e["kind"] == "span"]
-            # One in-flight window and one blocking wait per peer.
-            assert sorted(s["cat"] for s in spans) == [
-                "mp.async", "mp.async", "mp.wait", "mp.wait"]
+            # One blocking wait per peer and no in-flight window.
+            assert sorted(s["cat"] for s in spans) == ["mp.wait", "mp.wait"]
         finally:
+            busy.set()
             events.uninstall()
+            early.close()
+            late.close()
             creator.close()
 
     def test_send_recv_and_barrier_between_threaded_peers(self):
@@ -426,6 +447,79 @@ class TestRankTransport:
             t.close()
             t.close()  # second close is a no-op
         assert len(names) == 10
+
+
+class TestClosedTransport:
+    def test_calls_after_close_raise_typed_error(self):
+        """After ``close()`` (backend shutdown, gang teardown) every entry
+        point fails with a BackendError naming the rank and the call, not
+        a KeyError or AttributeError on the torn-down state."""
+        creator = RankTransport.create(world=2)
+        try:
+            peer = RankTransport(creator.spec, 1)
+            peer.close()
+            arr = np.ones(4, dtype=np.float32)
+            calls = {
+                "send": lambda: peer.send(0, arr, timeout=0.1),
+                "recv": lambda: peer.recv(0, timeout=0.1),
+                "exchange": lambda: peer.exchange([0, 1], arr, timeout=0.1),
+                "barrier_wait": lambda: peer.barrier_wait(timeout=0.1),
+                "weights": lambda: peer.weights,
+                "grad_slab": lambda: peer.grad_slab(0),
+            }
+            for what, call in calls.items():
+                with pytest.raises(BackendError, match="closed transport") as exc:
+                    call()
+                assert exc.value.rank == 1 and f"{what}()" in str(exc.value)
+        finally:
+            creator.close()
+
+
+#: Header word offsets within a slot (after the u32 status word):
+#: seq@4 magic@8 dtype@12 ndim@13 flags@14 crc@16 nbytes@20 shape@28.
+HEADER_CORRUPTIONS = {
+    "dtype": (12, "<B", 99, "dtype code 99"),
+    "ndim": (13, "<B", 9, "ndim 9 exceeds"),
+    "unused_shape_word": (28 + 8 * 2, "<Q", 5, "non-zero unused shape words"),
+    "nbytes_over_capacity": (20, "<Q", CAPACITY + 1, "exceeds channel capacity"),
+    "nbytes_too_small": (20, "<Q", 8, "nbytes 8 does not match"),
+    "shape0": (28, "<Q", 3, r"nbytes 24 does not match shape \[3, 3\]"),
+}
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("field", sorted(HEADER_CORRUPTIONS))
+    def test_corrupted_header_word_raises_corrupt_message(self, field):
+        """One damaged layout word per run: the receiver names the mailbox,
+        slot and seq instead of failing inside numpy."""
+        offset, fmt, value, reason = HEADER_CORRUPTIONS[field]
+        tx, rx = make_pair()
+        tx.send(np.zeros((2, 3), dtype=np.float32))
+        struct.pack_into(fmt, tx._buf, offset, value)
+        with pytest.raises(CorruptMessage, match=reason) as exc:
+            rx.recv()
+        msg = str(exc.value)
+        assert "mailbox 0->1" in msg and "slot 0" in msg and "seq 1" in msg
+
+    @pytest.mark.parametrize("shape,dtype", [((2, 3, 4), "float16"), ((), "int64"),
+                                             ((0, 5), "float32"), ((7,), "bool")])
+    def test_injected_header_corruption_is_restored_and_re_read(self, shape, dtype):
+        """A planned header corruption still recovers through the re-read
+        path: the restored header passes every layout check."""
+        faults.install(faults.FaultPlan({"retry_budget": 3, "faults": [
+            {"kind": "corrupt", "src": 0, "dst": 1, "seq": 1,
+             "field": "header"}]}))
+        try:
+            tx, rx = make_pair()
+            arr = np.arange(int(np.prod(shape))).reshape(shape).astype(dtype)
+            tx.send(arr)
+            out = rx.recv()
+            assert faults.active().injected["corrupt"] == 1
+            assert out.dtype == arr.dtype and np.array_equal(out, arr)
+            tx.send(arr)  # the ring carries on past the re-read message
+            assert np.array_equal(rx.recv(), arr)
+        finally:
+            faults.uninstall()
 
 
 class TestStatePlane:
