@@ -39,11 +39,10 @@ concurrency-verify: model-check
 check: test lint-dynamic model-check
 
 # The determinism pin: run the pinned suite (each case once, nothing timed)
-# and gate it against the committed baseline. Wall clock is measured only by
-# `python3 benchmarks/e2e/run.py`.
+# and print every difference from benchmarks/baseline.json; exit 1 on any.
+# Wall clock is measured only by `python3 benchmarks/e2e/run.py`.
 bench:
-	$(PYTHON) -m repro.bench run --out bench-out
-	$(PYTHON) -m repro.bench compare --dir bench-out --baseline benchmarks/baseline.json
+	$(PYTHON) -m repro.bench
 
 # Code lines per src/repro package (non-blank, non-comment, non-docstring).
 loc:

@@ -1,42 +1,20 @@
-"""Execute the pinned suite and write a schema-valid ``BENCH_<sha>.json``.
+"""Execute the pinned suite.
 
 Every case runs once and contributes only deterministic values: comm
 event counts and wire bytes from ``CommTracker.summary()``, the
 :class:`~repro.obs.profile.OpProfiler` rollups of in-process steps, and
-the simulator's breakdown columns.  ``compare`` pins all of them exactly.
-Nothing here is timed — wall clock is measured by ``benchmarks/e2e``.
+the simulator's breakdown columns.  :func:`~repro.bench.compare.drift`
+pins all of them exactly.  Nothing here is timed — wall clock is
+measured by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import fnmatch
-import json
-import os
-import subprocess
-import time
-
 import numpy as np
 
-from repro.bench.schema import SCHEMA_VERSION, validate_bench
 from repro.bench.suite import BenchCase, default_suite
 
-__all__ = ["run_suite", "git_sha", "bench_filename"]
-
-
-def git_sha(short: bool = True) -> str:
-    """Current commit sha, or ``"unknown"`` outside a git checkout."""
-    cmd = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
-    try:
-        out = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
-    except OSError:
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
-
-
-def bench_filename(sha: str) -> str:
-    return f"BENCH_{sha}.json"
+__all__ = ["run_suite"]
 
 
 # ----------------------------------------------------------------------
@@ -109,23 +87,13 @@ _RUNNERS = {"backend_step": _run_backend_step, "sim": _run_sim}
 
 
 # ----------------------------------------------------------------------
-def run_suite(
-    suite: list[BenchCase] | None = None,
-    out_dir: str = ".",
-    progress=None,
-    only: str | None = None,
-) -> tuple[dict, str]:
-    """Run the suite; returns ``(doc, bench_path)``.
+def run_suite(suite: list[BenchCase] | None = None, progress=None) -> dict:
+    """Run every case of ``suite`` (default: the pinned suite) once.
 
-    ``only`` restricts the run to cases whose id matches the glob (e.g.
-    ``backend_step/mp/*``); an empty match is an error rather than a
-    silently empty document.
+    Returns the pin document ``{"schema_version": 2, "cases": [...]}``;
+    ``progress(case, entry)`` is called after each case.
     """
     suite = default_suite() if suite is None else suite
-    if only is not None:
-        suite = [c for c in suite if fnmatch.fnmatch(c.id, only)]
-        if not suite:
-            raise ValueError(f"--only {only!r} matches no case in the suite")
     cases = []
     for case in suite:
         cases.append({"id": case.id, "kind": case.kind,
@@ -133,19 +101,4 @@ def run_suite(
                       "deterministic": _RUNNERS[case.kind](case)})
         if progress is not None:
             progress(case, cases[-1])
-
-    sha = git_sha()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "git_sha": sha,
-        "created_unix": time.time(),
-        "cases": cases,
-    }
-    validate_bench(doc)
-
-    os.makedirs(out_dir, exist_ok=True)
-    bench_path = os.path.join(out_dir, bench_filename(sha))
-    with open(bench_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc, bench_path
+    return {"schema_version": 2, "cases": cases}

@@ -274,18 +274,26 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import (
         Collector,
         HealthMonitor,
+        RunSchemaError,
         build_summary,
         render_top,
         save_run,
         write_html,
     )
     from repro.obs.telemetry.agent import ENV_VAR as TELEM_ENV
+    from repro.obs.telemetry.registry import check_run_id
     from repro.optim import Adam
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
     from repro.parallel.backend import create_backend
     from repro.training.finetune import default_accuracy_model
 
     if _require_mp_backend(args, "top") is None:
+        return 1
+    run_id = args.run_id or f"top-{args.scheme}-tp{args.tp}pp{args.pp}"
+    try:
+        check_run_id(run_id)
+    except RunSchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     # The backend reads the switch when it spawns its workers.
     os.environ[TELEM_ENV] = "1"
@@ -299,7 +307,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(0)
     collector = Collector()
     monitor = HealthMonitor(collector)
-    run_id = args.run_id or f"top-{args.scheme}-tp{args.tp}pp{args.pp}"
     clear = sys.stdout.isatty()
 
     backend = create_backend("mp", model)

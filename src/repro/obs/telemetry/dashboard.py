@@ -25,8 +25,8 @@ def _fmt(value, digits: int = 2) -> str:
 
 def render_top(collector, monitor, *, step: int | None = None) -> str:
     """One dashboard frame: per-rank step table, fidelity, recent alerts."""
-    # Lazy for the same reason as registry.validate_run: keep the worker's
-    # telemetry import free of the experiments package.
+    # Lazy: keep the mp worker's telemetry import free of the experiments
+    # package.
     from repro.experiments.report import format_table
 
     lines = []

@@ -2,11 +2,16 @@
 
 Every telemetry-enabled run can drop one JSON summary —
 collector snapshot + health alerts + run metadata — into a registry
-directory.  Summaries are validated against :data:`RUN_SCHEMA` (same
-dependency-free validator subset as the bench schema) on both save and
-load, so a registry never silently accumulates malformed documents, and
-``repro.obs diff RUN_A RUN_B`` renders a per-metric regression table
-between any two of them.
+directory.  Summaries are validated against :data:`RUN_SCHEMA` on both
+save and load, so a registry never silently accumulates malformed
+documents, and ``repro.obs diff RUN_A RUN_B`` renders a per-metric
+regression table between any two of them.
+
+:data:`RUN_SCHEMA` is written as a subset of JSON Schema so it doubles
+as documentation, but a small dependency-free interpreter below checks
+it.  Supported keywords: ``type``, ``required``, ``properties``,
+``additionalProperties`` (as a sub-schema or ``False``), ``items``,
+``enum``, ``minimum``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import time
 __all__ = [
     "RUN_SCHEMA",
     "RunSchemaError",
+    "check_run_id",
     "validate_run",
     "build_summary",
     "save_run",
@@ -92,16 +98,54 @@ class RunSchemaError(ValueError):
     """A run summary violated :data:`RUN_SCHEMA`."""
 
 
-def validate_run(doc: dict) -> dict:
-    # Imported here, not at module top: this module is reachable from the
-    # mp worker's telemetry import and must not drag the bench package
-    # (which imports the whole model stack) into every worker process.
-    from repro.bench.schema import schema_errors
+#: JSON Schema type name -> Python types; a bool is never any of them.
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float)}
 
-    errors = schema_errors(doc, RUN_SCHEMA)
+
+def _validate(value, schema: dict, path: str, errors: list[str]) -> None:
+    expected = schema.get("type")
+    if expected is not None and (isinstance(value, bool)
+                                 or not isinstance(value, _TYPES[expected])):
+        errors.append(f"{path}: expected {expected}, got {type(value).__name__}")
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{path}: {value!r} not in {schema['enum']}")
+    if "minimum" in schema and isinstance(value, (int, float)) \
+            and not isinstance(value, bool) and value < schema["minimum"]:
+        errors.append(f"{path}: {value} < minimum {schema['minimum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key not in value:
+                errors.append(f"{path}: missing required key {key!r}")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, sub in value.items():
+            if key in props:
+                _validate(sub, props[key], f"{path}.{key}", errors)
+            elif isinstance(extra, dict):
+                _validate(sub, extra, f"{path}.{key}", errors)
+            elif extra is False:
+                errors.append(f"{path}.{key}: unexpected key")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _validate(item, schema["items"], f"{path}[{i}]", errors)
+
+
+def check_run_id(run_id: str) -> None:
+    """Refuse a run id that would not name one file inside the registry."""
+    if not run_id or "/" in run_id or os.sep in run_id:
+        raise RunSchemaError(f"invalid run_id {run_id!r}: must be non-empty "
+                             "and contain no path separator")
+
+
+def validate_run(doc: dict) -> dict:
+    errors: list[str] = []
+    _validate(doc, RUN_SCHEMA, "$", errors)
     if errors:
         raise RunSchemaError(
             "invalid run summary:\n  " + "\n  ".join(errors))
+    check_run_id(doc["run_id"])
     return doc
 
 

@@ -1,6 +1,10 @@
-"""The regression gate: every metric is deterministic and pinned."""
+"""The drift gate: every metric is deterministic and pinned."""
 
-from repro.bench.compare import compare_docs
+import copy
+
+import pytest
+
+from repro.bench.compare import drift
 
 
 def doc(flops=1.0e8, comm=1024, extra_case=None, drop_case=False):
@@ -23,55 +27,60 @@ def doc(flops=1.0e8, comm=1024, extra_case=None, drop_case=False):
         cases = cases[:1]
     if extra_case:
         cases.append(extra_case)
-    return {"schema_version": 2, "git_sha": "abc", "cases": cases}
+    return {"schema_version": 2, "cases": cases}
 
 
 class TestDeterministicGate:
     def test_identical_docs_pass(self):
-        result = compare_docs(doc(), doc())
-        assert result.ok
-        assert not result.regressions
-        assert {c.status for c in result.checks} == {"ok"}
+        assert drift(doc(), doc()) == []
 
     def test_dropped_metric_fails_gate(self):
         cand = doc()
         del cand["cases"][0]["deterministic"]["flops"]
-        result = compare_docs(cand, doc())
-        assert [c.metric for c in result.regressions] == ["flops"]
+        assert drift(cand, doc()) == [
+            "backend_step/inproc/tp2pp1/T2 :: flops: "
+            "baseline=100000000.0 candidate=-"]
 
     def test_flop_drift_is_a_regression(self):
-        result = compare_docs(doc(flops=1.01e8), doc(flops=1.0e8))
-        assert not result.ok
-        (reg,) = [c for c in result.regressions if c.metric == "flops"]
-        assert "baseline" in reg.note
+        assert drift(doc(flops=1.01e8), doc(flops=1.0e8)) == [
+            "backend_step/inproc/tp2pp1/T2 :: flops: "
+            "baseline=100000000.0 candidate=101000000.0"]
 
     def test_comm_bytes_drift_is_a_regression(self):
-        result = compare_docs(doc(comm=2048), doc(comm=1024))
-        assert any(c.metric == "comm_bytes.tp/forward/topk"
-                   for c in result.regressions)
+        assert drift(doc(comm=2048), doc(comm=1024)) == [
+            "backend_step/inproc/tp2pp1/T2 :: comm_bytes.tp/forward/topk: "
+            "baseline=1024 candidate=2048"]
 
     def test_tiny_float_noise_tolerated(self):
-        result = compare_docs(doc(flops=1.0e8 * (1 + 1e-12)), doc(flops=1.0e8))
-        assert result.ok
+        assert drift(doc(flops=1.0e8 * (1 + 1e-12)), doc(flops=1.0e8)) == []
+
+    def test_wall_clock_field_is_an_unpinned_metric(self):
+        """Nothing timed has a place in a pin: a ``wall_ms`` block fails."""
+        cand = doc()
+        cand["cases"][0]["deterministic"]["wall_ms"] = {"median": 45.0}
+        assert drift(cand, doc()) == [
+            "backend_step/inproc/tp2pp1/T2 :: wall_ms.median: "
+            "baseline=- candidate=45.0"]
 
 
 class TestCaseSetChanges:
     def test_dropped_case_fails_gate(self):
-        result = compare_docs(doc(drop_case=True), doc())
-        assert not result.ok
-        assert any(c.status == "missing" for c in result.regressions)
+        assert drift(doc(drop_case=True), doc()) == [
+            "sim/tp2pp1/T2 :: -: baseline=case candidate=-"]
 
-    def test_new_case_passes_but_is_reported(self):
+    def test_new_case_fails_gate(self):
         extra = {
             "id": "backend_step/inproc/tp4pp1/T2", "kind": "backend_step",
             "params": {"scheme": "T2", "tp": 4, "pp": 1},
             "deterministic": {},
         }
-        result = compare_docs(doc(extra_case=extra), doc())
-        assert result.ok
-        assert any(c.status == "new" for c in result.checks)
+        assert drift(doc(extra_case=extra), doc()) == [
+            "backend_step/inproc/tp4pp1/T2 :: -: baseline=- candidate=case"]
 
-    def test_as_rows_shape(self):
-        rows = compare_docs(doc(), doc()).as_rows()
-        assert rows and set(rows[0]) == {"case", "metric", "baseline",
-                                         "candidate", "ratio", "status"}
+    @pytest.mark.parametrize("side", ["candidate", "baseline"])
+    def test_duplicate_case_id_raises(self, side):
+        dup = doc()
+        dup["cases"].append(copy.deepcopy(dup["cases"][1]))
+        docs = (dup, doc()) if side == "candidate" else (doc(), dup)
+        with pytest.raises(ValueError, match="duplicate case id 'sim/tp2pp1/T2'"):
+            drift(*docs)

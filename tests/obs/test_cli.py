@@ -174,6 +174,17 @@ class TestTelemetryVerbs:
         assert main(["top"]) == 1
         assert "REPRO_BACKEND" in capsys.readouterr().err
 
+    def test_top_refuses_run_id_outside_registry(self, capsys, monkeypatch):
+        """The id is checked before a gang spawns, not when the run is saved."""
+        import repro.parallel.backend as backend
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a gang was spawned")
+
+        monkeypatch.setattr(backend, "create_backend", no_spawn)
+        assert main(["top", "--backend", "mp", "--run-id", "../x"]) == 1
+        assert "invalid run_id '../x'" in capsys.readouterr().err
+
     def test_backend_flag_overrides_env(self, capsys, monkeypatch):
         # --backend mp beats REPRO_BACKEND=inproc; the guard passes and the
         # run proceeds (not exercised here — just assert the guard alone).

@@ -1,6 +1,7 @@
 """Run registry: schema validation, save/load/resolve, diff, dashboards."""
 
 import json
+import re
 
 import pytest
 
@@ -71,6 +72,34 @@ class TestSchema:
         with pytest.raises(RunSchemaError):
             validate_run(doc)
 
+    def test_enum_rejects_other_schema_version(self):
+        doc = make_summary()
+        doc["schema_version"] = 2
+        with pytest.raises(RunSchemaError, match=r"\$\.schema_version: 2 not in \[1\]"):
+            validate_run(doc)
+
+    def test_minimum_rejects_negative_count(self):
+        doc = make_summary()
+        doc["health"]["total"] = -1
+        with pytest.raises(RunSchemaError, match=r"\$\.health\.total: -1 < minimum 0"):
+            validate_run(doc)
+
+    def test_bool_is_not_an_integer(self):
+        doc = make_summary()
+        doc["health"]["total"] = True
+        with pytest.raises(RunSchemaError,
+                           match=r"\$\.health\.total: expected integer, got bool"):
+            validate_run(doc)
+
+    def test_additional_properties_subschema_applies(self):
+        """Every per-rank metric is checked against the stats sub-schema."""
+        doc = make_summary()
+        del doc["telemetry"]["per_rank"]["0"]["wall_ms"]["count"]
+        with pytest.raises(RunSchemaError,
+                           match=r"\$\.telemetry\.per_rank\.0\.wall_ms: "
+                                 r"missing required key 'count'"):
+            validate_run(doc)
+
 
 class TestSaveLoadResolve:
     def test_roundtrip(self, tmp_path):
@@ -100,6 +129,15 @@ class TestSaveLoadResolve:
         # A bare path outside the registry also resolves.
         direct = save_run(str(tmp_path / "elsewhere"), make_summary("run-c"))
         assert resolve_run(registry, direct) == direct
+
+    @pytest.mark.parametrize("run_id", ["../escaped", "a/b", ""])
+    def test_run_id_cannot_leave_the_registry(self, tmp_path, run_id):
+        doc = make_summary()
+        doc["run_id"] = run_id
+        with pytest.raises(RunSchemaError,
+                           match=re.escape(f"invalid run_id {run_id!r}")):
+            save_run(str(tmp_path / "reg" / "inner"), doc)
+        assert not (tmp_path / "reg").exists()
 
     def test_resolve_missing_names_known_runs(self, tmp_path):
         registry = str(tmp_path / "runs")

@@ -5,8 +5,8 @@ Acceptance cells (ISSUE 10, plus ``dp4`` since the gang leaders reduce):
 bitwise-equivalent between the mp gang and the inproc
 oracle — ``==`` on losses, ``array_equal`` on gradients, multiset-equal
 CommEvent streams.  On a mismatch the event-stream diff is written as a
-JSON artifact (``REPRO_EVENT_DIFF_DIR``) for the CI grid-equivalence job
-to upload.
+JSON artifact (``REPRO_EVENT_DIFF_DIR``) for CI's ``backend-matrix``
+"mixed" cells to upload.
 
 Degeneracy: any topology with ``dp=1, sp=1`` must produce the event
 stream of the pre-grid TP×PP path — no ``dp``/``sp`` group events, and
