@@ -1,7 +1,7 @@
-"""One record, two views: the Chrome trace `repro.obs mp-trace` wrote live
-from ``StepResult.timelines`` must equal the one rebuilt offline from the
-``conc-rank*.jsonl`` files of the same run — same per-rank span names,
-categories and durations, which here means the very same trace events.
+"""One record, one fold: the Chrome trace `repro.obs mp-trace` wrote live
+from ``StepResult.record`` must equal ``chrome_trace`` over the
+``conc-rank*.jsonl`` files of the same run — the same events carried two
+ways (the reply and the JSONL sink), rendered by the same function.
 
     PYTHONPATH=src python .github/scripts/trace_from_record.py TRACE.json LOG_DIR
 """
@@ -9,15 +9,15 @@ categories and durations, which here means the very same trace events.
 import json
 import sys
 
-from repro.obs.trace import worker_timelines_trace
-from repro.parallel.backend import load_events, span_view
+from repro.obs.trace import chrome_trace
+from repro.parallel.backend import load_events
 
 
 def main(trace_path: str, log_dir: str) -> int:
     with open(trace_path) as fh:
         live = json.load(fh)
     recorded = load_events(log_dir)
-    rebuilt = worker_timelines_trace(span_view(recorded), live["otherData"])
+    rebuilt = chrome_trace(recorded, live["otherData"])
     faults = sum(e["kind"] == "fault" for e in recorded)
     fault_spans = sum(e.get("cat") == "mp.fault" for e in live["traceEvents"])
     print(f"{len(live['traceEvents'])} live trace events, "

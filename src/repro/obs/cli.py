@@ -17,8 +17,9 @@ Usage::
     python -m repro.obs html RUN --out dash.html [--registry runs]
 
 ``report`` prints a per-run summary (gauges, phase timers, per-site
-compression fidelity when a sidecar ``*.fidelity.json`` exists) from a
-JSONL file written by :meth:`~repro.obs.metrics.RunRecorder.to_jsonl`.
+compression fidelity when a sidecar ``*.fidelity.json`` exists) from the
+rank-event JSONL file a :class:`~repro.obs.metrics.RunRecorder` streams
+(``stream_path``) — the numbers :meth:`RunRecorder.summary` gives.
 
 ``smoke`` runs one short recorded fine-tune per scheme and writes, per
 scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` /
@@ -28,9 +29,10 @@ scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` /
 setting as a Chrome trace (open in Perfetto or ``chrome://tracing``).
 
 ``mp-trace`` runs one real training step through the multiprocess
-execution backend with per-rank timelines enabled and merges the worker
-timelines into one Chrome trace — one track per logical rank, ``mp.wait``
-slices showing where ranks block on each other.
+execution backend with per-rank timelines enabled and renders the step's
+rank event record (``StepResult.record``) as one Chrome trace — one track
+per logical rank, ``mp.wait`` slices showing where ranks block on each
+other, ``comm`` instants for what each rank sent.
 
 ``top`` drives a short real training loop through the mp backend with
 per-step telemetry summaries enabled (``REPRO_TELEMETRY=1``) and
@@ -55,13 +57,9 @@ import sys
 
 from repro.experiments.report import format_table
 from repro.obs.fidelity import FidelityProbe
-from repro.obs.metrics import RunRecorder, load_jsonl
-from repro.obs.trace import (
-    simulated_iteration_trace,
-    trace_from_run,
-    worker_timelines_trace,
-    write_trace,
-)
+from repro.obs.metrics import RunRecorder, summarize
+from repro.obs.trace import chrome_trace, simulated_iteration_trace, write_trace
+from repro.parallel.backend.events import load_events
 
 __all__ = ["main"]
 
@@ -69,37 +67,24 @@ __all__ = ["main"]
 SMOKE_SCHEMES = ["T2", "R2", "Q2", "A2"]
 
 
-def _summarize(meta: dict, records: list[dict]) -> str:
-    lines = [f"run: {meta.get('run_id', '?')}  steps: {len(records)}"]
-    extra = {k: v for k, v in meta.items() if k not in ("type", "run_id")}
+def _report(summary: dict, meta: dict) -> str:
+    """The terminal report: :func:`~repro.obs.metrics.summarize`, tabled."""
+    lines = [f"run: {summary['run_id']}  steps: {summary['steps']}"]
+    extra = {k: v for k, v in meta.items() if k not in ("world", "run_id")}
     if extra:
         lines.append("meta: " + ", ".join(f"{k}={v}" for k, v in sorted(extra.items())))
-    wall = sum(r.get("wall_ms") or 0.0 for r in records)
+    wall = summary["wall_ms"]
     lines.append(f"wall: {wall:.1f} ms")
-
-    gauges: dict[str, list[float]] = {}
-    timers: dict[str, float] = {}
-    for r in records:
-        for name, value in r.get("gauges", {}).items():
-            gauges.setdefault(name, []).append(value)
-        for name, value in r.get("timers_ms", {}).items():
-            timers[name] = timers.get(name, 0.0) + value
-    if gauges:
-        rows = [
-            {"gauge": name, "first": vals[0], "last": vals[-1],
-             "mean": sum(vals) / len(vals), "min": min(vals), "max": max(vals)}
-            for name, vals in sorted(gauges.items())
-        ]
-        lines.append("")
-        lines.append(format_table(rows, title="Gauges"))
-    if timers:
-        rows = [
-            {"phase": name, "total_ms": total,
-             "share_%": 100.0 * total / max(wall, 1e-9)}
-            for name, total in sorted(timers.items(), key=lambda kv: -kv[1])
-        ]
-        lines.append("")
-        lines.append(format_table(rows, title="Phase timers"))
+    if summary["gauges"]:
+        rows = [{"gauge": name, **agg}
+                for name, agg in sorted(summary["gauges"].items())]
+        lines += ["", format_table(rows, title="Gauges")]
+    if summary["timers_ms"]:
+        rows = [{"phase": name, "total_ms": total,
+                 "share_%": 100.0 * total / max(wall, 1e-9)}
+                for name, total in sorted(summary["timers_ms"].items(),
+                                          key=lambda kv: -kv[1])]
+        lines += ["", format_table(rows, title="Phase timers")]
     return "\n".join(lines)
 
 
@@ -116,20 +101,31 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: run file not found: {args.run}", file=sys.stderr)
         return 1
     try:
-        meta, records = load_jsonl(args.run)
+        events = load_events(args.run)
     except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.run} as a RunRecorder JSONL file: {exc}",
+        print(f"error: cannot read {args.run} as a rank-event JSONL file: {exc}",
               file=sys.stderr)
         return 1
-    if not records:
+    if not all(isinstance(e, dict) and "kind" in e for e in events):
+        print(f"error: {args.run} is not a rank-event file (every line must be "
+              "an event with a `kind`; the older RunRecorder format with "
+              "`type` lines is no longer read — re-record the run with "
+              "`python -m repro.obs smoke`)", file=sys.stderr)
+        return 1
+    summary = summarize(events)
+    if not summary["steps"]:
         print(
             f"error: {args.run} contains no step records "
-            "(expected RunRecorder JSONL: a meta header plus one JSON object "
-            "per step; produce one with `python -m repro.obs smoke`)",
+            "(expected a RunRecorder rank-event file: a meta event plus one "
+            "step_begin … step_end slice per step; produce one with "
+            "`python -m repro.obs smoke`)",
             file=sys.stderr,
         )
         return 1
-    print(_summarize(meta, records))
+    # The meta event's own fields: the report's header, the trace's otherData.
+    meta = {k: v for k, v in next((e for e in events if e["kind"] == "meta"), {}).items()
+            if k not in ("kind", "rank", "idx", "t")}
+    print(_report(summary, meta))
     sidecar = os.path.splitext(args.run)[0] + ".fidelity.json"
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
@@ -137,7 +133,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
         print(_fidelity_table(fidelity.get("per_site", {})))
     if args.trace:
-        write_trace(trace_from_run(records, meta), args.trace)
+        write_trace(chrome_trace(events, meta), args.trace)
         print(f"\ntrace written to {args.trace}")
     return 0
 
@@ -151,9 +147,11 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     written: list[str] = []
     for scheme in args.schemes:
+        stem = os.path.join(args.outdir, f"smoke-{scheme}")
         recorder = RunRecorder(
             run_id=f"smoke-{scheme}",
             meta={"task": args.task, "scheme": scheme, "tp": 2, "pp": 2},
+            stream_path=stem + ".jsonl",
         )
         probe = FidelityProbe()
         result = finetune_on_task(
@@ -167,11 +165,10 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             recorder=recorder,
             probe=probe,
         )
-        stem = os.path.join(args.outdir, f"smoke-{scheme}")
-        written.append(recorder.to_jsonl(stem + ".jsonl"))
+        written.append(recorder.stream_path)
         written.append(recorder.to_csv(stem + ".csv"))
         written.append(write_trace(
-            trace_from_run(recorder.records, {"run_id": recorder.run_id, **recorder.meta}),
+            chrome_trace(recorder.events, {"run_id": recorder.run_id, **recorder.meta}),
             stem + ".trace.json",
         ))
         with open(stem + ".fidelity.json", "w", encoding="utf-8") as fh:
@@ -258,10 +255,11 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
     meta = {"run_id": f"mp-step-{args.scheme}-tp{args.tp}pp{args.pp}",
             "scheme": args.scheme, "tp": args.tp, "pp": args.pp,
             "loss": result.loss}
-    write_trace(worker_timelines_trace(result.timelines, meta), args.out)
-    spans = sum(len(t) for t in result.timelines.values())
+    record = [e for rank in sorted(result.record) for e in result.record[rank]]
+    write_trace(chrome_trace(record, meta), args.out)
+    spans = sum(e["kind"] == "span" for e in record)
     print(f"mp {args.scheme} TP={args.tp} PP={args.pp}: "
-          f"{len(result.timelines)} ranks, {spans} spans -> {args.out}")
+          f"{len(result.record)} ranks, {spans} spans -> {args.out}")
     if args.conc_log:
         print(f"concurrency event logs -> {args.conc_log} "
               f"(replay: python -m repro.lint --race-log {args.conc_log})")
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_report = sub.add_parser("report", help="summarize a recorded run")
-    p_report.add_argument("run", help="path to a RunRecorder JSONL file")
+    p_report.add_argument("run", help="path to a RunRecorder rank-event JSONL file")
     p_report.add_argument("--trace", help="also export a Chrome trace to this path")
     p_report.set_defaults(fn=cmd_report)
 

@@ -1,15 +1,19 @@
-"""Run telemetry: step-scoped timers, counters and gauges with JSONL/CSV sinks.
+"""Run telemetry: step-scoped timers, counters and gauges as rank events.
 
-A :class:`RunRecorder` accumulates one record per training step.  Within a
-step the caller sets *gauges* (instantaneous values: loss, grad-norm, lr),
-bumps *counters* (monotonic totals: tokens, samples) and wraps code regions
-in *timers* (phase wall-time: forward, backward, optimizer).  ``end_step``
-stamps the step's total wall time and freezes the record.
+A :class:`RunRecorder` is a parent-side producer of the rank event record
+(:mod:`repro.parallel.backend.events`, rank −1).  Within a step the caller
+sets *gauges* (instantaneous values: loss, grad-norm, lr), bumps *counters*
+(monotonic totals: tokens, samples) and wraps code regions in *timers*
+(phase wall-time).  They become ``gauge``, ``count`` and ``span`` (cat
+``phase``) events between a ``step_begin`` and a ``step_end``.
 
-Two sinks serialize a finished run: :meth:`RunRecorder.to_jsonl` (one JSON
-object per line, a ``meta`` header first) and :meth:`RunRecorder.to_csv`
-(flattened columns, one row per step).  :func:`load_jsonl` reads the JSONL
-form back; :mod:`repro.obs.trace` turns it into a Chrome trace.
+The record's JSONL sink is the run file: ``stream_path`` is written live,
+one flush per completed step, in the ``conc-rank*.jsonl`` format, and
+:func:`~repro.parallel.backend.events.load_events` reads it back.  Every
+view — :attr:`RunRecorder.records`, :meth:`RunRecorder.to_csv`,
+:meth:`RunRecorder.summary`, ``repro.obs report`` and
+:func:`repro.obs.trace.chrome_trace` — is a fold over those events;
+:func:`step_records` and :func:`summarize` are the per-step ones.
 
 Untouched callers pay nothing: every recording entry point takes an
 optional recorder defaulting to :data:`NULL_RECORDER`, whose methods are
@@ -20,100 +24,130 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import os
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
-__all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "load_jsonl"]
+from repro.parallel.backend.events import EventRecord
+
+__all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "step_records",
+           "summarize"]
+
+
+def step_records(events) -> list[dict]:
+    """One dict per closed step: ``step t_start_ms wall_ms gauges counters
+    timers_ms``, with ``t_start_ms`` relative to the first event."""
+    records: list[dict] = []
+    origin = current = None
+    begin = 0.0
+    for e in events:
+        if origin is None:
+            origin = e["t"]
+        kind = e["kind"]
+        if kind == "step_begin":
+            begin = e["t"]
+            current = {"step": e["step"], "t_start_ms": (begin - origin) * 1e3,
+                       "wall_ms": None, "gauges": {}, "counters": {},
+                       "timers_ms": {}}
+        elif current is None:
+            continue
+        elif kind == "step_end":
+            current["wall_ms"] = (e["t"] - begin) * 1e3
+            records.append(current)
+            current = None
+        elif kind == "gauge":
+            current["gauges"][e["name"]] = e["value"]
+        elif kind == "count":
+            counters = current["counters"]
+            counters[e["name"]] = counters.get(e["name"], 0) + e["n"]
+        elif kind == "span" and e["cat"] == "phase":
+            timers = current["timers_ms"]
+            timers[e["name"]] = timers.get(e["name"], 0.0) + e["dur"] * 1e3
+    return records
+
+
+def summarize(events) -> dict:
+    """Aggregates over a run: per-gauge last/mean/min/max, per-timer and
+    per-counter totals, summed step wall time."""
+    meta = next((e for e in events if e["kind"] == "meta"), {})
+    records = step_records(events)
+    gauges: dict[str, list[float]] = {}
+    timers: dict[str, float] = {}
+    counters: dict[str, int] = {}
+    for record in records:
+        for name, value in record["gauges"].items():
+            gauges.setdefault(name, []).append(value)
+        for name, value in record["timers_ms"].items():
+            timers[name] = timers.get(name, 0.0) + value
+        for name, value in record["counters"].items():
+            counters[name] = counters.get(name, 0) + value
+    return {
+        "run_id": meta.get("run_id", "?"),
+        "steps": len(records),
+        "wall_ms": sum(r["wall_ms"] for r in records),
+        "gauges": {
+            name: {"last": vals[-1], "mean": sum(vals) / len(vals),
+                   "min": min(vals), "max": max(vals)}
+            for name, vals in gauges.items()
+        },
+        "timers_ms": timers,
+        "counters": counters,
+    }
 
 
 class RunRecorder:
-    """Collects per-step metrics for one run.
+    """Collects per-step metrics for one run as rank events.
 
     Parameters
     ----------
     run_id:
-        Label stamped on the meta header (scheme, task, layout...).
+        Label stamped on the record's ``meta`` event (scheme, task, layout...).
     meta:
-        Extra key/value context for the meta header.
-    clock:
-        Monotonic clock in seconds; injectable for deterministic tests.
+        Extra key/value context for the ``meta`` event.
     stream_path:
-        Optional JSONL path written *live*: the meta header is written at
-        construction and every completed step is appended — and flushed —
-        from :meth:`end_step`, so a run killed mid-flight (chaos plans,
-        SIGKILL) retains every completed step with no truncated line.
-        :meth:`to_jsonl` still works and rewrites the file atomically
-        from the in-memory records.
+        Optional JSONL path, the record's sink, (re)created at construction
+        with the ``meta`` event; every completed step is appended — and
+        flushed — from :meth:`end_step`, so a run killed mid-flight (chaos
+        plans, SIGKILL) retains every completed step with no truncated line.
     """
 
     enabled: bool = True
 
-    def __init__(
-        self,
-        run_id: str = "run",
-        meta: dict | None = None,
-        clock: Callable[[], float] = time.perf_counter,
-        stream_path: str | None = None,
-    ):
+    def __init__(self, run_id: str = "run", meta: dict | None = None,
+                 stream_path: str | None = None):
         self.run_id = run_id
         self.meta = dict(meta) if meta else {}
-        self._clock = clock
-        self._t0 = clock()
-        self.records: list[dict] = []
-        self._current: dict | None = None
-        self._step_start = 0.0
-        self._next_step = 0
         self.stream_path = stream_path
-        self._stream = None
         if stream_path is not None:
-            parent = os.path.dirname(os.path.abspath(stream_path))
-            os.makedirs(parent, exist_ok=True)
-            self._stream = open(stream_path, "w", encoding="utf-8")
-            self._stream.write(json.dumps(self._meta_record()) + "\n")
-            self._stream.flush()
+            os.makedirs(os.path.dirname(os.path.abspath(stream_path)), exist_ok=True)
+            open(stream_path, "w", encoding="utf-8").close()  # a new run, a new file
+        self.record = EventRecord(-1, 1, stream_path)
+        self.record.events[0].update(run_id=run_id, **self.meta)  # the meta event
+        #: Every flushed event of the run (the sink forgets, this does not).
+        self.events: list[dict] = self.record.flush()
+        self._step: int | None = None
+        self._next_step = 0
 
     # ------------------------------------------------------------------
     # Step lifecycle
     # ------------------------------------------------------------------
     def start_step(self, step: int | None = None) -> None:
-        """Open a new step record (implicitly closing an unfinished one)."""
-        if self._current is not None:
+        """Open a new step (implicitly closing an unfinished one)."""
+        if self._step is not None:
             self.end_step()
-        now = self._clock()
-        index = step if step is not None else self._next_step
-        self._next_step = index + 1
-        self._step_start = now
-        self._current = {
-            "step": index,
-            "t_start_ms": (now - self._t0) * 1e3,
-            "wall_ms": None,
-            "gauges": {},
-            "counters": {},
-            "timers_ms": {},
-        }
+        self._step = step if step is not None else self._next_step
+        self._next_step = self._step + 1
+        self.record.emit("step_begin", step=self._step)
 
-    def end_step(self) -> dict:
-        """Close the open step, stamping its wall time; returns the record."""
-        if self._current is None:
+    def end_step(self) -> None:
+        """Close the open step and flush it to the sink."""
+        if self._step is None:
             raise RuntimeError("end_step() without a matching start_step()")
-        record = self._current
-        record["wall_ms"] = (self._clock() - self._step_start) * 1e3
-        self.records.append(record)
-        self._current = None
-        if self._stream is not None:
-            # One write + flush per step: a SIGKILL between steps can lose
-            # at most the step in progress, never corrupt a written line.
-            self._stream.write(json.dumps({"type": "step", **record}) + "\n")
-            self._stream.flush()
-        return record
-
-    def close(self) -> None:
-        """Close the streaming sink (idempotent; no-op without one)."""
-        if self._stream is not None:
-            stream, self._stream = self._stream, None
-            stream.close()
+        self.record.emit("step_end", step=self._step)
+        self._step = None
+        # One append per step: a SIGKILL between steps can lose at most
+        # the step in progress, never corrupt a written line.
+        self.events += self.record.flush()
 
     @contextlib.contextmanager
     def step(self, step: int | None = None) -> Iterator[None]:
@@ -127,45 +161,37 @@ class RunRecorder:
     # ------------------------------------------------------------------
     # Instruments
     # ------------------------------------------------------------------
-    def _open(self) -> dict:
-        if self._current is None:
+    def _open(self) -> None:
+        if self._step is None:
             self.start_step()
-        return self._current
 
     def gauge(self, name: str, value: float) -> None:
         """Set an instantaneous value for this step (last write wins)."""
-        self._open()["gauges"][name] = float(value)
+        self._open()
+        self.record.emit("gauge", name=name, value=float(value))
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a per-step counter."""
-        counters = self._open()["counters"]
-        counters[name] = counters.get(name, 0) + n
+        self._open()
+        self.record.emit("count", name=name, n=n)
 
     @contextlib.contextmanager
     def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the wrapped region's wall time into ``timers_ms``."""
-        start = self._clock()
+        """Record the wrapped region as a ``phase`` span of this step."""
+        start = time.monotonic()
         try:
             yield
         finally:
-            timers = self._open()["timers_ms"]
-            timers[name] = timers.get(name, 0.0) + (self._clock() - start) * 1e3
+            self._open()
+            self.record.span(name, "phase", start)
 
     # ------------------------------------------------------------------
-    # Sinks
+    # Views
     # ------------------------------------------------------------------
-    def _meta_record(self) -> dict:
-        return {"type": "meta", "run_id": self.run_id, **self.meta}
-
-    def to_jsonl(self, path: str) -> str:
-        """Write the meta header + one JSON line per step; returns ``path``."""
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._meta_record()) + "\n")
-            for record in self.records:
-                fh.write(json.dumps({"type": "step", **record}) + "\n")
-        return path
+    @property
+    def records(self) -> list[dict]:
+        """The completed steps (:func:`step_records` of :attr:`events`)."""
+        return step_records(self.events)
 
     def to_csv(self, path: str) -> str:
         """Write one flattened row per step; returns ``path``.
@@ -174,55 +200,26 @@ class RunRecorder:
         ``timer_ms.*`` prefixes keep the three instrument kinds apart.
         """
         columns = ["step", "t_start_ms", "wall_ms"]
-        extras: list[str] = []
+        groups = (("gauge", "gauges"), ("counter", "counters"),
+                  ("timer_ms", "timers_ms"))
+        rows = []
         for record in self.records:
-            for prefix, group in (("gauge", "gauges"), ("counter", "counters"),
-                                  ("timer_ms", "timers_ms")):
-                for name in record[group]:
-                    col = f"{prefix}.{name}"
-                    if col not in extras:
-                        extras.append(col)
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
+            row = {k: record[k] for k in columns}
+            for prefix, group in groups:
+                for name, value in record[group].items():
+                    row[f"{prefix}.{name}"] = value
+            rows.append(row)
+        extras = sorted({col for row in rows for col in row} - set(columns))
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns + sorted(extras))
+            writer = csv.DictWriter(fh, fieldnames=columns + extras)
             writer.writeheader()
-            for record in self.records:
-                row = {k: record[k] for k in columns}
-                for prefix, group in (("gauge", "gauges"), ("counter", "counters"),
-                                      ("timer_ms", "timers_ms")):
-                    for name, value in record[group].items():
-                        row[f"{prefix}.{name}"] = value
-                writer.writerow(row)
+            writer.writerows(rows)
         return path
 
-    # ------------------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregates over the run: per-gauge last/mean, per-timer totals."""
-        gauges: dict[str, list[float]] = {}
-        timers: dict[str, float] = {}
-        counters: dict[str, int] = {}
-        wall = 0.0
-        for record in self.records:
-            wall += record["wall_ms"] or 0.0
-            for name, value in record["gauges"].items():
-                gauges.setdefault(name, []).append(value)
-            for name, value in record["timers_ms"].items():
-                timers[name] = timers.get(name, 0.0) + value
-            for name, value in record["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-        return {
-            "run_id": self.run_id,
-            "steps": len(self.records),
-            "wall_ms": wall,
-            "gauges": {
-                name: {"last": vals[-1], "mean": sum(vals) / len(vals),
-                       "min": min(vals), "max": max(vals)}
-                for name, vals in gauges.items()
-            },
-            "timers_ms": timers,
-            "counters": counters,
-        }
+        """:func:`summarize` over the run's events."""
+        return summarize(self.events)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(run_id={self.run_id!r}, steps={len(self.records)})"
@@ -231,20 +228,20 @@ class RunRecorder:
 class NullRecorder(RunRecorder):
     """No-op recorder: the default for every instrumented call site.
 
-    Methods neither read the clock nor allocate records, so threading a
+    Methods neither read the clock nor emit events, so threading a
     recorder through a hot loop costs one attribute lookup per call.
     """
 
     enabled = False
 
     def __init__(self):
-        super().__init__(run_id="null", clock=lambda: 0.0)
+        super().__init__(run_id="null")
 
     def start_step(self, step: int | None = None) -> None:
         return None
 
-    def end_step(self) -> dict:
-        return {}
+    def end_step(self) -> None:
+        return None
 
     def gauge(self, name: str, value: float) -> None:
         return None
@@ -259,24 +256,3 @@ class NullRecorder(RunRecorder):
 
 #: Shared no-op instance used as the default recorder everywhere.
 NULL_RECORDER = NullRecorder()
-
-
-def load_jsonl(path: str) -> tuple[dict, list[dict]]:
-    """Read a run written by :meth:`RunRecorder.to_jsonl`.
-
-    Returns ``(meta, step_records)``; files without a meta header (or with
-    interleaved non-step lines) are tolerated.
-    """
-    meta: dict = {}
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if obj.get("type") == "meta":
-                meta = obj
-            elif obj.get("type") == "step" or "step" in obj:
-                records.append(obj)
-    return meta, records

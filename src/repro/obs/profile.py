@@ -18,22 +18,23 @@ accumulates
   is the largest amount allocated inside any one span tagged with that
   rank — a deterministic upper bound on live bytes per step.
 
-A span stack (:meth:`OpProfiler.span`) tags forward/backward/collective
-regions, optionally per SPMD rank; :meth:`OpProfiler.watch` wraps a
-:class:`~repro.parallel.collectives.CommTracker` so every
-:class:`~repro.parallel.collectives.CommEvent` is cross-linked to the
-span that was open when it fired (and to its index in the tracker's
-event list).  :func:`repro.obs.trace.profiler_trace` renders all of it as
-a Chrome trace whose categories are ``prof.*``-prefixed, so merging with
-a simulated-iteration trace never disturbs
-:func:`~repro.obs.trace.validate_against_breakdown`.
+Its timeline is a rank event record
+(:mod:`repro.parallel.backend.events`, rank −1): a span stack
+(:meth:`OpProfiler.span`) tags forward/backward/collective regions as
+``span`` events carrying ``path alloc_bytes op_calls``, optionally under
+the logical SPMD rank the span names; op calls become ``op`` events when
+``record_events`` is set; and while the profiler is installed its record
+is the active one, so every tracked
+:class:`~repro.parallel.collectives.CommEvent` lands in it as a ``comm``
+event whose ``t`` lies inside the span it fired under.
+:func:`repro.obs.trace.chrome_trace` renders the record.
 
 Everything here is a side channel (DESIGN decision #7): with no profiler
 installed the tensor hot path pays one empty-list truthiness check, and
 installing one changes no numerics — only observes them.
 
 The *deterministic* half of the profile — call counts, FLOPs, bytes,
-allocations, comm cross-links — is identical run to run for a seeded
+allocations, comm events — is identical run to run for a seeded
 workload; only the wall-time columns are measurements.
 """
 
@@ -41,17 +42,19 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from repro.simulator.calibration import CALIBRATION, Calibration
-from repro.simulator.hardware import V100, GPUSpec
+from repro.parallel.backend import events
+from repro.parallel.backend.events import EventRecord
+from repro.simulator.calibration import CALIBRATION
+from repro.simulator.hardware import V100
 from repro.simulator.kernels import gemm_time
 from repro.tensor import register_op_hook, unregister_op_hook
 
-__all__ = ["OpStats", "SpanRecord", "CommLink", "OpProfiler", "op_flops", "op_bytes"]
+__all__ = ["OpStats", "OpProfiler", "op_flops", "op_bytes"]
 
 _FP32_BYTES = 4
 
@@ -107,71 +110,29 @@ class OpStats:
         }
 
 
-@dataclass
-class SpanRecord:
-    """One closed region from the span stack."""
-
-    name: str
-    cat: str  # "phase" | "collective" | caller-chosen
-    path: str  # "step0/forward" — joined stack of open span names
-    rank: int | None
-    t_start_ms: float
-    dur_ms: float
-    alloc_bytes: int
-    op_calls: int
-
-
-@dataclass(frozen=True)
-class CommLink:
-    """Cross-link between a CommEvent and the profiler's span stack."""
-
-    event_index: int  # index into the watched tracker's ``events`` list
-    op: str
-    group: str
-    phase: str
-    scheme: str
-    site: str
-    wire_bytes: int
-    t_ms: float
-    span_path: str
-    rank: int | None
-
-
 class OpProfiler:
     """Deterministic op-level profiler; install via ``with profiler:``.
 
+    Installing it makes :attr:`record` the process's active event record,
+    so every :class:`~repro.parallel.collectives.CommEvent` tracked while
+    it is installed lands there as a ``comm`` event.
+
     Parameters
     ----------
-    clock:
-        Monotonic clock in seconds; injectable for deterministic tests.
-    cal:
-        Calibration used when converting FLOP rollups to predicted ms.
     record_events:
-        Keep one timeline entry per op call for Chrome-trace export.
+        Also emit one ``op`` event per op call (for the Chrome trace).
         Rollups (counts/FLOPs/bytes) are collected either way; disable for
         long benchmark loops where only aggregates matter.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        cal: Calibration = CALIBRATION,
-        gpu: GPUSpec = V100,
-        record_events: bool = True,
-    ):
-        self._clock = clock
-        self.cal = cal
-        self.gpu = gpu
+    def __init__(self, record_events: bool = True):
         self.record_events = record_events
-        self._t0 = clock()
-        self._last = self._t0
+        self.record = EventRecord(-1, 1)
+        self._last = time.monotonic()
         self._installed = False
+        self._previous: EventRecord | None = None
         self.ops: dict[tuple[str, str], OpStats] = {}  # (phase, op) -> stats
-        self.op_events: list[tuple[str, str, float, float, int, int | None]] = []
-        self.spans: list[SpanRecord] = []
-        self.comm_links: list[CommLink] = []
         self._stack: list[dict] = []
-        self._watched: list[tuple[object, Callable]] = []
         self.alloc_bytes = 0
         self.peak_alloc_by_rank: dict[int, int] = {}
         self.peak_span_alloc = 0
@@ -180,25 +141,21 @@ class OpProfiler:
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "OpProfiler":
-        """Register with the tensor op-hook seam."""
+        """Register with the tensor op-hook seam and the event record seam."""
         if not self._installed:
             register_op_hook(self._on_op)
+            self._previous = events.active()
+            events.install(self.record)
             self._installed = True
-            self._last = self._clock()
+            self._last = time.monotonic()
         return self
 
     def uninstall(self) -> None:
-        """Unregister and unwrap any watched trackers."""
+        """Unregister, handing the record seam back to its previous owner."""
         if self._installed:
             unregister_op_hook(self._on_op)
+            events.install(self._previous)
             self._installed = False
-        for tracker, original in self._watched:
-            if getattr(original, "__self__", None) is tracker:
-                # Wrapper was instance-level over the class method: drop it.
-                tracker.__dict__.pop("record", None)
-            else:
-                tracker.record = original
-        self._watched.clear()
 
     def __enter__(self) -> "OpProfiler":
         return self.install()
@@ -207,87 +164,55 @@ class OpProfiler:
         self.uninstall()
 
     # ------------------------------------------------------------------
-    # Hook targets
+    # Hook target and span stack
     # ------------------------------------------------------------------
-    def _now_ms(self) -> float:
-        return (self._clock() - self._t0) * 1e3
-
     def _on_op(self, op: str, data: np.ndarray, parent_shapes: tuple, phase: str) -> None:
-        now = self._clock()
-        dt_ms = (now - self._last) * 1e3
+        now = time.monotonic()
+        dt = now - self._last
         self._last = now
         stats = self.ops.get((phase, op))
         if stats is None:
             stats = self.ops[(phase, op)] = OpStats()
         nbytes = int(data.nbytes)
         stats.calls += 1
-        stats.wall_ms += dt_ms
+        stats.wall_ms += dt * 1e3
         stats.flops += op_flops(op, data.shape, parent_shapes)
         stats.bytes_moved += op_bytes(op, nbytes, parent_shapes)
         stats.alloc_bytes += nbytes
         self.alloc_bytes += nbytes
-        rank = None
-        if self._stack:
-            for frame in self._stack:
-                frame["alloc"] += nbytes
-                frame["op_calls"] += 1
-            rank = self._stack[-1]["rank"]
+        for frame in self._stack:
+            frame["alloc"] += nbytes
+            frame["op_calls"] += 1
         if self.record_events:
-            t_end = (now - self._t0) * 1e3
-            self.op_events.append((op, phase, t_end - dt_ms, dt_ms, nbytes, rank))
+            self.record.emit("op", t=now, name=op, phase=phase, dur=dt,
+                             alloc_bytes=nbytes)
 
-    def _on_comm(self, tracker, event) -> None:
-        frame = self._stack[-1] if self._stack else None
-        self.comm_links.append(CommLink(
-            event_index=len(tracker.events) - 1,
-            op=event.op, group=event.group, phase=event.phase,
-            scheme=event.scheme, site=event.site, wire_bytes=event.wire_bytes,
-            t_ms=self._now_ms(),
-            span_path="/".join(f["name"] for f in self._stack),
-            rank=frame["rank"] if frame else None,
-        ))
-
-    # ------------------------------------------------------------------
-    # Span stack & CommTracker cross-link
-    # ------------------------------------------------------------------
     @contextlib.contextmanager
     def span(self, name: str, cat: str = "phase", rank: int | None = None) -> Iterator[None]:
-        """Tag a region; nested spans inherit the innermost rank by default."""
-        if rank is None and self._stack:
-            rank = self._stack[-1]["rank"]
-        start = self._now_ms()
-        frame = {"name": name, "cat": cat, "rank": rank, "start": start,
-                 "alloc": 0, "op_calls": 0}
+        """Tag a region.  A span that names a logical ``rank`` stamps every
+        event emitted inside it with that rank (the op, comm and nested
+        span events); otherwise they keep the enclosing one (−1, the
+        parent's, outside any span that names one)."""
+        outer = self.record.rank
+        if rank is not None:
+            self.record.rank = rank
+        frame = {"name": name, "alloc": 0, "op_calls": 0}
         self._stack.append(frame)
-        self._last = self._clock()  # don't attribute pre-span time to the first op
+        start = self._last = time.monotonic()  # pre-span time is no op's
         try:
             yield
         finally:
             self._stack.pop()
-            end = self._now_ms()
-            self.spans.append(SpanRecord(
-                name=name, cat=cat,
+            self.record.span(
+                name, cat, start,
                 path="/".join([f["name"] for f in self._stack] + [name]),
-                rank=rank, t_start_ms=start, dur_ms=end - start,
-                alloc_bytes=frame["alloc"], op_calls=frame["op_calls"],
-            ))
-            if rank is not None:
+                alloc_bytes=frame["alloc"], op_calls=frame["op_calls"])
+            rank, self.record.rank = self.record.rank, outer
+            if rank >= 0:
                 prev = self.peak_alloc_by_rank.get(rank, 0)
                 self.peak_alloc_by_rank[rank] = max(prev, frame["alloc"])
             self.peak_span_alloc = max(self.peak_span_alloc, frame["alloc"])
-            self._last = self._clock()
-
-    def watch(self, tracker) -> None:
-        """Cross-link a CommTracker: every recorded event gets a span tag."""
-        original = tracker.record
-
-        def record(event, _original=original):
-            _original(event)
-            if tracker.enabled:
-                self._on_comm(tracker, event)
-
-        tracker.record = record
-        self._watched.append((tracker, original))
+            self._last = time.monotonic()
 
     # ------------------------------------------------------------------
     # Rollups
@@ -308,15 +233,18 @@ class OpProfiler:
         """
         matmul_flops = sum(s.flops for (_, op), s in self.ops.items() if op in _GEMM_OPS)
         bytes_moved = sum(s.bytes_moved for s in self.ops.values())
-        mem_ms = bytes_moved / (self.gpu.mem_bandwidth_gbps * 1e9) * 1e3
-        return gemm_time(matmul_flops, self.cal.gemm_tflops(1)) + mem_ms
+        mem_ms = bytes_moved / (V100.mem_bandwidth_gbps * 1e9) * 1e3
+        return gemm_time(matmul_flops, CALIBRATION.gemm_tflops(1)) + mem_ms
+
+    def _kind(self, kind: str) -> list[dict]:
+        return [e for e in self.record.events if e["kind"] == kind]
 
     def comm_bytes(self) -> dict[str, int]:
-        """Cross-linked wire bytes keyed ``group/phase/scheme`` (sorted)."""
+        """Wire bytes of the ``comm`` events keyed ``group/phase/scheme`` (sorted)."""
         out: dict[str, int] = {}
-        for link in self.comm_links:
-            key = f"{link.group}/{link.phase}/{link.scheme}"
-            out[key] = out.get(key, 0) + link.wire_bytes
+        for e in self._kind("comm"):
+            key = f"{e['group']}/{e['phase']}/{e['scheme']}"
+            out[key] = out.get(key, 0) + e["wire_bytes"]
         return dict(sorted(out.items()))
 
     def summary(self) -> dict:
@@ -326,8 +254,8 @@ class OpProfiler:
             for (phase, op), stats in sorted(self.ops.items())
         }
         span_totals: dict[str, float] = {}
-        for span in self.spans:
-            span_totals[span.name] = span_totals.get(span.name, 0.0) + span.dur_ms
+        for span in self._kind("span"):
+            span_totals[span["name"]] = span_totals.get(span["name"], 0.0) + span["dur"] * 1e3
         return {
             "op_calls": sum(s.calls for s in self.ops.values()),
             "wall_ms": self.total_wall_ms(),
@@ -342,5 +270,5 @@ class OpProfiler:
             "ops": ops,
             "spans_ms": dict(sorted(span_totals.items())),
             "comm_bytes": self.comm_bytes(),
-            "comm_events": len(self.comm_links),
+            "comm_events": len(self._kind("comm")),
         }

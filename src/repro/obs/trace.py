@@ -4,9 +4,10 @@ Two producers share one event format (the Trace Event Format's complete
 ``"X"`` slices, timestamps in microseconds, loadable in Perfetto or
 ``chrome://tracing``):
 
-- :func:`trace_from_run` renders a :class:`~repro.obs.metrics.RunRecorder`
-  JSONL run — one slice per step plus the per-phase timers, and a counter
-  track per gauge (loss, grad-norm, lr).
+- :func:`chrome_trace` folds rank events (:mod:`repro.parallel.backend.events`)
+  into one track per rank — a recorded run's steps, phase timers and gauge
+  counters, a profiled session's spans, op calls and comm instants, an mp
+  gang's worker timelines — whichever producers wrote them.
 - :func:`simulated_iteration_trace` renders the pipeline schedule (GPipe
   or 1F1B) of one :class:`~repro.simulator.SimSetting` — one track per
   pipeline stage with per-microbatch forward/backward boxes at the
@@ -30,10 +31,8 @@ from repro.simulator.calibration import CALIBRATION, Calibration
 from repro.simulator.iteration import IterationBreakdown, IterationSimulator, SimSetting
 
 __all__ = [
-    "trace_from_run",
+    "chrome_trace",
     "simulated_iteration_trace",
-    "profiler_trace",
-    "worker_timelines_trace",
     "merge_traces",
     "validate_against_breakdown",
     "write_trace",
@@ -121,33 +120,6 @@ class _TraceBuilder:
         if meta:
             trace["otherData"] = meta
         return trace
-
-
-# ----------------------------------------------------------------------
-# Recorded runs
-# ----------------------------------------------------------------------
-def trace_from_run(records: list[dict], meta: dict | None = None) -> dict:
-    """Chrome trace of a recorded run (step slices, phase timers, gauges).
-
-    ``records`` are step dicts as produced by
-    :meth:`~repro.obs.metrics.RunRecorder.to_jsonl` /
-    :func:`~repro.obs.metrics.load_jsonl`.
-    """
-    run_id = (meta or {}).get("run_id", "run")
-    b = _TraceBuilder(f"repro run: {run_id}")
-    for record in records:
-        start = record["t_start_ms"]
-        wall = record["wall_ms"] or 0.0
-        step = record["step"]
-        b.slice("steps", f"step {step}", "step", start, wall,
-                args={k: v for k, v in record["gauges"].items()})
-        cursor = start
-        for name, dur in record["timers_ms"].items():
-            b.slice("phases", name, name, cursor, dur)
-            cursor += dur
-        for name, value in record["gauges"].items():
-            b.counter(f"gauge:{name}", name, start, value)
-    return b.build(meta)
 
 
 # ----------------------------------------------------------------------
@@ -251,82 +223,64 @@ def simulated_iteration_trace(
     })
 
 
-def profiler_trace(profiler, meta: dict | None = None) -> dict:
-    """Chrome trace of an :class:`~repro.obs.profile.OpProfiler` session.
+def chrome_trace(events, meta: dict | None = None) -> dict:
+    """Chrome trace of rank events — any mix of producers and ranks.
 
-    Spans render as slices on per-rank tracks, individual op calls (when
-    the profiler recorded events) as slices on an ops track, and every
-    cross-linked ``CommEvent`` as an instant marker carrying the event's
-    tracker index, site, scheme and wire bytes.  All slice categories are
-    ``prof.*``-prefixed so a merged real+simulated trace never perturbs
+    One fold for every recorded run: a :class:`~repro.obs.metrics.RunRecorder`
+    file, an :class:`~repro.obs.profile.OpProfiler` session's record, the mp
+    workers' ``conc-rank*.jsonl`` files or ``StepResult.record``.  Each rank
+    is one track (``parent`` for rank −1; ``rank r · tp…/pp…`` when ``meta``
+    names ``tp``), in rank order whatever the input order.  A ``span``
+    becomes an ``X`` slice at its real time, an ``mp.async`` span a
+    ``b``/``e`` pair floating above the track (a staged send still in
+    flight); a step (``step_begin`` … ``step_end``) and an ``op`` become
+    ``X`` slices (cat ``step`` / ``op.<phase>``); a ``comm`` event becomes
+    an instant and a ``gauge`` a counter.  Other kinds draw nothing.
+    Timestamps count from the first ``step_begin`` (else the first event),
+    on the record's one monotonic clock.  No category is a breakdown
+    column, so a merged real+simulated trace never perturbs
     :func:`validate_against_breakdown`.
     """
-    run_id = (meta or {}).get("run_id", "profile")
-    b = _TraceBuilder(f"profiled run: {run_id}")
-
-    def track_of(rank) -> str:
-        return "main" if rank is None else f"rank{rank}"
-
-    for span in profiler.spans:
-        b.slice(
-            f"{track_of(span.rank)} spans", span.name, f"prof.{span.cat}",
-            span.t_start_ms, span.dur_ms,
-            args={"path": span.path, "alloc_bytes": span.alloc_bytes,
-                  "op_calls": span.op_calls},
-        )
-    for op, phase, start, dur, nbytes, rank in profiler.op_events:
-        b.slice(f"{track_of(rank)} ops", op, f"prof.op.{phase}", start, dur,
-                args={"alloc_bytes": nbytes})
-    for link in profiler.comm_links:
-        b.instant(
-            f"{track_of(link.rank)} comm",
-            f"{link.op} {link.site}" if link.site else link.op,
-            "prof.comm", link.t_ms,
-            args={"event_index": link.event_index, "group": link.group,
-                  "phase": link.phase, "scheme": link.scheme,
-                  "wire_bytes": link.wire_bytes, "span": link.span_path},
-        )
-    return b.build(meta)
-
-
-def worker_timelines_trace(timelines: dict[int, list[dict]],
-                           meta: dict | None = None) -> dict:
-    """Chrome trace of the mp backend's per-rank worker timelines.
-
-    ``timelines`` is :attr:`~repro.parallel.backend.StepResult.timelines`:
-    global rank → span dicts (``name``/``cat``/``ts_ms``/``dur_ms``).  Each
-    rank renders as its own track; every worker's clock starts at its own
-    step entry, so tracks are aligned at the step barrier rather than on a
-    shared wall clock.  Categories are ``mp.*``-prefixed (``mp.phase`` for
-    compute phases, ``mp.wait`` for blocking transport waits) so a merged
-    real+simulated trace never perturbs :func:`validate_against_breakdown`.
-
-    Spans recorded with category ``mp.async`` — a staged ring send still
-    in flight (a pipeline boundary send or gradient relay) — render as
-    Chrome async ``b``/``e`` pairs instead of ``X`` slices: the bar floats
-    above the rank's compute slices, making the comm/compute overlap
-    visible (and measurable) in Perfetto.
-    """
     meta = meta or {}
-    run_id = meta.get("run_id", "mp step")
-    b = _TraceBuilder(f"mp workers: {run_id}")
-    # With the layout in meta each track carries the rank's TP×PP
-    # coordinate ("rank 3 · tp1/pp1"), so Perfetto shows the gang
-    # topology instead of bare rank numbers; without it (old callers,
-    # hand-built metas) tracks degrade to the plain rank label.
+    events = list(events)
+    begins = [e["t"] for e in events if e["kind"] == "step_begin"]
+    origin = min(begins or [e["t"] for e in events] or [0.0])
+    by_rank: dict[int, list[dict]] = {}
+    for e in events:
+        by_rank.setdefault(e["rank"], []).append(e)
     tp = meta.get("tp")
-    for rank in sorted(timelines):
-        if isinstance(tp, int) and tp > 0:
+    b = _TraceBuilder(f"repro run: {meta.get('run_id', 'run')}")
+    for rank in sorted(by_rank):
+        if rank < 0:
+            track = "parent"
+        elif isinstance(tp, int) and tp > 0:
             track = f"rank {rank} · tp{rank % tp}/pp{rank // tp}"
         else:
             track = f"rank{rank}"
-        for span in timelines[rank]:
-            if span["cat"] == "mp.async":
-                b.async_span(track, span["name"], "mp.async", span["ts_ms"],
-                             span["ts_ms"] + span["dur_ms"])
-            else:
-                b.slice(track, span["name"], span["cat"], span["ts_ms"],
-                        span["dur_ms"])
+        begin = None
+        for e in by_rank[rank]:
+            kind = e["kind"]
+            ts = (e["t"] - origin) * 1e3
+            if kind == "span" and e["cat"] == "mp.async":
+                b.async_span(track, e["name"], "mp.async", ts - e["dur"] * 1e3, ts)
+            elif kind == "span":
+                args = {k: e[k] for k in ("path", "alloc_bytes", "op_calls") if k in e}
+                b.slice(track, e["name"], e["cat"], ts - e["dur"] * 1e3,
+                        e["dur"] * 1e3, args)
+            elif kind == "op":
+                b.slice(track, e["name"], f"op.{e['phase']}", ts - e["dur"] * 1e3,
+                        e["dur"] * 1e3, {"alloc_bytes": e["alloc_bytes"]})
+            elif kind == "step_begin":
+                begin = ts
+            elif kind == "step_end" and begin is not None:
+                b.slice(track, f"step {e['step']}", "step", begin, ts - begin)
+                begin = None
+            elif kind == "comm":
+                b.instant(track, f"{e['op']} {e['site']}" if e["site"] else e["op"],
+                          "comm", ts, {k: e[k] for k in ("group", "phase", "scheme",
+                                                         "wire_bytes")})
+            elif kind == "gauge":
+                b.counter(track, e["name"], ts, e["value"])
     return b.build(meta)
 
 
@@ -336,8 +290,8 @@ def merge_traces(*traces: dict, meta: dict | None = None) -> dict:
     Each input's events keep their timestamps and thread ids but are
     re-homed to a distinct ``pid``, so e.g. a profiled real run and the
     simulated GPipe schedule of the same setting render side by side in
-    Perfetto.  Categories are untouched: because the profiler only emits
-    ``prof.*`` categories, a merged trace still satisfies
+    Perfetto.  Categories are untouched: because :func:`chrome_trace`
+    draws no breakdown-column category, a merged trace still satisfies
     :func:`validate_against_breakdown` for the simulated half.
     """
     events: list[dict] = []

@@ -1,12 +1,17 @@
 """The rank event record: one producer, one clock, every observer a view.
 
 An :class:`EventRecord` is the only thing an mp rank writes while a step
-is observed.  Every event is ``{kind, rank, idx, t, ...}`` with ``idx`` a
+is observed, and the only store of the parent's own observers
+(:class:`~repro.obs.metrics.RunRecorder`,
+:class:`~repro.obs.profile.OpProfiler`), whose events carry rank −1 or
+the logical rank a profiler span names.  Every event is
+``{kind, rank, idx, t, ...}`` with ``idx`` a
 dense per-rank counter (program order) and ``t = time.monotonic()`` taken
 *at emit* — CLOCK_MONOTONIC on Linux, one system-wide clock, so stamps
 compare across ranks.  A span is emitted when it ends and carries ``dur``
 (it started at ``t - dur``), so ``idx`` order is ``t`` order for every
-kind.  The Chrome trace (:func:`span_view`), the DYN003 happens-before
+kind.  The Chrome trace (:func:`repro.obs.trace.chrome_trace`, and
+:func:`span_view` for per-rank timelines), the DYN003 happens-before
 replay (:mod:`repro.lint.race_check`) and the telemetry step summary
 (:func:`repro.obs.telemetry.agent.step_summary`) are folds over it.
 
@@ -20,7 +25,14 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
 ``span``              ``name cat dur`` — ``mp.wait`` blocking wait,
                       ``mp.async`` staged ring send still in flight,
                       ``mp.phase`` compute, ``mp.fault`` injected-fault
-                      window
+                      window; in the parent ``phase`` (a ``RunRecorder``
+                      timer block, an ``OpProfiler`` span's default) or a
+                      caller's cat, a profiler span adding ``path
+                      alloc_bytes op_calls``
+``comm``              a ``CommEvent``'s fields — one per tracked message
+``gauge`` / ``count`` ``name value`` / ``name n`` (``RunRecorder``)
+``op``                ``name phase dur alloc_bytes`` — one tensor op call
+                      (``OpProfiler(record_events=True)``)
 ``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or
                       ``step`` (rank) — one per fired fault
 ``send``              ``src dst slot seq`` — ring-slot commit (status→FULL);
@@ -76,8 +88,8 @@ def protocol() -> "EventRecord | None":
     return record if record is not None and record.path is not None else None
 
 
-def install(record: "EventRecord") -> "EventRecord":
-    """Make ``record`` the process-wide producer and return it."""
+def install(record: "EventRecord | None") -> "EventRecord | None":
+    """Make ``record`` the process-wide producer (``None``: none) and return it."""
     global _ACTIVE
     _ACTIVE = record
     return record
@@ -117,9 +129,9 @@ class EventRecord:
         self.events.append(event)
         return event
 
-    def span(self, name: str, cat: str, start: float) -> None:
+    def span(self, name: str, cat: str, start: float, **fields) -> None:
         """Close a span opened at monotonic time ``start``."""
-        event = self.emit("span", name=name, cat=cat)
+        event = self.emit("span", name=name, cat=cat, **fields)
         event["dur"] = event["t"] - start
 
     def flush(self) -> list[dict]:

@@ -55,7 +55,8 @@ class InprocBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _replica_step(self, model, input_ids, labels, attention_mask) -> float:
         """One replica's serial step on (its shard of) the batch."""
-        model.tracker.reset()
+        if hasattr(model, "tracker"):  # a serial model sends nothing
+            model.tracker.reset()
         model.zero_grad()
         m = getattr(model.config, "num_microbatches", 1)
         if m == 1:
@@ -85,8 +86,9 @@ class InprocBackend(ExecutionBackend):
         if self.dp == 1:
             loss_val = self._replica_step(self.model, input_ids, labels,
                                           attention_mask)
+            tracker = getattr(self.model, "tracker", None)
             return StepResult(loss=loss_val, grads={},
-                              events=list(self.model.tracker.events),
+                              events=list(tracker.events) if tracker else [],
                               timelines={})
 
         input_ids = np.asarray(input_ids)

@@ -108,8 +108,13 @@ class CommTracker:
         self.events: list[CommEvent] = []
 
     def record(self, event: CommEvent) -> None:
+        """Log ``event``; an observed process also emits it as a ``comm``
+        event into its active rank event record."""
         if self.enabled:
             self.events.append(event)
+            rec = _events.active()
+            if rec is not None:
+                rec.emit("comm", **vars(event))
 
     def reset(self) -> None:
         self.events.clear()

@@ -13,6 +13,7 @@ from repro.nn.transformer import TransformerConfig
 from repro.obs.fidelity import FidelityProbe
 from repro.obs.metrics import NULL_RECORDER, RunRecorder
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
+from repro.parallel.backend import create_backend
 from repro.training.trainer import FineTuneTrainer, TrainConfig, evaluate_task
 
 __all__ = ["FinetuneResult", "finetune_on_task", "default_accuracy_model"]
@@ -113,23 +114,13 @@ def finetune_on_task(
     if train_config is None:
         train_config = TrainConfig(epochs=spec.epochs, lr=1e-3, seed=seed)
 
-    # `backend="inproc"` stays on the historical in-process path; anything
-    # else (e.g. REPRO_BACKEND=mp) trains through the execution backend.
     # Evaluation always runs on the parent model, whose weights the backend
     # keeps current after every optimizer step.
-    backend = None
-    if mp_cfg.backend != "inproc":
-        from repro.parallel.backend import create_backend
-
-        backend = create_backend(mp_cfg.backend, model)
-    try:
+    with create_backend(mp_cfg.backend, model) as backend:
         trainer = FineTuneTrainer(model, train_config, recorder=recorder,
                                   backend=backend, collector=collector,
                                   monitor=monitor)
         history = trainer.train(train)
-    finally:
-        if backend is not None:
-            backend.close()
 
     scores = {
         split: evaluate_task(model, ds) for split, ds in evals.items()

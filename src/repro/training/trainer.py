@@ -19,6 +19,7 @@ from repro.data.metrics import METRICS
 from repro.data.tasks import GlueDataset
 from repro.obs.metrics import NULL_RECORDER, RunRecorder
 from repro.optim import Adam, WarmupLinearLR
+from repro.parallel.backend import create_backend
 from repro.tensor import no_grad
 from repro.training.checkpoint import load_trainer_state, save_trainer_state
 
@@ -50,10 +51,14 @@ class TrainConfig:
 class FineTuneTrainer:
     """Adam + linear-warmup trainer over a materialized dataset.
 
-    An optional :class:`~repro.parallel.backend.ExecutionBackend` routes the
-    forward/backward through worker processes (the mp backend); the default
-    (``backend=None``) keeps the historical in-process path, loss/grads
-    bitwise-identical by design.
+    Every step runs through an
+    :class:`~repro.parallel.backend.ExecutionBackend`: the one given (e.g.
+    the mp backend's worker processes) or, by default, an in-process
+    :class:`~repro.parallel.backend.inproc.InprocBackend` over ``model`` —
+    which honours the model's ``dp`` axis; the two are bitwise-identical
+    by design.  The recorder's timers are named after the calls they wrap:
+    ``train_step``, ``apply_grads`` and ``optimizer`` (clip, step, weight
+    sync).
 
     An optional live-telemetry pair — a
     :class:`~repro.obs.telemetry.Collector` and a
@@ -71,7 +76,8 @@ class FineTuneTrainer:
         self.optimizer = Adam(model.parameters(), lr=config.lr)
         self.history: list[float] = []
         self.recorder = recorder
-        self.backend = backend
+        self.backend = backend if backend is not None else create_backend(
+            "inproc", model)
         self.collector = collector
         self.monitor = monitor
         self.schedule = None
@@ -92,17 +98,17 @@ class FineTuneTrainer:
         if self.monitor is not None:
             self.monitor.check(self.global_step)
 
-    def _backend_step(self, batch) -> float:
+    def _step(self, batch) -> float:
         """One step through the execution backend's step protocol."""
         rec = self.recorder
         cfg = self.config
         self.optimizer.zero_grad()
-        with rec.timer("forward"):
+        with rec.timer("train_step"):
             result = self.backend.train_step(batch.input_ids, batch.labels,
                                              batch.attention_mask)
         if self.collector is not None:
             self.collector.ingest_record(result.record)
-        with rec.timer("backward"):
+        with rec.timer("apply_grads"):
             self.backend.apply_grads(self.model, result)
         with rec.timer("optimizer"):
             if cfg.max_grad_norm:
@@ -111,34 +117,6 @@ class FineTuneTrainer:
             self.optimizer.step()
             self.backend.sync_weights(self.model)
         return result.loss
-
-    def _inproc_step(self, batch) -> float:
-        rec = self.recorder
-        cfg = self.config
-        self.optimizer.zero_grad()
-        with rec.timer("forward"):
-            loss = self.model.loss(batch.input_ids, batch.labels,
-                                   batch.attention_mask)
-        with rec.timer("backward"):
-            loss.backward()
-        with rec.timer("optimizer"):
-            if cfg.max_grad_norm:
-                grad_norm = self.optimizer.clip_grad_norm(cfg.max_grad_norm)
-                rec.gauge("grad_norm", grad_norm)
-            self.optimizer.step()
-        return loss.item()
-
-    def _collect_runtime_state(self) -> dict:
-        """Compressor runtime state from wherever it actually lives.
-
-        With an mp backend the advancing state (EF residuals, Random-K
-        streams) lives in the worker replicas, so it must be pulled over
-        the control plane; inproc (or no backend) reads the local model.
-        """
-        if self.backend is not None:
-            return self.backend.runtime_state()
-        backbone = getattr(self.model, "backbone", None)
-        return backbone.runtime_state_dict() if backbone is not None else {}
 
     def save_state(self, path: str) -> None:
         """Write a full mid-run snapshot (resume with ``resume_from``)."""
@@ -150,7 +128,9 @@ class FineTuneTrainer:
             optimizer_state=self.optimizer.state_dict(),
             schedule_state=self.schedule.state_dict(),
             data_rng_state=self._epoch_rng_state,
-            runtime_state=self._collect_runtime_state(),
+            # Compressor state lives where the backend runs the step (the
+            # mp workers' replicas), so it is pulled over the control plane.
+            runtime_state=self.backend.runtime_state(),
             global_step=self.global_step,
             epoch=self._epoch,
             step_in_epoch=self._step_in_epoch,
@@ -170,9 +150,8 @@ class FineTuneTrainer:
         backbone = getattr(self.model, "backbone", None)
         if backbone is not None:
             backbone.load_runtime_state_dict(state.runtime_state)
-        if self.backend is not None:
-            self.backend.load_runtime_state(state.runtime_state)
-            self.backend.sync_weights(self.model)
+        self.backend.load_runtime_state(state.runtime_state)
+        self.backend.sync_weights(self.model)
         return state.epoch, state.step_in_epoch
 
     def train(self, dataset: GlueDataset, *, checkpoint_path: str | None = None,
@@ -213,10 +192,7 @@ class FineTuneTrainer:
                 if step_in_epoch < skip:
                     continue
                 with rec.step():
-                    if self.backend is not None:
-                        loss_val = self._backend_step(batch)
-                    else:
-                        loss_val = self._inproc_step(batch)
+                    loss_val = self._step(batch)
                     rec.gauge("lr", self.schedule.step())
                     rec.gauge("loss", loss_val)
                     rec.count("samples", len(batch.labels))

@@ -3,21 +3,29 @@
 import json
 import re
 
+import numpy as np
+
+from repro.experiments.report import format_value
 from repro.lint.race_check import run_race_check_on_path
+from repro.nn.transformer import TransformerConfig
 from repro.obs.cli import main
-from repro.obs.metrics import RunRecorder
-from repro.obs.trace import worker_timelines_trace
-from repro.parallel.backend import load_events, span_view
+from repro.obs.metrics import RunRecorder, summarize
+from repro.obs.profile import OpProfiler
+from repro.obs.trace import chrome_trace
+from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
+from repro.parallel.backend import create_backend, load_events
+from repro.parallel.backend.events import ENV_VAR as CONC_ENV
 
 
 def make_jsonl(tmp_path):
-    rec = RunRecorder(run_id="cli-test", meta={"scheme": "T2"})
+    path = str(tmp_path / "run.jsonl")
+    rec = RunRecorder(run_id="cli-test", meta={"scheme": "T2"}, stream_path=path)
     for loss in (2.0, 1.0):
         with rec.step():
             rec.gauge("loss", loss)
             with rec.timer("forward"):
                 pass
-    return rec.to_jsonl(str(tmp_path / "run.jsonl"))
+    return path
 
 
 class TestReport:
@@ -50,7 +58,8 @@ class TestReport:
     def test_meta_only_jsonl_fails_gracefully(self, tmp_path, capsys):
         # A header line but zero step records — e.g. a crashed run.
         header_only = tmp_path / "header.jsonl"
-        header_only.write_text('{"type": "meta", "run_id": "crashed"}\n')
+        header_only.write_text('{"kind": "meta", "rank": -1, "idx": 0, "t": 0.0, '
+                               '"world": 1, "run_id": "crashed"}\n')
         assert main(["report", str(header_only)]) == 1
         assert "no step records" in capsys.readouterr().err
 
@@ -72,6 +81,70 @@ class TestReport:
         assert main(["report", run]) == 0
         out = capsys.readouterr().out
         assert "layer2.mlp.rank0" in out
+
+
+class TestOneFold:
+    def test_every_producer_renders_and_report_reads_the_summary_fold(
+            self, tmp_path, capsys, monkeypatch):
+        # A RunRecorder file, an OpProfiler session and a 2-rank mp step's
+        # conc-rank*.jsonl files: one schema, one loader, one trace fold.
+        rec = RunRecorder(run_id="fold", stream_path=str(tmp_path / "run.jsonl"))
+        for loss in (2.0, 1.0):
+            with rec.step():
+                rec.gauge("loss", loss)
+                rec.count("samples", 4)
+                with rec.timer("train_step"):
+                    np.ones(1000).sum()
+        model = ModelParallelBertClassifier(ModelParallelConfig(
+            TransformerConfig(vocab_size=64, hidden=32, num_layers=2, num_heads=4,
+                              max_seq_len=16, dropout=0.0, num_classes=2),
+            tp=2, scheme="T2", seed=0))
+        ids = np.random.default_rng(0).integers(0, 64, size=(4, 16))
+        labels = np.array([0, 1, 0, 1])
+        prof = OpProfiler()
+        with prof, prof.span("step", rank=0):
+            model.loss(ids, labels).backward()
+        prof_file = tmp_path / "profile.jsonl"
+        prof_file.write_text("".join(json.dumps(e) + "\n" for e in prof.record.events))
+        logs = tmp_path / "logs"
+        monkeypatch.setenv(CONC_ENV, str(logs))  # the workers inherit it
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        with create_backend("mp", model) as backend:
+            backend.train_step(ids, labels)
+
+        tracks = {}
+        for path in (rec.stream_path, prof_file, logs):
+            trace = json.loads(json.dumps(chrome_trace(load_events(path), {"tp": 2})))
+            tracks[path] = sorted(e["args"]["name"] for e in trace["traceEvents"]
+                                  if e["name"] == "thread_name")
+            assert any(e["ph"] == "X" for e in trace["traceEvents"]), path
+            if path != rec.stream_path:
+                assert any(e["ph"] == "i" and e["cat"] == "comm"
+                           for e in trace["traceEvents"]), path
+        assert tracks == {rec.stream_path: ["parent"],
+                          prof_file: ["rank 0 · tp0/pp0"],
+                          logs: ["rank 0 · tp0/pp0", "rank 1 · tp1/pp0"]}
+
+        # `report` prints the numbers RunRecorder.summary() folds.
+        summary = rec.summary()
+        assert summary == summarize(load_events(rec.stream_path))
+        assert main(["report", rec.stream_path]) == 0
+        rows = {line.split()[0]: line.split()[1:]
+                for line in capsys.readouterr().out.splitlines() if line.strip()}
+        for name, agg in summary["gauges"].items():
+            assert rows[name] == [format_value(agg[k])
+                                  for k in ("last", "mean", "min", "max")]
+        for name, total in summary["timers_ms"].items():
+            assert rows[name][0] == format_value(total)
+
+        # A file in the retired `{"type": "step"}` format is refused.
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"type": "meta", "run_id": "old"}\n'
+                       '{"type": "step", "step": 0, "t_start_ms": 0.0, "wall_ms": 1.0, '
+                       '"gauges": {}, "counters": {}, "timers_ms": {}}\n')
+        assert main(["report", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert "not a rank-event file" in err and "`type` lines" in err
 
 
 class TestSimTrace:
@@ -104,9 +177,9 @@ class TestSmoke:
 
 
 class TestMpTrace:
-    """One record, two views: the trace ``mp-trace`` writes live from
-    ``StepResult.timelines`` and the one rebuilt offline from the JSONL
-    sink alone are the same trace, and DYN003 replays the same files."""
+    """One record, one fold: the trace ``mp-trace`` writes live from
+    ``StepResult.record`` and ``chrome_trace`` over the JSONL sink alone
+    are the same trace, and DYN003 replays the same files."""
 
     @staticmethod
     def record(tmp_path, monkeypatch):
@@ -117,7 +190,7 @@ class TestMpTrace:
         with open(out) as fh:
             live = json.load(fh)
         recorded = load_events(logs)
-        rebuilt = worker_timelines_trace(span_view(recorded), live["otherData"])
+        rebuilt = chrome_trace(recorded, live["otherData"])
         # Same per-rank span names, categories and durations: the very
         # same trace events, floats and all.
         assert rebuilt["traceEvents"] == live["traceEvents"]

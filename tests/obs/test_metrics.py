@@ -6,23 +6,16 @@ import signal
 
 import pytest
 
-from repro.obs.metrics import NULL_RECORDER, NullRecorder, RunRecorder, load_jsonl
-
-
-class FakeClock:
-    """Deterministic clock: each read advances by ``tick`` seconds."""
-
-    def __init__(self, tick=0.010):
-        self.t = 0.0
-        self.tick = tick
-
-    def __call__(self):
-        self.t += self.tick
-        return self.t
+from repro.obs.metrics import NULL_RECORDER, NullRecorder, RunRecorder, step_records
+from repro.parallel.backend import load_events
 
 
 def recorder(**kw):
-    return RunRecorder(run_id="test", clock=FakeClock(), **kw)
+    return RunRecorder(run_id="test", **kw)
+
+
+def kinds(events):
+    return [e["kind"] for e in events]
 
 
 class TestStepLifecycle:
@@ -85,35 +78,39 @@ class TestInstruments:
                 pass
             with rec.timer("forward"):
                 pass
-        # FakeClock ticks 10 ms per read; two enter/exit pairs => 20 ms.
-        assert rec.records[0]["timers_ms"]["forward"] == pytest.approx(20.0)
+        # One ``phase`` span per block; the timer is their sum.
+        spans = [e for e in rec.events if e["kind"] == "span"]
+        assert [(e["name"], e["cat"]) for e in spans] == [("forward", "phase")] * 2
+        assert rec.records[0]["timers_ms"]["forward"] == pytest.approx(
+            sum(e["dur"] for e in spans) * 1e3)
 
 
 class TestSinks:
     def test_jsonl_round_trip(self, tmp_path):
-        rec = recorder(meta={"scheme": "T2"})
+        rec = recorder(meta={"scheme": "T2"}, stream_path=str(tmp_path / "run.jsonl"))
         with rec.step():
             rec.gauge("loss", 0.5)
             rec.count("samples", 8)
             with rec.timer("forward"):
                 pass
-        path = rec.to_jsonl(str(tmp_path / "run.jsonl"))
-        meta, records = load_jsonl(path)
+        events = load_events(rec.stream_path)
+        meta = events[0]
         assert meta["run_id"] == "test" and meta["scheme"] == "T2"
-        (r,) = records
+        (r,) = step_records(events)
         assert r["gauges"]["loss"] == 0.5
         assert r["counters"]["samples"] == 8
         assert r["timers_ms"]["forward"] > 0
 
     def test_jsonl_lines_are_valid_json(self, tmp_path):
-        rec = recorder()
+        rec = recorder(stream_path=str(tmp_path / "run.jsonl"))
         with rec.step():
             rec.gauge("loss", 1.0)
-        path = rec.to_jsonl(str(tmp_path / "run.jsonl"))
-        with open(path) as fh:
+        with open(rec.stream_path) as fh:
             lines = [json.loads(line) for line in fh]
-        assert lines[0]["type"] == "meta"
-        assert lines[1]["type"] == "step"
+        assert kinds(lines) == ["meta", "step_begin", "gauge", "step_end"]
+        assert {e["rank"] for e in lines} == {-1}  # the parent's rank
+        assert [e["idx"] for e in lines] == [0, 1, 2, 3]
+        assert lines == rec.events
 
     def test_csv_columns_are_union_over_steps(self, tmp_path):
         rec = recorder()
@@ -131,13 +128,13 @@ class TestSinks:
         assert rows[0]["gauge.loss"] == "1.0"
         assert rows[1]["gauge.lr"] == "0.1"
 
-    def test_load_jsonl_tolerates_missing_meta(self, tmp_path):
+    def test_step_fold_tolerates_missing_meta(self, tmp_path):
         path = tmp_path / "bare.jsonl"
-        path.write_text('{"step": 0, "t_start_ms": 0, "wall_ms": 1, '
-                        '"gauges": {}, "counters": {}, "timers_ms": {}}\n')
-        meta, records = load_jsonl(str(path))
-        assert meta == {}
-        assert len(records) == 1
+        path.write_text(
+            '{"kind": "step_begin", "rank": -1, "idx": 0, "t": 1.0, "step": 0}\n'
+            '{"kind": "step_end", "rank": -1, "idx": 1, "t": 1.5, "step": 0}\n')
+        (record,) = step_records(load_events(path))
+        assert record["t_start_ms"] == 0.0 and record["wall_ms"] == 500.0
 
 
 class TestSummary:
@@ -153,7 +150,8 @@ class TestSummary:
         assert s["steps"] == 3
         assert s["gauges"]["loss"] == {"last": 1.0, "mean": 2.0, "min": 1.0, "max": 3.0}
         assert s["counters"]["samples"] == 24
-        assert s["timers_ms"]["forward"] == pytest.approx(30.0)
+        assert s["timers_ms"]["forward"] == pytest.approx(
+            sum(r["timers_ms"]["forward"] for r in rec.records))
         assert s["wall_ms"] > 0
 
 
@@ -166,7 +164,7 @@ class TestNullRecorder:
             rec.count("samples", 1)
             with rec.timer("forward"):
                 pass
-        assert rec.records == []
+        assert rec.records == [] and kinds(rec.events) == ["meta"]
 
     def test_shared_singleton(self):
         assert isinstance(NULL_RECORDER, NullRecorder)
@@ -179,30 +177,25 @@ class TestNullRecorder:
 class TestStreamSink:
     def test_streams_each_step_as_a_complete_line(self, tmp_path):
         path = str(tmp_path / "live.jsonl")
-        rec = RunRecorder(run_id="live", meta={"scheme": "T2"},
-                          clock=FakeClock(), stream_path=path)
+        rec = RunRecorder(run_id="live", meta={"scheme": "T2"}, stream_path=path)
         with open(path) as fh:
             header = json.loads(fh.readline())
-        assert header["type"] == "meta" and header["run_id"] == "live"
+        assert header["kind"] == "meta" and header["run_id"] == "live"
         for loss in (2.0, 1.0):
             with rec.step():
                 rec.gauge("loss", loss)
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        # Every completed step is already on disk, no close() needed.
-        assert [o["type"] for o in lines] == ["meta", "step", "step"]
-        assert lines[2]["gauges"]["loss"] == 1.0
-        rec.close()
-        rec.close()  # idempotent
+            # Every completed step is already on disk, no close() needed.
+            assert load_events(path) == rec.events
+        assert step_records(load_events(path))[1]["gauges"]["loss"] == 1.0
 
-    def test_to_jsonl_still_rewrites_the_stream_file(self, tmp_path):
+    def test_a_new_recorder_starts_a_new_file(self, tmp_path):
         path = str(tmp_path / "live.jsonl")
-        rec = RunRecorder(run_id="live", clock=FakeClock(), stream_path=path)
-        with rec.step():
-            rec.gauge("loss", 1.0)
-        rec.close()
-        meta, records = load_jsonl(rec.to_jsonl(path))
-        assert meta["run_id"] == "live" and len(records) == 1
+        for run_id in ("first", "second"):
+            with RunRecorder(run_id=run_id, stream_path=path).step():
+                pass
+        events = load_events(path)
+        assert kinds(events) == ["meta", "step_begin", "step_end"]
+        assert events[0]["run_id"] == "second"
 
     def test_sigkill_mid_run_leaves_no_truncated_line(self, tmp_path):
         """The satellite regression test: a child process streams steps and
@@ -243,7 +236,7 @@ os.kill(os.getpid(), signal.SIGKILL)   # ...when the process dies
             raw = fh.readlines()
         objs = [json.loads(line) for line in raw]  # no truncated JSON line
         assert all(line.endswith("\n") for line in raw)
-        assert [o["type"] for o in objs] == ["meta", "step", "step", "step"]
-        assert [o["step"] for o in objs[1:]] == [0, 1, 2]
-        meta, records = load_jsonl(path)
-        assert meta["run_id"] == "doomed" and len(records) == 3
+        assert kinds(objs) == ["meta"] + ["step_begin", "gauge", "step_end"] * 3
+        events = load_events(path)
+        assert events[0]["run_id"] == "doomed"
+        assert [r["step"] for r in step_records(events)] == [0, 1, 2]

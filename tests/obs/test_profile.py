@@ -1,15 +1,16 @@
-"""OpProfiler: hook seam, deterministic rollups, spans, comm links, traces."""
+"""OpProfiler: hook seam, deterministic rollups, spans, comm events, traces."""
 
 import numpy as np
 import pytest
 
 from repro.obs.profile import OpProfiler, OpStats, op_bytes, op_flops
 from repro.obs.trace import (
+    chrome_trace,
     merge_traces,
-    profiler_trace,
     simulated_iteration_trace,
     validate_against_breakdown,
 )
+from repro.parallel.backend import events
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.topology import ClusterTopology, LinkType
 from repro.simulator.iteration import IterationSimulator, SimSetting
@@ -17,15 +18,13 @@ from repro.tensor import Tensor, op_hook, register_op_hook, unregister_op_hook
 from repro.training.finetune import default_accuracy_model
 
 
-class FakeClock:
-    """Deterministic monotonic clock: +1 ms per reading."""
+def of_kind(prof, kind):
+    return [e for e in prof.record.events if e["kind"] == kind]
 
-    def __init__(self):
-        self.t = 0.0
 
-    def __call__(self) -> float:
-        self.t += 1e-3
-        return self.t
+def within(event, span):
+    """Whether ``event`` was stamped inside ``span``'s window."""
+    return span["t"] - span["dur"] <= event["t"] <= span["t"]
 
 
 def small_model(tp=2, pp=1, scheme="w/o"):
@@ -87,7 +86,7 @@ class TestOpCosts:
 
     def test_predicted_ms_prices_linear_as_a_gemm(self):
         def predicted(op):
-            prof = OpProfiler(clock=FakeClock(), record_events=False)
+            prof = OpProfiler(record_events=False)
             prof.ops[("forward", op)] = OpStats(calls=1, flops=4e9, bytes_moved=1e6)
             return prof.predicted_ms()
 
@@ -113,25 +112,29 @@ class TestRollups:
     def test_deterministic_counts_across_runs(self):
         summaries = []
         for _ in range(2):
-            prof = OpProfiler(clock=FakeClock(), record_events=False)
+            prof = OpProfiler(record_events=False)
             with prof:
                 self.workload()
             s = prof.summary()
+            ops = {key: {f: v for f, v in stats.items() if f != "wall_ms"}
+                   for key, stats in s["ops"].items()}
             summaries.append((s["op_calls"], s["flops"], s["alloc_bytes"],
-                              s["bytes_moved"], s["ops"]))
+                              s["bytes_moved"], ops))
         assert summaries[0] == summaries[1]
 
-    def test_fake_clock_wall_times_are_deterministic(self):
+    def test_fake_clock_wall_times_are_deterministic(self, monkeypatch):
         walls = []
         for _ in range(2):
-            prof = OpProfiler(clock=FakeClock(), record_events=False)
+            ticks = iter(range(1, 10_000))  # +1 ms per reading, from 1 ms
+            monkeypatch.setattr("time.monotonic", lambda: next(ticks) * 1e-3)
+            prof = OpProfiler(record_events=False)
             with prof:
                 self.workload()
             walls.append(prof.total_wall_ms())
         assert walls[0] == walls[1] > 0
 
     def test_forward_and_backward_phases_split(self):
-        prof = OpProfiler(clock=FakeClock())
+        prof = OpProfiler()
         with prof:
             self.workload()
         phases = {phase for phase, _ in prof.ops}
@@ -141,14 +144,14 @@ class TestRollups:
     def test_predicted_ms_positive_and_deterministic(self):
         vals = []
         for _ in range(2):
-            prof = OpProfiler(clock=FakeClock(), record_events=False)
+            prof = OpProfiler(record_events=False)
             with prof:
                 self.workload()
             vals.append(prof.predicted_ms())
         assert vals[0] == vals[1] > 0
 
     def test_summary_key_order_is_stable(self):
-        prof = OpProfiler(clock=FakeClock())
+        prof = OpProfiler()
         with prof:
             self.workload()
         s = prof.summary()
@@ -158,20 +161,23 @@ class TestRollups:
 
 class TestSpans:
     def test_nested_paths_and_rank_inheritance(self):
-        prof = OpProfiler(clock=FakeClock())
+        prof = OpProfiler()
         with prof:
             with prof.span("step", cat="step", rank=3):
                 with prof.span("forward"):
                     Tensor(np.ones(4, dtype=np.float32)) + Tensor(
                         np.ones(4, dtype=np.float32))
-        by_name = {s.name: s for s in prof.spans}
-        assert by_name["forward"].path == "step/forward"
-        assert by_name["forward"].rank == 3  # inherited from "step"
-        assert by_name["forward"].op_calls == 1
-        assert by_name["forward"].alloc_bytes == 16
+        by_name = {s["name"]: s for s in of_kind(prof, "span")}
+        assert by_name["forward"]["path"] == "step/forward"
+        assert by_name["forward"]["rank"] == 3  # inherited from "step"
+        assert by_name["forward"]["op_calls"] == 1
+        assert by_name["forward"]["alloc_bytes"] == 16
+        (op,) = of_kind(prof, "op")
+        assert (op["name"], op["rank"], op["alloc_bytes"]) == ("__add__", 3, 16)
+        assert within(op, by_name["forward"])
 
     def test_peak_alloc_high_water_mark(self):
-        prof = OpProfiler(clock=FakeClock())
+        prof = OpProfiler()
         ones = lambda n: Tensor(np.ones(n, dtype=np.float32))  # noqa: E731
         with prof:
             with prof.span("big", rank=0):
@@ -185,19 +191,18 @@ class TestSpans:
         assert prof.peak_span_alloc == 1024
 
     def test_span_durations_use_clock(self):
-        prof = OpProfiler(clock=FakeClock())
+        prof = OpProfiler()
         with prof:
             with prof.span("outer"):
                 pass
-        (span,) = prof.spans
-        assert span.dur_ms > 0
+        (span,) = of_kind(prof, "span")
+        assert span["dur"] > 0 and span["rank"] == -1  # the parent's
 
 
 class TestCommLinks:
     def test_events_cross_linked_to_spans(self):
         model = small_model(tp=2, scheme="T2")
         prof = OpProfiler(record_events=False)
-        prof.watch(model.tracker)
         input_ids, labels, mask = tiny_batch(model)
         with prof:
             with prof.span("step", cat="step", rank=0):
@@ -205,21 +210,21 @@ class TestCommLinks:
                     loss = model.loss(input_ids, labels, mask)
                 with prof.span("backward"):
                     loss.backward()
-        assert prof.comm_links, "TP=2 step must record collectives"
-        assert len(prof.comm_links) == len(model.tracker.events)
-        for link in prof.comm_links:
-            event = model.tracker.events[link.event_index]
-            assert (event.op, event.wire_bytes) == (link.op, link.wire_bytes)
-            assert link.span_path.startswith("step")
-            assert link.rank == 0
-        fwd = [l for l in prof.comm_links if "forward" in l.span_path]
-        bwd = [l for l in prof.comm_links if "backward" in l.span_path]
-        assert fwd and bwd
+        comms = of_kind(prof, "comm")
+        assert comms, "TP=2 step must record collectives"
+        assert len(comms) == len(model.tracker.events)
+        spans = {s["name"]: s for s in of_kind(prof, "span")}
+        assert spans["step"]["rank"] == 0
+        for comm, event in zip(comms, model.tracker.events):
+            assert (event.op, event.wire_bytes) == (comm["op"], comm["wire_bytes"])
+            assert within(comm, spans["step"])
+        fwd = [c for c in comms if within(c, spans["forward"])]
+        bwd = [c for c in comms if within(c, spans["backward"])]
+        assert fwd and bwd and len(fwd) + len(bwd) == len(comms)
 
     def test_comm_bytes_match_tracker_summary(self):
         model = small_model(tp=2, scheme="Q2")
         prof = OpProfiler(record_events=False)
-        prof.watch(model.tracker)
         input_ids, labels, mask = tiny_batch(model)
         with prof:
             model.loss(input_ids, labels, mask).backward()
@@ -230,19 +235,23 @@ class TestCommLinks:
         model = small_model(tp=2)
         model.tracker.enabled = False
         prof = OpProfiler(record_events=False)
-        prof.watch(model.tracker)
         input_ids, labels, mask = tiny_batch(model)
         with prof:
             model.loss(input_ids, labels, mask)
-        assert prof.comm_links == []
+        assert of_kind(prof, "comm") == []
 
     def test_uninstall_restores_tracker_record(self):
+        """The tracker is never patched: installing the profiler only makes
+        its record the active one, and uninstalling hands the seam back."""
         model = small_model(tp=2)
+        input_ids, labels, mask = tiny_batch(model)
         prof = OpProfiler(record_events=False)
-        prof.watch(model.tracker)
-        assert "record" in vars(model.tracker)  # instance-level wrapper
-        prof.uninstall()
-        assert "record" not in vars(model.tracker)  # class method again
+        with prof:
+            assert events.active() is prof.record
+            assert "record" not in vars(model.tracker)
+        assert events.active() is None
+        model.loss(input_ids, labels, mask)
+        assert model.tracker.events and of_kind(prof, "comm") == []
 
 
 class TestSideChannel:
@@ -254,7 +263,6 @@ class TestSideChannel:
             input_ids, labels, mask = tiny_batch(model)
             if profiled:
                 prof = OpProfiler()
-                prof.watch(model.tracker)
                 with prof:
                     with prof.span("step", rank=0):
                         loss = model.loss(input_ids, labels, mask)
@@ -281,31 +289,38 @@ class TestTraces:
     def profiled(self):
         model = small_model(tp=2, scheme="A2")
         prof = OpProfiler()
-        prof.watch(model.tracker)
         input_ids, labels, mask = tiny_batch(model)
         with prof:
             with prof.span("step", cat="step", rank=0):
                 model.loss(input_ids, labels, mask).backward()
         return prof
 
-    def test_profiler_trace_categories_are_prefixed(self):
-        trace = profiler_trace(self.profiled())
-        cats = {e["cat"] for e in trace["traceEvents"] if "cat" in e}
-        assert cats and all(c.startswith("prof.") for c in cats)
-        assert any(e["ph"] == "i" for e in trace["traceEvents"]), "comm instants"
+    def test_profiled_trace_has_spans_ops_and_comm_instants(self):
+        prof = self.profiled()
+        trace = chrome_trace(prof.record.events)
+        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert {e["cat"] for e in slices} == {"step", "op.forward", "op.backward"}
+        assert len(slices) <= 1 + len(of_kind(prof, "op"))  # zero-length ops drop
+        instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+        assert len(instants) == len(of_kind(prof, "comm")) > 0
+        assert {e["cat"] for e in instants} == {"comm"}
+        # The span names rank 0: its spans, ops and comms share that track.
+        names = [e["args"]["name"] for e in trace["traceEvents"]
+                 if e["name"] == "thread_name"]
+        assert names == ["rank0"]
 
     def test_merged_trace_still_validates_breakdown(self):
         """Acceptance: merged real+simulated trace ≤ 1e-6 ms per column."""
         setting = self.setting()
         sim_trace = simulated_iteration_trace(setting)
-        merged = merge_traces(profiler_trace(self.profiled()), sim_trace,
+        merged = merge_traces(chrome_trace(self.profiled().record.events), sim_trace,
                               meta={"purpose": "side-by-side"})
         breakdown = IterationSimulator(setting).breakdown()
         for column, diff in validate_against_breakdown(merged, breakdown).items():
             assert diff <= 1e-6, (column, diff)
 
     def test_merge_rehomes_pids(self):
-        t1 = profiler_trace(self.profiled())
+        t1 = chrome_trace(self.profiled().record.events)
         t2 = simulated_iteration_trace(self.setting())
         merged = merge_traces(t1, t2)
         assert {e["pid"] for e in merged["traceEvents"]} == {1, 2}

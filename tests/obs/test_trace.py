@@ -6,8 +6,8 @@ import pytest
 
 from repro.obs.metrics import RunRecorder
 from repro.obs.trace import (
+    chrome_trace,
     simulated_iteration_trace,
-    trace_from_run,
     validate_against_breakdown,
     write_trace,
 )
@@ -96,18 +96,9 @@ class TestBreakdownAgreement:
         assert diffs["forward_ms"] > 1e-6
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        self.t += 0.005
-        return self.t
-
-
 class TestRunTrace:
     def make_run(self):
-        rec = RunRecorder(run_id="r", meta={"scheme": "T2"}, clock=FakeClock())
+        rec = RunRecorder(run_id="r", meta={"scheme": "T2"})
         for loss in (2.0, 1.0):
             with rec.step():
                 rec.gauge("loss", loss)
@@ -119,22 +110,18 @@ class TestRunTrace:
 
     def test_step_slices_and_phase_slices(self):
         rec = self.make_run()
-        trace = trace_from_run(rec.records, {"run_id": rec.run_id})
+        trace = chrome_trace(rec.events, {"run_id": rec.run_id})
         steps = [e for e in x_events(trace) if e["cat"] == "step"]
         assert len(steps) == 2
+        origin = rec.records[0]["t_start_ms"]
         for step_event, record in zip(steps, rec.records):
             assert step_event["dur"] == pytest.approx(record["wall_ms"] * 1000)
-            assert step_event["ts"] == pytest.approx(record["t_start_ms"] * 1000)
-        phases = [e for e in x_events(trace) if e["cat"] in ("forward", "backward")]
-        assert len(phases) == 4
+            assert step_event["ts"] == pytest.approx(
+                (record["t_start_ms"] - origin) * 1000)
+        phases = [e for e in x_events(trace) if e["cat"] == "phase"]
+        assert [e["name"] for e in phases] == ["forward", "backward"] * 2
 
     def test_gauges_become_counter_events(self):
-        trace = trace_from_run(self.make_run().records)
+        trace = chrome_trace(self.make_run().events)
         counters = [e for e in trace["traceEvents"] if e.get("ph") == "C"]
         assert [c["args"]["loss"] for c in counters] == [2.0, 1.0]
-
-    def test_phase_slices_laid_head_to_tail(self):
-        trace = trace_from_run(self.make_run().records)
-        fwd, bwd = [e for e in x_events(trace)
-                    if e["cat"] in ("forward", "backward")][:2]
-        assert bwd["ts"] == pytest.approx(fwd["ts"] + fwd["dur"])

@@ -13,12 +13,18 @@ import pytest
 from repro.parallel.topology import ClusterTopology, LinkType
 from repro.simulator.iteration import IterationSimulator, SimSetting
 from repro.obs.trace import (
+    chrome_trace,
     simulated_iteration_trace,
     validate_against_breakdown,
-    worker_timelines_trace,
 )
 
 SCHEMES = ("w/o", "T2", "R2", "Q2", "A2")
+
+
+def span(rank, name, cat, ts_ms, dur_ms):
+    """A worker's ``span`` event, ``ts_ms`` after a common origin."""
+    return {"kind": "span", "rank": rank, "idx": 0, "name": name, "cat": cat,
+            "t": (ts_ms + dur_ms) / 1e3, "dur": dur_ms / 1e3}
 
 
 def setting(scheme, tp, pp, m, schedule="1f1b"):
@@ -63,18 +69,16 @@ class Test1F1BTraceValidation:
 
 
 class TestAsyncSpanExport:
-    TIMELINES = {
-        0: [{"name": "F0", "cat": "mp.phase", "ts_ms": 0.0, "dur_ms": 2.0},
-            {"name": "pp send boundary0", "cat": "mp.async",
-             "ts_ms": 0.5, "dur_ms": 1.0}],
-        1: [{"name": "pp grad send mb0", "cat": "mp.async",
-             "ts_ms": 1.0, "dur_ms": 0.25},
-            {"name": "recv wait", "cat": "mp.wait",
-             "ts_ms": 2.0, "dur_ms": 0.5}],
-    }
+    EVENTS = [
+        {"kind": "meta", "rank": 0, "idx": 0, "t": 0.0, "world": 2},
+        span(0, "F0", "mp.phase", 0.0, 2.0),
+        span(0, "pp send boundary0", "mp.async", 0.5, 1.0),
+        span(1, "pp grad send mb0", "mp.async", 1.0, 0.25),
+        span(1, "recv wait", "mp.wait", 2.0, 0.5),
+    ]
 
     def test_async_spans_become_b_e_pairs(self):
-        trace = worker_timelines_trace(self.TIMELINES, {"run_id": "t"})
+        trace = chrome_trace(self.EVENTS, {"run_id": "t"})
         begins = [e for e in trace["traceEvents"] if e.get("ph") == "b"]
         ends = [e for e in trace["traceEvents"] if e.get("ph") == "e"]
         assert len(begins) == len(ends) == 2
@@ -85,7 +89,7 @@ class TestAsyncSpanExport:
             assert e["name"] == b["name"] and e["ts"] > b["ts"]
 
     def test_sync_spans_stay_x_slices(self):
-        trace = worker_timelines_trace(self.TIMELINES, {"run_id": "t"})
+        trace = chrome_trace(self.EVENTS, {"run_id": "t"})
         x_cats = [e["cat"] for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert sorted(x_cats) == ["mp.phase", "mp.wait"]
 
@@ -96,16 +100,13 @@ class TestAsyncSpanExport:
 
         sim = IterationSimulator(setting("A2", 2, 2, 4))
         merged = merge_traces(simulated_iteration_trace(sim),
-                              worker_timelines_trace(self.TIMELINES, {}))
+                              chrome_trace(self.EVENTS, {}))
         diffs = validate_against_breakdown(merged, sim.breakdown())
         assert max(diffs.values()) < 1e-6, diffs
 
 
 class TestTrackLabels:
-    TIMELINES = {
-        r: [{"name": "F0", "cat": "mp.phase", "ts_ms": 0.0, "dur_ms": 1.0}]
-        for r in range(4)
-    }
+    EVENTS = [span(r, "F0", "mp.phase", 0.0, 1.0) for r in (3, 1, 0, 2)]
 
     @staticmethod
     def thread_names(trace):
@@ -113,20 +114,23 @@ class TestTrackLabels:
                 if e.get("ph") == "M" and e.get("name") == "thread_name"}
 
     def test_layout_meta_labels_tracks_with_tp_pp_coordinates(self):
-        trace = worker_timelines_trace(
-            self.TIMELINES, {"run_id": "t", "tp": 2, "pp": 2})
+        trace = chrome_trace(self.EVENTS, {"run_id": "t", "tp": 2, "pp": 2})
         assert self.thread_names(trace) == {
             "rank 0 · tp0/pp0", "rank 1 · tp1/pp0",
             "rank 2 · tp0/pp1", "rank 3 · tp1/pp1",
         }
 
     def test_process_name_metadata_is_emitted(self):
-        trace = worker_timelines_trace(self.TIMELINES, {"run_id": "mytest",
-                                                        "tp": 2, "pp": 2})
+        trace = chrome_trace(self.EVENTS, {"run_id": "mytest", "tp": 2, "pp": 2})
         procs = [e["args"]["name"] for e in trace["traceEvents"]
                  if e.get("ph") == "M" and e.get("name") == "process_name"]
-        assert procs == ["mp workers: mytest"]
+        assert procs == ["repro run: mytest"]
+
+    def test_tracks_follow_rank_order_not_input_order(self):
+        trace = chrome_trace(self.EVENTS, {"run_id": "t"})
+        assert [e["args"]["name"] for e in trace["traceEvents"]
+                if e.get("name") == "thread_name"] == [f"rank{r}" for r in range(4)]
 
     def test_without_layout_meta_tracks_degrade_to_plain_rank(self):
-        trace = worker_timelines_trace(self.TIMELINES, {"run_id": "t"})
+        trace = chrome_trace(self.EVENTS, {"run_id": "t"})
         assert self.thread_names(trace) == {"rank0", "rank1", "rank2", "rank3"}

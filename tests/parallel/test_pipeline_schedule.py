@@ -150,7 +150,7 @@ class Test1F1BEquivalence:
         """Steady-state 1F1B keeps sends in flight: the worker timelines
         must record ``mp.async`` windows, and the trace exporter must turn
         them into Chrome async ``b``/``e`` pairs."""
-        from repro.obs.trace import worker_timelines_trace
+        from repro.obs.trace import chrome_trace
 
         model = make_model("T2", 1, 2, schedule="1f1b", m=2)
         backend = create_backend("mp", model, timeout=MP_TIMEOUT,
@@ -164,7 +164,8 @@ class Test1F1BEquivalence:
                        for s in spans if s["cat"] == "mp.async"]
         assert async_spans, "no in-flight comm window was recorded"
 
-        trace = worker_timelines_trace(result.timelines, {"run_id": "t"})
+        trace = chrome_trace([e for events in result.record.values()
+                              for e in events], {"run_id": "t"})
         begins = [e for e in trace["traceEvents"] if e.get("ph") == "b"]
         ends = [e for e in trace["traceEvents"] if e.get("ph") == "e"]
         assert begins and len(begins) == len(ends)

@@ -8,7 +8,12 @@ import pytest
 from repro import nn
 from repro.data.pretraining import MLMCorpus
 from repro.data.tasks import make_task
-from repro.parallel import ModelParallelBertPreTraining, ModelParallelConfig
+from repro.parallel import (
+    ModelParallelBertClassifier,
+    ModelParallelBertPreTraining,
+    ModelParallelConfig,
+)
+from repro.parallel.backend import create_backend
 from repro.training import (
     FineTuneTrainer,
     PretrainConfig,
@@ -54,6 +59,34 @@ class TestFineTuneTrainer:
         model = nn.BertForSequenceClassification(tiny_config(), regression=True)
         score = evaluate_task(model, evals["eval"])
         assert -100.0 <= score <= 100.0
+
+
+class TestOneStepPath:
+    """A trainer without a backend steps through an in-process one."""
+
+    @staticmethod
+    def model(**axes):
+        return ModelParallelBertClassifier(
+            ModelParallelConfig(tiny_config(), scheme="T2", seed=0, **axes))
+
+    def test_tracker_holds_one_steps_events_after_train(self):
+        train, _ = make_task("SST-2", seed=0, train_size=48)
+        tcfg = TrainConfig(epochs=1, batch_size=16, seed=0)  # 3 steps
+        one, three = self.model(tp=2), self.model(tp=2)
+        FineTuneTrainer(one, tcfg).train(train, max_steps=1)
+        FineTuneTrainer(three, tcfg).train(train)
+        assert one.tracker.events
+        assert three.tracker.events == one.tracker.events
+
+    def test_dp2_without_a_backend_trains_dp2(self):
+        train, _ = make_task("RTE", seed=0, train_size=32)
+        tcfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        implicit, explicit = self.model(pp=2, dp=2), self.model(pp=2, dp=2)
+        hist = FineTuneTrainer(implicit, tcfg).train(train)
+        ref = FineTuneTrainer(explicit, tcfg,
+                              backend=create_backend("inproc", explicit)).train(train)
+        assert hist == ref
+        assert implicit.tracker.count(group="dp") == 1  # the last step's reduce
 
 
 class TestPretraining:
