@@ -82,9 +82,7 @@ def main() -> int:
     mask[:, -args.seq // 4:] = 0  # padded tails, as the tasks' batches have
 
     def step():
-        optimizer.zero_grad()
-        backend.apply_grads(model, backend.train_step(ids, labels, mask))
-        optimizer.step()
+        backend.step(ids, labels, mask, optimizer)
 
     for _ in range(8):
         step()

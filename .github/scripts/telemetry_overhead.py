@@ -61,11 +61,7 @@ class Gang:
 
     def timed_step(self):
         t0 = time.perf_counter()
-        self.optimizer.zero_grad()
-        result = self.backend.train_step(*self.batch)
-        self.backend.apply_grads(self.model, result)
-        self.optimizer.step()
-        self.backend.sync_weights(self.model)
+        result = self.backend.step(*self.batch, self.optimizer)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self.events += sum(e["kind"] == "step" for events in
                            result.record.values() for e in events)

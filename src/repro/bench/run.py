@@ -51,11 +51,7 @@ def _run_backend_step(case: BenchCase) -> dict:
     profiler = OpProfiler(record_events=False)
     with create_backend(case.backend, model) as backend, profiler, \
             profiler.span(case.id, cat="step", rank=0):
-        optimizer.zero_grad()
-        result = backend.train_step(input_ids, labels, mask)
-        backend.apply_grads(model, result)
-        optimizer.step()
-        backend.sync_weights(model)
+        result = backend.step(input_ids, labels, mask, optimizer)
 
     deterministic = {
         "comm_events": len(result.events),

@@ -89,15 +89,16 @@ def pretrain_backbone(
     Passing an enabled ``recorder`` bypasses the backbone cache so the run
     actually executes (and gets recorded).
     """
-    key = (scheme, steps, seed, tp, pp)
+    cfg = default_accuracy_model(seed=seed, num_layers=NUM_LAYERS)
+    mp_cfg = ModelParallelConfig(cfg, tp=tp, pp=pp, scheme=scheme,
+                                 policy=None if scheme == "w/o" else DEFAULT_POLICY,
+                                 seed=seed)
+    # dp / sp come from the environment (REPRO_DP, REPRO_SP) and change the
+    # numerics; the backend does not (the backends are bitwise-equivalent).
+    key = (scheme, steps, seed, tp, pp, mp_cfg.dp, mp_cfg.sp)
     if key in _BACKBONE_CACHE and not recorder.enabled:
         return _BACKBONE_CACHE[key]
-    cfg = default_accuracy_model(seed=seed, num_layers=NUM_LAYERS)
-    model = ModelParallelBertPreTraining(
-        ModelParallelConfig(cfg, tp=tp, pp=pp, scheme=scheme,
-                            policy=None if scheme == "w/o" else DEFAULT_POLICY,
-                            seed=seed)
-    )
+    model = ModelParallelBertPreTraining(mp_cfg)
     corpus = MLMCorpus(seq_len=cfg.max_seq_len // 2, seed=seed)
     run_pretraining(model, corpus, PretrainConfig(steps=steps, batch_size=32, lr=1e-3),
                     recorder=recorder)

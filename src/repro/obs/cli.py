@@ -314,11 +314,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             input_ids = rng.integers(0, cfg.model.vocab_size,
                                      size=(args.batch, args.seq))
             labels = rng.integers(0, 2, size=args.batch)
-            optimizer.zero_grad()
-            result = backend.train_step(input_ids, labels, None)
-            backend.apply_grads(model, result)
-            optimizer.step()
-            backend.sync_weights(model)
+            result = backend.step(input_ids, labels, None, optimizer)
             collector.ingest_record(result.record)
             collector.observe(None, "loss", result.loss)
             monitor.check(step)

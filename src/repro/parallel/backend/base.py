@@ -14,14 +14,12 @@ ranks execute:
   rank sums run in rank order, codecs run rank-local, and the ranks
   compute on the very bytes the parent wrote.
 
-Both backends expose the same step protocol so the trainer and the bench
-harness drive them identically::
+Both backends run one optimizer step through the same call, so the
+trainers, the bench harness and the tools drive them identically::
 
-    backend = create_backend(cfg.backend, model)
-    result = backend.train_step(input_ids, labels, mask)
-    backend.apply_grads(model, result)   # p.grad <- the step's gradients
-    optimizer.step()
-    backend.sync_weights(model)          # ranks see the updated weights
+    with create_backend(cfg.backend, model) as backend:
+        result = backend.step(input_ids, labels, mask, optimizer,
+                              max_grad_norm=1.0)  # result.loss, .grad_norm
 """
 
 from __future__ import annotations
@@ -64,6 +62,8 @@ class StepResult:
     observed the step, and always for inproc.  ``timelines`` is its span
     view (``name``/``cat``/``ts_ms``/``dur_ms`` per rank) for Chrome-trace
     export, filled when the mp backend's ``collect_timelines`` is set.
+    ``grad_norm`` is the pre-clip global gradient norm when
+    :meth:`ExecutionBackend.step` clipped, else ``None``.
     """
 
     loss: float
@@ -71,12 +71,29 @@ class StepResult:
     events: list = field(default_factory=list)
     timelines: dict[int, list[dict]] = field(default_factory=dict)
     record: dict[int, list[dict]] = field(default_factory=dict)
+    grad_norm: float | None = None
 
 
 class ExecutionBackend:
     """Protocol shared by all backends (subclass, don't instantiate)."""
 
     name = "abstract"
+
+    def step(self, input_ids, labels, attention_mask, optimizer, *,
+             max_grad_norm: float | None = None) -> StepResult:
+        """One optimizer step on the backend's model, the only place the
+        parent's step sequence is written: the ranks compute the
+        gradients, the parent's ``optimizer`` (over ``self.model``'s
+        parameters) clips them when ``max_grad_norm`` is set and updates
+        the weights, and the ranks are handed the updated weights."""
+        optimizer.zero_grad()
+        result = self.train_step(input_ids, labels, attention_mask)
+        self.apply_grads(self.model, result)
+        if max_grad_norm:
+            result.grad_norm = optimizer.clip_grad_norm(max_grad_norm)
+        optimizer.step()
+        self.sync_weights(self.model)
+        return result
 
     def train_step(self, input_ids, labels, attention_mask=None) -> StepResult:
         raise NotImplementedError

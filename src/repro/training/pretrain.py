@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.data.pretraining import MLMCorpus
 from repro.obs.metrics import NULL_RECORDER, RunRecorder
 from repro.optim import Adam, WarmupLinearLR
+from repro.parallel.backend import create_backend
 
 __all__ = ["PretrainConfig", "run_pretraining"]
 
@@ -22,11 +21,10 @@ class PretrainConfig:
     lr: float = 1e-3
     warmup_frac: float = 0.1
     max_grad_norm: float = 1.0
-    micro_batches: int = 1  # gradient accumulation (global batch = bs × mb)
 
     def __post_init__(self):
-        if self.steps <= 0 or self.batch_size <= 0 or self.micro_batches <= 0:
-            raise ValueError("steps, batch_size and micro_batches must be positive")
+        if self.steps <= 0 or self.batch_size <= 0:
+            raise ValueError("steps and batch_size must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.warmup_frac <= 1.0:
@@ -41,9 +39,11 @@ def run_pretraining(
 ) -> list[float]:
     """Pre-train ``model`` (an MLM-headed BERT) on ``corpus``.
 
-    ``micro_batches > 1`` performs gradient accumulation, the numerics of
-    the paper's micro-batch-128 / global-batch-1024 pipeline setting.
-    Returns the per-step loss history.
+    Every step runs through the execution backend the model's config
+    names (``inproc`` for a serial model), so its ``dp`` / ``sp`` axes and
+    its ``num_microbatches`` (gradient accumulation, the numerics of the
+    paper's micro-batch-128 / global-batch-1024 pipeline setting) apply
+    here as they do in fine-tuning.  Returns the per-step loss history.
     """
     optimizer = Adam(model.parameters(), lr=config.lr)
     schedule = WarmupLinearLR(
@@ -53,25 +53,19 @@ def run_pretraining(
     )
     history: list[float] = []
     model.train()
-    for _ in range(config.steps):
-        with recorder.step():
-            optimizer.zero_grad()
-            step_loss = 0.0
-            for _ in range(config.micro_batches):
+    with create_backend(getattr(model.config, "backend", "inproc"),
+                        model) as backend:
+        for _ in range(config.steps):
+            with recorder.step():
                 batch = corpus.batch(config.batch_size)
-                with recorder.timer("forward"):
-                    loss = model.loss(batch.input_ids, batch.labels, batch.attention_mask)
-                if config.micro_batches > 1:
-                    loss = loss * (1.0 / config.micro_batches)
-                with recorder.timer("backward"):
-                    loss.backward()
-                step_loss += loss.item()
+                with recorder.timer("step"):
+                    result = backend.step(
+                        batch.input_ids, batch.labels, batch.attention_mask,
+                        optimizer, max_grad_norm=config.max_grad_norm)
+                if result.grad_norm is not None:
+                    recorder.gauge("grad_norm", result.grad_norm)
                 recorder.count("samples", config.batch_size)
-            with recorder.timer("optimizer"):
-                if config.max_grad_norm:
-                    recorder.gauge("grad_norm", optimizer.clip_grad_norm(config.max_grad_norm))
-                optimizer.step()
-            recorder.gauge("lr", schedule.step())
-            recorder.gauge("loss", step_loss)
-            history.append(step_loss)
+                recorder.gauge("lr", schedule.step())
+                recorder.gauge("loss", result.loss)
+                history.append(result.loss)
     return history

@@ -56,9 +56,9 @@ class FineTuneTrainer:
     the mp backend's worker processes) or, by default, an in-process
     :class:`~repro.parallel.backend.inproc.InprocBackend` over ``model`` —
     which honours the model's ``dp`` axis; the two are bitwise-identical
-    by design.  The recorder's timers are named after the calls they wrap:
-    ``train_step``, ``apply_grads`` and ``optimizer`` (clip, step, weight
-    sync).
+    by design.  The optimizer is the parent's and runs inside
+    :meth:`~repro.parallel.backend.ExecutionBackend.step`; the recorder
+    times that one call as ``step`` and reads ``grad_norm`` off its result.
 
     An optional live-telemetry pair — a
     :class:`~repro.obs.telemetry.Collector` and a
@@ -99,23 +99,15 @@ class FineTuneTrainer:
             self.monitor.check(self.global_step)
 
     def _step(self, batch) -> float:
-        """One step through the execution backend's step protocol."""
-        rec = self.recorder
-        cfg = self.config
-        self.optimizer.zero_grad()
-        with rec.timer("train_step"):
-            result = self.backend.train_step(batch.input_ids, batch.labels,
-                                             batch.attention_mask)
+        """One optimizer step through the execution backend."""
+        with self.recorder.timer("step"):
+            result = self.backend.step(
+                batch.input_ids, batch.labels, batch.attention_mask,
+                self.optimizer, max_grad_norm=self.config.max_grad_norm)
+        if result.grad_norm is not None:
+            self.recorder.gauge("grad_norm", result.grad_norm)
         if self.collector is not None:
             self.collector.ingest_record(result.record)
-        with rec.timer("apply_grads"):
-            self.backend.apply_grads(self.model, result)
-        with rec.timer("optimizer"):
-            if cfg.max_grad_norm:
-                grad_norm = self.optimizer.clip_grad_norm(cfg.max_grad_norm)
-                rec.gauge("grad_norm", grad_norm)
-            self.optimizer.step()
-            self.backend.sync_weights(self.model)
         return result.loss
 
     def save_state(self, path: str) -> None:

@@ -334,6 +334,12 @@ class TestAccuracyHarness:
         b = pretrain_backbone("w/o", steps=5, seed=99)
         assert a is b
 
+    def test_backbone_cache_keys_on_the_grid(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DP", "1")
+        dp1 = pretrain_backbone("w/o", steps=2, seed=98)
+        monkeypatch.setenv("REPRO_DP", "2")
+        assert pretrain_backbone("w/o", steps=2, seed=98) is not dp1
+
     def test_table5_structure_tiny(self):
         rows = table5_glue_accuracy(tasks=["SST-2"], schemes=["w/o", "A2"],
                                     seed=0, pretrain_steps=5)

@@ -19,6 +19,7 @@ from repro.nn.transformer import TransformerConfig
 from repro.optim import Adam
 from repro.parallel.backend import BackendError, create_backend
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
+from tests.parallel.helpers import reference_step
 
 #: Keep mp gangs cheap: 2-4 workers on a tiny model, 30s step deadline.
 MP_TIMEOUT = 30.0
@@ -92,17 +93,9 @@ class TestBitwiseEquivalence:
             for step in range(3):
                 ids, labels, mask = make_batch(seed=step)
 
-                opt_ref.zero_grad()
-                ref = oracle.train_step(ids, labels, mask)
-                oracle.apply_grads(oracle_model, ref)
-                opt_ref.step()
-                oracle.sync_weights(oracle_model)
-
-                opt_got.zero_grad()
-                got = backend.train_step(ids, labels, mask)
-                backend.apply_grads(mp_model, got)
-                opt_got.step()
-                backend.sync_weights(mp_model)
+                ref = reference_step(oracle, oracle_model, opt_ref,
+                                     ids, labels, mask)
+                got = backend.step(ids, labels, mask, opt_got)
 
                 assert got.loss == ref.loss, f"step {step}"
         finally:
@@ -113,6 +106,28 @@ class TestBitwiseEquivalence:
         assert set(ref_state) == set(got_state)
         for name in sorted(ref_state):
             assert np.array_equal(ref_state[name], got_state[name]), name
+
+    def test_step_clips_like_the_reference_loop(self):
+        """``grad_norm`` is the reference loop's ``clip_grad_norm`` on the
+        same batch, and None when ``step`` is given no bound."""
+        ids, labels, mask = make_batch()
+        oracle_model = make_model("T2", 2, 1)
+        mp_model = make_model("T2", 2, 1)
+        oracle = create_backend("inproc", oracle_model)
+        opt_ref = Adam(oracle_model.parameters(), lr=1e-3)
+        opt_got = Adam(mp_model.parameters(), lr=1e-3)
+        clipped = reference_step(oracle, oracle_model, opt_ref, ids, labels,
+                                 mask, max_grad_norm=1.0)
+        reference_step(oracle, oracle_model, opt_ref, ids, labels, mask)
+        with create_backend("mp", mp_model, timeout=MP_TIMEOUT) as backend:
+            got = backend.step(ids, labels, mask, opt_got, max_grad_norm=1.0)
+            unclipped = backend.step(ids, labels, mask, opt_got)
+        assert clipped.grad_norm is not None
+        assert got.grad_norm == clipped.grad_norm
+        assert unclipped.grad_norm is None
+        ref_state = oracle_model.state_dict()
+        for name, value in mp_model.state_dict().items():
+            assert np.array_equal(value, ref_state[name]), name
 
 
 class TestFailureSurfacing:

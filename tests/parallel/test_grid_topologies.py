@@ -26,6 +26,7 @@ from repro.parallel.backend import create_backend
 from repro.parallel.backend.context import global_rank
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.topology import TopologyError, validate_grid
+from tests.parallel.helpers import reference_step
 
 MP_TIMEOUT = 30.0
 
@@ -120,17 +121,9 @@ class TestGridBitwiseEquivalence:
             for step in range(3):
                 ids, labels, mask = make_batch(seed=step)
 
-                opt_ref.zero_grad()
-                ref = oracle.train_step(ids, labels, mask)
-                oracle.apply_grads(oracle_model, ref)
-                opt_ref.step()
-                oracle.sync_weights(oracle_model)
-
-                opt_got.zero_grad()
-                got = backend.train_step(ids, labels, mask)
-                backend.apply_grads(mp_model, got)
-                opt_got.step()
-                backend.sync_weights(mp_model)
+                ref = reference_step(oracle, oracle_model, opt_ref,
+                                     ids, labels, mask)
+                got = backend.step(ids, labels, mask, opt_got)
 
                 assert got.loss == ref.loss, f"step {step}"
         finally:
@@ -158,12 +151,9 @@ class TestGridBitwiseEquivalence:
             for step in range(3):
                 ids, labels, mask = make_batch(seed=step)
 
-                opt_ref.zero_grad()
-                ref = oracle.train_step(ids, labels, mask)
-                oracle.apply_grads(oracle_model, ref)
-                opt_got.zero_grad()
-                got = backend.train_step(ids, labels, mask)
-                backend.apply_grads(mp_model, got)
+                ref = reference_step(oracle, oracle_model, opt_ref,
+                                     ids, labels, mask)
+                got = backend.step(ids, labels, mask, opt_got)
 
                 assert got.loss == ref.loss, f"step {step}"
                 assert set(got.grads) == set(ref.grads)
@@ -172,11 +162,6 @@ class TestGridBitwiseEquivalence:
                         (step, name)
                 assert Counter(map(event_key, got.events)) == \
                     Counter(map(event_key, ref.events)), f"step {step}"
-
-                opt_ref.step()
-                oracle.sync_weights(oracle_model)
-                opt_got.step()
-                backend.sync_weights(mp_model)
         finally:
             backend.close()
 

@@ -21,6 +21,7 @@ from repro.nn.transformer import TransformerConfig
 from repro.optim import Adam
 from repro.parallel.backend import BackendError, create_backend
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
+from tests.parallel.helpers import reference_step
 
 MP_TIMEOUT = 30.0
 
@@ -80,12 +81,9 @@ class TestPoisonedSlabs:
             for step in range(3):
                 poison_slabs(backend)
                 ids, labels, mask = make_batch(seed=step)
-                opt_ref.zero_grad()
-                opt_got.zero_grad()
-                ref = oracle.train_step(ids, labels, mask)
-                oracle.apply_grads(oracle_model, ref)
-                got = backend.train_step(ids, labels, mask)
-                backend.apply_grads(mp_model, got)
+                ref = reference_step(oracle, oracle_model, opt_ref,
+                                     ids, labels, mask)
+                got = backend.step(ids, labels, mask, opt_got)
 
                 assert got.loss == ref.loss  # bitwise, not allclose
                 ref_grads = {n: p.grad for n, p in
@@ -94,11 +92,6 @@ class TestPoisonedSlabs:
                 assert set(got.grads) == set(ref_grads)
                 for name, g in ref_grads.items():
                     assert np.array_equal(got.grads[name], g), (step, name)
-
-                opt_ref.step()
-                opt_got.step()
-                oracle.sync_weights(oracle_model)
-                backend.sync_weights(mp_model)
         finally:
             backend.close()
 

@@ -51,11 +51,7 @@ def train_loop(model, steps=2, collector=None, results=None, **backend_kw):
     try:
         for step in range(steps):
             ids, labels, mask = make_batch(seed=step)
-            optimizer.zero_grad()
-            result = backend.train_step(ids, labels, mask)
-            backend.apply_grads(model, result)
-            optimizer.step()
-            backend.sync_weights(model)
+            result = backend.step(ids, labels, mask, optimizer)
             losses.append(result.loss)
             if collector is not None:
                 collector.ingest_record(result.record)

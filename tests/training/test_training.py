@@ -14,6 +14,7 @@ from repro.parallel import (
     ModelParallelConfig,
 )
 from repro.parallel.backend import create_backend
+from repro.parallel.backend.microbatch import mean_loss, split_microbatches
 from repro.training import (
     FineTuneTrainer,
     PretrainConfig,
@@ -98,14 +99,40 @@ class TestPretraining:
         assert np.mean(hist[-8:]) < np.mean(hist[:8])
 
     def test_gradient_accumulation_matches_big_batch_loss_scale(self):
-        """micro_batches>1 averages losses like one big batch."""
-        cfg = tiny_config()
-        model = nn.BertForPreTraining(cfg)
-        corpus = MLMCorpus(seq_len=16, seed=0)
-        hist = run_pretraining(
-            model, corpus, PretrainConfig(steps=3, batch_size=8, micro_batches=4)
-        )
+        """num_microbatches=4 reports the mean of the microbatch losses."""
+        def build():
+            return ModelParallelBertPreTraining(ModelParallelConfig(
+                default_accuracy_model(seed=0, num_layers=2), tp=1, pp=1,
+                dp=1, sp=1, num_microbatches=4, seed=0))
+
+        hist = run_pretraining(build(), MLMCorpus(seq_len=16, seed=0),
+                               PretrainConfig(steps=3, batch_size=8))
+        batch = MLMCorpus(seq_len=16, seed=0).batch(8)
+        fresh = build()
+        losses = [float(fresh.loss(*mb).item()) for mb in split_microbatches(
+            batch.input_ids, batch.labels, batch.attention_mask, 4)]
+        assert hist[0] == mean_loss(losses)
         assert len(hist) == 3 and all(np.isfinite(h) for h in hist)
+
+    def test_tracker_holds_one_steps_events(self):
+        def run(steps):
+            model = ModelParallelBertPreTraining(ModelParallelConfig(
+                default_accuracy_model(seed=0, num_layers=2), tp=2, pp=2,
+                scheme="A2", seed=0))
+            run_pretraining(model, MLMCorpus(seq_len=16, seed=0),
+                            PretrainConfig(steps=steps, batch_size=8))
+            return model.tracker.events
+
+        one, three = run(1), run(3)
+        assert one and len(three) == len(one)
+
+    def test_dp2_records_one_dp_event_per_step(self):
+        """The tracker holds the last step: one dp gradient reduce."""
+        model = ModelParallelBertPreTraining(ModelParallelConfig(
+            default_accuracy_model(seed=0, num_layers=2), dp=2, seed=0))
+        run_pretraining(model, MLMCorpus(seq_len=16, seed=0),
+                        PretrainConfig(steps=2, batch_size=8))
+        assert model.tracker.count(group="dp") == 1
 
     def test_mp_pretraining_runs(self):
         cfg = default_accuracy_model(seed=0, num_layers=2)
