@@ -9,8 +9,8 @@ first, so load drift, cache warmth and allocator state hit both sides
 alike.  The gate is the ratio of *summed* per-cell medians (on/off):
 one cell's median carries more scheduler noise than a 2% signal, but the
 noise is zero-mean across the matrix while a real cost (taking the spans,
-folding the step summary, a heavier reply) taxes every cell in the same
-direction.  Method and history: EXPERIMENTS.md "Telemetry overhead".
+emitting the step-end gauges and fidelity, a heavier reply) taxes every
+cell in the same direction.  Method and history: EXPERIMENTS.md "Telemetry overhead".
 
     PYTHONPATH=src python .github/scripts/telemetry_overhead.py
 """
@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from repro.obs.metrics import step_rows
 from repro.obs.telemetry.agent import ENV_VAR
 from repro.optim import Adam
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
@@ -63,8 +64,8 @@ class Gang:
         t0 = time.perf_counter()
         result = self.backend.step(*self.batch, self.optimizer)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        self.events += sum(e["kind"] == "step" for events in
-                           result.record.values() for e in events)
+        self.events += len(step_rows(e for events in result.record.values()
+                                     for e in events))
         return elapsed_ms
 
 
@@ -85,7 +86,7 @@ def main():
                 on.backend.close()
             if off.events or not on.events:
                 print(f"telemetry switch did not take: off saw {off.events} "
-                      f"step summaries, on saw {on.events}", file=sys.stderr)
+                      f"step rows, on saw {on.events}", file=sys.stderr)
                 return 2
             off_ms, on_ms = (statistics.median(times[g]) for g in (off, on))
             off_total += off_ms

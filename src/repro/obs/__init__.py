@@ -6,9 +6,10 @@ clock), and every view below is a fold over those events.
 
 - :mod:`repro.obs.metrics` — :class:`RunRecorder`, step-scoped gauges,
   counters and phase timers as events whose JSONL sink is the run file
-  (:data:`NULL_RECORDER` is the free default); :func:`step_records` /
-  :func:`summarize` are the per-step folds behind its CSV, its summary and
-  ``repro.obs report``.
+  (:data:`NULL_RECORDER` is the free default), and :func:`step_rows`, the
+  one per-step fold: one row per (rank, step) of any ranks' events.  Its
+  rows are behind the recorder's CSV, :func:`summarize`, ``repro.obs
+  report`` and everything in :mod:`repro.obs.telemetry`.
 - :mod:`repro.obs.fidelity` — :class:`FidelityProbe`, attached to a
   ``CommTracker``, records per-site reconstruction error / realized
   ratio / EF-residual norms from inside the collectives.
@@ -19,11 +20,11 @@ clock), and every view below is a fold over those events.
 - :mod:`repro.obs.trace` — :func:`chrome_trace`, the one Chrome-trace
   (Perfetto) fold over rank events, the simulated GPipe/1F1B iteration
   trace, and :func:`merge_traces` to render them side by side.
-- :mod:`repro.obs.telemetry` — live cross-rank telemetry: a per-rank
-  step summary folded from the mp backend's rank event record
-  (:func:`step_summary`), parent-side :class:`Collector` sliding windows,
-  :class:`HealthMonitor` alert rules, the run registry and the
-  terminal/HTML dashboards (``python -m repro.obs top / diff / html``).
+- :mod:`repro.obs.telemetry` — live cross-rank telemetry: the mp
+  workers' step-end gauge and fidelity events, and, over the parent's
+  :func:`step_rows` rows, ``HealthMonitor`` alert rules, the run registry
+  and the terminal/HTML dashboards (``python -m repro.obs top / diff /
+  html``); its names are imported from there.
 - ``python -m repro.obs report run.jsonl`` — terminal report of a run.
 """
 
@@ -32,22 +33,10 @@ from repro.obs.metrics import (
     NULL_RECORDER,
     NullRecorder,
     RunRecorder,
-    step_records,
+    step_rows,
     summarize,
 )
 from repro.obs.profile import OpProfiler, OpStats
-from repro.obs.telemetry import (
-    Alert,
-    Collector,
-    HealthMonitor,
-    SlidingWindow,
-    build_summary,
-    default_rules,
-    diff_runs,
-    load_run,
-    save_run,
-    step_summary,
-)
 from repro.obs.trace import (
     chrome_trace,
     merge_traces,
@@ -60,22 +49,12 @@ __all__ = [
     "RunRecorder",
     "NullRecorder",
     "NULL_RECORDER",
-    "step_records",
+    "step_rows",
     "summarize",
     "FidelityProbe",
     "FidelityRecord",
     "OpProfiler",
     "OpStats",
-    "step_summary",
-    "Collector",
-    "SlidingWindow",
-    "HealthMonitor",
-    "Alert",
-    "default_rules",
-    "build_summary",
-    "save_run",
-    "load_run",
-    "diff_runs",
     "chrome_trace",
     "simulated_iteration_trace",
     "merge_traces",

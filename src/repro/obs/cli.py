@@ -19,7 +19,8 @@ Usage::
 ``report`` prints a per-run summary (gauges, phase timers, per-site
 compression fidelity when a sidecar ``*.fidelity.json`` exists) from the
 rank-event JSONL file a :class:`~repro.obs.metrics.RunRecorder` streams
-(``stream_path``) — the numbers :meth:`RunRecorder.summary` gives.
+(``stream_path``) — the numbers :meth:`RunRecorder.summary` gives, a
+fold over the file's :func:`~repro.obs.metrics.step_rows`.
 
 ``smoke`` runs one short recorded fine-tune per scheme and writes, per
 scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` /
@@ -35,10 +36,11 @@ per logical rank, ``mp.wait`` slices showing where ranks block on each
 other, ``comm`` instants for what each rank sent.
 
 ``top`` drives a short real training loop through the mp backend with
-per-step telemetry summaries enabled (``REPRO_TELEMETRY=1``) and
-renders a per-rank health dashboard after every optimizer step.  The
-final window state is saved into the run registry (``--registry``) and
-optionally as a standalone HTML snapshot (``--html``).
+per-step telemetry enabled (``REPRO_TELEMETRY=1``), folds each step's
+rank events into rows and renders a per-rank health dashboard over them
+after every optimizer step.  The final window state is saved into the
+run registry (``--registry``) and optionally as a standalone HTML
+snapshot (``--html``).
 
 ``diff`` compares two registry runs metric-by-metric; ``html`` renders a
 saved registry run as an HTML dashboard.
@@ -57,7 +59,7 @@ import sys
 
 from repro.experiments.report import format_table
 from repro.obs.fidelity import FidelityProbe
-from repro.obs.metrics import RunRecorder, summarize
+from repro.obs.metrics import RunRecorder, step_rows, summarize
 from repro.obs.trace import chrome_trace, simulated_iteration_trace, write_trace
 from repro.parallel.backend.events import load_events
 
@@ -270,7 +272,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.obs.telemetry import (
-        Collector,
         HealthMonitor,
         RunSchemaError,
         build_summary,
@@ -303,8 +304,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
     model = ModelParallelBertClassifier(cfg)
     rng = np.random.default_rng(0)
-    collector = Collector()
-    monitor = HealthMonitor(collector)
+    # The parent's rows (rank −1) carry the step result's loss; the workers'
+    # rows arrive as each step's slices on the reply.
+    recorder = RunRecorder(run_id)
+    rows: list[dict] = []
+    monitor = HealthMonitor()
     clear = sys.stdout.isatty()
 
     backend = create_backend("mp", model)
@@ -314,20 +318,23 @@ def cmd_top(args: argparse.Namespace) -> int:
             input_ids = rng.integers(0, cfg.model.vocab_size,
                                      size=(args.batch, args.seq))
             labels = rng.integers(0, 2, size=args.batch)
-            result = backend.step(input_ids, labels, None, optimizer)
-            collector.ingest_record(result.record)
-            collector.observe(None, "loss", result.loss)
-            monitor.check(step)
-            frame = render_top(collector, monitor, step=step)
+            seen = len(recorder.events)
+            with recorder.step(step):
+                result = backend.step(input_ids, labels, None, optimizer)
+                recorder.gauge("loss", result.loss)
+            rows += step_rows(recorder.events[seen:] + [
+                e for rank in sorted(result.record) for e in result.record[rank]])
+            monitor.check(rows, step)
+            frame = render_top(rows, monitor, step=step)
             print(("\x1b[2J\x1b[H" if clear else "") + frame)
             if not clear:
                 print("-" * 72)
     finally:
         backend.close()
-    monitor.check(args.steps)
+    monitor.check(rows, args.steps)
 
     summary = build_summary(
-        run_id, collector, monitor,
+        run_id, rows, monitor,
         meta={"scheme": args.scheme, "tp": args.tp, "pp": args.pp,
               "schedule": args.schedule, "microbatches": args.microbatches,
               "steps": args.steps, "fault_plan": os.environ.get("REPRO_FAULT_PLAN", "")},

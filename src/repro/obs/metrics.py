@@ -12,8 +12,10 @@ one flush per completed step, in the ``conc-rank*.jsonl`` format, and
 :func:`~repro.parallel.backend.events.load_events` reads it back.  Every
 view — :attr:`RunRecorder.records`, :meth:`RunRecorder.to_csv`,
 :meth:`RunRecorder.summary`, ``repro.obs report`` and
-:func:`repro.obs.trace.chrome_trace` — is a fold over those events;
-:func:`step_records` and :func:`summarize` are the per-step ones.
+:func:`repro.obs.trace.chrome_trace` — is a fold over those events.
+:func:`step_rows` is the one per-step fold, for this record and the mp
+workers' alike (the parent's rows are rank −1): :func:`summarize`, the
+live-telemetry health rules, dashboard and run registry read its rows.
 
 Untouched callers pay nothing: every recording entry point takes an
 optional recorder defaulting to :data:`NULL_RECORDER`, whose methods are
@@ -30,47 +32,87 @@ from typing import Iterator
 
 from repro.parallel.backend.events import EventRecord
 
-__all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "step_records",
-           "summarize"]
+__all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "STEP_COLUMNS",
+           "FIDELITY_FIELDS", "step_rows", "summarize"]
 
 
-def step_records(events) -> list[dict]:
-    """One dict per closed step: ``step t_start_ms wall_ms gauges counters
-    timers_ms``, with ``t_start_ms`` relative to the first event."""
-    records: list[dict] = []
-    origin = current = None
-    begin = 0.0
+#: The numeric per-step columns of a :func:`step_rows` row; ``gauges``,
+#: ``counters``, ``timers_ms`` and ``fidelity`` are dicts beside them.
+STEP_COLUMNS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms", "retries",
+                "drops", "delays")
+
+#: The per-site fields of a ``fidelity`` event and of a row's ``fidelity``.
+FIDELITY_FIELDS = ("rel_l2", "ratio", "residual_norm")
+
+
+def step_rows(events) -> list[dict]:
+    """The per-step fold: one row per (rank, step) that a ``step_end`` closes.
+
+    ``events`` is any mix of ranks in per-rank order (step slices off the
+    reply, :func:`~repro.parallel.backend.events.load_events` output, a
+    recorder's events); rows come out in ``step_end`` order.  Columns:
+
+    - ``rank step``, and ``t_start_ms`` from the rank's first event;
+    - ``wall_ms`` (``step_begin`` → ``step_end``), ``comm_wait_ms``
+      (``mp.wait`` spans), ``busy_ms`` (wall − wait, at least 0) and
+      ``fault_ms`` (``mp.fault`` spans);
+    - ``retries drops delays``, counted from ``fault`` events (a retry is
+      a corrupt or a dropped attempt);
+    - ``gauges`` (last write wins), ``counters`` (summed), ``timers_ms``
+      (``phase`` spans by name) and ``fidelity`` (site → ``rel_l2 ratio
+      residual_norm``).
+    """
+    rows: list[dict] = []
+    origin: dict[int, float] = {}
+    begin: dict[int, float] = {}
+    current: dict[int, dict] = {}
     for e in events:
-        if origin is None:
-            origin = e["t"]
-        kind = e["kind"]
+        rank, kind = e["rank"], e["kind"]
+        origin.setdefault(rank, e["t"])
         if kind == "step_begin":
-            begin = e["t"]
-            current = {"step": e["step"], "t_start_ms": (begin - origin) * 1e3,
-                       "wall_ms": None, "gauges": {}, "counters": {},
-                       "timers_ms": {}}
-        elif current is None:
+            begin[rank] = e["t"]
+            current[rank] = {
+                "rank": rank, "step": e["step"],
+                "t_start_ms": (e["t"] - origin[rank]) * 1e3, "wall_ms": None,
+                "comm_wait_ms": 0.0, "busy_ms": 0.0, "fault_ms": 0.0,
+                "retries": 0, "drops": 0, "delays": 0, "gauges": {},
+                "counters": {}, "timers_ms": {}, "fidelity": {}}
             continue
-        elif kind == "step_end":
-            current["wall_ms"] = (e["t"] - begin) * 1e3
-            records.append(current)
-            current = None
+        row = current.get(rank)
+        if row is None:
+            continue
+        if kind == "step_end":
+            row["wall_ms"] = (e["t"] - begin[rank]) * 1e3
+            row["busy_ms"] = max(row["wall_ms"] - row["comm_wait_ms"], 0.0)
+            rows.append(current.pop(rank))
+        elif kind == "span":
+            ms = e["dur"] * 1e3
+            if e["cat"] == "mp.wait":
+                row["comm_wait_ms"] += ms
+            elif e["cat"] == "mp.fault":
+                row["fault_ms"] += ms
+            elif e["cat"] == "phase":
+                timers = row["timers_ms"]
+                timers[e["name"]] = timers.get(e["name"], 0.0) + ms
+        elif kind == "fault":
+            row["retries"] += e["fault"] in ("corrupt", "drop")
+            row["drops"] += e["fault"] == "drop"
+            row["delays"] += e["fault"] == "delay"
         elif kind == "gauge":
-            current["gauges"][e["name"]] = e["value"]
+            row["gauges"][e["name"]] = e["value"]
         elif kind == "count":
-            counters = current["counters"]
+            counters = row["counters"]
             counters[e["name"]] = counters.get(e["name"], 0) + e["n"]
-        elif kind == "span" and e["cat"] == "phase":
-            timers = current["timers_ms"]
-            timers[e["name"]] = timers.get(e["name"], 0.0) + e["dur"] * 1e3
-    return records
+        elif kind == "fidelity":
+            row["fidelity"][e["site"]] = {k: e[k] for k in FIDELITY_FIELDS}
+    return rows
 
 
 def summarize(events) -> dict:
     """Aggregates over a run: per-gauge last/mean/min/max, per-timer and
     per-counter totals, summed step wall time."""
     meta = next((e for e in events if e["kind"] == "meta"), {})
-    records = step_records(events)
+    records = step_rows(events)
     gauges: dict[str, list[float]] = {}
     timers: dict[str, float] = {}
     counters: dict[str, int] = {}
@@ -190,8 +232,8 @@ class RunRecorder:
     # ------------------------------------------------------------------
     @property
     def records(self) -> list[dict]:
-        """The completed steps (:func:`step_records` of :attr:`events`)."""
-        return step_records(self.events)
+        """The completed steps (:func:`step_rows` of :attr:`events`)."""
+        return step_rows(self.events)
 
     def to_csv(self, path: str) -> str:
         """Write one flattened row per step; returns ``path``.

@@ -1,19 +1,20 @@
-"""Live cross-rank telemetry: agent, collector, health rules, registry.
+"""Live cross-rank telemetry: worker gauges, health rules, registry.
 
-The subsystem in one sentence: each mp rank folds a step's slice of its
-event record into one ``step`` summary
-(:func:`~repro.obs.telemetry.agent.step_summary`; off by default, armed by
-``REPRO_TELEMETRY``) that rides the step reply; the parent's
-:class:`~repro.obs.telemetry.collector.Collector` keeps sliding-window
-time-series that a :class:`~repro.obs.telemetry.health.HealthMonitor`
-evaluates into typed :class:`~repro.obs.telemetry.health.Alert`s; the
-``repro.obs top`` dashboard, HTML snapshots, and the run registry
-(:mod:`~repro.obs.telemetry.registry`, with ``repro.obs diff``) consume
-the result.  Everything is bitwise-neutral to training.
+The subsystem in one sentence: with ``REPRO_TELEMETRY`` set (off by
+default), each mp rank ends a step by emitting its gauges and per-site
+fidelity into the step's slice of its event record
+(:func:`~repro.obs.telemetry.agent.emit_step_telemetry`), which rides the
+step reply; the parent folds the slices into rows
+(:func:`repro.obs.metrics.step_rows`), a
+:class:`~repro.obs.telemetry.health.HealthMonitor` evaluates its rules
+over the last :data:`~repro.obs.telemetry.health.WINDOW` steps of rows
+into typed :class:`~repro.obs.telemetry.health.Alert`s, and the
+``repro.obs top`` dashboard, HTML snapshots and the run registry
+(:mod:`~repro.obs.telemetry.registry`, with ``repro.obs diff``) read the
+same rows.  Everything is bitwise-neutral to training.
 """
 
-from repro.obs.telemetry.agent import ENV_VAR, enabled, step_summary
-from repro.obs.telemetry.collector import DEFAULT_WINDOW, Collector, SlidingWindow
+from repro.obs.telemetry.agent import ENV_VAR, enabled
 from repro.obs.telemetry.dashboard import render_html, render_top, write_html
 from repro.obs.telemetry.health import (
     Alert,
@@ -42,10 +43,6 @@ from repro.obs.telemetry.registry import (
 __all__ = [
     "ENV_VAR",
     "enabled",
-    "step_summary",
-    "DEFAULT_WINDOW",
-    "SlidingWindow",
-    "Collector",
     "Alert",
     "Rule",
     "StragglerRule",

@@ -1,10 +1,12 @@
 """Telemetry consumers: live terminal dashboard and HTML snapshot report.
 
-:func:`render_top` turns the current collector windows + health alerts
-into one plain-text frame — the ``repro.obs top`` verb prints a frame per
+:func:`render_top` turns the window of the run's
+:func:`~repro.obs.metrics.step_rows` rows + health alerts into one
+plain-text frame — the ``repro.obs top`` verb prints a frame per
 training step.  :func:`render_html` renders a standalone (no external
 assets) HTML snapshot of a registry run summary, suitable for CI artifact
-upload.
+upload.  Both show the same per-rank and per-site tables, read off the
+summary's ``telemetry`` section.
 """
 
 from __future__ import annotations
@@ -12,70 +14,61 @@ from __future__ import annotations
 import html
 import json
 
+from repro.obs.telemetry.registry import telemetry_snapshot
+
 __all__ = ["render_top", "render_html", "write_html"]
 
 
-def _fmt(value, digits: int = 2) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.{digits}f}"
-    return str(value)
+def _stat(stats: dict, metric: str, key: str):
+    return (stats.get(metric) or {}).get(key)
 
 
-def render_top(collector, monitor, *, step: int | None = None) -> str:
-    """One dashboard frame: per-rank step table, fidelity, recent alerts."""
+def _rank_rows(telemetry: dict) -> list[dict]:
+    """The per-rank table of both dashboards, from a summary's telemetry."""
+    return [{
+        "rank": int(rank),
+        "step": telemetry.get("last_step", {}).get(rank),
+        "wall p50 (ms)": _stat(stats, "wall_ms", "p50"),
+        "busy (ms)": _stat(stats, "busy_ms", "mean"),
+        "wait (ms)": _stat(stats, "comm_wait_ms", "mean"),
+        "ring": int(_stat(stats, "ring_occupancy", "max") or 0),
+        "retries": round((_stat(stats, "retries", "mean") or 0)
+                         * (_stat(stats, "retries", "window") or 0)),
+        "rss (MB)": (_stat(stats, "peak_rss_kb", "last") or 0) / 1024.0,
+    } for rank, stats in sorted(telemetry["per_rank"].items(),
+                                key=lambda kv: int(kv[0]))]
+
+
+def _fidelity_rows(telemetry: dict) -> list[dict]:
+    """The per-site table of both dashboards."""
+    return [{
+        "site": site,
+        "rel-L2 mean": _stat(fields, "rel_l2", "mean"),
+        "wire ratio": _stat(fields, "ratio", "mean"),
+        "residual": _stat(fields, "residual_norm", "last"),
+    } for site, fields in sorted(telemetry["fidelity"].items())]
+
+
+def render_top(rows: list[dict], monitor, *, step: int | None = None) -> str:
+    """One dashboard frame over the rows' window: per-rank step table,
+    fidelity, recent alerts."""
     # Lazy: keep the mp worker's telemetry import free of the experiments
     # package.
     from repro.experiments.report import format_table
 
-    lines = []
-    world = collector.world if collector.world is not None else len(collector.ranks())
-    head = f"repro.obs top · world={world}"
+    snap = telemetry_snapshot(rows)
+    head = f"repro.obs top · world={snap['world']}"
     if step is not None:
         head += f" · step {step}"
-    pooled_wall = collector.series(None, "wall_ms")
-    if len(pooled_wall):
-        head += (f" · step wall p50 {_fmt(pooled_wall.p50())} ms"
-                 f" / p99 {_fmt(pooled_wall.p99())} ms")
-    lines.append(head)
-
-    rows = []
-    for rank in collector.ranks():
-        wall = collector.series(rank, "wall_ms")
-        if not len(wall):
-            continue
-        rows.append({
-            "rank": rank,
-            "step": collector.last_step(rank),
-            "wall p50 (ms)": wall.p50(),
-            "busy (ms)": collector.series(rank, "busy_ms").mean(),
-            "wait (ms)": collector.series(rank, "comm_wait_ms").mean(),
-            "ring": int(collector.series(rank, "ring_occupancy").max() or 0),
-            "retries": int(sum(collector.series(rank, "retries").values())),
-            "rss (MB)": (collector.series(rank, "peak_rss_kb").last or 0) / 1024.0,
-        })
-    if rows:
-        lines.append(format_table(rows, title="ranks"))
-    else:
-        lines.append("(no rank telemetry yet)")
-
-    fid_rows = []
-    for site in collector.sites():
-        rel = collector.series(None, f"fidelity/{site}/rel_l2")
-        if not len(rel):
-            continue
-        fid_rows.append({
-            "site": site,
-            "rel-L2 mean": rel.mean(),
-            "rel-L2 ewma": rel.ewma,
-            "wire ratio": collector.series(None, f"fidelity/{site}/ratio").mean(),
-            "residual": collector.series(
-                None, f"fidelity/{site}/residual_norm").last,
-        })
+    wall = snap["pooled"].get("wall_ms")
+    if wall:
+        head += f" · step wall p50 {wall['p50']:.2f} ms / p99 {wall['p99']:.2f} ms"
+    lines = [head]
+    rank_rows, fid_rows = _rank_rows(snap), _fidelity_rows(snap)
+    lines.append(format_table(rank_rows, title="ranks") if rank_rows
+                 else "(no rank telemetry yet)")
     if fid_rows:
         lines.append(format_table(fid_rows, title="compression fidelity"))
-
     if monitor.alerts:
         lines.append(f"alerts ({len(monitor.alerts)}):")
         for alert in monitor.alerts[-8:]:
@@ -131,15 +124,7 @@ def render_html(summary: dict) -> str:
             f"{html.escape(str(k))}={html.escape(str(v))}"
             for k, v in sorted(meta.items())) + "</p>")
 
-    rank_rows = []
-    for rank in sorted(telemetry["per_rank"], key=int):
-        metrics = telemetry["per_rank"][rank]
-        row = {"rank": rank}
-        for metric in ("wall_ms", "busy_ms", "comm_wait_ms", "ring_occupancy",
-                       "retries", "peak_rss_kb"):
-            stats = metrics.get(metric) or {}
-            row[metric] = stats.get("p50" if metric == "wall_ms" else "mean", "")
-        rank_rows.append(row)
+    rank_rows = _rank_rows(telemetry)
     if rank_rows:
         parts.append("<h2>Ranks</h2>")
         parts.append(_html_table(rank_rows, list(rank_rows[0].keys())))
@@ -152,12 +137,7 @@ def render_html(summary: dict) -> str:
         parts.append("<h2>Pooled windows</h2>")
         parts.append(_html_table(pooled_rows, list(pooled_rows[0].keys())))
 
-    fid_rows = []
-    for site, fields in sorted(telemetry["fidelity"].items()):
-        for metric, stats in sorted(fields.items()):
-            fid_rows.append({"site": site, "metric": metric,
-                             "mean": stats.get("mean", ""),
-                             "last": stats.get("last", "")})
+    fid_rows = _fidelity_rows(telemetry)
     if fid_rows:
         parts.append("<h2>Compression fidelity</h2>")
         parts.append(_html_table(fid_rows, list(fid_rows[0].keys())))

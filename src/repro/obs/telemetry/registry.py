@@ -1,7 +1,8 @@
 """Run registry: a ``runs/`` directory of schema-validated run summaries.
 
-Every telemetry-enabled run can drop one JSON summary —
-collector snapshot + health alerts + run metadata — into a registry
+Every telemetry-enabled run can drop one JSON summary — window statistics
+over its :func:`~repro.obs.metrics.step_rows` rows + health alerts + run
+metadata — into a registry
 directory.  Summaries are validated against :data:`RUN_SCHEMA` on both
 save and load, so a registry never silently accumulates malformed
 documents, and ``repro.obs diff RUN_A RUN_B`` renders a per-metric
@@ -20,11 +21,15 @@ import json
 import os
 import time
 
+from repro.obs.metrics import FIDELITY_FIELDS, STEP_COLUMNS
+from repro.obs.telemetry.health import PARENT, values, window, window_stats, worker_ranks
+
 __all__ = [
     "RUN_SCHEMA",
     "RunSchemaError",
     "check_run_id",
     "validate_run",
+    "telemetry_snapshot",
     "build_summary",
     "save_run",
     "load_run",
@@ -43,7 +48,7 @@ _STATS = {
         "count": {"type": "integer", "minimum": 0},
         "window": {"type": "integer", "minimum": 0},
     },
-    # last/mean/ewma/min/max/p50/p99 — numbers, or null for empty windows.
+    # last/mean/min/max/p50/p99 — numbers, or null for empty windows.
 }
 
 RUN_SCHEMA = {
@@ -149,15 +154,53 @@ def validate_run(doc: dict) -> dict:
     return doc
 
 
-def build_summary(run_id: str, collector, monitor, *,
+def telemetry_snapshot(rows: list[dict]) -> dict:
+    """The registry's ``telemetry`` section: window statistics per worker
+    rank and metric, pooled over worker ranks, and per fidelity site.
+
+    Metrics are the step columns and the gauges; a gauge the parent
+    (rank −1) records is the run's own series, so it replaces the pooled
+    worker gauge (``loss``: one value per step, not one per stage).
+    """
+    recent = window(rows)
+
+    def stats(metric: str, rank: int | None = None) -> dict:
+        # ``count`` is the run's samples, ``window`` the window's.
+        return {**window_stats(values(recent, metric, rank)),
+                "count": len(values(rows, metric, rank))}
+
+    ranks = worker_ranks(rows)
+    gauges = sorted({g for row in rows if row["rank"] >= 0 for g in row["gauges"]})
+    metrics = [*STEP_COLUMNS, *gauges]
+    pooled = {m: stats(m) for m in metrics if values(rows, m)}
+    pooled.update({g: stats(g, PARENT) for row in rows
+                   if row["rank"] == PARENT for g in row["gauges"]})
+    sites = sorted({site for row in rows for site in row["fidelity"]})
+    fidelity = {site: {f: stats(f"fidelity/{site}/{f}") for f in FIDELITY_FIELDS
+                       if values(rows, f"fidelity/{site}/{f}")}
+                for site in sites}
+    return {
+        "world": len(ranks),
+        "ranks": ranks,
+        "last_step": {str(row["rank"]): row["step"] for row in rows
+                      if row["rank"] >= 0},
+        "per_rank": {str(rank): {m: stats(m, rank) for m in metrics
+                                 if values(rows, m, rank)} for rank in ranks},
+        "pooled": pooled,
+        "fidelity": fidelity,
+    }
+
+
+def build_summary(run_id: str, rows: list[dict], monitor, *,
                   meta: dict | None = None) -> dict:
-    """Assemble the registry document for one finished run."""
+    """Assemble the registry document for one finished run from its
+    :func:`~repro.obs.metrics.step_rows` rows and health monitor."""
     return validate_run({
         "schema_version": RUN_SCHEMA_VERSION,
         "run_id": run_id,
         "created_unix": time.time(),
         "meta": dict(meta or {}),
-        "telemetry": collector.snapshot(),
+        "telemetry": telemetry_snapshot(rows),
         "health": monitor.summary(),
     })
 
@@ -208,31 +251,20 @@ def resolve_run(registry_dir: str, ref: str) -> str:
 # ----------------------------------------------------------------------
 # diff
 
-#: Which window statistic is compared per metric family.
-_DIFF_STAT = "p50"
-
-
 def _metric_rows(doc: dict) -> dict[str, float]:
-    """Flatten a summary into comparable ``metric -> value`` pairs."""
-    flat: dict[str, float] = {}
+    """Flatten a summary into comparable ``metric -> value`` pairs: pooled
+    p50 and p99, per-rank and per-site means, and the alert count."""
     telemetry = doc["telemetry"]
-    for metric, stats in telemetry["pooled"].items():
-        value = stats.get(_DIFF_STAT)
-        if isinstance(value, (int, float)):
-            flat[f"pooled/{metric}/{_DIFF_STAT}"] = value
-        p99 = stats.get("p99")
-        if isinstance(p99, (int, float)):
-            flat[f"pooled/{metric}/p99"] = p99
-    for rank, metrics in telemetry["per_rank"].items():
-        for metric, stats in metrics.items():
-            value = stats.get("mean")
-            if isinstance(value, (int, float)):
-                flat[f"rank{rank}/{metric}/mean"] = value
-    for site, fields in telemetry["fidelity"].items():
-        for metric, stats in fields.items():
-            value = stats.get("mean")
-            if isinstance(value, (int, float)):
-                flat[f"fidelity/{site}/{metric}/mean"] = value
+    picks = [(f"pooled/{m}", stats, ("p50", "p99"))
+             for m, stats in telemetry["pooled"].items()]
+    picks += [(f"rank{rank}/{m}", stats, ("mean",))
+              for rank, metrics in telemetry["per_rank"].items()
+              for m, stats in metrics.items()]
+    picks += [(f"fidelity/{site}/{m}", stats, ("mean",))
+              for site, fields in telemetry["fidelity"].items()
+              for m, stats in fields.items()]
+    flat = {f"{name}/{key}": stats[key] for name, stats, keys in picks
+            for key in keys if isinstance(stats.get(key), (int, float))}
     flat["health/alerts"] = float(doc["health"]["total"])
     return flat
 

@@ -12,8 +12,9 @@ compare across ranks.  A span is emitted when it ends and carries ``dur``
 (it started at ``t - dur``), so ``idx`` order is ``t`` order for every
 kind.  The Chrome trace (:func:`repro.obs.trace.chrome_trace`, and
 :func:`span_view` for per-rank timelines), the DYN003 happens-before
-replay (:mod:`repro.lint.race_check`) and the telemetry step summary
-(:func:`repro.obs.telemetry.agent.step_summary`) are folds over it.
+replay (:mod:`repro.lint.race_check`) and the per-step rows behind
+telemetry and run reports (:func:`repro.obs.metrics.step_rows`) are folds
+over it.
 
 Event kinds (DESIGN.md "Rank event record" has the sink column):
 
@@ -21,7 +22,6 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
 ``meta``              ``world`` — first event of every record
 ``step_begin``        ``step`` — stamped before fault injection
 ``step_end``          ``step``
-``step``              the telemetry summary of the step's slice
 ``span``              ``name cat dur`` — ``mp.wait`` blocking wait,
                       ``mp.async`` staged ring send still in flight,
                       ``mp.phase`` compute, ``mp.fault`` injected-fault
@@ -30,7 +30,12 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
                       caller's cat, a profiler span adding ``path
                       alloc_bytes op_calls``
 ``comm``              a ``CommEvent``'s fields — one per tracked message
-``gauge`` / ``count`` ``name value`` / ``name n`` (``RunRecorder``)
+``gauge`` / ``count`` ``name value`` / ``name n`` (``RunRecorder``); with
+                      ``REPRO_TELEMETRY`` workers emit ``gauge`` at step
+                      end: ``loss`` (last stage), ``ring_occupancy``,
+                      ``peak_rss_kb``
+``fidelity``          ``site rel_l2 ratio residual_norm`` — one per
+                      compressed site per telemetered worker step
 ``op``                ``name phase dur alloc_bytes`` — one tensor op call
                       (``OpProfiler(record_events=True)``)
 ``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or

@@ -250,12 +250,13 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
     from repro.parallel.grad_sync import build_dp_grad_compressor
 
     dp_codec = build_dp_grad_compressor(model_spec["config"]) if leads else None
-    # Telemetry: summarise each step's slice, with a worker-local fidelity
-    # probe on the tracker.  Off, the obs package is never imported here.
+    # Telemetry: end each step with its gauges and fidelity events, from a
+    # worker-local probe on the tracker.  Off, the obs package is never
+    # imported here.
     probe = None
     if telemetry:
         from repro.obs.fidelity import FidelityProbe
-        from repro.obs.telemetry.agent import process_peak_rss_kb, step_summary
+        from repro.obs.telemetry.agent import emit_step_telemetry
 
         probe = model.tracker.probe = FidelityProbe()
     conn.send(("ready", rank))
@@ -318,15 +319,11 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
                 model, ctx, input_ids, labels, attention_mask)
             if ctx.dp > 1:
                 _gang_reduce(model, ctx, written, dp_codec)
+            if probe is not None:
+                emit_step_telemetry(live, probe, loss=loss_val,
+                                    ring_occupancy=transport.ring_occupancy())
             if live is not None:
                 live.emit("step_end", step=steps_done)
-            if probe is not None:
-                live.emit("step", **step_summary(
-                    live.events, loss=loss_val,
-                    ring_occupancy=transport.ring_occupancy(),
-                    fidelity=probe.per_site(),
-                    peak_rss_kb=process_peak_rss_kb()))
-                probe.reset()
             steps_done += 1
             # Flushed after every step, so a crashed run still leaves a
             # replayable prefix on disk; the same slice rides the reply.

@@ -74,8 +74,6 @@ def finetune_on_task(
     backbone_state: dict[str, np.ndarray] | None = None,
     recorder: RunRecorder = NULL_RECORDER,
     probe: FidelityProbe | None = None,
-    collector=None,
-    monitor=None,
 ) -> FinetuneResult:
     """Fine-tune a fresh (or pre-trained) MP model on one synthetic GLUE task.
 
@@ -91,10 +89,6 @@ def finetune_on_task(
         Optional :class:`~repro.obs.fidelity.FidelityProbe`; when given it
         is attached to the model's :class:`CommTracker` and receives every
         compressed round-trip at every TP site and PP boundary.
-    collector / monitor:
-        Optional live-telemetry pair (:class:`~repro.obs.telemetry.Collector`,
-        :class:`~repro.obs.telemetry.HealthMonitor`) serviced once per
-        training step; see :class:`FineTuneTrainer`.
     """
     spec = GLUE_TASKS[task_name]
     model_cfg = default_accuracy_model(
@@ -118,8 +112,7 @@ def finetune_on_task(
     # keeps current after every optimizer step.
     with create_backend(mp_cfg.backend, model) as backend:
         trainer = FineTuneTrainer(model, train_config, recorder=recorder,
-                                  backend=backend, collector=collector,
-                                  monitor=monitor)
+                                  backend=backend)
         history = trainer.train(train)
 
     scores = {

@@ -59,18 +59,10 @@ class FineTuneTrainer:
     by design.  The optimizer is the parent's and runs inside
     :meth:`~repro.parallel.backend.ExecutionBackend.step`; the recorder
     times that one call as ``step`` and reads ``grad_norm`` off its result.
-
-    An optional live-telemetry pair — a
-    :class:`~repro.obs.telemetry.Collector` and a
-    :class:`~repro.obs.telemetry.HealthMonitor` — is serviced once per
-    step: the step result's rank event record is ingested by the collector
-    (inproc backends yield none), the step loss is observed on the
-    pooled series, and the monitor's rules are checked.  Both default to
-    ``None`` and cost nothing when absent.
     """
 
     def __init__(self, model, config: TrainConfig, recorder: RunRecorder = NULL_RECORDER,
-                 backend=None, collector=None, monitor=None):
+                 backend=None):
         self.model = model
         self.config = config
         self.optimizer = Adam(model.parameters(), lr=config.lr)
@@ -78,25 +70,12 @@ class FineTuneTrainer:
         self.recorder = recorder
         self.backend = backend if backend is not None else create_backend(
             "inproc", model)
-        self.collector = collector
-        self.monitor = monitor
         self.schedule = None
         self.rng = None
         self.global_step = 0
         self._epoch = 0
         self._step_in_epoch = 0
         self._epoch_rng_state: dict | None = None
-
-    def _observe_telemetry(self, loss_val: float) -> None:
-        """Per-step collector/monitor service (no-op when not configured)."""
-        coll = self.collector
-        if coll is None:
-            return
-        # The pooled loss series exists for both backends: inproc runs get
-        # loss health rules (NaN/divergence) even without rank records.
-        coll.observe(None, "loss", loss_val)
-        if self.monitor is not None:
-            self.monitor.check(self.global_step)
 
     def _step(self, batch) -> float:
         """One optimizer step through the execution backend."""
@@ -106,8 +85,6 @@ class FineTuneTrainer:
                 self.optimizer, max_grad_norm=self.config.max_grad_norm)
         if result.grad_norm is not None:
             self.recorder.gauge("grad_norm", result.grad_norm)
-        if self.collector is not None:
-            self.collector.ingest_record(result.record)
         return result.loss
 
     def save_state(self, path: str) -> None:
@@ -189,7 +166,6 @@ class FineTuneTrainer:
                     rec.gauge("loss", loss_val)
                     rec.count("samples", len(batch.labels))
                     self.history.append(loss_val)
-                self._observe_telemetry(loss_val)
                 self.global_step += 1
                 self._epoch = epoch
                 self._step_in_epoch = step_in_epoch + 1

@@ -269,20 +269,15 @@ class TestTelemetryVerbs:
         assert _require_mp_backend(args, "top") == "mp"
 
     def test_diff_renders_registry_runs(self, tmp_path, capsys):
-        from repro.obs.telemetry import (
-            Collector, HealthMonitor, build_summary, save_run,
-        )
+        from repro.obs.telemetry import HealthMonitor, build_summary, save_run
+        from tests.obs.helpers import row
 
         registry = str(tmp_path / "runs")
         for run_id, wall in (("run-a", 10.0), ("run-b", 20.0)):
-            coll = Collector()
-            coll.ingest({"kind": "meta", "rank": 0, "t": 0.0, "world": 1})
-            coll.ingest({"kind": "step", "rank": 0, "t": 0.0, "step": 0,
-                         "wall_ms": wall, "comm_wait_ms": 1.0,
-                         "busy_ms": wall - 1.0, "fault_ms": 0.0,
-                         "ring_occupancy": 0, "retries": 0, "drops": 0,
-                         "delays": 0, "peak_rss_kb": 100.0})
-            save_run(registry, build_summary(run_id, coll, HealthMonitor(coll)))
+            rows = [row(0, 0, wall_ms=wall, comm_wait_ms=1.0,
+                        busy_ms=wall - 1.0,
+                        gauges={"ring_occupancy": 0, "peak_rss_kb": 100.0})]
+            save_run(registry, build_summary(run_id, rows, HealthMonitor()))
         assert main(["diff", "run-a", "run-b", "--registry", registry]) == 0
         out = capsys.readouterr().out
         assert "run-a vs run-b" in out and "pooled/wall_ms/p50" in out

@@ -1,4 +1,5 @@
-"""HealthMonitor rules: firing boundaries, alert payloads, deduplication."""
+"""HealthMonitor rules over ``step_rows`` rows: firing boundaries, alert
+payloads, deduplication."""
 
 import math
 
@@ -6,7 +7,6 @@ import pytest
 
 from repro.obs.telemetry import (
     Alert,
-    Collector,
     CommStallRule,
     FidelityDriftRule,
     HealthMonitor,
@@ -14,22 +14,24 @@ from repro.obs.telemetry import (
     RetryStormRule,
     StragglerRule,
 )
+from tests.obs.helpers import row, steps_of
 
 
-def collector_with_busy(busy_by_rank, samples=2):
-    """Collector whose per-rank busy_ms windows hold flat values."""
-    coll = Collector()
-    for rank, busy in busy_by_rank.items():
-        for _ in range(samples):
-            coll.observe(rank, "busy_ms", busy)
-    coll._ranks.update(busy_by_rank)  # normally set by step ingestion
-    return coll
+def rows_with_busy(busy_by_rank, samples=2):
+    """``samples`` steps of rows whose per-rank busy_ms is flat."""
+    return steps_of({rank: {"busy_ms": busy}
+                     for rank, busy in busy_by_rank.items()}, samples)
+
+
+def parent_losses(losses):
+    """The parent's rows (rank -1), one step result loss each."""
+    return [row(-1, step, gauges={"loss": v}) for step, v in enumerate(losses)]
 
 
 class TestStragglerRule:
     def test_fires_on_clear_straggler_naming_the_rank(self):
-        coll = collector_with_busy({0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0})
-        (alert,) = StragglerRule().evaluate(coll, step=5)
+        rows = rows_with_busy({0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0})
+        (alert,) = StragglerRule().evaluate(rows, step=5)
         assert alert.rule == "straggler" and alert.rank == 1
         assert alert.step == 5 and alert.window == 2
         assert "rank 1" in alert.message
@@ -38,41 +40,36 @@ class TestStragglerRule:
         # Peer spread is zero so sigma hits the 1 ms floor and z = gap;
         # gap == min_gap must NOT fire (strict inequality), epsilon above must.
         rule = StragglerRule(zscore=3.0, min_gap_ms=10.0, std_floor_ms=1.0)
-        at = collector_with_busy({0: 5.0, 1: 5.0, 2: 5.0, 3: 15.0})
+        at = rows_with_busy({0: 5.0, 1: 5.0, 2: 5.0, 3: 15.0})
         assert rule.evaluate(at, step=0) == []
-        above = collector_with_busy({0: 5.0, 1: 5.0, 2: 5.0, 3: 15.01})
+        above = rows_with_busy({0: 5.0, 1: 5.0, 2: 5.0, 3: 15.01})
         assert len(rule.evaluate(above, step=0)) == 1
 
     def test_zscore_boundary(self):
         # Wide peer spread keeps z below threshold even with a large gap.
         rule = StragglerRule(zscore=3.0, min_gap_ms=1.0, std_floor_ms=1.0)
-        coll = collector_with_busy({0: 10.0, 1: 40.0, 2: 70.0, 3: 90.0})
-        assert rule.evaluate(coll, step=0) == []
+        rows = rows_with_busy({0: 10.0, 1: 40.0, 2: 70.0, 3: 90.0})
+        assert rule.evaluate(rows, step=0) == []
 
     def test_leave_one_out_beats_population_z_ceiling(self):
         # With n=4 a plain population z-score is bounded by sqrt(3) < 3, so
         # this rule could never fire without leave-one-out scoring.
-        coll = collector_with_busy({0: 10.0, 1: 10.0, 2: 10.0, 3: 100.0})
-        (alert,) = StragglerRule(zscore=3.0).evaluate(coll, step=0)
+        rows = rows_with_busy({0: 10.0, 1: 10.0, 2: 10.0, 3: 100.0})
+        (alert,) = StragglerRule(zscore=3.0).evaluate(rows, step=0)
         assert alert.rank == 3
         assert alert.value > math.sqrt(3)
 
     def test_needs_three_ranks_and_min_samples(self):
         rule = StragglerRule()
-        two = collector_with_busy({0: 10.0, 1: 100.0})
+        two = rows_with_busy({0: 10.0, 1: 100.0})
         assert rule.evaluate(two, step=0) == []
-        thin = collector_with_busy({0: 10.0, 1: 10.0, 2: 100.0}, samples=1)
+        thin = rows_with_busy({0: 10.0, 1: 10.0, 2: 100.0}, samples=1)
         assert rule.evaluate(thin, step=0) == []
 
 
 class TestCommStallRule:
     def make(self, wait, busy):
-        coll = Collector()
-        for _ in range(2):
-            coll.observe(0, "comm_wait_ms", wait)
-            coll.observe(0, "busy_ms", busy)
-        coll._ranks.add(0)
-        return coll
+        return steps_of({0: {"comm_wait_ms": wait, "busy_ms": busy}}, 2)
 
     def test_fires_above_ratio(self):
         (alert,) = CommStallRule(ratio=3.0).evaluate(self.make(31.0, 10.0), step=1)
@@ -90,11 +87,7 @@ class TestCommStallRule:
 
 class TestRetryStormRule:
     def make(self, retries, drops=0):
-        coll = Collector()
-        coll.observe(0, "retries", retries)
-        coll.observe(0, "drops", drops)
-        coll._ranks.add(0)
-        return coll
+        return [row(0, 0, retries=retries, drops=drops)]
 
     def test_fires_critical_above_limit(self):
         (alert,) = RetryStormRule(max_events=8).evaluate(self.make(6, 3), step=2)
@@ -107,36 +100,31 @@ class TestRetryStormRule:
 
 class TestFidelityDriftRule:
     def make(self, values):
-        coll = Collector()
-        for v in values:
-            coll.observe(None, "fidelity/boundary0/rel_l2", v)
-        return coll
+        return [row(0, step, fidelity={"boundary0": {"rel_l2": v}})
+                for step, v in enumerate(values)]
 
     def test_fires_when_newer_half_drifts(self):
-        coll = self.make([1e-3, 1e-3, 1e-3, 3e-3, 3e-3, 3e-3])
-        (alert,) = FidelityDriftRule(factor=2.0, min_samples=6).evaluate(coll, step=9)
+        rows = self.make([1e-3, 1e-3, 1e-3, 3e-3, 3e-3, 3e-3])
+        (alert,) = FidelityDriftRule(factor=2.0, min_samples=6).evaluate(rows, step=9)
         assert alert.rule == "fidelity-drift" and alert.site == "boundary0"
         assert alert.value == pytest.approx(3.0)
 
     def test_factor_at_threshold_does_not_fire(self):
-        coll = self.make([1e-3] * 3 + [2e-3] * 3)
-        assert FidelityDriftRule(factor=2.0, min_samples=6).evaluate(coll, 9) == []
+        rows = self.make([1e-3] * 3 + [2e-3] * 3)
+        assert FidelityDriftRule(factor=2.0, min_samples=6).evaluate(rows, 9) == []
 
     def test_flat_series_is_healthy(self):
-        coll = self.make([1e-3] * 8)
-        assert FidelityDriftRule().evaluate(coll, step=9) == []
+        rows = self.make([1e-3] * 8)
+        assert FidelityDriftRule().evaluate(rows, step=9) == []
 
     def test_too_few_samples_never_fires(self):
-        coll = self.make([1e-3, 1e-2])
-        assert FidelityDriftRule(min_samples=6).evaluate(coll, step=9) == []
+        rows = self.make([1e-3, 1e-2])
+        assert FidelityDriftRule(min_samples=6).evaluate(rows, step=9) == []
 
 
 class TestLossRule:
     def make(self, losses):
-        coll = Collector()
-        for v in losses:
-            coll.observe(None, "loss", v)
-        return coll
+        return parent_losses(losses)
 
     def test_nan_is_critical_regardless_of_history(self):
         (alert,) = LossRule().evaluate(self.make([float("nan")]), step=0)
@@ -144,8 +132,8 @@ class TestLossRule:
         assert "non-finite" in alert.message
 
     def test_divergence_from_window_minimum(self):
-        coll = self.make([1.0, 0.9, 0.8, 2.0])
-        (alert,) = LossRule(divergence_factor=2.0).evaluate(coll, step=3)
+        rows = self.make([1.0, 0.9, 0.8, 2.0])
+        (alert,) = LossRule(divergence_factor=2.0).evaluate(rows, step=3)
         assert alert.severity == "warning"
         assert alert.value == 2.0
 
@@ -156,33 +144,43 @@ class TestLossRule:
     def test_descending_loss_is_healthy(self):
         assert LossRule().evaluate(self.make([2.0, 1.5, 1.0, 0.8]), step=3) == []
 
+    def test_reads_the_step_loss_not_the_shard_losses(self):
+        # dp2: each shard's last stage gauges its half-batch loss and the
+        # parent gauges the step result's (their mean).  The window minimum
+        # is the step loss's, 1.0; a shard's 0.5 would make 1.1 "diverged".
+        shards = [(0.5, 1.5)] * 3 + [(1.0, 1.2)]
+        rows = []
+        for step, (a, b) in enumerate(shards):
+            rows += [row(-1, step, gauges={"loss": (a + b) / 2}),
+                     row(0, step, gauges={"loss": a}),
+                     row(1, step, gauges={"loss": b})]
+        assert LossRule.series(rows) == [1.0, 1.0, 1.0, 1.1]
+        assert LossRule(divergence_factor=2.0).evaluate(rows, step=3) == []
+
 
 class TestHealthMonitorDedup:
     def test_persistent_condition_alerts_once(self):
-        coll = Collector()
-        monitor = HealthMonitor(coll, rules=[LossRule()])
-        coll.observe(None, "loss", float("nan"))
-        assert len(monitor.check(step=0)) == 1
+        monitor = HealthMonitor(rules=[LossRule()])
+        rows = parent_losses([float("nan")])
+        assert len(monitor.check(rows, step=0)) == 1
         # Condition still tripped on the next checks: no re-fire.
-        assert monitor.check(step=1) == []
-        assert monitor.check(step=2) == []
+        assert monitor.check(rows, step=1) == []
+        assert monitor.check(rows, step=2) == []
         assert len(monitor.alerts) == 1
 
     def test_refires_after_clearing(self):
-        coll = Collector()
-        monitor = HealthMonitor(coll, rules=[LossRule()])
-        coll.observe(None, "loss", float("nan"))
-        assert len(monitor.check(step=0)) == 1
-        coll.observe(None, "loss", 1.0)  # healthy again
-        assert monitor.check(step=1) == []
-        coll.observe(None, "loss", float("inf"))
-        assert len(monitor.check(step=2)) == 1
+        monitor = HealthMonitor(rules=[LossRule()])
+        assert len(monitor.check(parent_losses([float("nan")]), step=0)) == 1
+        # healthy again
+        assert monitor.check(parent_losses([float("nan"), 1.0]), step=1) == []
+        rows = parent_losses([float("nan"), 1.0, float("inf")])
+        assert len(monitor.check(rows, step=2)) == 1
         assert len(monitor.alerts) == 2
 
     def test_summary_counts_by_rule(self):
-        coll = collector_with_busy({0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0})
-        monitor = HealthMonitor(coll)  # default battery
-        monitor.check(step=0)
+        rows = rows_with_busy({0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0})
+        monitor = HealthMonitor()  # default battery
+        monitor.check(rows, step=0)
         summary = monitor.summary()
         assert summary["total"] == len(summary["alerts"]) >= 1
         assert summary["by_rule"]["straggler"] == 1

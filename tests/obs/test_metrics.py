@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from repro.obs.metrics import NULL_RECORDER, NullRecorder, RunRecorder, step_records
+from repro.obs.metrics import NULL_RECORDER, NullRecorder, RunRecorder, step_rows
 from repro.parallel.backend import load_events
 
 
@@ -96,7 +96,7 @@ class TestSinks:
         events = load_events(rec.stream_path)
         meta = events[0]
         assert meta["run_id"] == "test" and meta["scheme"] == "T2"
-        (r,) = step_records(events)
+        (r,) = step_rows(events)
         assert r["gauges"]["loss"] == 0.5
         assert r["counters"]["samples"] == 8
         assert r["timers_ms"]["forward"] > 0
@@ -133,7 +133,7 @@ class TestSinks:
         path.write_text(
             '{"kind": "step_begin", "rank": -1, "idx": 0, "t": 1.0, "step": 0}\n'
             '{"kind": "step_end", "rank": -1, "idx": 1, "t": 1.5, "step": 0}\n')
-        (record,) = step_records(load_events(path))
+        (record,) = step_rows(load_events(path))
         assert record["t_start_ms"] == 0.0 and record["wall_ms"] == 500.0
 
 
@@ -186,7 +186,7 @@ class TestStreamSink:
                 rec.gauge("loss", loss)
             # Every completed step is already on disk, no close() needed.
             assert load_events(path) == rec.events
-        assert step_records(load_events(path))[1]["gauges"]["loss"] == 1.0
+        assert step_rows(load_events(path))[1]["gauges"]["loss"] == 1.0
 
     def test_a_new_recorder_starts_a_new_file(self, tmp_path):
         path = str(tmp_path / "live.jsonl")
@@ -239,4 +239,4 @@ os.kill(os.getpid(), signal.SIGKILL)   # ...when the process dies
         assert kinds(objs) == ["meta"] + ["step_begin", "gauge", "step_end"] * 3
         events = load_events(path)
         assert events[0]["run_id"] == "doomed"
-        assert [r["step"] for r in step_records(events)] == [0, 1, 2]
+        assert [r["step"] for r in step_rows(events)] == [0, 1, 2]

@@ -1,31 +1,35 @@
-"""The step-summary fold, SlidingWindow statistics, Collector ingestion."""
-
-import math
+"""The per-step fold (``step_rows``), the worker's step-end telemetry
+events, window statistics and the registry snapshot over rows."""
 
 import numpy as np
 import pytest
 
 from repro.obs.fidelity import FidelityProbe
-from repro.obs.telemetry import Collector, SlidingWindow, enabled, step_summary
+from repro.obs.metrics import RunRecorder, step_rows
+from repro.obs.telemetry import enabled
+from repro.obs.telemetry.agent import emit_step_telemetry
+from repro.obs.telemetry.health import WINDOW, window, window_stats
+from repro.obs.telemetry.registry import telemetry_snapshot
 from repro.parallel.backend.events import EventRecord
+from tests.obs.helpers import row
 
 
-def _ev(kind, t, **fields):
-    return {"kind": kind, "rank": 0, "idx": 0, "t": t, **fields}
+def _ev(kind, t, rank=0, **fields):
+    return {"kind": kind, "rank": rank, "idx": 0, "t": t, **fields}
 
 
-def _span(cat, name, dur_ms):
-    return _ev("span", 0.0, name=name, cat=cat, dur=dur_ms / 1e3)
+def _span(cat, name, dur_ms, rank=0):
+    return _ev("span", 0.0, rank, name=name, cat=cat, dur=dur_ms / 1e3)
 
 
-def _faults(**counts):
-    return [_ev("fault", 0.0, fault=kind) for kind, n in counts.items()
+def _faults(rank=0, **counts):
+    return [_ev("fault", 0.0, rank, fault=kind) for kind, n in counts.items()
             for _ in range(n)]
 
 
-def _step(step, *body, wall_s=0.020):
-    return [_ev("step_begin", 1.0, step=step), *body,
-            _ev("step_end", 1.0 + wall_s, step=step)]
+def _step(step, *body, wall_s=0.020, rank=0, t0=1.0):
+    return [_ev("step_begin", t0, rank, step=step), *body,
+            _ev("step_end", t0 + wall_s, rank, step=step)]
 
 
 class TestAgentEvents:
@@ -49,25 +53,30 @@ class TestAgentEvents:
             _span("mp.wait", "barrier", 2.0),
             _span("mp.fault", "retry", 1.5),
             *_faults(drop=2, corrupt=1, delay=1),
+            _ev("gauge", 0.0, name="loss", value=1.25),
+            _ev("gauge", 0.0, name="ring_occupancy", value=3),
+            _ev("gauge", 0.0, name="peak_rss_kb", value=1000.0),
         )
-        event = step_summary(events, loss=1.25, ring_occupancy=3,
-                             peak_rss_kb=1000.0)
-        assert event["step"] == 7
-        assert event["wall_ms"] == pytest.approx(20.0)
-        assert event["comm_wait_ms"] == pytest.approx(5.0)
-        assert event["fault_ms"] == pytest.approx(1.5)
-        assert event["busy_ms"] == pytest.approx(event["wall_ms"] - 5.0)
-        assert event["ring_occupancy"] == 3
-        assert event["retries"] == 3 and event["drops"] == 2
-        assert event["delays"] == 1
-        assert event["loss"] == 1.25
-        assert event["peak_rss_kb"] == 1000.0
+        (r,) = step_rows(events)
+        assert list(r) == ["rank", "step", "t_start_ms", "wall_ms",
+                           "comm_wait_ms", "busy_ms", "fault_ms", "retries",
+                           "drops", "delays", "gauges", "counters",
+                           "timers_ms", "fidelity"]
+        assert r["rank"] == 0 and r["step"] == 7
+        assert r["wall_ms"] == pytest.approx(20.0)
+        assert r["comm_wait_ms"] == pytest.approx(5.0)
+        assert r["fault_ms"] == pytest.approx(1.5)
+        assert r["busy_ms"] == pytest.approx(r["wall_ms"] - 5.0)
+        assert r["retries"] == 3 and r["drops"] == 2
+        assert r["delays"] == 1
+        assert r["gauges"] == {"loss": 1.25, "ring_occupancy": 3,
+                               "peak_rss_kb": 1000.0}
+        assert r["timers_ms"] == {}  # mp.phase is compute, not a phase timer
 
     def test_fault_deltas_are_per_step_not_cumulative(self):
-        # Counted from the slice's own fault events, so a later step with
+        # Counted from each step's own fault events, so a later step with
         # none reads zero whatever the plan's lifetime counters say.
-        first = step_summary(_step(0, *_faults(drop=2)))
-        second = step_summary(_step(1))
+        first, second = step_rows(_step(0, *_faults(drop=2)) + _step(1))
         assert first["drops"] == 2
         assert second["drops"] == 0
 
@@ -77,14 +86,22 @@ class TestAgentEvents:
         probe.observe(site="layer2.mlp", scheme="T2", group="tp",
                       original=x, reconstructed=x * 0.9,
                       wire_bytes=16, dense_bytes=64, residual=x * 0.1)
-        event = step_summary(_step(0), fidelity=probe.per_site())
-        fid = event["fidelity"]["layer2.mlp"]
+        record = EventRecord(rank=1, world=2)
+        for step, loss in ((0, 1.25), (1, None)):
+            record.emit("step_begin", step=step)
+            emit_step_telemetry(record, probe, loss=loss, ring_occupancy=2)
+            record.emit("step_end", step=step)
+        first, second = step_rows(record.flush())
+        fid = first["fidelity"]["layer2.mlp"]
         assert fid["rel_l2"] == pytest.approx(0.1)
         assert fid["ratio"] == pytest.approx(4.0)
         assert fid["residual_norm"] == pytest.approx(np.linalg.norm(x * 0.1))
-        probe.reset()
-        assert "fidelity" not in step_summary(_step(1),
-                                              fidelity=probe.per_site())
+        assert first["gauges"]["loss"] == 1.25
+        assert first["gauges"]["ring_occupancy"] == 2
+        assert first["gauges"]["peak_rss_kb"] >= 0.0
+        # The probe was reset; a stage without the loss emits no loss gauge.
+        assert second["fidelity"] == {}
+        assert set(second["gauges"]) == {"ring_occupancy", "peak_rss_kb"}
 
 
 class TestEnvGate:
@@ -101,107 +118,105 @@ class TestEnvGate:
         assert enabled()
 
 
-class TestSlidingWindow:
-    def test_ring_evicts_but_count_is_lifetime(self):
-        win = SlidingWindow(3)
-        for v in (1, 2, 3, 4, 5):
-            win.push(v)
-        assert win.values() == [3.0, 4.0, 5.0]
-        assert len(win) == 3 and win.count == 5
+class TestStepRows:
+    def test_interleaved_ranks_fold_per_rank(self):
+        # Two ranks' slices interleaved event by event, as a merged stream
+        # can arrive: each rank's begin/end, waits and faults stay its own.
+        rank0 = _step(0, _span("mp.wait", "recv", 2.0, rank=0),
+                      *_faults(rank=0, drop=1), wall_s=0.010, rank=0, t0=1.0)
+        rank1 = _step(0, _span("mp.wait", "recv", 7.0, rank=1),
+                      *_faults(rank=1, delay=1), wall_s=0.030, rank=1, t0=1.002)
+        merged = [e for pair in zip(rank0, rank1) for e in pair]
+        r0, r1 = step_rows(merged)
+        assert (r0["rank"], r1["rank"]) == (0, 1)
+        assert r0["wall_ms"] == pytest.approx(10.0)
+        assert r1["wall_ms"] == pytest.approx(30.0)
+        assert r0["comm_wait_ms"] == pytest.approx(2.0)
+        assert r1["comm_wait_ms"] == pytest.approx(7.0)
+        assert (r0["drops"], r0["delays"]) == (1, 0)
+        assert (r1["drops"], r1["delays"]) == (0, 1)
+        assert r0["t_start_ms"] == r1["t_start_ms"] == 0.0  # own first event
 
+    def test_events_outside_a_step_are_ignored(self):
+        events = [_ev("meta", 0.5, world=2), *_faults(drop=3),
+                  *_step(0), _span("mp.wait", "late", 9.0)]
+        (r,) = step_rows(events)
+        assert r["drops"] == 0 and r["comm_wait_ms"] == 0.0
+        assert r["t_start_ms"] == pytest.approx(500.0)  # from the meta event
+
+    def test_parent_rows_are_rank_minus_one(self):
+        rec = RunRecorder()
+        with rec.step():
+            rec.gauge("loss", 2.0)
+            rec.count("samples", 4)
+            rec.count("samples", 4)
+        (r,) = rec.records
+        assert r["rank"] == -1
+        assert r["gauges"] == {"loss": 2.0} and r["counters"] == {"samples": 8}
+
+
+class TestWindowStats:
     def test_exact_statistics(self):
-        win = SlidingWindow(8)
-        for v in (1, 2, 3, 4, 5):
-            win.push(v)
-        assert win.mean() == pytest.approx(3.0)
-        assert win.std() == pytest.approx(math.sqrt(2.0))
-        assert win.min() == 1.0 and win.max() == 5.0
-        assert win.last == 5.0
-        assert win.p50() == pytest.approx(3.0)
-        assert win.p99() == pytest.approx(4.96)  # interpolated, exact
+        stats = window_stats([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert stats["count"] == stats["window"] == 5
+        assert stats["mean"] == pytest.approx(3.0)
+        assert stats["min"] == 1.0 and stats["max"] == 5.0
+        assert stats["last"] == 5.0
+        assert stats["p50"] == pytest.approx(3.0)
+        assert stats["p99"] == pytest.approx(4.96)  # interpolated, exact
 
-    def test_ewma(self):
-        win = SlidingWindow(8, ewma_alpha=0.5)
-        win.push(10.0)
-        win.push(20.0)
-        assert win.ewma == pytest.approx(15.0)
+    def test_percentile_interpolates_between_neighbours(self):
+        stats = window_stats([10.0, 0.0])  # order-free: sorted first
+        assert stats["p50"] == pytest.approx(5.0)
+        assert stats["p99"] == pytest.approx(9.9)
+        assert window_stats([7.0])["p99"] == 7.0
 
-    def test_empty_window_stats_are_none_or_nan(self):
-        win = SlidingWindow(4)
-        stats = win.stats()
+    def test_empty_window_stats_are_none(self):
+        stats = window_stats([])
         assert stats["count"] == 0 and stats["window"] == 0
-        assert stats["last"] is None and stats["mean"] is None
-        assert math.isnan(win.mean()) and math.isnan(win.p50())
+        assert all(stats[k] is None
+                   for k in ("last", "mean", "min", "max", "p50", "p99"))
 
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0)
-        with pytest.raises(ValueError):
-            SlidingWindow(4, ewma_alpha=0.0)
-
-
-def step_event(rank, step, **fields):
-    base = {"kind": "step", "rank": rank, "idx": 0, "t": 0.0, "step": step,
-            "wall_ms": 10.0, "comm_wait_ms": 4.0, "busy_ms": 6.0,
-            "fault_ms": 0.0, "ring_occupancy": 1, "retries": 0, "drops": 0,
-            "delays": 0, "peak_rss_kb": 1000.0}
-    base.update(fields)
-    return base
+    def test_window_keeps_each_ranks_last_steps_and_count_is_lifetime(self):
+        rows = [row(rank, step, wall_ms=float(step))
+                for step in range(WINDOW + 6) for rank in (-1, 0, 1)]
+        recent = window(rows)
+        assert len(recent) == 3 * WINDOW
+        assert {r["step"] for r in recent} == set(range(6, WINDOW + 6))
+        wall = telemetry_snapshot(rows)["per_rank"]["0"]["wall_ms"]
+        assert (wall["count"], wall["window"]) == (WINDOW + 6, WINDOW)
+        assert wall["min"] == 6.0
 
 
-class TestCollector:
-    def test_meta_registers_rank_and_world(self):
-        coll = Collector()
-        coll.ingest({"kind": "meta", "rank": 2, "idx": 0, "t": 0.0, "world": 4})
-        assert coll.ranks() == [2]
-        assert coll.world == 4
-
-    def test_step_feeds_per_rank_and_pooled_series(self):
-        coll = Collector()
-        coll.ingest(step_event(0, 0, wall_ms=10.0))
-        coll.ingest(step_event(1, 0, wall_ms=30.0))
-        assert coll.series(0, "wall_ms").values() == [10.0]
-        assert coll.series(None, "wall_ms").values() == [10.0, 30.0]
-        assert coll.last_step(1) == 0
+class TestSnapshot:
+    def test_rows_feed_per_rank_and_pooled_windows(self):
+        snap = telemetry_snapshot([row(0, 0, wall_ms=10.0),
+                                   row(1, 0, wall_ms=30.0)])
+        assert snap["per_rank"]["0"]["wall_ms"]["last"] == 10.0
+        assert snap["pooled"]["wall_ms"]["window"] == 2
+        assert snap["pooled"]["wall_ms"]["mean"] == 20.0
+        assert snap["last_step"] == {"0": 0, "1": 0}
 
     def test_fidelity_pools_per_site(self):
-        coll = Collector()
-        coll.ingest(step_event(0, 0, fidelity={
-            "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": None},
-        }))
-        assert coll.sites() == ["boundary0"]
-        assert coll.series(None, "fidelity/boundary0/rel_l2").values() == [0.1]
-        # None residual never becomes a sample
-        assert len(coll.series(None, "fidelity/boundary0/residual_norm")) == 0
-
-    def test_unknown_events_are_counted_but_ignored(self):
-        coll = Collector()
-        coll.ingest({"kind": "fault", "rank": 0, "idx": 0, "t": 0.0,
-                     "fault": "kill"})
-        coll.ingest({"kind": "span", "rank": 0, "idx": 1, "t": 0.0,
-                     "name": "barrier", "cat": "mp.wait", "dur": 0.001})
-        assert coll.events_seen == 2
-        assert coll.ranks() == []
-
-    def test_ingest_record_takes_every_ranks_slice(self):
-        coll = Collector()
-        record = {0: [step_event(0, 0), step_event(0, 1)],
-                  1: [step_event(1, 0)]}
-        coll.ingest_record(record)
-        assert coll.events_seen == 3
-        assert coll.ranks() == [0, 1] and coll.last_step(0) == 1
-        coll.ingest_record({})  # telemetry off: nothing rides
-        assert coll.events_seen == 3
+        snap = telemetry_snapshot([row(0, 0, fidelity={
+            "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": None}})])
+        assert list(snap["fidelity"]) == ["boundary0"]
+        assert snap["fidelity"]["boundary0"]["rel_l2"]["last"] == 0.1
+        # A None residual never becomes a sample.
+        assert "residual_norm" not in snap["fidelity"]["boundary0"]
 
     def test_snapshot_shape(self):
-        coll = Collector()
-        coll.ingest({"kind": "meta", "rank": 0, "idx": 0, "t": 0.0, "world": 2})
-        coll.ingest(step_event(0, 3, loss=1.5, fidelity={
-            "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": 2.0},
-        }))
-        snap = coll.snapshot()
-        assert snap["world"] == 2 and snap["ranks"] == [0]
-        assert snap["last_step"] == {"0": 3}
+        fidelity = {"boundary0": {"rel_l2": 0.1, "ratio": 4.0,
+                                  "residual_norm": 2.0}}
+        rows = [row(-1, 3, gauges={"loss": 1.5}),
+                row(0, 3, gauges={"loss": 1.0}, fidelity=fidelity),
+                row(1, 3, gauges={"loss": 2.0})]
+        snap = telemetry_snapshot(rows)
+        assert snap["world"] == 2 and snap["ranks"] == [0, 1]
+        assert snap["last_step"] == {"0": 3, "1": 3}
         assert snap["per_rank"]["0"]["wall_ms"]["window"] == 1
+        assert snap["per_rank"]["1"]["loss"]["last"] == 2.0
+        # The parent's loss is the run's: one value per step, not per rank.
+        assert snap["pooled"]["loss"]["count"] == 1
         assert snap["pooled"]["loss"]["last"] == 1.5
         assert snap["fidelity"]["boundary0"]["rel_l2"]["mean"] == 0.1

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from repro.obs.telemetry import (
-    Collector,
     HealthMonitor,
     LossRule,
     RunSchemaError,
@@ -20,31 +19,31 @@ from repro.obs.telemetry import (
     write_html,
 )
 from repro.obs.telemetry.registry import list_runs, load_run, resolve_run
+from tests.obs.helpers import row
 
 
-def step_event(rank, step, **fields):
-    base = {"kind": "step", "rank": rank, "t": 0.0, "step": step,
-            "wall_ms": 10.0 + rank, "comm_wait_ms": 4.0, "busy_ms": 6.0 + rank,
-            "fault_ms": 0.0, "ring_occupancy": 1, "retries": 0, "drops": 0,
-            "delays": 0, "peak_rss_kb": 1000.0, "loss": 1.5}
-    base.update(fields)
-    return base
+def make_rows(wall_ms=10.0, loss=1.5):
+    """Three steps of a 2-rank gang plus the parent's rows."""
+    rows = []
+    for step in range(3):
+        rows.append(row(-1, step, gauges={"loss": loss}))
+        for rank in (0, 1):
+            rows.append(row(
+                rank, step, wall_ms=wall_ms + rank, busy_ms=6.0 + rank,
+                gauges={"ring_occupancy": 1, "peak_rss_kb": 1000.0,
+                        "loss": 1.5},
+                fidelity={"boundary0": {"rel_l2": 0.1, "ratio": 4.0,
+                                        "residual_norm": 2.0}}))
+    return rows
 
 
 def make_summary(run_id="run-a", wall_ms=10.0, with_alert=False):
-    coll = Collector()
-    for rank in (0, 1):
-        coll.ingest({"kind": "meta", "rank": rank, "t": 0.0, "world": 2})
-        for step in range(3):
-            coll.ingest(step_event(rank, step, wall_ms=wall_ms + rank,
-                                   fidelity={"boundary0": {
-                                       "rel_l2": 0.1, "ratio": 4.0,
-                                       "residual_norm": 2.0}}))
-    monitor = HealthMonitor(coll, rules=[LossRule()])
+    rows = make_rows(wall_ms)
     if with_alert:
-        coll.observe(None, "loss", float("nan"))
-    monitor.check(step=3)
-    return build_summary(run_id, coll, monitor, meta={"scheme": "A2"})
+        rows.append(row(-1, 3, gauges={"loss": float("nan")}))
+    monitor = HealthMonitor(rules=[LossRule()])
+    monitor.check(rows, step=3)
+    return build_summary(run_id, rows, monitor, meta={"scheme": "A2"})
 
 
 class TestSchema:
@@ -164,7 +163,7 @@ class TestDiff:
         doc_a = make_summary("a")
         doc_b = make_summary("b")
         doc_b["telemetry"]["pooled"]["extra_metric"] = {
-            "count": 1, "window": 1, "last": 1.0, "mean": 1.0, "ewma": 1.0,
+            "count": 1, "window": 1, "last": 1.0, "mean": 1.0,
             "min": 1.0, "max": 1.0, "p50": 1.0, "p99": 1.0}
         rows = diff_runs(doc_a, doc_b)
         row = next(r for r in rows if r["metric"] == "pooled/extra_metric/p50")
@@ -179,14 +178,11 @@ class TestDiff:
 
 class TestDashboards:
     def test_render_top_shows_ranks_and_alerts(self):
-        coll = Collector()
-        for rank in (0, 1):
-            coll.ingest({"kind": "meta", "rank": rank, "t": 0.0, "world": 2})
-            coll.ingest(step_event(rank, 0))
-        monitor = HealthMonitor(coll, rules=[LossRule()])
-        coll.observe(None, "loss", float("nan"))
-        monitor.check(step=0)
-        frame = render_top(coll, monitor, step=0)
+        rows = [row(-1, 0, gauges={"loss": float("nan")}),
+                row(0, 0), row(1, 0)]
+        monitor = HealthMonitor(rules=[LossRule()])
+        monitor.check(rows, step=0)
+        frame = render_top(rows, monitor, step=0)
         assert "world=2" in frame
         assert "non-finite" in frame  # the alert text
         lines = [ln for ln in frame.splitlines() if ln.strip().startswith(("0", "1"))]
@@ -200,3 +196,54 @@ class TestDashboards:
         out = tmp_path / "dash.html"
         assert write_html(str(out), doc) == str(out)
         assert "html-run" in out.read_text()
+
+
+#: The per-rank series an mp run's summary held before the row fold.
+PARENT_FORMAT_METRICS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms",
+                         "ring_occupancy", "retries", "drops", "delays",
+                         "peak_rss_kb", "loss")
+
+
+def parent_format_stats(value):
+    """A window's stats as summaries were written before the row fold: 12
+    lifetime samples, 12 in the window, and an exponential average."""
+    return {"count": 12, "window": 12, "last": value, "mean": value,
+            "ewma": value, "min": value, "max": value, "p50": value,
+            "p99": value}
+
+
+class TestParentFormatDocument:
+    def doc(self):
+        per_rank = {str(rank): {m: parent_format_stats(float(rank + 1))
+                                for m in PARENT_FORMAT_METRICS}
+                    for rank in (0, 1)}
+        return {
+            "schema_version": 1, "run_id": "parent", "created_unix": 0.0,
+            "meta": {"scheme": "A2"},
+            "telemetry": {
+                "world": 2, "ranks": [0, 1], "events_seen": 40,
+                "last_step": {"0": 5, "1": 5}, "per_rank": per_rank,
+                "pooled": {m: parent_format_stats(1.5)
+                           for m in PARENT_FORMAT_METRICS},
+                "fidelity": {"boundary0": {
+                    f: parent_format_stats(0.1)
+                    for f in ("rel_l2", "ratio", "residual_norm")}},
+            },
+            "health": {"total": 0, "by_rule": {}, "alerts": []},
+        }
+
+    def test_loads_renders_and_diffs_against_a_row_summary(self, tmp_path):
+        old = load_run(save_run(str(tmp_path), self.doc()))
+        assert validate_run(old) is old
+        assert "boundary0" in render_html(old)
+        new = make_summary("rows")
+        rows = {r["metric"]: r for r in diff_runs(old, new)}
+        compared = [m for m in rows if m.startswith(("pooled/", "rank"))]
+        for stat in ("p50", "p99"):
+            assert {f"pooled/{m}/{stat}" for m in PARENT_FORMAT_METRICS} \
+                <= set(compared)
+        assert {f"rank{r}/{m}/mean" for r in (0, 1)
+                for m in PARENT_FORMAT_METRICS} <= set(compared)
+        for metric in compared:
+            assert rows[metric]["parent"] != "" and rows[metric]["rows"] != "", metric
+            assert rows[metric]["delta"] != "", metric

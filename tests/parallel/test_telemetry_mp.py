@@ -2,9 +2,11 @@
 
 Contracts from DESIGN "Rank event record":
 
-- with ``REPRO_TELEMETRY=1`` every rank's meta + step events ride the
-  step reply, including per-site compression fidelity, and are in
-  ``result.record`` when ``train_step`` returns — nothing here sleeps;
+- with ``REPRO_TELEMETRY=1`` every rank's step slice — its spans, faults,
+  step-end gauges and per-site compression fidelity — rides the step
+  reply and is in ``result.record`` when ``train_step`` returns, so
+  ``step_rows`` folds one row per rank per step from it — nothing here
+  sleeps;
 - the observers are *bitwise* neutral, one at a time and all together —
   identical losses, weights and CommEvent multisets over a multi-step
   training loop (equality, not allclose);
@@ -18,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.nn.transformer import TransformerConfig
-from repro.obs.telemetry import Collector, HealthMonitor
+from repro.obs.metrics import RunRecorder, step_rows
+from repro.obs.telemetry import HealthMonitor, LossRule
+from repro.obs.telemetry.health import values
 from repro.optim import Adam
 from repro.parallel.backend import create_backend
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
@@ -43,70 +47,86 @@ def make_batch(seed=0):
     return ids, labels, mask
 
 
-def train_loop(model, steps=2, collector=None, results=None, **backend_kw):
-    """A few real optimizer steps through the mp backend; returns losses."""
+def flat(record):
+    """``StepResult.record`` as one event list, rank by rank."""
+    return [e for rank in sorted(record) for e in record[rank]]
+
+
+def train_loop(model, steps=2, rows=None, results=None, **backend_kw):
+    """A few real optimizer steps through the mp backend; returns losses.
+
+    ``rows`` receives the run's ``step_rows``: the workers' from each
+    step's record, the parent's (rank -1, gauging the step loss) from a
+    recorder around each step.
+    """
     optimizer = Adam(model.parameters(), lr=1e-3)
+    recorder = RunRecorder()
+    events = []
     losses = []
     backend = create_backend("mp", model, timeout=MP_TIMEOUT, **backend_kw)
     try:
         for step in range(steps):
             ids, labels, mask = make_batch(seed=step)
-            result = backend.step(ids, labels, mask, optimizer)
+            with recorder.step(step):
+                result = backend.step(ids, labels, mask, optimizer)
+                recorder.gauge("loss", result.loss)
             losses.append(result.loss)
-            if collector is not None:
-                collector.ingest_record(result.record)
+            events += flat(result.record)
             if results is not None:
                 results.append(result)
     finally:
         backend.close()
+    if rows is not None:
+        rows += step_rows(recorder.events + events)
     return losses
 
 
 class TestSideChannel:
     def test_every_rank_streams_step_events_and_fidelity(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        collector = Collector()
-        train_loop(make_model("A2"), steps=2, collector=collector)
+        rows = []
+        losses = train_loop(make_model("A2"), steps=2, rows=rows)
 
-        assert collector.ranks() == [0, 1, 2, 3]
-        assert collector.world == 4
+        assert sorted({r["rank"] for r in rows}) == [-1, 0, 1, 2, 3]
         for rank in range(4):
-            assert collector.last_step(rank) == 1
-            wall = collector.series(rank, "wall_ms")
-            busy = collector.series(rank, "busy_ms")
-            wait = collector.series(rank, "comm_wait_ms")
-            assert len(wall) == 2
-            assert all(v > 0 for v in wall.values())
+            own = [r for r in rows if r["rank"] == rank]
+            assert [r["step"] for r in own] == [0, 1]
+            assert all(r["wall_ms"] > 0 for r in own)
             # busy = wall − wait by construction.
-            for w, b, c in zip(wall.values(), busy.values(), wait.values()):
-                assert b == pytest.approx(max(w - c, 0.0))
+            for r in own:
+                assert r["busy_ms"] == pytest.approx(
+                    max(r["wall_ms"] - r["comm_wait_ms"], 0.0))
+            assert {"ring_occupancy", "peak_rss_kb"} <= set(own[0]["gauges"])
+        # Only the last pipeline stage (ranks 2, 3) gauges a loss.
+        assert [r["rank"] for r in rows if r["rank"] >= 0
+                and "loss" in r["gauges"]] == [2, 3, 2, 3]
+        # The loss rule reads the step results' losses, one per step.
+        assert LossRule.series(rows) == losses
         # The A2 scheme compresses both TP sites and the PP boundary:
         # fidelity must arrive from the SPMD collectives, pooled per site.
-        sites = collector.sites()
+        sites = {site for r in rows for site in r["fidelity"]}
         assert "boundary0" in sites
         assert any(s.startswith("layer") for s in sites)
-        rel = collector.series(None, "fidelity/boundary0/rel_l2")
-        assert len(rel) > 0 and all(v >= 0 for v in rel.values())
+        rel = values(rows, "fidelity/boundary0/rel_l2")
+        assert len(rel) > 0 and all(v >= 0 for v in rel)
 
     def test_channel_is_silent_when_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        collector = Collector()
+        results = []
         train_loop(make_model("w/o", schedule="gpipe", microbatches=1),
-                   steps=1, collector=collector)
-        assert collector.events_seen == 0
-        assert collector.ranks() == []
+                   steps=1, results=results)
+        assert results[0].record == {}
 
     def test_step_summaries_are_in_hand_when_train_step_returns(self, monkeypatch):
-        """30 of 30 steps: exactly ``world`` summaries for step k, and for
-        no other step, in the result of ``train_step(k)``."""
+        """30 of 30 steps: exactly ``world`` rows for step k, and for no
+        other step, fold from the result of ``train_step(k)``."""
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         results = []
         train_loop(make_model("A2"), steps=30, results=results)
         for k, result in enumerate(results):
-            summaries = [e for events in result.record.values()
-                         for e in events if e["kind"] == "step"]
-            assert sorted(e["rank"] for e in summaries) == [0, 1, 2, 3], k
-            assert {e["step"] for e in summaries} == {k}
+            rows = step_rows(flat(result.record))
+            assert sorted(r["rank"] for r in rows) == [0, 1, 2, 3], k
+            assert {r["step"] for r in rows} == {k}
             assert result.timelines == {}  # nobody asked for the span view
 
 
@@ -156,14 +176,14 @@ class TestStragglerAlert:
         # the straggler rule's 10 ms gap floor.
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.setenv("REPRO_FAULT_PLAN", "straggler")
-        collector = Collector()
-        monitor = HealthMonitor(collector)
-        train_loop(make_model("w/o"), steps=2, collector=collector)
-        monitor.check(step=2)
+        rows = []
+        monitor = HealthMonitor()
+        train_loop(make_model("w/o"), steps=2, rows=rows)
+        monitor.check(rows, step=2)
 
         stragglers = [a for a in monitor.alerts if a.rule == "straggler"]
         assert stragglers, f"no straggler alert; got {monitor.alerts}"
         assert {a.rank for a in stragglers} == {1}
         assert "rank 1" in stragglers[0].message
         # The injected delay is also visible as this rank's fault counter.
-        assert sum(collector.series(1, "delays").values()) >= 1
+        assert sum(values(rows, "delays", 1)) >= 1
