@@ -1,0 +1,249 @@
+"""Mutation audit of the verification layer: ``mutants.py [--ref REF] [ID ...]``.
+
+Each mutation ``(id, file under src/repro, old, new, contract broken)`` is
+applied to a fresh ``git archive REF`` copy in a temp dir.  Columns:
+``tier-1*`` (``pytest -x`` without ``tests/lint``, the pin test and the test of
+this list, which any mutant fails), ``pin``
+(``python -m repro.bench``), each dynamic checker through its ``tests/lint``
+file (DYN003 records an mp 1F1B step and replays it), each REPRO rule alone,
+and ``paper-claims`` where every faster column misses.  A pytest catch
+counts if the test passes alone unmutated (a timed one must also fail alone
+on the mutant), else the column re-runs without it.  Prints which check
+catches which bug as a markdown table, with the test or finding behind each.
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+T = "parallel/backend/transport.py"
+C = "parallel/collectives.py"
+P = "parallel/pipeline.py"
+
+MUTANTS = [
+    ("sum-order", "parallel/backend/context.py", "total = terms[0]\n    for term in terms[1:]:",
+     "total = terms[-1]\n    for term in terms[-2::-1]:", "one rank-order fold"),
+    ("ef-residual", "compression/error_feedback.py", "self._residuals[site] = np.subtract(",
+     "_ = np.subtract(", "EF keeps the residual"),
+    ("topk-bytes", "compression/topk.py", "return k * (BYTES_FP16 + BYTES_INT32)",
+     "return k * (BYTES_FP16 + BYTES_INT32) + 1", "Top-K wire bytes"),
+    ("quant-bytes", "compression/quantization.py", "return packed + 2 * n_groups * BYTES_FP16",
+     "return packed + n_groups * BYTES_FP16", "quant wire bytes (scale + min per group)"),
+    ("ae-bytes", "compression/autoencoder.py", "* self.code_dim * BYTES_FP16",
+     "* (self.code_dim + 1) * BYTES_FP16", "AE wire bytes"),
+    ("topk-bwd-mask", "compression/topk.py", "return (g * mask,)", "return (g,)",
+     "Top-K backward carries only kept coordinates"),
+    ("randk-biased", "compression/randomk.py",
+     "scale = (1.0 / self.fraction) if self.unbiased else 1.0", "scale = 1.0",
+     "unbiased Random-K rescales by 1/fraction"),
+    ("send-emit-late", T, "self._send_seq = seq\n        rec = events.protocol()",
+     "self._send_seq = seq\n        self._status[slot][0] = _FULL\n"
+     "        rec = events.protocol()", "send event stamped before the FULL flip"),
+    ("recv-emit-late", T, "self._recv_seq = seq\n        rec = events.protocol()",
+     "self._recv_seq = seq\n        self._status[slot][0] = _EMPTY\n"
+     "        rec = events.protocol()", "recv event stamped before the EMPTY release"),
+    ("arrive-emit-late", T,
+     "        rec = events.protocol()\n        if rec is not None:\n"
+     "            # Before the publishing store (see",
+     '        struct.pack_into("<I", self._buf, 4 * self.rank, self._generation)\n'
+     "        rec = events.protocol()\n        if rec is not None:\n"
+     "            # Before the publishing store (see", "arrival stamped before it is published"),
+    ("send-event-slot", T, 'rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)',
+     'rec.emit("send", src=self.src, dst=self.dst, slot=0, seq=seq)', "send event names its slot"),
+    ("resend-unmarked", T, "seq=seq, dropped=True, retry=attempt)", "seq=seq)",
+     "a dropped attempt is marked in the record"),
+    ("full-before-payload", T,
+     "        if arr.nbytes:\n            self._payload[slot][: arr.nbytes]",
+     "        self._status[slot][0] = _FULL\n        if arr.nbytes:\n"
+     "            self._payload[slot][: arr.nbytes]", "FULL flips after payload and header"),
+    ("seq-check", T, "if got_seq != seq:", "if False:", "stale or reordered slot is rejected"),
+    ("magic-check", T, "if magic != _MAGIC:", "if False:", "corrupt magic is rejected"),
+    ("header-shape-check", T, "if any(shape[ndim:]):", "if False:", "header layout words checked"),
+    ("straggler", T, "                return peer\n", "                pass\n",
+     "barrier waits for every peer"),
+    ("send-no-wait", T,
+     "        self._wait_status(slot, _EMPTY, deadline, waiting_on=self.dst, seq=seq)\n", "",
+     "a send waits for its slot to be EMPTY"),
+    ("warmup+1", P, "return min(pp - 1 - stage, num_microbatches)",
+     "return min(pp - stage, num_microbatches)", "1F1B warmup depth"),
+    ("steady-b-first", P,
+     '        ops.append(ScheduleOp("F", fwd))\n        ops.append(ScheduleOp("B", bwd))',
+     '        ops.append(ScheduleOp("B", bwd))\n        ops.append(ScheduleOp("F", fwd))',
+     "1F1B steady state runs F before B"),
+    ("drain-drop", P, 'ScheduleOp("B", i) for i in range(bwd, m)',
+     'ScheduleOp("B", i) for i in range(bwd + 1, m)', "every microbatch gets its B"),
+    ("peak+1", P, "return min(pp - stage, m)", "return min(pp - stage + 1, m)", "1F1B peak bound"),
+    ("sp-ring-bytes", C, "wire = 3 * (sp - 1) * dense_bytes(block_shape)",
+     "wire = 2 * (sp - 1) * dense_bytes(block_shape)", "SP ring moves K, V and ctx blocks"),
+    ("bwd-twin", C, "        if records:\n            tracker.record(bwd)",
+     "        if records:\n            pass", "a cut point logs its backward twin"),
+    ("ae-all-gather", C, 'op = "all_gather" if kind == "message" else "all_reduce"',
+     'op = "all_reduce" if kind == "dense" else "all_gather"', "AE all-reduces its code"),
+    ("extra-recorder", C, "        if group.records:\n            tracker.record(event)",
+     "        if True:\n            tracker.record(event)", "only the designated rank records"),
+    ("dp-site-shared", C, 'site=f"dp.rank{r}"', 'site="dp.rank0"', "one EF site per dp replica"),
+    ("dp-mean", C, "mean = sum_in_order(sent) / dp", "mean = sum_in_order(sent)", "dp averages"),
+    ("untracked", "parallel/tensor_parallel.py",
+     'x = tp_broadcast(x, self.tp, tracker, layer=layer, site="mlp")',
+     'x = tp_broadcast(x, self.tp, layer=layer, site="mlp")', "collectives get a tracker"),
+    ("unseeded-rng", "data/pretraining.py", "self.rng = np.random.default_rng(seed)",
+     "self.rng = np.random.default_rng()", "every RNG is seeded"),
+    ("unseeded-inputs", "obs/cli.py", "rng = np.random.default_rng(0)\n    input_ids",
+     "rng = np.random.default_rng()\n    input_ids", "every RNG is seeded"),
+    ("hash-seed", "data/tasks.py", "zlib.crc32(name.encode())", "hash(name)",
+     "seeds are stable across processes"),
+    ("eval-plan", "parallel/backend/faults.py", "return FaultPlan(json.loads(value))",
+     "return FaultPlan(eval(value))", "config strings go through parsers"),
+    ("mutable-default", "nn/module.py", "def __init__(self, modules=()):",
+     "def __init__(self, modules=[]):", "no mutable defaults"),
+    ("no-deadline", "parallel/backend/worker.py", "transport.barrier_wait(timeout=ctx.timeout)",
+     "transport.barrier_wait()", "blocking calls carry the rank's deadline"),
+    ("rank-context", C, 'group = Group("tp", world)\n',
+     "from repro.parallel.backend.context import rank_context  # noqa\n"
+     '    group = Group("tp", world)\n', "only the backend reads rank_context"),
+    ("unvalidated-config", "training/trainer.py",
+     "    def __post_init__(self):\n        if self.lr <= 0:",
+     "    def _unused(self):\n        if self.lr <= 0:", "configs validate themselves"),
+    ("float64-op", "tensor/functional.py",
+     "out_data = pool.empty(np.broadcast(mask, x.data).shape, x.data.dtype)",
+     "out_data = pool.empty(np.broadcast(mask, x.data).shape, np.float64)", "ops stay float32"),
+    ("bwd-writes-g", "tensor/functional.py",
+     "np.multiply(g, ~mask, out=pool.empty(out_data.shape, g.dtype))",
+     "np.multiply(g, ~mask, out=g)", "a backward closure never writes into g"),
+    ("retry-budget", "parallel/backend/faults.py", "if self.retry_budget < 1:",
+     "if self.retry_budget < 0:", "FaultPlan rejects retry_budget 0 at parse time"),
+    ("ckpt-atomic", "training/checkpoint.py", 'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
+     "a checkpoint appears only when complete"),
+    ("clip-l1", "optim/optimizer.py", "total += float((p.grad.astype(np.float64) ** 2).sum())",
+     "total += float(np.abs(p.grad.astype(np.float64)).sum() ** 2)", "clip by the global L2 norm"),
+]
+
+PYTEST = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
+TIER1 = PYTEST + ["-x", "--ignore=tests/lint", "--ignore=tests/test_mutation_list.py", "--deselect",
+                  "tests/bench/test_run_and_cli.py::TestRunSuite::test_matches_committed_baseline"]
+TIMED = "TestCostRatios"  # bars on measured wall-time ratios
+CLAIMS = PYTEST + ["-x", "benchmarks", "--ignore=benchmarks/e2e"]
+RECORD = ["-m", "repro.obs", "mp-trace", "--out", "conc/t.json", "--scheme", "A2", "--tp", "2",
+          "--pp", "2", "--schedule", "1f1b", "--microbatches", "4", "--conc-log", "conc"]
+ENV = {**{k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}, "PYTHONPATH": "src"}
+
+
+def run(root, args, timeout):  # -> (returncode or None on timeout, seconds, output)
+    start = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, *args], cwd=root, env=ENV, timeout=timeout,
+                              capture_output=True, text=True)
+        return proc.returncode, time.monotonic() - start, proc.stdout + proc.stderr
+    except subprocess.TimeoutExpired:
+        return None, time.monotonic() - start, ""
+
+
+def pytest_column(args, timeout):
+    def check(root, clean):
+        extra, spent = [], 0.0
+        for _ in range(3):
+            code, secs, out = run(root, args + extra, timeout)
+            spent += secs
+            failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", out, re.M)
+            if code is None or code == 0 or not failed:
+                return {None: "timeout", 0: "missed"}.get(code, "caught"), spent, out[-160:]
+            test, alone = failed[0], PYTEST + [failed[0]]
+            if clean is None:  # unmutated: a failure that passes alone was load
+                real = run(root, alone, timeout)[0] != 0
+            else:  # passes alone unmutated; a timed test must also fail again
+                real = run(clean, alone, timeout)[0] == 0 and (
+                    TIMED not in test or run(root, alone, timeout)[0] != 0)
+            if real:
+                return "caught", spent, test
+            extra += ["--deselect", test]
+        return "missed", spent, ""
+    return check
+
+
+def command_column(steps, timeout):
+    def check(root, clean):
+        spent = 0.0
+        for args in steps:
+            code, secs, out = run(root, args, timeout)
+            spent += secs
+            if code != 0:
+                lines = [ln for ln in out.splitlines() if ln.strip()] or [f"exit {code}"]
+                what = next((x for x in lines if re.search("::|DYN|REPRO", x)), lines[-1])
+                return ("timeout" if code is None else "caught"), spent, what[:160]
+        return "missed", spent, ""
+    return check
+
+
+def columns(root):
+    cols = {"tier-1*": pytest_column(TIER1, 900),
+            "pin": command_column([["-m", "repro.bench"]], 300)}
+    dyn = {}
+    for test in root.glob("tests/lint/test_*_check.py"):  # one per dynamic checker
+        files = sorted(str(p.relative_to(root)) for p in test.parent.glob(f"{test.stem}*.py"))
+        code = [root / f"src/repro/lint/{test.stem[5:]}.py"] + [root / f for f in files]
+        dyn[re.search(r"DYN\d{3}", "".join(p.read_text() for p in code)).group()] = (
+            command_column([RECORD, ["-m", "repro.lint", "--race-log", "conc"]], 300)
+            if test.stem == "test_race_check" else pytest_column(PYTEST + files, 300))
+    cols.update(sorted(dyn.items()))
+    listed = run(root, ["-m", "repro.lint", "--list-rules"], 60)[2]
+    for rid in re.findall(r"^(REPRO\d+)", listed, re.M):
+        cols[rid] = command_column([["-m", "repro.lint", "--rules", rid, "src/"]], 120)
+    return cols
+
+
+def extract(ref, dest):
+    (dest / "conc").mkdir(parents=True)
+    subprocess.run(f"git archive {ref} | tar -x -C {dest}", shell=True, check=True)
+
+
+def row(label, contract, names, cells, notes):
+    marks = {"caught": "**C**", "missed": "·", "timeout": "T"}
+    got = [cells.get(name, ("-", 0, "")) for name in names]
+    notes += [f"- {label} / {n}: {what}" for n, (st, _, what) in zip(names, got) if st == "caught"]
+    out = [f"{marks[st]} {secs:.0f}s" if st in marks else "–" for st, secs, _ in got]
+    print(f"| {label} | {contract} | " + " | ".join(out) + " |", flush=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--ref", default="HEAD", help="tree to audit (default HEAD)")
+    ap.add_argument("ids", nargs="*", help="mutation ids (default: all)")
+    args = ap.parse_args(argv)
+    tmp = Path(tempfile.mkdtemp(prefix="mutants-"))
+    clean, notes = tmp / "clean", []
+    try:
+        extract(args.ref, clean)
+        cols = columns(clean)
+        base = {name: check(clean, None) for name, check in cols.items()}
+        if any(cell[0] != "missed" for cell in base.values()):
+            sys.exit(f"a column fails on the unmutated copy: {base}")
+        names = list(cols) + ["paper-claims"]
+        print(f"| mutation | contract broken | {' | '.join(names)} |")
+        print("|---|---|" + "---|" * len(names))
+        row("(unmutated)", "every column passes", names, base, notes)
+        for mid, rel, old, new, contract in MUTANTS:
+            if args.ids and mid not in args.ids:
+                continue
+            root = tmp / mid
+            extract(args.ref, root)
+            path = root / "src/repro" / rel
+            text = path.read_text()
+            assert text.count(old) == 1, f"{mid}: old text occurs {text.count(old)} times in {rel}"
+            path.write_text(text.replace(old, new))
+            cells = {name: check(root, clean) for name, check in cols.items()}
+            if all(cell[0] != "caught" for cell in cells.values()):
+                cells["paper-claims"] = pytest_column(CLAIMS, 1800)(root, clean)
+            row(f"`{mid}`", contract, names, cells, notes)
+        print("\nCatches (the failing test or finding):\n\n" + "\n".join(notes))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()

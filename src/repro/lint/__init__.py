@@ -3,19 +3,20 @@
 Three layers, each usable on its own:
 
 1. :mod:`repro.lint.engine` + :mod:`repro.lint.ast_rules` — an AST rule
-   engine enforcing the reproduction's structural invariants (tracked
-   collectives, seeded randomness, validated configs, recorded backward
-   closures, ...).  Rules are registered in a global registry and can be
+   engine enforcing the reproduction's structural invariants (seeded
+   randomness, stable seeds, no ``eval``, deadlines on blocking calls,
+   ...).  Rules are registered in a global registry and can be
    suppressed per line with ``# lint: disable=<rule>``.
-2. :mod:`repro.lint.graph_check` + :mod:`repro.lint.spmd_check` — dynamic
-   checkers that run a tiny model-parallel BERT and cross-validate the
-   recorded :class:`~repro.parallel.collectives.CommEvent` stream against
-   an independent closed-form oracle, plus a NaN/Inf + dtype sanitizer
-   installable on :class:`repro.tensor.Tensor` ops.
+2. Two dynamic checkers: :mod:`repro.lint.spmd_check` (DYN002) runs a
+   tiny model-parallel BERT and cross-validates the recorded
+   :class:`~repro.parallel.collectives.CommEvent` stream against an
+   independent closed-form oracle; :mod:`repro.lint.race_check` (DYN003)
+   replays a recorded mp run's event log for happens-before races.
+   Tier-1 runs both; the CLI reaches DYN003 through ``--race-log``.
 3. :mod:`repro.lint.cli` — ``python -m repro.lint [options] paths...``.
 
-The dynamic modules import the full model stack, so they are *not*
-imported here; the CLI loads them lazily when ``--dynamic`` is given.
+The dynamic modules import the model stack, so they are *not* imported
+here.
 """
 
 from repro.lint.engine import (

@@ -1,14 +1,14 @@
 """Project-specific AST rules.
 
 Each rule encodes an invariant the test suite cannot see directly:
-untracked collectives or unrecorded backward closures silently corrupt
-the byte accounting the simulator consumes; unseeded (or hash-salted)
-randomness silently breaks Random-K / dropout reproducibility across
-schemes; a blocking transport call without a deadline turns a dead peer
-into a hang; a collective that reads the rank context grows a second,
-worker-only copy of itself.  Rules REPRO001–REPRO007, REPRO010 and
-REPRO011 are registered on import (REPRO008/009, the rules of a deleted
-issue/wait API, are retired and their ids not reused).
+unseeded (or hash-salted) randomness silently breaks reproducibility; an
+unvalidated config accepts nonsense; a blocking transport call without a
+deadline turns a dead peer into a hang; a collective that reads the rank
+context grows a second, worker-only copy of itself.  Rules REPRO002,
+REPRO003, REPRO005–REPRO007, REPRO010 and REPRO011 are registered on
+import.  Retired ids are not reused: REPRO008/009 policed a deleted
+issue/wait API, and REPRO001/004 (untracked collectives, unrecorded
+backward closures) caught only what the tests catch.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from typing import Iterable, Iterator
 from repro.lint.engine import Finding, SourceFile, register_rule
 
 __all__ = [
-    "TrackedCollectiveRule",
     "SeededRngRule",
     "ConfigValidationRule",
-    "BackwardRecordsRule",
     "MutableDefaultRule",
     "UnstableHashSeedRule",
     "NoEvalExecRule",
@@ -52,38 +50,6 @@ def _attr_chain(node: ast.expr) -> list[str]:
         parts.append(node.id)
         return list(reversed(parts))
     return []
-
-
-@register_rule
-class TrackedCollectiveRule:
-    """Every TP/PP cut-point collective must thread a ``CommTracker``.
-
-    A call that omits the tracker produces correct *values* (the math is
-    in-process) but drops its :class:`CommEvent`, so the simulator's byte
-    accounting silently undercounts — the exact failure mode §3.2's wire
-    formulas guard against.
-    """
-
-    id = "REPRO001"
-    name = "tracked-collective"
-    summary = "tp_all_reduce/tp_broadcast/pipeline_transfer must be passed a CommTracker"
-
-    #: collective → index of the tracker parameter (all take it third).
-    COLLECTIVES = {"tp_all_reduce": 2, "tp_broadcast": 2, "pipeline_transfer": 2}
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = _call_name(node)
-            if fn not in self.COLLECTIVES:
-                continue
-            has_kw = any(kw.arg == "tracker" for kw in node.keywords)
-            has_pos = len(node.args) > self.COLLECTIVES[fn]
-            if not (has_kw or has_pos):
-                yield Finding(self.id, self.name,
-                              f"{fn}() called without a tracker argument",
-                              source.path, node.lineno, node.col_offset)
 
 
 @register_rule
@@ -161,47 +127,6 @@ class ConfigValidationRule:
                 yield Finding(self.id, self.name,
                               f"dataclass {node.name} has no __post_init__ validation",
                               source.path, node.lineno, node.col_offset)
-
-
-@register_rule
-class BackwardRecordsRule:
-    """Backward closures at communication sites must record their event.
-
-    A function that receives a ``tracker`` and defines a nested
-    ``backward`` closure is (by this codebase's convention) wrapping a cut
-    point; forgetting ``tracker.record(...)`` inside the closure drops the
-    backward message from the byte accounting while the forward one is
-    still logged — an asymmetry no test that sums totals will notice.
-    """
-
-    id = "REPRO004"
-    name = "backward-records"
-    summary = "nested `backward` closures in tracker-taking functions must call tracker.record"
-
-    @staticmethod
-    def _records(closure: ast.FunctionDef) -> bool:
-        for node in ast.walk(closure):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "record":
-                    chain = _attr_chain(node.func)
-                    if chain and chain[0] == "tracker":
-                        return True
-        return False
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            params = {a.arg for a in node.args.args + node.args.kwonlyargs}
-            if "tracker" not in params:
-                continue
-            for item in ast.walk(node):
-                if (isinstance(item, ast.FunctionDef) and item.name == "backward"
-                        and not self._records(item)):
-                    yield Finding(self.id, self.name,
-                                  f"backward closure in {node.name}() does not call "
-                                  "tracker.record(...)",
-                                  source.path, item.lineno, item.col_offset)
 
 
 @register_rule

@@ -3,9 +3,7 @@
 Usage::
 
     python -m repro.lint src/                 # static AST rules
-    python -m repro.lint --dynamic src/       # + graph sanitizer + SPMD check
     python -m repro.lint --changed-only       # only files touched vs merge-base
-    python -m repro.lint --model-check        # transport model checker + schedules
     python -m repro.lint --race-log runs/conc # replay a recorded concurrency log
     python -m repro.lint --list-rules
     python -m repro.lint --fix-report report.json src/
@@ -27,33 +25,23 @@ __all__ = ["main"]
 
 #: Rule ids for the dynamic checkers (listed alongside the AST rules).
 DYNAMIC_RULES = (
-    ("DYN001", "graph-sanity",
-     "tiny MP model forward/backward produces only finite, on-policy arrays"),
     ("DYN002", "spmd-consistency",
      "recorded CommEvent stream matches the closed-form (scheme, tp, pp) oracle"),
     ("DYN003", "happens-before",
      "recorded concurrency log is race-free under vector-clock replay (--race-log)"),
-    ("DYN004", "model-check",
-     "every interleaving of the bounded ring-mailbox/barrier scenarios is safe "
-     "(--model-check)"),
-    ("DYN005", "schedule-check",
-     "pipeline schedules are complete, acyclic, deadlock-free and honest about "
-     "peak in-flight microbatches (--model-check)"),
 )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static AST invariants + dynamic autograd/SPMD consistency checks.",
+        description="Static AST invariants; --race-log replays a recorded mp run.",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument("--list-rules", action="store_true",
                         help="list every rule id and exit")
     parser.add_argument("--rules", metavar="ID[,ID...]",
                         help="run only the named rules (ids or slugs)")
-    parser.add_argument("--dynamic", action="store_true",
-                        help="also run the graph sanitizer and SPMD consistency check")
     parser.add_argument("--changed-only", action="store_true",
                         help="lint only .py files changed since the merge-base "
                              "with --base (plus untracked files)")
@@ -63,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay a recorded concurrency event log (file or "
                              "directory of conc-rank*.jsonl) through the DYN003 "
                              "happens-before checker")
-    parser.add_argument("--model-check", action="store_true",
-                        help="exhaustively model-check the ring-mailbox/barrier "
-                             "protocol (DYN004) and verify the pipeline "
-                             "schedules (DYN005)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the report as JSON instead of human-readable lines")
     parser.add_argument("--fix-report", metavar="PATH",
@@ -83,42 +67,11 @@ def _list_rules() -> int:
     return 0
 
 
-def _dynamic_findings() -> list[Finding]:
-    # Imported lazily: these pull in the full model stack.
-    from repro.lint.graph_check import run_graph_check
-    from repro.lint.spmd_check import run_spmd_check
-
-    findings = []
-    for message in run_graph_check():
-        findings.append(Finding("DYN001", "graph-sanity", message, "<dynamic>", 0))
-    for message in run_spmd_check():
-        findings.append(Finding("DYN002", "spmd-consistency", message, "<dynamic>", 0))
-    return findings
-
-
 def _race_findings(log_path: str) -> list[Finding]:
     from repro.lint.race_check import run_race_check_on_path
 
     return [Finding("DYN003", "happens-before", message, str(log_path), 0)
             for message in run_race_check_on_path(log_path)]
-
-
-def _model_check_findings() -> list[Finding]:
-    from repro.lint.model_check import run_model_check
-    from repro.lint.schedule_check import run_schedule_check
-
-    stats: dict = {}
-    findings = [Finding("DYN004", "model-check", message, "<dynamic>", 0)
-                for message in run_model_check(stats)]
-    print(f"model check: {stats.get('scenarios', 0)} scenarios, "
-          f"{stats.get('states', 0)} states, "
-          f"{stats.get('transitions', 0)} transitions explored exhaustively",
-          file=sys.stderr)
-    findings.extend(
-        Finding("DYN005", "schedule-check", message, "<dynamic>", 0)
-        for message in run_schedule_check()
-    )
-    return findings
 
 
 def _changed_files(base: str, paths: list[str]) -> list[Path]:
@@ -172,11 +125,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         return _list_rules()
-    wants_dynamic_only = args.model_check or args.race_log
-    if not args.paths and not args.changed_only and not wants_dynamic_only:
+    if not args.paths and not args.changed_only and not args.race_log:
         parser.print_usage(sys.stderr)
-        print("error: no paths given (or use --changed-only / --model-check / "
-              "--race-log / --list-rules)", file=sys.stderr)
+        print("error: no paths given (or use --changed-only / --race-log / "
+              "--list-rules)", file=sys.stderr)
         return 2
 
     rule_ids = [r.strip() for r in args.rules.split(",")] if args.rules else None
@@ -189,11 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checked_dynamic = bool(args.dynamic or args.model_check or args.race_log)
-    if args.dynamic:
-        findings.extend(_dynamic_findings())
-    if args.model_check:
-        findings.extend(_model_check_findings())
+    checked_dynamic = bool(args.race_log)
     if args.race_log:
         findings.extend(_race_findings(args.race_log))
 

@@ -1,9 +1,9 @@
 """Op-level deterministic profiler for ``repro.tensor`` graphs.
 
 An :class:`OpProfiler` attaches to the op-hook seam of
-:mod:`repro.tensor` (:func:`~repro.tensor.register_op_hook`, the same
-side-channel mechanism as the lint sanitizer's ``tensor_guard``) and
-observes every op output and every executed backward closure.  Per op it
+:mod:`repro.tensor` (:func:`~repro.tensor.register_op_hook`, the one
+observer seam on ``Tensor`` ops) and observes every op output and every
+executed backward closure.  Per op it
 accumulates
 
 - call counts and wall time (attributed as the gap since the previous

@@ -22,9 +22,6 @@ Design rules (DESIGN decision #11):
   rank and mailbox.  Unrecoverable faults (a killed rank, a delay longer
   than the peer's timeout) escalate through the transport's existing
   deadline machinery.
-- **Model-check seam untouched.**  Only the *blocking* ``send``/``recv``
-  paths consult the plan; the single-step ``try_send``/``try_recv``
-  seams that the DYN004 model checker drives stay plan-oblivious.
 
 ``REPRO_FAULT_PLAN`` accepts three forms:
 

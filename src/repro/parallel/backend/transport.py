@@ -39,14 +39,10 @@ Waits poll with a short spin followed by exponential sleep backoff
 the spin: a rank stuck polling at a fixed 20 µs steals the CPU from the
 peer it is waiting on.
 
-Verification seams: the blocking ``send``/``recv``/``wait`` entry points
-are thin deadline loops around single-step primitives — ``try_send`` /
-``try_recv`` on the channel, ``arrive`` / ``peers_ready`` on the barrier
-— so the bounded model checker (:mod:`repro.lint.model_check`) can
-execute the *real* protocol code one transition at a time and explore
-every interleaving.  Each commit also reports to the rank event record
-(:mod:`repro.parallel.backend.events`) while a step is observed; the
-default is ``None`` and costs one check per operation.
+Observation: each commit reports to the rank event record
+(:mod:`repro.parallel.backend.events`) while a step is observed, which is
+what the DYN003 happens-before replay reads; the default is ``None`` and
+costs one check per operation.
 
 Chaos seam: the blocking ``send``/``recv`` paths additionally consult the
 process-wide fault plan (:mod:`repro.parallel.backend.faults`, armed via
@@ -60,8 +56,7 @@ mailbox — an injected fault can slow a run down but never hang it.
 Whenever a plan is installed, senders also stamp a CRC32 of the payload
 into the header (``_FLAG_CRC``) so corruption is detectable end-to-end;
 without a plan the flag stays clear and the wire format is byte-for-byte
-the healthy-path protocol.  ``try_send``/``try_recv`` remain
-plan-oblivious so the model checker explores the real protocol.
+the healthy-path protocol.
 """
 
 from __future__ import annotations
@@ -203,7 +198,7 @@ class ShmChannel:
             time.sleep(delay)
             delay = min(delay * 2, _POLL_MAX_S)
 
-    # -- single-step primitives -----------------------------------------
+    # -- protocol steps --------------------------------------------------
     def _check_sendable(self, arr) -> tuple[np.ndarray, int]:
         """Validate ``arr`` for the wire; returns (contiguous array, dtype code)."""
         arr = np.asarray(arr)
@@ -333,27 +328,6 @@ class ShmChannel:
         concurrently.
         """
         return sum(int(status[0] == _FULL) for status in self._status)
-
-    def try_send(self, arr: np.ndarray) -> bool:
-        """Non-blocking send: commit if the target slot is EMPTY, else False.
-
-        One atomic protocol transition — the verification seam the bounded
-        model checker single-steps.  Validation errors (dtype, capacity)
-        raise exactly like :meth:`send`.
-        """
-        arr, code = self._check_sendable(arr)
-        slot = self._send_seq % self.slots
-        if self._status[slot][0] != _EMPTY:
-            return False
-        self._commit_send(arr, code)
-        return True
-
-    def try_recv(self) -> np.ndarray | None:
-        """Non-blocking receive: drain if the next slot is FULL, else None."""
-        slot = self._recv_seq % self.slots
-        if self._status[slot][0] != _FULL:
-            return None
-        return self._commit_recv()
 
     # -- fault-injection helpers ----------------------------------------
     def _note_fault(self, kind: str, slot: int, seq: int, attempt: int,
@@ -513,10 +487,8 @@ class ShmBarrier:
     def peers_ready(self, generation: int) -> int | None:
         """First peer still behind ``generation``, or None when all caught up.
 
-        Non-blocking: one scan of the generation slots.  The blocking
-        :meth:`wait` and the model checker's virtual scheduler both drive
-        departure decisions through this single predicate, so a mutation
-        here is visible to the exhaustive interleaving search.
+        Non-blocking: one scan of the generation slots; :meth:`wait` polls
+        it until every peer has arrived.
         """
         for peer in range(self.world):
             if struct.unpack_from("<I", self._buf, 4 * peer)[0] < generation:

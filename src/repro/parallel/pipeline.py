@@ -106,8 +106,7 @@ class ScheduleOp:
 
     Workers execute these verbatim, so a malformed op is a distributed
     bug waiting on a peer that will never answer — validated at
-    construction (and re-verified wholesale by the DYN005 schedule
-    checker in :mod:`repro.lint.schedule_check`).
+    construction.
     """
 
     kind: str  # "F" | "B"

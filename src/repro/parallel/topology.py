@@ -124,54 +124,43 @@ class ClusterTopology:
 
 @dataclass(frozen=True)
 class ParallelLayout:
-    """Assignment of a DP×PP×SP×TP grid onto a cluster.
+    """Assignment of a DP×PP×TP grid onto a cluster (the simulator's).
 
     Ranks are numbered so that the ``tp`` dimension is innermost
-    (consecutive ranks form a TP group), ``sp`` next, then ``pp``, with
-    ``dp`` outermost — matching Megatron's dp-major convention.  The
-    historical two-axis layouts (``dp == sp == 1``) keep their exact rank
-    numbering: ``rank = pp_rank*tp + tp_rank``.
+    (consecutive ranks form a TP group), then ``pp``, with ``dp``
+    outermost — matching Megatron's dp-major convention.  The historical
+    two-axis layouts (``dp == 1``) keep their exact rank numbering:
+    ``rank = pp_rank*tp + tp_rank``.
     """
 
     topology: ClusterTopology
     tp: int
     pp: int
     dp: int = 1
-    sp: int = 1
 
     def __post_init__(self):
-        validate_grid(self.dp, self.tp, self.pp, self.sp,
-                      self.topology.world_size)
+        validate_grid(self.dp, self.tp, self.pp, 1, self.topology.world_size)
 
-    def rank(self, pp_rank: int, tp_rank: int, sp_rank: int = 0,
-             dp_rank: int = 0) -> int:
-        """Global rank of (dp replica, pipeline stage, sp slot, tensor rank)."""
+    def rank(self, pp_rank: int, tp_rank: int, dp_rank: int = 0) -> int:
+        """Global rank of (dp replica, pipeline stage, tensor rank)."""
         if (not 0 <= pp_rank < self.pp or not 0 <= tp_rank < self.tp
-                or not 0 <= sp_rank < self.sp or not 0 <= dp_rank < self.dp):
+                or not 0 <= dp_rank < self.dp):
             raise ValueError(
-                f"coords (dp={dp_rank},pp={pp_rank},sp={sp_rank},tp={tp_rank}) "
-                f"out of grid (dp={self.dp},pp={self.pp},sp={self.sp},tp={self.tp})")
-        return ((dp_rank * self.pp + pp_rank) * self.sp + sp_rank) * self.tp + tp_rank
+                f"coords (dp={dp_rank},pp={pp_rank},tp={tp_rank}) "
+                f"out of grid (dp={self.dp},pp={self.pp},tp={self.tp})")
+        return (dp_rank * self.pp + pp_rank) * self.tp + tp_rank
 
-    def tp_group(self, pp_rank: int, sp_rank: int = 0, dp_rank: int = 0) -> list[int]:
+    def tp_group(self, pp_rank: int, dp_rank: int = 0) -> list[int]:
         """Global ranks of one pipeline stage's TP group."""
-        return [self.rank(pp_rank, t, sp_rank, dp_rank) for t in range(self.tp)]
+        return [self.rank(pp_rank, t, dp_rank) for t in range(self.tp)]
 
-    def sp_group(self, pp_rank: int, tp_rank: int = 0, dp_rank: int = 0) -> list[int]:
-        """Global ranks of one stage's sequence-parallel ring."""
-        return [self.rank(pp_rank, tp_rank, s, dp_rank) for s in range(self.sp)]
-
-    def dp_group(self, pp_rank: int = 0, sp_rank: int = 0, tp_rank: int = 0) -> list[int]:
+    def dp_group(self, pp_rank: int = 0, tp_rank: int = 0) -> list[int]:
         """Global ranks holding the same model shard across DP replicas."""
-        return [self.rank(pp_rank, tp_rank, sp_rank, d) for d in range(self.dp)]
+        return [self.rank(pp_rank, tp_rank, d) for d in range(self.dp)]
 
     def tp_link(self, pp_rank: int = 0) -> LinkType:
         """Link class TP collectives of a stage travel over (worst link)."""
         return self._group_link(self.tp_group(pp_rank))
-
-    def sp_link(self, pp_rank: int = 0) -> LinkType:
-        """Link class one stage's SP ring exchange travels over (worst link)."""
-        return self._group_link(self.sp_group(pp_rank))
 
     def dp_link(self) -> LinkType:
         """Link class the DP gradient all-reduce travels over (worst link)."""

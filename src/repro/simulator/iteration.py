@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compression import CompressionPolicy
+from repro.compression.base import BYTES_FP16
 from repro.compression.notation import SchemeSpec, scheme_spec
 from repro.nn.transformer import TransformerConfig
 from repro.parallel.pipeline import SCHEDULES, PipelinePartition, warmup_depth
@@ -49,8 +50,6 @@ from repro.simulator.kernels import (
 
 __all__ = ["SimSetting", "IterationBreakdown", "IterationSimulator"]
 
-BYTES_FP16 = 2
-
 
 @dataclass
 class SimSetting:
@@ -71,11 +70,10 @@ class SimSetting:
     #: default — keeps every homogeneous code path bitwise-identical to
     #: the pinned bench baselines.
     links: "LinkModel | None" = None
-    #: Data-parallel replicas and ring sequence-parallel degree.  At the
-    #: defaults (1, 1) every sum below gains exactly ``+ 0.0`` — bitwise
-    #: neutral, so the pinned bench baselines are unchanged.
+    #: Data-parallel replicas.  At the default 1 the iteration sum gains
+    #: exactly ``+ 0.0`` — bitwise neutral, so the pinned bench baselines
+    #: are unchanged.
     dp: int = 1
-    sp: int = 1
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -88,13 +86,8 @@ class SimSetting:
                 self.policy = CompressionPolicy.none(self.model.num_layers)
             else:
                 self.policy = CompressionPolicy.default(self.model.num_layers)
-        if self.sp > 1 and self.tp != 1:
-            raise ValueError("ring sequence parallelism requires tp == 1")
-        if self.sp > 1 and self.seq % self.sp != 0:
-            raise ValueError(f"seq={self.seq} not divisible by sp={self.sp}")
-        # Validates dp·pp·sp·tp == world size.
-        self.layout = ParallelLayout(self.topology, self.tp, self.pp,
-                                     dp=self.dp, sp=self.sp)
+        # Validates dp·pp·tp == world size.
+        self.layout = ParallelLayout(self.topology, self.tp, self.pp, dp=self.dp)
         self.partition = PipelinePartition.balanced(self.model.num_layers, self.pp)
         if self.num_microbatches <= 0:
             raise ValueError("num_microbatches must be positive")
@@ -117,17 +110,15 @@ class IterationBreakdown:
     #: :attr:`total_ms` — the Forward and Backward columns each contain
     #: their full makespan, so their sum double-counts this window.
     overlap_ms: float = 0.0
-    #: Per-iteration DP gradient all-reduce and SP ring-exchange comm;
-    #: exactly 0.0 at dp = sp = 1, keeping total_ms bitwise-unchanged
-    #: for every pre-grid setting.
+    #: Per-iteration DP gradient all-reduce; exactly 0.0 at dp = 1,
+    #: keeping total_ms bitwise-unchanged for every pre-grid setting.
     dp_comm_ms: float = 0.0
-    sp_comm_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
         return (self.forward_ms + self.backward_ms + self.optimizer_ms
                 + self.pipeline_ms - self.overlap_ms
-                + self.dp_comm_ms + self.sp_comm_ms)
+                + self.dp_comm_ms)
 
 
 class IterationSimulator:
@@ -137,34 +128,24 @@ class IterationSimulator:
         self.s = setting
         self.cal = cal
         self.spec: SchemeSpec = scheme_spec(setting.scheme)
+        #: The scheme's codec, built once: every message size below is its
+        #: ``compressed_bytes`` / ``backward_bytes``, the runtime's formula.
+        self.compressor = self.spec.build(setting.model.hidden)
 
     # ------------------------------------------------------------------
     # Per-layer ingredients
     # ------------------------------------------------------------------
+    def _activation_shape(self) -> tuple[int, int, int]:
+        s = self.s
+        return (s.micro_batch, s.seq, s.model.hidden)
+
     def _dense_bytes(self) -> int:
         s = self.s
         return s.micro_batch * s.seq * s.model.hidden * BYTES_FP16
 
     def _compressed_bytes(self) -> int:
         """Forward wire bytes of one compressed activation message."""
-        s = self.s
-        n = s.micro_batch * s.seq * s.model.hidden
-        if self.spec.family == "ae":
-            c = self.spec.code_dim(s.model.hidden)
-            return s.micro_batch * s.seq * c * BYTES_FP16
-        if self.spec.family in ("topk", "randomk"):
-            k = int(round(self.spec.fraction * n))
-            return k * (BYTES_FP16 + 4)
-        if self.spec.family == "quant":
-            groups = -(-n // 256)
-            return n * self.spec.bits // 8 + 2 * groups * BYTES_FP16
-        return n * BYTES_FP16
-
-    def _backward_boundary_bytes(self) -> int:
-        """Backward (gradient) bytes across a compressed PP boundary."""
-        if self.spec.family == "quant":
-            return self._dense_bytes()  # §3.3: backward stays dense fp16
-        return self._compressed_bytes()
+        return self.compressor.compressed_bytes(self._activation_shape())
 
     def layer_forward_compute_ms(self) -> float:
         s = self.s
@@ -230,7 +211,7 @@ class IterationSimulator:
         return self._tp_allreduce_ms(self._dense_bytes(), stage)
 
     # ------------------------------------------------------------------
-    # DP / SP axes (closed-form per-iteration comm volumes)
+    # DP axis (closed-form per-iteration comm volume)
     # ------------------------------------------------------------------
     def _model_param_count(self) -> int:
         """Closed-form parameter count of the model (the DP wire volume)."""
@@ -253,29 +234,12 @@ class IterationSimulator:
             return 0.0
         n = self._model_param_count()
         link = s.layout.dp_link()
-        fam = self.spec.family
-        if fam in ("topk", "randomk"):
-            k = int(round(self.spec.fraction * n))
-            return allgather_time(k * (BYTES_FP16 + 4), s.dp, link, self.cal)
-        if fam == "quant":
-            groups = -(-n // 256)
-            nbytes = n * self.spec.bits // 8 + 2 * groups * BYTES_FP16
-            return allgather_time(nbytes, s.dp, link, self.cal)
-        # "w/o" and AE reduce dense: the AE's encoder is dimension-bound
-        # to the activation hidden size and cannot eat a parameter vector.
-        return allreduce_time(n * BYTES_FP16, s.dp, link, self.cal)
-
-    def sp_comm_ms(self) -> float:
-        """Ring sequence-parallel exchange at every attention boundary:
-        per layer and microbatch, each direction moves the K/V/ctx block
-        triple around the sp ring (an all-gather of 3 sequence blocks)."""
-        s = self.s
-        if s.sp <= 1:
-            return 0.0
-        blk = s.micro_batch * (s.seq // s.sp) * s.model.hidden * BYTES_FP16
-        per_exchange = allgather_time(3 * blk, s.sp, s.layout.sp_link(0),
-                                      self.cal)
-        return s.model.num_layers * s.num_microbatches * 2 * per_exchange
+        if self.compressor.allreduce_compatible:
+            # "w/o" and AE reduce dense: the AE's encoder is dimension-bound
+            # to the activation hidden size and cannot eat a parameter vector.
+            return allreduce_time(n * BYTES_FP16, s.dp, link, self.cal)
+        return allgather_time(self.compressor.compressed_bytes((n,)), s.dp,
+                              link, self.cal)
 
     # ------------------------------------------------------------------
     # Pipeline boundaries
@@ -294,7 +258,9 @@ class IterationSimulator:
             dense = p2p_time(self._dense_bytes(), link, self.cal)
             return dense, dense
         fwd = p2p_time(self._compressed_bytes(), link, self.cal)
-        bwd = p2p_time(self._backward_boundary_bytes(), link, self.cal)
+        # §3.3: quantization's backward stays dense fp16 (backward_bytes).
+        bwd = p2p_time(self.compressor.backward_bytes(self._activation_shape()),
+                       link, self.cal)
         if self.spec.family == "quant" and self.cal.quant_pipeline_dense_staging:
             # Table 7 Q rows: the multi-tensor + dtype-conversion path costs
             # ~2 dense-equivalent staging passes in each direction.
@@ -480,7 +446,6 @@ class IterationSimulator:
             tensor_comm_ms=fwd_comm_total,
             overlap_ms=overlap_ms,
             dp_comm_ms=self.dp_comm_ms(),
-            sp_comm_ms=self.sp_comm_ms(),
         )
 
     def total_ms(self) -> float:

@@ -15,9 +15,6 @@ from repro.tensor.tensor import (
     no_grad,
     is_grad_enabled,
     tensor,
-    register_tensor_guard,
-    unregister_tensor_guard,
-    tensor_guard,
     register_op_hook,
     unregister_op_hook,
     op_hook,
@@ -30,9 +27,6 @@ __all__ = [
     "is_grad_enabled",
     "tensor",
     "functional",
-    "register_tensor_guard",
-    "unregister_tensor_guard",
-    "tensor_guard",
     "register_op_hook",
     "unregister_op_hook",
     "op_hook",

@@ -23,9 +23,6 @@ __all__ = [
     "is_grad_enabled",
     "tensor",
     "unbroadcast",
-    "register_tensor_guard",
-    "unregister_tensor_guard",
-    "tensor_guard",
     "register_op_hook",
     "unregister_op_hook",
     "op_hook",
@@ -33,16 +30,11 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
-#: Optional sanitizer hooks (repro.lint.graph_check). Each guard is called
-#: with (array, context) for every op output and every backward gradient.
-#: Empty in normal operation so the hot path pays one truthiness check.
-_TENSOR_GUARDS: list[Callable[[np.ndarray, str], None]] = []
-
 #: Optional op-observer hooks (repro.obs.profile). Each hook is called as
 #: ``fn(op, data, parent_shapes, phase)`` — once per produced op output
 #: (phase "forward") and once per executed backward closure (phase
-#: "backward"). Like the guards, the list is empty in normal operation so
-#: the hot path pays one truthiness check and nothing else.
+#: "backward"). The list is empty in normal operation so the hot path pays
+#: one truthiness check and nothing else.
 _OP_HOOKS: list[Callable[[str, np.ndarray, tuple, str], None]] = []
 
 #: Backward-closure code object -> op name, so the hook path resolves the
@@ -87,32 +79,6 @@ def op_hook(fn: Callable[[str, np.ndarray, tuple, str], None]):
 def _run_op_hooks(op: str, data: np.ndarray, parent_shapes: tuple, phase: str) -> None:
     for fn in _OP_HOOKS:
         fn(op, data, parent_shapes, phase)
-
-
-def register_tensor_guard(fn: Callable[[np.ndarray, str], None]) -> Callable:
-    """Install ``fn(array, context)`` to run on every op output / gradient."""
-    _TENSOR_GUARDS.append(fn)
-    return fn
-
-
-def unregister_tensor_guard(fn: Callable[[np.ndarray, str], None]) -> None:
-    """Remove a guard previously installed with :func:`register_tensor_guard`."""
-    _TENSOR_GUARDS.remove(fn)
-
-
-@contextlib.contextmanager
-def tensor_guard(fn: Callable[[np.ndarray, str], None]):
-    """Context manager installing a guard for the duration of the block."""
-    register_tensor_guard(fn)
-    try:
-        yield fn
-    finally:
-        unregister_tensor_guard(fn)
-
-
-def _run_guards(data: np.ndarray, context: str) -> None:
-    for fn in _TENSOR_GUARDS:
-        fn(data, context)
 
 
 @contextlib.contextmanager
@@ -253,8 +219,6 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create an op output wired into the graph (internal)."""
-        if _TENSOR_GUARDS:
-            _run_guards(data, "forward")
         if _OP_HOOKS:
             _run_op_hooks(
                 _op_name(backward), data, tuple(p.data.shape for p in parents), "forward"
@@ -340,8 +304,6 @@ class Tensor:
         for p, pg in zip(self._parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
-            if _TENSOR_GUARDS:
-                _run_guards(np.asarray(pg), "backward")
             pid = id(p)
             if p._backward is None and not p._parents:
                 # Leaf tensor: accumulate directly so grads persist.

@@ -9,22 +9,6 @@ def rules_hit(src: str, path: str = "src/module.py") -> set[str]:
     return {f.rule for f in lint_source(textwrap.dedent(src), path)}
 
 
-class TestTrackedCollective:
-    def test_missing_tracker_flagged(self):
-        assert "REPRO001" in rules_hit("out = tp_all_reduce(parts, comp)\n")
-        assert "REPRO001" in rules_hit("y = tp_broadcast(x, world)\n")
-        assert "REPRO001" in rules_hit("y = pipeline_transfer(x, comp, boundary=0)\n")
-
-    def test_positional_and_keyword_tracker_ok(self):
-        assert "REPRO001" not in rules_hit("out = tp_all_reduce(parts, comp, tracker)\n")
-        assert "REPRO001" not in rules_hit(
-            "y = pipeline_transfer(x, comp, tracker=tr, boundary=0)\n"
-        )
-
-    def test_method_style_call_checked(self):
-        assert "REPRO001" in rules_hit("y = collectives.tp_broadcast(x, 4)\n")
-
-
 class TestSeededRng:
     def test_legacy_global_rng_flagged(self):
         assert "REPRO002" in rules_hit("import numpy as np\nx = np.random.rand(3)\n")
@@ -85,36 +69,6 @@ class TestConfigValidated:
             "from dataclasses import dataclass\n\n@dataclass\nclass Event:\n    x: int = 0\n"
         )
         assert "REPRO003" not in rules_hit("class RunConfig:\n    steps = 1\n")
-
-
-class TestBackwardRecords:
-    def test_silent_backward_closure_flagged(self):
-        src = """
-        def my_collective(x, tracker):
-            def backward(g):
-                return (g,)
-            return make(x, backward)
-        """
-        assert "REPRO004" in rules_hit(src)
-
-    def test_recording_closure_ok(self):
-        src = """
-        def my_collective(x, tracker):
-            def backward(g):
-                tracker.record(event)
-                return (g,)
-            return make(x, backward)
-        """
-        assert "REPRO004" not in rules_hit(src)
-
-    def test_backward_without_tracker_param_ignored(self):
-        src = """
-        def __add__(self, other):
-            def backward(g):
-                return (g, g)
-            return make(..., backward)
-        """
-        assert "REPRO004" not in rules_hit(src)
 
 
 class TestMutableDefault:

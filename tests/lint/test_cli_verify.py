@@ -1,8 +1,8 @@
 """CLI surface of the concurrency verification layer.
 
-``--model-check`` / ``--race-log`` / ``--changed-only`` — the entry
-points CI and `make` drive.  The changed-only tests run against a
-scratch git repository so they are independent of this checkout's state.
+``--race-log`` / ``--changed-only`` — the entry points CI and `make`
+drive.  The changed-only tests run against a scratch git repository so
+they are independent of this checkout's state.
 """
 
 import json
@@ -12,21 +12,6 @@ import pytest
 
 from repro.lint.cli import main
 from repro.parallel.backend.events import EventRecord
-
-
-class TestModelCheckFlag:
-    def test_clean_protocol_exits_zero_with_stats(self, capsys):
-        assert main(["--model-check"]) == 0
-        captured = capsys.readouterr()
-        assert "clean (static + dynamic)" in captured.out
-        assert "explored exhaustively" in captured.err
-
-    def test_combines_with_fix_report(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        assert main(["--model-check", "--fix-report", str(report)]) == 0
-        data = json.loads(report.read_text())
-        assert data["clean"] is True and data["dynamic_checks"] is True
-        capsys.readouterr()
 
 
 class TestRaceLogFlag:
@@ -41,6 +26,16 @@ class TestRaceLogFlag:
         log.flush()
         assert main(["--race-log", str(tmp_path)]) == 0
         assert "clean (static + dynamic)" in capsys.readouterr().out
+
+    def test_combines_with_fix_report(self, tmp_path, capsys):
+        log = EventRecord(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
+        log.emit("step_end", step=0)
+        log.flush()
+        report = tmp_path / "report.json"
+        assert main(["--race-log", str(tmp_path), "--fix-report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["clean"] is True and data["dynamic_checks"] is True
+        capsys.readouterr()
 
     def test_corrupt_log_names_the_race(self, tmp_path, capsys):
         log = EventRecord(rank=0, world=2, path=tmp_path / "conc-rank0.jsonl")

@@ -77,6 +77,16 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="needs src/dst"):
             faults.FaultSpec(kind="drop")
 
+    @pytest.mark.parametrize("doc, rule", [
+        ({"retry_budget": 0}, "retry_budget must be >= 1"),
+        ({"backoff_s": -1.0}, "backoff_s must be a finite number"),
+        ({"retries": 3}, "unknown fault-plan key"),
+    ])
+    def test_bad_plan_level_values_rejected(self, doc, rule):
+        """A budget of 0 would give up before the first resend."""
+        with pytest.raises(ValueError, match=rule):
+            faults.FaultPlan(doc)
+
     def test_env_install_round_trip(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         assert faults.maybe_install_from_env() is None

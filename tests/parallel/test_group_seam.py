@@ -25,6 +25,7 @@ import pytest
 
 from repro.compression import build_compressor
 from repro.parallel.backend import BackendError, Group, RankContext, active_context
+from repro.parallel.backend.context import sum_in_order
 from repro.parallel.collectives import (
     CommTracker,
     pipeline_transfer,
@@ -128,6 +129,21 @@ def test_tp_all_reduce_forward_bitwise_at_wider_tp(scheme, tp):
     out = reduce_step(scheme, datas, tuple(range(tp)))[0]
     for view in per_rank(tp, "tp", lambda r: reduce_step(scheme, datas, (r,))):
         assert np.array_equal(view[0], out)
+
+
+def test_sum_in_order_folds_left_to_right_in_rank_order():
+    """Both views share one fold, ``((t0 + t1) + t2) + ...``.  Float32
+    addition is not associative, so a fold in any other order moves bits
+    in both backends at once, which no two-view comparison can see."""
+    terms = [np.array([1.0], np.float32), np.array([1e8], np.float32),
+             np.array([-1e8], np.float32)]
+    assert sum_in_order(terms)[0] == 0.0  # 1 + 1e8 rounds to 1e8 first
+    rng = np.random.default_rng(3)
+    terms = [rng.normal(size=64).astype(np.float32) * 10.0 ** k for k in range(5)]
+    want = terms[0]
+    for term in terms[1:]:
+        want = want + term
+    assert np.array_equal(sum_in_order(terms), want)
 
 
 @pytest.mark.parametrize("reduce_backward", [True, False])

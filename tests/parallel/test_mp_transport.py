@@ -140,6 +140,17 @@ class TestShmChannel:
         with pytest.raises(BackendError, match="out-of-order"):
             rx.recv()
 
+    def test_tampered_seq_field_raises_naming_slot_and_seq(self):
+        """A seq mismatch in the slot header is rejected with slot and seq
+        in the message."""
+        tx, rx = make_pair(slots=2)
+        tx.send(np.zeros(1, dtype=np.float32))
+        struct.pack_into("<I", tx._buf, 4, 99)  # slot 0 header seq field
+        with pytest.raises(BackendError, match="out-of-order") as exc:
+            rx.recv(timeout=0.05)
+        msg = str(exc.value)
+        assert "slot 0" in msg and "seq 99" in msg and "expected 1" in msg
+
     def test_corrupted_magic_raises_instead_of_decoding_garbage(self):
         tx, rx = make_pair()
         tx.send(np.zeros(3, dtype=np.float32))
@@ -190,51 +201,32 @@ class TestShmChannel:
             tx.send(np.zeros(1, dtype=np.float32), timeout=0.05)
 
 
-class TestSingleStepSeams:
-    """try_send / try_recv / arrive / peers_ready — the verification seams
-    the DYN004 model checker single-steps."""
+class TestEmitBeforePublish:
+    """Each protocol event is stamped before the store that publishes it
+    (DESIGN decision 10), so no peer can observe the message, the release
+    or the arrival before its stamp.  DYN003's wall-order check rests on
+    this; a recorded run trips over a violation only when the race hits."""
 
-    def test_try_recv_on_empty_ring_returns_none(self):
-        _, rx = make_pair(slots=2)
-        assert rx.try_recv() is None
+    def test_stamps_precede_the_publishing_stores(self, monkeypatch):
+        tx, rx = make_pair(slots=1)
+        buf = bytearray(8)
+        arriving, peer = ShmBarrier(buf, world=2, rank=0), ShmBarrier(buf, world=2, rank=1)
+        seen = []
 
-    def test_try_send_refuses_exactly_at_ring_depth(self):
-        for slots in (1, 2, 4):
-            tx, rx = make_pair(slots=slots)
-            for i in range(slots):
-                assert tx.try_send(np.full((1,), i, dtype=np.int32))
-            assert not tx.try_send(np.zeros(1, dtype=np.int32))
-            assert tx._send_seq == slots  # the refusal mutated nothing
-            assert rx.try_recv()[0] == 0
-            assert tx.try_send(np.full((1,), slots, dtype=np.int32))
+        class Probe:  # what a peer can observe at the moment of each stamp
+            def emit(self, kind, **fields):
+                if kind == "barrier_arrive":
+                    seen.append((kind, peer.peers_ready(fields["gen"])))
+                else:
+                    seen.append((kind, tx.occupancy()))
 
-    def test_wraparound_soak_over_twice_the_ring_depth(self):
-        """Satellite contract: >= 2x slots messages through try_send/try_recv,
-        FIFO payload order preserved across every slot-reuse boundary."""
-        for slots in (1, 2, 4):
-            tx, rx = make_pair(slots=slots)
-            n = 2 * slots + 3
-            sent = received = 0
-            while received < n:
-                if sent < n and tx.try_send(np.full((1,), sent, dtype=np.int64)):
-                    sent += 1
-                out = rx.try_recv()
-                if out is not None:
-                    assert out[0] == received
-                    received += 1
-            assert tx._send_seq == rx._recv_seq == n
-            assert rx.try_recv() is None
-
-    def test_tampered_seq_field_raises_naming_slot_and_seq(self):
-        """Satellite contract: inject a seq mismatch into the slot header;
-        the receiver must reject it with slot and seq in the message."""
-        tx, rx = make_pair(slots=2)
+        monkeypatch.setattr(events, "protocol", Probe)
         tx.send(np.zeros(1, dtype=np.float32))
-        struct.pack_into("<I", tx._buf, 4, 99)  # slot 0 header seq field
-        with pytest.raises(BackendError, match="out-of-order") as exc:
-            rx.try_recv()
-        msg = str(exc.value)
-        assert "slot 0" in msg and "seq 99" in msg and "expected 1" in msg
+        rx.recv()
+        arriving.arrive()
+        # send: not yet FULL; recv: not yet released; arrive: rank 0 still
+        # reads as the straggler.
+        assert seen == [("send", 0), ("recv", 1), ("barrier_arrive", 0)]
 
 
 class TestShmBarrier:
@@ -533,8 +525,8 @@ class TestStatePlane:
                 ("s", Parameter(np.float32(7.0)))]
 
     def test_mailboxes_do_not_move_when_state_is_added(self):
-        """DYN004 model-checks the mailbox/barrier layout; the state plane
-        must sit behind it, not shift it."""
+        """The mailbox/barrier layout is fixed by world and ring depth; the
+        state plane must sit behind it, not shift it."""
         bare = RankTransport.create(world=2)
         full = RankTransport.create(world=2, state=self.params(),
                                     grad_slabs=2)

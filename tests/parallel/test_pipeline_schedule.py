@@ -116,6 +116,20 @@ class TestScheduleOps:
         assert ModelParallelConfig(model=mc, tp=1, pp=2).pipeline_schedule == "gpipe"
 
 
+class TestScheduleOpValidation:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ScheduleOp("X", 0)
+
+    def test_negative_microbatch_rejected(self):
+        with pytest.raises(ValueError):
+            ScheduleOp("F", -1)
+
+    def test_valid_ops_construct(self):
+        assert ScheduleOp("F", 0).kind == "F"
+        assert ScheduleOp("B", 3).microbatch == 3
+
+
 class Test1F1BEquivalence:
     """The 1F1B mp gang against the serial microbatched oracle."""
 

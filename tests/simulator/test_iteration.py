@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.compression import CompressionPolicy
+from repro.compression import CompressionPolicy, build_compressor
 from repro.parallel.topology import ClusterTopology
 from repro.simulator import IterationSimulator, SimSetting
+from repro.simulator.comm import allgather_time, allreduce_time
 
 
 def aws(nodes=1):
@@ -76,6 +77,23 @@ class TestComposition:
                                             num_microbatches=8))
         fwd, bwd = sim.boundary_send_ms(1)  # a compressed boundary
         assert bwd > fwd  # backward carries the dense gradient + staging
+
+    @pytest.mark.parametrize("scheme", ["w/o", "T2", "Q2"])
+    def test_dp_comm_prices_the_codec_bytes_of_the_flat_vector(self, scheme):
+        """dp=2 on two nodes: dense schemes all-reduce fp16, the others
+        all-gather the compressor's own byte count for the parameter vector."""
+        sim = IterationSimulator(SimSetting(aws(2), 4, 1, 4, 128, scheme=scheme, dp=2))
+        n = sim._model_param_count()
+        link = sim.s.layout.dp_link()
+        if scheme == "w/o":
+            want = allreduce_time(2 * n, 2, link)
+        else:
+            want = allgather_time(build_compressor(scheme, 1024).compressed_bytes((n,)),
+                                  2, link)
+        assert sim.dp_comm_ms() == want
+        assert sim.breakdown().dp_comm_ms == want
+        single = IterationSimulator(SimSetting(aws(1), 4, 1, 4, 128, scheme=scheme))
+        assert single.dp_comm_ms() == 0.0
 
 
 class TestPaperAnchors:

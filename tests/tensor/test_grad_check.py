@@ -366,3 +366,25 @@ class TestGraphMechanics:
         (x * 2.0).sum().backward()
         (x * 2.0).sum().backward()
         np.testing.assert_allclose(x.grad, [4.0, 4.0])
+
+
+@pytest.mark.parametrize("op", [
+    F.relu,
+    F.gelu,
+    F.softmax,
+    F.log_softmax,
+    lambda x: F.layer_norm(x, Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))),
+    lambda x: F.masked_fill(x, np.array([True, False, False, True]), -1e9),
+    lambda x: F.dropout(x, 0.5, np.random.default_rng(1)),
+], ids=["relu", "gelu", "softmax", "log_softmax", "layer_norm", "masked_fill", "dropout"])
+def test_backward_leaves_the_upstream_gradient_alone(op):
+    """A closure reads ``g`` and returns fresh gradients.  Identity-like
+    closures hand ``g`` itself on to a parent, where it can end up as a
+    leaf's ``.grad``, so writing into it corrupts a gradient elsewhere."""
+    x = Tensor(RNG.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    y = op(x)
+    g = RNG.normal(size=y.shape).astype(np.float32)
+    before = g.copy()
+    y._backward(g)
+    assert np.array_equal(g, before)
+

@@ -1,10 +1,13 @@
 """The docs name commands that exist.
 
 Every ``python -m repro.obs <verb>`` in README, DESIGN and the CI
-workflow must be a verb ``repro.obs.cli.build_parser()`` accepts, and
-every ``make <target>`` in README's and DESIGN's code (backticked spans
-and fenced blocks) must be a Makefile target.  CHANGES.md is history and
-is not checked.
+workflow must be a verb ``repro.obs.cli.build_parser()`` accepts; every
+``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
+workflow, the Makefile and the verify skill must be one
+``repro.lint.cli._build_parser()`` accepts; and every ``make <target>`` in
+README's, DESIGN's and the verify skill's code (backticked spans and fenced
+blocks) must be a Makefile target.  CHANGES.md is history and is not
+checked.
 """
 
 import argparse
@@ -13,15 +16,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.cli import _build_parser as build_lint_parser
 from repro.obs.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 OBS_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml")
-MAKE_DOCS = ("README.md", "DESIGN.md")
+SKILL = ".claude/skills/verify/SKILL.md"
+LINT_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml", "Makefile", SKILL)
+MAKE_DOCS = ("README.md", "DESIGN.md", SKILL)
 
 #: ``python -m repro.obs`` then a verb, or a ``{a,b}`` list of them, on the
 #: same line or after a shell line continuation.
 OBS_VERB = re.compile(r"python3? -m repro\.obs(?:[ \t]|\\\n)+(\{[\w,-]+\}|[a-z][\w-]*)")
+#: ``-m repro.lint`` and the rest of its command (line continuations
+#: included, up to a closing backtick); ``--flags`` are read from that.
+LINT_COMMAND = re.compile(r"-m repro\.lint((?:[^\n`\\]|\\\n)*)")
+LINT_FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 MAKE_TARGET = re.compile(r"(?<![\w-])make[ \t]+([a-z][\w.-]*)")
 FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 SPAN = re.compile(r"`([^`\n]+)`")
@@ -32,6 +42,11 @@ def obs_verbs(text: str) -> list[str]:
     for match in OBS_VERB.finditer(text):
         verbs += match.group(1).strip("{}").split(",")
     return verbs
+
+
+def lint_flags(text: str) -> list[str]:
+    return [flag for command in LINT_COMMAND.findall(text)
+            for flag in LINT_FLAG.findall(command)]
 
 
 def make_targets(text: str) -> list[str]:
@@ -59,6 +74,14 @@ def test_repro_obs_verbs_exist(doc):
     assert not unknown, f"{doc} runs unknown `repro.obs` verbs: {unknown}"
 
 
+@pytest.mark.parametrize("doc", LINT_DOCS)
+def test_repro_lint_flags_exist(doc):
+    known = {opt for action in build_lint_parser()._actions
+             for opt in action.option_strings}
+    unknown = sorted(set(lint_flags((ROOT / doc).read_text())) - known)
+    assert not unknown, f"{doc} passes unknown `repro.lint` flags: {unknown}"
+
+
 @pytest.mark.parametrize("doc", MAKE_DOCS)
 def test_make_targets_exist(doc):
     targets = make_targets((ROOT / doc).read_text())
@@ -72,3 +95,7 @@ def test_patterns_catch_a_stale_reference():
             "then `make loc`; prose may make sense of it.\n")
     assert obs_verbs(text) == ["report", "explain", "budget"]
     assert make_targets(text) == ["ab", "loc"]
+    lint = ("PYTHONPATH=src python -m repro.lint --race-log d \\\n  --fix-report r\n"
+            "`python -m repro.lint --model-check` then --prose-flag\n"
+            "\t$(PYTHON) -m repro.lint --dynamic src/\n")
+    assert lint_flags(lint) == ["--race-log", "--fix-report", "--model-check", "--dynamic"]
