@@ -37,11 +37,8 @@ MUTANTS = [
      "return packed + n_groups * BYTES_FP16", "quant wire bytes (scale + min per group)"),
     ("ae-bytes", "compression/autoencoder.py", "* self.code_dim * BYTES_FP16",
      "* (self.code_dim + 1) * BYTES_FP16", "AE wire bytes"),
-    ("topk-bwd-mask", "compression/topk.py", "return (g * mask,)", "return (g,)",
+    ("topk-bwd-mask", "compression/base.py", "if kept is None:", "if True:",
      "Top-K backward carries only kept coordinates"),
-    ("randk-biased", "compression/randomk.py",
-     "scale = (1.0 / self.fraction) if self.unbiased else 1.0", "scale = 1.0",
-     "unbiased Random-K rescales by 1/fraction"),
     ("send-emit-late", T, "self._send_seq = seq\n        rec = events.protocol()",
      "self._send_seq = seq\n        self._status[slot][0] = _FULL\n"
      "        rec = events.protocol()", "send event stamped before the FULL flip"),
@@ -54,8 +51,8 @@ MUTANTS = [
      '        struct.pack_into("<I", self._buf, 4 * self.rank, self._generation)\n'
      "        rec = events.protocol()\n        if rec is not None:\n"
      "            # Before the publishing store (see", "arrival stamped before it is published"),
-    ("send-event-slot", T, 'rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)',
-     'rec.emit("send", src=self.src, dst=self.dst, slot=0, seq=seq)', "send event names its slot"),
+    ("send-event-slot", T, 'rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq,\n',
+     'rec.emit("send", src=self.src, dst=self.dst, slot=0, seq=seq,\n', "send event names its slot"),
     ("resend-unmarked", T, "seq=seq, dropped=True, retry=attempt)", "seq=seq)",
      "a dropped attempt is marked in the record"),
     ("full-before-payload", T,

@@ -7,15 +7,16 @@ Four families are implemented, matching the study:
 - :class:`AutoencoderCompressor` — learnable linear encoder/decoder (AE).
 - :class:`NoCompressor` — the "w/o" baseline.
 
-Each compressor exposes two faces:
-
-1. a NumPy message face (``compress`` / ``decompress``) that produces a
-   :class:`CompressedMessage` with exact wire-byte accounting — this is what
-   the parallel runtime puts on the (simulated) wire; and
-2. a differentiable graph face (``apply``) that runs
-   compress→decompress inside the autograd graph with the correct gradient
-   semantics (gradient masking for sparsification, straight-through for
-   quantization, ordinary backprop for AE).
+Each compressor has one face, the message: ``compress(x, site)`` produces a
+:class:`CompressedMessage` (named payload arrays plus the original shape)
+and ``decompress`` reconstructs a dense array from it.  The tensor-parallel
+all-gather and the pipeline boundary put the payload arrays themselves on
+the wire, and the receiver decodes them (what is only modelled, not sent,
+is listed in DESIGN decision 3).  ``apply`` is that round trip inside the autograd graph,
+written once in :class:`Compressor`: the backward keeps the selected
+coordinates for sparsification and is straight-through otherwise.  The
+learnable AE keeps its own ``apply`` (ordinary backprop through its
+encoder/decoder GEMMs).
 
 ``notation`` maps the paper's scheme labels (A1, A2, T1–T4, R1–R4, Q1–Q3)
 to configured compressors; ``policy`` captures *where* compression is applied

@@ -50,6 +50,7 @@ class AutoencoderCompressor(Compressor):
     name = "autoencoder"
     allreduce_compatible = True
     learnable = True
+    fields = ("code",)
 
     def __init__(self, hidden: int, code_dim: int, seed: int = 0, init_std: float | None = None):
         if code_dim >= hidden:
@@ -74,18 +75,11 @@ class AutoencoderCompressor(Compressor):
     # ------------------------------------------------------------------
     # Message face (uses current weights, no grad)
     # ------------------------------------------------------------------
-    def compress(self, x: np.ndarray) -> CompressedMessage:
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x)
         if x.shape[-1] != self.hidden:
             raise ValueError(f"expected last axis {self.hidden}, got {x.shape}")
-        code = x @ self.encoder.data
-        return CompressedMessage(
-            payloads={"code": code},
-            shape=tuple(x.shape),
-            scheme=self.name,
-            wire_bytes=int(code.size) * BYTES_FP16,
-            meta={"code_dim": self.code_dim},
-        )
+        return CompressedMessage({"code": x @ self.encoder.data}, tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         return msg.payloads["code"] @ self.decoder.data

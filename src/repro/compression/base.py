@@ -1,20 +1,24 @@
 """Compressor interface, message container, and registry.
 
-Wire-byte conventions (matching the paper's fp16 training setup):
+A codec has one face: the message.  :meth:`Compressor.compress` turns an
+activation into a :class:`CompressedMessage`, :meth:`Compressor.decompress`
+turns a message back into a dense array, and :meth:`Compressor.apply` is
+that round trip inside the autograd graph.  The tensor-parallel all-gather
+and the pipeline boundary put the message's payload arrays on the wire, and
+the receiver decodes them.
 
-- floating-point payloads travel as fp16 → 2 bytes/element;
-- index payloads travel as int32 → 4 bytes/element;
-- bit-packed payloads report their packed size exactly.
-
-``CompressedMessage.wire_bytes`` is the number the performance simulator
-feeds into its α–β communication model, so it must reflect what a real
-implementation would put on the wire, not the in-memory NumPy dtypes.
+Wire-byte convention (matching the paper's fp16 training setup), per
+payload array: a floating-point payload counts ``BYTES_FP16`` per element
+(it travels at compute dtype, fp32, and the model counts it as fp16); an
+integer or bit-packed payload counts its itemsize.
+``CompressedMessage.wire_bytes`` is that sum, and it is the number the
+performance simulator feeds into its α–β communication model.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +41,26 @@ BYTES_INT32 = 4
 
 @dataclass
 class CompressedMessage:
-    """A compressed activation as it would appear on the wire.
+    """A compressed activation as it crosses the wire.
 
     Attributes
     ----------
     payloads:
-        Named arrays making up the message (e.g. ``{"values", "indices"}``
+        Named arrays making up the message, in the order they travel
+        (the producing codec's ``fields``).
     shape:
         Original (uncompressed) activation shape.
-    scheme:
-        Name of the producing compressor.
-    wire_bytes:
-        Exact bytes a real implementation would transmit.
-    meta:
-        Scheme-specific extras needed for decompression (scales, seeds...).
     """
 
     payloads: dict[str, np.ndarray]
     shape: tuple[int, ...]
-    scheme: str
-    wire_bytes: int
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def wire_bytes(self) -> int:
+        """Bytes the model counts on the wire: fp16 per floating-point
+        element, the itemsize for integer and packed payloads."""
+        return sum(a.size * (BYTES_FP16 if a.dtype.kind == "f" else a.itemsize)
+                   for a in self.payloads.values())
 
     @property
     def original_bytes(self) -> int:
@@ -73,9 +76,8 @@ class CompressedMessage:
 class Compressor(abc.ABC):
     """Interface for activation compressors.
 
-    Subclasses must implement the NumPy message face
-    (:meth:`compress` / :meth:`decompress` / :meth:`compressed_bytes`)
-    and the differentiable face (:meth:`apply`).
+    Subclasses implement :meth:`compress`, :meth:`decompress` and
+    :meth:`compressed_bytes`; :meth:`apply` is written once, here.
     """
 
     name: str = "base"
@@ -88,9 +90,23 @@ class Compressor(abc.ABC):
     #: True for schemes with learnable parameters (AE).
     learnable: bool = False
 
+    #: True when the backward keeps only the message's ``indices``
+    #: (sparsification); the other schemes' backward is straight-through.
+    sparse: bool = False
+
+    #: Names of the message's payload arrays, in the order they travel.
+    fields: tuple[str, ...] = ("values",)
+
     @abc.abstractmethod
-    def compress(self, x: np.ndarray) -> CompressedMessage:
-        """Produce the wire message for activation ``x``."""
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
+        """Produce the wire message for activation ``x``.
+
+        ``site`` identifies the activation site (layer, rank, pipeline
+        boundary) for *stateful* compressors: error feedback keeps one
+        residual and Random-K one selection stream per site, so two call
+        sites sharing a compressor instance must pass distinct keys or they
+        clobber each other's state.  Stateless schemes ignore it.
+        """
 
     @abc.abstractmethod
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
@@ -100,16 +116,34 @@ class Compressor(abc.ABC):
     def compressed_bytes(self, shape: tuple[int, ...]) -> int:
         """Analytic wire size for an activation of ``shape`` (no data needed)."""
 
-    @abc.abstractmethod
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        """Differentiable compress→decompress for use inside the graph.
+    def code(self, x: np.ndarray, site: str = "default") -> tuple[CompressedMessage, np.ndarray]:
+        """``compress(x, site)`` and its decode, each computed once."""
+        msg = self.compress(x, site)
+        return msg, self.decompress(msg)
 
-        ``site`` identifies the activation site (layer, rank, pipeline
-        boundary) for *stateful* compressors: error feedback keeps one
-        residual per site, so two call sites sharing a compressor instance
-        must pass distinct keys or they clobber each other's state.
-        Stateless schemes ignore it.
+    def transmit(self, x: Tensor, site: str = "default") -> tuple[CompressedMessage, Tensor]:
+        """What crossing a cut point does to ``x``: the message that
+        travels, and its decode as ``x``'s graph node.
+
+        The backward keeps the message's selected coordinates for the
+        sparse schemes and is straight-through for the rest (quantization,
+        PowerSGD): the codec is treated as identity on what it sent.
         """
+        msg, rec = self.code(x.data, site)
+        kept = msg.payloads["indices"] if self.sparse else None
+
+        def backward(g):
+            if kept is None:
+                return (g,)
+            out = np.zeros(g.shape, g.dtype)
+            out.reshape(-1)[kept] = g.reshape(-1)[kept]
+            return (out,)
+
+        return msg, Tensor._make(rec.astype(x.data.dtype, copy=False), (x,), backward)
+
+    def apply(self, x: Tensor, site: str = "default") -> Tensor:
+        """Differentiable ``decompress(compress(x, site))`` (see :meth:`transmit`)."""
+        return self.transmit(x, site)[1]
 
     def backward_bytes(self, shape: tuple[int, ...]) -> int:
         """Wire size of the *backward* (gradient-of-activation) message.
@@ -126,7 +160,7 @@ class Compressor(abc.ABC):
     # ------------------------------------------------------------------
     def roundtrip(self, x: np.ndarray) -> np.ndarray:
         """Convenience: compress then decompress."""
-        return self.decompress(self.compress(x))
+        return self.code(x)[1]
 
     def ratio(self, shape: tuple[int, ...]) -> float:
         """Analytic compression ratio for ``shape``."""
@@ -168,13 +202,9 @@ class NoCompressor(Compressor):
     name = "none"
     allreduce_compatible = True
 
-    def compress(self, x: np.ndarray) -> CompressedMessage:
-        return CompressedMessage(
-            payloads={"values": np.asarray(x)},
-            shape=tuple(np.asarray(x).shape),
-            scheme=self.name,
-            wire_bytes=int(np.asarray(x).size) * BYTES_FP16,
-        )
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
+        x = np.asarray(x)
+        return CompressedMessage({"values": x}, tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         return msg.payloads["values"]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedMessage, Compressor
-from repro.tensor import Tensor
 
 __all__ = ["ErrorFeedbackCompressor"]
 
@@ -27,7 +26,8 @@ class ErrorFeedbackCompressor(Compressor):
     Parameters
     ----------
     inner:
-        The compressor producing the actual wire messages.
+        The compressor producing the actual wire messages; not a learnable
+        one (its parameters would train on the residual-corrected input).
     decay:
         Residual decay factor in [0, 1]; 1 keeps the full residual.
 
@@ -40,11 +40,15 @@ class ErrorFeedbackCompressor(Compressor):
     def __init__(self, inner: Compressor, decay: float = 1.0):
         if not 0.0 <= decay <= 1.0:
             raise ValueError(f"decay must be in [0, 1], got {decay}")
+        if inner.learnable:
+            raise ValueError(f"error feedback needs a fixed codec; {inner.name} "
+                             f"is learnable")
         self.inner = inner
         self.decay = decay
         self.name = f"ef({inner.name})"
         self.allreduce_compatible = inner.allreduce_compatible
-        self.learnable = inner.learnable
+        self.sparse = inner.sparse
+        self.fields = inner.fields
         self._residuals: dict[str, np.ndarray] = {}
 
     def residual(self, site: str = "default") -> np.ndarray | None:
@@ -68,25 +72,24 @@ class ErrorFeedbackCompressor(Compressor):
             np.multiply(prev, self.decay, out=prev)
         return np.add(x, prev, out=prev)
 
-    def _keep(self, site: str, corrected: np.ndarray, rec: np.ndarray,
-              reuse: bool = True) -> None:
-        """Store ``corrected - rec`` as the site's residual.
-
-        With ``reuse`` it is written into the buffer the site already has
-        (which :meth:`_feed` made ``corrected``), so a warmed step allocates
-        nothing of the input's size here."""
+    def code(self, x: np.ndarray, site: str = "default") -> tuple[CompressedMessage, np.ndarray]:
+        """The inner message for ``x`` plus the site's residual, and its
+        decode; the residual becomes what the decode missed, written into
+        the buffer the site already has (which :meth:`_feed` made the
+        corrected input), so a warmed step allocates nothing of the input's
+        size for it."""
+        x = np.asarray(x, dtype=np.float32)
+        corrected = self._feed(x, site)
+        msg, rec = self.inner.code(corrected, site)
         prev = self._residuals.get(site)
-        fits = (reuse and prev is not None and prev.shape == corrected.shape
+        fits = (prev is not None and prev.shape == corrected.shape
                 and prev.dtype == np.result_type(corrected, rec))
         self._residuals[site] = np.subtract(corrected, rec,
                                             out=prev if fits else None)
+        return msg, rec
 
     def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
-        x = np.asarray(x, dtype=np.float32)
-        corrected = self._feed(x, site)
-        msg = self.inner.compress(corrected)
-        self._keep(site, corrected, self.inner.decompress(msg))
-        return msg
+        return self.code(x, site)[0]
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         return self.inner.decompress(msg)
@@ -96,25 +99,6 @@ class ErrorFeedbackCompressor(Compressor):
 
     def backward_bytes(self, shape: tuple[int, ...]) -> int:
         return self.inner.backward_bytes(shape)
-
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        """Differentiable path: forward uses error-fed reconstruction.
-
-        The residual update happens on the *values*; gradients flow through
-        the inner compressor's own backward rule applied at the corrected
-        point (a straight-through treatment of the additive correction).
-        """
-        data = self._feed(x.data, site)
-        corrected = x if data is x.data else Tensor._make(
-            data, (x,), lambda g: (g,))
-        out = self.inner.apply(corrected, site=site)
-        # A backward pass through ``out`` may read ``corrected``: then the
-        # graph keeps that buffer and the residual gets a fresh one.
-        self._keep(site, corrected.data, out.data, reuse=not out.requires_grad)
-        return out
-
-    def parameters(self):
-        return self.inner.parameters()
 
     def runtime_state(self) -> dict:
         state: dict = {"residuals": {site: r.copy()

@@ -13,7 +13,9 @@ at the same wire budget.
 Algorithm (rank-r, single power-iteration step with optional warm start):
 for a matrix ``M (n×m)``: ``P = M Q; P = orthonormalize(P); Q = Mᵀ P``;
 the message is ``(P, Q)`` and the reconstruction ``P Qᵀ``. Activations
-``(b, s, h)`` are flattened to ``(b·s, h)``.
+``(b, s, h)`` are flattened to ``(b·s, h)``. The backward is
+straight-through: the reconstruction is a data-dependent projection whose
+factors are recomputed every call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
-from repro.tensor import Tensor
 
 __all__ = ["PowerSGDCompressor", "orthonormalize"]
 
@@ -60,6 +61,7 @@ class PowerSGDCompressor(Compressor):
 
     name = "powersgd"
     allreduce_compatible = False  # two factor matrices per message
+    fields = ("p", "q")
 
     def __init__(self, rank: int, warm_start: bool = True, seed: int = 0):
         if rank <= 0:
@@ -90,17 +92,10 @@ class PowerSGDCompressor(Compressor):
         return p, q_new
 
     # ------------------------------------------------------------------
-    def compress(self, x: np.ndarray) -> CompressedMessage:
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x)
-        mat = self._as_matrix(x)
-        p, q = self._factorize(mat)
-        return CompressedMessage(
-            payloads={"p": p, "q": q},
-            shape=tuple(x.shape),
-            scheme=self.name,
-            wire_bytes=(p.size + q.size) * BYTES_FP16,
-            meta={"rank": p.shape[1]},
-        )
+        p, q = self._factorize(self._as_matrix(x))
+        return CompressedMessage({"p": p, "q": q}, tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         out = msg.payloads["p"] @ msg.payloads["q"].T
@@ -111,20 +106,6 @@ class PowerSGDCompressor(Compressor):
         m = shape[-1] if len(shape) > 1 else 1
         r = min(self.rank, n, m)
         return (n * r + m * r) * BYTES_FP16
-
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        """Differentiable round-trip via a straight-through projection.
-
-        The reconstruction ``P Qᵀ`` is a (data-dependent) projection of the
-        input; as with quantization we pass the upstream gradient straight
-        through, since the factors are recomputed every call.
-        """
-        out_data = self.roundtrip(x.data).astype(x.data.dtype)
-
-        def backward(g):
-            return (g,)
-
-        return Tensor._make(out_data, (x,), backward)
 
     def __repr__(self) -> str:
         return f"PowerSGDCompressor(rank={self.rank}, warm_start={self.warm_start})"

@@ -22,7 +22,7 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
-from repro.tensor import Tensor, pool
+from repro.tensor import pool
 
 __all__ = ["QuantizationCompressor", "pack_bits", "unpack_bits"]
 
@@ -68,6 +68,7 @@ class QuantizationCompressor(Compressor):
 
     name = "quantization"
     allreduce_compatible = False
+    fields = ("packed", "scales", "zeros")
 
     def __init__(self, bits: int, group_size: int = 256):
         if bits not in (2, 4, 8):
@@ -118,18 +119,12 @@ class QuantizationCompressor(Compressor):
         return out.reshape(-1)[:size]
 
     # ------------------------------------------------------------------
-    def compress(self, x: np.ndarray) -> CompressedMessage:
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x)
         codes, scales, zeros = self._quantize(x)
-        packed = pack_bits(codes, self.bits)
-        wire = packed.size + (scales.size + zeros.size) * BYTES_FP16
         return CompressedMessage(
-            payloads={"packed": packed, "scales": scales, "zeros": zeros},
-            shape=tuple(x.shape),
-            scheme=self.name,
-            wire_bytes=int(wire),
-            meta={"bits": self.bits, "group_size": self.group_size},
-        )
+            {"packed": pack_bits(codes, self.bits), "scales": scales, "zeros": zeros},
+            tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         size = int(np.prod(msg.shape))
@@ -148,30 +143,6 @@ class QuantizationCompressor(Compressor):
         """Dense fp16: the backward engine cannot carry quantized gradients."""
         n = int(np.prod(shape))
         return n * BYTES_FP16
-
-    def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        """Fused quantize→dequantize, skipping the bit-pack staging.
-
-        ``pack_bits``/``unpack_bits`` are lossless on the uint8 codes, so
-        the numeric result is bitwise-identical to
-        ``decompress(compress(x))`` — but the in-graph hot path (every
-        compressed site, every microbatch) drops two full passes over the
-        payload plus the pack allocations.  The wire format keeps the
-        packed form; only the local round-trip shortcuts it.
-        """
-        x = np.asarray(x)
-        codes, scales, zeros = self._quantize(x)
-        return self._dequantize(codes.reshape(-1), scales, zeros,
-                                x.size).reshape(x.shape)
-
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        out_data = self.roundtrip(x.data).astype(x.data.dtype, copy=False)
-
-        def backward(g):
-            # Straight-through estimator: quantization treated as identity.
-            return (g,)
-
-        return Tensor._make(out_data, (x,), backward)
 
     def __repr__(self) -> str:
         return f"QuantizationCompressor(bits={self.bits}, group_size={self.group_size})"

@@ -1,13 +1,11 @@
 """Random-K sparsification of activations.
 
-Keeps ``k`` uniformly random entries. The paper implemented selection with
-Python's ``random.sample``, which is why its Random-K rows show enormous
-encoding times; our NumPy implementation is fast, but the *simulator*
-reproduces the paper's kernel cost (see ``simulator/kernels.py``) because the
-timing tables characterise the paper's system, not ours.
-
-An optional unbiased rescale (values divided by the keep fraction) is
-provided, as used in Random-K gradient compression literature (Stich et al.).
+Keeps ``k`` uniformly random entries: the sparse codec of
+:mod:`repro.compression.topk` with a random selection. The paper implemented
+selection with Python's ``random.sample``, which is why its Random-K rows
+show enormous encoding times; our NumPy implementation is fast, but the
+*simulator* reproduces the paper's kernel cost (see ``simulator/kernels.py``)
+because the timing tables characterise the paper's system, not ours.
 """
 
 from __future__ import annotations
@@ -16,20 +14,14 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import (
-    BYTES_FP16,
-    BYTES_INT32,
-    CompressedMessage,
-    Compressor,
-    register_compressor,
-)
-from repro.tensor import Tensor
+from repro.compression.base import register_compressor
+from repro.compression.topk import SparseCompressor
 
 __all__ = ["RandomKCompressor"]
 
 
 @register_compressor
-class RandomKCompressor(Compressor):
+class RandomKCompressor(SparseCompressor):
     """Keep a uniformly random ``fraction`` of entries.
 
     Parameters
@@ -38,19 +30,12 @@ class RandomKCompressor(Compressor):
         Fraction of entries kept, in (0, 1].
     seed:
         Seed for the selection RNG.
-    unbiased:
-        When True, kept values are scaled by ``1/fraction`` so the sparse
-        tensor is an unbiased estimate of the original.
     """
 
     name = "randomk"
-    allreduce_compatible = False
 
-    def __init__(self, fraction: float, seed: int = 0, unbiased: bool = False):
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-        self.unbiased = unbiased
+    def __init__(self, fraction: float, seed: int = 0):
+        super().__init__(fraction)
         self._seed = int(seed)
         self._site_rngs: dict[str, np.random.Generator] = {}
 
@@ -66,54 +51,13 @@ class RandomKCompressor(Compressor):
             self._site_rngs[site] = rng
         return rng
 
-    def _k(self, size: int) -> int:
-        return max(1, int(round(self.fraction * size)))
-
-    def _select(self, size: int, site: str = "default") -> np.ndarray:
+    def _select(self, x: np.ndarray, site: str) -> np.ndarray:
+        size = x.size
         k = self._k(size)
         if k >= size:
             return np.arange(size, dtype=np.int32)
         idx = self._rng_for(site).choice(size, size=k, replace=False)
         return np.sort(idx).astype(np.int32)
-
-    def compress(self, x: np.ndarray) -> CompressedMessage:
-        x = np.asarray(x)
-        idx = self._select(x.size)
-        values = x.reshape(-1)[idx]
-        if self.unbiased:
-            values = values / self.fraction
-        return CompressedMessage(
-            payloads={"values": values, "indices": idx},
-            shape=tuple(x.shape),
-            scheme=self.name,
-            wire_bytes=idx.size * (BYTES_FP16 + BYTES_INT32),
-            meta={"k": int(idx.size), "unbiased": self.unbiased},
-        )
-
-    def decompress(self, msg: CompressedMessage) -> np.ndarray:
-        out = np.zeros(int(np.prod(msg.shape)), dtype=msg.payloads["values"].dtype)
-        values = msg.payloads["values"]
-        if msg.meta.get("unbiased"):
-            values = values * self.fraction
-        out[msg.payloads["indices"]] = values
-        return out.reshape(msg.shape)
-
-    def compressed_bytes(self, shape: tuple[int, ...]) -> int:
-        k = self._k(int(np.prod(shape)))
-        return k * (BYTES_FP16 + BYTES_INT32)
-
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        idx = self._select(x.data.size, site=site)
-        mask = np.zeros(x.data.size, dtype=bool)
-        mask[idx] = True
-        mask = mask.reshape(x.data.shape)
-        scale = (1.0 / self.fraction) if self.unbiased else 1.0
-        out_data = x.data * mask * scale
-
-        def backward(g):
-            return (g * mask * scale,)
-
-        return Tensor._make(out_data, (x,), backward)
 
     def runtime_state(self) -> dict:
         # bit_generator.state is a plain JSON-able dict (PCG64: name plus
@@ -128,6 +72,3 @@ class RandomKCompressor(Compressor):
                 (self._seed, zlib.crc32(site.encode())))
             rng.bit_generator.state = bg_state
             self._site_rngs[site] = rng
-
-    def __repr__(self) -> str:
-        return f"RandomKCompressor(fraction={self.fraction:.4f}, unbiased={self.unbiased})"

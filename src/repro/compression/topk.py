@@ -1,18 +1,23 @@
-"""Top-K sparsification (magnitude pruning) of activations.
+"""Sparsification: the codec Top-K and Random-K share, and Top-K's selection.
 
-Keeps the ``k`` largest-magnitude entries of the flattened activation
-(exactly ``k``; magnitude ties at the threshold go to the lowest index —
-:func:`select_topk` is the one selection every face of the scheme uses).
-The wire message is ``(values fp16, indices int32)`` — two tensors of
-different dtypes, which is why the runtime cannot sum it with all-reduce
-and must fall back to all-gather (paper §3.2).
+A sparse codec keeps ``k = max(1, round(fraction·n))`` entries of the
+flattened activation.  The wire message is ``(values fp16, indices int32)``
+— two tensors of different dtypes, which is why the runtime cannot sum it
+with all-reduce and must fall back to all-gather (paper §3.2).  The
+schemes differ only in *which* entries they keep: Top-K the ``k`` largest
+magnitudes (exactly ``k``; magnitude ties at the threshold go to the
+lowest index — :func:`select_topk`), Random-K a random draw
+(:mod:`repro.compression.randomk`).
 
-Gradient semantics: the backward message is masked to the kept entries,
-mirroring the paper's observation that compressing the forward activation
-also shrinks the backward (gradient-of-activation) message.
+Gradient semantics: the backward message keeps only the selected entries
+(``Compressor.sparse``), mirroring the paper's observation that compressing
+the forward activation also shrinks the backward (gradient-of-activation)
+message.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
@@ -23,9 +28,7 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
-from repro.tensor import Tensor
-
-__all__ = ["TopKCompressor", "select_topk", "topk_mask"]
+__all__ = ["SparseCompressor", "TopKCompressor", "select_topk", "topk_mask"]
 
 
 def select_topk(x: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -73,9 +76,8 @@ def topk_mask(x: np.ndarray, k: int) -> np.ndarray:
     return select_topk(x, k).reshape(x.shape)
 
 
-@register_compressor
-class TopKCompressor(Compressor):
-    """Keep the top ``fraction`` of entries by magnitude.
+class SparseCompressor(Compressor):
+    """Keep a ``fraction`` of the entries; subclasses choose which.
 
     Parameters
     ----------
@@ -83,8 +85,9 @@ class TopKCompressor(Compressor):
         Fraction of entries kept, in (0, 1].
     """
 
-    name = "topk"
     allreduce_compatible = False
+    sparse = True
+    fields = ("values", "indices")
 
     def __init__(self, fraction: float):
         if not 0.0 < fraction <= 1.0:
@@ -94,16 +97,15 @@ class TopKCompressor(Compressor):
     def _k(self, size: int) -> int:
         return max(1, int(round(self.fraction * size)))
 
-    def compress(self, x: np.ndarray) -> CompressedMessage:
+    @abc.abstractmethod
+    def _select(self, x: np.ndarray, site: str) -> np.ndarray:
+        """Ascending int32 flat indices of the entries ``x`` keeps at ``site``."""
+
+    def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x)
-        idx = np.flatnonzero(select_topk(x, self._k(x.size))).astype(np.int32)
-        return CompressedMessage(
-            payloads={"values": x.reshape(-1)[idx], "indices": idx},
-            shape=tuple(x.shape),
-            scheme=self.name,
-            wire_bytes=idx.size * (BYTES_FP16 + BYTES_INT32),
-            meta={"k": int(idx.size)},
-        )
+        idx = self._select(x, site)
+        return CompressedMessage({"values": x.reshape(-1)[idx], "indices": idx},
+                                 tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         out = np.zeros(int(np.prod(msg.shape)), dtype=msg.payloads["values"].dtype)
@@ -114,18 +116,15 @@ class TopKCompressor(Compressor):
         k = self._k(int(np.prod(shape)))
         return k * (BYTES_FP16 + BYTES_INT32)
 
-    def apply(self, x: Tensor, site: str = "default") -> Tensor:
-        # |x| is staged in the output's own buffer: the forward allocates
-        # the reconstruction and the mask, nothing else of the input's size.
-        out_data = np.empty(x.data.shape, dtype=x.data.dtype)
-        mask = select_topk(x.data, self._k(x.data.size),
-                           scratch=out_data.reshape(-1)).reshape(x.data.shape)
-        np.multiply(x.data, mask, out=out_data)
-
-        def backward(g):
-            return (g * mask,)
-
-        return Tensor._make(out_data, (x,), backward)
-
     def __repr__(self) -> str:
-        return f"TopKCompressor(fraction={self.fraction:.4f})"
+        return f"{type(self).__name__}(fraction={self.fraction:.4f})"
+
+
+@register_compressor
+class TopKCompressor(SparseCompressor):
+    """Keep the top ``fraction`` of entries by magnitude."""
+
+    name = "topk"
+
+    def _select(self, x: np.ndarray, site: str) -> np.ndarray:
+        return np.flatnonzero(select_topk(x, self._k(x.size))).astype(np.int32)

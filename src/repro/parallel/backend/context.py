@@ -193,12 +193,13 @@ class Group:
         return len(self.local) == self.world
 
     # ------------------------------------------------------------------
-    def gather(self, values: list[np.ndarray], *, label: str) -> list[np.ndarray]:
-        """Every member's array, in group-rank order.
+    def gather(self, values: list, *, label: str) -> list:
+        """Every member's value, in group-rank order.
 
-        ``values`` holds one array per ``local`` rank.  Remote members'
-        arrays come back as plain data (constants to autograd); a local
-        member's slot is the very array passed in.
+        ``values`` holds one value per ``local`` rank: an array, or a tuple
+        of arrays (a compressed message's payloads, one mailbox message
+        each).  Remote members' arrays come back as plain data (constants
+        to autograd); a local member's slot is the very value passed in.
         """
         if len(values) != len(self.local):
             raise ValueError(f"expected {len(self.local)} local {self.axis} "
@@ -207,9 +208,8 @@ class Group:
             return list(values)
         ctx = self._ctx
         peers = ctx.peers(self.axis)
-        gathered = ctx.transport.exchange(
-            peers, np.ascontiguousarray(values[0]), timeout=ctx.timeout,
-            label=label)
+        gathered = ctx.transport.exchange(peers, values[0], timeout=ctx.timeout,
+                                          label=label)
         return [gathered[p] for p in peers]
 
     def all_reduce(self, partial: np.ndarray, *, label: str) -> np.ndarray:
@@ -234,11 +234,12 @@ class Group:
         """
         return [self._ctx.transport.grad_slab(d) for d in range(self.world)]
 
-    def send(self, dst: int, array: np.ndarray, *, label: str) -> None:
-        """Point-to-point hop to group member ``dst`` (the pipeline send).
+    def send(self, dst: int, arrays: list[np.ndarray], *, label: str) -> None:
+        """Point-to-point hop of ``arrays`` to group member ``dst`` (the
+        pipeline send), one mailbox message each, in order.
 
         In-process the receiver reads the sender's tensor directly.  A
-        worker stages the payload in ``dst``'s ring mailbox (blocking only
+        worker stages the payloads in ``dst``'s ring mailbox (blocking only
         when the receiver lags a full ring behind); the in-flight window
         is recorded as an ``mp.async`` span.
         """
@@ -246,7 +247,9 @@ class Group:
         if ctx is None:
             return
         issued_at = time.monotonic()
-        ctx.transport.send(ctx.peers(self.axis)[dst], array, timeout=ctx.timeout)
+        peer = ctx.peers(self.axis)[dst]
+        for array in arrays:
+            ctx.transport.send(peer, array, timeout=ctx.timeout)
         rec = events.active()
         if rec is not None:
             rec.span(label, "mp.async", issued_at)

@@ -40,7 +40,8 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
                       (``OpProfiler(record_events=True)``)
 ``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or
                       ``step`` (rank) — one per fired fault
-``send``              ``src dst slot seq`` — ring-slot commit (status→FULL);
+``send``              ``src dst slot seq nbytes`` — ring-slot commit
+                      (status→FULL) of ``nbytes`` payload bytes;
                       ``dropped retry`` mark a resend's lost attempts
 ``recv``              ``src dst slot seq got_seq`` — drain (status→EMPTY)
 ``barrier_arrive``    ``gen`` — own generation slot bumped

@@ -245,7 +245,8 @@ class ShmChannel:
             # observe (and stamp) the message after the FULL flip, so in a
             # correct run t(send event) < t(recv event) always holds —
             # the wall-order invariant the DYN003 replay checks.
-            rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq)
+            rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq,
+                     nbytes=arr.nbytes)
         # Status flips to FULL only after payload and header are in place.
         self._status[slot][0] = _FULL
 
@@ -644,26 +645,34 @@ class RankTransport:
             rec.span(f"recv<-r{src}", "mp.wait", start)
         return out
 
-    def exchange(self, peers: list[int], arr: np.ndarray, *,
+    def exchange(self, peers: list[int], arr, *,
                  timeout: float = DEFAULT_TIMEOUT_S,
-                 label: str | None = None) -> dict[int, np.ndarray]:
+                 label: str | None = None) -> dict:
         """All-gather ``arr`` with ``peers``: stage the sends, then receive.
 
-        The sends complete as soon as the payload lands in each peer's
-        ring (they only block when a ring is full), so no two members can
-        wait on each other's send.  The receives are one ``mp.wait`` span,
-        ``"{label} wait"``.  Returns ``{rank: array}`` including our own
-        contribution — the caller reduces in deterministic rank order.
+        ``arr`` is one array, or a tuple of arrays (a compressed message's
+        payloads) sent as one mailbox message each; a tuple must fit the
+        ring (at most ``slots`` arrays), since every member stages all its
+        sends before it receives.  The sends complete as soon as the
+        payload lands in each peer's ring (they only block when a ring is
+        full), so no two members can wait on each other's send.  The
+        receives are one ``mp.wait`` span, ``"{label} wait"``.  Returns
+        ``{rank: arr}`` including our own contribution, each peer's in
+        ``arr``'s form — the caller reduces in deterministic rank order.
         """
         self._check_open("exchange")
+        parts = arr if isinstance(arr, tuple) else (arr,)
         for peer in peers:
             if peer != self.rank:
-                self._channels[(self.rank, peer)].send(arr, timeout=timeout)
+                for part in parts:
+                    self._channels[(self.rank, peer)].send(part, timeout=timeout)
         start = _now()
         out = {self.rank: arr}
         for peer in peers:
             if peer != self.rank:
-                out[peer] = self._channels[(peer, self.rank)].recv(timeout=timeout)
+                got = tuple(self._channels[(peer, self.rank)].recv(timeout=timeout)
+                            for _ in parts)
+                out[peer] = got if isinstance(arr, tuple) else got[0]
         rec = events.active()
         if rec is not None:
             rec.span(f"{label or f'exchange x{len(peers)}'} wait", "mp.wait", start)

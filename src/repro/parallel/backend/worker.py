@@ -8,8 +8,8 @@ a :class:`RankContext` so every :class:`Group` the model code builds has
 exactly this rank local.  Per step it executes exactly the slice of the
 oracle's computation its rank would own:
 
-- stage 0 embeds the batch; later stages receive the boundary activation
-  over shared memory and turn it into a gradient leaf;
+- stage 0 embeds the batch; later stages receive the boundary message
+  over shared memory, decode it and turn it into a gradient leaf;
 - the stage's transformer layers run with the worker's tp shard;
 - the last stage computes the loss and starts backward; earlier stages
   receive the relayed boundary gradient and resume their local graph;
@@ -84,7 +84,7 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
         mean_loss,
         split_microbatches,
     )
-    from repro.parallel.collectives import pipeline_transfer
+    from repro.parallel.collectives import pipeline_receive, pipeline_transfer
     from repro.parallel.grad_sync import sp_sync_grads
     from repro.parallel.pipeline import schedule_ops
 
@@ -129,8 +129,11 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
             if stage == 0:
                 x, mask4d = backbone.embed(mb_ids, mb_mask)
             else:
-                x_data = transport.recv(ctx.peer(stage - 1),
-                                        timeout=ctx.timeout)
+                x_data = pipeline_receive(
+                    backbone.site_compressor(f"boundary{stage - 1}"),
+                    (*mb_ids.shape, cfg.model.hidden),
+                    lambda: transport.recv(ctx.peer(stage - 1),
+                                           timeout=ctx.timeout))
                 leaf = Tensor(x_data, requires_grad=True)
                 x_in[i] = leaf
                 x = leaf

@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compression.base import BYTES_FP16, Compressor, NoCompressor
-from repro.compression.autoencoder import AutoencoderCompressor
+from repro.compression.base import BYTES_FP16, CompressedMessage, Compressor, NoCompressor
 from repro.parallel.backend import events as _events
 from repro.parallel.backend.context import Group, sum_in_order
 from repro.tensor import Tensor
@@ -48,6 +47,7 @@ __all__ = [
     "tp_all_reduce",
     "tp_broadcast",
     "pipeline_transfer",
+    "pipeline_receive",
     "dp_all_reduce",
     "sp_slice",
     "sp_seq_all_gather",
@@ -242,52 +242,62 @@ def tp_all_reduce(
     kind = _wire_kind(compressor)
     op = "all_gather" if kind == "message" else "all_reduce"
     label = _site_label(site, layer)
+    tag = f"{op.replace('_', '')} {label}"
     fwd_bytes = compressor.compressed_bytes(shape)
 
-    # ``sent`` is what each local rank puts on the wire, ``terms`` its
-    # summand in the reduction; they differ only for the learnable codec.
-    sent = partials
     if kind == "message":
-        # All-gather path: each rank broadcasts its compressed message; every
-        # rank reconstructs and sums locally.  Each rank's partial is its own
-        # compression site: a stateful wrapper (error feedback) must keep one
-        # residual per rank, not clobber a shared "default" slot per call.
-        # A worker runs (and observes) exactly the per-rank site it owns.
-        sent = []
+        # All-gather path: each rank sends its compressed message, one
+        # mailbox message per payload array; every rank decodes its peers'
+        # messages with its own codec and sums locally.  Each rank's
+        # partial is its own compression site: a stateful codec (error
+        # feedback, Random-K) must keep one state per rank, not clobber a
+        # shared "default" slot per call.  A worker runs (and observes)
+        # exactly the per-rank site it owns.
+        msgs, terms = [], []
         for r, p in zip(group.local, partials):
             rank_site = f"{label}.rank{r}"
-            rec = compressor.apply(p, site=rank_site)
-            sent.append(rec)
+            msg, rec = compressor.transmit(p, site=rank_site)
+            msgs.append(msg)
+            terms.append(rec)
             _observe(tracker, rank_site, compressor, "tp", p.data, rec.data,
-                     fwd_bytes, shape)
-    arrays = group.gather([t.data for t in sent],
-                          label=f"{op.replace('_', '')} {label}")
-    terms = sent
-    if kind == "code":
-        # Learnable codec: every rank replays the oracle's *whole*
-        # encode-sum-decode graph over the exchanged raw partials (peer
-        # partials enter as constants).  Exchanging codes instead would
-        # leave each worker with only its own encoder-gradient
-        # contribution, and summing those per-rank *step totals* post hoc
-        # reorders the float additions the moment gradients accumulate
-        # over microbatches (the oracle interleaves rank contributions per
-        # microbatch).  Replaying the full graph keeps codec gradients
-        # replicated and bitwise-identical to the oracle for any m; the
-        # logged wire bytes are still the code size — what a real fused
-        # encode/all-reduce/decode would move.
-        terms = [compressor.encode(p) for p in partials]
-    own = dict(zip(group.local, terms))
-    lift = compressor.encode if kind == "code" else (lambda t: t)
-    out = sum_in_order([own[r] if r in own else lift(Tensor(arrays[r]))
-                        for r in range(world)])
-    if kind == "code":
-        out = compressor.decode(out)
-        if tracker.probe is not None:
-            # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
-            # the meaningful error is measured on the reduced activation.
-            # Pure reads of already-exchanged data — bitwise-neutral.
-            _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
-                     out.data, fwd_bytes, shape)
+                     msg.wire_bytes, shape)
+        fwd_bytes = msgs[0].wire_bytes
+        fields = compressor.fields
+        gathered = group.gather([tuple(m.payloads[f] for f in fields) for m in msgs],
+                                label=tag)
+        own = dict(zip(group.local, terms))
+        out = sum_in_order([
+            own[r] if r in own else Tensor(compressor.decompress(
+                CompressedMessage(dict(zip(fields, gathered[r])), shape)))
+            for r in range(world)])
+    else:
+        arrays = group.gather([p.data for p in partials], label=tag)
+        terms, lift = partials, (lambda t: t)
+        if kind == "code":
+            # Learnable codec: every rank replays the oracle's *whole*
+            # encode-sum-decode graph over the exchanged raw partials (peer
+            # partials enter as constants).  Exchanging codes instead would
+            # leave each worker with only its own encoder-gradient
+            # contribution, and summing those per-rank *step totals* post
+            # hoc reorders the float additions the moment gradients
+            # accumulate over microbatches (the oracle interleaves rank
+            # contributions per microbatch).  Replaying the full graph keeps
+            # codec gradients replicated and bitwise-identical to the
+            # oracle for any m; the logged wire bytes are still the code
+            # size — what a real fused encode/all-reduce/decode would move.
+            terms = [compressor.encode(p) for p in partials]
+            lift = compressor.encode
+        own = dict(zip(group.local, terms))
+        out = sum_in_order([own[r] if r in own else lift(Tensor(arrays[r]))
+                            for r in range(world)])
+        if kind == "code":
+            out = compressor.decode(out)
+            if tracker.probe is not None:
+                # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
+                # the meaningful error is measured on the reduced activation.
+                # Pure reads of already-exchanged data — bitwise-neutral.
+                _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
+                         out.data, fwd_bytes, shape)
     return _log_round_trip(
         out, tracker, group.records,
         CommEvent(op, "tp", "forward", compressor.name, fwd_bytes, world,
@@ -305,17 +315,18 @@ def pipeline_transfer(
 ) -> Tensor:
     """Send an activation across a pipeline-stage boundary.
 
-    Applies the compressor's differentiable round-trip on the sender (the
+    Runs the compressor's differentiable round trip on the sender (the
     reconstruction and its backward stay in the sending stage's graph) and
-    logs the forward send plus the backward gradient message.  The
-    reconstruction crosses to stage ``boundary + 1``.  In-process that
-    stage reads the returned tensor; a worker stages it in its
-    same-tp-rank peer's ring there, which turns the payload into a
-    gradient leaf and relays the leaf's gradient back into this graph via
-    ``Tensor.backward(grad)``.  The payload stays in flight while this
-    stage moves on to its next schedule op.  The oracle records one
-    logical send per boundary, not one per tp replica — only the
-    designated recorder logs the two events.
+    logs the forward send plus the backward gradient message.  In-process
+    stage ``boundary + 1`` reads the returned tensor.  A worker stages the
+    message's payload arrays in its same-tp-rank peer's ring there, one
+    slot per array, and :func:`pipeline_receive` decodes them into a
+    gradient leaf whose gradient is relayed back into this graph via
+    ``Tensor.backward(grad)``; the learnable AE (its code is modelled, see
+    :func:`tp_all_reduce`) and the identity send the activation itself.
+    The payload stays in flight while this stage moves on to its next
+    schedule op.  The oracle records one logical send per boundary, not
+    one per tp replica — only the designated recorder logs the two events.
     """
     compressor = compressor if compressor is not None else NoCompressor()
     # The sender's side of the hop: this process holds the one stage that
@@ -323,10 +334,16 @@ def pipeline_transfer(
     group = Group.holding("pp", 1)
     shape = tuple(x.shape)
     site = f"boundary{boundary}"
+    kind = _wire_kind(compressor)
     fwd_bytes = compressor.compressed_bytes(shape)
-    out = x
-    if _wire_kind(compressor) != "dense":
+    out, sent = x, [x.data]
+    if kind == "message":
+        msg, out = compressor.transmit(x, site=site)
+        fwd_bytes, sent = msg.wire_bytes, [msg.payloads[f] for f in compressor.fields]
+    elif kind == "code":
         out = compressor.apply(x, site=site)
+        sent = [out.data]
+    if kind != "dense":
         _observe(tracker, site, compressor, "pp", x.data, out.data, fwd_bytes,
                  shape)
     out = _log_round_trip(
@@ -334,8 +351,19 @@ def pipeline_transfer(
         CommEvent("send", "pp", "forward", compressor.name, fwd_bytes, 2, shape,
                   layer, site),
         compressor.backward_bytes(shape))
-    group.send(boundary + 1, out.data, label=f"pp send {site}")
+    group.send(boundary + 1, sent, label=f"pp send {site}")
     return out
+
+
+def pipeline_receive(compressor: Compressor, shape: tuple[int, ...],
+                     recv) -> np.ndarray:
+    """The receiving stage's half of :func:`pipeline_transfer`: the
+    boundary activation of ``shape``, decoded from the arrays ``recv()``
+    returns one by one, in the order they were sent."""
+    if _wire_kind(compressor) != "message":
+        return recv()
+    return compressor.decompress(CompressedMessage(
+        {f: recv() for f in compressor.fields}, shape))
 
 
 # ----------------------------------------------------------------------
@@ -560,11 +588,7 @@ def _wire_kind(compressor: Compressor) -> str:
     messages that only an all-gather can carry)."""
     if compressor.name == "none":
         return "dense"
-    if isinstance(compressor, AutoencoderCompressor) or (
-        compressor.allreduce_compatible and compressor.learnable
-    ):
-        return "code"
-    return "message"
+    return "code" if compressor.learnable else "message"
 
 
 def _observe(tracker: CommTracker, site: str, compressor: Compressor, group: str,

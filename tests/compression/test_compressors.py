@@ -1,4 +1,4 @@
-"""Unit tests for every compressor: message face, graph face, byte accounting."""
+"""Unit tests for every compressor: the message, its round trip in the graph, byte accounting."""
 
 import tracemalloc
 
@@ -105,25 +105,6 @@ class TestRandomK:
         assert (out != 0).sum() <= 20  # k = 20 of 100 (some x could be 0)
         kept = out != 0
         np.testing.assert_array_equal(out[kept], x[kept])
-
-    def test_unbiased_rescale_roundtrip(self):
-        x = np.ones((10, 10), dtype=np.float32)
-        c = RandomKCompressor(fraction=0.5, seed=0, unbiased=True)
-        msg = c.compress(x)
-        np.testing.assert_allclose(msg.payloads["values"], 2.0)
-        out = c.decompress(msg)
-        np.testing.assert_allclose(out[out != 0], 1.0)
-
-    def test_unbiased_in_expectation(self):
-        x = RNG.normal(size=(50,)).astype(np.float32)
-        total = np.zeros_like(x)
-        n = 1200
-        c = RandomKCompressor(fraction=0.25, seed=3, unbiased=True)
-        for _ in range(n):
-            t = c.apply(Tensor(x))
-            total += t.data
-        # std of the mean is sqrt(3)|x|/sqrt(n); 5 sigma on |x|<=3 is ~0.45
-        np.testing.assert_allclose(total / n, x, atol=0.45)
 
     def test_selection_varies_between_calls(self):
         c = RandomKCompressor(fraction=0.1, seed=0)

@@ -8,14 +8,21 @@ CommEvent streams.  On a mismatch the event-stream diff is written as a
 JSON artifact (``REPRO_EVENT_DIFF_DIR``) for CI's ``backend-matrix``
 "mixed" cells to upload.
 
+The mp steps of those cells are conc-logged (``REPRO_CONC_LOG``), and
+the ranks' mailbox ``send`` events are checked against the messages they
+carry: every tensor-parallel all-gather and pipeline boundary stages its
+codec's payload arrays, byte for byte, once per peer.
+
 Degeneracy: any topology with ``dp=1, sp=1`` must produce the event
 stream of the pre-grid TP×PP path — no ``dp``/``sp`` group events, and
 the rank formula collapses to ``stage·tp + tp_rank``.
 """
 
+import copy
 import json
 import os
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ import pytest
 from repro.nn.transformer import TransformerConfig
 from repro.optim import Adam
 from repro.parallel.backend import create_backend
+from repro.parallel.backend.events import ENV_VAR as CONC_LOG, load_events
 from repro.parallel.backend.context import global_rank
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.topology import TopologyError, validate_grid
@@ -72,6 +80,59 @@ def dump_event_diff(cell, ref_events, got_events):
         json.dump({"cell": cell, "diff": diff}, fh, indent=2)
 
 
+@pytest.fixture
+def conc_log(tmp_path, monkeypatch):
+    """Attach the workers' JSONL sink (read from the env at spawn)."""
+    monkeypatch.setenv(CONC_LOG, str(tmp_path))
+    return tmp_path
+
+
+#: A span naming one message-kind site: a tp all-gather's wait or a
+#: pipeline boundary send.
+_SITE_SPAN = re.compile(r"allgather (layer\d+\.\w+) wait|pp send (boundary\d+)")
+
+
+def mailbox_site_bytes(log_dir):
+    """``[(rank, site, {dst: bytes})]``: what each rank staged in the
+    mailbox for each site it sent, one entry per occurrence.  A send
+    belongs to the first span after it that is not a per-message
+    ``send->r`` wait."""
+    by_rank = defaultdict(list)
+    for event in load_events(log_dir):
+        by_rank[event["rank"]].append(event)
+    out = []
+    for rank, events in sorted(by_rank.items()):
+        pending = Counter()
+        for e in sorted(events, key=lambda e: e["idx"]):
+            if e["kind"] == "send" and not e.get("dropped"):
+                pending[e["dst"]] += e["nbytes"]
+            elif e["kind"] == "span" and not e["name"].startswith("send->"):
+                site = _SITE_SPAN.fullmatch(e["name"])
+                if site is not None:
+                    out.append((rank, site.group(1) or site.group(2), pending))
+                pending = Counter()
+    return out
+
+
+def assert_mailbox_carries_messages(log_dir, model, events, shape):
+    """Each site's bytes per peer are its message's payload bytes, and its
+    logged forward ``wire_bytes`` is the message's, ``compressed_bytes``."""
+    zeros = np.zeros(shape, dtype=np.float32)
+    sent = mailbox_site_bytes(log_dir)
+    assert sent or model.config.tp * model.config.pp == 1
+    for rank, site, per_peer in sent:
+        codec = copy.deepcopy(model.backbone.site_compressor(site))
+        msg = codec.compress(zeros, site)
+        want = sum(a.nbytes for a in msg.payloads.values())
+        assert per_peer and set(per_peer.values()) == {want}, (rank, site, per_peer)
+        assert msg.wire_bytes == codec.compressed_bytes(shape)
+    for e in events:
+        if e.phase == "forward" and e.group in ("tp", "pp"):
+            site = e.site if e.group == "pp" else f"layer{e.layer}.{e.site}"
+            codec = model.backbone.site_compressor(site)
+            assert e.wire_bytes == codec.compressed_bytes(shape), e
+
+
 class TestGridBitwiseEquivalence:
     @pytest.mark.parametrize("dp,tp,pp,sp,scheme", [
         (2, 1, 1, 1, "w/o"),   # pure DP, dense gradient all-reduce
@@ -80,7 +141,8 @@ class TestGridBitwiseEquivalence:
         (1, 1, 2, 2, "w/o"),   # ring SP across a pipeline split
         (1, 1, 2, 2, "Q2"),    # SP with a quantized boundary
     ])
-    def test_single_step_matches_oracle_bitwise(self, dp, tp, pp, sp, scheme):
+    def test_single_step_matches_oracle_bitwise(self, dp, tp, pp, sp, scheme,
+                                                conc_log):
         ids, labels, mask = make_batch()
         oracle_model = make_model(scheme, tp, pp, dp=dp, sp=sp)
         mp_model = make_model(scheme, tp, pp, dp=dp, sp=sp)
@@ -108,8 +170,10 @@ class TestGridBitwiseEquivalence:
             assert np.array_equal(got.grads[name], ref_grads[name]), name
         assert Counter(map(event_key, got.events)) == \
             Counter(map(event_key, ref.events))
+        assert_mailbox_carries_messages(conc_log, mp_model, got.events,
+                                        (ids.shape[0] // dp, ids.shape[1], 32))
 
-    def test_dp2_three_steps_keep_weights_identical(self):
+    def test_dp2_three_steps_keep_weights_identical(self, conc_log):
         """Full loop over dp2×tp2: grads merged, Adam steps, weights pushed."""
         oracle_model = make_model("T2", 2, 1, dp=2)
         mp_model = make_model("T2", 2, 1, dp=2)
@@ -128,6 +192,8 @@ class TestGridBitwiseEquivalence:
                 assert got.loss == ref.loss, f"step {step}"
         finally:
             backend.close()
+        assert_mailbox_carries_messages(conc_log, mp_model, got.events,
+                                        (ids.shape[0] // 2, ids.shape[1], 32))
 
         ref_state = oracle_model.state_dict()
         got_state = mp_model.state_dict()
