@@ -1,21 +1,20 @@
-"""Telemetry overhead gate: REPRO_TELEMETRY=1 must cost <2% of an mp step.
+"""Telemetry overhead gate: an observed mp step must cost <2% over an unobserved one.
 
 For each cell of the mp step matrix (TP×PP layouts, 1F1B-m4 on the
 pipelined ones, the dp2 and sp2 grid cells; w/o, T2, Q2 each) two gangs
-are built from the same seed with only ``REPRO_TELEMETRY`` flipped around
-``create_backend`` (workers read it at spawn).  Both gangs stay up and
+are built from the same seed, differing only in ``collect_timelines``: the
+on-gang asks every rank for its step record on every step.  Both gangs stay up and
 take turns running the same optimizer step, alternating which side goes
 first, so load drift, cache warmth and allocator state hit both sides
 alike.  The gate is the ratio of *summed* per-cell medians (on/off):
 one cell's median carries more scheduler noise than a 2% signal, but the
 noise is zero-mean across the matrix while a real cost (taking the spans,
-emitting the step-end gauges and fidelity, a heavier reply) taxes every
+the per-call fidelity norms, the step-end gauges, a heavier reply) taxes every
 cell in the same direction.  Method and history: EXPERIMENTS.md "Telemetry overhead".
 
     PYTHONPATH=src python .github/scripts/telemetry_overhead.py
 """
 
-import os
 import statistics
 import sys
 import time
@@ -23,7 +22,6 @@ import time
 import numpy as np
 
 from repro.obs.metrics import step_rows
-from repro.obs.telemetry.agent import ENV_VAR
 from repro.optim import Adam
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.backend import create_backend
@@ -41,7 +39,7 @@ CELLS += [(2, 1, 1, 1, "gpipe", 1), (1, 1, 2, 2, "gpipe", 1)]
 class Gang:
     """One mp gang and the optimizer step the trainer would drive on it."""
 
-    def __init__(self, cell, scheme, telemetry):
+    def __init__(self, cell, scheme, observed):
         dp, tp, pp, sp, schedule, microbatches = cell
         cfg = ModelParallelConfig(
             default_accuracy_model(num_classes=2, seed=0),
@@ -54,11 +52,8 @@ class Gang:
                       rng.integers(0, 2, size=16),
                       np.ones((16, 16), dtype=np.int64))
         self.events = 0
-        os.environ[ENV_VAR] = "1" if telemetry else "0"
-        try:
-            self.backend = create_backend("mp", self.model)
-        finally:
-            del os.environ[ENV_VAR]
+        self.backend = create_backend("mp", self.model,
+                                      collect_timelines=observed)
 
     def timed_step(self):
         t0 = time.perf_counter()
@@ -85,7 +80,7 @@ def main():
                 off.backend.close()
                 on.backend.close()
             if off.events or not on.events:
-                print(f"telemetry switch did not take: off saw {off.events} "
+                print(f"observation switch did not take: off saw {off.events} "
                       f"step rows, on saw {on.events}", file=sys.stderr)
                 return 2
             off_ms, on_ms = (statistics.median(times[g]) for g in (off, on))

@@ -17,14 +17,15 @@ Usage::
     python -m repro.obs html RUN --out dash.html [--registry runs]
 
 ``report`` prints a per-run summary (gauges, phase timers, per-site
-compression fidelity when a sidecar ``*.fidelity.json`` exists) from the
-rank-event JSONL file a :class:`~repro.obs.metrics.RunRecorder` streams
-(``stream_path``) — the numbers :meth:`RunRecorder.summary` gives, a
-fold over the file's :func:`~repro.obs.metrics.step_rows`.
+compression fidelity) from the rank-event JSONL file a
+:class:`~repro.obs.metrics.RunRecorder` streams (``stream_path``) — the
+numbers :meth:`RunRecorder.summary` gives, a fold over the file's
+:func:`~repro.obs.metrics.step_rows`.
 
 ``smoke`` runs one short recorded fine-tune per scheme and writes, per
-scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` /
-``.fidelity.json`` — the artifact set CI uploads.
+scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` — the
+artifact set CI uploads; the run file carries the steps' ``fidelity``
+events.
 
 ``sim-trace`` exports the simulated GPipe iteration of one Table-4
 setting as a Chrome trace (open in Perfetto or ``chrome://tracing``).
@@ -36,7 +37,7 @@ per logical rank, ``mp.wait`` slices showing where ranks block on each
 other, ``comm`` instants for what each rank sent.
 
 ``top`` drives a short real training loop through the mp backend with
-per-step telemetry enabled (``REPRO_TELEMETRY=1``), folds each step's
+every step observed (``collect_timelines``), folds each step's
 rank events into rows and renders a per-rank health dashboard over them
 after every optimizer step.  The final window state is saved into the
 run registry (``--registry``) and optionally as a standalone HTML
@@ -58,7 +59,6 @@ import os
 import sys
 
 from repro.experiments.report import format_table
-from repro.obs.fidelity import FidelityProbe
 from repro.obs.metrics import RunRecorder, step_rows, summarize
 from repro.obs.trace import chrome_trace, simulated_iteration_trace, write_trace
 from repro.parallel.backend.events import load_events
@@ -87,15 +87,12 @@ def _report(summary: dict, meta: dict) -> str:
                 for name, total in sorted(summary["timers_ms"].items(),
                                           key=lambda kv: -kv[1])]
         lines += ["", format_table(rows, title="Phase timers")]
+    if summary["fidelity"]:
+        rows = [{"site": site, **{k: "-" if v is None else v
+                                  for k, v in agg.items()}}
+                for site, agg in sorted(summary["fidelity"].items())]
+        lines += ["", format_table(rows, title="Compression fidelity (per site)")]
     return "\n".join(lines)
-
-
-def _fidelity_table(per_site: dict) -> str:
-    rows = [
-        {"site": site, **{k: (v if v is not None else "-") for k, v in agg.items()}}
-        for site, agg in sorted(per_site.items())
-    ]
-    return format_table(rows, title="Compression fidelity (per site)")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -128,12 +125,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     meta = {k: v for k, v in next((e for e in events if e["kind"] == "meta"), {}).items()
             if k not in ("kind", "rank", "idx", "t")}
     print(_report(summary, meta))
-    sidecar = os.path.splitext(args.run)[0] + ".fidelity.json"
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            fidelity = json.load(fh)
-        print()
-        print(_fidelity_table(fidelity.get("per_site", {})))
     if args.trace:
         write_trace(chrome_trace(events, meta), args.trace)
         print(f"\ntrace written to {args.trace}")
@@ -155,7 +146,6 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             meta={"task": args.task, "scheme": scheme, "tp": 2, "pp": 2},
             stream_path=stem + ".jsonl",
         )
-        probe = FidelityProbe()
         result = finetune_on_task(
             args.task,
             scheme=scheme,
@@ -165,7 +155,6 @@ def cmd_smoke(args: argparse.Namespace) -> int:
                                      batch_size=args.batch_size),
             seed=0,
             recorder=recorder,
-            probe=probe,
         )
         written.append(recorder.stream_path)
         written.append(recorder.to_csv(stem + ".csv"))
@@ -173,12 +162,11 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             chrome_trace(recorder.events, {"run_id": recorder.run_id, **recorder.meta}),
             stem + ".trace.json",
         ))
-        with open(stem + ".fidelity.json", "w", encoding="utf-8") as fh:
-            json.dump(probe.to_json(), fh, indent=2)
-        written.append(stem + ".fidelity.json")
+        calls = [e for e in recorder.events if e["kind"] == "fidelity"]
         print(f"{scheme}: {len(recorder.records)} steps, "
-              f"{len(probe.records)} fidelity records over "
-              f"{len(probe.sites())} sites, primary={result.primary:.2f}")
+              f"{len(calls)} fidelity events over "
+              f"{len({e['site'] for e in calls})} sites, "
+              f"primary={result.primary:.2f}")
     print("wrote:")
     for path in written:
         print(f"  {path}")
@@ -279,7 +267,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         save_run,
         write_html,
     )
-    from repro.obs.telemetry.agent import ENV_VAR as TELEM_ENV
     from repro.obs.telemetry.registry import check_run_id
     from repro.optim import Adam
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
@@ -294,9 +281,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     except RunSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # The backend reads the switch when it spawns its workers.
-    os.environ[TELEM_ENV] = "1"
-
     cfg = ModelParallelConfig(
         default_accuracy_model(num_classes=2, seed=0),
         tp=args.tp, pp=args.pp, scheme=args.scheme, seed=0, backend="mp",
@@ -311,7 +295,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     monitor = HealthMonitor()
     clear = sys.stdout.isatty()
 
-    backend = create_backend("mp", model)
+    backend = create_backend("mp", model, collect_timelines=True)
     try:
         optimizer = Adam(model.parameters(), lr=1e-3)
         for step in range(args.steps):

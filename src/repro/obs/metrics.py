@@ -5,7 +5,10 @@ A :class:`RunRecorder` is a parent-side producer of the rank event record
 sets *gauges* (instantaneous values: loss, grad-norm, lr), bumps *counters*
 (monotonic totals: tokens, samples) and wraps code regions in *timers*
 (phase wall-time).  They become ``gauge``, ``count`` and ``span`` (cat
-``phase``) events between a ``step_begin`` and a ``step_end``.
+``phase``) events between a ``step_begin`` and a ``step_end``.  While a
+step is open the recorder's record is the process's active one, so an
+in-process step's ``comm`` and ``fidelity`` events land in it too; work
+outside a step (evaluation) records nothing.
 
 The record's JSONL sink is the run file: ``stream_path`` is written live,
 one flush per completed step, in the ``conc-rank*.jsonl`` format, and
@@ -30,6 +33,7 @@ import os
 import time
 from typing import Iterator
 
+from repro.parallel.backend import events as _events
 from repro.parallel.backend.events import EventRecord
 
 __all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "STEP_COLUMNS",
@@ -41,8 +45,18 @@ __all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "STEP_COLUMNS",
 STEP_COLUMNS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms", "retries",
                 "drops", "delays")
 
-#: The per-site fields of a ``fidelity`` event and of a row's ``fidelity``.
+#: The per-site fields of a row's ``fidelity``, folded from the step's
+#: ``fidelity`` events at that site: the mean ``rel_l2`` and ``ratio``
+#: and the last ``residual_norm``.
 FIDELITY_FIELDS = ("rel_l2", "ratio", "residual_norm")
+
+
+def _fold_site(calls: list[dict]) -> dict:
+    """One site's ``fidelity`` events of one step, as a row's entry."""
+    n = len(calls)
+    return {"rel_l2": sum(e["rel_l2"] for e in calls) / n,
+            "ratio": sum(e["ratio"] for e in calls) / n,
+            "residual_norm": calls[-1]["residual_norm"]}
 
 
 def step_rows(events) -> list[dict]:
@@ -60,7 +74,7 @@ def step_rows(events) -> list[dict]:
       a corrupt or a dropped attempt);
     - ``gauges`` (last write wins), ``counters`` (summed), ``timers_ms``
       (``phase`` spans by name) and ``fidelity`` (site → ``rel_l2 ratio
-      residual_norm``).
+      residual_norm``, see :data:`FIDELITY_FIELDS`).
     """
     rows: list[dict] = []
     origin: dict[int, float] = {}
@@ -84,6 +98,8 @@ def step_rows(events) -> list[dict]:
         if kind == "step_end":
             row["wall_ms"] = (e["t"] - begin[rank]) * 1e3
             row["busy_ms"] = max(row["wall_ms"] - row["comm_wait_ms"], 0.0)
+            row["fidelity"] = {site: _fold_site(calls)
+                               for site, calls in row["fidelity"].items()}
             rows.append(current.pop(rank))
         elif kind == "span":
             ms = e["dur"] * 1e3
@@ -104,18 +120,22 @@ def step_rows(events) -> list[dict]:
             counters = row["counters"]
             counters[e["name"]] = counters.get(e["name"], 0) + e["n"]
         elif kind == "fidelity":
-            row["fidelity"][e["site"]] = {k: e[k] for k in FIDELITY_FIELDS}
+            # An open row holds each site's calls; step_end folds them.
+            row["fidelity"].setdefault(e["site"], []).append(e)
     return rows
 
 
 def summarize(events) -> dict:
     """Aggregates over a run: per-gauge last/mean/min/max, per-timer and
-    per-counter totals, summed step wall time."""
+    per-counter totals, summed step wall time, and per compression site
+    the steps that observed it, the mean and max of their ``rel_l2``, the
+    mean ``ratio`` and the last ``residual_norm``."""
     meta = next((e for e in events if e["kind"] == "meta"), {})
     records = step_rows(events)
     gauges: dict[str, list[float]] = {}
     timers: dict[str, float] = {}
     counters: dict[str, int] = {}
+    fidelity: dict[str, list[dict]] = {}
     for record in records:
         for name, value in record["gauges"].items():
             gauges.setdefault(name, []).append(value)
@@ -123,6 +143,8 @@ def summarize(events) -> dict:
             timers[name] = timers.get(name, 0.0) + value
         for name, value in record["counters"].items():
             counters[name] = counters.get(name, 0) + value
+        for site, fields in record["fidelity"].items():
+            fidelity.setdefault(site, []).append(fields)
     return {
         "run_id": meta.get("run_id", "?"),
         "steps": len(records),
@@ -134,6 +156,14 @@ def summarize(events) -> dict:
         },
         "timers_ms": timers,
         "counters": counters,
+        "fidelity": {
+            site: {"steps": len(steps),
+                   "rel_l2_mean": sum(f["rel_l2"] for f in steps) / len(steps),
+                   "rel_l2_max": max(f["rel_l2"] for f in steps),
+                   "ratio_mean": sum(f["ratio"] for f in steps) / len(steps),
+                   "residual_norm_last": steps[-1]["residual_norm"]}
+            for site, steps in fidelity.items()
+        },
     }
 
 
@@ -174,18 +204,23 @@ class RunRecorder:
     # Step lifecycle
     # ------------------------------------------------------------------
     def start_step(self, step: int | None = None) -> None:
-        """Open a new step (implicitly closing an unfinished one)."""
+        """Open a new step (implicitly closing an unfinished one) and make
+        the record the active one until :meth:`end_step`."""
         if self._step is not None:
             self.end_step()
         self._step = step if step is not None else self._next_step
         self._next_step = self._step + 1
+        self._previous = _events.active()
+        _events.install(self.record)
         self.record.emit("step_begin", step=self._step)
 
     def end_step(self) -> None:
-        """Close the open step and flush it to the sink."""
+        """Close the open step, hand the record seam back to its previous
+        owner and flush the step to the sink."""
         if self._step is None:
             raise RuntimeError("end_step() without a matching start_step()")
         self.record.emit("step_end", step=self._step)
+        _events.install(self._previous)
         self._step = None
         # One append per step: a SIGKILL between steps can lose at most
         # the step in progress, never corrupt a written line.

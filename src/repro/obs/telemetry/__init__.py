@@ -1,10 +1,11 @@
 """Live cross-rank telemetry: worker gauges, health rules, registry.
 
-The subsystem in one sentence: with ``REPRO_TELEMETRY`` set (off by
-default), each mp rank ends a step by emitting its gauges and per-site
-fidelity into the step's slice of its event record
-(:func:`~repro.obs.telemetry.agent.emit_step_telemetry`), which rides the
-step reply; the parent folds the slices into rows
+The subsystem in one sentence: on an observed step (off by default;
+``collect_timelines`` or the ``REPRO_CONC_LOG`` sink), each mp rank ends
+the step by emitting its gauges into the step's slice of its event record
+(:func:`~repro.obs.telemetry.agent.emit_step_telemetry`), beside the
+``fidelity`` events its collectives emitted, and the slice rides the step
+reply when the parent collects it; the parent folds the slices into rows
 (:func:`repro.obs.metrics.step_rows`), a
 :class:`~repro.obs.telemetry.health.HealthMonitor` evaluates its rules
 over the last :data:`~repro.obs.telemetry.health.WINDOW` steps of rows
@@ -14,7 +15,6 @@ into typed :class:`~repro.obs.telemetry.health.Alert`s, and the
 same rows.  Everything is bitwise-neutral to training.
 """
 
-from repro.obs.telemetry.agent import ENV_VAR, enabled
 from repro.obs.telemetry.dashboard import render_html, render_top, write_html
 from repro.obs.telemetry.health import (
     Alert,
@@ -41,8 +41,6 @@ from repro.obs.telemetry.registry import (
 )
 
 __all__ = [
-    "ENV_VAR",
-    "enabled",
     "Alert",
     "Rule",
     "StragglerRule",

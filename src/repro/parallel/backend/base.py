@@ -58,10 +58,10 @@ class StepResult:
     at ``dp == 1``, whose autograd pass already left the gradients on the
     parent model's parameters.  ``record`` maps global rank to the step's
     slice of that rank's event record
-    (:mod:`repro.parallel.backend.events`); it is empty when nothing
-    observed the step, and always for inproc.  ``timelines`` is its span
+    (:mod:`repro.parallel.backend.events`) and ``timelines`` is its span
     view (``name``/``cat``/``ts_ms``/``dur_ms`` per rank) for Chrome-trace
-    export, filled when the mp backend's ``collect_timelines`` is set.
+    export; both are filled when the mp backend's ``collect_timelines`` is
+    set, and empty otherwise and always for inproc.
     ``grad_norm`` is the pre-clip global gradient norm when
     :meth:`ExecutionBackend.step` clipped, else ``None``.
     """

@@ -2,9 +2,9 @@
 
 An :class:`EventRecord` is the only thing an mp rank writes while a step
 is observed, and the only store of the parent's own observers
-(:class:`~repro.obs.metrics.RunRecorder`,
-:class:`~repro.obs.profile.OpProfiler`), whose events carry rank −1 or
-the logical rank a profiler span names.  Every event is
+(:class:`~repro.obs.metrics.RunRecorder`, installed for each of its
+steps, and :class:`~repro.obs.profile.OpProfiler`), whose events carry
+rank −1 or the logical rank a profiler span names.  Every event is
 ``{kind, rank, idx, t, ...}`` with ``idx`` a
 dense per-rank counter (program order) and ``t = time.monotonic()`` taken
 *at emit* — CLOCK_MONOTONIC on Linux, one system-wide clock, so stamps
@@ -30,12 +30,12 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
                       caller's cat, a profiler span adding ``path
                       alloc_bytes op_calls``
 ``comm``              a ``CommEvent``'s fields — one per tracked message
-``gauge`` / ``count`` ``name value`` / ``name n`` (``RunRecorder``); with
-                      ``REPRO_TELEMETRY`` workers emit ``gauge`` at step
-                      end: ``loss`` (last stage), ``ring_occupancy``,
+``gauge`` / ``count`` ``name value`` / ``name n`` (``RunRecorder``); a
+                      worker emits ``gauge`` at an observed step's end:
+                      ``loss`` (last stage), ``ring_occupancy``,
                       ``peak_rss_kb``
-``fidelity``          ``site rel_l2 ratio residual_norm`` — one per
-                      compressed site per telemetered worker step
+``fidelity``          ``site scheme group rel_l2 ratio residual_norm`` —
+                      one per compressed-site call
 ``op``                ``name phase dur alloc_bytes`` — one tensor op call
                       (``OpProfiler(record_events=True)``)
 ``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or
@@ -59,8 +59,9 @@ Rules every emit site keeps:
 - **Off by default.**  A step nobody observes has no record installed
   and each site costs one :func:`active` / :func:`protocol` lookup and an
   ``is None`` check.  The protocol kinds (send/recv/barrier) are taken
-  only while the JSONL sink is attached; a traced or telemetered step
-  takes frames, spans and faults.
+  only while the JSONL sink is attached; any observed step takes spans,
+  faults, ``comm`` and ``fidelity`` events, and on a worker the step-end
+  gauges.
 - **Bounded.**  The record holds the current step's slice; :meth:`flush`
   hands it to the sinks and forgets it.
 

@@ -95,9 +95,6 @@ class MpBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _spawn_workers(self, model, timeout: float) -> None:
         spawn = multiprocessing.get_context("spawn")
-        from repro.obs.telemetry.agent import enabled as telemetry_enabled
-
-        telemetry = telemetry_enabled()  # REPRO_TELEMETRY, read once at spawn
         kwargs = {}
         if hasattr(model, "regression"):
             kwargs["regression"] = model.regression
@@ -114,7 +111,7 @@ class MpBackend(ExecutionBackend):
             proc = spawn.Process(
                 target=_worker_main, daemon=True, name=f"repro-rank{rank}",
                 args=(child_conn, self.transport.spec, rank_info, model_spec,
-                      timeout, telemetry))
+                      timeout))
             proc.start()
             child_conn.close()
             self._procs.append(proc)

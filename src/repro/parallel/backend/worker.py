@@ -228,8 +228,7 @@ def _own_sites(state: dict, site: str) -> dict:
             if not key.startswith("dp.rank") or key == site}
 
 
-def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
-           telemetry: bool) -> None:
+def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan) -> None:
     """Build the replica on the weights arena and answer commands until
     ``shutdown``.  The model lives in this frame only: once it is gone, no
     local of the caller holds a view of the segment."""
@@ -253,15 +252,6 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
     from repro.parallel.grad_sync import build_dp_grad_compressor
 
     dp_codec = build_dp_grad_compressor(model_spec["config"]) if leads else None
-    # Telemetry: end each step with its gauges and fidelity events, from a
-    # worker-local probe on the tracker.  Off, the obs package is never
-    # imported here.
-    probe = None
-    if telemetry:
-        from repro.obs.fidelity import FidelityProbe
-        from repro.obs.telemetry.agent import emit_step_telemetry
-
-        probe = model.tracker.probe = FidelityProbe()
     conn.send(("ready", rank))
     steps_done = 0
     while True:
@@ -289,9 +279,8 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
         elif cmd == "step":
             _, input_ids, labels, attention_mask, collect = msg
             # The step is observed if any sink wants it: the reply (the
-            # parent asked for timelines, or telemetry is on) or the JSONL.
-            on_reply = collect or probe is not None
-            if on_reply or rec.path is not None:
+            # parent asked for the record) or the JSONL.
+            if collect or rec.path is not None:
                 events.install(rec)
                 # Stamped before fault injection so a planned straggler
                 # delay lands in this rank's wall (and busy) time instead
@@ -322,10 +311,13 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
                 model, ctx, input_ids, labels, attention_mask)
             if ctx.dp > 1:
                 _gang_reduce(model, ctx, written, dp_codec)
-            if probe is not None:
-                emit_step_telemetry(live, probe, loss=loss_val,
-                                    ring_occupancy=transport.ring_occupancy())
             if live is not None:
+                # Imported here: an unobserved gang never loads the obs
+                # package.
+                from repro.obs.telemetry.agent import emit_step_telemetry
+
+                emit_step_telemetry(live, loss=loss_val,
+                                    ring_occupancy=transport.ring_occupancy())
                 live.emit("step_end", step=steps_done)
             steps_done += 1
             # Flushed after every step, so a crashed run still leaves a
@@ -333,18 +325,17 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan,
             step_slice = rec.flush() if live is not None else []
             conn.send(("result", rank, loss_val, written,
                        list(model.tracker.events),
-                       step_slice if on_reply else []))
+                       step_slice if collect else []))
         else:
             raise RuntimeError(f"unknown command {cmd!r}")
 
 
 def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
-                 timeout: float, telemetry: bool) -> None:
+                 timeout: float) -> None:
     """Process target: attach transport, build the replica, serve commands.
 
     ``rank_info`` carries this rank's :class:`RankContext` coordinates,
-    ``model_spec`` the model class, its config and extra constructor kwargs,
-    ``telemetry`` the parent's reading of ``REPRO_TELEMETRY`` at spawn.
+    ``model_spec`` the model class, its config and extra constructor kwargs.
     Every command is answered (``("result", ...)`` or ``("error", rank,
     tb)``) so the parent never waits on a silent failure.
     """
@@ -359,7 +350,7 @@ def _worker_main(conn, spec: dict, rank_info: dict, model_spec: dict,
     fault_plan = faults.maybe_install_from_env()
     try:
         ctx.transport = RankTransport(spec, rank)
-        _serve(conn, ctx, model_spec, rec, fault_plan, telemetry)
+        _serve(conn, ctx, model_spec, rec, fault_plan)
     except EOFError:
         pass  # parent went away; nothing to report to
     except BaseException:

@@ -96,25 +96,22 @@ class CommEvent:
 class CommTracker:
     """Accumulates :class:`CommEvent` records for one or more iterations.
 
-    An optional :class:`~repro.obs.fidelity.FidelityProbe` may be attached
-    as ``probe``; the collectives then report each compressed site's dense
-    activation and reconstruction to it alongside the wire events.  The
-    default (``probe=None``) costs one ``is None`` check per collective.
+    While a rank event record is active (an observed step), each message
+    is also emitted into it as a ``comm`` event, and each compressed-site
+    call as a ``fidelity`` event (:func:`_observe`); unobserved, both cost
+    one ``is None`` check.
     """
 
-    def __init__(self, enabled: bool = True, probe=None):
-        self.enabled = enabled
-        self.probe = probe
+    def __init__(self):
         self.events: list[CommEvent] = []
 
     def record(self, event: CommEvent) -> None:
         """Log ``event``; an observed process also emits it as a ``comm``
         event into its active rank event record."""
-        if self.enabled:
-            self.events.append(event)
-            rec = _events.active()
-            if rec is not None:
-                rec.emit("comm", **vars(event))
+        self.events.append(event)
+        rec = _events.active()
+        if rec is not None:
+            rec.emit("comm", **vars(event))
 
     def reset(self) -> None:
         self.events.clear()
@@ -259,7 +256,7 @@ def tp_all_reduce(
             msg, rec = compressor.transmit(p, site=rank_site)
             msgs.append(msg)
             terms.append(rec)
-            _observe(tracker, rank_site, compressor, "tp", p.data, rec.data,
+            _observe(rank_site, compressor, "tp", p.data, rec.data,
                      msg.wire_bytes, shape)
         fwd_bytes = msgs[0].wire_bytes
         fields = compressor.fields
@@ -292,11 +289,11 @@ def tp_all_reduce(
                             for r in range(world)])
         if kind == "code":
             out = compressor.decode(out)
-            if tracker.probe is not None:
+            if _events.active() is not None:
                 # AE compresses the *sum* (dec(Σ enc(xᵢ)) by linearity), so
                 # the meaningful error is measured on the reduced activation.
                 # Pure reads of already-exchanged data — bitwise-neutral.
-                _observe(tracker, label, compressor, "tp", sum_in_order(arrays),
+                _observe(label, compressor, "tp", sum_in_order(arrays),
                          out.data, fwd_bytes, shape)
     return _log_round_trip(
         out, tracker, group.records,
@@ -344,8 +341,7 @@ def pipeline_transfer(
         out = compressor.apply(x, site=site)
         sent = [out.data]
     if kind != "dense":
-        _observe(tracker, site, compressor, "pp", x.data, out.data, fwd_bytes,
-                 shape)
+        _observe(site, compressor, "pp", x.data, out.data, fwd_bytes, shape)
     out = _log_round_trip(
         out, tracker, group.records,
         CommEvent("send", "pp", "forward", compressor.name, fwd_bytes, 2, shape,
@@ -591,20 +587,25 @@ def _wire_kind(compressor: Compressor) -> str:
     return "code" if compressor.learnable else "message"
 
 
-def _observe(tracker: CommTracker, site: str, compressor: Compressor, group: str,
+def _observe(site: str, compressor: Compressor, group: str,
              original: np.ndarray, reconstructed: np.ndarray, wire_bytes: int,
              shape: tuple[int, ...]) -> None:
-    """Report one compressed site to the tracker's fidelity probe, if any,
-    with the error-feedback residual held at ``site`` (None when stateless)."""
-    if tracker.probe is None:
+    """Emit one compressed-site call as a ``fidelity`` event into the
+    active record, if any: the relative L2 error of ``reconstructed``,
+    the realized ratio ``dense / wire`` bytes, and the error-feedback
+    residual norm held at ``site`` (``None`` when the codec is stateless).
+    Pure reads of data the step already holds — bitwise-neutral."""
+    rec = _events.active()
+    if rec is None:
         return
+    norm = float(np.linalg.norm(original))
+    rel_l2 = float(np.linalg.norm(original - reconstructed)) / norm if norm else 0.0
     getter = getattr(compressor, "residual", None)
-    tracker.probe.observe(
-        site=site, scheme=compressor.name, group=group,
-        original=original, reconstructed=reconstructed,
-        wire_bytes=wire_bytes, dense_bytes=dense_bytes(shape),
-        residual=getter(site) if callable(getter) else None,
-    )
+    residual = getter(site) if callable(getter) else None
+    rec.emit("fidelity", site=site, scheme=compressor.name, group=group,
+             rel_l2=rel_l2, ratio=dense_bytes(shape) / max(wire_bytes, 1),
+             residual_norm=(float(np.linalg.norm(residual))
+                            if residual is not None else None))
 
 
 def _log_round_trip(x: Tensor, tracker: CommTracker, records: bool,

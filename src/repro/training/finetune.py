@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +10,6 @@ from repro.compression import CompressionPolicy
 from repro.data.tasks import GLUE_TASKS, make_task
 from repro.data.topics import TopicModel
 from repro.nn.transformer import TransformerConfig
-from repro.obs.fidelity import FidelityProbe
 from repro.obs.metrics import NULL_RECORDER, RunRecorder
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.backend import create_backend
@@ -73,7 +72,6 @@ def finetune_on_task(
     num_layers: int = 4,
     backbone_state: dict[str, np.ndarray] | None = None,
     recorder: RunRecorder = NULL_RECORDER,
-    probe: FidelityProbe | None = None,
 ) -> FinetuneResult:
     """Fine-tune a fresh (or pre-trained) MP model on one synthetic GLUE task.
 
@@ -84,11 +82,9 @@ def finetune_on_task(
         load — the Table 8 workflow).
     recorder:
         Optional :class:`~repro.obs.metrics.RunRecorder` capturing per-step
-        loss / lr / grad-norm and phase timings (no-op by default).
-    probe:
-        Optional :class:`~repro.obs.fidelity.FidelityProbe`; when given it
-        is attached to the model's :class:`CommTracker` and receives every
-        compressed round-trip at every TP site and PP boundary.
+        loss / lr / grad-norm and phase timings (no-op by default); on the
+        inproc backend its run file also carries every training step's
+        ``comm`` and per-call ``fidelity`` events (evaluation records none).
     """
     spec = GLUE_TASKS[task_name]
     model_cfg = default_accuracy_model(
@@ -100,8 +96,6 @@ def finetune_on_task(
     model = ModelParallelBertClassifier(mp_cfg, regression=spec.regression)
     if backbone_state is not None:
         model.load_backbone(backbone_state)
-    if probe is not None:
-        model.tracker.probe = probe
 
     train, evals = make_task(task_name, topics=topics, seq_len=model_cfg.max_seq_len // 2,
                              seed=seed)

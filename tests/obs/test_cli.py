@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 
+from repro.compression import TopKCompressor
 from repro.experiments.report import format_value
 from repro.lint.race_check import run_race_check_on_path
 from repro.nn.transformer import TransformerConfig
@@ -15,6 +16,8 @@ from repro.obs.trace import chrome_trace
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.backend import create_backend, load_events
 from repro.parallel.backend.events import ENV_VAR as CONC_ENV
+from repro.parallel.collectives import CommTracker, pipeline_transfer
+from repro.tensor import Tensor
 
 
 def make_jsonl(tmp_path):
@@ -70,17 +73,24 @@ class TestReport:
         assert "error" in capsys.readouterr().err
 
     def test_reports_fidelity_sidecar(self, tmp_path, capsys):
-        run = make_jsonl(tmp_path)
-        sidecar = str(tmp_path / "run.fidelity.json")
-        with open(sidecar, "w") as fh:
-            json.dump({"records": 2, "per_site": {
-                "layer2.mlp.rank0": {"scheme": "topk", "group": "tp", "count": 2,
-                                     "rel_l2_error_mean": 0.5, "rel_l2_error_max": 0.6,
-                                     "ratio_mean": 8.0, "residual_norm_last": None},
-            }}, fh)
-        assert main(["report", run]) == 0
+        """Fidelity has no sidecar file any more: ``report`` tables the
+        run file's own ``fidelity`` events, pooled per site."""
+        path = str(tmp_path / "run.jsonl")
+        rec = RunRecorder(run_id="fid", stream_path=path)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 32)).astype(np.float32))
+        for _ in range(2):
+            with rec.step():  # the step's record is the active one
+                pipeline_transfer(x, TopKCompressor(0.25), CommTracker(),
+                                  boundary=0)
+        assert main(["report", path]) == 0
         out = capsys.readouterr().out
-        assert "layer2.mlp.rank0" in out
+        assert "Compression fidelity" in out
+        (row,) = [line.split() for line in out.splitlines()
+                  if line.startswith("boundary0")]
+        agg = summarize(load_events(path))["fidelity"]["boundary0"]
+        assert agg["steps"] == 2
+        assert row[1:4] == [format_value(agg[k])
+                            for k in ("steps", "rel_l2_mean", "rel_l2_max")]
 
 
 class TestOneFold:
@@ -164,13 +174,11 @@ class TestSmoke:
         jsonl = tmp_path / "smoke-T2.jsonl"
         csv_path = tmp_path / "smoke-T2.csv"
         trace = tmp_path / "smoke-T2.trace.json"
-        fidelity = tmp_path / "smoke-T2.fidelity.json"
-        for path in (jsonl, csv_path, trace, fidelity):
+        for path in (jsonl, csv_path, trace):
             assert path.exists(), path
-        with open(fidelity) as fh:
-            fid = json.load(fh)
-        assert fid["per_site"], "smoke run must yield per-site fidelity metrics"
-        # The run report works on what smoke wrote (incl. the sidecar).
+        assert summarize(load_events(jsonl))["fidelity"], \
+            "smoke run must yield per-site fidelity metrics"
+        # The run report tables them from the run file.
         assert main(["report", str(jsonl)]) == 0
         out = capsys.readouterr().out
         assert "Compression fidelity" in out

@@ -231,15 +231,6 @@ class TestCommLinks:
         expected = {"/".join(k): v for k, v in model.tracker.summary().items()}
         assert prof.comm_bytes() == expected
 
-    def test_disabled_tracker_records_no_links(self):
-        model = small_model(tp=2)
-        model.tracker.enabled = False
-        prof = OpProfiler(record_events=False)
-        input_ids, labels, mask = tiny_batch(model)
-        with prof:
-            model.loss(input_ids, labels, mask)
-        assert of_kind(prof, "comm") == []
-
     def test_uninstall_restores_tracker_record(self):
         """The tracker is never patched: installing the profiler only makes
         its record the active one, and uninstalling hands the seam back."""

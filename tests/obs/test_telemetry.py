@@ -4,12 +4,13 @@ events, window statistics and the registry snapshot over rows."""
 import numpy as np
 import pytest
 
-from repro.obs.fidelity import FidelityProbe
+from repro.nn.transformer import TransformerConfig
 from repro.obs.metrics import RunRecorder, step_rows
-from repro.obs.telemetry import enabled
 from repro.obs.telemetry.agent import emit_step_telemetry
 from repro.obs.telemetry.health import WINDOW, window, window_stats
 from repro.obs.telemetry.registry import telemetry_snapshot
+from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
+from repro.parallel.backend import create_backend, events
 from repro.parallel.backend.events import EventRecord
 from tests.obs.helpers import row
 
@@ -81,41 +82,52 @@ class TestAgentEvents:
         assert second["drops"] == 0
 
     def test_fidelity_block_from_probe_and_probe_reset(self):
-        probe = FidelityProbe()
-        x = np.ones(8)
-        probe.observe(site="layer2.mlp", scheme="T2", group="tp",
-                      original=x, reconstructed=x * 0.9,
-                      wire_bytes=16, dense_bytes=64, residual=x * 0.1)
+        """A row's fidelity block is the fold of its own step's calls (it
+        starts afresh each step): pp2 1F1B with m=4 microbatches makes
+        four boundary sends per step, folded to their mean."""
+        mc = TransformerConfig(vocab_size=64, hidden=32, num_layers=2,
+                               num_heads=4, max_seq_len=16, dropout=0.0,
+                               num_classes=2)
+        model = ModelParallelBertClassifier(ModelParallelConfig(
+            mc, tp=1, pp=2, scheme="T2", seed=0, pipeline_schedule="1f1b",
+            num_microbatches=4))
+        rng = np.random.default_rng(0)
         record = EventRecord(rank=1, world=2)
-        for step, loss in ((0, 1.25), (1, None)):
-            record.emit("step_begin", step=step)
-            emit_step_telemetry(record, probe, loss=loss, ring_occupancy=2)
-            record.emit("step_end", step=step)
-        first, second = step_rows(record.flush())
-        fid = first["fidelity"]["layer2.mlp"]
-        assert fid["rel_l2"] == pytest.approx(0.1)
-        assert fid["ratio"] == pytest.approx(4.0)
-        assert fid["residual_norm"] == pytest.approx(np.linalg.norm(x * 0.1))
-        assert first["gauges"]["loss"] == 1.25
-        assert first["gauges"]["ring_occupancy"] == 2
-        assert first["gauges"]["peak_rss_kb"] >= 0.0
-        # The probe was reset; a stage without the loss emits no loss gauge.
-        assert second["fidelity"] == {}
-        assert set(second["gauges"]) == {"ring_occupancy", "peak_rss_kb"}
+        events.install(record)
+        try:
+            with create_backend("inproc", model) as backend:
+                for step, loss in ((0, 1.25), (1, None)):
+                    record.emit("step_begin", step=step)
+                    backend.train_step(rng.integers(0, 64, size=(8, 12)),
+                                       rng.integers(0, 2, size=8))
+                    emit_step_telemetry(record, loss=loss, ring_occupancy=2)
+                    record.emit("step_end", step=step)
+        finally:
+            events.uninstall()
+        flushed = record.flush()
+        rows = step_rows(flushed)
+        assert [r["step"] for r in rows] == [0, 1]
+        begins = [i for i, e in enumerate(flushed) if e["kind"] == "step_begin"]
+        for row, lo, hi in zip(rows, begins, begins[1:] + [len(flushed)]):
+            calls = [e for e in flushed[lo:hi] if e["kind"] == "fidelity"]
+            assert [e["site"] for e in calls] == ["boundary0"] * 4
+            fid = row["fidelity"]["boundary0"]
+            assert fid["rel_l2"] == pytest.approx(np.mean([e["rel_l2"] for e in calls]))
+            assert fid["ratio"] == pytest.approx(np.mean([e["ratio"] for e in calls]))
+            assert fid["residual_norm"] is None  # Top-K keeps no residual
+        assert rows[0]["fidelity"] != rows[1]["fidelity"]  # a fold per step
+        assert rows[0]["gauges"]["loss"] == 1.25
+        assert rows[0]["gauges"]["ring_occupancy"] == 2
+        assert rows[0]["gauges"]["peak_rss_kb"] >= 0.0
+        # A stage without the loss emits no loss gauge.
+        assert set(rows[1]["gauges"]) == {"ring_occupancy", "peak_rss_kb"}
 
-
-class TestEnvGate:
-    def test_disabled_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not enabled()
-
-    def test_zero_counts_as_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not enabled()
-
-    def test_any_other_value_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert enabled()
+    def test_fidelity_keeps_the_last_residual_norm(self):
+        calls = [_ev("fidelity", 0.0, site="b0", rel_l2=r, ratio=4.0,
+                     residual_norm=n) for r, n in ((0.1, 1.0), (0.3, 2.0))]
+        (r,) = step_rows(_step(0, *calls))
+        assert r["fidelity"] == {"b0": {"rel_l2": pytest.approx(0.2),
+                                        "ratio": 4.0, "residual_norm": 2.0}}
 
 
 class TestStepRows:

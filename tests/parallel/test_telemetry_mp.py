@@ -2,9 +2,9 @@
 
 Contracts from DESIGN "Rank event record":
 
-- with ``REPRO_TELEMETRY=1`` every rank's step slice — its spans, faults,
-  step-end gauges and per-site compression fidelity — rides the step
-  reply and is in ``result.record`` when ``train_step`` returns, so
+- with ``collect_timelines`` every rank's step slice — its spans,
+  faults, step-end gauges and per-call compression fidelity — rides the
+  step reply and is in ``result.record`` when ``train_step`` returns, so
   ``step_rows`` folds one row per rank per step from it — nothing here
   sleeps;
 - the observers are *bitwise* neutral, one at a time and all together —
@@ -82,10 +82,10 @@ def train_loop(model, steps=2, rows=None, results=None, **backend_kw):
 
 
 class TestSideChannel:
-    def test_every_rank_streams_step_events_and_fidelity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    def test_every_rank_streams_step_events_and_fidelity(self):
         rows = []
-        losses = train_loop(make_model("A2"), steps=2, rows=rows)
+        losses = train_loop(make_model("A2"), steps=2, rows=rows,
+                            collect_timelines=True)
 
         assert sorted({r["rank"] for r in rows}) == [-1, 0, 1, 2, 3]
         for rank in range(4):
@@ -111,31 +111,31 @@ class TestSideChannel:
         assert len(rel) > 0 and all(v >= 0 for v in rel)
 
     def test_channel_is_silent_when_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_CONC_LOG", raising=False)
         results = []
         train_loop(make_model("w/o", schedule="gpipe", microbatches=1),
                    steps=1, results=results)
         assert results[0].record == {}
+        assert results[0].timelines == {}
 
-    def test_step_summaries_are_in_hand_when_train_step_returns(self, monkeypatch):
+    def test_step_summaries_are_in_hand_when_train_step_returns(self):
         """30 of 30 steps: exactly ``world`` rows for step k, and for no
         other step, fold from the result of ``train_step(k)``."""
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
         results = []
-        train_loop(make_model("A2"), steps=30, results=results)
+        train_loop(make_model("A2"), steps=30, results=results,
+                   collect_timelines=True)
         for k, result in enumerate(results):
             rows = step_rows(flat(result.record))
             assert sorted(r["rank"] for r in rows) == [0, 1, 2, 3], k
             assert {r["step"] for r in rows} == {k}
-            assert result.timelines == {}  # nobody asked for the span view
+            assert sorted(result.timelines) == [0, 1, 2, 3]
 
 
 def observed_run(env, **backend_kw):
     """Losses, weights and per-step CommEvent multisets of 3 optimizer
     steps with exactly ``env`` of the observer switches set."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("REPRO_TELEMETRY", "REPRO_CONC_LOG"):
-            mp.delenv(name, raising=False)
+        mp.delenv("REPRO_CONC_LOG", raising=False)
         for name, value in env.items():
             mp.setenv(name, value)
         model = make_model("A2")
@@ -159,13 +159,12 @@ class TestBitwiseNeutrality:
         assert comm == bare[2]
 
     def test_on_off_runs_are_identical(self, bare):
-        self.assert_identical(observed_run({"REPRO_TELEMETRY": "1"}), bare)
+        self.assert_identical(observed_run({}, collect_timelines=True), bare)
 
     def test_all_observers_together_are_identical(self, bare, tmp_path):
-        """JSONL sink + telemetry + timelines on one 2x2 1F1B run."""
-        observed = observed_run(
-            {"REPRO_TELEMETRY": "1", "REPRO_CONC_LOG": str(tmp_path)},
-            collect_timelines=True)
+        """JSONL sink + the step record on one 2x2 1F1B run."""
+        observed = observed_run({"REPRO_CONC_LOG": str(tmp_path)},
+                                collect_timelines=True)
         self.assert_identical(observed, bare)
         assert len(list(tmp_path.glob("conc-rank*.jsonl"))) == 4
 
@@ -174,11 +173,11 @@ class TestStragglerAlert:
     def test_alert_names_the_injected_rank(self, monkeypatch):
         # The builtin plan delays rank 1 before step 0 by 50 ms — far above
         # the straggler rule's 10 ms gap floor.
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.setenv("REPRO_FAULT_PLAN", "straggler")
         rows = []
         monitor = HealthMonitor()
-        train_loop(make_model("w/o"), steps=2, rows=rows)
+        train_loop(make_model("w/o"), steps=2, rows=rows,
+                   collect_timelines=True)
         monitor.check(rows, step=2)
 
         stragglers = [a for a in monitor.alerts if a.rule == "straggler"]

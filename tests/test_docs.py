@@ -4,13 +4,16 @@ Every ``python -m repro.obs <verb>`` in README, DESIGN and the CI
 workflow must be a verb ``repro.obs.cli.build_parser()`` accepts; every
 ``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
 workflow, the Makefile and the verify skill must be one
-``repro.lint.cli._build_parser()`` accepts; and every ``make <target>`` in
+``repro.lint.cli._build_parser()`` accepts; every ``make <target>`` in
 README's, DESIGN's and the verify skill's code (backticked spans and fenced
-blocks) must be a Makefile target.  CHANGES.md is history and is not
+blocks) must be a Makefile target; and every backticked span that starts
+with a dotted ``repro.a.b[.Name]`` in README, DESIGN, EXPERIMENTS and the
+verify skill must import and resolve.  CHANGES.md is history and is not
 checked.
 """
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -24,6 +27,7 @@ OBS_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml")
 SKILL = ".claude/skills/verify/SKILL.md"
 LINT_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml", "Makefile", SKILL)
 MAKE_DOCS = ("README.md", "DESIGN.md", SKILL)
+NAME_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", SKILL)
 
 #: ``python -m repro.obs`` then a verb, or a ``{a,b}`` list of them, on the
 #: same line or after a shell line continuation.
@@ -35,6 +39,8 @@ LINT_FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 MAKE_TARGET = re.compile(r"(?<![\w-])make[ \t]+([a-z][\w.-]*)")
 FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 SPAN = re.compile(r"`([^`\n]+)`")
+#: The dotted ``repro`` name a backticked span starts with.
+DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 
 
 def obs_verbs(text: str) -> list[str]:
@@ -53,6 +59,28 @@ def make_targets(text: str) -> list[str]:
     code = FENCED.findall(text)
     code += SPAN.findall(FENCED.sub("", text))
     return [t for chunk in code for t in MAKE_TARGET.findall(chunk)]
+
+
+def dotted_names(text: str) -> list[str]:
+    spans = SPAN.findall(FENCED.sub("", text))
+    return [m.group(0) for span in spans if (m := DOTTED.match(span))]
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or an attribute path below the
+    longest importable module prefix of it."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 def parser_verbs() -> set[str]:
@@ -89,6 +117,14 @@ def test_make_targets_exist(doc):
     assert not unknown, f"{doc} runs unknown `make` targets: {unknown}"
 
 
+@pytest.mark.parametrize("doc", NAME_DOCS)
+def test_repro_names_resolve(doc):
+    names = dotted_names((ROOT / doc).read_text())
+    assert names, f"{doc} names no `repro.…` object; is the pattern stale?"
+    unknown = sorted({name for name in names if not resolves(name)})
+    assert not unknown, f"{doc} names `repro` objects that do not exist: {unknown}"
+
+
 def test_patterns_catch_a_stale_reference():
     text = ("run `python -m repro.obs {report,explain}` or\n"
             "```\nPYTHONPATH=src python -m repro.obs \\\n  budget\nmake ab\n```\n"
@@ -99,3 +135,10 @@ def test_patterns_catch_a_stale_reference():
             "`python -m repro.lint --model-check` then --prose-flag\n"
             "\t$(PYTHON) -m repro.lint --dynamic src/\n")
     assert lint_flags(lint) == ["--race-log", "--fix-report", "--model-check", "--dynamic"]
+    names = ("`repro.obs.metrics.step_rows(events)` and `repro.tensor.pool`, "
+             "not `python -m repro.obs`; `repro.obs.retired.Sidecar`\n"
+             "```\nrepro.obs.Nope\n```\n")
+    assert dotted_names(names) == ["repro.obs.metrics.step_rows", "repro.tensor.pool",
+                                   "repro.obs.retired.Sidecar"]
+    assert [resolves(n) for n in dotted_names(names)] == [True, True, False]
+    assert not resolves("repro.obs.metrics.NoSuchName")
