@@ -85,7 +85,7 @@ MUTANTS = [
     ("extra-recorder", C, "        if group.records:\n            tracker.record(event)",
      "        if True:\n            tracker.record(event)", "only the designated rank records"),
     ("dp-site-shared", C, 'site=f"dp.rank{r}"', 'site="dp.rank0"', "one EF site per dp replica"),
-    ("dp-mean", C, "mean = sum_in_order(sent) / dp", "mean = sum_in_order(sent)", "dp averages"),
+    ("dp-mean", C, "mean = np.divide(total, dp, out=total)", "mean = total", "dp averages"),
     ("untracked", "parallel/tensor_parallel.py",
      'x = tp_broadcast(x, self.tp, tracker, layer=layer, site="mlp")',
      'x = tp_broadcast(x, self.tp, layer=layer, site="mlp")', "collectives get a tracker"),
@@ -117,8 +117,15 @@ MUTANTS = [
      "if self.retry_budget < 0:", "FaultPlan rejects retry_budget 0 at parse time"),
     ("ckpt-atomic", "training/checkpoint.py", 'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
      "a checkpoint appears only when complete"),
-    ("clip-l1", "optim/optimizer.py", "total += float((p.grad.astype(np.float64) ** 2).sum())",
-     "total += float(np.abs(p.grad.astype(np.float64)).sum() ** 2)", "clip by the global L2 norm"),
+    ("clip-l1", "optim/optimizer.py",
+     "total += float(np.square(sq, out=sq).sum())",
+     "total += float(np.abs(sq).sum() ** 2)", "clip by the global L2 norm"),
+    ("adam-m-copy", "optim/optimizer.py",
+     "np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)",
+     "m = np.add(np.multiply(m, b1), np.multiply(g, 1 - b1, out=a))", "Adam updates m in place"),
+    ("close-no-detach", "parallel/backend/mp.py",
+     "if p.data is arena[name]:\n                        p.data = p.data.copy()",
+     "if p.data is arena[name]:\n                        pass", "close() hands the model private weights"),
 ]
 
 PYTEST = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]

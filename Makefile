@@ -44,7 +44,7 @@ loc:
 # It names the call site to look at; a speed claim still goes through
 # benchmarks/e2e. A warmed step faults (almost) no pages: CI fails above
 # 300 / 500 / 300 per step on the first three. The dp2 twin is printed, not
-# gated: its Top-K codec's temporaries fault ~3 000 pages per step in one
+# gated: its Top-K codec's temporaries fault ~1 600 pages per step in one
 # process (the mp leaders do not).
 op-budget:
 	$(PYTHON) .github/scripts/op_budget.py --tp 2 --pp 2 --scheme A2 --max-faults 300

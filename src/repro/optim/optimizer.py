@@ -18,6 +18,14 @@ class Optimizer:
             raise ValueError("optimizer received an empty parameter list")
         self.lr = lr
         self.step_count = 0
+        #: Scratch shared by every parameter, sized to the largest one.
+        self._scratch: dict[str, np.ndarray] = {}
+        # A step frees no parameter-sized temporary, so nothing lifts glibc's
+        # dynamic mmap and trim thresholds (mallopt(3)) any more, and the heap
+        # top a forward pass grows went back to the kernel and was re-faulted
+        # every step (~250 pages on tp2 pp2).  Freeing one block the size of
+        # the state lifts them for good, as each mp worker does at start-up.
+        bytearray(min(sum(p.data.nbytes for p in self.params), 31 << 20))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -56,12 +64,26 @@ class Optimizer:
     def _load_slot_state(self, slots: dict) -> None:
         pass
 
+    def _buffer(self, key: str, p: Tensor, dtype=None) -> np.ndarray:
+        """Scratch ``key`` viewed in ``p``'s shape (``p``'s dtype unless
+        given): one buffer for every parameter, so a step allocates no
+        parameter-sized temporary."""
+        if key not in self._scratch:
+            self._scratch[key] = np.empty(max(q.data.size for q in self.params),
+                                          dtype or p.data.dtype)
+        return self._scratch[key][:p.data.size].reshape(p.data.shape)
+
     def clip_grad_norm(self, max_norm: float) -> float:
         """Clip the global gradient norm in place; returns the pre-clip norm."""
         total = 0.0
         for p in self.params:
             if p.grad is not None:
-                total += float((p.grad.astype(np.float64) ** 2).sum())
+                if p.grad.flags.c_contiguous:
+                    sq = self._buffer("sq", p, np.float64)
+                    sq[...] = p.grad
+                else:  # a copy in the gradient's own layout keeps the sum's order
+                    sq = p.grad.astype(np.float64)
+                total += float(np.square(sq, out=sq).sum())
         norm = float(np.sqrt(total))
         if norm > max_norm and norm > 0:
             scale = max_norm / norm
@@ -119,20 +141,32 @@ class Adam(Optimizer):
 
     def _effective_grad(self, p: Tensor) -> np.ndarray:
         if self.weight_decay:
-            return p.grad + self.weight_decay * p.data
+            g = np.multiply(p.data, self.weight_decay, out=self._buffer("b", p))
+            return np.add(p.grad, g, out=g)
         return p.grad
 
     def _update(self, index: int, p: Tensor) -> None:
+        # The textbook expressions, operation for operation, through ``out=``:
+        # m, v and p.data are updated where they live, and every temporary
+        # is scratch ``a`` or ``b`` (``b`` holds g under weight decay).
         b1, b2 = self.betas
         g = self._effective_grad(p)
-        m = self._m.get(index)
-        v = self._v.get(index)
-        m = b1 * m + (1 - b1) * g if m is not None else (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g if v is not None else (1 - b2) * g * g
-        self._m[index], self._v[index] = m, v
-        mhat = m / (1 - b1**self.step_count)
-        vhat = v / (1 - b2**self.step_count)
-        p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        a, b = self._buffer("a", p), self._buffer("b", p)
+        m, v = self._m.get(index), self._v.get(index)
+        if m is None:
+            m = self._m[index] = np.multiply(g, 1 - b1, out=np.empty_like(g))
+        else:
+            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)
+        gg = np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)  # (1 - b2) * g * g
+        if v is None:
+            v = self._v[index] = gg.copy()
+        else:
+            np.add(np.multiply(v, b2, out=v), gg, out=v)
+        mhat = np.divide(m, 1 - b1**self.step_count, out=a)
+        vhat = np.divide(v, 1 - b2**self.step_count, out=b)
+        denom = np.add(np.sqrt(vhat, out=b), self.eps, out=b)
+        step = np.divide(np.multiply(mhat, self.lr, out=a), denom, out=a)
+        np.subtract(p.data, step, out=p.data)
 
     def _slot_state(self) -> dict[str, dict[int, np.ndarray]]:
         return {"m": {i: m.copy() for i, m in self._m.items()},
@@ -153,5 +187,7 @@ class AdamW(Adam):
 
     def _update(self, index: int, p: Tensor) -> None:
         if self.weight_decay:
-            p.data -= self.lr * self.weight_decay * p.data
+            decay = np.multiply(p.data, self.lr * self.weight_decay,
+                                out=self._buffer("a", p))
+            np.subtract(p.data, decay, out=p.data)
         super()._update(index, p)

@@ -8,10 +8,13 @@ model's parameters, so :class:`StepResult.grads` is empty and
 bitwise-unchanged.
 
 With ``dp > 1`` the oracle materializes one *replica model* per
-data-parallel rank (same config and seed ⇒ identical init, but — crucially
-— independent compressor state: each replica's error-feedback residuals
-and Random-K streams advance on its own batch shard exactly as the mp
-gangs' do).  Each replica runs the serial step on its contiguous batch
+data-parallel rank.  A replica keeps its own ``Parameter`` objects,
+gradients and — crucially — compressor state: each replica's
+error-feedback residuals and Random-K streams advance on its own batch
+shard exactly as the mp gangs' do.  Its weights are the model's:
+``sync_weights`` points every replica parameter's ``.data`` at the model's
+array and copies nothing, so the optimizer's in-place update reaches every
+replica.  Each replica runs the serial step on its contiguous batch
 shard; the per-replica gradients are then combined by
 :func:`~repro.parallel.collectives.dp_all_reduce` with every replica local
 — the function an mp gang leader runs with one replica local, performing
@@ -51,6 +54,7 @@ class InprocBackend(ExecutionBackend):
             self._replicas += [type(model)(cfg, **kwargs)
                                for _ in range(self.dp - 1)]
             self._dp_compressor = build_dp_grad_compressor(cfg)
+            self.sync_weights(model)
 
     # ------------------------------------------------------------------
     def _replica_step(self, model, input_ids, labels, attention_mask) -> float:
@@ -127,12 +131,13 @@ class InprocBackend(ExecutionBackend):
                           timelines={})
 
     def sync_weights(self, model) -> None:
-        # dp == 1: there is nobody to sync with.
-        if self.dp == 1:
-            return
-        state = model.state_dict()
+        # A rebind, not a copy: each replica parameter reads the model's array
+        # (bound in the constructor; again here after a ``load_state_dict``).
+        # At dp == 1 there are no replicas.
+        weights = dict(model.named_parameters())
         for replica in self._replicas[1:]:
-            replica.load_state_dict(state)
+            for name, p in replica.named_parameters():
+                p.data = weights[name].data
 
     def runtime_state(self) -> dict:
         if self.dp == 1:

@@ -1,14 +1,17 @@
 """Multiprocess execution backend: one spawned worker per logical rank.
 
-The parent keeps the canonical model and optimizer; workers compute their
-rank's slice of each step on a replica whose parameters are read-only
-views of the weights arena in the shared-memory segment.
+The parent keeps the canonical model and optimizer.  Its parameters *are*
+the weights arena in the shared-memory segment (writable views, bound by
+``sync_weights``; ``close()`` gives each back a private copy), and workers
+compute their rank's slice of each step on a replica whose parameters are
+read-only views of the same arena.
 
 The control pipe carries commands, the batch, and each rank's reply (loss,
 names of the gradients it wrote, comm events, the step's slice of the rank
 event record); shared memory carries activations, weights and gradients.
-``sync_weights`` is a ``copyto`` into the arena with no message; after
-backward each worker copies the gradients it owns into its dp gang's slab.
+The optimizer's in-place update writes the arena, so ``sync_weights``
+sends no message and copies only a rebound parameter; after backward
+each worker copies the gradients it owns into its dp gang's slab.
 With ``dp > 1`` the gangs' leaders then reduce the slabs among themselves
 (:func:`~repro.parallel.collectives.dp_all_reduce`: each leader owns its
 replica's gradient codec state) and leave the mean in gang 0's slab; the
@@ -245,10 +248,15 @@ class MpBackend(ExecutionBackend):
         return {name: slab[name].copy() for name in owners[0]}
 
     def sync_weights(self, model) -> None:
+        """Bind each parameter to its writable arena view, copying only one
+        whose ``.data`` points elsewhere (first call, ``load_state_dict``):
+        the optimizer's in-place update is then the whole weight push."""
         self._ensure_open()
         arena = self.transport.weights
         for name, p in model.named_parameters():
-            np.copyto(arena[name], p.data)
+            if p.data is not arena[name]:
+                np.copyto(arena[name], p.data)
+                p.data = arena[name]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -336,6 +344,12 @@ class MpBackend(ExecutionBackend):
         finally:
             transport = getattr(self, "transport", None)
             if transport is not None:
+                # The model outlives the segment: each parameter still on
+                # the arena gets a private copy before the views are released.
+                arena = transport.weights
+                for name, p in self.model.named_parameters():
+                    if p.data is arena[name]:
+                        p.data = p.data.copy()
                 transport.close()
 
     def __del__(self):

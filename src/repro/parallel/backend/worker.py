@@ -281,6 +281,11 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan) -> None:
             # The step is observed if any sink wants it: the reply (the
             # parent asked for the record) or the JSONL.
             if collect or rec.path is not None:
+                # Imported before ``step_begin``, so the first observed step
+                # does not pay for it; an unobserved gang never loads the
+                # obs package.
+                from repro.obs.telemetry.agent import emit_step_telemetry
+
                 events.install(rec)
                 # Stamped before fault injection so a planned straggler
                 # delay lands in this rank's wall (and busy) time instead
@@ -312,10 +317,6 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan) -> None:
             if ctx.dp > 1:
                 _gang_reduce(model, ctx, written, dp_codec)
             if live is not None:
-                # Imported here: an unobserved gang never loads the obs
-                # package.
-                from repro.obs.telemetry.agent import emit_step_telemetry
-
                 emit_step_telemetry(live, loss=loss_val,
                                     ring_occupancy=transport.ring_occupancy())
                 live.emit("step_end", step=steps_done)

@@ -383,11 +383,11 @@ def dp_all_reduce(
     (error-feedback residuals and Random-K streams never alias across
     replicas — the same per-site isolation the TP all-gather path uses),
     so a leader's codec holds its own replica's state and nothing else.
-    Reconstructions are summed with :func:`sum_in_order` and divided by
-    the replica count: the result is the gradient of the mean loss over
-    the full batch.
+    Reconstructions are folded in rank order into one running total, in
+    place (:func:`sum_in_order`'s additions), and divided by the replica
+    count: the result is the gradient of the mean loss over the full batch.
 
-    In-process the sum runs over the local list.  Workers exchange through
+    In-process the fold runs over the local list.  Workers exchange through
     the gradient slabs, because a parameter-sized vector does not fit a
     mailbox slot: each leader writes its reconstruction back over its own
     slab, and after one barrier reduces a disjoint ``1/dp`` slice of every
@@ -409,28 +409,32 @@ def dp_all_reduce(
     for grads in replica_grads[1:]:
         if sorted(grads) != names:
             raise ValueError("replica gradient sets differ; cannot dp-reduce")
-    flats = [
-        np.concatenate([np.asarray(grads[n], dtype=np.float32).ravel()
-                        for n in names])
-        for grads in replica_grads
-    ]
-    size = flats[0].size
-    if compressor is None or _wire_kind(compressor) == "dense":
-        sent = flats
+    # One replica at a time, in rank order: its flat vector, decoded (a
+    # gradient exchange needs no graph node), added into the running total
+    # in place.  That is sum_in_order's left fold, and no two replicas'
+    # vectors are alive at once.
+    dense = compressor is None or _wire_kind(compressor) == "dense"
+    total = None
+    for r, grads in zip(group.local, replica_grads):
+        flat = np.concatenate([np.asarray(grads[n], dtype=np.float32).ravel()
+                               for n in names])
+        if not dense:
+            flat = compressor.code(flat, site=f"dp.rank{r}")[1].astype(
+                np.float32, copy=False)
+        total = flat if total is None else np.add(total, flat, out=total)
+    size = total.size
+    if dense:
         event = CommEvent("all_reduce", "dp", "backward", "none",
                           dense_bytes((size,)), dp, (size,), None, site)
     else:
-        sent = [compressor.apply(Tensor(f), site=f"dp.rank{r}").data
-                for r, f in zip(group.local, flats)]
         event = CommEvent("all_gather", "dp", "backward", compressor.name,
                           compressor.compressed_bytes((size,)), dp, (size,),
                           None, site)
-    del flats
     if 0 in group.local:
         tracker.record(event)
 
     if group.whole:
-        mean = sum_in_order(sent) / dp
+        mean = np.divide(total, dp, out=total)
         merged: dict[str, np.ndarray] = {}
         offset = 0
         for name in names:
@@ -442,7 +446,7 @@ def dp_all_reduce(
 
     stores = group.stores()
     own = group.local[0]
-    _scatter(sent.pop(), _flat_range(stores[own], names, 0, size))
+    _scatter(total, _flat_range(stores[own], names, 0, size))
     if rec is not None:
         rec.span("dp compress", "mp.phase", t0)
     # A gather completes only after every peer has sent, and each sends

@@ -12,6 +12,10 @@ tests here turn that ordering argument into something that fails:
   the parent gets a typed error naming the rank;
 - a gradient written by two ranks of one gang is a typed error too, not a
   silent pick between them.
+
+Each parameter-sized weight vector has one home per process: the parent's
+parameters are the arena until ``close()`` hands them private copies, and
+the oracle's dp replicas read the model's own arrays.
 """
 
 import numpy as np
@@ -124,15 +128,68 @@ class TestOwnership:
         assert backend._closed
 
     def test_workers_compute_on_the_bytes_the_parent_wrote(self):
-        """No message carries weights: a step after an edit + sync_weights
-        sees the edit; the same edit without the sync is invisible."""
+        """No message carries weights, and the parent's parameters are the
+        arena: an in-place write reaches the next step; ``load_state_dict``
+        rebinds them off the arena, so it is invisible until
+        ``sync_weights``."""
         model = make_model(tp=2)
         batch = make_batch()
+        start = model.state_dict()
         with create_backend("mp", model, timeout=MP_TIMEOUT) as backend:
             base = backend.train_step(*batch).loss
             model.classifier.weight.data += 0.5
-            assert backend.train_step(*batch).loss == base
-            backend.sync_weights(model)
             moved = backend.train_step(*batch).loss
-        assert moved != base
-        assert moved == create_backend("inproc", model).train_step(*batch).loss
+            assert moved != base
+            model.load_state_dict(start)
+            assert backend.train_step(*batch).loss == moved
+            backend.sync_weights(model)
+            assert backend.train_step(*batch).loss == base
+        oracle = create_backend("inproc", model)
+        assert oracle.train_step(*batch).loss == base
+        model.classifier.weight.data += 0.5
+        assert oracle.train_step(*batch).loss == moved
+
+
+class TestOneWeightCopy:
+    def test_close_hands_every_parameter_a_private_copy(self):
+        """Parameters are arena views while the gang runs; after ``close()``
+        none shares memory with the segment, and the model trains on
+        ``inproc`` and evaluates as any other model."""
+        model = make_model(pp=2)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        backend = create_backend("mp", model, timeout=MP_TIMEOUT)
+        backend.step(*make_batch(), optimizer)
+        arena = backend.transport.weights
+        segment = {name: (view.ctypes.data, view.ctypes.data + view.nbytes)
+                   for name, view in arena.items()}
+        params = dict(model.named_parameters())
+        assert all(params[name].data is view for name, view in arena.items())
+        del arena
+        backend.close()
+        for name, p in params.items():
+            lo, hi = segment[name]
+            assert not lo <= p.data.ctypes.data < hi, name
+            assert p.data.flags.owndata and p.data.flags.writeable, name
+        inproc = create_backend("inproc", model)
+        for step in range(2):
+            assert np.isfinite(inproc.step(*make_batch(seed=step), optimizer).loss)
+        ids, _, mask = make_batch()
+        assert model.predict(ids, mask).shape == (len(ids),)
+
+    def test_inproc_dp_replicas_share_the_model_weights(self):
+        model = make_model(dp=2)
+        backend = create_backend("inproc", model)
+        replica = backend._replicas[1]
+
+        def shared():
+            return all(np.shares_memory(p.data, q.data) for (_, p), (_, q)
+                       in zip(model.named_parameters(), replica.named_parameters()))
+
+        assert shared()
+        moved = {name: w + 0.5 for name, w in model.state_dict().items()}
+        model.load_state_dict(moved)
+        assert not shared()
+        backend.sync_weights(model)
+        assert shared()
+        for name, q in replica.named_parameters():
+            assert np.array_equal(q.data, moved[name]), name

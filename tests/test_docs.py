@@ -1,7 +1,9 @@
 """The docs name commands that exist.
 
-Every ``python -m repro.obs <verb>`` in README, DESIGN and the CI
-workflow must be a verb ``repro.obs.cli.build_parser()`` accepts; every
+Every ``python -m repro.<pkg> <verb>`` in README, DESIGN, EXPERIMENTS,
+the CI workflow, the Makefile and the verify skill must be a verb that
+package's command line accepts (``repro.bench`` and ``repro.lint`` take
+none); every
 ``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
 workflow, the Makefile and the verify skill must be one
 ``repro.lint.cli._build_parser()`` accepts; every ``make <target>`` in
@@ -23,15 +25,16 @@ from repro.lint.cli import _build_parser as build_lint_parser
 from repro.obs.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
-OBS_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml")
 SKILL = ".claude/skills/verify/SKILL.md"
+VERB_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml",
+             "Makefile", SKILL)
 LINT_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml", "Makefile", SKILL)
 MAKE_DOCS = ("README.md", "DESIGN.md", SKILL)
 NAME_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", SKILL)
 
-#: ``python -m repro.obs`` then a verb, or a ``{a,b}`` list of them, on the
-#: same line or after a shell line continuation.
-OBS_VERB = re.compile(r"python3? -m repro\.obs(?:[ \t]|\\\n)+(\{[\w,-]+\}|[a-z][\w-]*)")
+#: ``-m repro.<pkg>`` then a verb, or a ``{a,b}`` list of them, on the same
+#: line or after a shell line continuation (a path such as ``src/`` is no verb).
+VERB = re.compile(r"-m repro\.(\w+)(?:[ \t]|\\\n)+(\{[\w,-]+\}|[a-z][\w-]*)(?![\w/.])")
 #: ``-m repro.lint`` and the rest of its command (line continuations
 #: included, up to a closing backtick); ``--flags`` are read from that.
 LINT_COMMAND = re.compile(r"-m repro\.lint((?:[^\n`\\]|\\\n)*)")
@@ -43,11 +46,10 @@ SPAN = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 
 
-def obs_verbs(text: str) -> list[str]:
-    verbs = []
-    for match in OBS_VERB.finditer(text):
-        verbs += match.group(1).strip("{}").split(",")
-    return verbs
+def cli_verbs(text: str) -> list[tuple[str, str]]:
+    """``(package, verb)`` for every ``python -m repro.<package> <verb>``."""
+    return [(match.group(1), verb) for match in VERB.finditer(text)
+            for verb in match.group(2).strip("{}").split(",")]
 
 
 def lint_flags(text: str) -> list[str]:
@@ -83,10 +85,17 @@ def resolves(name: str) -> bool:
     return False
 
 
-def parser_verbs() -> set[str]:
-    (sub,) = [a for a in build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    return set(sub.choices)
+def parser_verbs(package: str) -> set[str]:
+    """The verbs ``python -m repro.<package>`` accepts."""
+    if package == "obs":
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return set(sub.choices)
+    if package == "experiments":
+        from repro.experiments.__main__ import GROUPS, TARGETS
+
+        return {"list", *TARGETS, *GROUPS}
+    return set()
 
 
 def makefile_targets() -> set[str]:
@@ -94,12 +103,13 @@ def makefile_targets() -> set[str]:
     return set(re.findall(r"^([A-Za-z][\w.-]*)\s*:(?!=)", text, re.M))
 
 
-@pytest.mark.parametrize("doc", OBS_DOCS)
-def test_repro_obs_verbs_exist(doc):
-    verbs = obs_verbs((ROOT / doc).read_text())
-    assert verbs, f"{doc} names no repro.obs verb; is the pattern stale?"
-    unknown = sorted(set(verbs) - parser_verbs())
-    assert not unknown, f"{doc} runs unknown `repro.obs` verbs: {unknown}"
+@pytest.mark.parametrize("doc", VERB_DOCS)
+def test_repro_cli_verbs_exist(doc):
+    verbs = cli_verbs((ROOT / doc).read_text())
+    assert verbs, f"{doc} names no `python -m repro.<pkg>` verb; is the pattern stale?"
+    unknown = sorted({f"repro.{pkg} {verb}" for pkg, verb in verbs
+                      if verb not in parser_verbs(pkg)})
+    assert not unknown, f"{doc} runs unknown verbs: {unknown}"
 
 
 @pytest.mark.parametrize("doc", LINT_DOCS)
@@ -129,7 +139,11 @@ def test_patterns_catch_a_stale_reference():
     text = ("run `python -m repro.obs {report,explain}` or\n"
             "```\nPYTHONPATH=src python -m repro.obs \\\n  budget\nmake ab\n```\n"
             "then `make loc`; prose may make sense of it.\n")
-    assert obs_verbs(text) == ["report", "explain", "budget"]
+    assert cli_verbs(text) == [("obs", "report"), ("obs", "explain"), ("obs", "budget")]
+    stale = ("`python -m repro.bench run --quick` and `python -m repro.lint src/`,\n"
+             "\t$(PYTHON) -m repro.experiments table2 fig2\n")
+    assert cli_verbs(stale) == [("bench", "run"), ("experiments", "table2")]
+    assert [verb in parser_verbs(pkg) for pkg, verb in cli_verbs(stale)] == [False, True]
     assert make_targets(text) == ["ab", "loc"]
     lint = ("PYTHONPATH=src python -m repro.lint --race-log d \\\n  --fix-report r\n"
             "`python -m repro.lint --model-check` then --prose-flag\n"
