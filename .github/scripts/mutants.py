@@ -126,6 +126,11 @@ MUTANTS = [
     ("close-no-detach", "parallel/backend/mp.py",
      "if p.data is arena[name]:\n                        p.data = p.data.copy()",
      "if p.data is arena[name]:\n                        pass", "close() hands the model private weights"),
+    ("top-parent-only", "obs/cli.py", "recorder.record.events += [e for rank in sorted(result.record)",
+     "_ = [e for rank in sorted(result.record)", "top's run file holds every rank's events"),
+    ("replay-no-dedup", "obs/metrics.py", '            monitor.check(rows[:i + 1], row["step"])',
+     '            monitor._active = set()\n            monitor.check(rows[:i + 1], row["step"])',
+     "replayed alerts keep HealthMonitor's dedup"),
 ]
 
 PYTEST = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]

@@ -8,8 +8,10 @@ clock), and every view below is a fold over those events.
   counters and phase timers as events whose JSONL sink is the run file
   (:data:`NULL_RECORDER` is the free default), and :func:`step_rows`, the
   one per-step fold: one row per (rank, step) of any ranks' events.  Its
-  rows are behind the recorder's CSV, :func:`summarize`, ``repro.obs
-  report`` and everything in :mod:`repro.obs.telemetry`.  Compression
+  rows are behind the recorder's CSV and the health rules, and
+  :func:`summarize` folds them into the one run-level summary —
+  windows, per-site fidelity, replayed alerts — that ``repro.obs
+  report``, ``top``, ``diff`` and ``html`` render.  Compression
   fidelity is one more rank event: the collectives emit a ``fidelity``
   event per compressed-site call into the active record (an installed
   recorder's step, a profiler, an observed mp step), and the fold pools
@@ -23,11 +25,13 @@ clock), and every view below is a fold over those events.
   (Perfetto) fold over rank events, the simulated GPipe/1F1B iteration
   trace, and :func:`merge_traces` to render them side by side.
 - :mod:`repro.obs.telemetry` — live cross-rank telemetry: the mp
-  workers' step-end gauge events, and, over the parent's
-  :func:`step_rows` rows, ``HealthMonitor`` alert rules, the run registry
-  and the terminal/HTML dashboards (``python -m repro.obs top / diff /
-  html``); its names are imported from there.
-- ``python -m repro.obs report run.jsonl`` — terminal report of a run.
+  workers' step-end gauge events, ``HealthMonitor`` alert rules over
+  :func:`step_rows` rows, the run registry (a directory of run files and
+  the one loader that reads them) and the terminal/HTML views
+  (``python -m repro.obs top / diff / html``); its names are imported
+  from there.
+- ``python -m repro.obs report RUN`` — terminal report of any run file:
+  a ``RunRecorder``'s, ``smoke``'s or ``top``'s (every rank's events).
 """
 
 from repro.obs.metrics import (

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.obs report runs/smoke-T2.jsonl [--trace out.json]
+    python -m repro.obs report RUN [--trace out.json]
     python -m repro.obs smoke --outdir runs [--schemes T2 R2 Q2 A2]
                               [--task RTE] [--epochs 1] [--batch-size 32]
     python -m repro.obs sim-trace --out sim.json [--scheme A2]
@@ -16,11 +16,18 @@ Usage::
     python -m repro.obs diff RUN_A RUN_B [--registry runs]
     python -m repro.obs html RUN --out dash.html [--registry runs]
 
-``report`` prints a per-run summary (gauges, phase timers, per-site
-compression fidelity) from the rank-event JSONL file a
-:class:`~repro.obs.metrics.RunRecorder` streams (``stream_path``) — the
-numbers :meth:`RunRecorder.summary` gives, a fold over the file's
-:func:`~repro.obs.metrics.step_rows`.
+A run is a rank-event JSONL file, the one a
+:class:`~repro.obs.metrics.RunRecorder` streams (``stream_path``), and
+``RUN`` names one: an id in the registry directory (``--registry``,
+default ``runs``, which ``report`` always reads: ``runs/<id>.jsonl``) or
+a path.  ``report``, ``diff`` and ``html`` load every run through one
+loader (:func:`~repro.obs.telemetry.registry.read_run`) and read one
+fold of it, :func:`~repro.obs.metrics.summarize` — the numbers
+:meth:`RunRecorder.summary` gives.
+
+``report`` prints the run's summary: gauges, phase timers, per-rank
+windows, per-site compression fidelity and the health alerts replayed
+over its steps.
 
 ``smoke`` runs one short recorded fine-tune per scheme and writes, per
 scheme, ``smoke-<scheme>.jsonl`` / ``.csv`` / ``.trace.json`` — the
@@ -37,14 +44,14 @@ per logical rank, ``mp.wait`` slices showing where ranks block on each
 other, ``comm`` instants for what each rank sent.
 
 ``top`` drives a short real training loop through the mp backend with
-every step observed (``collect_timelines``), folds each step's
-rank events into rows and renders a per-rank health dashboard over them
-after every optimizer step.  The final window state is saved into the
-run registry (``--registry``) and optionally as a standalone HTML
-snapshot (``--html``).
+every step observed (``collect_timelines``), streams each step's events —
+its own and every rank's slice off the reply — into the run file
+``<registry>/<run_id>.jsonl``, and prints the run's summary after every
+optimizer step; ``--html`` also writes the last one as a standalone HTML
+snapshot.  A killed run keeps every finished step.
 
-``diff`` compares two registry runs metric-by-metric; ``html`` renders a
-saved registry run as an HTML dashboard.
+``diff`` compares two runs metric-by-metric; ``html`` renders a run as an
+HTML dashboard.
 
 ``mp-trace`` and ``top`` read the multiprocess backend's rank event
 records, so both refuse an inproc run (``--backend`` / the
@@ -54,14 +61,11 @@ records, so both refuse an inproc run (``--backend`` / the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from repro.experiments.report import format_table
-from repro.obs.metrics import RunRecorder, step_rows, summarize
+from repro.obs.metrics import RunRecorder, summarize
 from repro.obs.trace import chrome_trace, simulated_iteration_trace, write_trace
-from repro.parallel.backend.events import load_events
 
 __all__ = ["main"]
 
@@ -69,64 +73,21 @@ __all__ = ["main"]
 SMOKE_SCHEMES = ["T2", "R2", "Q2", "A2"]
 
 
-def _report(summary: dict, meta: dict) -> str:
-    """The terminal report: :func:`~repro.obs.metrics.summarize`, tabled."""
-    lines = [f"run: {summary['run_id']}  steps: {summary['steps']}"]
-    extra = {k: v for k, v in meta.items() if k not in ("world", "run_id")}
-    if extra:
-        lines.append("meta: " + ", ".join(f"{k}={v}" for k, v in sorted(extra.items())))
-    wall = summary["wall_ms"]
-    lines.append(f"wall: {wall:.1f} ms")
-    if summary["gauges"]:
-        rows = [{"gauge": name, **agg}
-                for name, agg in sorted(summary["gauges"].items())]
-        lines += ["", format_table(rows, title="Gauges")]
-    if summary["timers_ms"]:
-        rows = [{"phase": name, "total_ms": total,
-                 "share_%": 100.0 * total / max(wall, 1e-9)}
-                for name, total in sorted(summary["timers_ms"].items(),
-                                          key=lambda kv: -kv[1])]
-        lines += ["", format_table(rows, title="Phase timers")]
-    if summary["fidelity"]:
-        rows = [{"site": site, **{k: "-" if v is None else v
-                                  for k, v in agg.items()}}
-                for site, agg in sorted(summary["fidelity"].items())]
-        lines += ["", format_table(rows, title="Compression fidelity (per site)")]
-    return "\n".join(lines)
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.run):
-        print(f"error: run file not found: {args.run}", file=sys.stderr)
-        return 1
+    from repro.obs.telemetry import read_run, render_top
+
     try:
-        events = load_events(args.run)
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.run} as a rank-event JSONL file: {exc}",
-              file=sys.stderr)
-        return 1
-    if not all(isinstance(e, dict) and "kind" in e for e in events):
-        print(f"error: {args.run} is not a rank-event file (every line must be "
-              "an event with a `kind`; the older RunRecorder format with "
-              "`type` lines is no longer read — re-record the run with "
-              "`python -m repro.obs smoke`)", file=sys.stderr)
-        return 1
-    summary = summarize(events)
-    if not summary["steps"]:
-        print(
-            f"error: {args.run} contains no step records "
-            "(expected a RunRecorder rank-event file: a meta event plus one "
-            "step_begin … step_end slice per step; produce one with "
-            "`python -m repro.obs smoke`)",
-            file=sys.stderr,
-        )
-        return 1
-    # The meta event's own fields: the report's header, the trace's otherData.
-    meta = {k: v for k, v in next((e for e in events if e["kind"] == "meta"), {}).items()
-            if k not in ("kind", "rank", "idx", "t")}
-    print(_report(summary, meta))
+        events, summary = read_run(args.registry, args.run)
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
+    print(render_top(summary))
     if args.trace:
-        write_trace(chrome_trace(events, meta), args.trace)
+        write_trace(chrome_trace(events, summary["meta"]), args.trace)
         print(f"\ntrace written to {args.trace}")
     return 0
 
@@ -259,15 +220,7 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.obs.telemetry import (
-        HealthMonitor,
-        RunSchemaError,
-        build_summary,
-        render_top,
-        save_run,
-        write_html,
-    )
-    from repro.obs.telemetry.registry import check_run_id
+    from repro.obs.telemetry import check_run_id, render_top, write_html
     from repro.optim import Adam
     from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
     from repro.parallel.backend import create_backend
@@ -278,9 +231,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     run_id = args.run_id or f"top-{args.scheme}-tp{args.tp}pp{args.pp}"
     try:
         check_run_id(run_id)
-    except RunSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        return _fail(exc)
     cfg = ModelParallelConfig(
         default_accuracy_model(num_classes=2, seed=0),
         tp=args.tp, pp=args.pp, scheme=args.scheme, seed=0, backend="mp",
@@ -288,11 +240,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
     model = ModelParallelBertClassifier(cfg)
     rng = np.random.default_rng(0)
-    # The parent's rows (rank −1) carry the step result's loss; the workers'
-    # rows arrive as each step's slices on the reply.
-    recorder = RunRecorder(run_id)
-    rows: list[dict] = []
-    monitor = HealthMonitor()
+    recorder = RunRecorder(
+        run_id, stream_path=os.path.join(args.registry, f"{run_id}.jsonl"),
+        meta={"scheme": args.scheme, "tp": args.tp, "pp": args.pp,
+              "schedule": args.schedule, "microbatches": args.microbatches,
+              "steps": args.steps, "fault_plan": os.environ.get("REPRO_FAULT_PLAN", "")})
     clear = sys.stdout.isatty()
 
     backend = create_backend("mp", model, collect_timelines=True)
@@ -302,57 +254,47 @@ def cmd_top(args: argparse.Namespace) -> int:
             input_ids = rng.integers(0, cfg.model.vocab_size,
                                      size=(args.batch, args.seq))
             labels = rng.integers(0, 2, size=args.batch)
-            seen = len(recorder.events)
             with recorder.step(step):
                 result = backend.step(input_ids, labels, None, optimizer)
                 recorder.gauge("loss", result.loss)
-            rows += step_rows(recorder.events[seen:] + [
-                e for rank in sorted(result.record) for e in result.record[rank]])
-            monitor.check(rows, step)
-            frame = render_top(rows, monitor, step=step)
+                # The workers' slices join the step's own: the run file
+                # holds every rank's events.
+                recorder.record.events += [e for rank in sorted(result.record)
+                                           for e in result.record[rank]]
+            frame = render_top(summarize(recorder.events))
             print(("\x1b[2J\x1b[H" if clear else "") + frame)
             if not clear:
                 print("-" * 72)
     finally:
         backend.close()
-    monitor.check(rows, args.steps)
 
-    summary = build_summary(
-        run_id, rows, monitor,
-        meta={"scheme": args.scheme, "tp": args.tp, "pp": args.pp,
-              "schedule": args.schedule, "microbatches": args.microbatches,
-              "steps": args.steps, "fault_plan": os.environ.get("REPRO_FAULT_PLAN", "")},
-    )
-    path = save_run(args.registry, summary)
-    print(f"run summary -> {path}")
+    summary = summarize(recorder.events)
+    print(f"run file -> {recorder.stream_path}")
     if args.html:
         print(f"html dashboard -> {write_html(args.html, summary)}")
-    alerts = summary["health"]["total"]
-    print(f"{args.steps} steps, {alerts} alert(s)")
+    print(f"{args.steps} steps, {summary['health']['total']} alert(s)")
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import RunSchemaError, format_diff, load_run, resolve_run
+    from repro.obs.telemetry import format_diff, read_run
 
     try:
-        doc_a = load_run(resolve_run(args.registry, args.run_a))
-        doc_b = load_run(resolve_run(args.registry, args.run_b))
-    except (FileNotFoundError, RunSchemaError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        (_, doc_a), (_, doc_b) = (read_run(args.registry, ref)
+                                  for ref in (args.run_a, args.run_b))
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
     print(format_diff(doc_a, doc_b))
     return 0
 
 
 def cmd_html(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import RunSchemaError, load_run, resolve_run, write_html
+    from repro.obs.telemetry import read_run, write_html
 
     try:
-        doc = load_run(resolve_run(args.registry, args.run))
-    except (FileNotFoundError, RunSchemaError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _, doc = read_run(args.registry, args.run)
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
     print(f"html dashboard -> {write_html(args.out, doc)}")
     return 0
 
@@ -364,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_report = sub.add_parser("report", help="summarize a recorded run")
-    p_report.add_argument("run", help="path to a RunRecorder rank-event JSONL file")
+    p_report.add_argument("run", help="run id in ./runs or path to a rank-event JSONL run file")
     p_report.add_argument("--trace", help="also export a Chrome trace to this path")
-    p_report.set_defaults(fn=cmd_report)
+    p_report.set_defaults(fn=cmd_report, registry="runs")
 
     p_smoke = sub.add_parser("smoke", help="run short recorded fine-tunes")
     p_smoke.add_argument("--outdir", default="runs")
@@ -416,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--schedule", choices=["gpipe", "1f1b"], default="1f1b")
     p_top.add_argument("--microbatches", type=int, default=2)
     p_top.add_argument("--registry", default="runs",
-                       help="run-registry directory for the final summary")
+                       help="run-registry directory for the run file <run-id>.jsonl")
     p_top.add_argument("--run-id", default=None,
                        help="registry id (default: top-<scheme>-tp<T>pp<P>)")
     p_top.add_argument("--html", metavar="PATH",
@@ -427,15 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.set_defaults(fn=cmd_top)
 
     p_diff = sub.add_parser(
-        "diff", help="per-metric regression table between two registry runs")
-    p_diff.add_argument("run_a", help="registry run id or summary path")
-    p_diff.add_argument("run_b", help="registry run id or summary path")
+        "diff", help="per-metric regression table between two runs")
+    p_diff.add_argument("run_a", help="registry run id or run file path")
+    p_diff.add_argument("run_b", help="registry run id or run file path")
     p_diff.add_argument("--registry", default="runs")
     p_diff.set_defaults(fn=cmd_diff)
 
     p_html = sub.add_parser(
-        "html", help="render a saved registry run as an HTML dashboard")
-    p_html.add_argument("run", help="registry run id or summary path")
+        "html", help="render a run as an HTML dashboard")
+    p_html.add_argument("run", help="registry run id or run file path")
     p_html.add_argument("--out", default="dashboard.html")
     p_html.add_argument("--registry", default="runs")
     p_html.set_defaults(fn=cmd_html)

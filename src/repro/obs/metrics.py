@@ -17,8 +17,9 @@ view — :attr:`RunRecorder.records`, :meth:`RunRecorder.to_csv`,
 :meth:`RunRecorder.summary`, ``repro.obs report`` and
 :func:`repro.obs.trace.chrome_trace` — is a fold over those events.
 :func:`step_rows` is the one per-step fold, for this record and the mp
-workers' alike (the parent's rows are rank −1): :func:`summarize`, the
-live-telemetry health rules, dashboard and run registry read its rows.
+workers' alike (the parent's rows are rank −1): the health rules read its
+rows, and :func:`summarize` folds them into the one run-level dict that
+``repro.obs report``, ``top``, ``html`` and ``diff`` render.
 
 Untouched callers pay nothing: every recording entry point takes an
 optional recorder defaulting to :data:`NULL_RECORDER`, whose methods are
@@ -37,19 +38,13 @@ from repro.parallel.backend import events as _events
 from repro.parallel.backend.events import EventRecord
 
 __all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "STEP_COLUMNS",
-           "FIDELITY_FIELDS", "step_rows", "summarize"]
+           "step_rows", "summarize"]
 
 
 #: The numeric per-step columns of a :func:`step_rows` row; ``gauges``,
 #: ``counters``, ``timers_ms`` and ``fidelity`` are dicts beside them.
 STEP_COLUMNS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms", "retries",
                 "drops", "delays")
-
-#: The per-site fields of a row's ``fidelity``, folded from the step's
-#: ``fidelity`` events at that site: the mean ``rel_l2`` and ``ratio``
-#: and the last ``residual_norm``.
-FIDELITY_FIELDS = ("rel_l2", "ratio", "residual_norm")
-
 
 def _fold_site(calls: list[dict]) -> dict:
     """One site's ``fidelity`` events of one step, as a row's entry."""
@@ -73,8 +68,9 @@ def step_rows(events) -> list[dict]:
     - ``retries drops delays``, counted from ``fault`` events (a retry is
       a corrupt or a dropped attempt);
     - ``gauges`` (last write wins), ``counters`` (summed), ``timers_ms``
-      (``phase`` spans by name) and ``fidelity`` (site → ``rel_l2 ratio
-      residual_norm``, see :data:`FIDELITY_FIELDS`).
+      (``phase`` spans by name) and ``fidelity`` (site → the mean
+      ``rel_l2`` and ``ratio`` and the last ``residual_norm`` of the
+      step's ``fidelity`` events there).
     """
     rows: list[dict] = []
     origin: dict[int, float] = {}
@@ -126,29 +122,71 @@ def step_rows(events) -> list[dict]:
 
 
 def summarize(events) -> dict:
-    """Aggregates over a run: per-gauge last/mean/min/max, per-timer and
-    per-counter totals, summed step wall time, and per compression site
-    the steps that observed it, the mean and max of their ``rel_l2``, the
-    mean ``ratio`` and the last ``residual_norm``."""
+    """The run-level fold: every run view (``repro.obs report``, ``top``,
+    ``html``, ``diff``) reads this one dict.  Over :func:`step_rows` of
+    ``events``, any mix of ranks:
+
+    - ``run_id`` and ``meta``, the first ``meta`` event's fields;
+    - ``steps``, summed step ``wall_ms``, per-gauge ``last mean min max`` and
+      per-timer and per-counter totals, over the lead rank's rows: the
+      parent's (rank −1) when it recorded, else the lowest rank's;
+    - ``fidelity``: per compression site, over every rank's rows, the steps
+      that observed it, the mean and max of its ``rel_l2``, the mean
+      ``ratio`` and the last ``residual_norm``;
+    - ``ranks``, ``last_step``, ``per_rank`` and ``pooled``: window
+      statistics (:func:`~repro.obs.telemetry.health.window_stats`, with
+      ``count`` the run's samples) per worker rank and metric — the step
+      columns and the gauges — and pooled over the worker ranks, where a
+      gauge the parent records is the run's own series and replaces the
+      pooled one (``loss``: one value per step, not one per stage);
+    - ``health``: the alerts a default
+      :class:`~repro.obs.telemetry.health.HealthMonitor` raises checking the
+      rows after each step, as ``repro.obs top`` shows them live.  They are
+      replayed here, never stored.
+    """
+    from repro.obs.telemetry.health import (
+        PARENT, HealthMonitor, values, window, window_stats, worker_ranks)
+
     meta = next((e for e in events if e["kind"] == "meta"), {})
-    records = step_rows(events)
+    rows = step_rows(events)
+    lead = min((row["rank"] for row in rows), default=PARENT)
+    own = [row for row in rows if row["rank"] == lead]
     gauges: dict[str, list[float]] = {}
     timers: dict[str, float] = {}
     counters: dict[str, int] = {}
-    fidelity: dict[str, list[dict]] = {}
-    for record in records:
-        for name, value in record["gauges"].items():
+    for row in own:
+        for name, value in row["gauges"].items():
             gauges.setdefault(name, []).append(value)
-        for name, value in record["timers_ms"].items():
+        for name, value in row["timers_ms"].items():
             timers[name] = timers.get(name, 0.0) + value
-        for name, value in record["counters"].items():
+        for name, value in row["counters"].items():
             counters[name] = counters.get(name, 0) + value
-        for site, fields in record["fidelity"].items():
-            fidelity.setdefault(site, []).append(fields)
+    fidelity: dict[str, list[dict]] = {}
+    for row in rows:
+        for site, fields in row["fidelity"].items():
+            fidelity.setdefault(site, []).append({"step": row["step"], **fields})
+
+    recent = window(rows)
+
+    def stats(metric: str, rank: int | None = None) -> dict:
+        return {**window_stats(values(recent, metric, rank)),
+                "count": len(values(rows, metric, rank))}
+
+    ranks = worker_ranks(rows)
+    metrics = [*STEP_COLUMNS, *sorted({g for row in rows if row["rank"] >= 0
+                                       for g in row["gauges"]})]
+    pooled = {m: stats(m) for m in metrics if values(rows, m)}
+    pooled.update({g: stats(g, PARENT) for row in rows
+                   if row["rank"] == PARENT for g in row["gauges"]})
+    monitor = HealthMonitor()
+    for i, row in enumerate(rows):  # a check as each step's last row lands
+        if i + 1 == len(rows) or rows[i + 1]["step"] != row["step"]:
+            monitor.check(rows[:i + 1], row["step"])
     return {
         "run_id": meta.get("run_id", "?"),
-        "steps": len(records),
-        "wall_ms": sum(r["wall_ms"] for r in records),
+        "meta": {k: v for k, v in meta.items() if k not in ("kind", "rank", "idx", "t")},
+        "steps": len(own),
+        "wall_ms": sum(row["wall_ms"] for row in own),
         "gauges": {
             name: {"last": vals[-1], "mean": sum(vals) / len(vals),
                    "min": min(vals), "max": max(vals)}
@@ -157,13 +195,19 @@ def summarize(events) -> dict:
         "timers_ms": timers,
         "counters": counters,
         "fidelity": {
-            site: {"steps": len(steps),
-                   "rel_l2_mean": sum(f["rel_l2"] for f in steps) / len(steps),
-                   "rel_l2_max": max(f["rel_l2"] for f in steps),
-                   "ratio_mean": sum(f["ratio"] for f in steps) / len(steps),
-                   "residual_norm_last": steps[-1]["residual_norm"]}
-            for site, steps in fidelity.items()
+            site: {"steps": len({f["step"] for f in calls}),
+                   "rel_l2_mean": sum(f["rel_l2"] for f in calls) / len(calls),
+                   "rel_l2_max": max(f["rel_l2"] for f in calls),
+                   "ratio_mean": sum(f["ratio"] for f in calls) / len(calls),
+                   "residual_norm_last": calls[-1]["residual_norm"]}
+            for site, calls in fidelity.items()
         },
+        "ranks": ranks,
+        "last_step": {row["rank"]: row["step"] for row in rows if row["rank"] >= 0},
+        "per_rank": {rank: {m: stats(m, rank) for m in metrics if values(rows, m, rank)}
+                     for rank in ranks},
+        "pooled": pooled,
+        "health": monitor.summary(),
     }
 
 

@@ -1,18 +1,20 @@
-"""Live cross-rank telemetry: worker gauges, health rules, registry.
+"""Live cross-rank telemetry: worker gauges, health rules, run views.
 
 The subsystem in one sentence: on an observed step (off by default;
 ``collect_timelines`` or the ``REPRO_CONC_LOG`` sink), each mp rank ends
 the step by emitting its gauges into the step's slice of its event record
 (:func:`~repro.obs.telemetry.agent.emit_step_telemetry`), beside the
 ``fidelity`` events its collectives emitted, and the slice rides the step
-reply when the parent collects it; the parent folds the slices into rows
-(:func:`repro.obs.metrics.step_rows`), a
-:class:`~repro.obs.telemetry.health.HealthMonitor` evaluates its rules
-over the last :data:`~repro.obs.telemetry.health.WINDOW` steps of rows
-into typed :class:`~repro.obs.telemetry.health.Alert`s, and the
-``repro.obs top`` dashboard, HTML snapshots and the run registry
-(:mod:`~repro.obs.telemetry.registry`, with ``repro.obs diff``) read the
-same rows.  Everything is bitwise-neutral to training.
+reply when the parent collects it; ``repro.obs top`` streams the slices
+with its own into one run file, a rank-event JSONL file like every other
+(:mod:`~repro.obs.telemetry.registry`), and
+:func:`repro.obs.metrics.summarize` folds any run file's events — per-step
+rows (:func:`repro.obs.metrics.step_rows`), windows over each rank's last
+:data:`~repro.obs.telemetry.health.WINDOW` of them, and the typed alerts
+(:class:`~repro.obs.telemetry.health.Alert`) a
+:class:`~repro.obs.telemetry.health.HealthMonitor` raises over them step by
+step — into the one summary that the terminal and HTML views and
+``repro.obs diff`` read.  Everything is bitwise-neutral to training.
 """
 
 from repro.obs.telemetry.dashboard import render_html, render_top, write_html
@@ -28,16 +30,12 @@ from repro.obs.telemetry.health import (
     default_rules,
 )
 from repro.obs.telemetry.registry import (
-    RUN_SCHEMA,
-    RunSchemaError,
-    build_summary,
+    check_run_id,
     diff_runs,
     format_diff,
     list_runs,
-    load_run,
+    read_run,
     resolve_run,
-    save_run,
-    validate_run,
 )
 
 __all__ = [
@@ -50,14 +48,10 @@ __all__ = [
     "LossRule",
     "HealthMonitor",
     "default_rules",
-    "RUN_SCHEMA",
-    "RunSchemaError",
-    "validate_run",
-    "build_summary",
-    "save_run",
-    "load_run",
+    "check_run_id",
     "list_runs",
     "resolve_run",
+    "read_run",
     "diff_runs",
     "format_diff",
     "render_top",

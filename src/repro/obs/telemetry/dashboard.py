@@ -1,20 +1,17 @@
-"""Telemetry consumers: live terminal dashboard and HTML snapshot report.
+"""Run views: the terminal frame and the standalone HTML snapshot.
 
-:func:`render_top` turns the window of the run's
-:func:`~repro.obs.metrics.step_rows` rows + health alerts into one
-plain-text frame — the ``repro.obs top`` verb prints a frame per
-training step.  :func:`render_html` renders a standalone (no external
-assets) HTML snapshot of a registry run summary, suitable for CI artifact
-upload.  Both show the same per-rank and per-site tables, read off the
-summary's ``telemetry`` section.
+Both render one :func:`~repro.obs.metrics.summarize` fold of a run's rank
+events.  :func:`render_top` is the terminal view — ``repro.obs top`` prints
+it after every step of the run it drives, ``repro.obs report`` once for a
+run file.  :func:`render_html` renders the same per-rank and per-site
+tables and alerts as a standalone (no external assets) page, suitable for
+CI artifact upload.
 """
 
 from __future__ import annotations
 
 import html
 import json
-
-from repro.obs.telemetry.registry import telemetry_snapshot
 
 __all__ = ["render_top", "render_html", "write_html"]
 
@@ -23,11 +20,11 @@ def _stat(stats: dict, metric: str, key: str):
     return (stats.get(metric) or {}).get(key)
 
 
-def _rank_rows(telemetry: dict) -> list[dict]:
-    """The per-rank table of both dashboards, from a summary's telemetry."""
+def _rank_rows(summary: dict) -> list[dict]:
+    """The per-rank table of both views."""
     return [{
-        "rank": int(rank),
-        "step": telemetry.get("last_step", {}).get(rank),
+        "rank": rank,
+        "step": summary["last_step"].get(rank),
         "wall p50 (ms)": _stat(stats, "wall_ms", "p50"),
         "busy (ms)": _stat(stats, "busy_ms", "mean"),
         "wait (ms)": _stat(stats, "comm_wait_ms", "mean"),
@@ -35,46 +32,50 @@ def _rank_rows(telemetry: dict) -> list[dict]:
         "retries": round((_stat(stats, "retries", "mean") or 0)
                          * (_stat(stats, "retries", "window") or 0)),
         "rss (MB)": (_stat(stats, "peak_rss_kb", "last") or 0) / 1024.0,
-    } for rank, stats in sorted(telemetry["per_rank"].items(),
-                                key=lambda kv: int(kv[0]))]
+    } for rank, stats in sorted(summary["per_rank"].items())]
 
 
-def _fidelity_rows(telemetry: dict) -> list[dict]:
-    """The per-site table of both dashboards."""
-    return [{
-        "site": site,
-        "rel-L2 mean": _stat(fields, "rel_l2", "mean"),
-        "wire ratio": _stat(fields, "ratio", "mean"),
-        "residual": _stat(fields, "residual_norm", "last"),
-    } for site, fields in sorted(telemetry["fidelity"].items())]
+def _site_rows(summary: dict) -> list[dict]:
+    """The per-site table of both views."""
+    return [{"site": site, **{k: "-" if v is None else v for k, v in agg.items()}}
+            for site, agg in sorted(summary["fidelity"].items())]
 
 
-def render_top(rows: list[dict], monitor, *, step: int | None = None) -> str:
-    """One dashboard frame over the rows' window: per-rank step table,
-    fidelity, recent alerts."""
+def render_top(summary: dict) -> str:
+    """The terminal view of a run: header, gauges, phase timers, ranks,
+    per-site compression fidelity and the run's alerts."""
     # Lazy: keep the mp worker's telemetry import free of the experiments
     # package.
     from repro.experiments.report import format_table
 
-    snap = telemetry_snapshot(rows)
-    head = f"repro.obs top · world={snap['world']}"
-    if step is not None:
-        head += f" · step {step}"
-    wall = snap["pooled"].get("wall_ms")
-    if wall:
-        head += f" · step wall p50 {wall['p50']:.2f} ms / p99 {wall['p99']:.2f} ms"
+    head = f"run: {summary['run_id']}  steps: {summary['steps']}"
+    if summary["ranks"]:
+        head += f"  world={len(summary['ranks'])}"
     lines = [head]
-    rank_rows, fid_rows = _rank_rows(snap), _fidelity_rows(snap)
-    lines.append(format_table(rank_rows, title="ranks") if rank_rows
-                 else "(no rank telemetry yet)")
-    if fid_rows:
-        lines.append(format_table(fid_rows, title="compression fidelity"))
-    if monitor.alerts:
-        lines.append(f"alerts ({len(monitor.alerts)}):")
-        for alert in monitor.alerts[-8:]:
-            lines.append(f"  [{alert.severity}] {alert.rule}: {alert.message}")
-    else:
-        lines.append("alerts: none")
+    extra = {k: v for k, v in summary["meta"].items() if k not in ("world", "run_id")}
+    if extra:
+        lines.append("meta: " + ", ".join(f"{k}={v}" for k, v in sorted(extra.items())))
+    wall = summary["wall_ms"]
+    lines.append(f"wall: {wall:.1f} ms")
+    pooled = summary["pooled"].get("wall_ms")
+    if pooled:
+        lines[-1] += (f"  rank step p50 {pooled['p50']:.2f} ms / "
+                      f"p99 {pooled['p99']:.2f} ms")
+    tables = [
+        ("Gauges", [{"gauge": name, **agg}
+                    for name, agg in sorted(summary["gauges"].items())]),
+        ("Phase timers", [{"phase": name, "total_ms": total,
+                           "share_%": 100.0 * total / max(wall, 1e-9)}
+                          for name, total in sorted(summary["timers_ms"].items(),
+                                                    key=lambda kv: -kv[1])]),
+        ("Ranks", _rank_rows(summary)),
+        ("Compression fidelity (per site)", _site_rows(summary)),
+    ]
+    lines += [line for title, rows in tables if rows
+              for line in ("", format_table(rows, title=title))]
+    alerts = summary["health"]["alerts"]
+    lines.append(f"\nalerts ({len(alerts)}):" if alerts else "\nalerts: none")
+    lines += [f"  [{a['severity']}] {a['rule']}: {a['message']}" for a in alerts[-8:]]
     return "\n".join(lines)
 
 
@@ -109,8 +110,7 @@ def _html_table(rows: list[dict], columns: list[str]) -> str:
 
 
 def render_html(summary: dict) -> str:
-    """Standalone HTML snapshot of one registry run summary."""
-    telemetry = summary["telemetry"]
+    """Standalone HTML snapshot of one run summary."""
     health = summary["health"]
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
@@ -118,29 +118,29 @@ def render_html(summary: dict) -> str:
         f"<style>{_HTML_STYLE}</style></head><body>",
         f"<h1>Run {html.escape(summary['run_id'])}</h1>",
     ]
-    meta = summary.get("meta") or {}
+    meta = summary["meta"]
     if meta:
         parts.append("<p>" + " · ".join(
             f"{html.escape(str(k))}={html.escape(str(v))}"
             for k, v in sorted(meta.items())) + "</p>")
 
-    rank_rows = _rank_rows(telemetry)
+    rank_rows = _rank_rows(summary)
     if rank_rows:
         parts.append("<h2>Ranks</h2>")
         parts.append(_html_table(rank_rows, list(rank_rows[0].keys())))
 
     pooled_rows = []
-    for metric, stats in sorted(telemetry["pooled"].items()):
+    for metric, stats in sorted(summary["pooled"].items()):
         pooled_rows.append({"metric": metric, **{
             k: stats.get(k, "") for k in ("window", "mean", "p50", "p99", "max")}})
     if pooled_rows:
         parts.append("<h2>Pooled windows</h2>")
         parts.append(_html_table(pooled_rows, list(pooled_rows[0].keys())))
 
-    fid_rows = _fidelity_rows(telemetry)
-    if fid_rows:
+    site_rows = _site_rows(summary)
+    if site_rows:
         parts.append("<h2>Compression fidelity</h2>")
-        parts.append(_html_table(fid_rows, list(fid_rows[0].keys())))
+        parts.append(_html_table(site_rows, list(site_rows[0].keys())))
 
     parts.append("<h2>Health</h2>")
     if health["alerts"]:
@@ -153,7 +153,7 @@ def render_html(summary: dict) -> str:
     else:
         parts.append("<p class='ok'>no alerts</p>")
 
-    parts.append(f"<footer><pre>{html.escape(json.dumps(summary.get('meta', {}), sort_keys=True))}"
+    parts.append(f"<footer><pre>{html.escape(json.dumps(meta, sort_keys=True))}"
                  f"</pre></footer></body></html>")
     return "".join(parts)
 

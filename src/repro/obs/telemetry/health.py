@@ -3,8 +3,10 @@
 The rows are :func:`repro.obs.metrics.step_rows` — one per (rank, step),
 the workers' and the parent's (rank −1) alike.  A *window* is each rank's
 last :data:`WINDOW` rows (:func:`window`); :func:`values` reads one
-metric off them and :func:`window_stats` summarises it for the dashboard
-and the run registry.  Each :class:`Rule` reads a window and yields typed
+metric off them and :func:`window_stats` summarises it for
+:func:`~repro.obs.metrics.summarize`, the run-level fold every run view
+reads — which also replays a :class:`HealthMonitor` over a run's rows,
+step by step, for its alerts.  Each :class:`Rule` reads a window and yields typed
 :class:`Alert`s naming the rank, site and window that tripped.  Rules are
 declarative data (thresholds in the constructor) so the default battery
 can be tuned per deployment without touching evaluation logic.

@@ -1,228 +1,38 @@
-"""Run registry: a ``runs/`` directory of schema-validated run summaries.
+"""Run registry: a directory of run files, and the one loader that reads them.
 
-Every telemetry-enabled run can drop one JSON summary — window statistics
-over its :func:`~repro.obs.metrics.step_rows` rows + health alerts + run
-metadata — into a registry
-directory.  Summaries are validated against :data:`RUN_SCHEMA` on both
-save and load, so a registry never silently accumulates malformed
-documents, and ``repro.obs diff RUN_A RUN_B`` renders a per-metric
-regression table between any two of them.
-
-:data:`RUN_SCHEMA` is written as a subset of JSON Schema so it doubles
-as documentation, but a small dependency-free interpreter below checks
-it.  Supported keywords: ``type``, ``required``, ``properties``,
-``additionalProperties`` (as a sub-schema or ``False``), ``items``,
-``enum``, ``minimum``.
+A run file is a rank-event JSONL file — what a
+:class:`~repro.obs.metrics.RunRecorder` streams (``repro.obs top`` writes
+``<registry>/<run_id>.jsonl`` with every rank's events, ``repro.obs
+smoke`` its ``smoke-<scheme>.jsonl``) — so the registry is any directory
+of them.  :func:`read_run` resolves a run reference (a registry id or a
+path), reads its events and folds them with
+:func:`~repro.obs.metrics.summarize`; ``repro.obs report``, ``diff`` and
+``html`` all load through it, and :func:`diff_runs` renders the
+per-metric regression table between two summaries.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
-from repro.obs.metrics import FIDELITY_FIELDS, STEP_COLUMNS
-from repro.obs.telemetry.health import PARENT, values, window, window_stats, worker_ranks
+from repro.obs.metrics import summarize
+from repro.parallel.backend.events import load_events
 
 __all__ = [
-    "RUN_SCHEMA",
-    "RunSchemaError",
     "check_run_id",
-    "validate_run",
-    "telemetry_snapshot",
-    "build_summary",
-    "save_run",
-    "load_run",
     "list_runs",
     "resolve_run",
+    "read_run",
     "diff_runs",
     "format_diff",
 ]
-
-RUN_SCHEMA_VERSION = 1
-
-_STATS = {
-    "type": "object",
-    "required": ["count", "window"],
-    "properties": {
-        "count": {"type": "integer", "minimum": 0},
-        "window": {"type": "integer", "minimum": 0},
-    },
-    # last/mean/min/max/p50/p99 — numbers, or null for empty windows.
-}
-
-RUN_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "run_id", "created_unix", "meta",
-                 "telemetry", "health"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"type": "integer", "enum": [RUN_SCHEMA_VERSION]},
-        "run_id": {"type": "string"},
-        "created_unix": {"type": "number"},
-        "meta": {"type": "object"},
-        "telemetry": {
-            "type": "object",
-            "required": ["ranks", "per_rank", "pooled", "fidelity"],
-            "properties": {
-                "ranks": {"type": "array", "items": {"type": "integer"}},
-                "events_seen": {"type": "integer", "minimum": 0},
-                "per_rank": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "object",
-                        "additionalProperties": _STATS,
-                    },
-                },
-                "pooled": {"type": "object",
-                           "additionalProperties": _STATS},
-                "fidelity": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "object",
-                        "additionalProperties": _STATS,
-                    },
-                },
-            },
-        },
-        "health": {
-            "type": "object",
-            "required": ["total", "by_rule", "alerts"],
-            "properties": {
-                "total": {"type": "integer", "minimum": 0},
-                "by_rule": {"type": "object",
-                            "additionalProperties": {"type": "integer"}},
-                "alerts": {"type": "array", "items": {"type": "object"}},
-            },
-        },
-    },
-}
-
-
-class RunSchemaError(ValueError):
-    """A run summary violated :data:`RUN_SCHEMA`."""
-
-
-#: JSON Schema type name -> Python types; a bool is never any of them.
-_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
-          "number": (int, float)}
-
-
-def _validate(value, schema: dict, path: str, errors: list[str]) -> None:
-    expected = schema.get("type")
-    if expected is not None and (isinstance(value, bool)
-                                 or not isinstance(value, _TYPES[expected])):
-        errors.append(f"{path}: expected {expected}, got {type(value).__name__}")
-        return
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(value, (int, float)) \
-            and not isinstance(value, bool) and value < schema["minimum"]:
-        errors.append(f"{path}: {value} < minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, sub in value.items():
-            if key in props:
-                _validate(sub, props[key], f"{path}.{key}", errors)
-            elif isinstance(extra, dict):
-                _validate(sub, extra, f"{path}.{key}", errors)
-            elif extra is False:
-                errors.append(f"{path}.{key}: unexpected key")
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            _validate(item, schema["items"], f"{path}[{i}]", errors)
 
 
 def check_run_id(run_id: str) -> None:
     """Refuse a run id that would not name one file inside the registry."""
     if not run_id or "/" in run_id or os.sep in run_id:
-        raise RunSchemaError(f"invalid run_id {run_id!r}: must be non-empty "
-                             "and contain no path separator")
-
-
-def validate_run(doc: dict) -> dict:
-    errors: list[str] = []
-    _validate(doc, RUN_SCHEMA, "$", errors)
-    if errors:
-        raise RunSchemaError(
-            "invalid run summary:\n  " + "\n  ".join(errors))
-    check_run_id(doc["run_id"])
-    return doc
-
-
-def telemetry_snapshot(rows: list[dict]) -> dict:
-    """The registry's ``telemetry`` section: window statistics per worker
-    rank and metric, pooled over worker ranks, and per fidelity site.
-
-    Metrics are the step columns and the gauges; a gauge the parent
-    (rank −1) records is the run's own series, so it replaces the pooled
-    worker gauge (``loss``: one value per step, not one per stage).
-    """
-    recent = window(rows)
-
-    def stats(metric: str, rank: int | None = None) -> dict:
-        # ``count`` is the run's samples, ``window`` the window's.
-        return {**window_stats(values(recent, metric, rank)),
-                "count": len(values(rows, metric, rank))}
-
-    ranks = worker_ranks(rows)
-    gauges = sorted({g for row in rows if row["rank"] >= 0 for g in row["gauges"]})
-    metrics = [*STEP_COLUMNS, *gauges]
-    pooled = {m: stats(m) for m in metrics if values(rows, m)}
-    pooled.update({g: stats(g, PARENT) for row in rows
-                   if row["rank"] == PARENT for g in row["gauges"]})
-    sites = sorted({site for row in rows for site in row["fidelity"]})
-    fidelity = {site: {f: stats(f"fidelity/{site}/{f}") for f in FIDELITY_FIELDS
-                       if values(rows, f"fidelity/{site}/{f}")}
-                for site in sites}
-    return {
-        "world": len(ranks),
-        "ranks": ranks,
-        "last_step": {str(row["rank"]): row["step"] for row in rows
-                      if row["rank"] >= 0},
-        "per_rank": {str(rank): {m: stats(m, rank) for m in metrics
-                                 if values(rows, m, rank)} for rank in ranks},
-        "pooled": pooled,
-        "fidelity": fidelity,
-    }
-
-
-def build_summary(run_id: str, rows: list[dict], monitor, *,
-                  meta: dict | None = None) -> dict:
-    """Assemble the registry document for one finished run from its
-    :func:`~repro.obs.metrics.step_rows` rows and health monitor."""
-    return validate_run({
-        "schema_version": RUN_SCHEMA_VERSION,
-        "run_id": run_id,
-        "created_unix": time.time(),
-        "meta": dict(meta or {}),
-        "telemetry": telemetry_snapshot(rows),
-        "health": monitor.summary(),
-    })
-
-
-def _run_path(registry_dir: str, run_id: str) -> str:
-    return os.path.join(registry_dir, f"{run_id}.run.json")
-
-
-def save_run(registry_dir: str, doc: dict) -> str:
-    """Validate and write one summary; returns the path written."""
-    validate_run(doc)
-    os.makedirs(registry_dir, exist_ok=True)
-    path = _run_path(registry_dir, doc["run_id"])
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_run(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return validate_run(json.load(fh))
+        raise ValueError(f"invalid run_id {run_id!r}: must be non-empty "
+                         "and contain no path separator")
 
 
 def list_runs(registry_dir: str) -> list[str]:
@@ -230,15 +40,14 @@ def list_runs(registry_dir: str) -> list[str]:
     if not os.path.isdir(registry_dir):
         return []
     paths = [os.path.join(registry_dir, name)
-             for name in os.listdir(registry_dir)
-             if name.endswith(".run.json")]
+             for name in os.listdir(registry_dir) if name.endswith(".jsonl")]
     paths.sort(key=os.path.getmtime)
-    return [os.path.basename(p)[: -len(".run.json")] for p in paths]
+    return [os.path.basename(p)[: -len(".jsonl")] for p in paths]
 
 
 def resolve_run(registry_dir: str, ref: str) -> str:
-    """Resolve a run reference — an id in the registry or a file path."""
-    candidate = _run_path(registry_dir, ref)
+    """Resolve a run reference — an id in the registry or a path."""
+    candidate = os.path.join(registry_dir, f"{ref}.jsonl")
     if os.path.exists(candidate):
         return candidate
     if os.path.exists(ref):
@@ -248,24 +57,47 @@ def resolve_run(registry_dir: str, ref: str) -> str:
         f"(known: {', '.join(list_runs(registry_dir)) or 'none'})")
 
 
+def read_run(registry_dir: str, ref: str) -> tuple[list[dict], dict]:
+    """One run's events and their :func:`~repro.obs.metrics.summarize` fold.
+
+    Raises ``FileNotFoundError`` for an unknown reference and ``ValueError``
+    for a file that is not a rank-event run file or holds no step.
+    """
+    path = resolve_run(registry_dir, ref)
+    try:
+        events = load_events(path)
+    except ValueError as exc:  # bad JSON or UTF-8, a directory of no logs
+        raise ValueError(f"cannot read {path} as a rank-event JSONL file: {exc}") from exc
+    if not all(isinstance(e, dict) and "kind" in e for e in events):
+        raise ValueError(
+            f"{path} is not a rank-event file (every line must be an event with "
+            "a `kind`; the older RunRecorder format with `type` lines is no "
+            "longer read — re-record the run with `python -m repro.obs smoke`)")
+    summary = summarize(events)
+    if not summary["steps"]:
+        raise ValueError(
+            f"{path} contains no step records (expected a RunRecorder "
+            "rank-event file: a meta event plus one step_begin … step_end "
+            "slice per step; produce one with `python -m repro.obs smoke`)")
+    return events, summary
+
+
 # ----------------------------------------------------------------------
 # diff
 
-def _metric_rows(doc: dict) -> dict[str, float]:
+def _metric_rows(summary: dict) -> dict[str, float]:
     """Flatten a summary into comparable ``metric -> value`` pairs: pooled
     p50 and p99, per-rank and per-site means, and the alert count."""
-    telemetry = doc["telemetry"]
     picks = [(f"pooled/{m}", stats, ("p50", "p99"))
-             for m, stats in telemetry["pooled"].items()]
+             for m, stats in summary["pooled"].items()]
     picks += [(f"rank{rank}/{m}", stats, ("mean",))
-              for rank, metrics in telemetry["per_rank"].items()
+              for rank, metrics in summary["per_rank"].items()
               for m, stats in metrics.items()]
-    picks += [(f"fidelity/{site}/{m}", stats, ("mean",))
-              for site, fields in telemetry["fidelity"].items()
-              for m, stats in fields.items()]
+    picks += [(f"fidelity/{site}", agg, ("rel_l2_mean", "ratio_mean"))
+              for site, agg in summary["fidelity"].items()]
     flat = {f"{name}/{key}": stats[key] for name, stats, keys in picks
             for key in keys if isinstance(stats.get(key), (int, float))}
-    flat["health/alerts"] = float(doc["health"]["total"])
+    flat["health/alerts"] = float(summary["health"]["total"])
     return flat
 
 

@@ -17,3 +17,29 @@ def steps_of(per_rank, samples=1):
     a rank to the fields of each of its rows."""
     return [row(rank, step, **fields) for step in range(samples)
             for rank, fields in per_rank.items()]
+
+
+def events(rows, **meta):
+    """Rank events whose ``step_rows`` fold gives ``rows`` back: each row's
+    step begins at t=0 and ends ``comm_wait_ms + busy_ms`` later (its
+    ``wall_ms`` follows from those two), with one ``mp.wait`` span, its
+    gauges, counters and phase timers, one ``fidelity`` call per site and
+    one ``fault`` event per corrupt, drop and delay.  ``meta`` fields, if
+    any, make a leading parent ``meta`` event (``run_id=...``)."""
+    out = [{"kind": "meta", "rank": -1, "idx": 0, "t": 0.0, "world": 1, **meta}] if meta else []
+    for r in rows:
+        def ev(kind, t=0.0, **fields):
+            return {"kind": kind, "rank": r["rank"], "idx": 0, "t": t, **fields}
+
+        faults = {"corrupt": r["retries"] - r["drops"], "drop": r["drops"],
+                  "delay": r["delays"]}
+        out += [ev("step_begin", step=r["step"]),
+                ev("span", name="wait", cat="mp.wait", dur=r["comm_wait_ms"] / 1e3),
+                *(ev("gauge", name=k, value=v) for k, v in r["gauges"].items()),
+                *(ev("count", name=k, n=v) for k, v in r["counters"].items()),
+                *(ev("span", name=k, cat="phase", dur=v / 1e3)
+                  for k, v in r["timers_ms"].items()),
+                *(ev("fidelity", site=site, **f) for site, f in r["fidelity"].items()),
+                *(ev("fault", fault=kind) for kind, n in faults.items() for _ in range(n)),
+                ev("step_end", t=(r["comm_wait_ms"] + r["busy_ms"]) / 1e3, step=r["step"])]
+    return out

@@ -238,8 +238,59 @@ class TestMpTrace:
         assert (delay["rank"], delay["fault"], delay["step"]) == (1, "delay", 0)
 
 
+class TestTopRunFile:
+    """``top`` streams one run file with every rank's events; ``report``,
+    ``diff`` and ``html`` read it through the one loader and fold."""
+
+    @staticmethod
+    def top(tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        registry = str(tmp_path / "runs")
+        assert main(["top", "--steps", "2", "--tp", "2", "--pp", "1", "--batch", "2",
+                     "--seq", "8", "--schedule", "gpipe", "--microbatches", "1",
+                     "--registry", registry, "--run-id", "top-run"]) == 0
+        assert "2 steps" in capsys.readouterr().out
+        return registry
+
+    def test_top_run_reads_through_report_diff_and_html(self, tmp_path, monkeypatch,
+                                                        capsys):
+        registry = self.top(tmp_path, monkeypatch, capsys)
+        path = tmp_path / "runs" / "top-run.jsonl"
+        stream = load_events(path)
+        assert {e["rank"] for e in stream} == {-1, 0, 1}
+
+        assert main(["report", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = lines.index("Ranks")  # title, header, rule, then one row per rank
+        assert [line.split()[:2] for line in lines[table + 3:table + 5]] == [
+            ["0", "1"], ["1", "1"]]  # rank, last step
+
+        rec = RunRecorder(run_id="smoke-like", stream_path=str(tmp_path / "runs" / "r.jsonl"))
+        with rec.step():
+            rec.gauge("loss", 1.0)
+        assert main(["diff", "top-run", "r", "--registry", registry]) == 0
+        assert "top-run vs smoke-like" in capsys.readouterr().out
+        out_html = str(tmp_path / "dash.html")
+        assert main(["html", "top-run", "--registry", registry, "--out", out_html]) == 0
+        assert "rank" in (tmp_path / "dash.html").read_text()
+
+        # A killed top leaves the steps it finished: cut after each step's
+        # slice (the parent's step_end, its last line), it reads as that many.
+        lines = path.read_text().splitlines(keepends=True)
+        ends = [i for i, line in enumerate(lines)
+                if '"step_end"' in line and '"rank": -1' in line]
+        assert len(ends) == 2 and ends[-1] == len(lines) - 1
+        cut = tmp_path / "cut.jsonl"
+        for steps, end in enumerate(ends, start=1):
+            cut.write_text("".join(lines[:end + 1]))
+            summary = summarize(load_events(cut))
+            assert summary["steps"] == steps
+            assert summary["last_step"] == {0: steps - 1, 1: steps - 1}
+
+
 class TestTelemetryVerbs:
-    """The mp-only guards and the registry-backed diff/html verbs."""
+    """The mp-only guards and the run-file diff/html verbs."""
 
     def test_mp_trace_refuses_inproc_backend_flag(self, capsys):
         assert main(["mp-trace", "--backend", "inproc"]) == 1
@@ -277,18 +328,16 @@ class TestTelemetryVerbs:
         assert _require_mp_backend(args, "top") == "mp"
 
     def test_diff_renders_registry_runs(self, tmp_path, capsys):
-        from repro.obs.telemetry import HealthMonitor, build_summary, save_run
-        from tests.obs.helpers import row
-
-        registry = str(tmp_path / "runs")
-        for run_id, wall in (("run-a", 10.0), ("run-b", 20.0)):
-            rows = [row(0, 0, wall_ms=wall, comm_wait_ms=1.0,
-                        busy_ms=wall - 1.0,
-                        gauges={"ring_occupancy": 0, "peak_rss_kb": 100.0})]
-            save_run(registry, build_summary(run_id, rows, HealthMonitor()))
-        assert main(["diff", "run-a", "run-b", "--registry", registry]) == 0
+        """Two RunRecorder (smoke-style) run files diff by registry id."""
+        registry = tmp_path / "runs"
+        for run_id, losses in (("run-a", (2.0, 1.0)), ("run-b", (2.0, 1.5))):
+            rec = RunRecorder(run_id=run_id, stream_path=str(registry / f"{run_id}.jsonl"))
+            for loss in losses:
+                with rec.step():
+                    rec.gauge("loss", loss)
+        assert main(["diff", "run-a", "run-b", "--registry", str(registry)]) == 0
         out = capsys.readouterr().out
-        assert "run-a vs run-b" in out and "pooled/wall_ms/p50" in out
+        assert "run-a vs run-b" in out and "pooled/loss/p50" in out
 
     def test_diff_missing_run_exits_1(self, tmp_path, capsys):
         assert main(["diff", "a", "b", "--registry", str(tmp_path)]) == 1

@@ -1,18 +1,18 @@
 """The per-step fold (``step_rows``), the worker's step-end telemetry
-events, window statistics and the registry snapshot over rows."""
+events, window statistics and the run-level fold (``summarize``) over them."""
 
 import numpy as np
 import pytest
 
 from repro.nn.transformer import TransformerConfig
-from repro.obs.metrics import RunRecorder, step_rows
+from repro.obs.metrics import RunRecorder, step_rows, summarize
 from repro.obs.telemetry.agent import emit_step_telemetry
+from repro.obs.telemetry import HealthMonitor
 from repro.obs.telemetry.health import WINDOW, window, window_stats
-from repro.obs.telemetry.registry import telemetry_snapshot
 from repro.parallel import ModelParallelBertClassifier, ModelParallelConfig
 from repro.parallel.backend import create_backend, events
 from repro.parallel.backend.events import EventRecord
-from tests.obs.helpers import row
+from tests.obs.helpers import events as events_of, row, steps_of
 
 
 def _ev(kind, t, rank=0, **fields):
@@ -190,32 +190,35 @@ class TestWindowStats:
                    for k in ("last", "mean", "min", "max", "p50", "p99"))
 
     def test_window_keeps_each_ranks_last_steps_and_count_is_lifetime(self):
-        rows = [row(rank, step, wall_ms=float(step))
+        rows = [row(rank, step, wall_ms=float(step), comm_wait_ms=0.0,
+                    busy_ms=float(step))
                 for step in range(WINDOW + 6) for rank in (-1, 0, 1)]
         recent = window(rows)
         assert len(recent) == 3 * WINDOW
         assert {r["step"] for r in recent} == set(range(6, WINDOW + 6))
-        wall = telemetry_snapshot(rows)["per_rank"]["0"]["wall_ms"]
+        wall = summarize(events_of(rows))["per_rank"][0]["wall_ms"]
         assert (wall["count"], wall["window"]) == (WINDOW + 6, WINDOW)
         assert wall["min"] == 6.0
 
 
 class TestSnapshot:
+    """``summarize``'s windows, per-site fold and replayed alerts."""
+
     def test_rows_feed_per_rank_and_pooled_windows(self):
-        snap = telemetry_snapshot([row(0, 0, wall_ms=10.0),
-                                   row(1, 0, wall_ms=30.0)])
-        assert snap["per_rank"]["0"]["wall_ms"]["last"] == 10.0
+        snap = summarize(events_of([row(0, 0, wall_ms=10.0, busy_ms=6.0),
+                                    row(1, 0, wall_ms=30.0, busy_ms=26.0)]))
+        assert snap["per_rank"][0]["wall_ms"]["last"] == pytest.approx(10.0)
         assert snap["pooled"]["wall_ms"]["window"] == 2
-        assert snap["pooled"]["wall_ms"]["mean"] == 20.0
-        assert snap["last_step"] == {"0": 0, "1": 0}
+        assert snap["pooled"]["wall_ms"]["mean"] == pytest.approx(20.0)
+        assert snap["last_step"] == {0: 0, 1: 0}
 
     def test_fidelity_pools_per_site(self):
-        snap = telemetry_snapshot([row(0, 0, fidelity={
-            "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": None}})])
+        snap = summarize(events_of([row(0, 0, fidelity={
+            "boundary0": {"rel_l2": 0.1, "ratio": 4.0, "residual_norm": None}})]))
         assert list(snap["fidelity"]) == ["boundary0"]
-        assert snap["fidelity"]["boundary0"]["rel_l2"]["last"] == 0.1
-        # A None residual never becomes a sample.
-        assert "residual_norm" not in snap["fidelity"]["boundary0"]
+        assert snap["fidelity"]["boundary0"]["rel_l2_mean"] == 0.1
+        # A None residual stays None.
+        assert snap["fidelity"]["boundary0"]["residual_norm_last"] is None
 
     def test_snapshot_shape(self):
         fidelity = {"boundary0": {"rel_l2": 0.1, "ratio": 4.0,
@@ -223,12 +226,32 @@ class TestSnapshot:
         rows = [row(-1, 3, gauges={"loss": 1.5}),
                 row(0, 3, gauges={"loss": 1.0}, fidelity=fidelity),
                 row(1, 3, gauges={"loss": 2.0})]
-        snap = telemetry_snapshot(rows)
-        assert snap["world"] == 2 and snap["ranks"] == [0, 1]
-        assert snap["last_step"] == {"0": 3, "1": 3}
-        assert snap["per_rank"]["0"]["wall_ms"]["window"] == 1
-        assert snap["per_rank"]["1"]["loss"]["last"] == 2.0
+        snap = summarize(events_of(rows, run_id="shape"))
+        assert snap["run_id"] == "shape" and snap["ranks"] == [0, 1]
+        assert snap["last_step"] == {0: 3, 1: 3}
+        assert snap["per_rank"][0]["wall_ms"]["window"] == 1
+        assert snap["per_rank"][1]["loss"]["last"] == 2.0
         # The parent's loss is the run's: one value per step, not per rank.
         assert snap["pooled"]["loss"]["count"] == 1
         assert snap["pooled"]["loss"]["last"] == 1.5
-        assert snap["fidelity"]["boundary0"]["rel_l2"]["mean"] == 0.1
+        assert snap["gauges"] == {"loss": {"last": 1.5, "mean": 1.5,
+                                           "min": 1.5, "max": 1.5}}
+        assert snap["steps"] == 1
+        assert snap["fidelity"]["boundary0"]["rel_l2_mean"] == 0.1
+
+    def test_alerts_replay_the_live_checks(self):
+        """A straggler that stays tripped, as ``top`` once checked it live
+        after every step, is one alert; ``summarize`` replays exactly that."""
+        busy = {0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0}
+        rows = steps_of({rank: {"busy_ms": b} for rank, b in busy.items()}, 5)
+        rows += [row(-1, step, gauges={"loss": 1.0}) for step in range(5)]
+        rows.sort(key=lambda r: r["step"])
+        stream = events_of(rows, run_id="straggler")
+        folded = step_rows(stream)
+        live = HealthMonitor()
+        for step in range(5):
+            live.check([r for r in folded if r["step"] <= step], step)
+        replayed = summarize(stream)["health"]
+        assert replayed == live.summary()
+        (alert,) = replayed["alerts"]
+        assert (alert["rule"], alert["rank"], alert["step"]) == ("straggler", 1, 1)

@@ -6,7 +6,12 @@ package's command line accepts (``repro.bench`` and ``repro.lint`` take
 none); every
 ``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
 workflow, the Makefile and the verify skill must be one
-``repro.lint.cli._build_parser()`` accepts; every ``make <target>`` in
+``repro.lint.cli._build_parser()`` accepts, and every ``--flag`` of a
+``python -m repro.obs <verb>`` command in the verb docs one that verb's
+subparser accepts; every ``EXPERIMENTS "Heading"`` citation in README,
+DESIGN, EXPERIMENTS, ROADMAP and the verify skill must name an
+EXPERIMENTS.md heading (whitespace normalised; a heading's trailing
+``(…)`` may be left off); every ``make <target>`` in
 README's, DESIGN's and the verify skill's code (backticked spans and fenced
 blocks) must be a Makefile target; and every backticked span that starts
 with a dotted ``repro.a.b[.Name]`` in README, DESIGN, EXPERIMENTS and the
@@ -31,6 +36,7 @@ VERB_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.y
 LINT_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml", "Makefile", SKILL)
 MAKE_DOCS = ("README.md", "DESIGN.md", SKILL)
 NAME_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", SKILL)
+CITE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", SKILL)
 
 #: ``-m repro.<pkg>`` then a verb, or a ``{a,b}`` list of them, on the same
 #: line or after a shell line continuation (a path such as ``src/`` is no verb).
@@ -38,7 +44,13 @@ VERB = re.compile(r"-m repro\.(\w+)(?:[ \t]|\\\n)+(\{[\w,-]+\}|[a-z][\w-]*)(?![\
 #: ``-m repro.lint`` and the rest of its command (line continuations
 #: included, up to a closing backtick); ``--flags`` are read from that.
 LINT_COMMAND = re.compile(r"-m repro\.lint((?:[^\n`\\]|\\\n)*)")
-LINT_FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
+FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
+#: ``-m repro.obs <verb>`` and the rest of its command, likewise, up to a
+#: closing backtick or a shell pipe or list operator.
+OBS_COMMAND = re.compile(r"-m repro\.obs(?:[ \t]|\\\n)+([a-z][\w-]*)(?![\w/.])"
+                         r"((?:[^\n`\\|;&]|\\\n)*)")
+#: ``EXPERIMENTS "Heading"`` or ``EXPERIMENTS.md "Heading"``; it may wrap.
+CITATION = re.compile(r'EXPERIMENTS(?:\.md)?\s+"([^"]+)"')
 MAKE_TARGET = re.compile(r"(?<![\w-])make[ \t]+([a-z][\w.-]*)")
 FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 SPAN = re.compile(r"`([^`\n]+)`")
@@ -54,7 +66,28 @@ def cli_verbs(text: str) -> list[tuple[str, str]]:
 
 def lint_flags(text: str) -> list[str]:
     return [flag for command in LINT_COMMAND.findall(text)
-            for flag in LINT_FLAG.findall(command)]
+            for flag in FLAG.findall(command)]
+
+
+def obs_flags(text: str) -> list[tuple[str, str]]:
+    """``(verb, --flag)`` for every flag of a ``python -m repro.obs <verb>``."""
+    return [(verb, flag) for verb, rest in OBS_COMMAND.findall(text)
+            for flag in FLAG.findall(rest)]
+
+
+def citations(text: str) -> list[str]:
+    """The headings ``EXPERIMENTS "…"`` citations name, whitespace
+    normalised; the literal placeholder ``"…"`` is none."""
+    return [" ".join(c.split()) for c in CITATION.findall(text) if c != "…"]
+
+
+def experiments_headings() -> set[str]:
+    """EXPERIMENTS.md's headings, each also without a trailing ``(…)``."""
+    heads = set()
+    for head in re.findall(r"^#+[ \t]+(.+?)[ \t]*$", (ROOT / "EXPERIMENTS.md").read_text(), re.M):
+        head = " ".join(head.split())
+        heads |= {head, re.sub(r" \([^()]*\)$", "", head)}
+    return heads
 
 
 def make_targets(text: str) -> list[str]:
@@ -85,12 +118,16 @@ def resolves(name: str) -> bool:
     return False
 
 
+def obs_subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def parser_verbs(package: str) -> set[str]:
     """The verbs ``python -m repro.<package>`` accepts."""
     if package == "obs":
-        (sub,) = [a for a in build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        return set(sub.choices)
+        return set(obs_subparsers())
     if package == "experiments":
         from repro.experiments.__main__ import GROUPS, TARGETS
 
@@ -118,6 +155,22 @@ def test_repro_lint_flags_exist(doc):
              for opt in action.option_strings}
     unknown = sorted(set(lint_flags((ROOT / doc).read_text())) - known)
     assert not unknown, f"{doc} passes unknown `repro.lint` flags: {unknown}"
+
+
+@pytest.mark.parametrize("doc", VERB_DOCS)
+def test_repro_obs_flags_exist(doc):
+    verbs = obs_subparsers()
+    unknown = sorted({f"{verb} {flag}" for verb, flag in obs_flags((ROOT / doc).read_text())
+                      if verb in verbs and flag not in {
+                          opt for action in verbs[verb]._actions
+                          for opt in action.option_strings}})
+    assert not unknown, f"{doc} passes unknown `repro.obs` flags: {unknown}"
+
+
+@pytest.mark.parametrize("doc", CITE_DOCS)
+def test_experiments_citations_name_a_heading(doc):
+    unknown = sorted(set(citations((ROOT / doc).read_text())) - experiments_headings())
+    assert not unknown, f"{doc} cites EXPERIMENTS sections that do not exist: {unknown}"
 
 
 @pytest.mark.parametrize("doc", MAKE_DOCS)
@@ -149,6 +202,16 @@ def test_patterns_catch_a_stale_reference():
             "`python -m repro.lint --model-check` then --prose-flag\n"
             "\t$(PYTHON) -m repro.lint --dynamic src/\n")
     assert lint_flags(lint) == ["--race-log", "--fix-report", "--model-check", "--dynamic"]
+    obs = ("PYTHONPATH=src python -m repro.obs top --steps 4 \\\n  --registry r | tee --x\n"
+           "`python -m repro.obs diff a b --regsitry r` then --prose-flag\n"
+           "python -m repro.obs runs/x.jsonl --no-verb\n")
+    assert obs_flags(obs) == [("top", "--steps"), ("top", "--registry"),
+                              ("diff", "--regsitry")]
+    cites = ('EXPERIMENTS "Buffer pool" and EXPERIMENTS.md "Mutation audit of\n'
+             '    the verification layer", not EXPERIMENTS "…" or EXPERIMENTS "Gone"\n')
+    assert citations(cites) == ["Buffer pool", "Mutation audit of the verification layer",
+                                "Gone"]
+    assert [c in experiments_headings() for c in citations(cites)] == [True, True, False]
     names = ("`repro.obs.metrics.step_rows(events)` and `repro.tensor.pool`, "
              "not `python -m repro.obs`; `repro.obs.retired.Sidecar`\n"
              "```\nrepro.obs.Nope\n```\n")

@@ -98,19 +98,25 @@ class TestCompressorProperties:
     @example(x=EDGE_INPUTS[0], bits=2)
     @example(x=EDGE_INPUTS[1], bits=4)
     @example(x=EDGE_INPUTS[3], bits=8)
+    @example(x=np.array([8.35e-42, 0.0], dtype=np.float32), bits=8)  # subnormal scale
     def test_quant_error_bounded_by_group_range(self, x, bits):
         c = QuantizationCompressor(bits, group_size=64)
         msg = c.compress(x)
         out = c.decompress(msg)
         span = float(x.max() - x.min()) if x.size else 0.0
-        step = span / (2**bits - 1)
+        levels = 2**bits - 1
+        step = span / levels
         assert np.abs(out - x).max() <= step / 2 + 1e-4
-        # Per group: within half the group's own step (its ``scale``), up
-        # to the fp32 rounding of (x - lo) / scale and code * scale + lo.
+        # Per group: within half the group's own step (its ``scale``), plus
+        # the rounding of ``scale`` itself, which the top code multiplies
+        # ``levels`` times (up to half an ulp each: it is what makes a
+        # subnormal scale's group miss ``scale / 2``), up to the fp32
+        # rounding of (x - lo) / scale and code * scale + lo.
         err = np.pad(np.abs(out - x).reshape(-1), (0, (-x.size) % 64))
         lo, scale = msg.payloads["zeros"], msg.payloads["scales"]
-        slack = 4 * np.spacing(np.abs(lo) + scale * (2**bits - 1))
-        assert (err.reshape(-1, 64) <= (scale / 2 + slack)[:, None]).all()
+        slack = 4 * np.spacing(np.abs(lo) + scale * levels)
+        bound = scale / 2 + levels * np.spacing(scale) / 2 + slack
+        assert (err.reshape(-1, 64) <= bound[:, None]).all()
 
     @given(x=finite_arrays)
     @settings(max_examples=40, deadline=None)
