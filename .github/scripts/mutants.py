@@ -86,6 +86,16 @@ MUTANTS = [
      "        if True:\n            tracker.record(event)", "only the designated rank records"),
     ("dp-site-shared", C, 'site=f"dp.rank{r}"', 'site="dp.rank0"', "one EF site per dp replica"),
     ("dp-mean", C, "mean = np.divide(total, dp, out=total)", "mean = total", "dp averages"),
+    ("bind-non-owned", "parallel/backend/worker.py",
+     "if ctx.sp_rank == 0 and (p.tp_rank or 0) == ctx.tp_rank:",
+     "if ctx.sp_rank == 0 and p.tp_rank in (None, ctx.tp_rank):",
+     "only a gradient's publisher accumulates into the slab"),
+    ("first-touch-adds", "nn/module.py",
+     "self.grad = self.grad_buffer\n        np.copyto(self.grad, grad)",
+     "self.grad = self.grad_buffer\n        self.grad.fill(0.0)\n        self.grad += grad",
+     "backward's first touch copies into a gradient buffer"),
+    ("ef-kept-residual", "compression/error_feedback.py", "corrected[idx] -= kept",
+     "corrected[idx] = 0.0", "in-place EF keeps corrected - decode at the kept entries"),
     ("untracked", "parallel/tensor_parallel.py",
      'x = tp_broadcast(x, self.tp, tracker, layer=layer, site="mlp")',
      'x = tp_broadcast(x, self.tp, layer=layer, site="mlp")', "collectives get a tracker"),

@@ -28,6 +28,8 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
+from repro.tensor import pool
+
 __all__ = ["SparseCompressor", "TopKCompressor", "select_topk", "topk_mask"]
 
 
@@ -127,4 +129,5 @@ class TopKCompressor(SparseCompressor):
     name = "topk"
 
     def _select(self, x: np.ndarray, site: str) -> np.ndarray:
-        return np.flatnonzero(select_topk(x, self._k(x.size))).astype(np.int32)
+        mag = pool.empty((x.size,), x.dtype)  # |x|, recycled across calls
+        return np.flatnonzero(select_topk(x, self._k(x.size), mag)).astype(np.int32)

@@ -24,8 +24,20 @@ class Parameter(Tensor):
     #: (set on tp shards); ``None`` for parameters replicated across tp.
     tp_rank: int | None = None
 
+    #: Where backward puts this parameter's gradient (a view of a dp
+    #: gradient vector); ``None``: a fresh array, as for any tensor.
+    grad_buffer: np.ndarray | None = None
+
     def __init__(self, data, name: str | None = None):
         super().__init__(data, requires_grad=True, name=name)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is not None or self.grad_buffer is None:
+            return super()._accumulate(grad)
+        # The first touch copies, as a fresh array would: adding into a
+        # zeroed buffer instead would turn a -0.0 gradient into +0.0.
+        self.grad = self.grad_buffer
+        np.copyto(self.grad, grad)
 
 
 class Module:

@@ -106,17 +106,23 @@ def diff_runs(doc_a: dict, doc_b: dict) -> list[dict]:
 
     Rows cover the union of both runs' metrics; a metric present in only
     one run shows an empty cell on the other side rather than being
-    dropped, so a disappeared signal is itself visible in the diff.
+    dropped, so a disappeared signal is itself visible in the diff.  Each
+    run's column is named by its ``run_id``, with `` [A]`` / `` [B]``
+    appended when the two ids are the same (a copied file, two registries'
+    default id).
     """
     a = _metric_rows(doc_a)
     b = _metric_rows(doc_b)
+    col_a, col_b = doc_a["run_id"], doc_b["run_id"]
+    if col_a == col_b:
+        col_a, col_b = f"{col_a} [A]", f"{col_b} [B]"
     rows = []
     for metric in sorted(set(a) | set(b)):
         va, vb = a.get(metric), b.get(metric)
         row = {
             "metric": metric,
-            doc_a["run_id"]: "" if va is None else va,
-            doc_b["run_id"]: "" if vb is None else vb,
+            col_a: "" if va is None else va,
+            col_b: "" if vb is None else vb,
             "delta": "",
             "delta_pct": "",
         }

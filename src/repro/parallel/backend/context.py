@@ -22,6 +22,7 @@ sets it.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from repro.parallel.backend import events
 from repro.parallel.backend.base import BackendError
 
-__all__ = ["RankContext", "Group", "sum_in_order",
+__all__ = ["RankContext", "Group", "sum_in_order", "grad_views",
            "rank_context", "set_rank_context", "active_context", "global_rank"]
 
 #: Axis name -> the RankContext field holding this rank's coordinate on it.
@@ -136,13 +137,25 @@ def active_context(ctx: RankContext):
         set_rank_context(prev)
 
 
-def sum_in_order(terms: list):
+def sum_in_order(terms: list, *, out: np.ndarray | None = None):
     """Left-to-right sum of arrays (or tensors) given in group-rank order:
-    the one reduction order both backends share."""
+    the one reduction order both backends share.  With ``out`` (arrays
+    only; ``terms[0]`` itself folds in place) every addition writes there."""
     total = terms[0]
     for term in terms[1:]:
-        total = total + term
+        total = total + term if out is None else np.add(total, term, out=out)
     return total
+
+
+def grad_views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Name -> view of ``flat``: arrays of ``shapes`` packed from its start
+    in sorted-name order, the one layout of a dp gradient vector."""
+    views, offset = {}, 0
+    for name in sorted(shapes):
+        n = math.prod(shapes[name])
+        views[name] = flat[offset:offset + n].reshape(shapes[name])
+        offset += n
+    return views
 
 
 class Group:
@@ -224,15 +237,15 @@ class Group:
             return partial
         return sum_in_order(self.gather([partial], label=label))
 
-    def stores(self) -> list[dict[str, np.ndarray]]:
-        """Every dp member's gradient slab (name -> view), in rank order.
+    def stores(self) -> list[np.ndarray]:
+        """Every dp member's gradient slab (its flat vector), in rank order.
 
         Workers only.  A member's parameter-sized value does not fit a
         mailbox slot: it is exchanged by writing it over the member's own
         slab and reading the peers', with a :meth:`gather` in between (of
         nothing, if need be) so that every write precedes every read.
         """
-        return [self._ctx.transport.grad_slab(d) for d in range(self.world)]
+        return [self._ctx.transport.grad_flat(d) for d in range(self.world)]
 
     def send(self, dst: int, arrays: list[np.ndarray], *, label: str) -> None:
         """Point-to-point hop of ``arrays`` to group member ``dst`` (the

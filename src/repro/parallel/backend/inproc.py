@@ -15,10 +15,14 @@ shard exactly as the mp gangs' do.  Its weights are the model's:
 ``sync_weights`` points every replica parameter's ``.data`` at the model's
 array and copies nothing, so the optimizer's in-place update reaches every
 replica.  Each replica runs the serial step on its contiguous batch
-shard; the per-replica gradients are then combined by
+shard, its backward accumulating into one heap vector per replica (each
+parameter's gradient buffer is a view of it, in the slabs' sorted-name
+layout); the vectors are then combined in place by
 :func:`~repro.parallel.collectives.dp_all_reduce` with every replica local
 — the function an mp gang leader runs with one replica local, performing
-the same additions in the same order on every element.
+the same additions in the same order on every element.  The step's
+gradients are views of the first replica's vector: the parent model's own
+gradient buffers, valid until the next step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from repro.parallel.backend.microbatch import (
     mean_loss,
     split_microbatches,
 )
-from repro.parallel.collectives import CommTracker, dp_all_reduce
+from repro.parallel.backend.context import grad_views
+from repro.parallel.collectives import CommTracker, dp_all_reduce, pack_grads
 from repro.parallel.grad_sync import build_dp_grad_compressor, sp_sync_grads
 
 __all__ = ["InprocBackend"]
@@ -55,6 +60,11 @@ class InprocBackend(ExecutionBackend):
                                for _ in range(self.dp - 1)]
             self._dp_compressor = build_dp_grad_compressor(cfg)
             self.sync_weights(model)
+            self._flats = [np.empty(model.num_parameters(), np.float32) for _ in self._replicas]
+            for replica, flat in zip(self._replicas, self._flats):
+                views = grad_views(flat, {n: p.shape for n, p in replica.named_parameters()})
+                for name, p in replica.named_parameters():
+                    p.grad_buffer = views[name]
 
     # ------------------------------------------------------------------
     def _replica_step(self, model, input_ids, labels, attention_mask) -> float:
@@ -106,22 +116,24 @@ class InprocBackend(ExecutionBackend):
 
         events: list = []
         losses: list[float] = []
-        replica_grads: list[dict[str, np.ndarray]] = []
-        for r, replica in enumerate(self._replicas):
+        vectors: list[np.ndarray] = []
+        for r, (replica, flat) in enumerate(zip(self._replicas, self._flats)):
             sl = slice(r * shard, (r + 1) * shard)
             losses.append(self._replica_step(
                 replica, input_ids[sl], labels[sl],
                 None if mask is None else mask[sl]))
             events.extend(replica.tracker.events)
-            replica_grads.append({
-                name: p.grad for name, p in replica.named_parameters()
-                if p.grad is not None
-            })
+            grads = {name: p.grad for name, p in replica.named_parameters()
+                     if p.grad is not None}
+            in_place = all(p.grad is p.grad_buffer for p in replica.parameters())
+            vectors.append(flat if in_place else pack_grads(flat, grads))
 
         # Gradient sync point (the dp_all_reduce the mp gang leaders run
-        # among themselves), plus the replica-order loss mean.
+        # among themselves), plus the replica-order loss mean.  Every
+        # replica wrote the same gradients, laid out as the last one's.
         dp_tracker = CommTracker()
-        grads = dp_all_reduce(replica_grads, self._dp_compressor, dp_tracker)
+        grads = grad_views(dp_all_reduce(vectors, self._dp_compressor, dp_tracker),
+                           {name: g.shape for name, g in grads.items()})
         events.extend(dp_tracker.events)
         loss_val = sum(losses[1:], losses[0]) / self.dp
 

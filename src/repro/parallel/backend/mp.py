@@ -10,8 +10,8 @@ The control pipe carries commands, the batch, and each rank's reply (loss,
 names of the gradients it wrote, comm events, the step's slice of the rank
 event record); shared memory carries activations, weights and gradients.
 The optimizer's in-place update writes the arena, so ``sync_weights``
-sends no message and copies only a rebound parameter; after backward
-each worker copies the gradients it owns into its dp gang's slab.
+sends no message and copies only a rebound parameter; backward
+accumulates each gradient a worker owns in its dp gang's slab.
 With ``dp > 1`` the gangs' leaders then reduce the slabs among themselves
 (:func:`~repro.parallel.collectives.dp_all_reduce`: each leader owns its
 replica's gradient codec state) and leave the mean in gang 0's slab; the
@@ -37,7 +37,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from repro.parallel.backend.base import BackendError, ExecutionBackend, StepResult
-from repro.parallel.backend.context import global_rank
+from repro.parallel.backend.context import global_rank, grad_views
 from repro.parallel.backend.events import span_view
 from repro.parallel.backend.transport import (
     DEFAULT_CAPACITY,
@@ -243,8 +243,11 @@ class MpBackend(ExecutionBackend):
                     raise BackendError(
                         f"gradient of {name!r} was written by ranks {first} "
                         f"and {rank} of dp gang {rank // gang}", rank=rank)
-        # The one copy out of the slab: StepResult owns its memory.
-        slab = self.transport.grad_slab(0)
+        # The one copy out of the slab: StepResult owns its memory.  The
+        # leaders leave the mean packed (``pack_grads``).
+        weights = self.transport.weights
+        names = owners[0] if self.dp > 1 else weights
+        slab = grad_views(self.transport.grad_flat(0), {n: weights[n].shape for n in names})
         return {name: slab[name].copy() for name in owners[0]}
 
     def sync_weights(self, model) -> None:

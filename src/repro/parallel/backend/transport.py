@@ -7,8 +7,11 @@ segment laid out as
 - a full mesh of ``world × world`` directed ring mailboxes (the diagonal
   is unused), each a ring of ``slots`` message slots of
   ``HEADER_SIZE + capacity`` bytes, then
-- the state plane: a weights arena and one gradient slab per dp gang, each
-  an image of the model's parameters at the spec's ``state`` offsets.
+- the state plane: a weights arena, an image of the model's parameters
+  at the spec's ``state`` offsets, then one gradient slab per dp gang, a
+  float32 vector of every parameter's gradient packed in sorted-name order
+  (:func:`~repro.parallel.backend.context.grad_views`, the dp reduce's
+  flatten order).
 
 Each directed mailbox is a single-producer/single-consumer ring: message
 ``seq`` (1-based) lives in slot ``(seq - 1) % slots``.  The sender waits
@@ -71,6 +74,7 @@ import numpy as np
 
 from repro.parallel.backend import events, faults
 from repro.parallel.backend.base import BackendError
+from repro.parallel.backend.context import grad_views
 from repro.tensor import pool
 
 __all__ = ["ShmChannel", "ShmBarrier", "RankTransport", "CorruptMessage",
@@ -565,8 +569,8 @@ class RankTransport:
                     buf[off : off + ring], self.capacity, src=src, dst=dst,
                     slots=self.slots,
                 )
-        #: State-plane views by region (0 = weights, 1 + g = gang g's slab).
-        self._state: dict[int, dict[str, np.ndarray]] = {}
+        #: Weights-arena views, built on first use.
+        self._weights: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def _barrier_bytes(self) -> int:
@@ -600,32 +604,35 @@ class RankTransport:
         return cls(spec, rank, _created=True)
 
     # ------------------------------------------------------------------
-    def _state_views(self, region: int) -> dict[str, np.ndarray]:
-        views = self._state.get(region)
-        if views is None:
-            base = self._mesh_end() + region * self.spec["state_bytes"]
-            views = {
-                name: np.ndarray(shape, dtype=dtype, buffer=self._shm.buf,
-                                 offset=base + offset)
-                for name, offset, shape, dtype in self.spec["state"]
-            }
-            if region == 0 and not self._created:
-                for view in views.values():
-                    view.flags.writeable = False
-            self._state[region] = views
-        return views
-
     @property
     def weights(self) -> dict[str, np.ndarray]:
         """Parameter name → view of the weights arena; read-only for ranks,
         so an in-place update fails loudly instead of corrupting peers."""
         self._check_open("weights")
-        return self._state_views(0)
+        if self._weights is None:
+            self._weights = {
+                name: np.ndarray(shape, dtype=dtype, buffer=self._shm.buf,
+                                 offset=self._mesh_end() + offset)
+                for name, offset, shape, dtype in self.spec["state"]
+            }
+            for view in self._weights.values():
+                view.flags.writeable = self._created
+        return self._weights
+
+    def grad_flat(self, gang: int) -> np.ndarray:
+        """Dp gang ``gang``'s gradient slab: one float32 vector (every
+        parameter is float32) behind the arena's stride."""
+        self._check_open("grad_flat")
+        size = sum(math.prod(shape) for _, _, shape, _ in self.spec["state"])
+        base = self._mesh_end() + (1 + gang) * self.spec["state_bytes"]
+        return np.ndarray((size,), np.float32, buffer=self._shm.buf, offset=base)
 
     def grad_slab(self, gang: int) -> dict[str, np.ndarray]:
-        """Parameter name → view of dp gang ``gang``'s gradient slab."""
+        """Parameter name → view of dp gang ``gang``'s gradient slab, in
+        the slab's (sorted-name) order."""
         self._check_open("grad_slab")
-        return self._state_views(1 + gang)
+        return grad_views(self.grad_flat(gang),
+                          {name: shape for name, _, shape, _ in self.spec["state"]})
 
     # ------------------------------------------------------------------
     def send(self, dst: int, arr: np.ndarray, timeout: float = DEFAULT_TIMEOUT_S) -> None:
@@ -720,7 +727,7 @@ class RankTransport:
         # Drop every exported memoryview before closing, or SharedMemory
         # refuses with BufferError.
         self._channels.clear()
-        self._state.clear()
+        self._weights = None
         self.barrier = None
         shm, self._shm = self._shm, None
         try:

@@ -15,14 +15,16 @@ oracle's computation its rank would own:
   receive the relayed boundary gradient and resume their local graph;
 - stages > 0 relay their input-leaf gradient back to the previous stage.
 
-After backward the worker copies the gradients it owns into its dp gang's
-slab and names them in its reply: those it computed, if it sits on the
-gang's sp rank 0 plane (the SP sync made the planes equal) and on the
-parameter's tp rank — the shard's, or rank 0 for a replicated parameter.
-With ``dp > 1`` the gang's first rank — its leader, which owns the
-replica's gradient codec and its ``dp.rank{r}`` state — then runs
-:func:`~repro.parallel.collectives.dp_all_reduce` on the gang's slab with
-the other gangs' leaders, once its own gang has told it what was written.
+The gradients a worker owns — those it computes on the gang's sp rank 0
+plane (the SP sync made the planes equal) and on the parameter's tp rank,
+the shard's or rank 0 for a replicated parameter — accumulate in its dp
+gang's slab, where backward writes them (:func:`_bind_state`); its reply
+names them.  With ``dp > 1`` the
+gang's first rank — its leader, which owns the replica's gradient codec
+and its ``dp.rank{r}`` state — then runs
+:func:`~repro.parallel.collectives.dp_all_reduce` on the gang's slab, in
+place, with the other gangs' leaders, once its own gang has told it what
+was written.
 
 The control pipe (``multiprocessing.Pipe``) carries commands, batch, loss,
 comm events and the step's slice of the rank event record
@@ -183,26 +185,35 @@ def _spmd_step(model, ctx: RankContext, input_ids, labels, attention_mask):
     if ctx.sp > 1:
         sp_sync_grads(model)
 
-    # Publish the gradients this rank owns; the reply only names them.
-    written = []
-    if ctx.sp_rank == 0:
-        slab = transport.grad_slab(ctx.dp_rank)
-        for name, p in model.named_parameters():
-            if p.grad is not None and (p.tp_rank or 0) == ctx.tp_rank:
-                np.copyto(slab[name], p.grad)
-                written.append(name)
+    # Backward wrote the gradients this rank owns into the slab; the
+    # reply only names them.
+    written = [name for name, p in model.named_parameters()
+               if p.grad is not None and p.grad is p.grad_buffer]
     return mean_loss(loss_vals) if loss_vals else None, written
+
+
+def _bind_state(model, ctx: RankContext) -> None:
+    """Put the replica on the state plane: every parameter's ``.data`` on
+    its read-only view of the weights arena, and the gradient buffer of
+    each one this rank publishes (on the sp rank 0 plane, the parameter's
+    tp rank) on its view of the gang's slab, where backward then
+    accumulates it."""
+    weights, slab = ctx.transport.weights, ctx.transport.grad_slab(ctx.dp_rank)
+    for name, p in model.named_parameters():
+        p.data = weights[name]
+        if ctx.sp_rank == 0 and (p.tp_rank or 0) == ctx.tp_rank:
+            p.grad_buffer = slab[name]
 
 
 def _gang_reduce(model, ctx: RankContext, written: list[str], dp_codec) -> None:
     """dp > 1: the gang's first rank reduces the gang's slab with its dp peers.
 
     The gang first trades which gradients each rank wrote (a mask over the
-    state table; the mailbox carries arrays).  The trade doubles as the
+    slab's names; the mailbox carries arrays).  The trade doubles as the
     ordering edge: a rank sends after its last slab write, so once the
     leader holds every mask its gang's slab is complete.
     """
-    from repro.parallel.collectives import dp_all_reduce
+    from repro.parallel.collectives import dp_all_reduce, pack_grads
 
     transport = ctx.transport
     gang = transport.world // ctx.dp
@@ -212,11 +223,10 @@ def _gang_reduce(model, ctx: RankContext, written: list[str], dp_codec) -> None:
                                np.isin(list(slab), written), timeout=ctx.timeout)
     if ctx.rank != leader:
         return
-    # The reduce needs two gradient-sized vectors; give it the parameters'.
-    model.zero_grad()
     wrote = np.logical_or.reduce(list(masks.values()))
-    dp_all_reduce([{name: slab[name] for name, w in zip(slab, wrote) if w}],
-                  dp_codec, model.tracker)
+    flat = transport.grad_flat(ctx.dp_rank)
+    dp_all_reduce([flat if wrote.all() else pack_grads(
+        flat, {name: slab[name] for name, w in zip(slab, wrote) if w})], dp_codec, model.tracker)
 
 
 def _own_sites(state: dict, site: str) -> dict:
@@ -233,24 +243,22 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan) -> None:
     ``shutdown``.  The model lives in this frame only: once it is gone, no
     local of the caller holds a view of the segment."""
     rank, transport = ctx.rank, ctx.transport
-    # Every step allocates and frees parameter-sized gradient arrays.  glibc
-    # serves blocks above its mmap threshold from fresh pages (one fault per
-    # 4 KiB, each step) and hands the heap's top back once twice that much of
-    # it is free; freeing one block as large as the whole state lifts the
-    # dynamic threshold (mallopt(3)) past all of them for good.  A dp leader
-    # also frees two flat vectors of the whole state and its gradients in
-    # one go, so its block is four states (under the threshold's 32 MiB cap).
-    leads = ctx.dp > 1 and rank % (transport.world // ctx.dp) == 0
-    bytearray(min(transport.spec["state_bytes"] * (4 if leads else 1), 31 << 20))
+    # A step allocates and frees arrays up to parameter size (a gradient no
+    # slab holds, a dp leader's selection temporaries).  glibc serves blocks
+    # above its mmap threshold from fresh pages (one fault per 4 KiB, each
+    # step) and hands the heap's top back once twice that much of it is
+    # free; freeing one block as large as the whole state lifts the dynamic
+    # threshold (mallopt(3)) past all of them for good.  The codec writes
+    # over the slab and keeps its residual, so a leader needs no more.
+    bytearray(min(transport.spec["state_bytes"], 31 << 20))
     model = model_spec["cls"](model_spec["config"], **model_spec["kwargs"])
-    weights = transport.weights
-    for name, p in model.named_parameters():
-        p.data = weights[name]
+    _bind_state(model, ctx)
     set_rank_context(ctx)
     # The gang's leader (its first rank) owns the replica's gradient codec:
     # the ``dp.rank{r}`` error-feedback residual and Random-K stream.
     from repro.parallel.grad_sync import build_dp_grad_compressor
 
+    leads = ctx.dp > 1 and rank % (transport.world // ctx.dp) == 0
     dp_codec = build_dp_grad_compressor(model_spec["config"]) if leads else None
     conn.send(("ready", rank))
     steps_done = 0

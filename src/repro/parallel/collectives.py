@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.compression.base import BYTES_FP16, CompressedMessage, Compressor, NoCompressor
 from repro.parallel.backend import events as _events
-from repro.parallel.backend.context import Group, sum_in_order
+from repro.parallel.backend.context import Group, grad_views, sum_in_order
 from repro.tensor import Tensor
 from repro.tensor.tensor import concatenate as _concatenate
 
@@ -49,6 +49,7 @@ __all__ = [
     "pipeline_transfer",
     "pipeline_receive",
     "dp_all_reduce",
+    "pack_grads",
     "sp_slice",
     "sp_seq_all_gather",
     "sp_ring_account",
@@ -366,123 +367,92 @@ def pipeline_receive(compressor: Compressor, shape: tuple[int, ...],
 # Data-parallel gradient all-reduce
 # ----------------------------------------------------------------------
 def dp_all_reduce(
-    replica_grads: list[dict[str, np.ndarray]],
+    vectors: list[np.ndarray | dict[str, np.ndarray]],
     compressor: Compressor | None,
     tracker: CommTracker,
     *,
     site: str = "grad",
-) -> dict[str, np.ndarray]:
-    """Compressible gradient all-reduce across data-parallel replicas.
+) -> np.ndarray:
+    """Compressible gradient all-reduce across data-parallel replicas, in place.
 
-    ``replica_grads`` holds one gradient set per *local* dp rank: all of
-    them in-process, exactly its own gang's inside a worker (the gang's
-    leader calls this, on the gradients the gang wrote to its slab).
+    ``vectors`` holds one flat float32 gradient vector per *local* dp rank
+    (:func:`pack_grads`): all of them in-process, exactly its own gang's
+    slab inside a worker (the gang's leader calls this).  A replica given
+    as a name → gradient dict instead is flattened, in that order, into a
+    fresh vector first.
 
-    Each replica's gradients are flattened in sorted-name order into one
-    vector; a stateful codec keeps one ``dp.rank{r}`` site per replica
+    Each replica's vector is coded in place, its decode written over it; a
+    stateful codec keeps one ``dp.rank{r}`` site per replica
     (error-feedback residuals and Random-K streams never alias across
     replicas — the same per-site isolation the TP all-gather path uses),
     so a leader's codec holds its own replica's state and nothing else.
-    Reconstructions are folded in rank order into one running total, in
-    place (:func:`sum_in_order`'s additions), and divided by the replica
-    count: the result is the gradient of the mean loss over the full batch.
+    The decodes are folded in rank order into dp rank 0's vector
+    (:func:`sum_in_order`, in place) and divided by the replica count: the
+    gradient of the mean loss over the full batch.  In-process it returns
+    that vector.
 
     In-process the fold runs over the local list.  Workers exchange through
     the gradient slabs, because a parameter-sized vector does not fit a
-    mailbox slot: each leader writes its reconstruction back over its own
-    slab, and after one barrier reduces a disjoint ``1/dp`` slice of every
-    slab into dp rank 0's.  The arrays returned there are views of that
-    slab, complete once every leader has returned.  Both views perform the
-    same additions in the same order on every element.
+    mailbox slot: each leader's vector is its slab, and after one barrier
+    each reduces a disjoint ``1/dp`` slice of every slab into dp rank 0's
+    and returns that slice; the mean is complete in gang 0's slab once
+    every leader has returned.  Both views perform the same additions in
+    the same order on every element.
 
     Records exactly one :class:`CommEvent` per step, on dp rank 0 —
     ``all_reduce`` for the dense path, ``all_gather`` for the gathered
     compressed messages, mirroring the TP convention.
     """
-    group = Group.holding("dp", len(replica_grads))
+    group = Group.holding("dp", len(vectors))
     dp = group.world
     if dp == 1:
-        return dict(replica_grads[0])
+        return vectors[0]
     rec = _events.active()
     t0 = time.monotonic()
-    names = sorted(replica_grads[0])
-    for grads in replica_grads[1:]:
-        if sorted(grads) != names:
-            raise ValueError("replica gradient sets differ; cannot dp-reduce")
-    # One replica at a time, in rank order: its flat vector, decoded (a
-    # gradient exchange needs no graph node), added into the running total
-    # in place.  That is sum_in_order's left fold, and no two replicas'
-    # vectors are alive at once.
-    dense = compressor is None or _wire_kind(compressor) == "dense"
-    total = None
-    for r, grads in zip(group.local, replica_grads):
-        flat = np.concatenate([np.asarray(grads[n], dtype=np.float32).ravel()
-                               for n in names])
-        if not dense:
-            flat = compressor.code(flat, site=f"dp.rank{r}")[1].astype(
-                np.float32, copy=False)
-        total = flat if total is None else np.add(total, flat, out=total)
-    size = total.size
-    if dense:
+    vectors = [v if isinstance(v, np.ndarray) else np.concatenate(
+        [np.asarray(v[n], dtype=np.float32).ravel() for n in sorted(v)]) for v in vectors]
+    size = vectors[0].size
+    if compressor is None or _wire_kind(compressor) == "dense":
         event = CommEvent("all_reduce", "dp", "backward", "none",
                           dense_bytes((size,)), dp, (size,), None, site)
     else:
+        for r, vector in zip(group.local, vectors):
+            compressor.code_in_place(vector, site=f"dp.rank{r}")
         event = CommEvent("all_gather", "dp", "backward", compressor.name,
                           compressor.compressed_bytes((size,)), dp, (size,),
                           None, site)
     if 0 in group.local:
         tracker.record(event)
 
-    if group.whole:
-        mean = np.divide(total, dp, out=total)
-        merged: dict[str, np.ndarray] = {}
-        offset = 0
-        for name in names:
-            pshape = replica_grads[0][name].shape
-            n = int(np.prod(pshape)) if pshape else 1
-            merged[name] = mean[offset:offset + n].reshape(pshape)
-            offset += n
-        return merged
-
-    stores = group.stores()
-    own = group.local[0]
-    _scatter(total, _flat_range(stores[own], names, 0, size))
-    if rec is not None:
-        rec.span("dp compress", "mp.phase", t0)
-    # A gather completes only after every peer has sent, and each sends
-    # after its slab write: an empty one is the barrier between the phases
-    # (among the leaders only; it shows as an ``mp.wait`` span).
-    group.gather([np.zeros(0, dtype=np.uint8)], label="dp grads")
-    t0 = time.monotonic()
-    lo, hi = own * size // dp, (own + 1) * size // dp
-    for pieces in zip(*(_flat_range(store, names, lo, hi) for store in stores)):
-        pieces[0][...] = sum_in_order(pieces) / dp  # stores[0] is the root
-    if rec is not None:
+    if not group.whole:
+        if rec is not None:
+            rec.span("dp compress", "mp.phase", t0)
+        # A gather completes only after every peer has sent, and each sends
+        # after its slab write: an empty one is the barrier between the
+        # phases (among the leaders only; it shows as an ``mp.wait`` span).
+        group.gather([np.zeros(0, dtype=np.uint8)], label="dp grads")
+        t0 = time.monotonic()
+        own = group.local[0]
+        lo, hi = own * size // dp, (own + 1) * size // dp
+        vectors = [store[lo:hi] for store in group.stores()]  # [0]: the root
+    total = sum_in_order(vectors, out=vectors[0])
+    mean = np.divide(total, dp, out=total)
+    if rec is not None and not group.whole:
         rec.span("dp reduce", "mp.phase", t0)
-    return {name: stores[0][name] for name in names}
+    return mean
 
 
-def _flat_range(store: dict[str, np.ndarray], names: list[str],
-                lo: int, hi: int) -> list[np.ndarray]:
-    """Views of ``store``'s arrays covering elements ``[lo, hi)`` of their
-    concatenation in ``names`` order (nothing else of the store is touched)."""
-    views = []
-    offset = 0
-    for name in names:
-        flat = store[name].reshape(-1)
-        a, b = max(lo - offset, 0), min(hi - offset, flat.size)
-        if a < b:
-            views.append(flat[a:b])
-        offset += flat.size
-    return views
-
-
-def _scatter(vector: np.ndarray, views: list[np.ndarray]) -> None:
-    """Copy ``vector`` over ``views``, consecutive chunk by chunk."""
-    offset = 0
-    for view in views:
-        view[...] = vector[offset:offset + view.size]
-        offset += view.size
+def pack_grads(flat: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """``grads`` copied from ``flat``'s start in sorted-name order
+    (:func:`~repro.parallel.backend.context.grad_views`), and that prefix:
+    a replica's vector for :func:`dp_all_reduce`.  A replica whose every
+    gradient accumulated in its view of ``flat`` needs none of this (its
+    vector is ``flat``); when some parameter got no gradient, the written
+    ones, already in ``flat``, move left in order over the unwritten spans."""
+    views = grad_views(flat, {name: g.shape for name, g in grads.items()})
+    for name, view in views.items():
+        view[...] = grads[name]
+    return flat[:sum(view.size for view in views.values())]
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,9 @@ def sp_sync_grads(model) -> None:
 
     Runs after the backward pass: per stage this process holds, flattens
     the stage's QKV gradients in sorted-name order, all-reduces the vector,
-    and writes the slices back.  Every sp rank participates (the exchange
-    is symmetric); only the designated recorder logs the stage's
-    ``grad_sync`` event.
+    and writes the slices back in place (a gradient may live in a slab).
+    Every sp rank participates (the exchange is symmetric); only the
+    designated recorder logs the stage's ``grad_sync`` event.
     """
     sp = Group("sp", model.config.sp)
     groups = sp_grad_groups(model)
@@ -109,7 +109,7 @@ def sp_sync_grads(model) -> None:
         offset = 0
         for _, p in params:
             n = p.grad.size
-            p.grad = total[offset:offset + n].reshape(p.grad.shape)
+            p.grad[...] = total[offset:offset + n].reshape(p.grad.shape)
             offset += n
         if sp.records:
             model.tracker.record(

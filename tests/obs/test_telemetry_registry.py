@@ -109,6 +109,17 @@ class TestDiff:
         assert row["a"] == "" and row["b"] == 1.0
         assert row["delta"] == ""  # incomparable, not fake-zero
 
+    def test_two_runs_sharing_an_id_keep_both_columns(self):
+        """Two different runs under one id (a copied file, two registries'
+        default id) still show both values, not B's over A's."""
+        rows = diff_runs(make_summary("same", wall_ms=10.0),
+                         make_summary("same", wall_ms=20.0))
+        wall = next(r for r in rows if r["metric"] == "pooled/wall_ms/p50")
+        assert wall["same [A]"] == pytest.approx(10.5)
+        assert wall["same [B]"] == pytest.approx(20.5)
+        assert wall["delta"] == pytest.approx(10.0)
+        assert "same" not in wall
+
     def test_format_diff_renders_table(self):
         text = format_diff(make_summary("a"), make_summary("b"))
         assert "telemetry diff: a vs b" in text
