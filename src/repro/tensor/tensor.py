@@ -1,7 +1,9 @@
 """Reverse-mode autodiff Tensor.
 
-A :class:`Tensor` wraps a ``numpy.ndarray`` and records, for each produced
-tensor, a closure that propagates the output gradient to its parents.
+A :class:`Tensor` wraps a ``numpy.ndarray``; an op output that needs a
+gradient also holds a graph node (:class:`_Node`): a closure that propagates
+the output gradient, and its parents' nodes or leaves.  The node holds no
+activation, only what its closure reads (DESIGN.md decision 15f).
 ``Tensor.backward()`` runs a topological sort and applies the closures.
 
 Broadcasting is supported on elementwise ops; gradients are un-broadcast by
@@ -155,10 +157,12 @@ def linear(x: "Tensor", weight: "Tensor", bias: "Tensor | None" = None) -> "Tens
     out_data = _matmul(a, w)
     if bias is not None:
         np.add(out_data, bias.data, out=out_data)
+    to_x, to_w = x.requires_grad, weight.requires_grad
+    b_shape = bias.data.shape if bias is not None and bias.requires_grad else None
 
     def backward(g):
         ga = gw = gb = None
-        if x.requires_grad:
+        if to_x:
             # A stacked ``x`` runs against a contiguous copy of ``Wᵀ``: the
             # stacked loop costs up to 2.6x against the view, copy included.
             # A 2-D ``x`` is one GEMM either way, and the view costs less.
@@ -167,10 +171,10 @@ def linear(x: "Tensor", weight: "Tensor", bias: "Tensor | None" = None) -> "Tens
                 wt = pool.empty(w.shape[::-1], w.dtype)
                 np.copyto(wt, w.T)
             ga = _matmul(g, wt)
-        if weight.requires_grad:  # one GEMM over every token
+        if to_w:  # one GEMM over every token
             gw = _matmul(a.reshape(-1, w.shape[0]).T, g.reshape(-1, w.shape[1]))
-        if bias is not None and bias.requires_grad:
-            gb = unbroadcast(g, bias.data.shape)
+        if b_shape is not None:
+            gb = unbroadcast(g, b_shape)
         return (ga, gw, gb)
 
     return Tensor._make(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
@@ -182,6 +186,34 @@ def _as_array(value, dtype=np.float32) -> np.ndarray:
             return value
         return value.astype(dtype)
     return np.asarray(value, dtype=dtype)
+
+
+class _Node:
+    """An op's place in the graph: its backward closure, and per parent the
+    parent's node, the leaf ``Tensor`` that takes its ``.grad``, or ``None``
+    (no gradient).  It holds no activation: a closure captures the arrays,
+    flags and shapes it reads, never a ``Tensor``, so an op output that the
+    caller drops and no closure reads goes back to the pool at once."""
+
+    __slots__ = ("backward", "parents")
+
+    def __init__(self, backward: Callable[[np.ndarray], tuple], parents: tuple):
+        self.backward, self.parents = backward, parents
+
+    def run(self, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
+        """Apply the closure to ``g`` and route its gradients, one per parent."""
+        parent_grads = self.backward(g)
+        if _OP_HOOKS:
+            _run_op_hooks(_op_name(self.backward), g, (), "backward")
+        for p, pg in zip(self.parents, parent_grads):
+            if pg is None or p is None:
+                continue
+            if type(p) is not _Node:  # a leaf: its ``.grad`` persists
+                p._accumulate(pg)
+            elif id(p) in grads:
+                grads[id(p)] = _pooled(np.add, grads[id(p)], pg)
+            else:
+                grads[id(p)] = pg
 
 
 class Tensor:
@@ -199,14 +231,13 @@ class Tensor:
         Optional debug label carried through error messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: _Node | None = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -227,14 +258,10 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = None
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out.requires_grad = needs
-        if needs:
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
+        links = tuple([p._node or (p if p.requires_grad else None)
+                       for p in parents]) if _GRAD_ENABLED else ()
+        out.requires_grad = links.count(None) < len(links)  # a parent takes a gradient
+        out._node = _Node(backward, links) if out.requires_grad else None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -262,10 +289,13 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = np.broadcast_to(grad, self.data.shape).astype(self.data.dtype)
+        if self._node is None:
+            self._accumulate(grad)
+            return
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -275,43 +305,16 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
+            for p in node.parents:
+                if type(p) is _Node and id(p) not in visited:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        # Every node stays: a retained graph runs ``backward()`` again.
+        grads: dict[int, np.ndarray] = {id(self._node): grad}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                # Leaf: accumulate into .grad
-                node._accumulate(g)
-                continue
-            node._backward_dispatch(g, grads)
-
-    def _backward_dispatch(self, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
-        """Run this node's backward closure, routing parent grads (internal).
-
-        The closure returns one gradient per parent (or ``None`` for parents
-        that do not require grad).
-        """
-        parent_grads = self._backward(g)
-        if _OP_HOOKS:
-            _run_op_hooks(_op_name(self._backward), g, (), "backward")
-        if not isinstance(parent_grads, tuple):
-            parent_grads = (parent_grads,)
-        for p, pg in zip(self._parents, parent_grads):
-            if pg is None or not p.requires_grad:
-                continue
-            pid = id(p)
-            if p._backward is None and not p._parents:
-                # Leaf tensor: accumulate directly so grads persist.
-                p._accumulate(pg)
-            elif pid in grads:
-                grads[pid] = _pooled(np.add, grads[pid], pg)
-            else:
-                grads[pid] = pg
+            if g is not None:
+                node.run(g, grads)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -364,9 +367,10 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         out_data = _pooled(np.add, self.data, other.data)
+        sa, sb = self.data.shape, other.data.shape
 
         def backward(g):
-            return (unbroadcast(g, self.data.shape), unbroadcast(g, other.data.shape))
+            return (unbroadcast(g, sa), unbroadcast(g, sb))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -375,10 +379,10 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         out_data = self.data - other.data
+        sa, sb, to_b = self.data.shape, other.data.shape, other.requires_grad
 
         def backward(g):
-            gb = unbroadcast(-g, other.data.shape) if other.requires_grad else None
-            return (unbroadcast(g, self.data.shape), gb)
+            return (unbroadcast(g, sa), unbroadcast(-g, sb) if to_b else None)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -388,14 +392,17 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         out_data = _pooled(np.multiply, self.data, other.data)
+        # Each side's gradient reads the other side: a parent that takes no
+        # gradient (``scores * (1 / sqrt(d))``) keeps no operand alive and
+        # costs no product and no reduction to a scalar.
+        sa, sb = self.data.shape, other.data.shape
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def backward(g):
-            # A parent that takes no gradient (``scores * (1 / sqrt(d))``)
-            # costs no product and no reduction to a scalar.
-            to_a, to_b = self.requires_grad, other.requires_grad
             return (
-                unbroadcast(_pooled(np.multiply, g, other.data), self.data.shape) if to_a else None,
-                unbroadcast(_pooled(np.multiply, g, self.data), other.data.shape) if to_b else None,
+                unbroadcast(_pooled(np.multiply, g, b), sa) if b is not None else None,
+                unbroadcast(_pooled(np.multiply, g, a), sb) if a is not None else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -405,12 +412,12 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         out_data = self.data / other.data
+        a, b, to_a, to_b = self.data, other.data, self.requires_grad, other.requires_grad
 
         def backward(g):
-            to_a, to_b = self.requires_grad, other.requires_grad
             return (
-                unbroadcast(g / other.data, self.data.shape) if to_a else None,
-                unbroadcast(-g * self.data / (other.data**2), other.data.shape) if to_b else None,
+                unbroadcast(g / b, a.shape) if to_a else None,
+                unbroadcast(-g * a / (b**2), b.shape) if to_b else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -451,12 +458,13 @@ class Tensor:
         if a.ndim > 2 and b.ndim == 2:  # a stacked product against a weight (DESIGN 15e)
             return linear(self, other)
         out_data = _matmul(a, b)
+        to_a, to_b = self.requires_grad, other.requires_grad
 
         def backward(g):
             ga = gb = None
-            if self.requires_grad:
+            if to_a:
                 ga = unbroadcast(_matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-            if other.requires_grad:
+            if to_b:
                 # Left to ``malloc``: pooled, attention's ``gb`` measured no
                 # different (EXPERIMENTS.md "Weight GEMMs").
                 gb = unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
@@ -476,10 +484,12 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
-        def backward(g):
-            return (g / self.data,)
+        x = self.data
 
-        return Tensor._make(np.log(self.data), (self,), backward)
+        def backward(g):
+            return (g / x,)
+
+        return Tensor._make(np.log(x), (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -498,21 +508,25 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
-        def backward(g):
-            return (g * np.sign(self.data),)
+        x = self.data
 
-        return Tensor._make(np.abs(self.data), (self,), backward)
+        def backward(g):
+            return (g * np.sign(x),)
+
+        return Tensor._make(np.abs(x), (self,), backward)
 
     def maximum(self, other) -> "Tensor":
         """Elementwise maximum; at ties the gradient goes to ``self``."""
         other = Tensor._coerce(other)
         mask = self.data >= other.data
         out_data = np.where(mask, self.data, other.data)
+        sa, sb = self.data.shape, other.data.shape
+        to_a, to_b = self.requires_grad, other.requires_grad
 
         def backward(g):
             return (
-                unbroadcast(g * mask, self.data.shape) if self.requires_grad else None,
-                unbroadcast(g * ~mask, other.data.shape) if other.requires_grad else None,
+                unbroadcast(g * mask, sa) if to_a else None,
+                unbroadcast(g * ~mask, sb) if to_b else None,
             )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -522,16 +536,17 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
         def backward(g):
             if axis is None:
-                return (np.broadcast_to(g, self.data.shape).copy(),)
+                return (np.broadcast_to(g, shape).copy(),)
             g2 = g
             if not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(a % self.data.ndim for a in axes):
+                for ax in sorted(a % len(shape) for a in axes):
                     g2 = np.expand_dims(g2, ax)
-            return (np.broadcast_to(g2, self.data.shape).copy(),)
+            return (np.broadcast_to(g2, shape).copy(),)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -547,12 +562,13 @@ class Tensor:
         """Max over one axis; gradient flows to the (first) argmax entries."""
         idx = np.argmax(self.data, axis=axis)
         out_data = np.max(self.data, axis=axis, keepdims=keepdims)
+        shape, dtype = self.data.shape, self.data.dtype
 
         def backward(g):
-            grad = np.zeros_like(self.data)
+            grad = np.zeros(shape, dtype)
             g2 = g if keepdims else np.expand_dims(g, axis)
-            onehot = np.expand_dims(idx, axis) == np.arange(self.data.shape[axis]).reshape(
-                [-1 if i == axis % self.data.ndim else 1 for i in range(self.data.ndim)]
+            onehot = np.expand_dims(idx, axis) == np.arange(shape[axis]).reshape(
+                [-1 if i == axis % len(shape) else 1 for i in range(len(shape))]
             )
             grad += g2 * onehot
             return (grad,)
@@ -610,9 +626,10 @@ class Tensor:
             k is None or k is Ellipsis or type(k) in (int, slice)
             for k in (key if type(key) is tuple else (key,))
         )
+        shape, dtype = self.data.shape, self.data.dtype
 
         def backward(g):
-            grad = pool.empty_like(self.data)
+            grad = pool.empty(shape, dtype)
             grad.fill(0)
             if basic:
                 grad[key] += g

@@ -29,7 +29,7 @@ def _minor_faults() -> int:
 
 @pytest.mark.parametrize("grid, limit", [
     (dict(tp=2, pp=2, scheme="A2"), 300),
-    (dict(tp=2, scheme="Q2"), 500),
+    (dict(tp=2, scheme="Q2"), 300),
 ], ids=["tp2pp2-A2", "tp2-Q2"])
 def test_warm_steps_fault_few_pages(grid, limit):
     model_cfg = TransformerConfig(vocab_size=128, max_seq_len=32, hidden=64, num_layers=4,

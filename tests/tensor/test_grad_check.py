@@ -385,6 +385,6 @@ def test_backward_leaves_the_upstream_gradient_alone(op):
     y = op(x)
     g = RNG.normal(size=y.shape).astype(np.float32)
     before = g.copy()
-    y._backward(g)
+    y._node.backward(g)
     assert np.array_equal(g, before)
 
