@@ -2,9 +2,8 @@
 
 Each mutation ``(id, file under src/repro, old, new, contract broken)`` is
 applied to a fresh ``git archive REF`` copy in a temp dir.  Columns:
-``tier-1*`` (``pytest -x`` without ``tests/lint``, the pin test and the test of
-this list, which any mutant fails), ``pin``
-(``python -m repro.bench``), each dynamic checker through its ``tests/lint``
+``tier-1*`` (``pytest -x`` without ``tests/lint`` and the test of this list,
+which any mutant fails), each dynamic checker through its ``tests/lint``
 file (DYN003 records an mp 1F1B step and replays it), each REPRO rule alone,
 and ``paper-claims`` where every faster column misses.  A pytest catch
 counts if the test passes alone unmutated, else the column re-runs without
@@ -151,14 +150,21 @@ MUTANTS = [
      "if p.data is arena[name]:\n                        pass", "close() hands the model private weights"),
     ("top-parent-only", "obs/cli.py", "recorder.record.events += [e for rank in sorted(result.record)",
      "_ = [e for rank in sorted(result.record)", "top's run file holds every rank's events"),
-    ("replay-no-dedup", "obs/metrics.py", '            monitor.check(rows[:i + 1], row["step"])',
-     '            monitor._active = set()\n            monitor.check(rows[:i + 1], row["step"])',
+    ("replay-no-dedup", "obs/metrics.py", "            monitor.check([r for tail",
+     "            monitor._active = set()\n            monitor.check([r for tail",
      "replayed alerts keep HealthMonitor's dedup"),
+    ("layer-noop-reshape", "parallel/tensor_parallel.py", "return self.ln2(x + self.dropout(h))",
+     "return self.ln2(x + self.dropout(h)).reshape(x.shape)", "a layer runs no op it does not need"),
+    ("linear-bwd-copy", "tensor/tensor.py", "ga = _matmul(g, wt)", "ga = _matmul(g, wt).copy()",
+     "linear's backward copies no gradient"),
+    ("pool-bypass", "tensor/tensor.py",
+     "return np.matmul(a, b, out=pool.empty(lead + (a.shape[-2], b.shape[-1]), dtype))",
+     "return np.matmul(a, b, out=np.empty(lead + (a.shape[-2], b.shape[-1]), dtype))",
+     "products land in pooled buffers"),
 ]
 
 PYTEST = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
-TIER1 = PYTEST + ["-x", "--ignore=tests/lint", "--ignore=tests/test_mutation_list.py", "--deselect",
-                  "tests/bench/test_run_and_cli.py::TestRunSuite::test_matches_committed_baseline"]
+TIER1 = PYTEST + ["-x", "--ignore=tests/lint", "--ignore=tests/test_mutation_list.py"]
 CLAIMS = PYTEST + ["-x", "benchmarks", "--ignore=benchmarks/e2e"]
 RECORD = ["-m", "repro.obs", "mp-trace", "--out", "conc/t.json", "--scheme", "A2", "--tp", "2",
           "--pp", "2", "--schedule", "1f1b", "--microbatches", "4", "--conc-log", "conc"]
@@ -211,8 +217,7 @@ def command_column(steps, timeout):
 
 
 def columns(root):
-    cols = {"tier-1*": pytest_column(TIER1, 900),
-            "pin": command_column([["-m", "repro.bench"]], 300)}
+    cols = {"tier-1*": pytest_column(TIER1, 900)}
     dyn = {}
     for test in root.glob("tests/lint/test_*_check.py"):  # one per dynamic checker
         files = sorted(str(p.relative_to(root)) for p in test.parent.glob(f"{test.stem}*.py"))

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-changed concurrency-verify check bench loc op-budget
+.PHONY: test lint lint-changed concurrency-verify check loc op-budget
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -24,15 +24,10 @@ concurrency-verify:
 	$(PYTHON) .github/scripts/trace_from_record.py \
 		conc-logs/mp-1f1b.trace.json conc-logs
 
-# The merge gate: tier-1 tests (which run every kept dynamic checker, the
-# determinism pin included) and the static lint.
+# The merge gate: tier-1 tests (which run every kept dynamic checker) and
+# the static lint. Wall clock is measured only by
+# `python3 benchmarks/e2e/run.py`.
 check: test lint
-
-# The determinism pin: run the pinned suite (each case once, nothing timed)
-# and print every difference from benchmarks/baseline.json; exit 1 on any.
-# Wall clock is measured only by `python3 benchmarks/e2e/run.py`.
-bench:
-	$(PYTHON) -m repro.bench
 
 # Code lines per src/repro package (non-blank, non-comment, non-docstring).
 loc:

@@ -16,11 +16,10 @@ clock), and every view below is a fold over those events.
   event per compressed-site call into the active record (an installed
   recorder's step, a profiler, an observed mp step), and the fold pools
   them per site.
-- :mod:`repro.obs.profile` — :class:`OpProfiler`, an op-level
-  deterministic profiler on the ``repro.tensor`` op-hook seam (wall time,
-  call counts, FLOP/byte estimates, allocation high-water marks) whose
-  spans, op calls and — while installed — ``comm`` and ``fidelity``
-  events go to its record.
+- :mod:`repro.obs.profile` — :class:`OpProfiler`, an op-level profiler
+  on the ``repro.tensor`` op-hook seam (wall time, call counts and
+  allocation bytes per (phase, op)) whose spans, op calls and — while
+  installed — ``comm`` and ``fidelity`` events go to its record.
 - :mod:`repro.obs.trace` — :func:`chrome_trace`, the one Chrome-trace
   (Perfetto) fold over rank events, the simulated GPipe/1F1B iteration
   trace, and :func:`merge_traces` to render them side by side.

@@ -28,6 +28,7 @@ no-ops (the timer context manager yields without reading the clock).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import os
@@ -145,7 +146,7 @@ def summarize(events) -> dict:
       replayed here, never stored.
     """
     from repro.obs.telemetry.health import (
-        PARENT, HealthMonitor, values, window, window_stats, worker_ranks)
+        PARENT, WINDOW, HealthMonitor, values, window, window_stats, worker_ranks)
 
     meta = next((e for e in events if e["kind"] == "meta"), {})
     rows = step_rows(events)
@@ -179,9 +180,11 @@ def summarize(events) -> dict:
     pooled.update({g: stats(g, PARENT) for row in rows
                    if row["rank"] == PARENT for g in row["gauges"]})
     monitor = HealthMonitor()
+    tails: dict[int, collections.deque] = {}  # what ``window`` can return
     for i, row in enumerate(rows):  # a check as each step's last row lands
+        tails.setdefault(row["rank"], collections.deque(maxlen=WINDOW)).append(row)
         if i + 1 == len(rows) or rows[i + 1]["step"] != row["step"]:
-            monitor.check(rows[:i + 1], row["step"])
+            monitor.check([r for tail in tails.values() for r in tail], row["step"])
     return {
         "run_id": meta.get("run_id", "?"),
         "meta": {k: v for k, v in meta.items() if k not in ("kind", "rank", "idx", "t")},

@@ -148,8 +148,8 @@ class CommTracker:
 
         The natural shape for eyeballing one iteration: e.g.
         ``{("tp", "forward", "autoencoder"): 1920, ...}``.  Keys are
-        sorted, not insertion-ordered, so serialized summaries (bench
-        JSON, reports) diff stably across runs and schedule changes.
+        sorted, not insertion-ordered, so serialized summaries diff stably
+        across runs and schedule changes.
         """
         out: dict[tuple[str, str, str], int] = {}
         for e in self.events:

@@ -66,13 +66,11 @@ class SimSetting:
     model: TransformerConfig = field(default_factory=TransformerConfig.bert_large)
     schedule: str = "gpipe"
     #: Heterogeneous deviation from the uniform topology (per-stage TP
-    #: links, per-boundary PP links, straggler multipliers).  None — the
-    #: default — keeps every homogeneous code path bitwise-identical to
-    #: the pinned bench baselines.
+    #: links, per-boundary PP links, straggler multipliers).  None, the
+    #: default, is the uniform cluster.
     links: "LinkModel | None" = None
     #: Data-parallel replicas.  At the default 1 the iteration sum gains
-    #: exactly ``+ 0.0`` — bitwise neutral, so the pinned bench baselines
-    #: are unchanged.
+    #: exactly ``+ 0.0``.
     dp: int = 1
 
     def __post_init__(self):
@@ -315,22 +313,10 @@ class IterationSimulator:
         """
         s = self.s
         m = s.num_microbatches
-        slots = m + s.pp - 1
-        if s.links is None:
-            # Homogeneous path, kept verbatim: the bench baselines pin
-            # these sums bitwise, and float sums of equal stage times are
-            # not interchangeable with the per-stage generalization below
-            # (slots·tf ≠ tf+tf+…+tf in IEEE arithmetic).
-            tf, tb = self.stage_compute_ms()
-            if s.schedule == "gpipe":
-                return slots * tf, slots * tb, 0.0
-            fwd = s.pp * tf + (m - 1) * (tf + tb)
-            bwd = (m - 1) * tf + slots * tb
-            return fwd, bwd, (m - 1) * (tf + tb)
-        # Heterogeneous: per-stage times; a pipeline's steady state is
-        # gated by its slowest stage, and each region additionally pays
-        # every stage's own work once (the fill/drain ramps).  These forms
-        # reduce to the homogeneous ones when all stages are equal.
+        # Per-stage times: a pipeline's steady state is gated by its
+        # slowest stage, and each region additionally pays every stage's
+        # own work once (the fill/drain ramps).  With equal stages these
+        # are the closed forms above.
         per_stage = [self.stage_compute_ms(st) for st in range(s.pp)]
         tfs = [tf for tf, _ in per_stage]
         tbs = [tb for _, tb in per_stage]

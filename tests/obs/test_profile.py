@@ -1,9 +1,9 @@
-"""OpProfiler: hook seam, deterministic rollups, spans, comm events, traces."""
+"""OpProfiler: hook seam, wall-time rollups, spans, comm events, traces."""
 
 import numpy as np
 import pytest
 
-from repro.obs.profile import OpProfiler, OpStats, op_bytes, op_flops
+from repro.obs.profile import OpProfiler
 from repro.obs.trace import (
     chrome_trace,
     merge_traces,
@@ -74,53 +74,11 @@ class TestHookSeam:
         assert len(first) == len(second) == 1
 
 
-class TestOpCosts:
-    def test_matmul_flops(self):
-        # (2,3) @ (3,4) -> out (2,4): 2*N*K = 2*8*3
-        assert op_flops("__matmul__", (2, 4), ((2, 3), (3, 4))) == 2 * 8 * 3
-
-    def test_linear_flops_are_the_gemm_plus_one_per_output_for_the_bias(self):
-        assert op_flops("linear", (2, 4), ((2, 3), (3, 4), (4,))) == 2 * 8 * 3 + 8
-        assert op_flops("linear", (2, 4), ((2, 3), (3, 4))) == 2 * 8 * 3
-        assert op_flops("linear", (2, 4), ()) == 0.0  # a backward closure
-
-    def test_predicted_ms_prices_linear_as_a_gemm(self):
-        def predicted(op):
-            prof = OpProfiler(record_events=False)
-            prof.ops[("forward", op)] = OpStats(calls=1, flops=4e9, bytes_moved=1e6)
-            return prof.predicted_ms()
-
-        assert predicted("linear") == predicted("__matmul__") > predicted("__add__")
-
-    def test_elementwise_flops(self):
-        assert op_flops("__add__", (5, 7), ((5, 7), (5, 7))) == 35
-
-    def test_shape_ops_cost_no_flops(self):
-        assert op_flops("reshape", (10,), ((2, 5),)) == 0.0
-
-    def test_bytes_counts_reads_and_write(self):
-        # two (2,2) fp32 reads + 16-byte output
-        assert op_bytes("__add__", 16, ((2, 2), (2, 2))) == 2 * 16 + 16
-
-
 class TestRollups:
     def workload(self):
         a = Tensor(np.ones((4, 8), dtype=np.float32), requires_grad=True)
         b = Tensor(np.ones((8, 2), dtype=np.float32), requires_grad=True)
         ((a @ b).tanh().sum()).backward()
-
-    def test_deterministic_counts_across_runs(self):
-        summaries = []
-        for _ in range(2):
-            prof = OpProfiler(record_events=False)
-            with prof:
-                self.workload()
-            s = prof.summary()
-            ops = {key: {f: v for f, v in stats.items() if f != "wall_ms"}
-                   for key, stats in s["ops"].items()}
-            summaries.append((s["op_calls"], s["flops"], s["alloc_bytes"],
-                              s["bytes_moved"], ops))
-        assert summaries[0] == summaries[1]
 
     def test_fake_clock_wall_times_are_deterministic(self, monkeypatch):
         walls = []
@@ -132,31 +90,6 @@ class TestRollups:
                 self.workload()
             walls.append(prof.total_wall_ms())
         assert walls[0] == walls[1] > 0
-
-    def test_forward_and_backward_phases_split(self):
-        prof = OpProfiler()
-        with prof:
-            self.workload()
-        phases = {phase for phase, _ in prof.ops}
-        assert phases == {"forward", "backward"}
-        assert prof.ops[("forward", "__matmul__")].flops == 2 * (4 * 2) * 8
-
-    def test_predicted_ms_positive_and_deterministic(self):
-        vals = []
-        for _ in range(2):
-            prof = OpProfiler(record_events=False)
-            with prof:
-                self.workload()
-            vals.append(prof.predicted_ms())
-        assert vals[0] == vals[1] > 0
-
-    def test_summary_key_order_is_stable(self):
-        prof = OpProfiler()
-        with prof:
-            self.workload()
-        s = prof.summary()
-        assert list(s["ops"]) == sorted(s["ops"])
-        assert list(s["comm_bytes"]) == sorted(s["comm_bytes"])
 
 
 class TestSpans:
@@ -175,20 +108,6 @@ class TestSpans:
         (op,) = of_kind(prof, "op")
         assert (op["name"], op["rank"], op["alloc_bytes"]) == ("__add__", 3, 16)
         assert within(op, by_name["forward"])
-
-    def test_peak_alloc_high_water_mark(self):
-        prof = OpProfiler()
-        ones = lambda n: Tensor(np.ones(n, dtype=np.float32))  # noqa: E731
-        with prof:
-            with prof.span("big", rank=0):
-                ones(256) + ones(256)  # 1024 B output
-            with prof.span("small", rank=0):
-                ones(4) + ones(4)
-            with prof.span("other", rank=1):
-                ones(16) + ones(16)
-        assert prof.peak_alloc_by_rank[0] == 1024
-        assert prof.peak_alloc_by_rank[1] == 64
-        assert prof.peak_span_alloc == 1024
 
     def test_span_durations_use_clock(self):
         prof = OpProfiler()
@@ -221,15 +140,6 @@ class TestCommLinks:
         fwd = [c for c in comms if within(c, spans["forward"])]
         bwd = [c for c in comms if within(c, spans["backward"])]
         assert fwd and bwd and len(fwd) + len(bwd) == len(comms)
-
-    def test_comm_bytes_match_tracker_summary(self):
-        model = small_model(tp=2, scheme="Q2")
-        prof = OpProfiler(record_events=False)
-        input_ids, labels, mask = tiny_batch(model)
-        with prof:
-            model.loss(input_ids, labels, mask).backward()
-        expected = {"/".join(k): v for k, v in model.tracker.summary().items()}
-        assert prof.comm_bytes() == expected
 
     def test_uninstall_restores_tracker_record(self):
         """The tracker is never patched: installing the profiler only makes

@@ -201,6 +201,31 @@ class TestWindowStats:
         assert wall["min"] == 6.0
 
 
+def straggler_run(steps=5):
+    """Four ranks, rank 1 busy 6x its peers, and the parent's flat loss."""
+    busy = {0: 10.0, 1: 60.0, 2: 10.0, 3: 10.0}
+    rows = steps_of({rank: {"busy_ms": b} for rank, b in busy.items()}, steps)
+    rows += [row(-1, step, gauges={"loss": 1.0}) for step in range(steps)]
+    return sorted(rows, key=lambda r: r["step"])
+
+
+def long_run(steps=200):
+    """Four ranks over more than three windows: rank 2 stops reporting
+    after step 80 (its last rows stay in every later window), rank 1
+    straggles over steps 100-149, and the parent's loss reads 0.5 at
+    step 10, 9.0 at step 170 and 1.2 elsewhere (the divergence rule fires
+    while step 10 is in the window, clears, and fires again)."""
+    rows = []
+    for step in range(steps):
+        for rank in range(4):
+            if rank != 2 or step <= 80:
+                rows.append(row(rank, step, busy_ms=60.0 if rank == 1 and 100 <= step < 150
+                                else 10.0))
+        loss = {10: 0.5, 170: 9.0}.get(step, 1.2)
+        rows.append(row(-1, step, gauges={"loss": loss}))
+    return rows
+
+
 class TestSnapshot:
     """``summarize``'s windows, per-site fold and replayed alerts."""
 
@@ -255,3 +280,18 @@ class TestSnapshot:
         assert replayed == live.summary()
         (alert,) = replayed["alerts"]
         assert (alert["rule"], alert["rank"], alert["step"]) == ("straggler", 1, 1)
+
+    @pytest.mark.parametrize("rows", [straggler_run(), long_run()], ids=["straggler", "long"])
+    def test_replay_reads_only_the_window_and_matches_the_full_replay(self, rows):
+        """Each replayed check sees each rank's last ``WINDOW`` rows, not the
+        whole run so far; the alerts are those of checking every row up to
+        each step, as the rules read only the window either way."""
+        stream = events_of(rows, run_id="replay")
+        folded = step_rows(stream)
+        full = HealthMonitor()
+        for i, r in enumerate(folded):
+            if i + 1 == len(folded) or folded[i + 1]["step"] != r["step"]:
+                full.check(folded[:i + 1], r["step"])
+        replayed = summarize(stream)["health"]
+        assert replayed == full.summary()
+        assert replayed["alerts"]

@@ -53,6 +53,8 @@ class TestBitwiseEquivalence:
         (1, 2, "Q2"),   # pure PP, quantized boundary
         (2, 2, "R2"),   # random-k: exercises the per-site RNG streams
         (2, 2, "w/o"),  # dense all-gather + raw boundary transfer
+        (1, 2, "T2"),   # pure PP, top-k boundary
+        (2, 1, "Q2"),   # pure TP, quantized all-gather
     ])
     def test_single_step_matches_oracle_bitwise(self, tp, pp, scheme):
         ids, labels, mask = make_batch()

@@ -132,7 +132,7 @@ class TestCollectiveOps:
         assert tr.filtered()[0].wire_bytes == 2 * 3 * 4 * 2
 
     def test_summary_keys_are_sorted(self):
-        """summary() must serialize stably (bench JSON diffs by key order)."""
+        """summary() must serialize stably (a serialized summary diffs by key order)."""
         tr = CommTracker()
         # Record in deliberately unsorted group/phase order: pp before tp,
         # backward before forward.

@@ -137,9 +137,11 @@ class TestGridBitwiseEquivalence:
     @pytest.mark.parametrize("dp,tp,pp,sp,scheme", [
         (2, 1, 1, 1, "w/o"),   # pure DP, dense gradient all-reduce
         (2, 1, 1, 1, "T2"),    # pure DP, EF top-k gradient wire
+        (2, 1, 1, 1, "Q2"),    # pure DP, quantized gradient wire
         (2, 2, 1, 1, "R2"),    # DP over TP gangs, random-k streams
         (1, 1, 2, 2, "w/o"),   # ring SP across a pipeline split
         (1, 1, 2, 2, "Q2"),    # SP with a quantized boundary
+        (1, 1, 2, 2, "T2"),    # SP with a top-k boundary
     ])
     def test_single_step_matches_oracle_bitwise(self, dp, tp, pp, sp, scheme,
                                                 conc_log):

@@ -13,6 +13,7 @@ kernel rules").
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.nn import Linear
 from repro.obs.profile import OpProfiler
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, pool
 
 RNG = np.random.default_rng(20)
 _C = math.sqrt(2.0 / math.pi)
@@ -381,6 +382,25 @@ class TestKernelChoices:
         (g, wt), (xt, g2) = products[1:]
         assert g.ndim == 3 and wt.shape == (128, 64) and wt.flags.c_contiguous
         assert xt.shape == (64, 32 * 32) and g2.shape == (32 * 32, 128)
+
+    def test_a_warmed_linear_step_takes_its_arrays_from_the_pool(self):
+        # NumPy reports array memory to ``tracemalloc``.  Once the pool
+        # holds a shape's blocks (DESIGN 15d), a forward and backward
+        # allocate only what is below its floor: the 32 KiB ``Wᵀ`` copy and
+        # ``gW``.  An extra copy of ``gx`` or a product that bypasses the
+        # pool allocates 256 or 512 KiB more, every step.
+        x, w, b = (Tensor(randn(*shape), requires_grad=True)
+                   for shape in ((32, 32, 64), (64, 128), (128,)))
+        g = randn(32, 32, 128)
+        for _ in range(2):
+            F.linear(x, w, b)._node.backward(g)
+        tracemalloc.start()
+        try:
+            F.linear(x, w, b)._node.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pool.FLOOR
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Every ``python -m repro.<pkg> <verb>`` in README, DESIGN, EXPERIMENTS,
 the CI workflow, the Makefile and the verify skill must be a verb that
-package's command line accepts (``repro.bench`` and ``repro.lint`` take
-none); every
+package's command line accepts (``repro.lint`` takes none); every
 ``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
 workflow, the Makefile and the verify skill must be one
 ``repro.lint.cli._build_parser()`` accepts, and every ``--flag`` of a
