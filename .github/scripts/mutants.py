@@ -83,8 +83,13 @@ MUTANTS = [
      'op = "all_reduce" if kind == "dense" else "all_gather"', "AE all-reduces its code"),
     ("extra-recorder", C, "        if group.records:\n            tracker.record(event)",
      "        if True:\n            tracker.record(event)", "only the designated rank records"),
-    ("dp-site-shared", C, 'site=f"dp.rank{r}"', 'site="dp.rank0"', "one EF site per dp replica"),
+    ("dp-site-shared", C, 'rank_site = f"dp.rank{r}"', 'rank_site = "dp.rank0"', "one EF site per dp replica"),
     ("dp-mean", C, "mean = np.divide(total, dp, out=total)", "mean = total", "dp averages"),
+    ("dp-fold-zero-sign", C, "            np.add(total, 0.0, out=total)  # where this replica sent nothing\n",
+     "", "the message fold adds 0.0 where a replica sent nothing"),
+    ("topk-ties-high", "compression/topk.py", "mask[tied[-surplus:]] = False",
+     "mask[tied[-surplus:] if pos is None else tied[:surplus]] = False",
+     "the bracketed Top-K keeps ties from the lowest index"),
     ("bind-non-owned", "parallel/backend/worker.py",
      "if ctx.sp_rank == 0 and (p.tp_rank or 0) == ctx.tp_rank:",
      "if ctx.sp_rank == 0 and p.tp_rank in (None, ctx.tp_rank):",

@@ -121,11 +121,6 @@ class Compressor(abc.ABC):
         msg = self.compress(x, site)
         return msg, self.decompress(msg)
 
-    def code_in_place(self, x: np.ndarray, site: str = "default") -> None:
-        """Overwrite ``x`` with the decode :meth:`code` gives it (the
-        gradient wire: nothing downstream needs the input)."""
-        x[...] = self.code(x, site)[1]
-
     def transmit(self, x: Tensor, site: str = "default") -> tuple[CompressedMessage, Tensor]:
         """What crossing a cut point does to ``x``: the message that
         travels, and its decode as ``x``'s graph node.

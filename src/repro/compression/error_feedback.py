@@ -88,20 +88,19 @@ class ErrorFeedbackCompressor(Compressor):
                                             out=prev if fits else None)
         return msg, rec
 
-    def code_in_place(self, x: np.ndarray, site: str = "default") -> None:
-        """:meth:`code` of a flat float32 ``x`` whose decode overwrites it,
-        for a sparse ``inner`` (the gradient codec's Top-/Random-K).  The
-        selection runs in the residual's buffer, which :meth:`_feed` made
-        the corrected input, and the residual changes at the kept entries
-        only: elsewhere ``corrected - decode`` is ``c - 0.0``, which is
-        ``c`` for every float (``-0.0``, NaN and inf too)."""
+    def message(self, x: np.ndarray, site: str = "default") -> tuple[np.ndarray, np.ndarray]:
+        """A sparse ``inner``'s message ``(indices, values)`` for a flat
+        float32 ``x`` plus the site's residual, and no decode (the
+        gradient wire).  The selection runs in the residual's buffer, which
+        :meth:`_feed` made the corrected input, and the residual changes at
+        the kept entries only: elsewhere ``corrected - decode`` is
+        ``c - 0.0``, which is ``c`` for every float (``-0.0``, NaN and inf
+        too).  ``x`` is only read."""
         corrected = self._feed(x, site)  # x itself at the site's first call
         self._residuals[site] = corrected = x.copy() if corrected is x else corrected
-        idx = self.inner._select(corrected, site)
-        kept = corrected[idx]
-        x.fill(0.0)
-        x[idx] = kept
+        idx, kept = self.inner.message(corrected, site)
         corrected[idx] -= kept
+        return idx, kept
 
     def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         return self.code(x, site)[0]

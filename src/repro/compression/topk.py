@@ -28,13 +28,18 @@ from repro.compression.base import (
     Compressor,
     register_compressor,
 )
-from repro.tensor import pool
 
 __all__ = ["SparseCompressor", "TopKCompressor", "select_topk", "topk_mask"]
 
 
-def select_topk(x: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Flat boolean mask of the ``k`` largest-|x| entries, in C order.
+#: Vectors at least this long select among the candidates a bracket admits.
+BRACKETED = 1 << 17
+_SAMPLES = 1 << 12  # the bracket's fixed-stride sample, at least this many
+_CHUNK = 1 << 16  # entries scanned for candidates at a time
+
+
+def select_topk(x: np.ndarray, k: int) -> np.ndarray:
+    """Ascending flat indices of the ``k`` largest-|x| entries, in C order.
 
     The one selection routine of the Top-K scheme.  Exactly ``k`` entries
     are kept: everything above the k-th largest magnitude, then entries
@@ -44,38 +49,75 @@ def select_topk(x: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.
     the largest, as they do in NumPy's sort order (with ``k`` or more of
     them nothing is dropped: a poisoned tensor stays visibly poisoned).
 
-    The threshold comes from an in-place ``partition`` of |x|, which is
-    then recomputed for the comparison: two cheap passes instead of an
-    ``argpartition`` over a length-n index array.  Non-negative IEEE
+    The threshold comes from an in-place ``partition`` of the magnitudes,
+    which are then recomputed for the comparison.  Non-negative IEEE
     floats order like their bit patterns, so float magnitudes are
     partitioned as same-width integers (NumPy's integer quickselect has no
-    NaN-aware compare and runs about twice as fast).  ``scratch`` is an
-    optional 1-d buffer of ``x``'s size and dtype to hold |x| (its contents
-    are lost); without one a temporary is allocated.
+    NaN-aware compare and runs about twice as fast).  From
+    :data:`BRACKETED` entries on, only the candidates that
+    :func:`_candidates` admits are partitioned, so no temporary of ``x``'s
+    size is made; when it admits too few or too many, all entries are.
     """
     flat = x.reshape(-1)
     n = flat.size
     k = int(min(max(k, 1), n))
     if k == n:
-        return np.ones(n, dtype=bool)
-    mag = np.abs(flat, out=scratch)
+        return np.arange(n)
+    pos = _candidates(flat, k) if n >= BRACKETED else None
+    values = flat if pos is None else flat[pos]
+    mag = np.abs(values)
     as_bits = mag.dtype.kind == "f" and mag.itemsize <= 8
     bits = mag.view(f"i{mag.itemsize}") if as_bits else mag
-    bits.partition(n - k)
-    threshold = mag[n - k]
-    np.abs(flat, out=mag)
+    bits.partition(mag.size - k)
+    threshold = mag[mag.size - k]
+    if threshold != threshold:  # k or more NaNs: nothing is dropped
+        return np.arange(n)
+    np.abs(values, out=mag)
     mask = np.less(mag, threshold)  # "not less", so that NaNs are kept
     np.logical_not(mask, out=mask)
     surplus = np.count_nonzero(mask) - k
     if surplus > 0:
         tied = np.flatnonzero(mag == threshold)
         mask[tied[-surplus:]] = False
-    return mask
+    keep = np.flatnonzero(mask)
+    return keep if pos is None else pos[keep]
+
+
+def _candidates(flat: np.ndarray, k: int) -> np.ndarray | None:
+    """Ascending positions of the entries of ``flat`` whose magnitude is not
+    below a bracket of the k-th largest (NaNs included), or None.
+
+    The bracket is a magnitude of a fixed-stride sample: the one ranked a
+    few standard deviations past the sample's expected share of the top
+    ``k``, so a little below the k-th largest.  It almost always admits
+    at least ``k`` entries and not many more; then the k-th largest of
+    the candidates is that of ``flat``, and every entry tied with it is a
+    candidate.  None when fewer than ``k`` are admitted (the sample
+    missed) or more than twice the expected count (ties at the bracket):
+    the caller then selects among all entries.
+    """
+    n = flat.size
+    sample = np.abs(flat[::n // _SAMPLES])
+    m = sample.size
+    expected = k * m / n
+    rank = int(expected + 4 * expected ** 0.5) + 8  # from the top
+    if rank >= m:
+        return None
+    bracket = np.partition(sample, m - rank)[m - rank]  # NaNs sort last
+    cap, parts = 2 * rank * n // m, []
+    for lo in range(0, n, _CHUNK):
+        hit = np.flatnonzero(~np.less(np.abs(flat[lo:lo + _CHUNK]), bracket))
+        parts.append(hit + lo)
+        cap -= hit.size
+        if cap < 0:
+            return None
+    pos = np.concatenate(parts)
+    return pos if pos.size >= k else None
 
 
 def topk_mask(x: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the ``k`` largest-|x| entries, in ``x``'s shape."""
-    return select_topk(x, k).reshape(x.shape)
+    return np.isin(np.arange(x.size), select_topk(x, k)).reshape(x.shape)
 
 
 class SparseCompressor(Compressor):
@@ -103,11 +145,16 @@ class SparseCompressor(Compressor):
     def _select(self, x: np.ndarray, site: str) -> np.ndarray:
         """Ascending int32 flat indices of the entries ``x`` keeps at ``site``."""
 
+    def message(self, x: np.ndarray, site: str = "default") -> tuple[np.ndarray, np.ndarray]:
+        """The message's ``(indices, values)`` for ``x``: the ascending int32
+        flat indices it keeps at ``site`` and their values, a copy."""
+        idx = self._select(x, site)
+        return idx, x.reshape(-1)[idx]
+
     def compress(self, x: np.ndarray, site: str = "default") -> CompressedMessage:
         x = np.asarray(x)
-        idx = self._select(x, site)
-        return CompressedMessage({"values": x.reshape(-1)[idx], "indices": idx},
-                                 tuple(x.shape))
+        idx, values = self.message(x, site)
+        return CompressedMessage({"values": values, "indices": idx}, tuple(x.shape))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         out = np.zeros(int(np.prod(msg.shape)), dtype=msg.payloads["values"].dtype)
@@ -129,5 +176,4 @@ class TopKCompressor(SparseCompressor):
     name = "topk"
 
     def _select(self, x: np.ndarray, site: str) -> np.ndarray:
-        mag = pool.empty((x.size,), x.dtype)  # |x|, recycled across calls
-        return np.flatnonzero(select_topk(x, self._k(x.size), mag)).astype(np.int32)
+        return select_topk(x, self._k(x.size)).astype(np.int32)

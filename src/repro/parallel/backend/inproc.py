@@ -20,7 +20,9 @@ parameter's gradient buffer is a view of it, in the slabs' sorted-name
 layout); the vectors are then combined in place by
 :func:`~repro.parallel.collectives.dp_all_reduce` with every replica local
 — the function an mp gang leader runs with one replica local, performing
-the same additions in the same order on every element.  The step's
+the same additions in the same order on every element (under Top-/Random-K
+replicas ``r >= 1`` hand over their messages at their vectors' fronts, as
+the leaders do at their slabs', and the first replica folds them).  The step's
 gradients are views of the first replica's vector: the parent model's own
 gradient buffers, valid until the next step.
 """

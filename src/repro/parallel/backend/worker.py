@@ -211,7 +211,10 @@ def _gang_reduce(model, ctx: RankContext, written: list[str], dp_codec) -> None:
     The gang first trades which gradients each rank wrote (a mask over the
     slab's names; the mailbox carries arrays).  The trade doubles as the
     ordering edge: a rank sends after its last slab write, so once the
-    leader holds every mask its gang's slab is complete.
+    leader holds every mask its gang's slab is complete.  Under a sparse
+    codec a leader ``r >= 1`` returns once its message lies over its
+    slab's front; leader 0 reads it there before it replies, and the next
+    step, which writes the slab again, starts only after every reply.
     """
     from repro.parallel.collectives import dp_all_reduce, pack_grads
 
@@ -244,7 +247,7 @@ def _serve(conn, ctx: RankContext, model_spec: dict, rec, fault_plan) -> None:
     local of the caller holds a view of the segment."""
     rank, transport = ctx.rank, ctx.transport
     # A step allocates and frees arrays up to parameter size (a gradient no
-    # slab holds, a dp leader's selection temporaries).  glibc serves blocks
+    # slab holds, a dp leader's Q2 decode).  glibc serves blocks
     # above its mmap threshold from fresh pages (one fault per 4 KiB, each
     # step) and hands the heap's top back once twice that much of it is
     # free; freeing one block as large as the whole state lifts the dynamic

@@ -381,23 +381,29 @@ def dp_all_reduce(
     as a name → gradient dict instead is flattened, in that order, into a
     fresh vector first.
 
-    Each replica's vector is coded in place, its decode written over it; a
-    stateful codec keeps one ``dp.rank{r}`` site per replica
-    (error-feedback residuals and Random-K streams never alias across
-    replicas — the same per-site isolation the TP all-gather path uses),
-    so a leader's codec holds its own replica's state and nothing else.
-    The decodes are folded in rank order into dp rank 0's vector
-    (:func:`sum_in_order`, in place) and divided by the replica count: the
-    gradient of the mean loss over the full batch.  In-process it returns
-    that vector.
+    Each replica's vector is coded in place; a stateful codec keeps one
+    ``dp.rank{r}`` site per replica (error-feedback residuals and Random-K
+    streams never alias across replicas — the same per-site isolation the
+    TP all-gather path uses), so a leader's codec holds its own replica's
+    state and nothing else.  The vectors are folded in rank order into dp
+    rank 0's, in place, and divided by the replica count: the gradient of
+    the mean loss over the full batch.  In-process it returns that vector.
 
-    In-process the fold runs over the local list.  Workers exchange through
-    the gradient slabs, because a parameter-sized vector does not fit a
-    mailbox slot: each leader's vector is its slab, and after one barrier
-    each reduces a disjoint ``1/dp`` slice of every slab into dp rank 0's
-    and returns that slice; the mean is complete in gang 0's slab once
-    every leader has returned.  Both views perform the same additions in
-    the same order on every element.
+    Workers exchange through the gradient slabs, because a
+    parameter-sized vector does not fit a mailbox slot: each leader's
+    vector is its slab, and one barrier separates the writes from the
+    reads.  A sparse codec's (Top-/Random-K) replica ``r >= 1`` writes its
+    message over its vector's front — ``k`` int32 indices, then their
+    ``k`` values — and dp rank 0 folds the messages into its decode, with
+    the dense fold's arithmetic: ``+ v`` where a replica sent ``v`` and
+    ``+ 0.0`` everywhere else.  A message that would not fit (``2k`` above
+    the vector's size; everything kept, as ``k`` NaNs make Top-K do)
+    travels as its decode instead; the barrier carries each replica's
+    message length.  Other codecs write their decode over the vector, and
+    each leader reduces a disjoint ``1/dp`` slice of every slab into dp
+    rank 0's; the mean is complete in gang 0's slab once every leader
+    has returned.  Both backends perform the same additions in the same
+    order on every element.
 
     Records exactly one :class:`CommEvent` per step, on dp rank 0 —
     ``all_reduce`` for the dense path, ``all_gather`` for the gathered
@@ -412,30 +418,57 @@ def dp_all_reduce(
     vectors = [v if isinstance(v, np.ndarray) else np.concatenate(
         [np.asarray(v[n], dtype=np.float32).ravel() for n in sorted(v)]) for v in vectors]
     size = vectors[0].size
+    sent = []  # sparse codec: per local replica, its message length (-1: a decode)
     if compressor is None or _wire_kind(compressor) == "dense":
         event = CommEvent("all_reduce", "dp", "backward", "none",
                           dense_bytes((size,)), dp, (size,), None, site)
     else:
         for r, vector in zip(group.local, vectors):
-            compressor.code_in_place(vector, site=f"dp.rank{r}")
+            rank_site = f"dp.rank{r}"
+            if not compressor.sparse:  # its decode, over the vector
+                vector[...] = compressor.code(vector, rank_site)[1]
+                continue
+            idx, kept = compressor.message(vector, rank_site)
+            k = idx.size
+            if r > 0 and 2 * k <= size:
+                vector[:k].view(np.int32)[...] = idx
+                vector[k:2 * k] = kept
+            else:
+                vector.fill(0.0)
+                vector[idx] = kept
+                k = -1
+            sent.append(k)
         event = CommEvent("all_gather", "dp", "backward", compressor.name,
                           compressor.compressed_bytes((size,)), dp, (size,),
                           None, site)
     if 0 in group.local:
         tracker.record(event)
 
+    own, stores = group.local[0], vectors
     if not group.whole:
         if rec is not None:
             rec.span("dp compress", "mp.phase", t0)
         # A gather completes only after every peer has sent, and each sends
-        # after its slab write: an empty one is the barrier between the
-        # phases (among the leaders only; it shows as an ``mp.wait`` span).
-        group.gather([np.zeros(0, dtype=np.uint8)], label="dp grads")
+        # after its slab write: the message lengths (none, for a dense
+        # fold) are the barrier between the phases (among the leaders
+        # only; it shows as an ``mp.wait`` span).
+        sent = list(np.concatenate(group.gather([np.array(sent, np.int64)],
+                                                label="dp grads")))
         t0 = time.monotonic()
-        own = group.local[0]
-        lo, hi = own * size // dp, (own + 1) * size // dp
-        vectors = [store[lo:hi] for store in group.stores()]  # [0]: the root
-    total = sum_in_order(vectors, out=vectors[0])
+        if sent and own:
+            return vectors[0]  # its message is out; dp rank 0 folds it
+        lo, hi = (0, size) if sent else (own * size // dp, (own + 1) * size // dp)
+        stores = [store[lo:hi] for store in group.stores()]  # [0]: the root
+    if sent:
+        total = stores[0]
+        for store, k in zip(stores[1:], sent[1:]):
+            idx, values = ((store[:k].view(np.int32), store[k:2 * k]) if k >= 0
+                           else (slice(None), store))  # a decode: every entry sent
+            folded = total[idx] + values
+            np.add(total, 0.0, out=total)  # where this replica sent nothing
+            total[idx] = folded
+    else:
+        total = sum_in_order(stores, out=stores[0])
     mean = np.divide(total, dp, out=total)
     if rec is not None and not group.whole:
         rec.span("dp reduce", "mp.phase", t0)

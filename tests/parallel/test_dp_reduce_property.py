@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.parallel.backend import RankContext, active_context
 from repro.parallel.backend.context import grad_views
 from repro.parallel.collectives import CommTracker, dp_all_reduce, pack_grads
 from repro.parallel.grad_sync import build_dp_grad_compressor
@@ -122,3 +123,118 @@ def test_private_gradients_are_packed_by_copy():
     views = grad_views(flat, SHAPES)
     before = flat.copy()
     assert pack_grads(flat, views).tobytes() == before.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The sparse codecs' message fold
+# ----------------------------------------------------------------------
+#: Signed zeros, infinities and NaN among the magnitudes: with few nonzeros
+#: Top-K keeps zeros, and with two or more NaNs it keeps everything.
+SPECIALS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0,
+                            np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dp=st.sampled_from([2, 3, 4]),
+       scheme=st.sampled_from(["T2", "R2"]))
+def test_message_fold_equals_the_dense_fold_bitwise(data, dp, scheme):
+    """Replicas r >= 1 hand over ``(indices, values)`` and rank 0 folds
+    them; the reference folds every replica's dense decode."""
+    ref_codec, new_codec = codec(scheme), codec(scheme)
+    for step in range(3):
+        vectors = [data.draw(hnp.arrays(np.float32, NUMEL, elements=SPECIALS),
+                             label=f"replica{r}.step{step}") for r in range(dp)]
+        want = reference([{"v": v} for v in vectors], ref_codec)
+        got = dp_all_reduce([v.copy() for v in vectors], new_codec, CommTracker())
+        assert got.tobytes() == want.tobytes(), (step, scheme, dp)
+        assert state_bytes(new_codec.runtime_state()) == \
+            state_bytes(ref_codec.runtime_state()), (step, scheme, dp)
+
+
+@pytest.mark.parametrize("dp", [2, 3, 4])
+def test_a_negative_zero_only_one_replica_keeps_becomes_positive(dp):
+    """Top-K keeps indices 0 and 1 of an all ``-0.0`` replica 0 (ties go
+    low); the others keep 10 and 11.  The dense fold adds their ``+0.0``
+    to index 0, so the mean there is ``+0.0``, as the message fold's."""
+    vectors = [np.full(NUMEL, -0.0, np.float32)]
+    for r in range(1, dp):
+        vector = np.zeros(NUMEL, np.float32)
+        vector[[10, 11]] = [5.0, -5.0 * r]
+        vectors.append(vector)
+    want = reference([{"v": v} for v in vectors], codec("T2"))
+    got = dp_all_reduce([v.copy() for v in vectors], codec("T2"), CommTracker())
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[:2]).any()  # -0.0 + 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(hnp.arrays(np.float32, NUMEL, elements=SPECIALS), min_size=1, max_size=3),
+       scheme=st.sampled_from(["T2", "R2"]))
+def test_message_conserves_corrected_as_decode_plus_residual(xs, scheme):
+    """``corrected == decode + residual`` where the corrected input is
+    finite, exactly; everywhere, the residual is ``corrected - decode``."""
+    ef = codec(scheme)
+    for x in xs:
+        prev = ef.residual("s")
+        corrected = x.copy() if prev is None else np.add(x, prev)
+        before = x.copy()
+        idx, kept = ef.message(x, "s")
+        np.testing.assert_array_equal(x, before)  # only read
+        decode = np.zeros_like(x)
+        decode[idx] = kept
+        residual = ef.residual("s")
+        finite = np.isfinite(corrected)
+        np.testing.assert_array_equal((decode + residual)[finite], corrected[finite])
+        assert residual.tobytes() == np.subtract(corrected, decode).tobytes()
+
+
+class SlabTransport:
+    """Fake worker transport over in-process slabs: exchanges replay what
+    the peers that already ran published (zeros for the rest)."""
+
+    def __init__(self, rank, slabs, published):
+        self.rank, self.slabs, self.published = rank, slabs, published
+
+    def exchange(self, peers, arr, *, timeout, label=None):
+        self.published[self.rank] = arr.copy()
+        return {p: self.published.get(p, np.zeros_like(arr)) for p in peers}
+
+    def grad_flat(self, gang):
+        return self.slabs[gang]
+
+
+@pytest.mark.parametrize("dp", [2, 4])
+@pytest.mark.parametrize("scheme", ["T2", "R2"])
+def test_a_leader_publishes_k_indices_and_values_and_nothing_else_is_read(dp, scheme):
+    """Each leader r >= 1 changes only the front ``k * (4 + 4)`` bytes of
+    its slab, where its message lies; poisoning the rest of every peer slab
+    leaves leader 0's mean equal to the in-process reduce's."""
+    n = 4096
+    rng = np.random.default_rng(0)
+    oracle = codec(scheme)
+    leaders = [codec(scheme) for _ in range(dp)]
+    k = leaders[0].inner._k(n)
+    slabs = [np.empty(n, np.float32) for _ in range(dp)]
+    for step in range(3):
+        grads = [rng.standard_normal(n).astype(np.float32) for _ in range(dp)]
+        want = dp_all_reduce([g.copy() for g in grads], oracle, CommTracker())
+        published = {}
+        for r in reversed(range(dp)):  # the peers publish before rank 0 folds
+            slabs[r][...] = grads[r]
+            ctx = RankContext(tp=1, pp=1, tp_rank=0, stage=0, dp=dp, dp_rank=r,
+                              transport=SlabTransport(r, slabs, published))
+            with active_context(ctx):
+                dp_all_reduce([slabs[r]], leaders[r], CommTracker())
+            if r == 0:
+                break
+            assert int(published[r][0]) == k
+            assert slabs[r][:2 * k].nbytes == k * (4 + 4)
+            assert slabs[r][2 * k:].tobytes() == grads[r][2 * k:].tobytes()
+            idx = slabs[r][:k].view(np.int32)
+            assert (np.diff(idx) > 0).all()
+            slabs[r][2 * k:] = np.nan
+        assert slabs[0].tobytes() == want.tobytes(), (step, scheme, dp)
+        for r, leader in enumerate(leaders):
+            site = f"dp.rank{r}"
+            assert state_bytes(leader.runtime_state())["residuals"][site] == \
+                state_bytes(oracle.runtime_state())["residuals"][site]

@@ -8,7 +8,6 @@ through ``REPRO_FAULT_PLAN`` (read by each worker at spawn) and assert
 the faulted run still produces the healthy run's numbers.
 """
 
-import glob
 import json
 import os
 import time
@@ -344,12 +343,15 @@ class TestDpLeaderFaults:
         waiting for it.  The parent names rank 1 well inside the timeout
         and tears the survivor and the segment down."""
         plan = json.dumps({"faults": [{"kind": "kill", "rank": 1, "step": 1}]})
-        before = set(glob.glob("/dev/shm/repro-rt-*"))
         ids, labels = _batch()
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv(faults.ENV_VAR, plan)
             backend = create_backend("mp", _make_dp_model(), timeout=MP_TIMEOUT,
                                      shutdown_timeout=0.5)
+            # This backend's own segment, not the machine's: a concurrent
+            # run may hold segments of its own.
+            segment = f"/dev/shm/{backend.transport.spec['name']}"
+            assert os.path.exists(segment)
             try:
                 backend.train_step(ids, labels, None)  # step 0: healthy
                 start = time.monotonic()
@@ -361,4 +363,4 @@ class TestDpLeaderFaults:
         assert err.value.rank == 1
         assert elapsed < MP_TIMEOUT / 2
         assert all(not p.is_alive() for p in backend._procs)
-        assert set(glob.glob("/dev/shm/repro-rt-*")) <= before
+        assert not os.path.exists(segment)

@@ -25,7 +25,8 @@ from repro.compression import (
     RandomKCompressor,
     TopKCompressor,
 )
-from repro.compression.topk import select_topk
+from repro.compression import topk
+from repro.compression.topk import select_topk, topk_mask
 from repro.data.metrics import f1_binary, matthews_corrcoef, spearman_corr
 from repro.parallel.backend import faults
 from repro.parallel.pipeline import PipelinePartition
@@ -192,7 +193,7 @@ class TestTopKSelectionProperties:
     @settings(max_examples=80, deadline=None)
     def test_exactly_k_kept_and_ties_go_to_the_lowest_index(self, x, data):
         k = data.draw(st.integers(1, x.size))
-        mask = select_topk(x, k)
+        mask = topk_mask(x, k).reshape(-1)
         assert mask.shape == (x.size,) and mask.sum() == k
         mag = np.abs(x).reshape(-1)
         threshold = mag[mask].min()
@@ -207,9 +208,7 @@ class TestTopKSelectionProperties:
     def test_same_across_calls_scratch_and_memory_layouts(self, x, data):
         k = data.draw(st.integers(1, x.size))
         want = select_topk(x, k)
-        scratch = np.full(x.size, np.nan, dtype=x.dtype)  # stale contents
-        np.testing.assert_array_equal(select_topk(x, k, scratch), want)
-        np.testing.assert_array_equal(select_topk(x, k, scratch), want)
+        np.testing.assert_array_equal(select_topk(x, k), want)
         fortran = np.asfortranarray(x)
         strided = np.repeat(x.reshape(-1), 2)[::2].reshape(x.shape)
         np.testing.assert_array_equal(select_topk(fortran, k), want)
@@ -223,7 +222,7 @@ class TestTopKSelectionProperties:
         order = np.sort(np.abs(x).reshape(-1))
         if k < x.size and order[x.size - k] == order[x.size - k - 1]:
             return  # k-th and (k+1)-th magnitudes tie: argpartition may pick either
-        np.testing.assert_array_equal(select_topk(x, k),
+        np.testing.assert_array_equal(topk_mask(x, k).reshape(-1),
                                       argpartition_selection(x, k))
 
     @pytest.mark.parametrize("x", EDGE_INPUTS, ids=lambda x: str(x.shape))
@@ -247,7 +246,88 @@ class TestTopKSelectionProperties:
         rec = c.decompress(c.compress(x))
         np.testing.assert_array_equal(rec, c.apply(Tensor(x)).data)
         np.testing.assert_array_equal(
-            rec != 0, (x != 0) & select_topk(x, c._k(x.size)).reshape(x.shape))
+            rec != 0, (x != 0) & topk_mask(x, c._k(x.size)))
+
+
+def reference_topk(x, k):
+    """Top-K by definition: NaNs first, then larger magnitudes, ties to the
+    lower index; with ``k`` or more NaNs, every index."""
+    mag = np.abs(x.reshape(-1)).astype(np.float64)
+    nan = np.isnan(mag)
+    if nan.sum() >= k:
+        return np.arange(mag.size)
+    order = np.lexsort((np.arange(mag.size), -np.where(nan, 0.0, mag), ~nan))
+    return np.sort(order[:k])
+
+
+def large_input(kind, n, seed):
+    """A float32 vector of ``n`` entries of one family of hard inputs."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n).astype(np.float32)
+    if kind == "grid":  # ties in every magnitude class, -0.0 included
+        x = np.round(x * 16) / np.float32(16)
+    elif kind == "signed-zero":  # mostly +-0.0: zeros fill the top k
+        x = np.where(rng.random(n) < 0.99, np.float32(0.0), x)
+        x = np.where(rng.random(n) < 0.5, -x, x)
+    elif kind == "inf":
+        x[rng.choice(n, size=int(rng.integers(1, 3000)), replace=False)] = np.inf
+        x[rng.choice(n, size=int(rng.integers(1, 3000)), replace=False)] = -np.inf
+    elif kind == "nan":
+        x[rng.choice(n, size=int(rng.integers(1, 5000)), replace=False)] = np.nan
+    return x
+
+
+class TestBracketedTopK:
+    """From ``topk.BRACKETED`` entries on, :func:`select_topk` partitions
+    only the candidates a fixed-stride sample's bracket admits; its
+    indices must still be the definition's."""
+
+    @given(kind=st.sampled_from(["normal", "grid", "signed-zero", "inf", "nan"]),
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 70_000),
+           fraction=st.sampled_from([0.0005, 0.0163, 0.0326, 0.0977, 0.3]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_definition(self, kind, seed, extra, fraction):
+        x = large_input(kind, topk.BRACKETED + extra, seed)
+        k = max(1, round(fraction * x.size))
+        got = select_topk(x, k)
+        assert (np.diff(got) > 0).all()
+        np.testing.assert_array_equal(got, reference_topk(x, k))
+
+    @pytest.mark.parametrize("kind", ["normal", "grid"])
+    @pytest.mark.parametrize("fraction", [0.0163, 0.0326, 0.0977])
+    def test_the_bracket_admits_the_top_k_and_ties_go_low(self, kind, fraction):
+        """The common inputs take the bracketed path (no fallback), and
+        ``grid`` ties at the threshold, so its tie rule is exercised."""
+        x = large_input(kind, topk.BRACKETED + 4321, seed=11)
+        k = round(fraction * x.size)
+        pos = topk._candidates(x, k)
+        assert pos is not None and k <= pos.size < x.size // 4
+        want = reference_topk(x, k)
+        np.testing.assert_array_equal(select_topk(x, k), want)
+        if kind == "grid":  # the k-th magnitude is tied past k: ties decide
+            mag = np.abs(x)
+            assert np.count_nonzero(mag >= mag[want].min()) > k
+
+    def test_k_or_more_nans_keep_everything(self):
+        x = large_input("normal", topk.BRACKETED, seed=3)
+        k = 1000
+        x[np.random.default_rng(4).choice(x.size, size=k, replace=False)] = np.nan
+        np.testing.assert_array_equal(select_topk(x, k), np.arange(x.size))
+        x[np.flatnonzero(np.isnan(x))[0]] = 0.0  # one NaN short of k
+        got = select_topk(x, k)
+        assert got.size == k and np.isnan(x[got]).sum() == k - 1
+        np.testing.assert_array_equal(got, reference_topk(x, k))
+
+    def test_a_sample_that_misses_falls_back_to_the_full_partition(self):
+        """Large values exactly on the sample's stride, fewer than ``k`` of
+        them: the bracket admits too few, and all entries are partitioned."""
+        n = topk.BRACKETED
+        x = large_input("normal", n, seed=5) / np.float32(10)
+        on_stride = np.arange(0, n, n // topk._SAMPLES)
+        x[on_stride] = np.float32(10) + np.arange(on_stride.size, dtype=np.float32)
+        k = 3 * on_stride.size
+        assert topk._candidates(x, k) is None
+        np.testing.assert_array_equal(select_topk(x, k), reference_topk(x, k))
 
 
 class TestErrorFeedbackProperties:
