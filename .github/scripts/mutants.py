@@ -160,6 +160,9 @@ MUTANTS = [
      "replayed alerts keep HealthMonitor's dedup"),
     ("layer-noop-reshape", "parallel/tensor_parallel.py", "return self.ln2(x + self.dropout(h))",
      "return self.ln2(x + self.dropout(h)).reshape(x.shape)", "a layer runs no op it does not need"),
+    ("shard-init-ulp", "parallel/tensor_parallel.py", "p = Parameter(data.copy())",
+     "p = Parameter(np.nextafter(data.copy(), np.float32(1)))",
+     "a shard holds its serial weights' bytes"),
     ("linear-bwd-copy", "tensor/tensor.py", "ga = _matmul(g, wt)", "ga = _matmul(g, wt).copy()",
      "linear's backward copies no gradient"),
     ("pool-bypass", "tensor/tensor.py",

@@ -27,9 +27,6 @@ from repro.compression.base import (
     Compressor,
     CompressedMessage,
     NoCompressor,
-    register_compressor,
-    make_compressor,
-    available_compressors,
 )
 from repro.compression.topk import TopKCompressor
 from repro.compression.randomk import RandomKCompressor
@@ -55,7 +52,4 @@ __all__ = [
     "SchemeSpec",
     "scheme_spec",
     "build_compressor",
-    "register_compressor",
-    "make_compressor",
-    "available_compressors",
 ]

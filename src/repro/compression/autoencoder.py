@@ -20,7 +20,6 @@ from repro.compression.base import (
     BYTES_FP16,
     CompressedMessage,
     Compressor,
-    register_compressor,
 )
 from repro.nn.module import Parameter
 from repro.tensor import Tensor
@@ -28,7 +27,6 @@ from repro.tensor import Tensor
 __all__ = ["AutoencoderCompressor"]
 
 
-@register_compressor
 class AutoencoderCompressor(Compressor):
     """Linear encoder/decoder pair with learnable weights.
 

@@ -1,4 +1,4 @@
-"""Compressor interface, message container, and registry.
+"""Compressor interface and message container.
 
 A codec has one face: the message.  :meth:`Compressor.compress` turns an
 activation into a :class:`CompressedMessage`, :meth:`Compressor.decompress`
@@ -30,9 +30,6 @@ __all__ = [
     "CompressedMessage",
     "Compressor",
     "NoCompressor",
-    "register_compressor",
-    "make_compressor",
-    "available_compressors",
 ]
 
 BYTES_FP16 = 2
@@ -215,30 +212,3 @@ class NoCompressor(Compressor):
     def apply(self, x: Tensor, site: str = "default") -> Tensor:
         return x
 
-
-_REGISTRY: dict[str, type[Compressor]] = {}
-
-
-def register_compressor(cls: type[Compressor]) -> type[Compressor]:
-    """Class decorator adding a compressor to the global registry."""
-    if not cls.name or cls.name == "base":
-        raise ValueError(f"{cls.__name__} must define a unique .name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def make_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a registered compressor by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}") from None
-    return cls(**kwargs)
-
-
-def available_compressors() -> list[str]:
-    """Names of all registered compressors."""
-    return sorted(_REGISTRY)
-
-
-register_compressor(NoCompressor)

@@ -26,7 +26,6 @@ from repro.compression.base import (
     BYTES_FP16,
     CompressedMessage,
     Compressor,
-    register_compressor,
 )
 
 __all__ = ["PowerSGDCompressor", "orthonormalize"]
@@ -44,7 +43,6 @@ def orthonormalize(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return m.astype(np.float32)
 
 
-@register_compressor
 class PowerSGDCompressor(Compressor):
     """Rank-``rank`` power-iteration compression of 2-D-flattened tensors.
 

@@ -20,7 +20,6 @@ from repro.compression.base import (
     BYTES_FP16,
     CompressedMessage,
     Compressor,
-    register_compressor,
 )
 from repro.tensor import pool
 
@@ -52,7 +51,6 @@ def unpack_bits(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     return codes[:count]
 
 
-@register_compressor
 class QuantizationCompressor(Compressor):
     """Per-group uniform min-max quantization.
 

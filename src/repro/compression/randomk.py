@@ -14,13 +14,11 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import register_compressor
 from repro.compression.topk import SparseCompressor
 
 __all__ = ["RandomKCompressor"]
 
 
-@register_compressor
 class RandomKCompressor(SparseCompressor):
     """Keep a uniformly random ``fraction`` of entries.
 

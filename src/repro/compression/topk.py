@@ -26,7 +26,6 @@ from repro.compression.base import (
     BYTES_INT32,
     CompressedMessage,
     Compressor,
-    register_compressor,
 )
 
 __all__ = ["SparseCompressor", "TopKCompressor", "select_topk", "topk_mask"]
@@ -169,7 +168,6 @@ class SparseCompressor(Compressor):
         return f"{type(self).__name__}(fraction={self.fraction:.4f})"
 
 
-@register_compressor
 class TopKCompressor(SparseCompressor):
     """Keep the top ``fraction`` of entries by magnitude."""
 

@@ -35,14 +35,6 @@ from repro.experiments import (
 )
 
 
-def _print_rows(name):
-    def runner(fn, title):
-        print(format_table(fn(), title=title))
-        print()
-
-    return runner
-
-
 def _fig2():
     r = figure2_lowrank()
     print("Figure 2 — spectrum AUC: gradient "

@@ -27,7 +27,7 @@ from repro.compression.base import Compressor, NoCompressor
 from repro.nn.bert import BertForPreTraining
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.transformer import TransformerConfig
+from repro.nn.transformer import TransformerConfig, TransformerLayer
 from repro.parallel.collectives import CommTracker, pipeline_transfer
 from repro.parallel.pipeline import PipelinePartition
 from repro.parallel.tensor_parallel import ParallelTransformerLayer
@@ -154,7 +154,7 @@ class _ModelParallelBackbone(Module):
         self.embed_ln = LayerNorm(mc.hidden)
         self.embed_dropout = Dropout(mc.dropout, rng)
         self.layers = ModuleList(
-            ParallelTransformerLayer(mc, config.tp, rng, sp=config.sp)
+            ParallelTransformerLayer(TransformerLayer(mc, rng), config.tp, sp=config.sp)
             for _ in range(mc.num_layers)
         )
 
@@ -177,10 +177,10 @@ class _ModelParallelBackbone(Module):
                     self._site_compressors[key] = build_compressor(
                         scheme, mc.hidden, seed=config.seed * 1000 + 500 + b
                     )
-        self._register_compressor_params()
+        self._add_compressor_params()
         self._identity = NoCompressor()
 
-    def _register_compressor_params(self) -> None:
+    def _add_compressor_params(self) -> None:
         # Enumerate with stable indices: an `is`-check against comp.encoder
         # names every non-encoder parameter "decoder", so a compressor with
         # a third parameter (or without an `encoder` attribute) registers

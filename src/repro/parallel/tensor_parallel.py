@@ -8,8 +8,11 @@ output). The partials are combined by the ``g`` all-reduce — the compression
 site this paper studies — while the conjugate ``f`` op accounts for the
 backward all-reduce at the layer input.
 
-Every class offers ``from_serial`` so tests can verify that the parallel
-computation equals the serial reference exactly.
+Each class is built from the serial module it shards, as Megatron's column-
+and row-parallel layers are slices of the serial GEMMs: a weight's rank
+shards are copies of the serial bytes, and what is not split (layer norms,
+dropout) is the serial module itself. A parallel model therefore starts from
+its serial twin's exact weights and computes the same function.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import numpy as np
 
 from repro.compression.base import Compressor, NoCompressor
 from repro.nn.attention import MultiHeadAttention, attention_core
-from repro.nn.layers import Dropout, LayerNorm, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
-from repro.nn.transformer import TransformerConfig, TransformerLayer
+from repro.nn.transformer import TransformerLayer
 from repro.parallel.backend.context import Group
 from repro.parallel.collectives import (
     CommTracker,
@@ -45,7 +48,10 @@ def _add_shard(module: Module, stem: str, rank: int, data: np.ndarray) -> Parame
     """Register tp rank ``rank``'s shard of ``stem`` as ``{stem}_rank{rank}``.
 
     The shard is tagged with its rank: only that rank's worker computes
-    (and, under the mp backend, publishes) its gradient.
+    (and, under the mp backend, publishes) its gradient.  It is a
+    C-contiguous copy, as the mp weights arena's views are: the weight
+    products' bits depend on layout, and a fancy-indexed QKV slice is not
+    C-contiguous.
     """
     p = Parameter(data.copy())
     p.tp_rank = rank
@@ -54,29 +60,15 @@ def _add_shard(module: Module, stem: str, rank: int, data: np.ndarray) -> Parame
 
 
 class _ShardedLinear(Module):
-    """A :class:`Linear` whose ``(in, out)`` weight is split along ``AXIS``.
-
-    ``__init__`` draws the full weight and shards it exactly as
-    :meth:`from_serial` shards a serial layer's; each rank's shard is one
-    ``F.linear`` over its own slice.
-    """
+    """A serial :class:`Linear` whose ``(in, out)`` weight is split along
+    ``AXIS`` into ``tp`` shards; each rank's shard is one ``F.linear`` over
+    its own slice."""
 
     AXIS: int  # 1: output features (column-parallel); 0: input features (row)
 
-    def __init__(self, in_features: int, out_features: int, tp: int,
-                 rng: np.random.Generator, bias: bool = True, init_std: float = 0.02):
+    def __init__(self, serial: Linear, tp: int):
         super().__init__()
-        full = rng.normal(0.0, init_std, size=(in_features, out_features)).astype(np.float32)
-        self._shard(full, np.zeros(out_features, dtype=np.float32) if bias else None, tp)
-
-    @classmethod
-    def from_serial(cls, serial: Linear, tp: int):
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj._shard(serial.weight.data, None if serial.bias is None else serial.bias.data, tp)
-        return obj
-
-    def _shard(self, weight: np.ndarray, bias: np.ndarray | None, tp: int) -> None:
+        weight = serial.weight.data
         self.in_features, self.out_features = weight.shape
         self.tp = tp
         if weight.shape[self.AXIS] % tp != 0:
@@ -84,7 +76,7 @@ class _ShardedLinear(Module):
             raise ValueError(f"{dim}={weight.shape[self.AXIS]} not divisible by tp={tp}")
         self.weight_shards = [_add_shard(self, "weight", r, w)
                               for r, w in enumerate(np.split(weight, tp, axis=self.AXIS))]
-        self._shard_bias(bias)
+        self._shard_bias(None if serial.bias is None else serial.bias.data)
 
 
 class ColumnParallelLinear(_ShardedLinear):
@@ -131,21 +123,11 @@ class RowParallelLinear(_ShardedLinear):
 class ParallelMLP(Module):
     """Tensor-parallel transformer MLP: column-parallel fc1, row-parallel fc2."""
 
-    def __init__(self, hidden: int, ffn_hidden: int, tp: int, rng: np.random.Generator,
-                 init_std: float = 0.02):
+    def __init__(self, fc1: Linear, fc2: Linear, tp: int):
         super().__init__()
         self.tp = tp
-        self.fc1 = ColumnParallelLinear(hidden, ffn_hidden, tp, rng, init_std=init_std)
-        self.fc2 = RowParallelLinear(ffn_hidden, hidden, tp, rng, init_std=init_std)
-
-    @classmethod
-    def from_serial(cls, fc1: Linear, fc2: Linear, tp: int) -> "ParallelMLP":
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj.tp = tp
-        obj.fc1 = ColumnParallelLinear.from_serial(fc1, tp)
-        obj.fc2 = RowParallelLinear.from_serial(fc2, tp)
-        return obj
+        self.fc1 = ColumnParallelLinear(fc1, tp)
+        self.fc2 = RowParallelLinear(fc2, tp)
 
     def forward(
         self,
@@ -167,27 +149,17 @@ class ParallelMLP(Module):
 class ParallelAttention(Module):
     """Tensor-parallel multi-head attention: heads sharded across ranks."""
 
-    def __init__(self, hidden: int, num_heads: int, tp: int, rng: np.random.Generator,
-                 dropout: float = 0.0, init_std: float = 0.02, sp: int = 1):
+    def __init__(self, serial: MultiHeadAttention, tp: int, sp: int = 1):
+        """Shard the fused ``(in, 3h)`` QKV weight by head groups: the serial
+        layout is ``[Q | K | V]`` along the output axis, and rank ``r`` takes
+        its head block from each of the three sections."""
         super().__init__()
         if sp > 1 and tp != 1:
             raise ValueError(f"ring sequence parallelism requires tp=1, got tp={tp}")
-        qkv_weight = rng.normal(0.0, init_std, size=(hidden, 3 * hidden)).astype(np.float32)
-        self._shard_qkv(num_heads, tp, sp, qkv_weight, np.zeros(3 * hidden, dtype=np.float32))
-        self.out = RowParallelLinear(hidden, hidden, tp, rng, init_std=init_std)
-        self.dropout = Dropout(dropout, rng)
-
-    def _shard_qkv(self, num_heads: int, tp: int, sp: int, qkv_weight: np.ndarray,
-                   qkv_bias: np.ndarray) -> None:
-        """Record the layer's shape and shard the fused (in, 3h) QKV weight
-        by head groups.
-
-        The serial layout is ``[Q | K | V]`` along the output axis; rank ``r``
-        needs its head block from each of the three sections.
-        """
+        num_heads, weight, bias = serial.num_heads, serial.qkv.weight.data, serial.qkv.bias.data
         if num_heads % tp != 0:
             raise ValueError(f"num_heads={num_heads} not divisible by tp={tp}")
-        self.hidden = h = qkv_weight.shape[0]
+        self.hidden = h = serial.hidden
         self.num_heads, self.tp, self.sp = num_heads, tp, sp
         self.heads_per_rank = num_heads // tp
         self.head_dim = h // num_heads
@@ -197,17 +169,10 @@ class ParallelAttention(Module):
             cols = np.concatenate(
                 [np.arange(sec * h + r * slice_w, sec * h + (r + 1) * slice_w) for sec in range(3)]
             )
-            self._qkv_weights.append(_add_shard(self, "qkv_weight", r, qkv_weight[:, cols]))
-            self._qkv_biases.append(_add_shard(self, "qkv_bias", r, qkv_bias[cols]))
-
-    @classmethod
-    def from_serial(cls, serial: MultiHeadAttention, tp: int) -> "ParallelAttention":
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj._shard_qkv(serial.num_heads, tp, 1, serial.qkv.weight.data, serial.qkv.bias.data)
-        obj.out = RowParallelLinear.from_serial(serial.out, tp)
-        obj.dropout = serial.dropout
-        return obj
+            self._qkv_weights.append(_add_shard(self, "qkv_weight", r, weight[:, cols]))
+            self._qkv_biases.append(_add_shard(self, "qkv_bias", r, bias[cols]))
+        self.out = RowParallelLinear(serial.out, tp)
+        self.dropout = serial.dropout
 
     def forward(
         self,
@@ -302,32 +267,15 @@ class ParallelTransformerLayer(Module):
     are learnable and site-specific).
     """
 
-    def __init__(self, config: TransformerConfig, tp: int, rng: np.random.Generator,
-                 sp: int = 1):
+    def __init__(self, serial: TransformerLayer, tp: int, sp: int = 1):
         super().__init__()
         self.tp = tp
         self.sp = sp
-        self.attn = ParallelAttention(config.hidden, config.num_heads, tp, rng,
-                                      dropout=config.dropout, init_std=config.init_std,
-                                      sp=sp)
-        self.ln1 = LayerNorm(config.hidden)
-        self.mlp = ParallelMLP(config.hidden, config.ffn_hidden, tp, rng,
-                               init_std=config.init_std)
-        self.ln2 = LayerNorm(config.hidden)
-        self.dropout = Dropout(config.dropout, rng)
-
-    @classmethod
-    def from_serial(cls, serial: TransformerLayer, tp: int) -> "ParallelTransformerLayer":
-        obj = cls.__new__(cls)
-        Module.__init__(obj)
-        obj.tp = tp
-        obj.sp = 1
-        obj.attn = ParallelAttention.from_serial(serial.attn, tp)
-        obj.ln1 = serial.ln1
-        obj.mlp = ParallelMLP.from_serial(serial.fc1, serial.fc2, tp)
-        obj.ln2 = serial.ln2
-        obj.dropout = serial.dropout
-        return obj
+        self.attn = ParallelAttention(serial.attn, tp, sp=sp)
+        self.ln1 = serial.ln1
+        self.mlp = ParallelMLP(serial.fc1, serial.fc2, tp)
+        self.ln2 = serial.ln2
+        self.dropout = serial.dropout
 
     def forward(
         self,

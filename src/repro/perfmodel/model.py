@@ -80,8 +80,3 @@ class AnalyticalModel:
     def speedup(self, batch: int, seq: int, hidden: int) -> float:
         """Eq. (2): ``T / T_AE``. Identical per layer, so layer-count free."""
         return self.layer_time(batch, seq, hidden) / self.layer_time_ae(batch, seq, hidden)
-
-    def asymptotic_speedup(self) -> float:
-        """Limit of Eq. (2) as ``h → ∞`` on a fixed cluster: 1 (benefits
-        diminish because compute dominates)."""
-        return 1.0

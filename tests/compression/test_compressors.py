@@ -12,9 +12,8 @@ from repro.compression import (
     NoCompressor,
     QuantizationCompressor,
     RandomKCompressor,
+    SCHEME_LABELS,
     TopKCompressor,
-    available_compressors,
-    make_compressor,
 )
 from repro.compression.quantization import pack_bits, unpack_bits
 from repro.compression.topk import topk_mask
@@ -23,19 +22,16 @@ from repro.tensor import Tensor
 RNG = np.random.default_rng(0)
 
 
-class TestRegistry:
-    def test_all_families_registered(self):
-        names = available_compressors()
-        for expected in ["none", "topk", "randomk", "quantization", "autoencoder"]:
-            assert expected in names
-
-    def test_make_by_name(self):
-        c = make_compressor("topk", fraction=0.1)
-        assert isinstance(c, TopKCompressor)
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_compressor("nope")
+class TestSchemeFamilies:
+    def test_each_family_builds_under_one_distinct_name(self):
+        """Every notation label builds a codec that names itself: one name per
+        family, no two families alike, none left at the base class's."""
+        names = {}
+        for spec in SCHEME_LABELS.values():
+            names.setdefault(spec.family, set()).add(spec.build(64).name)
+        assert all(len(family) == 1 for family in names.values()), names
+        flat = [name for (name,) in names.values()]
+        assert len(set(flat)) == len(flat) and "base" not in flat and all(flat), flat
 
 
 class TestNoCompressor:

@@ -114,7 +114,7 @@ class TestCompressorParamRegistration:
         backbone = mp.backbone
         comp = _ThreeParamCompressor()
         backbone._site_compressors["layer0.attn"] = comp
-        backbone._register_compressor_params()
+        backbone._add_compressor_params()
         names = backbone.compressor_parameter_names
         assert len(names) == 3
         assert len(set(names)) == 3, f"colliding names: {names}"
@@ -130,9 +130,9 @@ class TestCompressorParamRegistration:
         )
         backbone = mp.backbone
         backbone._site_compressors["layer0.attn"] = _ThreeParamCompressor()
-        backbone._register_compressor_params()
+        backbone._add_compressor_params()
         with pytest.raises(ValueError, match="duplicate compressor parameter"):
-            backbone._register_compressor_params()  # same names again
+            backbone._add_compressor_params()  # same names again
 
     def test_ae_sites_register_all_params_without_loss(self):
         mp = ModelParallelBertClassifier(

@@ -1,7 +1,6 @@
-"""Tensor-parallel layers: one divisibility check per layer, one way to
-build the shards, the parameter layout that checkpoints, the state-plane
-layout table and dp's sorted-name flatten read, and the ops one encoder
-layer runs."""
+"""Tensor-parallel layers: one divisibility check per layer, the parameter
+layout that checkpoints, the state-plane layout table and dp's sorted-name
+flatten read, and the ops one encoder layer runs."""
 
 from collections import Counter
 
@@ -15,7 +14,7 @@ from repro.parallel.collectives import CommTracker
 from repro.parallel.tensor_parallel import ParallelTransformerLayer
 from repro.tensor import Tensor, op_hook
 
-CASES = {  # class, its serial counterpart, the shared constructor arguments
+CASES = {  # class, the serial module it shards, that module's constructor arguments
     "column": (ColumnParallelLinear, nn.Linear, (8, 12)),
     "row": (RowParallelLinear, nn.Linear, (12, 8)),
     "attention": (ParallelAttention, nn.MultiHeadAttention, (16, 4)),
@@ -32,23 +31,14 @@ def _state(module):
     (RowParallelLinear, "in_features", (10, 8)),
 ], ids=["column", "row"])
 def test_indivisible_dim_raises_from_either_constructor(cls, dim, shape):
-    match = f"{dim}=10 not divisible by tp=4"
-    with pytest.raises(ValueError, match=match):
-        cls(*shape, 4, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=match):
-        cls.from_serial(nn.Linear(*shape, np.random.default_rng(0)), 4)
-
-
-@pytest.mark.parametrize("name", list(CASES))
-def test_init_shards_the_serial_layers_draws(name):
-    cls, serial, args = CASES[name]
-    direct = cls(*args, 2, np.random.default_rng(3))
-    assert _state(direct) == _state(cls.from_serial(serial(*args, np.random.default_rng(3)), 2))
+    with pytest.raises(ValueError, match=f"{dim}=10 not divisible by tp=4"):
+        cls(nn.Linear(*shape, np.random.default_rng(0)), 4)
 
 
 def test_parameter_layout_is_pinned():
     layouts = {name: [(n, rank, shape) for n, rank, shape, _ in _state(
-        cls(*args, 2, np.random.default_rng(0)))] for name, (cls, _, args) in CASES.items()}
+        cls(serial(*args, np.random.default_rng(0)), 2))]
+        for name, (cls, serial, args) in CASES.items()}
     assert layouts == {
         "column": [("weight_rank0", 0, (8, 6)), ("weight_rank1", 1, (8, 6)),
                    ("bias_rank0", 0, (6,)), ("bias_rank1", 1, (6,))],
@@ -66,8 +56,8 @@ def test_an_encoder_layer_runs_its_ops_and_no_more():
     backward runs one closure per forward op.  An op that does nothing (a
     reshape to the tensor's own shape, say) changes no value, so only a
     count sees it: one more call and one more output per layer and step."""
-    layer = ParallelTransformerLayer(TransformerConfig(hidden=16, num_heads=4, num_layers=1),
-                                     2, np.random.default_rng(0))
+    layer = ParallelTransformerLayer(nn.TransformerLayer(
+        TransformerConfig(hidden=16, num_heads=4, num_layers=1), np.random.default_rng(0)), 2)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 16)).astype(np.float32),
                requires_grad=True)
     calls = {"forward": Counter(), "backward": Counter()}
