@@ -2,13 +2,13 @@
 
 Each mutation ``(id, file under src/repro, old, new, contract broken)`` is
 applied to a fresh ``git archive REF`` copy in a temp dir.  Columns:
-``tier-1*`` (``pytest -x`` without ``tests/lint`` and the test of this list,
-which any mutant fails), each dynamic checker through its ``tests/lint``
-file (DYN003 records an mp 1F1B step and replays it), each REPRO rule alone,
-and ``paper-claims`` where every faster column misses.  A pytest catch
-counts if the test passes alone unmutated, else the column re-runs without
-it.  Prints which check catches which bug as a markdown table, with the
-test or finding behind each.
+``tier-1*`` (``pytest -x`` without the test of this list, which any mutant
+fails; the AST invariants and the DYN002 event oracle run inside it),
+``DYN003`` (record an mp 1F1B step and replay it with
+``.github/scripts/race_replay.py``), and ``paper-claims`` where both miss.
+A pytest catch counts if the test passes alone unmutated, else the column
+re-runs without it.  Prints which check catches which bug as a markdown
+table, with the test or finding behind each.
 """
 
 import argparse
@@ -172,7 +172,7 @@ MUTANTS = [
 ]
 
 PYTEST = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
-TIER1 = PYTEST + ["-x", "--ignore=tests/lint", "--ignore=tests/test_mutation_list.py"]
+TIER1 = PYTEST + ["-x", "--ignore=tests/test_mutation_list.py"]
 CLAIMS = PYTEST + ["-x", "benchmarks", "--ignore=benchmarks/e2e"]
 RECORD = ["-m", "repro.obs", "mp-trace", "--out", "conc/t.json", "--scheme", "A2", "--tp", "2",
           "--pp", "2", "--schedule", "1f1b", "--microbatches", "4", "--conc-log", "conc"]
@@ -218,26 +218,14 @@ def command_column(steps, timeout):
             spent += secs
             if code != 0:
                 lines = [ln for ln in out.splitlines() if ln.strip()] or [f"exit {code}"]
-                what = next((x for x in lines if re.search("::|DYN|REPRO", x)), lines[-1])
+                what = next((x for x in lines if re.search("::|DYN", x)), lines[-1])
                 return ("timeout" if code is None else "caught"), spent, what[:160]
         return "missed", spent, ""
     return check
 
 
-def columns(root):
-    cols = {"tier-1*": pytest_column(TIER1, 900)}
-    dyn = {}
-    for test in root.glob("tests/lint/test_*_check.py"):  # one per dynamic checker
-        files = sorted(str(p.relative_to(root)) for p in test.parent.glob(f"{test.stem}*.py"))
-        code = [root / f"src/repro/lint/{test.stem[5:]}.py"] + [root / f for f in files]
-        dyn[re.search(r"DYN\d{3}", "".join(p.read_text() for p in code)).group()] = (
-            command_column([RECORD, ["-m", "repro.lint", "--race-log", "conc"]], 300)
-            if test.stem == "test_race_check" else pytest_column(PYTEST + files, 300))
-    cols.update(sorted(dyn.items()))
-    listed = run(root, ["-m", "repro.lint", "--list-rules"], 60)[2]
-    for rid in re.findall(r"^(REPRO\d+)", listed, re.M):
-        cols[rid] = command_column([["-m", "repro.lint", "--rules", rid, "src/"]], 120)
-    return cols
+COLUMNS = {"tier-1*": pytest_column(TIER1, 900),
+           "DYN003": command_column([RECORD, [".github/scripts/race_replay.py", "conc"]], 300)}
 
 
 def extract(ref, dest):
@@ -262,11 +250,10 @@ def main(argv=None):
     clean, notes = tmp / "clean", []
     try:
         extract(args.ref, clean)
-        cols = columns(clean)
-        base = {name: check(clean, None) for name, check in cols.items()}
+        base = {name: check(clean, None) for name, check in COLUMNS.items()}
         if any(cell[0] != "missed" for cell in base.values()):
             sys.exit(f"a column fails on the unmutated copy: {base}")
-        names = list(cols) + ["paper-claims"]
+        names = list(COLUMNS) + ["paper-claims"]
         print(f"| mutation | contract broken | {' | '.join(names)} |")
         print("|---|---|" + "---|" * len(names))
         row("(unmutated)", "every column passes", names, base, notes)
@@ -279,7 +266,7 @@ def main(argv=None):
             text = path.read_text()
             assert text.count(old) == 1, f"{mid}: old text occurs {text.count(old)} times in {rel}"
             path.write_text(text.replace(old, new))
-            cells = {name: check(root, clean) for name, check in cols.items()}
+            cells = {name: check(root, clean) for name, check in COLUMNS.items()}
             if all(cell[0] != "caught" for cell in cells.values()):
                 cells["paper-claims"] = pytest_column(CLAIMS, 1800)(root, clean)
             row(f"`{mid}`", contract, names, cells, notes)

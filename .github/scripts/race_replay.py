@@ -1,5 +1,11 @@
 """DYN003: offline happens-before race detection over concurrency logs.
 
+    PYTHONPATH=src python .github/scripts/race_replay.py LOG_DIR
+
+prints one ``DYN003 …`` line per finding, or ``clean``, and exits 1 on
+findings.  ``LOG_DIR`` holds the ``conc-rank*.jsonl`` files of a run
+(``repro.obs mp-trace --conc-log LOG_DIR``); one such file works too.
+
 Input is the rank event record written by
 :mod:`repro.parallel.backend.events` while a real run executes — one
 ``send``/``recv`` per ring-slot commit and ``barrier_arrive``/``depart``
@@ -35,14 +41,13 @@ ordered the run:
    generations advance by exactly one per rank with all ranks present.
 
 All findings are strings naming the rank / mailbox / slot / seq (or
-generation) involved; the CLI surfaces them as ``DYN003``.
+generation) involved.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
-
-__all__ = ["run_race_check", "run_race_check_on_path"]
 
 #: Tolerance for cross-rank monotonic-clock comparisons.  The clock is
 #: shared, but events are stamped *after* their commit, so a zero
@@ -325,3 +330,18 @@ def run_race_check_on_path(path) -> list[str]:
     except (OSError, ValueError) as exc:
         return [f"cannot load concurrency log {path}: {exc}"]
     return run_race_check(events)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__.split("\n\n")[1])
+    findings = run_race_check_on_path(argv[0])
+    for finding in findings:
+        print(f"DYN003 {finding}")
+    if not findings:
+        print("clean")
+    return 1 if findings else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

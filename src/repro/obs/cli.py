@@ -184,7 +184,7 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
         # Workers are spawned with an inherited environment, so setting
         # the variable here makes every rank write a per-rank event log
         # into the directory — replayable with
-        # ``python -m repro.lint --race-log <dir>``.
+        # ``python .github/scripts/race_replay.py <dir>``.
         os.makedirs(args.conc_log, exist_ok=True)
         os.environ[CONC_ENV] = args.conc_log
 
@@ -213,7 +213,7 @@ def cmd_mp_trace(args: argparse.Namespace) -> int:
           f"{len(result.record)} ranks, {spans} spans -> {args.out}")
     if args.conc_log:
         print(f"concurrency event logs -> {args.conc_log} "
-              f"(replay: python -m repro.lint --race-log {args.conc_log})")
+              f"(replay: python .github/scripts/race_replay.py {args.conc_log})")
     return 0
 
 

@@ -12,7 +12,7 @@ compare across ranks.  A span is emitted when it ends and carries ``dur``
 (it started at ``t - dur``), so ``idx`` order is ``t`` order for every
 kind.  The Chrome trace (:func:`repro.obs.trace.chrome_trace`, and
 :func:`span_view` for per-rank timelines), the DYN003 happens-before
-replay (:mod:`repro.lint.race_check`) and the per-step rows behind
+replay (``.github/scripts/race_replay.py``) and the per-step rows behind
 telemetry and run reports (:func:`repro.obs.metrics.step_rows`) are folds
 over it.
 

@@ -164,8 +164,8 @@ class CommTracker:
 def dense_bytes(shape: tuple[int, ...]) -> int:
     """Wire size of an uncompressed fp16 activation of ``shape``.
 
-    The reference payload every compressed message is judged against; also
-    used by :mod:`repro.lint.spmd_check` when validating event streams.
+    The reference payload every compressed message is judged against (the
+    event oracle in ``tests/parallel/event_oracle.py`` re-derives it apart).
     """
     return int(np.prod(shape)) * BYTES_FP16
 

@@ -7,7 +7,6 @@ import numpy as np
 
 from repro.compression import TopKCompressor
 from repro.experiments.report import format_value
-from repro.lint.race_check import run_race_check_on_path
 from repro.nn.transformer import TransformerConfig
 from repro.obs.cli import main
 from repro.obs.metrics import RunRecorder, summarize
@@ -18,6 +17,7 @@ from repro.parallel.backend import create_backend, load_events
 from repro.parallel.backend.events import ENV_VAR as CONC_ENV
 from repro.parallel.collectives import CommTracker, pipeline_transfer
 from repro.tensor import Tensor
+from tests.parallel.helpers import race_replay
 
 
 def make_jsonl(tmp_path):
@@ -202,7 +202,7 @@ class TestMpTrace:
         # Same per-rank span names, categories and durations: the very
         # same trace events, floats and all.
         assert rebuilt["traceEvents"] == live["traceEvents"]
-        assert run_race_check_on_path(logs) == []
+        assert race_replay.run_race_check_on_path(logs) == []
         return live["traceEvents"], recorded
 
     def test_1f1b_step_exports_in_flight_comm_spans(self, tmp_path, capsys,

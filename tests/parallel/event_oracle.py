@@ -1,4 +1,4 @@
-"""SPMD consistency check: recorded CommEvents vs a closed-form oracle.
+"""DYN002, the event oracle: recorded CommEvents vs a closed-form oracle.
 
 For each (scheme, tp, pp) cell, a tiny :class:`ModelParallelBertClassifier`
 runs one forward/backward and the full recorded event stream is compared —

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.lint.race_check import run_race_check_on_path
 from repro.parallel.backend import events
 from repro.parallel.backend.events import EventRecord, load_events, span_view
+from tests.parallel.helpers import race_replay
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +64,7 @@ class TestConcurrencyLog:
         assert max(sizes) == 23  # meta + one step; never 5 steps' worth
         loaded = load_events(tmp_path)
         assert [e["idx"] for e in loaded] == list(range(1 + 5 * 22))
-        assert run_race_check_on_path(tmp_path) == []
+        assert race_replay.run_race_check_on_path(tmp_path) == []
 
     def test_span_is_stamped_at_its_end_and_carries_its_duration(self):
         log = EventRecord(rank=0, world=1)

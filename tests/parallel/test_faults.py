@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.lint.race_check import run_race_check_on_path
 from repro.parallel.backend import (
     DEFAULT_SLOTS,
     HEADER_SIZE,
@@ -28,6 +27,7 @@ from repro.parallel.backend import (
 from repro.parallel.backend import faults
 from repro.nn.transformer import TransformerConfig
 from repro.parallel.runtime import ModelParallelBertClassifier, ModelParallelConfig
+from tests.parallel.helpers import race_replay
 
 CAPACITY = 1 << 16
 MP_TIMEOUT = 30.0
@@ -268,7 +268,7 @@ class TestMpIntegration:
         ]})
         log_dir = str(tmp_path / "conclog")
         _run_steps(2, env={faults.ENV_VAR: plan, "REPRO_CONC_LOG": log_dir})
-        findings = run_race_check_on_path(log_dir)
+        findings = race_replay.run_race_check_on_path(log_dir)
         assert not findings, "\n".join(findings)
         events = load_events(log_dir)
         assert [e for e in events if e.get("dropped")], \
@@ -286,8 +286,7 @@ class TestMpIntegration:
         for e in events:
             e.pop("dropped", None)
             e.pop("retry", None)
-        from repro.lint.race_check import run_race_check
-        findings = run_race_check(events)
+        findings = race_replay.run_race_check(events)
         assert any("double publish" in f for f in findings), findings
 
 
@@ -335,7 +334,7 @@ class TestDpLeaderFaults:
         # Leader 0 waits the delay less its own lateness at the barrier
         # (milliseconds); half the delay is far above any healthy wait.
         assert spans[at]["dur_ms"] >= delay * 1e3 * 0.5
-        findings = run_race_check_on_path(log_dir)
+        findings = race_replay.run_race_check_on_path(log_dir)
         assert not findings, "\n".join(findings)
 
     def test_killed_leader_is_named_and_nothing_is_left_behind(self):

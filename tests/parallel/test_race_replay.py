@@ -1,16 +1,18 @@
-"""DYN003: the offline happens-before checker over hand-built event logs.
+"""DYN003: the offline happens-before replay over hand-built event logs.
 
 Each test constructs a small synthetic log with the :class:`_LogBuilder`
 below (same shape as the events :mod:`repro.parallel.backend.events`
 records) and asserts the replay either passes or produces a finding that
 names the rank / mailbox / slot / seq involved — the mutation-evidence
-contract from the module docstring.
+contract from ``.github/scripts/race_replay.py``'s docstring.  ``TestMain``
+drives the script's command line on recorded files.
 """
 
-import pytest
-
-from repro.lint.race_check import run_race_check, run_race_check_on_path
 from repro.parallel.backend.events import EventRecord as ConcurrencyLog
+from tests.parallel.helpers import race_replay
+
+run_race_check = race_replay.run_race_check
+run_race_check_on_path = race_replay.run_race_check_on_path
 
 
 class _LogBuilder:
@@ -182,3 +184,25 @@ class TestPathLoading:
         log.emit("step_end", step=0)
         log.flush()
         assert run_race_check_on_path(tmp_path) == []
+
+
+class TestMain:
+    def test_missing_log_is_a_dyn003_finding(self, tmp_path, capsys):
+        assert race_replay.main([str(tmp_path / "nope")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("DYN003") and "cannot load" in out
+
+    def test_clean_recorded_log_exits_zero(self, tmp_path, capsys):
+        log = ConcurrencyLog(rank=0, world=1, path=tmp_path / "conc-rank0.jsonl")
+        log.emit("step_end", step=0)
+        log.flush()
+        assert race_replay.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "clean\n"
+
+    def test_corrupt_log_names_the_race(self, tmp_path, capsys):
+        log = ConcurrencyLog(rank=0, world=2, path=tmp_path / "conc-rank0.jsonl")
+        log.emit("send", src=0, dst=1, slot=0, seq=1)
+        log.flush()  # sent, never received; rank 1 logged nothing
+        assert race_replay.main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "DYN003" in out and "never" in out

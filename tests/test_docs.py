@@ -2,13 +2,11 @@
 
 Every ``python -m repro.<pkg> <verb>`` in README, DESIGN, EXPERIMENTS,
 the CI workflow, the Makefile and the verify skill must be a verb that
-package's command line accepts (``repro.lint`` takes none); every
-``--flag`` of a ``python -m repro.lint`` command in README, DESIGN, the CI
-workflow, the Makefile and the verify skill must be one
-``repro.lint.cli._build_parser()`` accepts, and every ``--flag`` of a
-``python -m repro.obs <verb>`` command in the verb docs one that verb's
-subparser accepts; every ``EXPERIMENTS "Heading"`` citation in README,
-DESIGN, EXPERIMENTS, ROADMAP and the verify skill must name an
+package's command line accepts, every ``--flag`` of a ``python -m
+repro.obs <verb>`` command in those docs one that verb's subparser
+accepts, and every ``.github/scripts/<name>.py`` they name must exist;
+every ``EXPERIMENTS "Heading"`` citation in README, DESIGN, EXPERIMENTS,
+ROADMAP and the verify skill must name an
 EXPERIMENTS.md heading (whitespace normalised; a heading's trailing
 ``(…)`` may be left off); every ``make <target>`` in
 README's, DESIGN's and the verify skill's code (backticked spans and fenced
@@ -25,14 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import _build_parser as build_lint_parser
 from repro.obs.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SKILL = ".claude/skills/verify/SKILL.md"
 VERB_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml",
              "Makefile", SKILL)
-LINT_DOCS = ("README.md", "DESIGN.md", ".github/workflows/ci.yml", "Makefile", SKILL)
 MAKE_DOCS = ("README.md", "DESIGN.md", SKILL)
 NAME_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", SKILL)
 CITE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", SKILL)
@@ -40,14 +36,12 @@ CITE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", SKILL)
 #: ``-m repro.<pkg>`` then a verb, or a ``{a,b}`` list of them, on the same
 #: line or after a shell line continuation (a path such as ``src/`` is no verb).
 VERB = re.compile(r"-m repro\.(\w+)(?:[ \t]|\\\n)+(\{[\w,-]+\}|[a-z][\w-]*)(?![\w/.])")
-#: ``-m repro.lint`` and the rest of its command (line continuations
-#: included, up to a closing backtick); ``--flags`` are read from that.
-LINT_COMMAND = re.compile(r"-m repro\.lint((?:[^\n`\\]|\\\n)*)")
 FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 #: ``-m repro.obs <verb>`` and the rest of its command, likewise, up to a
 #: closing backtick or a shell pipe or list operator.
 OBS_COMMAND = re.compile(r"-m repro\.obs(?:[ \t]|\\\n)+([a-z][\w-]*)(?![\w/.])"
                          r"((?:[^\n`\\|;&]|\\\n)*)")
+SCRIPT = re.compile(r"\.github/scripts/[\w-]+\.py")
 #: ``EXPERIMENTS "Heading"`` or ``EXPERIMENTS.md "Heading"``; it may wrap.
 CITATION = re.compile(r'EXPERIMENTS(?:\.md)?\s+"([^"]+)"')
 MAKE_TARGET = re.compile(r"(?<![\w-])make[ \t]+([a-z][\w.-]*)")
@@ -61,11 +55,6 @@ def cli_verbs(text: str) -> list[tuple[str, str]]:
     """``(package, verb)`` for every ``python -m repro.<package> <verb>``."""
     return [(match.group(1), verb) for match in VERB.finditer(text)
             for verb in match.group(2).strip("{}").split(",")]
-
-
-def lint_flags(text: str) -> list[str]:
-    return [flag for command in LINT_COMMAND.findall(text)
-            for flag in FLAG.findall(command)]
 
 
 def obs_flags(text: str) -> list[tuple[str, str]]:
@@ -148,12 +137,11 @@ def test_repro_cli_verbs_exist(doc):
     assert not unknown, f"{doc} runs unknown verbs: {unknown}"
 
 
-@pytest.mark.parametrize("doc", LINT_DOCS)
-def test_repro_lint_flags_exist(doc):
-    known = {opt for action in build_lint_parser()._actions
-             for opt in action.option_strings}
-    unknown = sorted(set(lint_flags((ROOT / doc).read_text())) - known)
-    assert not unknown, f"{doc} passes unknown `repro.lint` flags: {unknown}"
+@pytest.mark.parametrize("doc", VERB_DOCS)
+def test_github_scripts_exist(doc):
+    unknown = sorted({name for name in SCRIPT.findall((ROOT / doc).read_text())
+                      if not (ROOT / name).is_file()})
+    assert not unknown, f"{doc} names scripts that do not exist: {unknown}"
 
 
 @pytest.mark.parametrize("doc", VERB_DOCS)
@@ -197,10 +185,12 @@ def test_patterns_catch_a_stale_reference():
     assert cli_verbs(stale) == [("bench", "run"), ("experiments", "table2")]
     assert [verb in parser_verbs(pkg) for pkg, verb in cli_verbs(stale)] == [False, True]
     assert make_targets(text) == ["ab", "loc"]
-    lint = ("PYTHONPATH=src python -m repro.lint --race-log d \\\n  --fix-report r\n"
-            "`python -m repro.lint --model-check` then --prose-flag\n"
-            "\t$(PYTHON) -m repro.lint --dynamic src/\n")
-    assert lint_flags(lint) == ["--race-log", "--fix-report", "--model-check", "--dynamic"]
+    scripts = ("PYTHONPATH=src python .github/scripts/race_replay.py conc-logs\n"
+               "`.github/scripts/race_check.py`, then .github/scripts/loc.py.\n")
+    assert SCRIPT.findall(scripts) == [".github/scripts/race_replay.py",
+                                       ".github/scripts/race_check.py",
+                                       ".github/scripts/loc.py"]
+    assert [(ROOT / s).is_file() for s in SCRIPT.findall(scripts)] == [True, False, True]
     obs = ("PYTHONPATH=src python -m repro.obs top --steps 4 \\\n  --registry r | tee --x\n"
            "`python -m repro.obs diff a b --regsitry r` then --prose-flag\n"
            "python -m repro.obs runs/x.jsonl --no-verb\n")
