@@ -52,8 +52,6 @@ MUTANTS = [
      "            # Before the publishing store (see", "arrival stamped before it is published"),
     ("send-event-slot", T, 'rec.emit("send", src=self.src, dst=self.dst, slot=slot, seq=seq,\n',
      'rec.emit("send", src=self.src, dst=self.dst, slot=0, seq=seq,\n', "send event names its slot"),
-    ("resend-unmarked", T, "seq=seq, dropped=True, retry=attempt)", "seq=seq)",
-     "a dropped attempt is marked in the record"),
     ("full-before-payload", T,
      "        if arr.nbytes:\n            self._payload[slot][: arr.nbytes]",
      "        self._status[slot][0] = _FULL\n        if arr.nbytes:\n"
@@ -64,7 +62,7 @@ MUTANTS = [
     ("straggler", T, "                return peer\n", "                pass\n",
      "barrier waits for every peer"),
     ("send-no-wait", T,
-     "        self._wait_status(slot, _EMPTY, deadline, waiting_on=self.dst, seq=seq)\n", "",
+     "        self._wait_status(seq, _EMPTY, timeout)\n", "",
      "a send waits for its slot to be EMPTY"),
     ("warmup+1", P, "return min(pp - 1 - stage, num_microbatches)",
      "return min(pp - stage, num_microbatches)", "1F1B warmup depth"),
@@ -140,8 +138,6 @@ MUTANTS = [
     ("bwd-writes-g", "tensor/functional.py",
      "np.multiply(g, ~mask, out=pool.empty(out_data.shape, g.dtype))",
      "np.multiply(g, ~mask, out=g)", "a backward closure never writes into g"),
-    ("retry-budget", "parallel/backend/faults.py", "if self.retry_budget < 1:",
-     "if self.retry_budget < 0:", "FaultPlan rejects retry_budget 0 at parse time"),
     ("ckpt-atomic", "training/checkpoint.py", 'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
      "a checkpoint appears only when complete"),
     ("clip-l1", "optim/optimizer.py",

@@ -34,11 +34,10 @@ ordered the run:
    barrier comparison produces.
 4. **Protocol accounting.**  Sequence numbers per channel must be dense
    and in order (``got_seq`` ≠ expected ⇒ a stale message was accepted);
-   every sent message must be received by the end of the log — with one
-   carve-out for fault injection: a seq may carry several send events as
-   long as all but the last are marked ``dropped`` (the transport's
-   bounded resend), otherwise it is a double publish; barrier
-   generations advance by exactly one per rank with all ranks present.
+   every sent message must be received by the end of the log, and
+   committed once (a second send event for a seq is a double publish);
+   barrier generations advance by exactly one per rank with all ranks
+   present.
 
 All findings are strings naming the rank / mailbox / slot / seq (or
 generation) involved.
@@ -118,38 +117,20 @@ class _Replay:
                 self.edges[_key(u)].append(_key(v))
 
     def channel_edges(self) -> None:
-        # Fault injection legitimately re-sends a dropped seq, so a seq can
-        # have several send events.  Every attempt but the last must carry
-        # the transport's ``dropped``/``retry`` marker (it never flipped the
-        # slot to FULL); only the final attempt publishes, so only it takes
-        # part in delivery, unreceived-message and slot-reuse accounting.
-        attempts: dict[tuple[int, int], dict[int, list[dict]]] = defaultdict(
-            lambda: defaultdict(list))
+        sends: dict[tuple[int, int], dict[int, dict]] = defaultdict(dict)
         recvs: dict[tuple[int, int], dict[int, dict]] = defaultdict(dict)
-        for e in self.events.values():
+        for e in self.events.values():  # rank, then program order
             if e["kind"] == "send":
-                attempts[(e["src"], e["dst"])][e["seq"]].append(e)
+                chan = (e["src"], e["dst"])
+                first = sends[chan].setdefault(e["seq"], e)
+                if first is not e:
+                    self.findings.append(
+                        f"double publish on mailbox {chan[0]}->{chan[1]} seq "
+                        f"{e['seq']}: rank {e['rank']} committed it at idx "
+                        f"{first['idx']} and again at idx {e['idx']}"
+                    )
             elif e["kind"] == "recv":
                 recvs[(e["src"], e["dst"])][e["seq"]] = e
-
-        sends: dict[tuple[int, int], dict[int, dict]] = defaultdict(dict)
-        for chan, by_seq in attempts.items():
-            src, dst = chan
-            for seq, tries in by_seq.items():
-                tries.sort(key=_key)
-                for extra in tries[:-1]:
-                    if not (extra.get("dropped") or extra.get("retry") is not None):
-                        self.findings.append(
-                            f"double publish on mailbox {src}->{dst} seq {seq}: "
-                            f"rank {extra['rank']} committed it at idx "
-                            f"{extra['idx']} and again at idx "
-                            f"{tries[-1]['idx']} with no dropped/retry marker"
-                        )
-                if tries[-1].get("dropped"):
-                    # The final attempt was itself dropped: the budget ran
-                    # out and the send raised, so nothing was published.
-                    continue
-                sends[chan][seq] = tries[-1]
 
         for chan in sorted(set(sends) | set(recvs)):
             src, dst = chan
@@ -283,9 +264,7 @@ class _Replay:
         """Conflicting same-slot accesses must be totally HB-ordered."""
         by_slot: dict[tuple[int, int, int], list[dict]] = defaultdict(list)
         for e in self.events.values():
-            # Dropped send attempts never wrote the slot — the fault was
-            # taken before the commit — so they are not slot accesses.
-            if e["kind"] in ("send", "recv") and not e.get("dropped"):
+            if e["kind"] in ("send", "recv"):
                 by_slot[(e["src"], e["dst"], e["slot"])].append(e)
         for (src, dst, slot), accesses in sorted(by_slot.items()):
             accesses.sort(key=lambda e: (e["seq"], e["kind"] == "recv"))

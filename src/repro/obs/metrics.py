@@ -44,8 +44,7 @@ __all__ = ["RunRecorder", "NullRecorder", "NULL_RECORDER", "STEP_COLUMNS",
 
 #: The numeric per-step columns of a :func:`step_rows` row; ``gauges``,
 #: ``counters``, ``timers_ms`` and ``fidelity`` are dicts beside them.
-STEP_COLUMNS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms", "retries",
-                "drops", "delays")
+STEP_COLUMNS = ("wall_ms", "comm_wait_ms", "busy_ms", "fault_ms", "delays")
 
 def _fold_site(calls: list[dict]) -> dict:
     """One site's ``fidelity`` events of one step, as a row's entry."""
@@ -66,8 +65,7 @@ def step_rows(events) -> list[dict]:
     - ``wall_ms`` (``step_begin`` → ``step_end``), ``comm_wait_ms``
       (``mp.wait`` spans), ``busy_ms`` (wall − wait, at least 0) and
       ``fault_ms`` (``mp.fault`` spans);
-    - ``retries drops delays``, counted from ``fault`` events (a retry is
-      a corrupt or a dropped attempt);
+    - ``delays``, counted from ``fault`` events;
     - ``gauges`` (last write wins), ``counters`` (summed), ``timers_ms``
       (``phase`` spans by name) and ``fidelity`` (site → the mean
       ``rel_l2`` and ``ratio`` and the last ``residual_norm`` of the
@@ -86,7 +84,7 @@ def step_rows(events) -> list[dict]:
                 "rank": rank, "step": e["step"],
                 "t_start_ms": (e["t"] - origin[rank]) * 1e3, "wall_ms": None,
                 "comm_wait_ms": 0.0, "busy_ms": 0.0, "fault_ms": 0.0,
-                "retries": 0, "drops": 0, "delays": 0, "gauges": {},
+                "delays": 0, "gauges": {},
                 "counters": {}, "timers_ms": {}, "fidelity": {}}
             continue
         row = current.get(rank)
@@ -108,8 +106,6 @@ def step_rows(events) -> list[dict]:
                 timers = row["timers_ms"]
                 timers[e["name"]] = timers.get(e["name"], 0.0) + ms
         elif kind == "fault":
-            row["retries"] += e["fault"] in ("corrupt", "drop")
-            row["drops"] += e["fault"] == "drop"
             row["delays"] += e["fault"] == "delay"
         elif kind == "gauge":
             row["gauges"][e["name"]] = e["value"]

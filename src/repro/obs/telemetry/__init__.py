@@ -24,7 +24,6 @@ from repro.obs.telemetry.health import (
     FidelityDriftRule,
     HealthMonitor,
     LossRule,
-    RetryStormRule,
     Rule,
     StragglerRule,
     default_rules,
@@ -43,7 +42,6 @@ __all__ = [
     "Rule",
     "StragglerRule",
     "CommStallRule",
-    "RetryStormRule",
     "FidelityDriftRule",
     "LossRule",
     "HealthMonitor",

@@ -29,8 +29,6 @@ def _rank_rows(summary: dict) -> list[dict]:
         "busy (ms)": _stat(stats, "busy_ms", "mean"),
         "wait (ms)": _stat(stats, "comm_wait_ms", "mean"),
         "ring": int(_stat(stats, "ring_occupancy", "max") or 0),
-        "retries": round((_stat(stats, "retries", "mean") or 0)
-                         * (_stat(stats, "retries", "window") or 0)),
         "rss (MB)": (_stat(stats, "peak_rss_kb", "last") or 0) / 1024.0,
     } for rank, stats in sorted(summary["per_rank"].items())]
 

@@ -38,7 +38,6 @@ __all__ = [
     "Rule",
     "StragglerRule",
     "CommStallRule",
-    "RetryStormRule",
     "FidelityDriftRule",
     "LossRule",
     "HealthMonitor",
@@ -222,31 +221,6 @@ class CommStallRule(Rule):
 
 
 @dataclass(kw_only=True)
-class RetryStormRule(Rule):
-    """Fault-seam retries/drops accumulating faster than a healthy link."""
-
-    name = "retry-storm"
-    max_events: int = 8
-
-    def evaluate(self, rows: list[dict], step: int | None) -> list[Alert]:
-        alerts = []
-        for rank in worker_ranks(rows):
-            retries = values(rows, "retries", rank)
-            drops = values(rows, "drops", rank)
-            total = sum(retries) + sum(drops)
-            if total > self.max_events:
-                alerts.append(Alert(
-                    rule=self.name, severity="critical", rank=rank, step=step,
-                    value=float(total), threshold=float(self.max_events),
-                    window=len(retries),
-                    message=(f"rank {rank} saw {int(total)} transport "
-                             f"retries/drops in the window "
-                             f"(limit {self.max_events})"),
-                ))
-        return alerts
-
-
-@dataclass(kw_only=True)
 class FidelityDriftRule(Rule):
     """A compression site's reconstruction error drifting upward online.
 
@@ -330,8 +304,7 @@ class LossRule(Rule):
 
 
 def default_rules() -> list[Rule]:
-    return [StragglerRule(), CommStallRule(), RetryStormRule(),
-            FidelityDriftRule(), LossRule()]
+    return [StragglerRule(), CommStallRule(), FidelityDriftRule(), LossRule()]
 
 
 class HealthMonitor:

@@ -38,11 +38,10 @@ Event kinds (DESIGN.md "Rank event record" has the sink column):
                       one per compressed-site call
 ``op``                ``name phase dur alloc_bytes`` — one tensor op call
                       (``OpProfiler(record_events=True)``)
-``fault``             ``fault`` + ``src dst slot seq attempt`` (channel) or
-                      ``step`` (rank) — one per fired fault
+``fault``             ``fault`` + ``src dst slot seq`` (channel) or
+                      ``step seconds`` (rank) — one per fired fault
 ``send``              ``src dst slot seq nbytes`` — ring-slot commit
-                      (status→FULL) of ``nbytes`` payload bytes;
-                      ``dropped retry`` mark a resend's lost attempts
+                      (status→FULL) of ``nbytes`` payload bytes
 ``recv``              ``src dst slot seq got_seq`` — drain (status→EMPTY)
 ``barrier_arrive``    ``gen`` — own generation slot bumped
 ``barrier_depart``    ``gen`` — all peers observed at ``gen``

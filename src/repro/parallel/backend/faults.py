@@ -1,13 +1,15 @@
 """Deterministic fault injection for the mp backend (chaos seam).
 
 A :class:`FaultPlan` describes, ahead of time, exactly which transport
-messages and worker steps to sabotage: delays (stragglers), dropped ring
-slots, corrupted headers/payloads, and whole-rank kills.  The plan is
-installed per process from the ``REPRO_FAULT_PLAN`` environment variable
-(inherited by spawn children, so the parent's setting reaches every
-worker) and is **off by default** — with no plan installed every
-instrumentation point costs one module-global load plus an ``is None``
-check, the same budget as :mod:`repro.parallel.backend.events`.
+messages and worker steps to sabotage: delays (stragglers, stalled
+mailbox deliveries) and whole-rank kills — the faults a shared-memory
+gang can have, as a run over reliable links fails through a slow rank, a
+dead rank or a timeout.  The plan is installed per process from the
+``REPRO_FAULT_PLAN`` environment variable (inherited by spawn children,
+so the parent's setting reaches every worker) and is **off by default**
+— with no plan installed every instrumentation point costs one
+module-global load plus an ``is None`` check, the same budget as
+:mod:`repro.parallel.backend.events`.
 
 Design rules (DESIGN decision #11):
 
@@ -15,23 +17,19 @@ Design rules (DESIGN decision #11):
   ``src``/``dst`` + message ``seq``, or ``rank`` + training ``step``),
   never on wall time or randomness, so a chaos run is exactly
   reproducible and its DYN003 replay is meaningful.
-- **Typed errors, never hangs.**  Every fault either recovers within the
-  plan's retry budget (CRC mismatch → re-read, dropped slot → bounded
-  resend, both with exponential backoff) or surfaces as the existing
+- **Typed errors, never hangs.**  A delay slows the run and changes no
+  number; a killed rank, or a delay longer than the peer's timeout,
+  surfaces through the transport's deadline machinery as the existing
   typed :class:`~repro.parallel.backend.base.BackendError` naming the
-  rank and mailbox.  Unrecoverable faults (a killed rank, a delay longer
-  than the peer's timeout) escalate through the transport's existing
-  deadline machinery.
+  rank.
 
 ``REPRO_FAULT_PLAN`` accepts three forms:
 
 - inline JSON (value starts with ``{``)::
 
-      {"retry_budget": 3, "faults": [
+      {"faults": [
         {"kind": "delay", "rank": 1, "step": 0, "seconds": 0.02},
-        {"kind": "drop", "src": 0, "dst": 2, "seq": 1, "times": 2},
-        {"kind": "corrupt", "src": 2, "dst": 0, "seq": 1,
-         "field": "payload"},
+        {"kind": "delay", "src": 0, "dst": 2, "seq": 1, "seconds": 0.01},
         {"kind": "kill", "rank": 3, "step": 2}]}
 
 - the name of a builtin plan (``mixed``, ``straggler``);
@@ -57,8 +55,6 @@ from dataclasses import dataclass, field as _dc_field
 __all__ = [
     "ENV_VAR",
     "KILL_EXIT_CODE",
-    "DEFAULT_RETRY_BUDGET",
-    "DEFAULT_BACKOFF_S",
     "BUILTIN_PLANS",
     "FaultSpec",
     "FaultPlan",
@@ -75,27 +71,17 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 #: can tell a planned death from a genuine crash.
 KILL_EXIT_CODE = 117
 
-#: How many times a recoverable fault (drop, corrupt) is retried before
-#: the transport gives up with a typed error.
-DEFAULT_RETRY_BUDGET = 3
-
-#: Base of the exponential retry backoff (200 µs, doubling per attempt).
-DEFAULT_BACKOFF_S = 200e-6
-
-_KINDS = ("delay", "drop", "corrupt", "kill")
-_FIELDS = ("payload", "header")
+_KINDS = ("delay", "kill")
 
 
 @dataclass
 class FaultSpec:
     """One planned fault.
 
-    Channel faults (``drop``/``corrupt``/channel ``delay``) name a
-    mailbox by ``src``/``dst`` global rank and a 1-based message ``seq``;
-    step faults (``kill``/step ``delay``) name a global ``rank`` and a
-    0-based training ``step``.  ``times`` makes the same fault fire on
-    the first N matching attempts — a drop with ``times: 2`` forces two
-    resends before the slot goes through.
+    A channel ``delay`` names a mailbox by ``src``/``dst`` global rank
+    and a 1-based message ``seq``; step faults (``kill``/step ``delay``)
+    name a global ``rank`` and a 0-based training ``step``.  ``times``
+    makes the same fault fire on the first N matching messages or steps.
     """
 
     kind: str
@@ -105,16 +91,12 @@ class FaultSpec:
     rank: int | None = None
     step: int | None = None
     seconds: float = 0.0
-    field: str = "payload"
     times: int = 1
     remaining: int = _dc_field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; valid: {_KINDS}")
-        if self.field not in _FIELDS:
-            raise ValueError(
-                f"unknown corrupt field {self.field!r}; valid: {_FIELDS}")
         for name, low in (("src", 0), ("dst", 0), ("rank", 0), ("step", 0),
                           ("seq", 1), ("times", 1)):
             value = getattr(self, name)
@@ -126,8 +108,6 @@ class FaultSpec:
                 f"seconds must be a finite number >= 0, got {self.seconds!r}")
         channel = not (self.src is None and self.dst is None
                        and self.seq is None)
-        if self.kind in ("drop", "corrupt") and not channel:
-            raise ValueError(f"{self.kind!r} fault needs src/dst/seq")
         if channel:
             if self.kind == "kill":
                 raise ValueError("'kill' takes rank/step, not src/dst/seq")
@@ -152,15 +132,9 @@ class FaultPlan:
     """
 
     def __init__(self, doc: dict):
-        unknown = set(doc) - {"retry_budget", "backoff_s", "faults"}
+        unknown = set(doc) - {"faults"}
         if unknown:
             raise ValueError(f"unknown fault-plan key(s) {sorted(unknown)}")
-        self.retry_budget = int(doc.get("retry_budget", DEFAULT_RETRY_BUDGET))
-        self.backoff_s = float(doc.get("backoff_s", DEFAULT_BACKOFF_S))
-        if self.retry_budget < 1:
-            raise ValueError("retry_budget must be >= 1")
-        if not 0 <= self.backoff_s < math.inf:
-            raise ValueError("backoff_s must be a finite number >= 0")
         self.faults = []
         for index, spec in enumerate(doc.get("faults", ())):
             try:
@@ -182,20 +156,11 @@ class FaultPlan:
         return spec.step is None or spec.step == self.step
 
     def take_send_fault(self, src: int, dst: int, seq: int) -> FaultSpec | None:
-        """A pending ``drop``/``delay`` for this channel message, if any."""
+        """A pending channel ``delay`` for this message, if any."""
+        # Parsing left step faults without src/dst, so a src match alone
+        # picks channel faults.
         for spec in self.faults:
-            if (spec.kind in ("drop", "delay") and spec.remaining > 0
-                    and spec.src == src and spec.dst == dst
-                    and (spec.seq is None or spec.seq == seq)
-                    and self._step_matches(spec)):
-                return self._take(spec)
-        return None
-
-    def take_recv_fault(self, src: int, dst: int, seq: int) -> FaultSpec | None:
-        """A pending ``corrupt`` for this channel message, if any."""
-        for spec in self.faults:
-            if (spec.kind == "corrupt" and spec.remaining > 0
-                    and spec.src == src and spec.dst == dst
+            if (spec.remaining > 0 and spec.src == src and spec.dst == dst
                     and (spec.seq is None or spec.seq == seq)
                     and self._step_matches(spec)):
                 return self._take(spec)
@@ -212,17 +177,14 @@ class FaultPlan:
         return None
 
 
-#: Named plans for CI and the chaos tests. ``mixed`` exercises
-#: every recoverable fault class on a tp=2, pp>=2 layout (ranks 0/1 are
-#: stage 0, rank 2 starts stage 1); ``straggler`` just slows one rank.
+#: Named plans for CI and the chaos tests. ``mixed`` slows one step and
+#: one boundary message on a tp=2, pp>=2 layout (ranks 0/1 are stage 0,
+#: rank 2 starts stage 1); ``straggler`` just slows one rank.
 BUILTIN_PLANS: dict[str, dict] = {
     "mixed": {
-        "retry_budget": 3,
         "faults": [
             {"kind": "delay", "rank": 1, "step": 0, "seconds": 0.02},
-            {"kind": "drop", "src": 0, "dst": 2, "seq": 1, "times": 2},
-            {"kind": "corrupt", "src": 2, "dst": 0, "seq": 1,
-             "field": "payload", "times": 1},
+            {"kind": "delay", "src": 0, "dst": 2, "seq": 1, "seconds": 0.01},
         ],
     },
     "straggler": {

@@ -37,29 +37,23 @@ directly from the source array into the shm slot, and from the slot into
 the freshly allocated result array, through numpy views — no intermediate
 ``bytes`` staging.
 
-Waits poll with a short spin followed by exponential sleep backoff
-(20 µs → 1 ms).  On an oversubscribed host the backoff matters more than
-the spin: a rank stuck polling at a fixed 20 µs steals the CPU from the
-peer it is waiting on.
+Every blocking wait — a slot's status flag, a barrier generation — is
+one helper (:func:`_wait_for`): a short spin, then exponential sleep
+backoff (20 µs → 1 ms), then the deadline.  On an oversubscribed host the
+backoff matters more than the spin: a rank stuck polling at a fixed
+20 µs steals the CPU from the peer it is waiting on.
 
 Observation: each commit reports to the rank event record
 (:mod:`repro.parallel.backend.events`) while a step is observed, which is
 what the DYN003 happens-before replay reads; the default is ``None`` and
 costs one check per operation.
 
-Chaos seam: the blocking ``send``/``recv`` paths additionally consult the
-process-wide fault plan (:mod:`repro.parallel.backend.faults`, armed via
-``REPRO_FAULT_PLAN``).  A planned *drop* makes the sender discard its
-staged message and resend with exponential backoff; a planned *corrupt*
-flips bytes in the slot so the receiver's integrity checks
-(magic/seq/CRC) fire, and the receiver re-reads after restoring the
-slot.  Both are bounded by the plan's retry budget, after which the
-transport raises a typed :class:`BackendError` naming the rank and
-mailbox — an injected fault can slow a run down but never hang it.
-Whenever a plan is installed, senders also stamp a CRC32 of the payload
-into the header (``_FLAG_CRC``) so corruption is detectable end-to-end;
-without a plan the flag stays clear and the wire format is byte-for-byte
-the healthy-path protocol.
+Chaos seam: a blocking ``send`` also consults the process-wide fault
+plan (:mod:`repro.parallel.backend.faults`, armed via
+``REPRO_FAULT_PLAN``): a planned channel *delay* holds the message back
+before it is published.  A shared-memory ring neither loses nor damages
+a message in transit, so the seam plants no other channel fault; the
+receiver's magic, seq and layout checks guard against genuine damage.
 """
 
 from __future__ import annotations
@@ -67,7 +61,6 @@ from __future__ import annotations
 import math
 import struct
 import time
-import zlib
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -105,18 +98,15 @@ _MAGIC = 0x5250_4F43  # "RPOC"
 _EMPTY, _FULL = 0, 1
 
 #: Full slot header: status(u32) seq(u32) magic(u32) dtype(u8) ndim(u8)
-#: flags(u16) crc(u32) nbytes(u64) shape(8 × u64)
-_HEADER = struct.Struct("<IIIBBHIQ8Q")
-HEADER_SIZE = _HEADER.size
+#: nbytes(u64) shape(8 × u64)
+_HEADER = struct.Struct("<IIIBBQ8Q")
+#: Rounded up to 8 bytes, so every slot's status word and payload stay
+#: aligned (the packed header is 86 bytes).
+HEADER_SIZE = -(-_HEADER.size // 8) * 8
 
 #: Everything after the status word. Packed separately so writing the
 #: header never touches the status flag the receiver is polling.
-_HEADER_BODY = struct.Struct("<IIBBHIQ8Q")
-
-#: Header flag: the crc field holds a CRC32 of the payload bytes. Only
-#: set when a fault plan is installed — the healthy path skips both the
-#: checksum computation and the verify so bench medians are unaffected.
-_FLAG_CRC = 1
+_HEADER_BODY = struct.Struct("<IIBBQ8Q")
 
 _DTYPES: tuple[np.dtype, ...] = tuple(
     np.dtype(d) for d in ("float32", "float16", "float64", "int32", "int64", "uint8", "bool")
@@ -132,15 +122,33 @@ def _now() -> float:
     return time.monotonic()
 
 
-class CorruptMessage(BackendError):
-    """A message failed an integrity check (magic, sequence, header layout
-    or CRC).
+def _wait_for(blocker, timeout: float, describe) -> None:
+    """The transport's one blocking wait.
 
-    Subclass of :class:`BackendError` so existing typed-error handling is
-    unaffected; distinguished so the receiver's bounded re-read loop can
-    retry integrity failures without masking genuine protocol errors —
-    a ``CorruptMessage`` with no injected corruption pending is re-raised
-    immediately.
+    ``blocker()`` names the rank the wait is still stuck on, or returns
+    None once it is over.  It is polled with a short spin, then with
+    exponential sleep backoff; past ``timeout`` seconds the wait raises a
+    :class:`BackendError` naming that rank, with ``describe(rank)`` as
+    its message."""
+    deadline = _now() + timeout
+    for _ in range(_SPIN):
+        if blocker() is None:
+            return
+    delay = _POLL_MIN_S
+    while (rank := blocker()) is not None:
+        if _now() > deadline:
+            raise BackendError(describe(rank), rank=rank)
+        time.sleep(delay)
+        delay = min(delay * 2, _POLL_MAX_S)
+
+
+class CorruptMessage(BackendError):
+    """A message failed an integrity check (magic, sequence or header
+    layout): the slot holds something its sender did not write.
+
+    Subclass of :class:`BackendError`, so typed-error handling is
+    unaffected; a distinct type, so a test can tell a damaged message from
+    a dead or late peer.
     """
 
 
@@ -169,7 +177,6 @@ class ShmChannel:
         self.dst = dst
         self._send_seq = 0
         self._recv_seq = 0
-        self._pending_restore: tuple | None = None
         # Persistent zero-copy views: one u32 status word and one u8
         # payload window per slot.
         self._status = [
@@ -183,24 +190,17 @@ class ShmChannel:
         ]
 
     # -- low-level flag helpers -----------------------------------------
-    def _wait_status(self, slot: int, want: int, deadline: float,
-                     waiting_on: int, seq: int) -> None:
+    def _wait_status(self, seq: int, want: int, timeout: float) -> None:
+        """Wait until message ``seq``'s slot reads ``want``: EMPTY (the
+        receiver drained it) before a send, FULL (the sender filled it)
+        before a recv."""
+        slot = (seq - 1) % self.slots
         status = self._status[slot]
-        for _ in range(_SPIN):
-            if status[0] == want:
-                return
-        delay = _POLL_MIN_S
-        while status[0] != want:
-            if _now() > deadline:
-                verb = "drain" if want == _EMPTY else "fill"
-                raise BackendError(
-                    f"timed out waiting for rank {waiting_on} to {verb} "
-                    f"mailbox {self.src}->{self.dst} slot {slot} "
-                    f"(message seq {seq})",
-                    rank=waiting_on,
-                )
-            time.sleep(delay)
-            delay = min(delay * 2, _POLL_MAX_S)
+        peer, verb = (self.dst, "drain") if want == _EMPTY else (self.src, "fill")
+        _wait_for(lambda: None if status[0] == want else peer, timeout,
+                  lambda rank: f"timed out waiting for rank {rank} to {verb} "
+                               f"mailbox {self.src}->{self.dst} slot {slot} "
+                               f"(message seq {seq})")
 
     # -- protocol steps --------------------------------------------------
     def _check_sendable(self, arr) -> tuple[np.ndarray, int]:
@@ -234,13 +234,9 @@ class ShmChannel:
         if arr.nbytes:
             self._payload[slot][: arr.nbytes] = arr.reshape(-1).view(np.uint8)
         shape = tuple(arr.shape) + (0,) * (_MAX_NDIM - arr.ndim)
-        flags = crc = 0
-        if faults.active() is not None:
-            flags = _FLAG_CRC
-            crc = zlib.crc32(arr.reshape(-1).view(np.uint8)) if arr.nbytes else 0
         _HEADER_BODY.pack_into(
             self._buf, slot * self.slot_bytes + 4, seq, _MAGIC, code,
-            arr.ndim, flags, crc, arr.nbytes, *shape,
+            arr.ndim, arr.nbytes, *shape,
         )
         self._send_seq = seq
         rec = events.protocol()
@@ -279,12 +275,12 @@ class ShmChannel:
         """Drain the next message from its (FULL) slot and release it."""
         seq = self._recv_seq + 1
         slot = (seq - 1) % self.slots
-        (got_seq, magic, code, ndim, flags, crc, nbytes, *shape) = \
+        (got_seq, magic, code, ndim, nbytes, *shape) = \
             _HEADER_BODY.unpack_from(self._buf, slot * self.slot_bytes + 4)
         if magic != _MAGIC:
             raise CorruptMessage(
                 f"bad magic 0x{magic:08x} on mailbox {self.src}->{self.dst} "
-                f"slot {slot}",
+                f"slot {slot} (message seq {seq})",
                 rank=self.src,
             )
         if got_seq != seq:
@@ -300,15 +296,6 @@ class ShmChannel:
                 f"(message seq {seq}): {bad}",
                 rank=self.src,
             )
-        if flags & _FLAG_CRC and nbytes:
-            got_crc = zlib.crc32(self._payload[slot][:nbytes])
-            if got_crc != crc:
-                raise CorruptMessage(
-                    f"payload crc mismatch on mailbox {self.src}->{self.dst} "
-                    f"slot {slot} (message seq {seq}): expected 0x{crc:08x}, "
-                    f"got 0x{got_crc:08x}",
-                    rank=self.src,
-                )
         out = pool.empty(shape[:ndim], _DTYPES[code])
         if nbytes:
             out.reshape(-1).view(np.uint8)[:] = self._payload[slot][:nbytes]
@@ -334,130 +321,30 @@ class ShmChannel:
         """
         return sum(int(status[0] == _FULL) for status in self._status)
 
-    # -- fault-injection helpers ----------------------------------------
-    def _note_fault(self, kind: str, slot: int, seq: int, attempt: int,
-                    start: float) -> None:
-        """Record one injected fault: the ``fault`` event says which fault
-        fired (the telemetry fold counts them), the ``mp.fault`` span makes
-        the retry window visible in the Chrome trace."""
-        rec = events.active()
-        if rec is not None:
-            rec.emit("fault", fault=kind, src=self.src, dst=self.dst,
-                     slot=slot, seq=seq, attempt=attempt)
-            rec.span(f"fault:{kind} {self.src}->{self.dst} seq {seq}",
-                     "mp.fault", start)
-
-    def _inject_corruption(self, slot: int, field: str) -> None:
-        """Corrupt the slot in place, remembering how to undo it.
-
-        Payload corruption XOR-flips the first bytes of the payload (only
-        meaningful when the sender stamped a CRC — without one the damage
-        would be undetectable, so we corrupt the header instead); header
-        corruption overwrites the magic word.  The saved original bytes
-        let the receiver's retry path restore the slot and re-read.
-        """
-        off = slot * self.slot_bytes
-        (_, _, _, _, flags, _, nbytes, *_shape) = _HEADER_BODY.unpack_from(
-            self._buf, off + 4)
-        if field == "payload" and (flags & _FLAG_CRC) and nbytes:
-            window = self._payload[slot][: min(8, nbytes)]
-            saved = window.copy()
-            window ^= 0xFF
-            self._pending_restore = (slot, None, saved)
-        else:
-            saved_hdr = bytes(self._buf[off + 8 : off + 12])
-            self._buf[off + 8 : off + 12] = b"\xde\xad\xbe\xef"
-            self._pending_restore = (slot, saved_hdr, None)
-
-    def _restore_corruption(self) -> bool:
-        """Undo a pending injected corruption; False if none was pending."""
-        if self._pending_restore is None:
-            return False
-        slot, saved_hdr, saved_payload = self._pending_restore
-        self._pending_restore = None
-        if saved_hdr is not None:
-            off = slot * self.slot_bytes
-            self._buf[off + 8 : off + 12] = saved_hdr
-        if saved_payload is not None:
-            self._payload[slot][: len(saved_payload)] = saved_payload
-        return True
-
     # -- public API ------------------------------------------------------
     def send(self, arr: np.ndarray, timeout: float = DEFAULT_TIMEOUT_S) -> None:
         arr, code = self._check_sendable(arr)
         seq = self._send_seq + 1
-        slot = (seq - 1) % self.slots
-        deadline = _now() + timeout
-        self._wait_status(slot, _EMPTY, deadline, waiting_on=self.dst, seq=seq)
+        self._wait_status(seq, _EMPTY, timeout)
         plan = faults.active()
-        if plan is None:
-            self._commit_send(arr, code)
-            return
-        attempt = 0
-        while True:
-            spec = plan.take_send_fault(self.src, self.dst, seq)
-            if spec is None:
-                self._commit_send(arr, code)
-                return
-            start = _now()
-            if spec.kind == "delay":
-                # Then back to the plan: every fault planned for this
-                # message fires, in list order, before it is committed.
+        if plan is not None:
+            # Every delay planned for this message fires, in list order,
+            # before it is committed.
+            while (spec := plan.take_send_fault(self.src, self.dst, seq)) is not None:
+                start = _now()
                 time.sleep(spec.seconds)
-                self._note_fault("delay", slot, seq, attempt, start)
-                continue
-            # Dropped slot: the staged message is lost before publication;
-            # log the lost attempt (marked, so DYN003 pairs the *last*
-            # send with the recv) and resend after a backoff.
-            rec = events.protocol()
-            if rec is not None:
-                rec.emit("send", src=self.src, dst=self.dst, slot=slot,
-                         seq=seq, dropped=True, retry=attempt)
-            self._note_fault("drop", slot, seq, attempt, start)
-            if attempt + 1 >= plan.retry_budget:
-                raise BackendError(
-                    f"message seq {seq} on mailbox {self.src}->{self.dst} "
-                    f"slot {slot} dropped {attempt + 1} times; resend budget "
-                    f"({plan.retry_budget}) exhausted",
-                    rank=self.src,
-                )
-            time.sleep(min(plan.backoff_s * 2 ** attempt, 0.05))
-            attempt += 1
+                rec = events.active()
+                if rec is not None:
+                    # The event counts the fault; the span shows its window.
+                    rec.emit("fault", fault=spec.kind, src=self.src, dst=self.dst,
+                             slot=(seq - 1) % self.slots, seq=seq)
+                    rec.span(f"fault:{spec.kind} {self.src}->{self.dst} seq {seq}",
+                             "mp.fault", start)
+        self._commit_send(arr, code)
 
     def recv(self, timeout: float = DEFAULT_TIMEOUT_S) -> np.ndarray:
-        seq = self._recv_seq + 1
-        slot = (seq - 1) % self.slots
-        deadline = _now() + timeout
-        self._wait_status(slot, _FULL, deadline, waiting_on=self.src, seq=seq)
-        plan = faults.active()
-        attempt = 0
-        while True:
-            if plan is not None:
-                spec = plan.take_recv_fault(self.src, self.dst, seq)
-                if spec is not None:
-                    self._inject_corruption(slot, spec.field)
-            try:
-                out = self._commit_recv()
-                self._pending_restore = None
-                return out
-            except CorruptMessage as err:
-                start = _now()
-                restored = self._restore_corruption()
-                # Genuine corruption (nothing was injected) is a protocol
-                # violation, not a transient — surface it immediately.
-                if plan is None or not restored:
-                    raise
-                self._note_fault("corrupt", slot, seq, attempt, start)
-                if attempt + 1 >= plan.retry_budget:
-                    raise BackendError(
-                        f"message seq {seq} on mailbox "
-                        f"{self.src}->{self.dst} still corrupt after "
-                        f"{attempt + 1} re-reads (budget "
-                        f"{plan.retry_budget}): {err}",
-                        rank=self.src,
-                    ) from err
-                time.sleep(min(plan.backoff_s * 2 ** attempt, 0.05))
-                attempt += 1
+        self._wait_status(self._recv_seq + 1, _FULL, timeout)
+        return self._commit_recv()
 
 
 class ShmBarrier:
@@ -502,20 +389,9 @@ class ShmBarrier:
 
     def wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> int:
         generation = self.arrive()
-        deadline = _now() + timeout
-        delay = _POLL_MIN_S
-        while True:
-            straggler = self.peers_ready(generation)
-            if straggler is None:
-                break
-            if _now() > deadline:
-                raise BackendError(
-                    f"barrier generation {generation} timed out waiting "
-                    f"for rank {straggler}",
-                    rank=straggler,
-                )
-            time.sleep(delay)
-            delay = min(delay * 2, _POLL_MAX_S)
+        _wait_for(lambda: self.peers_ready(generation), timeout,
+                  lambda rank: f"barrier generation {generation} timed out "
+                               f"waiting for rank {rank}")
         rec = events.protocol()
         if rec is not None:
             rec.emit("barrier_depart", gen=generation)
@@ -580,7 +456,8 @@ class RankTransport:
 
     def _mesh_end(self) -> int:
         ring = self.slots * (HEADER_SIZE + self.capacity)
-        return self._barrier_bytes() + self.world * self.world * ring
+        end = self._barrier_bytes() + self.world * self.world * ring
+        return -(-end // _STATE_ALIGN) * _STATE_ALIGN
 
     def _segment_size(self) -> int:
         regions = 1 + self.spec["grad_slabs"]

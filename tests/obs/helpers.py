@@ -6,7 +6,7 @@ def row(rank, step, **fields):
     column (``gauges`` / ``fidelity`` are dicts)."""
     base = {"rank": rank, "step": step, "t_start_ms": 0.0, "wall_ms": 10.0,
             "comm_wait_ms": 4.0, "busy_ms": 6.0, "fault_ms": 0.0,
-            "retries": 0, "drops": 0, "delays": 0, "gauges": {},
+            "delays": 0, "gauges": {},
             "counters": {}, "timers_ms": {}, "fidelity": {}}
     base.update(fields)
     return base
@@ -24,15 +24,13 @@ def events(rows, **meta):
     step begins at t=0 and ends ``comm_wait_ms + busy_ms`` later (its
     ``wall_ms`` follows from those two), with one ``mp.wait`` span, its
     gauges, counters and phase timers, one ``fidelity`` call per site and
-    one ``fault`` event per corrupt, drop and delay.  ``meta`` fields, if
+    one ``fault`` event per delay.  ``meta`` fields, if
     any, make a leading parent ``meta`` event (``run_id=...``)."""
     out = [{"kind": "meta", "rank": -1, "idx": 0, "t": 0.0, "world": 1, **meta}] if meta else []
     for r in rows:
         def ev(kind, t=0.0, **fields):
             return {"kind": kind, "rank": r["rank"], "idx": 0, "t": t, **fields}
 
-        faults = {"corrupt": r["retries"] - r["drops"], "drop": r["drops"],
-                  "delay": r["delays"]}
         out += [ev("step_begin", step=r["step"]),
                 ev("span", name="wait", cat="mp.wait", dur=r["comm_wait_ms"] / 1e3),
                 *(ev("gauge", name=k, value=v) for k, v in r["gauges"].items()),
@@ -40,6 +38,6 @@ def events(rows, **meta):
                 *(ev("span", name=k, cat="phase", dur=v / 1e3)
                   for k, v in r["timers_ms"].items()),
                 *(ev("fidelity", site=site, **f) for site, f in r["fidelity"].items()),
-                *(ev("fault", fault=kind) for kind, n in faults.items() for _ in range(n)),
+                *(ev("fault", fault="delay") for _ in range(r["delays"])),
                 ev("step_end", t=(r["comm_wait_ms"] + r["busy_ms"]) / 1e3, step=r["step"])]
     return out

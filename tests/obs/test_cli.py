@@ -223,8 +223,7 @@ class TestMpTrace:
         monkeypatch.setenv("REPRO_FAULT_PLAN", "mixed")
         events, recorded = self.record(tmp_path, monkeypatch)
         spans = sorted(e["name"] for e in events if e.get("cat") == "mp.fault")
-        assert spans == ["fault:corrupt 2->0 seq 1", "fault:drop 0->2 seq 1",
-                         "fault:drop 0->2 seq 1"]
+        assert spans == ["fault:delay 0->2 seq 1"]
         channel = sorted((e["fault"], e["src"], e["dst"], e["seq"])
                          for e in recorded
                          if e["kind"] == "fault" and "src" in e)

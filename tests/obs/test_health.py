@@ -11,7 +11,6 @@ from repro.obs.telemetry import (
     FidelityDriftRule,
     HealthMonitor,
     LossRule,
-    RetryStormRule,
     StragglerRule,
 )
 from tests.obs.helpers import row, steps_of
@@ -83,19 +82,6 @@ class TestCommStallRule:
         # Ratio is huge but the wait is microscopic: min_wait_ms gates it.
         assert CommStallRule(ratio=3.0, min_wait_ms=5.0).evaluate(
             self.make(4.0, 0.1), step=1) == []
-
-
-class TestRetryStormRule:
-    def make(self, retries, drops=0):
-        return [row(0, 0, retries=retries, drops=drops)]
-
-    def test_fires_critical_above_limit(self):
-        (alert,) = RetryStormRule(max_events=8).evaluate(self.make(6, 3), step=2)
-        assert alert.severity == "critical"
-        assert alert.value == 9.0
-
-    def test_at_limit_does_not_fire(self):
-        assert RetryStormRule(max_events=8).evaluate(self.make(8), step=2) == []
 
 
 class TestFidelityDriftRule:

@@ -52,24 +52,22 @@ class TestAgentEvents:
             _span("mp.phase", "forward", 5.0),
             _span("mp.wait", "recv", 3.0),
             _span("mp.wait", "barrier", 2.0),
-            _span("mp.fault", "retry", 1.5),
-            *_faults(drop=2, corrupt=1, delay=1),
+            _span("mp.fault", "fault:delay 0->1 seq 1", 1.5),
+            *_faults(delay=3, kill=1),
             _ev("gauge", 0.0, name="loss", value=1.25),
             _ev("gauge", 0.0, name="ring_occupancy", value=3),
             _ev("gauge", 0.0, name="peak_rss_kb", value=1000.0),
         )
         (r,) = step_rows(events)
         assert list(r) == ["rank", "step", "t_start_ms", "wall_ms",
-                           "comm_wait_ms", "busy_ms", "fault_ms", "retries",
-                           "drops", "delays", "gauges", "counters",
-                           "timers_ms", "fidelity"]
+                           "comm_wait_ms", "busy_ms", "fault_ms", "delays",
+                           "gauges", "counters", "timers_ms", "fidelity"]
         assert r["rank"] == 0 and r["step"] == 7
         assert r["wall_ms"] == pytest.approx(20.0)
         assert r["comm_wait_ms"] == pytest.approx(5.0)
         assert r["fault_ms"] == pytest.approx(1.5)
         assert r["busy_ms"] == pytest.approx(r["wall_ms"] - 5.0)
-        assert r["retries"] == 3 and r["drops"] == 2
-        assert r["delays"] == 1
+        assert r["delays"] == 3  # a kill is not a delay
         assert r["gauges"] == {"loss": 1.25, "ring_occupancy": 3,
                                "peak_rss_kb": 1000.0}
         assert r["timers_ms"] == {}  # mp.phase is compute, not a phase timer
@@ -77,9 +75,9 @@ class TestAgentEvents:
     def test_fault_deltas_are_per_step_not_cumulative(self):
         # Counted from each step's own fault events, so a later step with
         # none reads zero whatever the plan's lifetime counters say.
-        first, second = step_rows(_step(0, *_faults(drop=2)) + _step(1))
-        assert first["drops"] == 2
-        assert second["drops"] == 0
+        first, second = step_rows(_step(0, *_faults(delay=2)) + _step(1))
+        assert first["delays"] == 2
+        assert second["delays"] == 0
 
     def test_fidelity_block_from_probe_and_probe_reset(self):
         """A row's fidelity block is the fold of its own step's calls (it
@@ -135,7 +133,7 @@ class TestStepRows:
         # Two ranks' slices interleaved event by event, as a merged stream
         # can arrive: each rank's begin/end, waits and faults stay its own.
         rank0 = _step(0, _span("mp.wait", "recv", 2.0, rank=0),
-                      *_faults(rank=0, drop=1), wall_s=0.010, rank=0, t0=1.0)
+                      *_faults(rank=0, kill=1), wall_s=0.010, rank=0, t0=1.0)
         rank1 = _step(0, _span("mp.wait", "recv", 7.0, rank=1),
                       *_faults(rank=1, delay=1), wall_s=0.030, rank=1, t0=1.002)
         merged = [e for pair in zip(rank0, rank1) for e in pair]
@@ -145,15 +143,14 @@ class TestStepRows:
         assert r1["wall_ms"] == pytest.approx(30.0)
         assert r0["comm_wait_ms"] == pytest.approx(2.0)
         assert r1["comm_wait_ms"] == pytest.approx(7.0)
-        assert (r0["drops"], r0["delays"]) == (1, 0)
-        assert (r1["drops"], r1["delays"]) == (0, 1)
+        assert (r0["delays"], r1["delays"]) == (0, 1)
         assert r0["t_start_ms"] == r1["t_start_ms"] == 0.0  # own first event
 
     def test_events_outside_a_step_are_ignored(self):
-        events = [_ev("meta", 0.5, world=2), *_faults(drop=3),
+        events = [_ev("meta", 0.5, world=2), *_faults(delay=3),
                   *_step(0), _span("mp.wait", "late", 9.0)]
         (r,) = step_rows(events)
-        assert r["drops"] == 0 and r["comm_wait_ms"] == 0.0
+        assert r["delays"] == 0 and r["comm_wait_ms"] == 0.0
         assert r["t_start_ms"] == pytest.approx(500.0)  # from the meta event
 
     def test_parent_rows_are_rank_minus_one(self):

@@ -117,20 +117,13 @@ class TestExpectedEventsMicrobatched:
 
 
 class TestMicrobatchedRunsDiffClean:
-    @pytest.mark.parametrize("scheme,tp,pp", [
-        ("A2", 2, 2), ("Q2", 1, 2), ("R2", 2, 2), ("w/o", 1, 2),
-    ])
-    def test_1f1b_m2_cell_is_clean(self, scheme, tp, pp):
-        assert check_layout(scheme, tp, pp, batch=4, schedule="1f1b",
+    @pytest.mark.parametrize("scheme,tp,pp,seq", [
+        ("A2", 2, 2, 8), ("Q2", 1, 2, 8), ("R2", 2, 2, 8), ("w/o", 1, 2, 8),
+        ("w/o", 1, 2, 9),  # off the default sequence length
+    ], ids=["A2-2-2", "Q2-1-2", "R2-2-2", "w/o-1-2", "w/o-1-2-seq9"])
+    def test_1f1b_m2_cell_is_clean(self, scheme, tp, pp, seq):
+        assert check_layout(scheme, tp, pp, batch=4, seq=seq, schedule="1f1b",
                             num_microbatches=2) == []
-
-    def test_mismatch_names_the_schedule_cell(self):
-        """A doctored expectation must report the (schedule, m) cell."""
-        problems = check_layout("w/o", 1, 2, batch=4, schedule="1f1b",
-                                num_microbatches=2, seq=9)
-        # seq=9 is fine — sanity that an honest run stays clean even off
-        # the default sequence length.
-        assert problems == []
 
     def test_event_count_regression_is_flagged(self, monkeypatch):
         """Drop one expected event: the diff must surface it with the

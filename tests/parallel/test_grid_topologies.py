@@ -104,7 +104,7 @@ def mailbox_site_bytes(log_dir):
     for rank, events in sorted(by_rank.items()):
         pending = Counter()
         for e in sorted(events, key=lambda e: e["idx"]):
-            if e["kind"] == "send" and not e.get("dropped"):
+            if e["kind"] == "send":
                 pending[e["dst"]] += e["nbytes"]
             elif e["kind"] == "span" and not e["name"].startswith("send->"):
                 site = _SITE_SPAN.fullmatch(e["name"])

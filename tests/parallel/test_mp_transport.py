@@ -29,7 +29,7 @@ from repro.parallel.backend import (
     ShmBarrier,
     ShmChannel,
 )
-from repro.parallel.backend import events, faults
+from repro.parallel.backend import events
 
 CAPACITY = 1 << 16
 
@@ -468,14 +468,14 @@ class TestClosedTransport:
 
 
 #: Header word offsets within a slot (after the u32 status word):
-#: seq@4 magic@8 dtype@12 ndim@13 flags@14 crc@16 nbytes@20 shape@28.
+#: seq@4 magic@8 dtype@12 ndim@13 nbytes@14 shape@22.
 HEADER_CORRUPTIONS = {
     "dtype": (12, "<B", 99, "dtype code 99"),
     "ndim": (13, "<B", 9, "ndim 9 exceeds"),
-    "unused_shape_word": (28 + 8 * 2, "<Q", 5, "non-zero unused shape words"),
-    "nbytes_over_capacity": (20, "<Q", CAPACITY + 1, "exceeds channel capacity"),
-    "nbytes_too_small": (20, "<Q", 8, "nbytes 8 does not match"),
-    "shape0": (28, "<Q", 3, r"nbytes 24 does not match shape \[3, 3\]"),
+    "unused_shape_word": (22 + 8 * 2, "<Q", 5, "non-zero unused shape words"),
+    "nbytes_over_capacity": (14, "<Q", CAPACITY + 1, "exceeds channel capacity"),
+    "nbytes_too_small": (14, "<Q", 8, "nbytes 8 does not match"),
+    "shape0": (22, "<Q", 3, r"nbytes 24 does not match shape \[3, 3\]"),
 }
 
 
@@ -492,26 +492,6 @@ class TestHeaderValidation:
             rx.recv()
         msg = str(exc.value)
         assert "mailbox 0->1" in msg and "slot 0" in msg and "seq 1" in msg
-
-    @pytest.mark.parametrize("shape,dtype", [((2, 3, 4), "float16"), ((), "int64"),
-                                             ((0, 5), "float32"), ((7,), "bool")])
-    def test_injected_header_corruption_is_restored_and_re_read(self, shape, dtype):
-        """A planned header corruption still recovers through the re-read
-        path: the restored header passes every layout check."""
-        faults.install(faults.FaultPlan({"retry_budget": 3, "faults": [
-            {"kind": "corrupt", "src": 0, "dst": 1, "seq": 1,
-             "field": "header"}]}))
-        try:
-            tx, rx = make_pair()
-            arr = np.arange(int(np.prod(shape))).reshape(shape).astype(dtype)
-            tx.send(arr)
-            out = rx.recv()
-            assert faults.active().injected["corrupt"] == 1
-            assert out.dtype == arr.dtype and np.array_equal(out, arr)
-            tx.send(arr)  # the ring carries on past the re-read message
-            assert np.array_equal(rx.recv(), arr)
-        finally:
-            faults.uninstall()
 
 
 class TestStatePlane:

@@ -124,6 +124,17 @@ class TestChannelAccounting:
         assert any("slot overwrite" in f and "seq 2" in f
                    and "seq 1 was never drained" in f for f in findings)
 
+    def test_double_publish_of_one_seq_is_flagged(self):
+        """One seq committed twice is a double publish: the transport
+        publishes each message once, so no second send is excused."""
+        log = _LogBuilder(2)
+        _send(log, 1, 0)
+        _send(log, 1, 0)
+        _recv(log, 1, 0)
+        findings = run_race_check(log.events)
+        assert any("double publish on mailbox 0->1 seq 1" in f
+                   and "idx 1 and again at idx 2" in f for f in findings), findings
+
     def test_wall_order_violation_on_delivery_edge(self):
         # The recv is stamped *before* the send that supposedly fed it —
         # the interleaving a dropped seq/status check produces.

@@ -510,22 +510,20 @@ _rank = st.integers(0, 3)
 _times = st.integers(1, 3)
 _seconds = st.floats(0.0, 0.01)
 _channel_fault = st.fixed_dictionaries(
-    {"kind": st.sampled_from(["delay", "drop", "corrupt"]),
-     "src": _rank, "dst": _rank},
+    {"kind": st.just("delay"), "src": _rank, "dst": _rank},
     optional={"seq": st.integers(1, 3), "step": _rank, "times": _times,
-              "seconds": _seconds,
-              "field": st.sampled_from(["payload", "header"])})
+              "seconds": _seconds})
 _step_fault = st.fixed_dictionaries(
     {"kind": st.sampled_from(["delay", "kill"]), "rank": _rank, "step": _rank},
     optional={"times": _times, "seconds": _seconds})
 #: Overrides that turn a well-formed spec into one the parser may refuse.
 _damage = st.fixed_dictionaries({}, optional={
-    "kind": st.sampled_from(["kill", "corrupt", "explode"]),
+    "kind": st.sampled_from(["kill", "explode"]),
     "src": st.one_of(st.none(), st.integers(-1, 3)),
     "dst": st.none(), "rank": _rank, "step": st.none(),
     "seq": st.integers(-1, 0), "times": st.integers(-1, 0),
     "seconds": st.sampled_from([-1.0, float("nan"), float("inf")]),
-    "field": st.just("checksum"), "when": st.just("now")})
+    "when": st.just("now")})
 _fault_specs = st.builds(
     lambda spec, damage: {**spec, **damage},
     st.one_of(_channel_fault, _step_fault), st.one_of(st.just({}), _damage))
@@ -546,7 +544,6 @@ def _fire_everything(plan, bound=4):
         for src, dst in itertools.permutations(range(bound), 2):
             for seq in range(1, bound):
                 drain(plan.take_send_fault, src, dst, seq)
-                drain(plan.take_recv_fault, src, dst, seq)
     return fired
 
 
@@ -570,11 +567,11 @@ class TestFaultPlanProperties:
     @pytest.mark.parametrize("spec, rule", [
         ({"kind": "kill", "rank": 1, "step": 0, "src": 0}, "not src/dst/seq"),
         ({"kind": "delay", "rank": 1, "seconds": 0.1}, "both rank and step"),
-        ({"kind": "drop", "src": 0, "dst": 1, "seq": 1, "times": 0},
+        ({"kind": "delay", "src": 0, "dst": 1, "seq": 1, "times": 0},
          "times must be an integer >= 1"),
-        ({"kind": "drop", "src": 0, "dst": 1, "seq": 0},
+        ({"kind": "delay", "src": 0, "dst": 1, "seq": 0},
          "seq must be an integer >= 1"),
-        ({"kind": "corrupt", "dst": 1}, "both src and dst"),
+        ({"kind": "delay", "dst": 1}, "both src and dst"),
         ({"kind": "delay", "rank": 1, "step": 0, "seconds": -1}, "seconds"),
         ({"kind": "delay", "rank": 1, "step": 0, "secs": 1}, "'secs'"),
         ({"kind": "delay", "rank": 1, "step": 0, "src": 0, "dst": 1},
